@@ -12,6 +12,7 @@ from .errors import (
     DimensionMismatch,
     EpsilonOutOfRange,
     NonConvergence,
+    NonFiniteDraw,
     NotCentered,
     NotSmooth,
     NotStronglyConvex,
@@ -23,11 +24,13 @@ from .errors import (
     UnsupportedModel,
 )
 from .conditionals import (
+    BlockReports,
     RejectionReport,
     ThetaConditional,
     expected_proposals_bound,
     sample_theta,
     sample_z_closed_form,
+    sample_z_group,
     sample_z_rejection,
 )
 from .engine import (
@@ -45,6 +48,7 @@ from .engine import (
     initial_state,
 )
 from .model import (
+    FactorGroup,
     Minimizer,
     ModelConstants,
     Potential,
@@ -53,6 +57,7 @@ from .model import (
     center_model,
     find_minimizer,
     make_quadratic_factor,
+    make_quadratic_group,
     model_constants,
     regularize_model,
 )

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 a validity predicate failed (bad precision range,
 bound outside its region, missing strong convexity), 3 numerical failure
-(quadrature, non-convergence, acceptance stall).
+(quadrature, non-convergence, non-finite draw, acceptance stall).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import (
     AcceptanceStall,
     EpsilonOutOfRange,
     NonConvergence,
+    NonFiniteDraw,
     NotCentered,
     NotStronglyConvex,
     QuadratureFailure,
@@ -37,7 +38,7 @@ from .model import center_model, find_minimizer, model_constants
 from .planner import plan_tv_multi, plan_tv_nonstrongly, plan_tv_single, plan_w1_single
 
 _VALIDITY_ERRORS = (EpsilonOutOfRange, NotCentered, NotStronglyConvex, UnsupportedModel)
-_NUMERICAL_ERRORS = (QuadratureFailure, NonConvergence, AcceptanceStall,
+_NUMERICAL_ERRORS = (QuadratureFailure, NonConvergence, NonFiniteDraw, AcceptanceStall,
                      SingularGram, SingularModel)
 
 
@@ -116,7 +117,7 @@ def _cmd_plan(args) -> int:
 def _cmd_sample(args) -> int:
     model = zoo.build_model(args.model, **_model_kwargs(args))
     config = SamplerConfig(rho=args.rho, sweeps=args.sweeps, burn_in=args.burn_in,
-                           parallel_z=args.parallel_z, record_every=args.record_every)
+                           record_every=args.record_every)
     theta0 = np.zeros(model.d)
     trace = None
     if args.out is not None:
@@ -215,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--sweeps", type=int, default=1000)
     p_sample.add_argument("--burn-in", type=int, default=0, dest="burn_in")
     p_sample.add_argument("--record-every", type=int, default=1, dest="record_every")
-    p_sample.add_argument("--parallel-z", action="store_true", dest="parallel_z")
     p_sample.add_argument("--trace", action="store_true")
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--out", default=None)

@@ -2,22 +2,28 @@
 
 The master-parameter conditional is Gaussian with precision G/rho^2 and is
 drawn through the cached factorization of G. Each auxiliary block z_i is
-drawn either from a closed-form conditional attached to its factor or by
-rejection sampling from a Gaussian proposal centered at an approximate
+drawn either from a closed-form conditional attached to its factor group or
+by rejection sampling from a Gaussian proposal centered at an approximate
 minimizer of V_i(z) = U_i(z) + ||z - A_i theta||^2 / (2 rho^2).
+
+The sweep draws all blocks of a factor group together with array
+operations (warm_start_group, sample_z_group). The one-block functions
+warm_start_minimize and sample_z_rejection are the reference they are
+tested against.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 from scipy.special import expit
 
 from .errors import AcceptanceStall, NonConvergence, NotSmooth, UnsupportedModel
-from .model import SplitFactor, SplitModel
+from .model import ALL_BLOCKS, FactorGroup, SplitFactor, SplitModel
 
 # Warm starts stop once ||grad V_i|| <= (2/7) sqrt(1/rho^2 + m_i) / sqrt(d_i).
 _GD_STOP_FACTOR = 2.0 / 7.0
@@ -39,12 +45,11 @@ class ThetaConditional:
         self.rho = float(rho)
         # Lower-triangular L with G = L L^T.
         self.chol_lower = np.linalg.cholesky(model.gram)
+        self._trtrs = get_lapack_funcs(("trtrs",), (self.chol_lower,))[0]
 
     def mean(self, z_blocks) -> np.ndarray:
-        s = np.zeros(self.model.d)
-        for f, z in zip(self.model.factors, z_blocks):
-            s += f.a.T @ np.atleast_1d(z)
-        return self.model.solve_gram(s)
+        """mu(z) = G^{-1} sum_i A_i^T z_i; z per group or per block (see SplitModel.as_groups)."""
+        return self.model.master_mean(self.model.as_groups(z_blocks))
 
     def sample(self, z_blocks, rng, size: int | None = None) -> np.ndarray:
         """Exact draw(s) from N(mu(z), rho^2 G^{-1}).
@@ -53,12 +58,13 @@ class ThetaConditional:
         the same conditioning blocks.
         """
         mu = self.mean(z_blocks)
+        shape = self.model.d if size is None else (self.model.d, size)
+        # L^T noise = xi, by LAPACK directly (see SplitModel.solve_gram).
+        noise, info = self._trtrs(self.chol_lower, rng.standard_normal(shape), lower=1, trans=1)
+        if info != 0:
+            raise ValueError(f"triangular solve failed with LAPACK info {info}")
         if size is None:
-            xi = rng.standard_normal(self.model.d)
-            noise = solve_triangular(self.chol_lower, xi, lower=True, trans="T")
             return mu + self.rho * noise
-        xi = rng.standard_normal((self.model.d, size))
-        noise = solve_triangular(self.chol_lower, xi, lower=True, trans="T")
         return (mu[:, None] + self.rho * noise).T
 
 
@@ -79,6 +85,33 @@ class RejectionReport:
             raise ValueError("the expected proposal count is never below one")
 
 
+class BlockReports(Sequence):
+    """The per-block reports of one sweep, held as arrays over the model's blocks.
+
+    Item i is block i's RejectionReport, built on access, or None for a
+    block drawn in closed form (proposals 0).
+    """
+
+    __slots__ = ("proposals", "gd_steps", "expected")
+
+    def __init__(self, proposals: np.ndarray, gd_steps: np.ndarray, expected: np.ndarray):
+        self.proposals = proposals
+        self.gd_steps = gd_steps
+        self.expected = expected
+
+    def __len__(self) -> int:
+        return len(self.proposals)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        used = int(self.proposals[i])
+        if used == 0:
+            return None
+        return RejectionReport(proposals_used=used, warm_start_gd_steps=int(self.gd_steps[i]),
+                               expected_bound=float(self.expected[i]))
+
+
 def _coupled_grad(factor: SplitFactor, z, a_theta, rho):
     return np.asarray(factor.potential.gradient(z), dtype=float) + (z - a_theta) / rho**2
 
@@ -92,14 +125,24 @@ def gd_stop_threshold(factor: SplitFactor, rho: float) -> float:
     return _GD_STOP_FACTOR * math.sqrt(1.0 / rho**2 + m) / math.sqrt(factor.dim)
 
 
+def _step_bounds(gnorm0, target, rho: float, m, M) -> np.ndarray:
+    """Per-block descent step ceilings, the array form of warm_start_minimize's bound."""
+    kappa = (1.0 + rho**2 * M) / (1.0 + rho**2 * m)
+    with np.errstate(divide="ignore"):
+        rate = np.log(1.0 / (1.0 - 1.0 / kappa))  # inf at kappa = 1: one exact step
+        return np.maximum(np.ceil((np.log(gnorm0) - np.log(target)) / rate), 1.0)
+
+
 def warm_start_minimize(factor: SplitFactor, a_theta: np.ndarray, rho: float,
-                        target: float, z0: np.ndarray | None = None,
-                        max_iter: int = 1_000_000):
+                        target: float, z0: np.ndarray | None = None):
     """Gradient descent on V_i with step 1/(1/rho^2 + M_i) until ||grad V_i|| <= target.
 
-    Returns (z_tilde, grad at z_tilde, step count). The step count can never
-    exceed ceil((log ||grad V_i(z0)|| - log target) / log(1/(1 - 1/kappa)))
-    with kappa = (1 + rho^2 M_i)/(1 + rho^2 m_i); asserted in test mode.
+    Returns (z_tilde, grad at z_tilde, step count). Certified constants
+    keep the step count within
+    ceil((log ||grad V_i(z0)|| - log target) / log(1/(1 - 1/kappa))), at
+    least 1, with kappa = (1 + rho^2 M_i)/(1 + rho^2 m_i). Raises
+    NonConvergence as soon as the count passes that bound or the gradient
+    norm turns non-finite, both signs of an understated M_i.
     """
     M = factor.potential.M
     if not math.isfinite(M):
@@ -108,25 +151,25 @@ def warm_start_minimize(factor: SplitFactor, a_theta: np.ndarray, rho: float,
     step = 1.0 / (1.0 / rho**2 + M)
     z = np.array(a_theta, dtype=float) if z0 is None else np.array(z0, dtype=float)
     g = _coupled_grad(factor, z, a_theta, rho)
-    gnorm0 = float(np.linalg.norm(g))
+    gnorm = float(np.linalg.norm(g))
     steps = 0
-    gnorm = gnorm0
-    while gnorm > target:
-        if steps >= max_iter:
-            raise NonConvergence("warm-start descent failed to reach its target")
+    bound = None
+    while True:
+        if not math.isfinite(gnorm):
+            raise NonConvergence(f"warm-start gradient norm is {gnorm} after {steps} steps")
+        if gnorm <= target:
+            return z, g, steps
+        if bound is None:
+            kappa = (1.0 + rho**2 * M) / (1.0 + rho**2 * m)
+            bound = 1 if kappa <= 1.0 else max(1, math.ceil(
+                (math.log(gnorm) - math.log(target)) / math.log(1.0 / (1.0 - 1.0 / kappa))))
+        if steps >= bound:
+            raise NonConvergence(f"warm-start descent passed its step bound {int(bound)}; "
+                                 "the certified M looks too small")
         z = z - step * g
         g = _coupled_grad(factor, z, a_theta, rho)
         gnorm = float(np.linalg.norm(g))
         steps += 1
-    if steps and gnorm0 > target:
-        kappa = (1.0 + rho**2 * M) / (1.0 + rho**2 * m)
-        if kappa <= 1.0:
-            bound = 1  # constant curvature: a single exact step
-        else:
-            bound = math.ceil((math.log(gnorm0) - math.log(target))
-                              / math.log(1.0 / (1.0 - 1.0 / kappa)))
-        assert steps <= max(bound, 1), f"descent took {steps} steps, bound is {bound}"
-    return z, g, steps
 
 
 def _proposal_tightening(factor: SplitFactor, grad_norm: float, rho: float) -> float:
@@ -225,6 +268,108 @@ def sample_z_rejection(factor: SplitFactor, theta: np.ndarray, rho: float, rng,
             return z, RejectionReport(proposals_used=proposals,
                                       warm_start_gd_steps=gd_steps,
                                       expected_bound=expected)
+
+
+def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target,
+                     z0: np.ndarray | None = None):
+    """warm_start_minimize for every block of a group at once.
+
+    Descends only the blocks still above their target (target is a scalar
+    or one value per block). Returns (z_tilde, gradient norms, steps), all
+    per block; raises NonConvergence like the single-block descent,
+    naming the first failing block of the group.
+    """
+    if not np.isfinite(group.M).all():
+        raise NotSmooth("warm-start descent needs a finite smoothness constant")
+    step = 1.0 / (1.0 / rho**2 + group.M)
+    target = np.broadcast_to(target, (group.b,))
+    z = np.array(a_theta if z0 is None else z0, dtype=float)
+    g = group.gradient(z, ALL_BLOCKS) + (z - a_theta) / rho**2
+    gnorm = np.linalg.norm(g, axis=1)
+    steps = np.zeros(group.b, dtype=np.int64)
+    pending = np.flatnonzero(~(gnorm <= target))
+    if pending.size:
+        bound = _step_bounds(gnorm[pending], target[pending], rho, group.m[pending],
+                             group.M[pending])
+    while pending.size:
+        bad = ~np.isfinite(gnorm[pending])
+        if bad.any():
+            j = int(pending[bad][0])
+            raise NonConvergence(f"block {j}: warm-start gradient norm is {gnorm[j]} "
+                                 f"after {steps[j]} steps")
+        over = steps[pending] >= bound
+        if over.any():
+            j = int(pending[over][0])
+            raise NonConvergence(f"block {j}: warm-start descent passed its step bound "
+                                 f"{int(bound[over][0])}; the certified M looks too small")
+        zp = z[pending] - step[pending, None] * g[pending]
+        gp = group.gradient(zp, pending) + (zp - a_theta[pending]) / rho**2
+        z[pending], g[pending] = zp, gp
+        gnorm[pending] = np.linalg.norm(gp, axis=1)
+        steps[pending] += 1
+        keep = ~(gnorm[pending] <= target[pending])
+        pending, bound = pending[keep], bound[keep]
+    return z, gnorm, steps
+
+
+def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
+                   proposal_cap: int = DEFAULT_PROPOSAL_CAP,
+                   z_warm: np.ndarray | None = None):
+    """Exact draws of every block of a group: sample_z_rejection as array operations.
+
+    a_theta has shape (b, k). One masked descent gives every warm start;
+    then each round proposes once for every block still pending, taking
+    the normals and then the uniforms from rng in block order, and retires
+    the accepted blocks. Returns (z, proposals, gd_steps, expected_bound),
+    the last three per block. Raises AcceptanceStall when a block is still
+    pending after proposal_cap rounds.
+    """
+    if not np.isfinite(group.M).all():
+        raise NotSmooth("rejection sampling needs a finite smoothness constant")
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    k = group.k
+    s = 1.0 / rho**2 + group.m
+    target = _GD_STOP_FACTOR * np.sqrt(s) / math.sqrt(k)
+    z_tilde, gnorm, gd_steps = warm_start_group(group, a_theta, rho, target, z0=z_warm)
+
+    g2d = gnorm**2 / k
+    a_tilde = s + 0.5 * g2d - np.sqrt(0.25 * g2d**2 + s * g2d)
+    denom = s - a_tilde
+    top = 1.0 / rho**2 + group.M
+    # gnorm = 0 makes denom = 0; both exponents have limit 0 there.
+    flat = (gnorm == 0.0) | (denom <= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r = np.where(flat, 0.0, -0.5 * gnorm**2 / denom)
+        exponent = np.where(flat, 0.0, 0.5 * gnorm**2 * (1.0 / denom - 1.0 / top))
+    expected = (top / a_tilde) ** (k / 2.0) * np.exp(exponent)
+    v_tilde = (group.value(z_tilde, ALL_BLOCKS)
+               + 0.5 * np.sum((z_tilde - a_theta) ** 2, axis=1) / rho**2)
+    sigma_prop = 1.0 / np.sqrt(a_tilde)
+
+    z = np.empty_like(z_tilde)
+    proposals = np.zeros(group.b, dtype=np.int64)
+    pending = np.arange(group.b)
+    rounds = 0
+    while pending.size:
+        if rounds >= proposal_cap:
+            raise AcceptanceStall(
+                f"block {int(pending[0])}: no acceptance after {proposal_cap} proposals; "
+                "certified (m, M) look wrong"
+            )
+        rounds += 1
+        proposals[pending] = rounds
+        center = z_tilde[pending]
+        zp = center + sigma_prop[pending, None] * rng.standard_normal((pending.size, k))
+        u = rng.uniform(size=pending.size)
+        v = group.value(zp, pending) + 0.5 * np.sum((zp - a_theta[pending]) ** 2, axis=1) / rho**2
+        log_accept = (log_r[pending] - (v - v_tilde[pending])
+                      + 0.5 * a_tilde[pending] * np.sum((zp - center) ** 2, axis=1))
+        with np.errstate(divide="ignore"):
+            accepted = np.log(u) < log_accept
+        z[pending[accepted]] = zp[accepted]
+        pending = pending[~accepted]
+    return z, proposals, gd_steps, expected
 
 
 def sample_z_closed_form(model_kind: str, a_theta: np.ndarray, rho: float, rng, *,

@@ -1,12 +1,15 @@
 """The Gibbs sweep, baseline samplers (ULA, joint Langevin) and optimizer twins.
 
 One sweep refreshes every auxiliary block from the previous master iterate
-(simultaneously, so blocks stay exchangeable and may be drawn in parallel)
-and then redraws the master parameter from its Gaussian conditional.
+and then redraws the master parameter from its Gaussian conditional. Given
+theta the blocks are conditionally independent, so each factor group is
+drawn at once with array operations.
 
-Randomness contract: every draw comes from a child stream keyed by
-(root seed, sweep index, block index), so a chain is reproducible
-bit-for-bit from (model, config, seed) regardless of thread scheduling.
+Randomness contract: sweep t draws from two streams keyed by
+(root seed, t, phase). Phase 0 feeds the auxiliary blocks, group by group
+and, within each rejection round, in block order; phase 1 feeds the master
+draw. A chain is therefore reproducible bit for bit from
+(model, config, seed).
 """
 
 from __future__ import annotations
@@ -14,30 +17,38 @@ from __future__ import annotations
 import math
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .conditionals import (
     DEFAULT_PROPOSAL_CAP,
+    BlockReports,
     ThetaConditional,
-    sample_z_rejection,
-    warm_start_minimize,
+    sample_z_group,
+    warm_start_group,
 )
-from .errors import DimensionMismatch, NotSmooth
-from .model import SplitModel
+from .errors import DimensionMismatch, NonFiniteDraw, NotSmooth
+from .model import ALL_BLOCKS, SplitModel
 
 TRACE_MAGIC = b"SGS1"
 _TRACE_HEADER = struct.Struct("<4sqq")
 
+# Stream phases of one sweep.
+PHASE_BLOCKS = 0
+PHASE_MASTER = 1
+
 
 @dataclass
 class ChainState:
-    """One Markov-chain iterate: (theta, z_1..z_b) plus the seed it grew from."""
+    """One Markov-chain iterate: (theta, z_1..z_b) plus the seed it grew from.
+
+    z_groups holds the auxiliary blocks as one (b_g, k_g) array per factor
+    group of the model; z_blocks lists them one block at a time.
+    """
 
     theta: np.ndarray
-    z_blocks: tuple
+    z_groups: tuple
     sweep: int
     rng_seed_root: int
 
@@ -45,13 +56,20 @@ class ChainState:
         if self.sweep < 0:
             raise ValueError("sweep index must be nonnegative")
 
+    @property
+    def z_blocks(self) -> tuple:
+        return _blocks(self.z_groups)
+
+
+def _blocks(z_groups) -> tuple:
+    return tuple(z for zg in z_groups for z in zg)
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
     rho: float
     sweeps: int
     burn_in: int = 0
-    parallel_z: bool = False
     record_every: int = 1
     carry_warm_start: bool = False
     proposal_cap: int = DEFAULT_PROPOSAL_CAP
@@ -69,71 +87,81 @@ def initial_state(model: SplitModel, theta0: np.ndarray, seed: int) -> ChainStat
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (model.d,):
         raise DimensionMismatch("theta0 has the wrong length")
-    z0 = tuple(f.a @ theta0 for f in model.factors)
-    return ChainState(theta=theta0, z_blocks=z0, sweep=0, rng_seed_root=int(seed))
+    z0 = tuple(g.couple(theta0) for g in model.groups)
+    return ChainState(theta=theta0, z_groups=z0, sweep=0, rng_seed_root=int(seed))
 
 
-def _block_rng(root: int, sweep: int, block: int):
-    return np.random.default_rng(np.random.SeedSequence(root, spawn_key=(sweep, block)))
+def _sweep_rng(root: int, sweep: int, phase: int):
+    return np.random.default_rng(np.random.SeedSequence(root, spawn_key=(sweep, phase)))
 
 
-def _draw_block(model, state, config, i, rng):
-    factor = model.factors[i]
-    a_theta = factor.a @ state.theta
-    if factor.conditional_sampler is not None:
-        return factor.conditional_sampler(a_theta, config.rho, rng), None
-    warm = state.z_blocks[i] if config.carry_warm_start else None
-    return sample_z_rejection(factor, state.theta, config.rho, rng,
-                              proposal_cap=config.proposal_cap, z_warm=warm)
+def _draw_blocks(model: SplitModel, state: ChainState, config: SamplerConfig, rng, sweep: int):
+    """Every auxiliary block given state.theta, group by group: (z per group, BlockReports)."""
+    proposals = np.zeros(model.b, dtype=np.int64)
+    gd_steps = np.zeros(model.b, dtype=np.int64)
+    expected = np.zeros(model.b)
+    z_new = []
+    start = 0
+    for g, z_prev in zip(model.groups, state.z_groups):
+        a_theta = g.couple(state.theta)
+        if g.sampler is not None:
+            z = g.sampler(a_theta, config.rho, rng)
+        else:
+            rows = slice(start, start + g.b)
+            warm = z_prev if config.carry_warm_start else None
+            z, proposals[rows], gd_steps[rows], expected[rows] = sample_z_group(
+                g, a_theta, config.rho, rng, proposal_cap=config.proposal_cap, z_warm=warm)
+        finite = np.isfinite(z)
+        if not finite.all():
+            bad = start + int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise NonFiniteDraw(f"sweep {sweep}: auxiliary block {bad} is not finite")
+        z_new.append(z)
+        start += g.b
+    return tuple(z_new), BlockReports(proposals, gd_steps, expected)
 
 
 def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
               theta_cond: ThetaConditional | None = None, rng_factory=None):
     """Advance the chain by one sweep; returns (new state, per-block reports).
 
-    Reports are RejectionReport for blocks drawn by rejection, None for
-    closed-form blocks. rng_factory(sweep, block) overrides the default
-    seed-derived streams (block index b addresses the master-parameter draw);
-    passing a factory of null generators turns the sweep into its
-    deterministic conditional-mode twin on Gaussian models.
+    The reports are a BlockReports sequence: a RejectionReport for each
+    block drawn by rejection, None for closed-form blocks. rng_factory(sweep,
+    phase) overrides the default seed-derived streams; phase 0 feeds every
+    auxiliary block, phase 1 the master-parameter draw. Passing a factory of
+    null generators turns the sweep into its deterministic conditional-mode
+    twin on Gaussian models. Raises NonFiniteDraw, naming the sweep and the
+    first bad block, when a draw is not finite.
     """
     if theta_cond is None:
         theta_cond = ThetaConditional(model, config.rho)
     sweep = state.sweep + 1
-    b = model.b
     if rng_factory is None:
-        rng_factory = lambda s, i: _block_rng(state.rng_seed_root, s, i)
-    if config.parallel_z and b > 1:
-        with ThreadPoolExecutor(max_workers=min(b, 8)) as pool:
-            results = list(pool.map(
-                lambda i: _draw_block(model, state, config, i, rng_factory(sweep, i)),
-                range(b)))
-    else:
-        results = [_draw_block(model, state, config, i, rng_factory(sweep, i))
-                   for i in range(b)]
-    z_new = tuple(z for z, _ in results)
-    reports = [r for _, r in results]
-    theta_new = theta_cond.sample(z_new, rng_factory(sweep, b))
-    new_state = ChainState(theta=theta_new, z_blocks=z_new, sweep=sweep,
+        root = state.rng_seed_root
+        rng_factory = lambda s, phase: _sweep_rng(root, s, phase)
+    z_new, reports = _draw_blocks(model, state, config, rng_factory(sweep, PHASE_BLOCKS), sweep)
+    theta_new = theta_cond.sample(z_new, rng_factory(sweep, PHASE_MASTER))
+    if not np.isfinite(theta_new).all():
+        raise NonFiniteDraw(f"sweep {sweep}: the master draw is not finite")
+    new_state = ChainState(theta=theta_new, z_groups=z_new, sweep=sweep,
                            rng_seed_root=state.rng_seed_root)
     return new_state, reports
 
 
+def _group_mode(group, a_theta: np.ndarray, rho: float, tol: float) -> np.ndarray:
+    if group.mode is not None:
+        return group.mode(a_theta, rho)
+    return warm_start_group(group, a_theta, rho, tol)[0]
+
+
 def sweep_conditional_modes(model: SplitModel, theta: np.ndarray, rho: float,
                             tol: float = 1e-10):
-    """The deterministic twin of one sweep: conditional modes instead of draws."""
-    z_new = []
-    for factor in model.factors:
-        a_theta = factor.a @ theta
-        if factor.conditional_mode is not None:
-            z_new.append(factor.conditional_mode(a_theta, rho))
-        else:
-            z, _, _ = warm_start_minimize(factor, a_theta, rho, target=tol)
-            z_new.append(z)
-    s = np.zeros(model.d)
-    for f, z in zip(model.factors, z_new):
-        s += f.a.T @ np.atleast_1d(z)
-    return model.solve_gram(s), z_new
+    """The deterministic twin of one sweep: conditional modes instead of draws.
+
+    Returns (theta, z_blocks); the master step is the sweep's own
+    conditional mean, SplitModel.master_mean.
+    """
+    z_new = [_group_mode(g, g.couple(theta), rho, tol) for g in model.groups]
+    return model.master_mean(z_new), list(_blocks(z_new))
 
 
 @dataclass
@@ -187,11 +215,9 @@ def run_chain(model: SplitModel, config: SamplerConfig, seed: int,
         for t in range(1, config.sweeps + 1):
             state, reports = sgs_sweep(model, state, config, cond)
             sweeps_run = t
-            for i, rep in enumerate(reports):
-                if rep is not None:
-                    proposals[i] += rep.proposals_used
-                    rejection_draws[i] += 1
-                    gd_steps[i] += rep.warm_start_gd_steps
+            proposals += reports.proposals
+            rejection_draws += reports.proposals > 0
+            gd_steps += reports.gd_steps
             if t > config.burn_in and (t - config.burn_in - 1) % config.record_every == 0:
                 recorded.append(state.theta.copy())
                 if writer is not None:
@@ -231,17 +257,17 @@ def extended_langevin_step(model: SplitModel, state: ChainState, rho: float,
     if not model.smooth():
         raise NotSmooth("Langevin steps need finite smoothness constants")
     theta = state.theta
-    drift_theta = np.zeros(model.d)
-    z_new = []
-    for f, z in zip(model.factors, state.z_blocks):
-        resid = f.a @ theta - z
-        drift_theta += f.a.T @ resid / rho**2
-        drift_z = (z - f.a @ theta) / rho**2 + np.asarray(f.potential.gradient(z), dtype=float)
-        noise = math.sqrt(2.0 * h) * rng.standard_normal(f.dim) if h > 0 else 0.0
+    resid, z_new = [], []
+    for g, z in zip(model.groups, state.z_groups):
+        a_theta = g.couple(theta)
+        resid.append(a_theta - z)
+        drift_z = (z - a_theta) / rho**2 + g.gradient(z, ALL_BLOCKS)
+        noise = math.sqrt(2.0 * h) * rng.standard_normal(z.shape) if h > 0 else 0.0
         z_new.append(z - h * drift_z + noise)
+    drift_theta = model.assemble(resid) / rho**2
     noise = math.sqrt(2.0 * h) * rng.standard_normal(model.d) if h > 0 else 0.0
     theta_new = theta - h * drift_theta + noise
-    return ChainState(theta=theta_new, z_blocks=tuple(z_new), sweep=state.sweep + 1,
+    return ChainState(theta=theta_new, z_groups=tuple(z_new), sweep=state.sweep + 1,
                       rng_seed_root=state.rng_seed_root)
 
 
@@ -273,23 +299,14 @@ def admm_solve(model: SplitModel, rho: float, iters: int,
     dual step: u_i += z_i - A_i theta
     """
     theta = np.zeros(model.d) if theta0 is None else np.array(theta0, dtype=float)
-    duals = [np.zeros(f.dim) for f in model.factors]
-    z_blocks = [f.a @ theta for f in model.factors]
+    duals = [np.zeros((g.b, g.k)) for g in model.groups]
+    z = [g.couple(theta) for g in model.groups]
     for _ in range(iters):
-        for i, factor in enumerate(model.factors):
-            anchor = factor.a @ theta - duals[i]
-            if factor.conditional_mode is not None:
-                z_blocks[i] = factor.conditional_mode(anchor, rho)
-            else:
-                z, _, _ = warm_start_minimize(factor, anchor, rho, target=inner_tol)
-                z_blocks[i] = z
-        s = np.zeros(model.d)
-        for f, z, u in zip(model.factors, z_blocks, duals):
-            s += f.a.T @ (np.atleast_1d(z) + u)
-        theta = model.solve_gram(s)
-        for i, factor in enumerate(model.factors):
-            duals[i] = duals[i] + z_blocks[i] - factor.a @ theta
-    return theta, z_blocks, duals
+        z = [_group_mode(g, g.couple(theta) - u, rho, inner_tol)
+             for g, u in zip(model.groups, duals)]
+        theta = model.master_mean([zg + u for zg, u in zip(z, duals)])
+        duals = [u + zg - g.couple(theta) for g, zg, u in zip(model.groups, z, duals)]
+    return theta, list(_blocks(z)), list(_blocks(duals))
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +341,21 @@ class TraceWriter:
 
 
 def read_trace(path) -> np.ndarray:
-    """Load a trace file back as a (T, d) array."""
+    """Load a trace file back as a (T, d) array.
+
+    The row count comes from the file length, so a trace whose writer never
+    closed it (header T = 0) or that was cut short still loads; a trailing
+    partial row is dropped.
+    """
     with open(path, "rb") as fh:
-        magic, d, t = _TRACE_HEADER.unpack(fh.read(_TRACE_HEADER.size))
-        if magic != TRACE_MAGIC:
-            raise ValueError(f"not a trace file: magic {magic!r}")
-        data = np.frombuffer(fh.read(8 * d * t), dtype="<f8")
-    return data.reshape(t, d)
+        header = fh.read(_TRACE_HEADER.size)
+        payload = fh.read()
+    if len(header) < _TRACE_HEADER.size:
+        raise ValueError("not a trace file: header is truncated")
+    magic, d, _ = _TRACE_HEADER.unpack(header)
+    if magic != TRACE_MAGIC:
+        raise ValueError(f"not a trace file: magic {magic!r}")
+    if d < 1:
+        raise ValueError(f"trace header gives dimension {d}")
+    rows = len(payload) // (8 * d)
+    return np.frombuffer(payload[:8 * d * rows], dtype="<f8").reshape(rows, d)

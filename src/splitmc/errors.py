@@ -33,6 +33,10 @@ class NonConvergence(SplitMCError):
     """An iterative solver hit its iteration cap before reaching tolerance."""
 
 
+class NonFiniteDraw(SplitMCError):
+    """A sweep drew a non-finite auxiliary block or master parameter."""
+
+
 class AcceptanceStall(SplitMCError):
     """Rejection sampling exceeded its proposal cap; certified constants are suspect."""
 

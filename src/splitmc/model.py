@@ -1,9 +1,12 @@
 """Composite potentials U(theta) = sum_i U_i(A_i theta) with certified constants.
 
-A model is a list of factors (A_i, U_i). Each factor potential carries its
-strong-convexity constant m, gradient-Lipschitz constant M (may be inf) and
-value-Lipschitz constant L (may be inf); the constants are user-certified
-inputs, validated only by spot finite-difference checks in the test suite.
+A model is a list of factors (A_i, U_i), held as factor groups: b blocks of
+one dimension with a stacked coupling matrix and array-valued potentials,
+so that everything done to all blocks runs as array operations. Each
+factor potential carries its strong-convexity constant m,
+gradient-Lipschitz constant M (may be inf) and value-Lipschitz constant L
+(may be inf); the constants are user-certified inputs, validated only by
+spot finite-difference checks in the test suite.
 
 Models are immutable after construction and safe to share across chains.
 """
@@ -11,11 +14,12 @@ Models are immutable after construction and safe to share across chains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, get_lapack_funcs
 
 from .errors import (
     DimensionMismatch,
@@ -84,30 +88,138 @@ class SplitFactor:
         return self.potential.dim
 
 
-class SplitModel:
-    """Ambient dimension d plus an ordered list of factors.
+ALL_BLOCKS = slice(None)
 
-    The stacked matrix [A_1; ...; A_b] must have rank d, i.e. the Gram
-    matrix G = sum_i A_i^T A_i must be positive definite; this is checked
-    once at construction and the symmetric factorization of G is cached
-    for reuse by every sweep.
+
+class FactorGroup:
+    """b coupling blocks of one dimension k whose conditionals are drawn together.
+
+    a has shape (b, k, d): block j couples through the (k, d) matrix a[j].
+    value(z, rows) and gradient(z, rows) evaluate the potentials of the
+    blocks selected by rows (an index array or a slice into the group) at the
+    matching rows of z, of shape (r, k); value returns shape (r,), gradient
+    (r, k). m, M and L hold the certified constants of every block.
+    sampler(a_theta, rho, rng) / mode(a_theta, rho), when present, draw from
+    or minimize every block's coupled conditional at once, with a_theta of
+    shape (b, k); groups without them go through the rejection sampler and
+    the warm-start descent.
+
+    A plain SplitFactor is a group of one (FactorGroup.of), whose `factors`
+    is that factor itself. Other groups give per-block SplitFactor views
+    carrying the coupling and the potential; their closed-form
+    conditionals stay on the group.
+    """
+
+    def __init__(self, a, value, gradient, m, M, L=math.inf, sampler=None, mode=None):
+        a = np.array(a, dtype=float)
+        if a.ndim != 3 or 0 in a.shape:
+            raise DimensionMismatch(f"group coupling has shape {a.shape}, expected (b, k, d)")
+        a.setflags(write=False)
+        b = a.shape[0]
+        m, M, L = (np.broadcast_to(np.asarray(c, dtype=float), (b,)).copy() for c in (m, M, L))
+        if (m < 0).any() or (L < 0).any():
+            raise ValueError("constants must be nonnegative")
+        bad = np.flatnonzero(np.isfinite(M) & (m > M * (1 + 1e-12)))
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(f"block {j}: m={m[j]} exceeds M={M[j]}")
+        for c in (m, M, L):
+            c.setflags(write=False)
+        self.a = a
+        self.a_flat = a.reshape(-1, a.shape[2])
+        self.value = value
+        self.gradient = gradient
+        self.m, self.M, self.L = m, M, L
+        self.sampler = sampler
+        self.mode = mode
+        self._factors = None
+
+    @classmethod
+    def of(cls, factor: SplitFactor) -> "FactorGroup":
+        """The group of one block holding a plain SplitFactor."""
+        pot, k = factor.potential, factor.dim
+
+        def value(z, rows):
+            return np.array([float(pot.value(zi)) for zi in z])
+
+        def gradient(z, rows):
+            return np.array([np.asarray(pot.gradient(zi), dtype=float) for zi in z]).reshape(-1, k)
+
+        sampler = mode = None
+        if factor.conditional_sampler is not None:
+            def sampler(a_theta, rho, rng):
+                return np.reshape(factor.conditional_sampler(a_theta[0], rho, rng), (1, k))
+        if factor.conditional_mode is not None:
+            def mode(a_theta, rho):
+                return np.reshape(factor.conditional_mode(a_theta[0], rho), (1, k))
+
+        group = cls(factor.a[None], value, gradient, pot.m, pot.M, pot.L, sampler, mode)
+        group._factors = (factor,)
+        return group
+
+    @property
+    def b(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.a.shape[1]
+
+    @property
+    def d(self) -> int:
+        return self.a.shape[2]
+
+    def couple(self, theta: np.ndarray) -> np.ndarray:
+        """A_j theta for every block, shape (b, k)."""
+        return (self.a_flat @ theta).reshape(self.b, self.k)
+
+    @property
+    def factors(self) -> tuple:
+        """Per-block SplitFactor views, built on first access."""
+        if self._factors is None:
+            self._factors = tuple(self._block_view(j) for j in range(self.b))
+        return self._factors
+
+    def _block_view(self, j: int) -> SplitFactor:
+        rows, k = slice(j, j + 1), self.k
+
+        def value(z):
+            return float(self.value(np.reshape(np.asarray(z, dtype=float), (1, k)), rows)[0])
+
+        def gradient(z):
+            return self.gradient(np.reshape(np.asarray(z, dtype=float), (1, k)), rows)[0]
+
+        pot = Potential(dim=k, value=value, gradient=gradient, m=float(self.m[j]),
+                        M=float(self.M[j]), L=float(self.L[j]))
+        return SplitFactor(a=self.a[j], potential=pot)
+
+
+class SplitModel:
+    """Ambient dimension d plus an ordered list of factor groups.
+
+    factors may mix FactorGroups and plain SplitFactors (each a group of
+    one); blocks are numbered group by group. The stacked matrix
+    [A_1; ...; A_b] must have rank d, i.e. the Gram matrix
+    G = sum_i A_i^T A_i must be positive definite; this is checked once at
+    construction and the symmetric factorization of G is cached for reuse
+    by every sweep.
     """
 
     def __init__(self, d: int, factors):
-        factors = tuple(factors)
-        if not factors:
+        groups = tuple(f if isinstance(f, FactorGroup) else FactorGroup.of(f) for f in factors)
+        if not groups:
             raise ValueError("a model needs at least one factor")
-        for f in factors:
-            if f.a.shape[1] != d:
+        for g in groups:
+            if g.d != d:
                 raise DimensionMismatch(
-                    f"factor matrix has {f.a.shape[1]} columns, model dimension is {d}"
+                    f"factor matrix has {g.d} columns, model dimension is {d}"
                 )
         self.d = int(d)
-        self.factors = factors
-        gram = np.zeros((d, d))
-        for f in factors:
-            gram += f.a.T @ f.a
-        gram = 0.5 * (gram + gram.T)
+        self.groups = groups
+        self.m = np.concatenate([g.m for g in groups])
+        self.M = np.concatenate([g.M for g in groups])
+        self.L = np.concatenate([g.L for g in groups])
+        gram = self.weighted_gram(np.ones(self.b))
         gram.setflags(write=False)
         self.gram = gram
         try:
@@ -116,14 +228,22 @@ class SplitModel:
             raise SingularGram("stacked coupling matrix is rank deficient") from exc
         except Exception as exc:
             raise SingularGram("stacked coupling matrix is rank deficient") from exc
+        # LAPACK's Cholesky solve, called directly: cho_solve's argument checks
+        # cost more than the solve itself at the sizes a sweep uses.
+        self._potrs = get_lapack_funcs(("potrs",), (self.gram_factor[0],))[0]
 
     @property
     def b(self) -> int:
-        return len(self.factors)
+        return len(self.m)
 
     @property
     def block_dims(self) -> tuple[int, ...]:
-        return tuple(f.dim for f in self.factors)
+        return tuple(g.k for g in self.groups for _ in range(g.b))
+
+    @cached_property
+    def factors(self) -> tuple:
+        """Every block as a SplitFactor, in block order."""
+        return tuple(f for g in self.groups for f in g.factors)
 
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -134,21 +254,57 @@ class SplitModel:
     def potential(self, theta: np.ndarray) -> float:
         """U(theta) = sum_i U_i(A_i theta)."""
         theta = self._check_theta(theta)
-        return float(sum(f.potential.value(f.a @ theta) for f in self.factors))
+        return float(sum(np.sum(g.value(g.couple(theta), ALL_BLOCKS)) for g in self.groups))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         """grad U(theta) = sum_i A_i^T grad U_i(A_i theta)."""
         theta = self._check_theta(theta)
-        g = np.zeros(self.d)
-        for f in self.factors:
-            g += f.a.T @ np.asarray(f.potential.gradient(f.a @ theta), dtype=float)
-        return g
+        return self.assemble([g.gradient(g.couple(theta), ALL_BLOCKS) for g in self.groups])
+
+    def weighted_gram(self, weights) -> np.ndarray:
+        """sum_i w_i A_i^T A_i for one weight per block, symmetrized."""
+        out = np.zeros((self.d, self.d))
+        start = 0
+        for g in self.groups:
+            w = np.repeat(np.asarray(weights[start:start + g.b], dtype=float), g.k)
+            out += g.a_flat.T @ (w[:, None] * g.a_flat)
+            start += g.b
+        return 0.5 * (out + out.T)
+
+    def assemble(self, z_groups) -> np.ndarray:
+        """sum_i A_i^T z_i, with z given as one (b_g, k_g) array per group."""
+        s = np.zeros(self.d)
+        for g, z in zip(self.groups, z_groups):
+            s += g.a_flat.T @ np.reshape(z, -1)
+        return s
+
+    def master_mean(self, z_groups) -> np.ndarray:
+        """G^{-1} sum_i A_i^T z_i: the mean of theta | z and the master step of the mode twin."""
+        return self.solve_gram(self.assemble(z_groups))
+
+    def as_groups(self, z) -> tuple:
+        """Auxiliary blocks as one (b_g, k_g) array per group.
+
+        Accepts that form, or one 1-d array per block in block order.
+        """
+        if len(z) == len(self.groups) and all(np.ndim(zg) == 2 for zg in z):
+            return tuple(z)
+        if len(z) != self.b:
+            raise DimensionMismatch(f"{len(z)} auxiliary blocks for a model with {self.b}")
+        out, start = [], 0
+        for g in self.groups:
+            out.append(np.reshape(np.array(z[start:start + g.b], dtype=float), (g.b, g.k)))
+            start += g.b
+        return tuple(out)
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self.gram_factor, rhs)
+        x, info = self._potrs(self.gram_factor[0], rhs, lower=1)
+        if info != 0:
+            raise ValueError(f"Cholesky solve failed with LAPACK info {info}")
+        return x
 
     def smooth(self) -> bool:
-        return all(math.isfinite(f.potential.M) for f in self.factors)
+        return bool(np.isfinite(self.M).all())
 
 
 @dataclass(frozen=True)
@@ -196,24 +352,15 @@ class ModelConstants:
 def model_constants(model: SplitModel, require_strongly_convex: bool = False) -> ModelConstants:
     """Spectral aggregates of a model: m_U, sigma^2_U, norms and det ratios."""
     d = model.d
-    m_gram = np.zeros((d, d))
-    M_gram = np.zeros((d, d))
-    smooth = True
-    for f in model.factors:
-        ata = f.a.T @ f.a
-        m_gram += f.potential.m * ata
-        if math.isfinite(f.potential.M):
-            M_gram += f.potential.M * ata
-        else:
-            smooth = False
-    m_gram = 0.5 * (m_gram + m_gram.T)
-    M_gram = 0.5 * (M_gram + M_gram.T)
+    smooth = model.smooth()
+    m_gram = model.weighted_gram(model.m)
+    M_gram = model.weighted_gram(np.where(np.isfinite(model.M), model.M, 0.0))
 
     m_U = lambda_extremes(m_gram)[0]
     if m_U < 0:
         m_U = 0.0
     gram_norm = lambda_extremes(model.gram)[1]
-    max_M = max(f.potential.M for f in model.factors)
+    max_M = float(model.M.max())
 
     if require_strongly_convex and m_U <= 0.0:
         raise SingularModel("aggregate strong convexity m_U is zero")
@@ -233,9 +380,9 @@ def model_constants(model: SplitModel, require_strongly_convex: bool = False) ->
         d=d,
         b=model.b,
         dims=model.block_dims,
-        m_list=tuple(f.potential.m for f in model.factors),
-        M_list=tuple(f.potential.M for f in model.factors),
-        L_list=tuple(f.potential.L for f in model.factors),
+        m_list=tuple(model.m.tolist()),
+        M_list=tuple(model.M.tolist()),
+        L_list=tuple(model.L.tolist()),
         m_U=float(m_U),
         sigma2_U=float(sigma2_U),
         gram_norm=float(gram_norm),
@@ -288,38 +435,36 @@ def center_model(model: SplitModel, theta_star: np.ndarray,
     U_i(z) -> U_i(z) - <z, grad U_i(A_i theta_star)>. The total potential
     changes only by a theta-linear term whose gradient is grad U(theta_star),
     which is ~0 when theta_star is a minimizer; m, M, L are unchanged.
-    Factors already centered are returned untouched, which makes the
+    Groups whose blocks are all centered already are returned untouched, and
+    centered blocks of the other groups get a zero shift, which makes the
     operation idempotent.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     if theta_star.shape != (model.d,):
         raise DimensionMismatch("theta_star has the wrong length")
-    new_factors = []
-    for f in model.factors:
-        shift = np.asarray(f.potential.gradient(f.a @ theta_star), dtype=float)
-        if float(np.linalg.norm(shift)) <= tol:
-            new_factors.append(f)
+    new_groups = []
+    for g in model.groups:
+        shift = np.array(g.gradient(g.couple(theta_star), ALL_BLOCKS), dtype=float)
+        off = np.linalg.norm(shift, axis=1) > tol
+        if not off.any():
+            new_groups.append(g)
             continue
-        pot = f.potential
-        new_pot = replace(
-            pot,
-            value=_shifted_value(pot.value, shift),
-            gradient=_shifted_gradient(pot.gradient, shift),
-        )
+        shift[~off] = 0.0
         # The closed-form conditionals assume the original potential.
-        new_factors.append(SplitFactor(a=f.a, potential=new_pot))
-    return SplitModel(model.d, new_factors)
+        new_groups.append(FactorGroup(g.a, _shifted_value(g.value, shift),
+                                      _shifted_gradient(g.gradient, shift), g.m, g.M, g.L))
+    return SplitModel(model.d, new_groups)
 
 
 def _shifted_value(value, shift):
-    def shifted(z):
-        return value(z) - float(np.dot(np.atleast_1d(z), shift))
+    def shifted(z, rows):
+        return value(z, rows) - np.sum(z * shift[rows], axis=1)
     return shifted
 
 
 def _shifted_gradient(gradient, shift):
-    def shifted(z):
-        return np.asarray(gradient(z), dtype=float) - shift
+    def shifted(z, rows):
+        return gradient(z, rows) - shift[rows]
     return shifted
 
 
@@ -327,8 +472,8 @@ def max_factor_gradient_at(model: SplitModel, theta_star: np.ndarray) -> float:
     """max_i ||grad U_i(A_i theta_star)||, the centering residual."""
     theta_star = np.asarray(theta_star, dtype=float)
     return max(
-        float(np.linalg.norm(f.potential.gradient(f.a @ theta_star)))
-        for f in model.factors
+        float(np.linalg.norm(g.gradient(g.couple(theta_star), ALL_BLOCKS), axis=1).max())
+        for g in model.groups
     )
 
 
@@ -338,7 +483,7 @@ def regularize_model(model: SplitModel, lam: float, theta_star: np.ndarray) -> S
         raise ValueError("regularizer weight must be positive")
     extra = make_quadratic_factor(np.eye(model.d), precision=lam,
                                   center=np.asarray(theta_star, dtype=float))
-    return SplitModel(model.d, list(model.factors) + [extra])
+    return SplitModel(model.d, model.groups + (extra,))
 
 
 # ---------------------------------------------------------------------------
@@ -405,3 +550,34 @@ def make_quadratic_factor(a, precision, center) -> SplitFactor:
 
     return SplitFactor(a=a, potential=pot, conditional_sampler=sampler,
                        conditional_mode=mode)
+
+
+def make_quadratic_group(a, precision, center) -> FactorGroup:
+    """Stacked Gaussian blocks (1/2)(z - c_j)^T P (z - c_j) with exact conditionals.
+
+    a has shape (b, k, d); P is one scalar or diagonal (shape (k,))
+    precision shared by all blocks; center broadcasts to (b, k). The
+    conditionals are those of make_quadratic_factor, drawn for every block
+    at once.
+    """
+    a = np.asarray(a, dtype=float)
+    p = np.asarray(precision, dtype=float)
+    if p.ndim > 1 or (p < 0).any():
+        raise ValueError("group precision must be a nonnegative scalar or diagonal")
+    c = np.broadcast_to(np.asarray(center, dtype=float), a.shape[:2])
+
+    def value(z, rows):
+        return 0.5 * np.sum(p * (z - c[rows]) ** 2, axis=1)
+
+    def gradient(z, rows):
+        return p * (z - c[rows])
+
+    def mode(a_theta, rho):
+        return (p * c + a_theta / rho**2) / (p + 1.0 / rho**2)
+
+    def sampler(a_theta, rho, rng):
+        prec = p + 1.0 / rho**2
+        mean = (p * c + a_theta / rho**2) / prec
+        return mean + rng.standard_normal(mean.shape) / np.sqrt(prec)
+
+    return FactorGroup(a, value, gradient, m=p.min(), M=p.max(), sampler=sampler, mode=mode)

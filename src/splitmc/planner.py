@@ -65,10 +65,7 @@ def k_sgs(model: SplitModel, rho: float) -> float:
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    weighted = np.zeros((model.d, model.d))
-    for f in model.factors:
-        weighted += (f.a.T @ f.a) / (1.0 + f.potential.m * rho**2)
-    weighted = 0.5 * (weighted + weighted.T)
+    weighted = model.weighted_gram(1.0 / (1.0 + model.m * rho**2))
     try:
         eigs = eigh(weighted, np.asarray(model.gram), eigvals_only=True)
     except np.linalg.LinAlgError as exc:

@@ -14,16 +14,14 @@ from scipy.special import expit
 
 from .conditionals import sample_z_closed_form
 from .errors import UnsupportedModel
-from .model import Potential, SplitFactor, SplitModel, make_quadratic_factor
+from .model import (FactorGroup, Potential, SplitFactor, SplitModel, make_quadratic_factor,
+                    make_quadratic_group)
 
 
 def toy_gaussian_1(sigma: float = 3.0, b: int = 10, mu: float = 0.0) -> SplitModel:
     """Scalar target N(mu, sigma^2/b) split into b identical quadratic factors."""
-    factors = [
-        make_quadratic_factor(np.ones((1, 1)), precision=1.0 / sigma**2, center=mu)
-        for _ in range(b)
-    ]
-    return SplitModel(1, factors)
+    group = make_quadratic_group(np.ones((b, 1, 1)), precision=1.0 / sigma**2, center=mu)
+    return SplitModel(1, [group])
 
 
 def toy_gaussian_2(sigma: float = 3.0, b: int = 10, mu: float = 0.0) -> SplitModel:
@@ -86,38 +84,29 @@ def _rademacher_data(d: int, n: int, seed: int):
     return x, y
 
 
-def _logit_loss_potential(x_rows: np.ndarray, y: np.ndarray, alpha: float) -> Potential:
-    """Group potential sum_j [softplus(x_j.z) - y_j x_j.z + (alpha/2)(x_j.z)^2] on R^d."""
-    d = x_rows.shape[1]
-    gram = x_rows.T @ x_rows
-    eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    m = alpha * max(float(eigs[0]), 0.0)
-    M = (alpha + 0.25) * float(eigs[-1])
+def _logit_group(a: np.ndarray, design: np.ndarray, labels: np.ndarray,
+                 alpha: float) -> FactorGroup:
+    """Blocks z_j -> sum_s [softplus(x_js.z_j) - y_js x_js.z_j + (alpha/2)(x_js.z_j)^2].
 
-    def value(z):
-        u = x_rows @ np.atleast_1d(z)
-        return float(np.sum(np.logaddexp(0.0, u) - y * u + 0.5 * alpha * u**2))
+    design has shape (b, s, k): the s observations of block j, acting on its
+    k-dimensional auxiliary variable; labels has shape (b, s). Block j is
+    alpha lambda_min(X_j^T X_j)-strongly convex and (alpha + 1/4)
+    lambda_max(X_j^T X_j)-smooth.
+    """
+    eigs = np.linalg.eigvalsh(np.swapaxes(design, 1, 2) @ design)
+    m = alpha * np.maximum(eigs[:, 0], 0.0)
+    M = (alpha + 0.25) * eigs[:, -1]
 
-    def gradient(z):
-        u = x_rows @ np.atleast_1d(z)
-        return x_rows.T @ (expit(u) - y + alpha * u)
+    def value(z, rows):
+        u = (design[rows] @ z[:, :, None])[:, :, 0]
+        return np.sum(np.logaddexp(0.0, u) - labels[rows] * u + 0.5 * alpha * u**2, axis=1)
 
-    return Potential(dim=d, value=value, gradient=gradient, m=m, M=M, L=math.inf)
+    def gradient(z, rows):
+        x = design[rows]
+        u = (x @ z[:, :, None])[:, :, 0]
+        return ((expit(u) - labels[rows] + alpha * u)[:, None, :] @ x)[:, 0, :]
 
-
-def _scalar_logit_potential(y_i: float, alpha: float) -> Potential:
-    """Per-observation potential softplus(z) - y z + (alpha/2) z^2 on R."""
-
-    def value(z):
-        u = float(np.atleast_1d(z)[0])
-        return float(np.logaddexp(0.0, u) - y_i * u + 0.5 * alpha * u**2)
-
-    def gradient(z):
-        u = float(np.atleast_1d(z)[0])
-        return np.array([float(expit(u)) - y_i + alpha * u])
-
-    return Potential(dim=1, value=value, gradient=gradient,
-                     m=alpha, M=alpha + 0.25, L=math.inf)
+    return FactorGroup(a, value, gradient, m=m, M=M, L=math.inf)
 
 
 def logistic_split1(d: int = 10, n: int = 200, seed: int = 0) -> SplitModel:
@@ -127,15 +116,12 @@ def logistic_split1(d: int = 10, n: int = 200, seed: int = 0) -> SplitModel:
     all-ones regressor. The prior precision alpha sum_i x_i x_i^T is folded
     into the factors as (alpha/2) z^2 each, so every factor is strongly
     convex with m = alpha, M = alpha + 1/4. One row factor A_i = x_i^T per
-    observation; the conditionals are univariate.
+    observation, all in one factor group; the conditionals are univariate.
     """
     x, y = _rademacher_data(d, n, seed)
     alpha = 3.0 * d / (math.pi**2 * n)
-    factors = [
-        SplitFactor(a=x[i:i + 1, :], potential=_scalar_logit_potential(float(y[i]), alpha))
-        for i in range(n)
-    ]
-    model = SplitModel(d, factors)
+    group = _logit_group(x[:, None, :], np.ones((n, 1, 1)), y[:, None], alpha)
+    model = SplitModel(d, [group])
     model.data = (x, y)
     model.prior_alpha = alpha
     return model
@@ -145,7 +131,8 @@ def logistic_split2(d: int = 10, n: int = 200, b: int = 5, seed: int = 0) -> Spl
     """Data-shard split of the same posterior: b identity-coupled group factors.
 
     The observations are divided into b equal contiguous groups; factor i
-    carries the loss of group i on the full parameter. Group strong
+    carries the loss of group i on the full parameter, and the b factors
+    form one factor group. Group strong
     convexity is alpha lambda_min of the group design Gram, which is zero
     when the group has fewer rows than d.
     """
@@ -154,12 +141,9 @@ def logistic_split2(d: int = 10, n: int = 200, b: int = 5, seed: int = 0) -> Spl
     x, y = _rademacher_data(d, n, seed)
     alpha = 3.0 * d / (math.pi**2 * n)
     size = n // b
-    factors = []
-    for i in range(b):
-        rows = slice(i * size, (i + 1) * size)
-        factors.append(SplitFactor(a=np.eye(d),
-                                   potential=_logit_loss_potential(x[rows], y[rows], alpha)))
-    model = SplitModel(d, factors)
+    group = _logit_group(np.tile(np.eye(d), (b, 1, 1)), x.reshape(b, size, d),
+                         y.reshape(b, size), alpha)
+    model = SplitModel(d, [group])
     model.data = (x, y)
     model.prior_alpha = alpha
     return model

@@ -104,11 +104,12 @@ class TestExperimentCommand:
 class TestExitCodes:
     def test_numerical_failures_map_to_3(self, monkeypatch, capfd):
         from splitmc import cli
-        from splitmc.errors import QuadratureFailure
+        from splitmc.errors import NonConvergence, NonFiniteDraw, QuadratureFailure
 
-        def boom(args):
-            raise QuadratureFailure("tolerance unreachable")
+        for error in (QuadratureFailure, NonConvergence, NonFiniteDraw):
+            def boom(args, error=error):
+                raise error("numerics gave up")
 
-        monkeypatch.setitem(cli._COMMANDS, "bias", boom)
-        assert main(["bias"]) == 3
-        assert "numerical failure" in capfd.readouterr().err
+            monkeypatch.setitem(cli._COMMANDS, "bias", boom)
+            assert main(["bias"]) == 3
+            assert "numerical failure" in capfd.readouterr().err

@@ -9,6 +9,7 @@ from scipy.stats import kstest, norm
 
 from splitmc import (
     AcceptanceStall,
+    NonConvergence,
     NotSmooth,
     SplitModel,
     ThetaConditional,
@@ -17,10 +18,11 @@ from splitmc import (
     make_quadratic_factor,
     sample_theta,
     sample_z_closed_form,
+    sample_z_group,
     sample_z_rejection,
 )
 from splitmc.conditionals import gd_stop_threshold, warm_start_minimize, within_two_guarantee
-from splitmc.model import Potential, SplitFactor
+from splitmc.model import FactorGroup, Potential, SplitFactor
 
 
 def scalar_quadratic_factor(m, a=1.0, center=0.0):
@@ -30,6 +32,15 @@ def scalar_quadratic_factor(m, a=1.0, center=0.0):
                            value=lambda z, m=m, c=center: 0.5 * m * float((z[0] - c) ** 2),
                            gradient=lambda z, m=m, c=center: m * (np.atleast_1d(z) - c),
                            m=m, M=m, L=math.inf))
+
+
+def replicate_block(group, j, n):
+    """n copies of block j of a group: one sample_z_group call makes n independent draws."""
+    def at_j(fn):
+        return lambda z, rows: fn(z, np.full(len(z), j))
+
+    return FactorGroup(np.repeat(group.a[j:j + 1], n, axis=0), at_j(group.value),
+                       at_j(group.gradient), group.m[j], group.M[j], group.L[j])
 
 
 class TestThetaConditional:
@@ -173,6 +184,13 @@ class TestRejectionSampler:
             bound = report.expected_bound
         se = counts.std(ddof=1) / math.sqrt(n)
         assert counts.mean() <= bound + 3 * se
+        # The group sampler, one round per proposal, obeys the same bound.
+        group = replicate_block(FactorGroup.of(factor), 0, n)
+        _, proposals, _, expected = sample_z_group(group, group.couple(theta), rho,
+                                                   np.random.default_rng(9))
+        se = proposals.std(ddof=1) / math.sqrt(n)
+        assert expected[0] == pytest.approx(bound, rel=1e-12)
+        assert proposals.mean() <= bound + 3 * se
 
     def test_logistic_factor_ks_against_quadrature_cdf(self):
         model = build_model("logistic-split1", d=3, n=20, seed=5)
@@ -200,6 +218,11 @@ class TestRejectionSampler:
         cdf /= cdf[-1]
         result = kstest(draws, lambda x: np.interp(x, grid, cdf))
         assert result.pvalue > 0.01
+        # The same block drawn n times at once by the group sampler.
+        group = replicate_block(model.groups[0], 0, n)
+        z, _, _, _ = sample_z_group(group, group.couple(theta), rho, np.random.default_rng(32))
+        result = kstest(z[:, 0], lambda x: np.interp(x, grid, cdf))
+        assert result.pvalue > 0.01
 
     def test_stall_on_misstated_constants(self):
         # A potential whose certified curvature wildly understates the truth
@@ -213,6 +236,62 @@ class TestRejectionSampler:
         with pytest.raises(AcceptanceStall):
             sample_z_rejection(lying, np.array([0.0]), 1.0,
                                np.random.default_rng(0), proposal_cap=64)
+        group = FactorGroup.of(lying)
+        with pytest.raises(AcceptanceStall):
+            sample_z_group(group, np.zeros((1, 1)), 1.0, np.random.default_rng(0),
+                           proposal_cap=64)
+
+    def test_understated_curvature_is_typed_nonconvergence(self):
+        # U(z) = 5 z^2 certified with M = 1: the descent step 1/(1/rho^2 + M)
+        # overshoots and diverges. Both paths stop at the step bound (4 here)
+        # with NonConvergence instead of returning nan.
+        calls = []
+
+        def gradient(z):
+            calls.append(1)
+            return 10.0 * np.atleast_1d(z)
+
+        steep = SplitFactor(a=np.array([[1.0]]),
+                            potential=Potential(dim=1, value=lambda z: 5.0 * float(z[0] ** 2),
+                                                gradient=gradient, m=0.5, M=1.0, L=math.inf))
+        rho, theta = 1.0, np.array([3.0])
+        target = gd_stop_threshold(steep, rho)
+        with pytest.raises(NonConvergence):
+            warm_start_minimize(steep, steep.a @ theta, rho, target)
+        assert len(calls) == 5
+        with pytest.raises(NonConvergence):
+            sample_z_rejection(steep, theta, rho, np.random.default_rng(0))
+        group = FactorGroup.of(steep)
+        calls.clear()
+        with pytest.raises(NonConvergence, match="block 0"):
+            sample_z_group(group, group.couple(theta), rho, np.random.default_rng(0))
+        assert len(calls) == 5
+
+    def test_group_certificates_match_scalar_reference(self):
+        # Given theta, warm starts and certificates are deterministic: the
+        # group path reproduces the one-block reference block by block, from
+        # the fresh anchor and from a carried-over start.
+        rng = np.random.default_rng(19)
+        total_steps = 0
+        for model, rho in [(build_model("logistic-split1", d=4, n=40, seed=3), 0.8),
+                           (build_model("logistic-split2", d=4, n=40, b=4, seed=3), 0.3)]:
+            (group,) = model.groups
+            for _ in range(5):
+                theta = rng.standard_normal(model.d) * 2.0
+                stale = group.couple(rng.standard_normal(model.d))
+                for z_warm in (None, stale):
+                    _, proposals, steps, expected = sample_z_group(
+                        group, group.couple(theta), rho, np.random.default_rng(0), z_warm=z_warm)
+                    assert (proposals >= 1).all()
+                    for j, factor in enumerate(model.factors):
+                        z0 = None if z_warm is None else z_warm[j]
+                        z_tilde, _, ref_steps = warm_start_minimize(
+                            factor, factor.a @ theta, rho, gd_stop_threshold(factor, rho), z0=z0)
+                        assert steps[j] == ref_steps
+                        ref = expected_proposals_bound(factor, theta, z_tilde, rho)
+                        assert expected[j] == pytest.approx(ref, rel=1e-12)
+                    total_steps += int(steps.sum())
+        assert total_steps > 0
 
     def test_non_smooth_refused(self):
         rough = SplitFactor(a=np.array([[1.0]]),
@@ -222,6 +301,9 @@ class TestRejectionSampler:
                                                 m=0.0, M=math.inf, L=1.0))
         with pytest.raises(NotSmooth):
             sample_z_rejection(rough, np.array([0.0]), 0.5, np.random.default_rng(0))
+        with pytest.raises(NotSmooth):
+            sample_z_group(FactorGroup.of(rough), np.zeros((1, 1)), 0.5,
+                           np.random.default_rng(0))
 
     def test_warm_start_step_bound_holds(self):
         # The descent step count respects its contraction-rate ceiling.

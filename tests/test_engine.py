@@ -22,8 +22,10 @@ from splitmc import (
     sweep_conditional_modes,
     ula_step,
 )
-from splitmc.errors import NotSmooth
+from splitmc.engine import TraceWriter
+from splitmc.errors import NonFiniteDraw, NotSmooth
 from splitmc.metrics import ToyParams
+from splitmc.model import FactorGroup, make_quadratic_group
 
 
 class _ZeroRng:
@@ -80,19 +82,14 @@ class TestSweepDistribution:
 
 class TestReproducibility:
     def test_bitwise_chain_reproducibility(self):
-        model = build_model("logistic-split2", d=3, n=30, b=5, seed=1)
-        config = SamplerConfig(rho=0.4, sweeps=25)
-        a = run_chain(model, config, seed=5, theta0=np.zeros(3))
-        b = run_chain(model, config, seed=5, theta0=np.zeros(3))
-        assert np.array_equal(a.thetas, b.thetas)
-
-    def test_parallel_z_matches_serial(self):
-        model = build_model("logistic-split2", d=3, n=30, b=6, seed=2)
-        serial = SamplerConfig(rho=0.4, sweeps=20, parallel_z=False)
-        parallel = SamplerConfig(rho=0.4, sweeps=20, parallel_z=True)
-        a = run_chain(model, serial, seed=11, theta0=np.zeros(3))
-        b = run_chain(model, parallel, seed=11, theta0=np.zeros(3))
-        assert np.array_equal(a.thetas, b.thetas)
+        for model in (build_model("logistic-split2", d=3, n=30, b=5, seed=1),
+                      build_model("logistic-split1", d=3, n=30, seed=1)):
+            config = SamplerConfig(rho=0.4, sweeps=25)
+            a = run_chain(model, config, seed=5, theta0=np.zeros(3))
+            b = run_chain(model, config, seed=5, theta0=np.zeros(3))
+            assert np.array_equal(a.thetas, b.thetas)
+            assert all(np.array_equal(za, zb) for za, zb in
+                       zip(a.final_state.z_blocks, b.final_state.z_blocks))
 
     def test_warm_start_carry_over_flag(self):
         # Carrying the previous block as the descent start is opt-in; draws
@@ -127,6 +124,38 @@ class TestReproducibility:
         report = run_chain(model, config, seed=21, trace_path=path)
         loaded = read_trace(path)
         assert np.array_equal(loaded, report.thetas)
+
+    def test_trace_readable_without_close(self, tmp_path):
+        # A killed run never patches T into the header; the rows on disk
+        # still load, up to the last complete one.
+        path = tmp_path / "killed.sgs1"
+        rows = np.random.default_rng(4).standard_normal((1000, 3))
+        writer = TraceWriter(path, 3)
+        for row in rows:
+            writer.append(row)
+        partial = read_trace(path)
+        assert 0 < len(partial) < len(rows)
+        assert np.array_equal(partial, rows[:len(partial)])
+        writer.close()
+        assert np.array_equal(read_trace(path), rows)
+        # A header count that disagrees with the file: the length decides.
+        data = path.read_bytes()
+        path.write_bytes(data[:20 + 24 * 7 + 10])
+        assert np.array_equal(read_trace(path), rows[:7])
+
+    def test_non_finite_draw_names_sweep_and_block(self):
+        def sampler(a_theta, rho, rng):
+            z = a_theta + rng.standard_normal(a_theta.shape)
+            z[2] = np.nan
+            return z
+
+        quad = make_quadratic_group(np.ones((4, 1, 1)), precision=1.0, center=0.0)
+        broken = FactorGroup(quad.a, quad.value, quad.gradient, quad.m, quad.M, sampler=sampler)
+        model = SplitModel(1, [make_quadratic_factor(np.eye(1), precision=1.0, center=0.0),
+                               broken])
+        state = initial_state(model, np.zeros(1), seed=0)
+        with pytest.raises(NonFiniteDraw, match="sweep 1: auxiliary block 3"):
+            sgs_sweep(model, state, SamplerConfig(rho=1.0, sweeps=1))
 
 
 class TestUnadjustedLangevin:

@@ -15,7 +15,7 @@ from splitmc import (
     model_constants,
 )
 from splitmc.errors import DimensionMismatch, SingularGram
-from splitmc.model import Potential, SplitFactor, max_factor_gradient_at
+from splitmc.model import FactorGroup, Potential, SplitFactor, max_factor_gradient_at
 
 
 def fd_gradient(value, z, rel_step=1e-6):
@@ -43,6 +43,9 @@ class TestPotentialInvariants:
         with pytest.raises(ValueError):
             Potential(dim=1, value=lambda z: 0.0, gradient=lambda z: np.zeros(1),
                       m=2.0, M=1.0)
+        with pytest.raises(ValueError, match="block 1"):
+            FactorGroup(np.ones((3, 1, 1)), value=None, gradient=None,
+                        m=[0.5, 2.0, 0.5], M=1.0)
 
     def test_gradient_matches_fd_on_quadratics(self):
         rng = np.random.default_rng(42)
