@@ -28,8 +28,6 @@ from .conditionals import (
     RejectionReport,
     ThetaConditional,
     expected_proposals_bound,
-    sample_theta,
-    sample_z_closed_form,
     sample_z_group,
     sample_z_rejection,
 )
@@ -56,7 +54,6 @@ from .model import (
     SplitModel,
     center_model,
     find_minimizer,
-    make_quadratic_factor,
     make_quadratic_group,
     model_constants,
     regularize_model,

@@ -1,10 +1,11 @@
 """Exact samplers for the two Gibbs blocks.
 
 The master-parameter conditional is Gaussian with precision G/rho^2 and is
-drawn through the cached factorization of G. Each auxiliary block z_i is
-drawn either from a closed-form conditional attached to its factor group or
-by rejection sampling from a Gaussian proposal centered at an approximate
-minimizer of V_i(z) = U_i(z) + ||z - A_i theta||^2 / (2 rho^2).
+drawn through the model's cached Cholesky factor of G. Each auxiliary block
+z_i is drawn either by its factor group's closed-form sampler (the only
+closed form of a conditional; see FactorGroup) or by rejection sampling
+from a Gaussian proposal centered at an approximate minimizer of
+V_i(z) = U_i(z) + ||z - A_i theta||^2 / (2 rho^2).
 
 The sweep draws all blocks of a factor group together with array
 operations (warm_start_group, sample_z_group). The one-block functions
@@ -20,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.special import expit
 
-from .errors import AcceptanceStall, NonConvergence, NotSmooth, UnsupportedModel
+from .errors import AcceptanceStall, NonConvergence, NotSmooth
 from .model import ALL_BLOCKS, FactorGroup, SplitFactor, SplitModel
 
 # Warm starts stop once ||grad V_i|| <= (2/7) sqrt(1/rho^2 + m_i) / sqrt(d_i).
@@ -34,8 +34,8 @@ DEFAULT_PROPOSAL_CAP = 10_000
 class ThetaConditional:
     """Sampler state for theta | z: mean solve plus pre-factorized noise transform.
 
-    Built once per (model, rho); the Cholesky factor of G = sum_i A_i^T A_i
-    is reused at every sweep.
+    Built once per (model, rho); uses the model's lower Cholesky factor L
+    of G = sum_i A_i^T A_i = L L^T at every sweep.
     """
 
     def __init__(self, model: SplitModel, rho: float):
@@ -43,8 +43,7 @@ class ThetaConditional:
             raise ValueError("rho must be positive")
         self.model = model
         self.rho = float(rho)
-        # Lower-triangular L with G = L L^T.
-        self.chol_lower = np.linalg.cholesky(model.gram)
+        self.chol_lower = model.chol_lower
         self._trtrs = get_lapack_funcs(("trtrs",), (self.chol_lower,))[0]
 
     def mean(self, z_blocks) -> np.ndarray:
@@ -66,10 +65,6 @@ class ThetaConditional:
         if size is None:
             return mu + self.rho * noise
         return (mu[:, None] + self.rho * noise).T
-
-
-def sample_theta(cond: ThetaConditional, z_blocks, rng, size: int | None = None):
-    return cond.sample(z_blocks, rng, size=size)
 
 
 @dataclass(frozen=True)
@@ -371,42 +366,3 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
         pending = pending[~accepted]
     return z, proposals, gd_steps, expected
 
-
-def sample_z_closed_form(model_kind: str, a_theta: np.ndarray, rho: float, rng, *,
-                         precision=None, center=None, direction=None) -> np.ndarray:
-    """Closed-form conditional draws for the Gaussian and two-component mixture families.
-
-    "gaussian": potential (1/2)(z-c)^T P (z-c); the conditional is Gaussian
-    with precision P + I/rho^2.
-    "mixture": potential of the symmetric two-component unit-covariance
-    mixture with modes +-a; the conditional is a two-component mixture with
-    shared covariance rho^2/(1+rho^2) I, means (a_theta +- a rho^2)/(1+rho^2)
-    and weights (1, exp(-2 a_theta . a / (1+rho^2))).
-    """
-    a_theta = np.atleast_1d(np.asarray(a_theta, dtype=float))
-    if model_kind == "gaussian":
-        if precision is None:
-            raise UnsupportedModel("gaussian kind needs a precision")
-        p = np.asarray(precision, dtype=float)
-        c = np.zeros_like(a_theta) if center is None else np.atleast_1d(np.asarray(center, dtype=float))
-        if p.ndim <= 1:
-            prec = p + 1.0 / rho**2
-            mean = (p * c + a_theta / rho**2) / prec
-            return mean + rng.standard_normal(mean.shape) / np.sqrt(prec)
-        prec = p + np.eye(p.shape[0]) / rho**2
-        mean = np.linalg.solve(prec, p @ c + a_theta / rho**2)
-        chol = np.linalg.cholesky(prec)
-        return mean + np.linalg.solve(chol.T, rng.standard_normal(mean.shape))
-    if model_kind == "mixture":
-        if direction is None:
-            raise UnsupportedModel("mixture kind needs the mode direction")
-        a = np.asarray(direction, dtype=float)
-        shared_var = rho**2 / (1.0 + rho**2)
-        mu1 = (a_theta + a * rho**2) / (1.0 + rho**2)
-        mu2 = (a_theta - a * rho**2) / (1.0 + rho**2)
-        # p = w1/(w1+w2) with w1 = 1, w2 = exp(-2 <a_theta, a>/(1+rho^2)).
-        p_first = float(expit(2.0 * float(a_theta @ a) / (1.0 + rho**2)))
-        pick_first = rng.uniform() < p_first
-        xi = math.sqrt(shared_var) * rng.standard_normal(a_theta.shape)
-        return xi + (mu1 if pick_first else mu2)
-    raise UnsupportedModel(f"no closed-form conditional for kind {model_kind!r}")

@@ -6,10 +6,11 @@ files with '#'-prefixed header lines echoing the full configuration; rows
 carry branch/validity flags instead of silently clamping anything.
 
 The Gaussian and mixture runs evolve a population of independent chains
-vectorized over the replicate axis; that is the same sweep (block draws
-from the previous master iterate, then the Gaussian master draw) applied
-to many chains at once, and it is cross-checked against the per-chain
-engine in the test suite.
+vectorized over the replicate axis (_population_sweep). The block draw is
+the zoo model's own closed-form sampler, called with the chains as a
+leading axis. Both models have one identity-coupled block, so G = I and
+the master draw N(z, rho^2 G^{-1}) is exactly z + rho xi; the test suite
+checks the population sweep against the per-chain engine.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import expit
 from scipy.stats import chi2, norm
 
 from . import zoo
@@ -40,7 +40,7 @@ from .metrics import (
     gaussian_w1_1d,
     w1_samples_vs_gaussian,
 )
-from .model import center_model, find_minimizer, model_constants
+from .model import ALL_BLOCKS, center_model, find_minimizer, model_constants
 from .planner import plan_tv_multi, plan_tv_single, plan_w1_single
 
 EXPERIMENT_NAMES = ("bias-toy", "rate-toy", "gaussian-mixing", "mixture", "logistic")
@@ -223,10 +223,14 @@ def run_rate_toy(spec: ExperimentSpec):
 # gaussian-mixing: empirical mixing times over dimension / condition / precision
 
 
-def _gaussian_population_sweep(q, rho, thetas, rng):
-    """One sweep for the diagonal-precision Gaussian target, over all chains."""
-    shrink = 1.0 / (1.0 + q * rho**2)
-    z = thetas * shrink + np.sqrt(rho**2 * shrink) * rng.standard_normal(thetas.shape)
+def _population_sweep(group, rho, thetas, rng):
+    """One sweep of every chain (a row of thetas) for a one-block identity-coupled model.
+
+    The block is drawn by the group's own closed-form sampler with the
+    chains as a leading axis. The coupling is the identity, so G = I and
+    the exact master draw is z + rho xi.
+    """
+    z = group.sampler(thetas[:, None, :], rho, rng)[:, 0, :]
     return z + rho * rng.standard_normal(thetas.shape)
 
 
@@ -244,32 +248,32 @@ def _tv_noise_floor(var, n_chains, edges, rng, reps=3):
     return float(np.mean(vals))
 
 
-def _mixing_time_tv(q, rho, eps, n_chains, seed, sweep_cap, n_bins=50):
+def _mixing_time_tv(model, rho, eps, n_chains, seed, sweep_cap, n_bins=50):
     """First sweep at which the worst-direction binned TV drops below eps + floor."""
     rng = _rng(seed, 0)
-    d = q.shape[0]
-    var_target = 1.0 / q[0]  # least favorable direction: smallest precision
+    (group,) = model.groups
+    var_target = 1.0 / group.m[0]  # aniso_gaussian: the first coordinate has precision m
     span = 5.0 * math.sqrt(var_target)
     edges = np.linspace(-span, span, n_bins + 1)
     floor = _tv_noise_floor(var_target, n_chains, edges, _rng(seed, 1))
-    thetas = rng.standard_normal((n_chains, d)) / np.sqrt(q[-1])  # nu = N(0, I/M)
+    thetas = rng.standard_normal((n_chains, model.d)) / np.sqrt(group.M[0])  # nu = N(0, I/M)
     threshold = eps + floor
     for t in range(1, sweep_cap + 1):
-        thetas = _gaussian_population_sweep(q, rho, thetas, rng)
+        thetas = _population_sweep(group, rho, thetas, rng)
         tv = _binned_tv_vs_gaussian(thetas[:, 0], var_target, edges)
         if tv < threshold:
             return t, floor, False
     return sweep_cap, floor, True
 
 
-def _mixing_time_w1(q, rho, eps, n_chains, seed, sweep_cap):
+def _mixing_time_w1(model, rho, eps, n_chains, seed, sweep_cap):
     rng = _rng(seed, 0)
-    d = q.shape[0]
-    var_target = 1.0 / q[0]
+    (group,) = model.groups
+    var_target = 1.0 / group.m[0]
     threshold = eps * math.sqrt(var_target)
-    thetas = np.zeros((n_chains, d))  # point mass at the minimizer
+    thetas = np.zeros((n_chains, model.d))  # point mass at the minimizer
     for t in range(1, sweep_cap + 1):
-        thetas = _gaussian_population_sweep(q, rho, thetas, rng)
+        thetas = _population_sweep(group, rho, thetas, rng)
         w1 = w1_samples_vs_gaussian(thetas[:, 0], 0.0, var_target)
         if w1 < threshold:
             return t, False
@@ -291,11 +295,10 @@ def run_gaussian_mixing(spec: ExperimentSpec):
 
         def one(args):
             d, rep = args
-            q = np.linspace(m, M, d)
             plan = plan_tv_single(m, M, d, eps)
             cap = int(3 * plan.t_mix) + 10
-            t_emp, floor, capped = _mixing_time_tv(
-                q, plan.rho, eps, n_chains, _seed_for(spec.seed, 1, d, rep), cap)
+            t_emp, floor, capped = _mixing_time_tv(zoo.aniso_gaussian(d, m, M), plan.rho, eps,
+                                                   n_chains, _seed_for(spec.seed, 1, d, rep), cap)
             return {"d": d, "replicate": rep, "rho2": plan.rho2, "k_sgs": plan.k_sgs,
                     "t_theory": plan.t_mix, "t_empirical": t_emp,
                     "tv_noise_floor": floor, "hit_cap": capped}
@@ -322,11 +325,11 @@ def run_gaussian_mixing(spec: ExperimentSpec):
         for kappa in kappa_grid:
             mm = M / kappa
             plan = plan_w1_single(mm, M, eps)
-            q = np.linspace(mm, M, d)
+            model = zoo.aniso_gaussian(d, mm, M)
             cap = int(5 * math.log(10.0 / eps) / plan.k_sgs) + 10
             for rep in range(replicates):
                 t_emp, capped = _mixing_time_w1(
-                    q, plan.rho, eps, n_chains, _seed_for(spec.seed, 2, int(kappa), rep), cap)
+                    model, plan.rho, eps, n_chains, _seed_for(spec.seed, 2, int(kappa), rep), cap)
                 rows.append({"kappa": kappa, "replicate": rep, "rho2": plan.rho2,
                              "k_sgs": plan.k_sgs, "branch": plan.metadata["active_branch"],
                              "t_empirical": t_emp, "hit_cap": capped})
@@ -348,14 +351,14 @@ def run_gaussian_mixing(spec: ExperimentSpec):
         reps = min(replicates, 3)
         M = 1.0
         mm = M / kappa
-        q = np.linspace(mm, M, d)
+        model = zoo.aniso_gaussian(d, mm, M)
         rows = []
         for e in eps_grid:
             plan = plan_tv_single(mm, M, d, e)
             cap = int(3 * plan.t_mix) + 10
             for rep in range(reps):
                 t_emp, floor, capped = _mixing_time_tv(
-                    q, plan.rho, e, n_chains,
+                    model, plan.rho, e, n_chains,
                     _seed_for(spec.seed, 3, int(1000 * e), rep), cap, n_bins=40)
                 rows.append({"eps": e, "replicate": rep, "rho2": plan.rho2,
                              "k_sgs": plan.k_sgs, "t_theory": plan.t_mix,
@@ -384,20 +387,6 @@ def _seed_for(seed, *key):
 # mixture: planner guidance end to end against exact sampling, plus ULA timing
 
 
-def _mixture_population_sweep(a, rho, thetas, rng):
-    s = thetas @ a
-    p_first = expit(2.0 * s / (1.0 + rho**2))
-    signs = np.where(rng.uniform(size=s.shape) < p_first, 1.0, -1.0)
-    mu = (thetas + signs[:, None] * a * rho**2) / (1.0 + rho**2)
-    z = mu + math.sqrt(rho**2 / (1.0 + rho**2)) * rng.standard_normal(thetas.shape)
-    return z + rho * rng.standard_normal(thetas.shape)
-
-
-def _mixture_gradient(a, thetas):
-    s = thetas @ a
-    return thetas - a + 2.0 * expit(-2.0 * s)[:, None] * a
-
-
 def _equal_mass_edges(marginal, n_bins, lo, hi):
     qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
     inner = [brentq(lambda u, q=q: marginal.projected_cdf(u) - q, lo, hi) for q in qs]
@@ -423,6 +412,7 @@ def run_mixture(spec: ExperimentSpec):
     crit = float(chi2.ppf(0.95, n_bins - 1))
     for d in d_grid:
         model = zoo.gaussian_mixture(d=d, a_norm=a_norm)
+        (group,) = model.groups
         a = model.mixture_direction
         plan6 = plan_tv_single(m, M, d, eps)
         plan7 = plan_tv_multi(model, eps, theta_star=np.zeros(d))
@@ -432,20 +422,21 @@ def run_mixture(spec: ExperimentSpec):
         thetas = rng.standard_normal((n_samples, d)) / math.sqrt(M)
         t0 = time.perf_counter()
         for _ in range(plan6.t_mix):
-            thetas = _mixture_population_sweep(a, rho, thetas, rng)
+            thetas = _population_sweep(group, rho, thetas, rng)
         sgs_time = time.perf_counter() - t0
 
         # Exact reference: component sign then unit Gaussian around +-a.
         signs = np.where(rng.uniform(size=n_samples) < 0.5, 1.0, -1.0)
         exact = signs[:, None] * a + rng.standard_normal((n_samples, d))
 
-        # ULA on the same target with stepsize h = rho^2 (wall-clock baseline).
+        # ULA on the same target with stepsize h = rho^2 (wall-clock baseline);
+        # each chain is a row of the group's one block.
         ula_sweeps = min(plan6.t_mix, int(p.get("ula_sweeps", 500)))
         h = rho**2
         ula_thetas = rng.standard_normal((n_samples, d)) / math.sqrt(M)
         t0 = time.perf_counter()
         for _ in range(ula_sweeps):
-            ula_thetas = (ula_thetas - h * _mixture_gradient(a, ula_thetas)
+            ula_thetas = (ula_thetas - h * group.gradient(ula_thetas, ALL_BLOCKS)
                           + math.sqrt(2.0 * h) * rng.standard_normal(ula_thetas.shape))
         ula_per_sweep = (time.perf_counter() - t0) / ula_sweeps
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, get_lapack_funcs
+from scipy.linalg import cholesky, get_lapack_funcs
 
 from .errors import (
     DimensionMismatch,
@@ -62,16 +62,12 @@ class Potential:
 class SplitFactor:
     """One coupling block: matrix a of shape (dim_i, d) plus its potential.
 
-    conditional_sampler / conditional_mode, when present, draw from or
-    minimize U_i(z) + ||z - a_theta||^2 / (2 rho^2) in closed form; both
-    take (a_theta, rho[, rng]). Factors without them go through the
-    rejection sampler / warm-start gradient descent.
+    Its conditional is drawn by the rejection sampler; closed-form
+    conditionals live on factor groups (FactorGroup.sampler / mode).
     """
 
     a: np.ndarray
     potential: Potential
-    conditional_sampler: Optional[Callable] = None
-    conditional_mode: Optional[Callable] = None
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -101,13 +97,12 @@ class FactorGroup:
     (r, k). m, M and L hold the certified constants of every block.
     sampler(a_theta, rho, rng) / mode(a_theta, rho), when present, draw from
     or minimize every block's coupled conditional at once, with a_theta of
-    shape (b, k); groups without them go through the rejection sampler and
-    the warm-start descent.
+    shape (b, k); they are the only closed forms of a conditional. Groups
+    without them go through the rejection sampler and the warm-start descent.
 
     A plain SplitFactor is a group of one (FactorGroup.of), whose `factors`
     is that factor itself. Other groups give per-block SplitFactor views
-    carrying the coupling and the potential; their closed-form
-    conditionals stay on the group.
+    carrying the coupling and the potential.
     """
 
     def __init__(self, a, value, gradient, m, M, L=math.inf, sampler=None, mode=None):
@@ -136,7 +131,7 @@ class FactorGroup:
 
     @classmethod
     def of(cls, factor: SplitFactor) -> "FactorGroup":
-        """The group of one block holding a plain SplitFactor."""
+        """The group of one block holding a plain SplitFactor, drawn by rejection."""
         pot, k = factor.potential, factor.dim
 
         def value(z, rows):
@@ -145,15 +140,7 @@ class FactorGroup:
         def gradient(z, rows):
             return np.array([np.asarray(pot.gradient(zi), dtype=float) for zi in z]).reshape(-1, k)
 
-        sampler = mode = None
-        if factor.conditional_sampler is not None:
-            def sampler(a_theta, rho, rng):
-                return np.reshape(factor.conditional_sampler(a_theta[0], rho, rng), (1, k))
-        if factor.conditional_mode is not None:
-            def mode(a_theta, rho):
-                return np.reshape(factor.conditional_mode(a_theta[0], rho), (1, k))
-
-        group = cls(factor.a[None], value, gradient, pot.m, pot.M, pot.L, sampler, mode)
+        group = cls(factor.a[None], value, gradient, pot.m, pot.M, pot.L)
         group._factors = (factor,)
         return group
 
@@ -201,8 +188,8 @@ class SplitModel:
     one); blocks are numbered group by group. The stacked matrix
     [A_1; ...; A_b] must have rank d, i.e. the Gram matrix
     G = sum_i A_i^T A_i must be positive definite; this is checked once at
-    construction and the symmetric factorization of G is cached for reuse
-    by every sweep.
+    construction, and the lower Cholesky factor chol_lower (G = L L^T) is
+    cached for every master solve and master-draw noise transform.
     """
 
     def __init__(self, d: int, factors):
@@ -222,15 +209,16 @@ class SplitModel:
         gram = self.weighted_gram(np.ones(self.b))
         gram.setflags(write=False)
         self.gram = gram
+        # The factorization does not check for NaN: it would return a NaN factor.
+        if not np.isfinite(gram).all():
+            raise SingularGram("stacked coupling matrix or its Gram matrix is not finite")
         try:
-            self.gram_factor = cho_factor(gram, lower=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
-            raise SingularGram("stacked coupling matrix is rank deficient") from exc
-        except Exception as exc:
+            self.chol_lower = cholesky(gram, lower=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
             raise SingularGram("stacked coupling matrix is rank deficient") from exc
         # LAPACK's Cholesky solve, called directly: cho_solve's argument checks
         # cost more than the solve itself at the sizes a sweep uses.
-        self._potrs = get_lapack_funcs(("potrs",), (self.gram_factor[0],))[0]
+        self._potrs = get_lapack_funcs(("potrs",), (self.chol_lower,))[0]
 
     @property
     def b(self) -> int:
@@ -298,7 +286,7 @@ class SplitModel:
         return tuple(out)
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = self._potrs(self.gram_factor[0], rhs, lower=1)
+        x, info = self._potrs(self.chol_lower, rhs, lower=1)
         if info != 0:
             raise ValueError(f"Cholesky solve failed with LAPACK info {info}")
         return x
@@ -481,8 +469,8 @@ def regularize_model(model: SplitModel, lam: float, theta_star: np.ndarray) -> S
     """Append a quadratic factor (lam/2)||theta - theta_star||^2 (identity coupling)."""
     if lam <= 0:
         raise ValueError("regularizer weight must be positive")
-    extra = make_quadratic_factor(np.eye(model.d), precision=lam,
-                                  center=np.asarray(theta_star, dtype=float))
+    extra = make_quadratic_group(np.eye(model.d)[None], precision=lam,
+                                 center=np.asarray(theta_star, dtype=float))
     return SplitModel(model.d, model.groups + (extra,))
 
 
@@ -490,81 +478,26 @@ def regularize_model(model: SplitModel, lam: float, theta_star: np.ndarray) -> S
 # Quadratic factors with exact Gaussian conditionals
 
 
-def quadratic_potential(precision, center) -> Potential:
-    """U(z) = (1/2) (z - c)^T P (z - c) with P given as scalar, diagonal or full."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    dim = center.shape[0]
-    p = np.asarray(precision, dtype=float)
-    if p.ndim == 0:
-        m = M = float(p)
-        value = lambda z: 0.5 * float(p) * float(np.sum((np.atleast_1d(z) - center) ** 2))
-        gradient = lambda z: float(p) * (np.atleast_1d(z) - center)
-    elif p.ndim == 1:
-        m, M = float(p.min()), float(p.max())
-        value = lambda z: 0.5 * float(np.sum(p * (np.atleast_1d(z) - center) ** 2))
-        gradient = lambda z: p * (np.atleast_1d(z) - center)
-    else:
-        lo, hi = lambda_extremes(p)
-        m, M = float(lo), float(hi)
-        value = lambda z: 0.5 * float((np.atleast_1d(z) - center) @ p @ (np.atleast_1d(z) - center))
-        gradient = lambda z: p @ (np.atleast_1d(z) - center)
-    if m < 0:
-        raise ValueError("quadratic precision must be positive semidefinite")
-    return Potential(dim=dim, value=value, gradient=gradient, m=m, M=M, L=math.inf)
-
-
-def make_quadratic_factor(a, precision, center) -> SplitFactor:
-    """SplitFactor for a Gaussian potential, with its exact conditional attached.
-
-    The coupled conditional exp(-U(z) - ||z - a_theta||^2/(2 rho^2)) is the
-    Gaussian with precision P + I/rho^2 and mean solve(P + I/rho^2, P c + a_theta/rho^2).
-    """
-    pot = quadratic_potential(precision, center)
-    center_vec = np.atleast_1d(np.asarray(center, dtype=float))
-    p = np.asarray(precision, dtype=float)
-
-    if p.ndim <= 1:
-        def mode(a_theta, rho):
-            a_theta = np.atleast_1d(a_theta)
-            prec = p + 1.0 / rho**2
-            return (p * center_vec + a_theta / rho**2) / prec
-
-        def sampler(a_theta, rho, rng):
-            a_theta = np.atleast_1d(a_theta)
-            prec = p + 1.0 / rho**2
-            mean = (p * center_vec + a_theta / rho**2) / prec
-            return mean + rng.standard_normal(mean.shape) / np.sqrt(prec)
-    else:
-        def mode(a_theta, rho):
-            a_theta = np.atleast_1d(a_theta)
-            prec = p + np.eye(p.shape[0]) / rho**2
-            return np.linalg.solve(prec, p @ center_vec + a_theta / rho**2)
-
-        def sampler(a_theta, rho, rng):
-            a_theta = np.atleast_1d(a_theta)
-            prec = p + np.eye(p.shape[0]) / rho**2
-            chol = np.linalg.cholesky(prec)
-            mean = np.linalg.solve(prec, p @ center_vec + a_theta / rho**2)
-            noise = np.linalg.solve(chol.T, rng.standard_normal(mean.shape))
-            return mean + noise
-
-    return SplitFactor(a=a, potential=pot, conditional_sampler=sampler,
-                       conditional_mode=mode)
-
-
 def make_quadratic_group(a, precision, center) -> FactorGroup:
     """Stacked Gaussian blocks (1/2)(z - c_j)^T P (z - c_j) with exact conditionals.
 
     a has shape (b, k, d); P is one scalar or diagonal (shape (k,))
     precision shared by all blocks; center broadcasts to (b, k). The
-    conditionals are those of make_quadratic_factor, drawn for every block
-    at once.
+    coupled conditional is Gaussian with precision P + I/rho^2: with
+    shrink = 1/(1 + rho^2 P), its mean is shrink (a_theta + rho^2 P c) and
+    its variance rho^2 shrink. The sampler is the mode plus scaled noise,
+    so null noise turns it into the mode bit for bit, and it accepts any
+    leading axes in front of the (b, k) block axes.
     """
     a = np.asarray(a, dtype=float)
     p = np.asarray(precision, dtype=float)
     if p.ndim > 1 or (p < 0).any():
         raise ValueError("group precision must be a nonnegative scalar or diagonal")
-    c = np.broadcast_to(np.asarray(center, dtype=float), a.shape[:2])
+    m, M = p.min(), p.max()
+    # A Python float and a contiguous center keep the arithmetic cheap at the
+    # small block sizes of a chain; the values are the same.
+    p = float(p) if p.ndim == 0 else p
+    c = np.array(np.broadcast_to(np.asarray(center, dtype=float), a.shape[:2]))
 
     def value(z, rows):
         return 0.5 * np.sum(p * (z - c[rows]) ** 2, axis=1)
@@ -572,12 +505,19 @@ def make_quadratic_group(a, precision, center) -> FactorGroup:
     def gradient(z, rows):
         return p * (z - c[rows])
 
+    # In-place updates save two temporaries per draw on chain populations.
     def mode(a_theta, rho):
-        return (p * c + a_theta / rho**2) / (p + 1.0 / rho**2)
+        shrink = 1.0 / (1.0 + p * rho**2)
+        z = a_theta * shrink
+        z += (rho**2 * p * shrink) * c
+        return z
 
     def sampler(a_theta, rho, rng):
-        prec = p + 1.0 / rho**2
-        mean = (p * c + a_theta / rho**2) / prec
-        return mean + rng.standard_normal(mean.shape) / np.sqrt(prec)
+        shrink = 1.0 / (1.0 + p * rho**2)
+        noise = rng.standard_normal(a_theta.shape)
+        noise *= np.sqrt(rho**2 * shrink)
+        z = mode(a_theta, rho)
+        z += noise
+        return z
 
-    return FactorGroup(a, value, gradient, m=p.min(), M=p.max(), sampler=sampler, mode=mode)
+    return FactorGroup(a, value, gradient, m=m, M=M, sampler=sampler, mode=mode)

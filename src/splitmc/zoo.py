@@ -1,8 +1,8 @@
 """Named test-model constructors addressable from the CLI.
 
 Each constructor returns a ready SplitModel; where the coupled conditional
-has a closed form the factors carry exact samplers, otherwise sweeps fall
-back to rejection sampling.
+has a closed form, its factor group carries the exact sampler, otherwise
+sweeps fall back to rejection sampling.
 """
 
 from __future__ import annotations
@@ -12,10 +12,8 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from .conditionals import sample_z_closed_form
 from .errors import UnsupportedModel
-from .model import (FactorGroup, Potential, SplitFactor, SplitModel, make_quadratic_factor,
-                    make_quadratic_group)
+from .model import FactorGroup, SplitModel, make_quadratic_group
 
 
 def toy_gaussian_1(sigma: float = 3.0, b: int = 10, mu: float = 0.0) -> SplitModel:
@@ -26,8 +24,8 @@ def toy_gaussian_1(sigma: float = 3.0, b: int = 10, mu: float = 0.0) -> SplitMod
 
 def toy_gaussian_2(sigma: float = 3.0, b: int = 10, mu: float = 0.0) -> SplitModel:
     """Same scalar target N(mu, sigma^2/b), kept as a single factor."""
-    factor = make_quadratic_factor(np.ones((1, 1)), precision=b / sigma**2, center=mu)
-    return SplitModel(1, [factor])
+    group = make_quadratic_group(np.ones((1, 1, 1)), precision=b / sigma**2, center=mu)
+    return SplitModel(1, [group])
 
 
 def aniso_gaussian(d: int = 10, m: float = 0.25, M: float = 1.0) -> SplitModel:
@@ -38,40 +36,53 @@ def aniso_gaussian(d: int = 10, m: float = 0.25, M: float = 1.0) -> SplitModel:
     """
     if not 0 < m <= M:
         raise ValueError("need 0 < m <= M")
-    q = np.linspace(m, M, d) if d > 1 else np.array([m])
-    factor = make_quadratic_factor(np.eye(d), precision=q, center=np.zeros(d))
-    return SplitModel(d, [factor])
+    group = make_quadratic_group(np.eye(d)[None], precision=np.linspace(m, M, d), center=0.0)
+    return SplitModel(d, [group])
+
+
+def mixture_group(a: np.ndarray, m: float) -> FactorGroup:
+    """One identity-coupled block holding the two-component mixture with modes +-a.
+
+    The potential is that of the symmetric unit-covariance mixture, with
+    ||a|| < 1; m is its certified strong convexity 1 - ||a||^2, and M = 1.
+    The coupled conditional is a two-component mixture with shared
+    covariance rho^2/(1+rho^2) I, means (a_theta +- a rho^2)/(1+rho^2) and
+    weights (1, exp(-2 a_theta . a / (1+rho^2))). The sampler accepts any
+    leading axes in front of the (1, d) block axes and takes, in this
+    order, one uniform per row (the component) and the normals.
+    """
+    a = np.asarray(a, dtype=float)
+    d = a.shape[0]
+
+    def value(z, rows):
+        return 0.5 * np.sum((z - a) ** 2, axis=1) - np.logaddexp(0.0, -2.0 * (z @ a))
+
+    def gradient(z, rows):
+        return z - a + 2.0 * expit(-2.0 * (z @ a))[:, None] * a
+
+    def sampler(a_theta, rho, rng):
+        s = a_theta @ a
+        # p = w1/(w1+w2) with w1 = 1, w2 = exp(-2 <a_theta, a>/(1+rho^2)).
+        p_first = expit(2.0 * s / (1.0 + rho**2))
+        signs = np.where(rng.uniform(size=s.shape) < p_first, 1.0, -1.0)
+        mu = (a_theta + signs[..., None] * a * rho**2) / (1.0 + rho**2)
+        return mu + math.sqrt(rho**2 / (1.0 + rho**2)) * rng.standard_normal(a_theta.shape)
+
+    return FactorGroup(np.eye(d)[None], value, gradient, m=m, M=1.0, sampler=sampler)
 
 
 def gaussian_mixture(d: int = 60, a_norm: float = 1.0 / math.sqrt(2.0)) -> SplitModel:
     """Symmetric two-component unit-covariance mixture with modes +-a, ||a|| < 1.
 
-    Strongly convex with m = 1 - ||a||^2 and M = 1; the global minimizer is
-    the origin. Single identity split; the coupled conditional is an exact
-    two-component mixture.
+    a = (a_norm / sqrt(d)) (1, ..., 1). Strongly convex with
+    m = 1 - ||a||^2 and M = 1; the global minimizer is the origin. Single
+    identity split whose coupled conditional is an exact two-component
+    mixture (mixture_group).
     """
     if not 0 < a_norm < 1:
         raise ValueError("mixture needs 0 < ||a|| < 1 for strong convexity")
     a = np.full(d, a_norm / math.sqrt(d))
-
-    def value(theta):
-        theta = np.atleast_1d(theta)
-        s = float(theta @ a)
-        return 0.5 * float(np.sum((theta - a) ** 2)) - float(np.logaddexp(0.0, -2.0 * s))
-
-    def gradient(theta):
-        theta = np.atleast_1d(theta)
-        s = float(theta @ a)
-        return theta - a + 2.0 * a * expit(-2.0 * s)
-
-    pot = Potential(dim=d, value=value, gradient=gradient,
-                    m=1.0 - a_norm**2, M=1.0, L=math.inf)
-
-    def sampler(a_theta, rho, rng):
-        return sample_z_closed_form("mixture", a_theta, rho, rng, direction=a)
-
-    factor = SplitFactor(a=np.eye(d), potential=pot, conditional_sampler=sampler)
-    model = SplitModel(d, [factor])
+    model = SplitModel(d, [mixture_group(a, m=1.0 - a_norm**2)])
     model.mixture_direction = a
     return model
 

@@ -25,7 +25,7 @@ from splitmc import (
     build_model,
     initial_state,
     k_sgs,
-    make_quadratic_factor,
+    make_quadratic_group,
     plan_tv_multi,
     plan_tv_nonstrongly,
     plan_tv_single,
@@ -181,7 +181,7 @@ def test_criterion_4_sampler_exactness():
                         potential=Potential(dim=3, value=lambda z: 0.0,
                                             gradient=lambda z: np.zeros(3),
                                             m=0.0, M=0.0)),
-            make_quadratic_factor(np.eye(5), precision=1.0, center=np.zeros(5)),
+            make_quadratic_group(np.eye(5)[None], precision=1.0, center=np.zeros(5)),
         ]
         model5 = SplitModel(5, factors)
         rho5 = 1.1
@@ -289,8 +289,8 @@ def test_criterion_6_planner_formula_fidelity():
             q1 = rng.uniform(0.2, 2.0, size=d)
             q2 = rng.uniform(0.2, 2.0, size=d)
             model = SplitModel(d, [
-                make_quadratic_factor(np.eye(d), precision=q1, center=np.zeros(d)),
-                make_quadratic_factor(np.eye(d), precision=q2, center=np.zeros(d)),
+                make_quadratic_group(np.eye(d)[None], precision=q1, center=np.zeros(d)),
+                make_quadratic_group(np.eye(d)[None], precision=q2, center=np.zeros(d)),
             ])
             p = plan_tv_multi(model, eps, theta_star=np.zeros(d))
             m1, m2 = q1.min(), q2.min()

@@ -15,14 +15,13 @@ from splitmc import (
     ThetaConditional,
     build_model,
     expected_proposals_bound,
-    make_quadratic_factor,
-    sample_theta,
-    sample_z_closed_form,
+    make_quadratic_group,
     sample_z_group,
     sample_z_rejection,
 )
 from splitmc.conditionals import gd_stop_threshold, warm_start_minimize, within_two_guarantee
 from splitmc.model import FactorGroup, Potential, SplitFactor
+from splitmc.zoo import mixture_group
 
 
 def scalar_quadratic_factor(m, a=1.0, center=0.0):
@@ -45,8 +44,8 @@ def replicate_block(group, j, n):
 
 class TestThetaConditional:
     def test_small_rho_concentrates_on_z(self):
-        model = SplitModel(3, [make_quadratic_factor(np.eye(3), precision=1.0,
-                                                     center=np.zeros(3))])
+        model = SplitModel(3, [make_quadratic_group(np.eye(3)[None], precision=1.0,
+                                                    center=np.zeros(3))])
         cond = ThetaConditional(model, rho=1e-6)
         z = np.array([0.3, -1.2, 2.0])
         rng = np.random.default_rng(0)
@@ -76,14 +75,14 @@ class TestThetaConditional:
                         potential=Potential(dim=2, value=lambda z: 0.0,
                                             gradient=lambda z: np.zeros(2),
                                             m=0.0, M=0.0)),
-            make_quadratic_factor(np.eye(5), precision=1.0, center=np.zeros(5)),
+            make_quadratic_group(np.eye(5)[None], precision=1.0, center=np.zeros(5)),
         ]
         model = SplitModel(5, factors)
         rho = 1.3
         cond = ThetaConditional(model, rho)
         z = [rng.standard_normal(2), rng.standard_normal(5)]
         n = 100_000
-        draws = sample_theta(cond, z, rng, size=n)
+        draws = cond.sample(z, rng, size=n)
         target = rho**2 * np.linalg.inv(np.asarray(model.gram))
         sample_cov = np.cov(draws.T)
         for i in range(5):
@@ -323,17 +322,22 @@ class TestRejectionSampler:
                     assert steps <= bound
 
 
+def draw_one(group, theta, rho, rng):
+    """One closed-form draw of a one-block group's conditional given theta."""
+    return group.sampler(group.couple(theta), rho, rng)[0]
+
+
 class TestClosedFormConditionals:
     def test_mixture_orthogonal_theta_is_balanced(self):
-        d = 4
         a = np.array([1.0, 0.0, 0.0, 0.0]) * 0.7
+        group = mixture_group(a, m=1.0 - float(a @ a))
         theta = np.array([0.0, 2.0, -1.0, 0.5])  # orthogonal to a
         rho = 0.9
         rng = np.random.default_rng(2)
         n = 40_000
         us = np.empty(n)
         for k in range(n):
-            z = sample_z_closed_form("mixture", theta, rho, rng, direction=a)
+            z = draw_one(group, theta, rho, rng)
             us[k] = z[0]
         # Balanced two-component mixture along a: mean of the projection is 0.
         comp_sep = 0.7 * rho**2 / (1.0 + rho**2)
@@ -342,12 +346,12 @@ class TestClosedFormConditionals:
 
     def test_mixture_collapses_for_aligned_theta(self):
         a = np.full(3, 0.4)
+        group = mixture_group(a, m=1.0 - float(a @ a))
         theta = 50.0 * a
         rho = 1.0
         rng = np.random.default_rng(4)
         mu1 = (theta + a * rho**2) / (1.0 + rho**2)
-        draws = np.array([sample_z_closed_form("mixture", theta, rho, rng, direction=a)
-                          for _ in range(2000)])
+        draws = np.array([draw_one(group, theta, rho, rng) for _ in range(2000)])
         assert np.linalg.norm(draws.mean(axis=0) - mu1) <= 0.05
 
     def test_mixture_projection_chi2_at_plan_width(self):
@@ -357,6 +361,7 @@ class TestClosedFormConditionals:
 
         d = 60
         model = build_model("gaussian-mixture", d=d)
+        (group,) = model.groups
         a = model.mixture_direction
         na = float(np.linalg.norm(a))
         from splitmc import plan_tv_single
@@ -367,7 +372,7 @@ class TestClosedFormConditionals:
         n = 100_000
         us = np.empty(n)
         for k in range(n):
-            z = sample_z_closed_form("mixture", theta, rho, rng, direction=a)
+            z = draw_one(group, theta, rho, rng)
             us[k] = float(z @ a) / na
         shared_sd = math.sqrt(rho**2 / (1.0 + rho**2))
         mu_proj = na * rho**2 / (1.0 + rho**2)
@@ -384,13 +389,38 @@ class TestClosedFormConditionals:
         stat = float(((counts - expected) ** 2 / expected).sum())
         assert stat < chi2_dist.ppf(0.95, 39)
 
-    def test_gaussian_kind_matches_factor_closures(self):
-        factor = make_quadratic_factor(np.eye(2), precision=np.array([0.5, 2.0]),
-                                       center=np.array([1.0, -1.0]))
-        a_theta = np.array([0.2, 0.3])
-        rho = 0.8
-        z1 = sample_z_closed_form("gaussian", a_theta, rho, np.random.default_rng(5),
-                                  precision=np.array([0.5, 2.0]),
-                                  center=np.array([1.0, -1.0]))
-        z2 = factor.conditional_sampler(a_theta, rho, np.random.default_rng(5))
-        assert np.allclose(z1, z2)
+    @staticmethod
+    def assert_gaussian_law(draws, mean, var):
+        """Per-coordinate sample mean and variance of (n, ...) draws within 5 SE."""
+        n = draws.shape[0]
+        assert np.all(np.abs(draws.mean(axis=0) - mean) <= 5 * np.sqrt(var / n))
+        assert np.all(np.abs(draws.var(axis=0) - var) <= 5 * var * math.sqrt(2.0 / (n - 1)))
+
+    def test_quadratic_group_law_one_block(self):
+        # Diagonal precision P and center c: the coupled conditional is
+        # N((P c + a_theta/rho^2)/(P + 1/rho^2), 1/(P + 1/rho^2)) per coordinate.
+        p, c = np.array([0.5, 2.0, 1.0]), np.array([1.0, -1.0, 0.5])
+        group = make_quadratic_group(np.eye(3)[None], precision=p, center=c)
+        theta, rho, n = np.array([0.2, 0.3, -0.4]), 0.8, 100_000
+        prec = p + 1.0 / rho**2
+        mean = (p * c + theta / rho**2) / prec
+        a_theta = group.couple(theta)
+        assert np.allclose(group.mode(a_theta, rho)[0], mean, rtol=1e-14, atol=0)
+        draws = group.sampler(np.broadcast_to(a_theta, (n, 1, 3)), rho,
+                              np.random.default_rng(5))
+        self.assert_gaussian_law(draws[:, 0], mean, 1.0 / prec)
+
+    def test_quadratic_group_law_multi_block(self):
+        # Four blocks of dimension 2 with their own couplings and centers.
+        rng = np.random.default_rng(6)
+        p = np.array([0.5, 2.0])
+        a = rng.standard_normal((4, 2, 3))
+        c = rng.standard_normal((4, 2))
+        group = make_quadratic_group(a, precision=p, center=c)
+        theta, rho, n = rng.standard_normal(3), 0.6, 100_000
+        a_theta = group.couple(theta)
+        prec = p + 1.0 / rho**2
+        mean = (p * c + a_theta / rho**2) / prec
+        assert np.allclose(group.mode(a_theta, rho), mean, rtol=1e-14, atol=0)
+        draws = group.sampler(np.broadcast_to(a_theta, (n, 4, 2)), rho, rng)
+        self.assert_gaussian_law(draws, mean, np.broadcast_to(1.0 / prec, (4, 2)))

@@ -15,7 +15,6 @@ from splitmc import (
     extended_langevin_step,
     find_minimizer,
     initial_state,
-    make_quadratic_factor,
     read_trace,
     run_chain,
     sgs_sweep,
@@ -151,7 +150,7 @@ class TestReproducibility:
 
         quad = make_quadratic_group(np.ones((4, 1, 1)), precision=1.0, center=0.0)
         broken = FactorGroup(quad.a, quad.value, quad.gradient, quad.m, quad.M, sampler=sampler)
-        model = SplitModel(1, [make_quadratic_factor(np.eye(1), precision=1.0, center=0.0),
+        model = SplitModel(1, [make_quadratic_group(np.eye(1)[None], precision=1.0, center=0.0),
                                broken])
         state = initial_state(model, np.zeros(1), seed=0)
         with pytest.raises(NonFiniteDraw, match="sweep 1: auxiliary block 3"):
@@ -160,7 +159,7 @@ class TestReproducibility:
 
 class TestUnadjustedLangevin:
     def test_zero_gradient_is_random_walk(self):
-        flat = make_quadratic_factor(np.eye(2), precision=0.0, center=np.zeros(2))
+        flat = make_quadratic_group(np.eye(2)[None], precision=0.0, center=np.zeros(2))
         model = SplitModel(2, [flat])
         h = 0.3
         rng = np.random.default_rng(6)
@@ -172,8 +171,8 @@ class TestUnadjustedLangevin:
     def test_gaussian_stationary_variance(self):
         # For N(0, s2) the chain is AR(1) with stationary variance s2/(1 - h/(2 s2)).
         s2, h = 1.0, 0.5
-        model = SplitModel(1, [make_quadratic_factor(np.eye(1), precision=1.0 / s2,
-                                                     center=0.0)])
+        model = SplitModel(1, [make_quadratic_group(np.eye(1)[None], precision=1.0 / s2,
+                                                    center=0.0)])
         rng = np.random.default_rng(14)
         n = 100_000
         xs = np.empty(n)

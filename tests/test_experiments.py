@@ -94,15 +94,17 @@ class TestPopulationSweepsMatchKernelLaws:
     """The replicate-vectorized sweeps are the same kernel as the engine."""
 
     def test_gaussian_population_matches_ar1_law(self):
-        from splitmc.experiments import _gaussian_population_sweep
+        from splitmc import build_model
+        from splitmc.experiments import _population_sweep
 
+        (group,) = build_model("aniso-gaussian", d=2, m=0.25, M=1.0).groups
         q = np.array([0.25, 1.0])
         rho = 0.6
         rng = np.random.default_rng(11)
         n, t = 60_000, 12
         thetas = np.zeros((n, 2))
         for _ in range(t):
-            thetas = _gaussian_population_sweep(q, rho, thetas, rng)
+            thetas = _population_sweep(group, rho, thetas, rng)
         # Per coordinate: AR(1) with contraction 1/(1+q rho^2) and stationary
         # variance (1/q + rho^2) toward which the point mass relaxes.
         for j, qj in enumerate(q):
@@ -118,7 +120,7 @@ class TestPopulationSweepsMatchKernelLaws:
         # One sweep of the engine on the matching zoo model agrees in
         # distribution with one vectorized population sweep.
         from splitmc import SamplerConfig, build_model, initial_state, sgs_sweep
-        from splitmc.experiments import _gaussian_population_sweep
+        from splitmc.experiments import _population_sweep
 
         model = build_model("aniso-gaussian", d=3, m=0.25, M=1.0)
         q = np.linspace(0.25, 1.0, 3)
@@ -126,7 +128,7 @@ class TestPopulationSweepsMatchKernelLaws:
         theta0 = np.array([1.0, -2.0, 0.5])
         n = 40_000
         rng = np.random.default_rng(12)
-        pop = _gaussian_population_sweep(q, rho, np.tile(theta0, (n, 1)), rng)
+        pop = _population_sweep(model.groups[0], rho, np.tile(theta0, (n, 1)), rng)
         config = SamplerConfig(rho=rho, sweeps=1)
         eng = np.empty((4000, 3))
         for k in range(eng.shape[0]):
@@ -143,14 +145,16 @@ class TestPopulationSweepsMatchKernelLaws:
     def test_mixture_population_one_sweep_mean(self):
         from scipy.special import expit
 
-        from splitmc.experiments import _mixture_population_sweep
+        from splitmc.experiments import _population_sweep
+        from splitmc.zoo import mixture_group
 
         a = np.array([0.5, 0.5])
+        group = mixture_group(a, m=1.0 - float(a @ a))
         rho = 0.8
         theta0 = np.array([0.6, -0.2])
         n = 120_000
         rng = np.random.default_rng(13)
-        out = _mixture_population_sweep(a, rho, np.tile(theta0, (n, 1)), rng)
+        out = _population_sweep(group, rho, np.tile(theta0, (n, 1)), rng)
         p1 = expit(2.0 * float(theta0 @ a) / (1.0 + rho**2))
         mean = (theta0 + (2.0 * p1 - 1.0) * a * rho**2) / (1.0 + rho**2)
         var_scale = rho**2 / (1 + rho**2) + rho**2 + (a @ a) * rho**4

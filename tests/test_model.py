@@ -11,7 +11,7 @@ from splitmc import (
     build_model,
     center_model,
     find_minimizer,
-    make_quadratic_factor,
+    make_quadratic_group,
     model_constants,
 )
 from splitmc.errors import DimensionMismatch, SingularGram
@@ -49,8 +49,8 @@ class TestPotentialInvariants:
 
     def test_gradient_matches_fd_on_quadratics(self):
         rng = np.random.default_rng(42)
-        pot = make_quadratic_factor(np.eye(3), precision=np.array([0.5, 1.0, 2.0]),
-                                    center=np.array([1.0, -2.0, 0.5])).potential
+        pot = make_quadratic_group(np.eye(3)[None], precision=np.array([0.5, 1.0, 2.0]),
+                                   center=np.array([1.0, -2.0, 0.5])).factors[0].potential
         assert_gradient_matches(pot, rng.standard_normal((20, 3)))
 
     def test_logistic_factor_gradient_matches_fd(self):
@@ -111,9 +111,19 @@ class TestCompositePotential:
 
     def test_rank_deficient_gram_rejected(self):
         # Single row factor in R^2 cannot determine theta.
-        pot = make_quadratic_factor(np.array([[1.0, 0.0]]), precision=1.0, center=0.0)
-        with pytest.raises(SingularGram):
-            SplitModel(2, [pot])
+        group = make_quadratic_group(np.array([[[1.0, 0.0]]]), precision=1.0, center=0.0)
+        with pytest.raises(SingularGram, match="rank deficient"):
+            SplitModel(2, [group])
+
+    def test_non_finite_coupling_rejected(self):
+        # The Cholesky factorization returns a NaN factor without raising, so
+        # a non-finite coupling is refused before it, with its own message.
+        for bad in (np.nan, np.inf):
+            a = np.eye(2)[None].copy()
+            a[0, 1, 0] = bad
+            group = make_quadratic_group(a, precision=1.0, center=0.0)
+            with pytest.raises(SingularGram, match="not finite"):
+                SplitModel(2, [group])
 
 
 class TestFindMinimizer:
@@ -134,7 +144,7 @@ class TestFindMinimizer:
         rng = np.random.default_rng(21)
         c = rng.standard_normal(10)
         q = rng.uniform(0.5, 3.0, size=10)
-        model = SplitModel(10, [make_quadratic_factor(np.eye(10), precision=q, center=c)])
+        model = SplitModel(10, [make_quadratic_group(np.eye(10)[None], precision=q, center=c)])
         res = find_minimizer(model, tol=1e-12, theta0=np.zeros(10))
         assert np.linalg.norm(res.theta_star - c) <= 1e-8
 
@@ -219,8 +229,8 @@ class TestZooModels:
 
 class TestModelConstants:
     def test_single_identity_unit(self):
-        model = SplitModel(4, [make_quadratic_factor(np.eye(4), precision=1.0,
-                                                     center=np.zeros(4))])
+        model = SplitModel(4, [make_quadratic_group(np.eye(4)[None], precision=1.0,
+                                                    center=np.zeros(4))])
         c = model_constants(model)
         assert c.m_U == pytest.approx(1.0, abs=1e-12)
         assert c.sigma2_U == pytest.approx(1.0, abs=1e-12)
@@ -243,8 +253,8 @@ class TestModelConstants:
         q1 = rng.uniform(0.2, 1.0, size=6)
         q2 = rng.uniform(0.5, 2.0, size=6)
         model = SplitModel(6, [
-            make_quadratic_factor(np.eye(6), precision=q1, center=np.zeros(6)),
-            make_quadratic_factor(np.eye(6), precision=q2, center=np.zeros(6)),
+            make_quadratic_group(np.eye(6)[None], precision=q1, center=np.zeros(6)),
+            make_quadratic_group(np.eye(6)[None], precision=q2, center=np.zeros(6)),
         ])
         c = model_constants(model)
         h = np.diag(q1 + q2)

@@ -14,7 +14,7 @@ from splitmc import (
     center_model,
     find_minimizer,
     k_sgs,
-    make_quadratic_factor,
+    make_quadratic_group,
     plan_tv_multi,
     plan_tv_nonstrongly,
     plan_tv_single,
@@ -59,7 +59,7 @@ class TestContractionConstant:
                         potential=Potential(dim=2, value=lambda z: 0.0,
                                             gradient=lambda z: np.zeros(2),
                                             m=0.3, M=1.0)),
-            make_quadratic_factor(np.eye(4), precision=0.8, center=np.zeros(4)),
+            make_quadratic_group(np.eye(4)[None], precision=0.8, center=np.zeros(4)),
         ]
         model = SplitModel(4, factors)
         rho = 0.9
@@ -204,8 +204,8 @@ class TestNonStronglyConvexPlan:
 
     def test_regularized_model_constants(self):
         # Adding the ridge makes the quadratic family exactly (lam, M + lam).
-        base = SplitModel(4, [make_quadratic_factor(np.eye(4), precision=1.0,
-                                                    center=np.zeros(4))])
+        base = SplitModel(4, [make_quadratic_group(np.eye(4)[None], precision=1.0,
+                                                   center=np.zeros(4))])
         lam = 0.25
         reg = regularize_model(base, lam, np.zeros(4))
         consts = model_constants(reg)
