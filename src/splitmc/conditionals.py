@@ -274,16 +274,16 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
     per block; raises NonConvergence like the single-block descent,
     naming the first failing block of the group.
     """
-    if not np.isfinite(group.M).all():
+    if not group.smooth:
         raise NotSmooth("warm-start descent needs a finite smoothness constant")
-    step = 1.0 / (1.0 / rho**2 + group.M)
-    target = np.broadcast_to(target, (group.b,))
     z = np.array(a_theta if z0 is None else z0, dtype=float)
     g = group.gradient(z, ALL_BLOCKS) + (z - a_theta) / rho**2
     gnorm = np.linalg.norm(g, axis=1)
     steps = np.zeros(group.b, dtype=np.int64)
     pending = np.flatnonzero(~(gnorm <= target))
     if pending.size:
+        step = 1.0 / (1.0 / rho**2 + group.M)
+        target = np.broadcast_to(target, (group.b,))
         bound = _step_bounds(gnorm[pending], target[pending], rho, group.m[pending],
                              group.M[pending])
     while pending.size:
@@ -319,7 +319,7 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
     the last three per block. Raises AcceptanceStall when a block is still
     pending after proposal_cap rounds.
     """
-    if not np.isfinite(group.M).all():
+    if not group.smooth:
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -328,41 +328,52 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
     target = _GD_STOP_FACTOR * np.sqrt(s) / math.sqrt(k)
     z_tilde, gnorm, gd_steps = warm_start_group(group, a_theta, rho, target, z0=z_warm)
 
-    g2d = gnorm**2 / k
+    gnorm2 = gnorm**2
+    g2d = gnorm2 / k
     a_tilde = s + 0.5 * g2d - np.sqrt(0.25 * g2d**2 + s * g2d)
     denom = s - a_tilde
     top = 1.0 / rho**2 + group.M
     # gnorm = 0 makes denom = 0; both exponents have limit 0 there.
     flat = (gnorm == 0.0) | (denom <= 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_r = np.where(flat, 0.0, -0.5 * gnorm**2 / denom)
-        exponent = np.where(flat, 0.0, 0.5 * gnorm**2 * (1.0 / denom - 1.0 / top))
+        log_r = np.where(flat, 0.0, -0.5 * gnorm2 / denom)
+        exponent = np.where(flat, 0.0, 0.5 * gnorm2 * (1.0 / denom - 1.0 / top))
     expected = (top / a_tilde) ** (k / 2.0) * np.exp(exponent)
-    v_tilde = (group.value(z_tilde, ALL_BLOCKS)
-               + 0.5 * np.sum((z_tilde - a_theta) ** 2, axis=1) / rho**2)
+    v_tilde = group.value(z_tilde, ALL_BLOCKS)
+    if z_warm is not None or gd_steps.any():
+        # Otherwise no block moved from a_theta and the quadratic term is zero.
+        v_tilde = v_tilde + 0.5 * np.sum((z_tilde - a_theta) ** 2, axis=1) / rho**2
     sigma_prop = 1.0 / np.sqrt(a_tilde)
 
-    z = np.empty_like(z_tilde)
+    # Round 1 proposes for every block through basic slices, which copy
+    # nothing; later rounds gather the blocks still pending.
+    z = None
     proposals = np.zeros(group.b, dtype=np.int64)
-    pending = np.arange(group.b)
+    rows, n_rows = ALL_BLOCKS, group.b
     rounds = 0
-    while pending.size:
+    while n_rows:
         if rounds >= proposal_cap:
+            first = 0 if z is None else int(rows[0])
             raise AcceptanceStall(
-                f"block {int(pending[0])}: no acceptance after {proposal_cap} proposals; "
+                f"block {first}: no acceptance after {proposal_cap} proposals; "
                 "certified (m, M) look wrong"
             )
         rounds += 1
-        proposals[pending] = rounds
-        center = z_tilde[pending]
-        zp = center + sigma_prop[pending, None] * rng.standard_normal((pending.size, k))
-        u = rng.uniform(size=pending.size)
-        v = group.value(zp, pending) + 0.5 * np.sum((zp - a_theta[pending]) ** 2, axis=1) / rho**2
-        log_accept = (log_r[pending] - (v - v_tilde[pending])
-                      + 0.5 * a_tilde[pending] * np.sum((zp - center) ** 2, axis=1))
+        proposals[rows] = rounds
+        center = z_tilde[rows]
+        zp = center + sigma_prop[rows, None] * rng.standard_normal((n_rows, k))
+        u = rng.uniform(size=n_rows)
+        v = group.value(zp, rows) + 0.5 * np.sum((zp - a_theta[rows]) ** 2, axis=1) / rho**2
+        log_accept = (log_r[rows] - (v - v_tilde[rows])
+                      + 0.5 * a_tilde[rows] * np.sum((zp - center) ** 2, axis=1))
         with np.errstate(divide="ignore"):
             accepted = np.log(u) < log_accept
-        z[pending[accepted]] = zp[accepted]
-        pending = pending[~accepted]
+        if z is None:
+            # The rejected rows of z are overwritten when they are accepted.
+            z, rows = zp, np.flatnonzero(~accepted)
+        else:
+            z[rows[accepted]] = zp[accepted]
+            rows = rows[~accepted]
+        n_rows = rows.size
     return z, proposals, gd_steps, expected
 

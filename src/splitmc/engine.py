@@ -18,6 +18,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,9 +98,12 @@ def _sweep_rng(root: int, sweep: int, phase: int):
 
 def _draw_blocks(model: SplitModel, state: ChainState, config: SamplerConfig, rng, sweep: int):
     """Every auxiliary block given state.theta, group by group: (z per group, BlockReports)."""
-    proposals = np.zeros(model.b, dtype=np.int64)
-    gd_steps = np.zeros(model.b, dtype=np.int64)
-    expected = np.zeros(model.b)
+    if model.closed_form:
+        reports = _closed_form_reports(model.b)
+    else:
+        reports = BlockReports(np.zeros(model.b, dtype=np.int64),
+                               np.zeros(model.b, dtype=np.int64), np.zeros(model.b))
+    proposals, gd_steps, expected = reports.proposals, reports.gd_steps, reports.expected
     z_new = []
     start = 0
     for g, z_prev in zip(model.groups, state.z_groups):
@@ -117,7 +121,16 @@ def _draw_blocks(model: SplitModel, state: ChainState, config: SamplerConfig, rn
             raise NonFiniteDraw(f"sweep {sweep}: auxiliary block {bad} is not finite")
         z_new.append(z)
         start += g.b
-    return tuple(z_new), BlockReports(proposals, gd_steps, expected)
+    return tuple(z_new), reports
+
+
+@lru_cache(maxsize=16)
+def _closed_form_reports(b: int) -> BlockReports:
+    """The reports of a sweep with no rejection draws: shared read-only zeros."""
+    arrays = (np.zeros(b, dtype=np.int64), np.zeros(b, dtype=np.int64), np.zeros(b))
+    for a in arrays:
+        a.setflags(write=False)
+    return BlockReports(*arrays)
 
 
 def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
@@ -125,7 +138,8 @@ def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
     """Advance the chain by one sweep; returns (new state, per-block reports).
 
     The reports are a BlockReports sequence: a RejectionReport for each
-    block drawn by rejection, None for closed-form blocks. rng_factory(sweep,
+    block drawn by rejection, None for closed-form blocks; a model drawn
+    wholly in closed form shares one read-only set. rng_factory(sweep,
     phase) overrides the default seed-derived streams; phase 0 feeds every
     auxiliary block, phase 1 the master-parameter draw. Passing a factory of
     null generators turns the sweep into its deterministic conditional-mode
@@ -215,9 +229,10 @@ def run_chain(model: SplitModel, config: SamplerConfig, seed: int,
         for t in range(1, config.sweeps + 1):
             state, reports = sgs_sweep(model, state, config, cond)
             sweeps_run = t
-            proposals += reports.proposals
-            rejection_draws += reports.proposals > 0
-            gd_steps += reports.gd_steps
+            if not model.closed_form:
+                proposals += reports.proposals
+                rejection_draws += reports.proposals > 0
+                gd_steps += reports.gd_steps
             if t > config.burn_in and (t - config.burn_in - 1) % config.record_every == 0:
                 recorded.append(state.theta.copy())
                 if writer is not None:

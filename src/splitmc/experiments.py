@@ -234,17 +234,17 @@ def _population_sweep(group, rho, thetas, rng):
     return z + rho * rng.standard_normal(thetas.shape)
 
 
-def _binned_tv_vs_gaussian(x, var, edges):
+def _binned_tv_vs_gaussian(x, edges, cdf):
+    """Binned TV between a sample and a Gaussian whose cdf at the edges is given."""
     emp = np.histogram(x, bins=edges)[0] / x.size
-    cdf = norm.cdf(edges, scale=math.sqrt(var))
     return 0.5 * (np.abs(emp - np.diff(cdf)).sum() + cdf[0] + 1.0 - cdf[-1])
 
 
-def _tv_noise_floor(var, n_chains, edges, rng, reps=3):
+def _tv_noise_floor(var, n_chains, edges, cdf, rng, reps=3):
     vals = []
     for _ in range(reps):
         x = math.sqrt(var) * rng.standard_normal(n_chains)
-        vals.append(_binned_tv_vs_gaussian(x, var, edges))
+        vals.append(_binned_tv_vs_gaussian(x, edges, cdf))
     return float(np.mean(vals))
 
 
@@ -255,12 +255,13 @@ def _mixing_time_tv(model, rho, eps, n_chains, seed, sweep_cap, n_bins=50):
     var_target = 1.0 / group.m[0]  # aniso_gaussian: the first coordinate has precision m
     span = 5.0 * math.sqrt(var_target)
     edges = np.linspace(-span, span, n_bins + 1)
-    floor = _tv_noise_floor(var_target, n_chains, edges, _rng(seed, 1))
+    cdf = norm.cdf(edges, scale=math.sqrt(var_target))  # the target's, once per run
+    floor = _tv_noise_floor(var_target, n_chains, edges, cdf, _rng(seed, 1))
     thetas = rng.standard_normal((n_chains, model.d)) / np.sqrt(group.M[0])  # nu = N(0, I/M)
     threshold = eps + floor
     for t in range(1, sweep_cap + 1):
         thetas = _population_sweep(group, rho, thetas, rng)
-        tv = _binned_tv_vs_gaussian(thetas[:, 0], var_target, edges)
+        tv = _binned_tv_vs_gaussian(thetas[:, 0], edges, cdf)
         if tv < threshold:
             return t, floor, False
     return sweep_cap, floor, True

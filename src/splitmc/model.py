@@ -98,7 +98,8 @@ class FactorGroup:
     sampler(a_theta, rho, rng) / mode(a_theta, rho), when present, draw from
     or minimize every block's coupled conditional at once, with a_theta of
     shape (b, k); they are the only closed forms of a conditional. Groups
-    without them go through the rejection sampler and the warm-start descent.
+    without them go through the rejection sampler and the warm-start descent,
+    which need smooth, i.e. every M finite.
 
     A plain SplitFactor is a group of one (FactorGroup.of), whose `factors`
     is that factor itself. Other groups give per-block SplitFactor views
@@ -120,6 +121,7 @@ class FactorGroup:
             raise ValueError(f"block {j}: m={m[j]} exceeds M={M[j]}")
         for c in (m, M, L):
             c.setflags(write=False)
+        self.smooth = bool(np.isfinite(M).all())
         self.a = a
         self.a_flat = a.reshape(-1, a.shape[2])
         self.value = value
@@ -206,12 +208,20 @@ class SplitModel:
         self.m = np.concatenate([g.m for g in groups])
         self.M = np.concatenate([g.M for g in groups])
         self.L = np.concatenate([g.L for g in groups])
-        gram = self.weighted_gram(np.ones(self.b))
+        # Every group draws its conditional in closed form: no rejection draws.
+        self.closed_form = all(g.sampler is not None for g in groups)
+        # Refused before the Gram product, which would warn on NaN or inf.
+        if not all(np.isfinite(g.a).all() for g in groups):
+            raise SingularGram("stacked coupling matrix is not finite")
+        # A finite coupling can still overflow its Gram matrix, which is
+        # refused just below, and the factorization does not check for NaN:
+        # it would return a NaN factor.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.weighted_gram(np.ones(self.b))
         gram.setflags(write=False)
         self.gram = gram
-        # The factorization does not check for NaN: it would return a NaN factor.
         if not np.isfinite(gram).all():
-            raise SingularGram("stacked coupling matrix or its Gram matrix is not finite")
+            raise SingularGram("the Gram matrix of the stacked coupling is not finite")
         try:
             self.chol_lower = cholesky(gram, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
@@ -261,6 +271,9 @@ class SplitModel:
 
     def assemble(self, z_groups) -> np.ndarray:
         """sum_i A_i^T z_i, with z given as one (b_g, k_g) array per group."""
+        if len(self.groups) == 1:
+            (z,) = z_groups
+            return self.groups[0].a_flat.T @ np.reshape(z, -1)
         s = np.zeros(self.d)
         for g, z in zip(self.groups, z_groups):
             s += g.a_flat.T @ np.reshape(z, -1)
@@ -399,7 +412,8 @@ def find_minimizer(model: SplitModel, tol: float | None = None,
     theta = np.zeros(model.d) if theta0 is None else np.array(theta0, dtype=float)
     g = model.gradient(theta)
     if tol is None:
-        tol = 1e-10 * (1.0 + float(np.linalg.norm(model.gradient(np.zeros(model.d)))))
+        g0 = g if theta0 is None else model.gradient(np.zeros(model.d))
+        tol = 1e-10 * (1.0 + float(np.linalg.norm(g0)))
     if max_iter is None:
         kappa = consts.lambda_max_M / consts.m_U
         max_iter = max(1, int(math.ceil(10.0 * kappa * math.log(1.0 / min(tol, 0.5)))))

@@ -95,15 +95,30 @@ def _rademacher_data(d: int, n: int, seed: int):
     return x, y
 
 
-def _logit_group(a: np.ndarray, design: np.ndarray, labels: np.ndarray,
+def _logit_group(a: np.ndarray, design: np.ndarray | None, labels: np.ndarray,
                  alpha: float) -> FactorGroup:
     """Blocks z_j -> sum_s [softplus(x_js.z_j) - y_js x_js.z_j + (alpha/2)(x_js.z_j)^2].
 
     design has shape (b, s, k): the s observations of block j, acting on its
     k-dimensional auxiliary variable; labels has shape (b, s). Block j is
     alpha lambda_min(X_j^T X_j)-strongly convex and (alpha + 1/4)
-    lambda_max(X_j^T X_j)-smooth.
+    lambda_max(X_j^T X_j)-smooth. design=None stands for the unit design
+    X_j = [[1]] of scalar blocks with one observation each (s = k = 1):
+    u = z, with no matmuls. The results equal those of np.ones((b, 1, 1))
+    bit for bit, since multiplying by 1.0 and summing one term are exact.
     """
+    if design is None:
+        m = np.full(labels.shape[0], alpha)
+        M = np.full(labels.shape[0], alpha + 0.25)
+
+        def value(z, rows):
+            return (np.logaddexp(0.0, z) - labels[rows] * z + 0.5 * alpha * z**2)[:, 0]
+
+        def gradient(z, rows):
+            return expit(z) - labels[rows] + alpha * z
+
+        return FactorGroup(a, value, gradient, m=m, M=M, L=math.inf)
+
     eigs = np.linalg.eigvalsh(np.swapaxes(design, 1, 2) @ design)
     m = alpha * np.maximum(eigs[:, 0], 0.0)
     M = (alpha + 0.25) * eigs[:, -1]
@@ -131,7 +146,7 @@ def logistic_split1(d: int = 10, n: int = 200, seed: int = 0) -> SplitModel:
     """
     x, y = _rademacher_data(d, n, seed)
     alpha = 3.0 * d / (math.pi**2 * n)
-    group = _logit_group(x[:, None, :], np.ones((n, 1, 1)), y[:, None], alpha)
+    group = _logit_group(x[:, None, :], None, y[:, None], alpha)
     model = SplitModel(d, [group])
     model.data = (x, y)
     model.prior_alpha = alpha

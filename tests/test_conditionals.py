@@ -240,6 +240,21 @@ class TestRejectionSampler:
             sample_z_group(group, np.zeros((1, 1)), 1.0, np.random.default_rng(0),
                            proposal_cap=64)
 
+    def test_stall_names_first_pending_block(self):
+        # With proposal_cap=1 the sampler stops after the first round and
+        # names the first block it rejected. An uncapped draw from the same
+        # stream makes the same first round, so its proposal counts tell
+        # which blocks were rejected there.
+        model = build_model("logistic-split1", d=4, n=200, seed=2)
+        (group,) = model.groups
+        a_theta = group.couple(np.full(4, 0.3))
+        rho = 1.2
+        _, proposals, _, _ = sample_z_group(group, a_theta, rho, np.random.default_rng(7))
+        rejected = np.flatnonzero(proposals > 1)
+        assert rejected.size and rejected[0] > 0
+        with pytest.raises(AcceptanceStall, match=f"^block {rejected[0]}: .* after 1 proposals"):
+            sample_z_group(group, a_theta, rho, np.random.default_rng(7), proposal_cap=1)
+
     def test_understated_curvature_is_typed_nonconvergence(self):
         # U(z) = 5 z^2 certified with M = 1: the descent step 1/(1/rho^2 + M)
         # overshoots and diverges. Both paths stop at the step bound (4 here)

@@ -107,6 +107,17 @@ class TestEmpiricalW1:
         x = 1.7 * rng.standard_normal(50_000) + 0.3
         assert w1_samples_vs_gaussian(x, 0.3, 1.7**2) < 0.02
 
+    def test_quantile_coupling_matches_direct_quantiles(self):
+        # The cached standard quantile grid, scaled and shifted, gives the
+        # bits of norm.ppf at the reference quantiles; repeated calls reuse it.
+        rng = np.random.default_rng(3)
+        for n in (1, 7, 2000):
+            x = rng.standard_normal(n)
+            for mean, var in ((0.0, 1.0), (0.3, 1.7**2), (-2.5, 1e-4)):
+                q = norm.ppf((np.arange(n) + 0.5) / n, loc=mean, scale=math.sqrt(var))
+                direct = float(np.abs(np.sort(x) - q).mean())
+                assert w1_samples_vs_gaussian(x, mean, var) == direct
+
 
 class TestKernelEvolution:
     def test_converges_to_stationary(self):

@@ -15,7 +15,13 @@ from splitmc import (
     model_constants,
 )
 from splitmc.errors import DimensionMismatch, SingularGram
-from splitmc.model import FactorGroup, Potential, SplitFactor, max_factor_gradient_at
+from splitmc.model import (
+    ALL_BLOCKS,
+    FactorGroup,
+    Potential,
+    SplitFactor,
+    max_factor_gradient_at,
+)
 
 
 def fd_gradient(value, z, rel_step=1e-6):
@@ -115,15 +121,26 @@ class TestCompositePotential:
         with pytest.raises(SingularGram, match="rank deficient"):
             SplitModel(2, [group])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_coupling_rejected(self):
         # The Cholesky factorization returns a NaN factor without raising, so
-        # a non-finite coupling is refused before it, with its own message.
+        # a non-finite coupling is refused before it, with its own message,
+        # and before the Gram product, which would warn.
         for bad in (np.nan, np.inf):
             a = np.eye(2)[None].copy()
             a[0, 1, 0] = bad
             group = make_quadratic_group(a, precision=1.0, center=0.0)
-            with pytest.raises(SingularGram, match="not finite"):
+            with pytest.raises(SingularGram, match="coupling matrix is not finite"):
                 SplitModel(2, [group])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gram_rejected(self):
+        # A finite coupling whose Gram matrix overflows is refused too.
+        a = np.eye(2)[None].copy()
+        a[0, 1, 0] = 1e200
+        group = make_quadratic_group(a, precision=1.0, center=0.0)
+        with pytest.raises(SingularGram, match="Gram matrix of the stacked coupling is not finite"):
+            SplitModel(2, [group])
 
 
 class TestFindMinimizer:
@@ -225,6 +242,27 @@ class TestZooModels:
     def test_logistic_split2_requires_divisibility(self):
         with pytest.raises(ValueError):
             build_model("logistic-split2", d=2, n=10, b=3)
+
+    def test_unit_design_matches_explicit_ones_design(self):
+        # logistic-split1 evaluates its scalar blocks without the design
+        # matmuls; the explicit all-ones design gives the same bits.
+        from splitmc.zoo import _logit_group
+        n = 60
+        model = build_model("logistic-split1", d=5, n=n, seed=4)
+        (unit,) = model.groups
+        x, y = model.data
+        ones = _logit_group(x[:, None, :], np.ones((n, 1, 1)), y[:, None], model.prior_alpha)
+        for c in ("m", "M", "L"):
+            assert getattr(unit, c).tobytes() == getattr(ones, c).tobytes()
+        z = 3.0 * np.random.default_rng(8).standard_normal((n, 1))
+        z[:4, 0] = (0.0, 40.0, -40.0, 800.0)
+        subset = np.array([5, 0, 17, 59, 17])
+        for rows, zr in ((ALL_BLOCKS, z), (subset, z[subset])):
+            for fn in ("value", "gradient"):
+                got = getattr(unit, fn)(zr, rows)
+                ref = getattr(ones, fn)(zr, rows)
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
 
 
 class TestModelConstants:
