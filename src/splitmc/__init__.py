@@ -11,6 +11,7 @@ from .errors import (
     AcceptanceStall,
     DimensionMismatch,
     EpsilonOutOfRange,
+    InvalidParameter,
     NonConvergence,
     NonFiniteDraw,
     NotCentered,

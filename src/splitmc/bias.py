@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import NotSmooth, UnsupportedModel
 from .metrics import Normal1D
@@ -131,10 +132,15 @@ class IsotropicMixture:
                       + np.exp(-0.5 * ((u + na) / s) ** 2)) / (s * math.sqrt(2 * math.pi))
 
     def projected_cdf(self, u):
-        from scipy.stats import norm
+        """Cdf of <a, theta>/||a||, through ndtr directly.
+
+        scipy.stats.norm.cdf(u, loc, scale) evaluates ndtr((u - loc)/scale),
+        so this gives its bits without the per-call overhead of the wrapper.
+        """
+        u = np.asarray(u, dtype=float)
         na = float(np.linalg.norm(self.a))
         s = math.sqrt(self.variance)
-        return 0.5 * (norm.cdf(u, loc=na, scale=s) + norm.cdf(u, loc=-na, scale=s))
+        return 0.5 * (ndtr((u - na) / s) + ndtr((u + na) / s))
 
 
 def pi_rho_closed_form(test_model: str, rho: float, *, sigma: float | None = None,

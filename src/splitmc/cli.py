@@ -1,7 +1,8 @@
 """Command-line interface: plan | sample | bias | experiment.
 
 Exit codes: 0 success, 2 a validity predicate failed (bad precision range,
-bound outside its region, missing strong convexity), 3 numerical failure
+parameter outside its admissible range, bound outside its region, missing
+strong convexity), 3 numerical failure
 (quadrature, non-convergence, non-finite draw, acceptance stall).
 """
 
@@ -22,6 +23,7 @@ from .engine import SamplerConfig, run_chain
 from .errors import (
     AcceptanceStall,
     EpsilonOutOfRange,
+    InvalidParameter,
     NonConvergence,
     NonFiniteDraw,
     NotCentered,
@@ -37,7 +39,8 @@ from .metrics import gaussian_tv_1d, gaussian_w1_1d
 from .model import center_model, find_minimizer, model_constants
 from .planner import plan_tv_multi, plan_tv_nonstrongly, plan_tv_single, plan_w1_single
 
-_VALIDITY_ERRORS = (EpsilonOutOfRange, NotCentered, NotStronglyConvex, UnsupportedModel)
+_VALIDITY_ERRORS = (EpsilonOutOfRange, InvalidParameter, NotCentered, NotStronglyConvex,
+                    UnsupportedModel)
 _NUMERICAL_ERRORS = (QuadratureFailure, NonConvergence, NonFiniteDraw, AcceptanceStall,
                      SingularGram, SingularModel)
 
@@ -175,7 +178,7 @@ def _parse_set(values):
     for item in values or ():
         key, _, raw = item.partition("=")
         if not raw:
-            raise ValueError(f"--set wants key=value, got {item!r}")
+            raise InvalidParameter(f"--set wants key=value, got {item!r}")
         try:
             params[key.replace("-", "_")] = ast.literal_eval(raw)
         except (ValueError, SyntaxError):

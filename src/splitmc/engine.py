@@ -29,7 +29,7 @@ from .conditionals import (
     sample_z_group,
     warm_start_group,
 )
-from .errors import DimensionMismatch, NonFiniteDraw, NotSmooth
+from .errors import DimensionMismatch, InvalidParameter, NonFiniteDraw, NotSmooth
 from .model import ALL_BLOCKS, SplitModel
 
 TRACE_MAGIC = b"SGS1"
@@ -77,11 +77,11 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.rho <= 0:
-            raise ValueError("rho must be positive")
+            raise InvalidParameter("rho must be positive")
         if not 0 <= self.burn_in < self.sweeps:
-            raise ValueError("burn_in must satisfy 0 <= burn_in < sweeps")
+            raise InvalidParameter("burn_in must satisfy 0 <= burn_in < sweeps")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+            raise InvalidParameter("record_every must be >= 1")
 
 
 def initial_state(model: SplitModel, theta0: np.ndarray, seed: int) -> ChainState:

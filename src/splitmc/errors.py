@@ -53,6 +53,10 @@ class UnsupportedModel(SplitMCError):
     """The operation only supports specific closed-form model families."""
 
 
+class InvalidParameter(SplitMCError, ValueError):
+    """A model, planner or experiment parameter lies outside its admissible range."""
+
+
 class EpsilonOutOfRange(SplitMCError):
     """Precision parameter must satisfy 0 < eps <= 1."""
 

@@ -11,6 +11,16 @@ the zoo model's own closed-form sampler, called with the chains as a
 leading axis. Both models have one identity-coupled block, so G = I and
 the master draw N(z, rho^2 G^{-1}) is exactly z + rho xi; the test suite
 checks the population sweep against the per-chain engine.
+
+The gaussian-mixing runs measure coordinate 0 only, and step only it.
+aniso_gaussian has a diagonal precision and the identity coupling, so a
+sweep draws each coordinate from its own old value alone: coordinate 0 of
+the d-dimensional chain has, at every sweep, the law of the one-coordinate
+chain with precision m (the smallest) and the same rho, an AR(1) chain with
+factor 1/(1 + rho^2 m) and stationary variance 1/m + rho^2. The mixing
+helpers step that chain (_first_coordinate) and refuse models for which
+this does not hold; the draws differ from stepping all d coordinates, their
+law does not.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from scipy.stats import chi2, norm
 from . import zoo
 from .bias import pi_rho_closed_form, tv_bound_strongly_convex, w1_bound_single
 from .engine import SamplerConfig, run_chain
-from .errors import NotStronglyConvex
+from .errors import InvalidParameter, NotStronglyConvex, UnsupportedModel
 from .metrics import (
     Normal1D,
     ToyParams,
@@ -40,7 +50,7 @@ from .metrics import (
     gaussian_w1_1d,
     w1_samples_vs_gaussian,
 )
-from .model import ALL_BLOCKS, center_model, find_minimizer, model_constants
+from .model import ALL_BLOCKS, center_model, find_minimizer, make_quadratic_group, model_constants
 from .planner import plan_tv_multi, plan_tv_single, plan_w1_single
 
 EXPERIMENT_NAMES = ("bias-toy", "rate-toy", "gaussian-mixing", "mixture", "logistic")
@@ -248,16 +258,48 @@ def _tv_noise_floor(var, n_chains, edges, cdf, rng, reps=3):
     return float(np.mean(vals))
 
 
-def _mixing_time_tv(model, rho, eps, n_chains, seed, sweep_cap, n_bins=50):
-    """First sweep at which the worst-direction binned TV drops below eps + floor."""
-    rng = _rng(seed, 0)
+def _first_coordinate(model, n_chains):
+    """The one-coordinate group whose chain has the law of model's coordinate 0.
+
+    Holds for one identity-coupled Gaussian block (the closed form with a
+    mode) of zero mean whose coordinate 0 has the group's smallest precision
+    m and is coupled to no other coordinate: its gradient is 0 at 0 and
+    m e_0 at e_0. Anything else is refused with UnsupportedModel, and a
+    population of fewer than two chains with InvalidParameter.
+    """
+    if n_chains < 2:
+        raise InvalidParameter(f"a mixing time needs n_chains >= 2, got {n_chains}")
+    d = model.d
+    if len(model.groups) != 1:
+        raise UnsupportedModel("the mixing experiments need a model with one factor group")
     (group,) = model.groups
-    var_target = 1.0 / group.m[0]  # aniso_gaussian: the first coordinate has precision m
+    if group.b != 1 or not np.array_equal(group.a[0], np.eye(d)):
+        raise UnsupportedModel("the mixing experiments need one identity-coupled block")
+    if group.mode is None:
+        raise UnsupportedModel("the mixing experiments need a Gaussian block")
+    m = float(group.m[0])
+    e0 = np.eye(1, d)
+    if not (np.array_equal(group.gradient(np.zeros((1, d)), ALL_BLOCKS), np.zeros((1, d)))
+            and np.array_equal(group.gradient(e0, ALL_BLOCKS), m * e0)):
+        raise UnsupportedModel("the mixing experiments need a zero-mean block whose first "
+                               "coordinate has precision m and is coupled to no other")
+    return make_quadratic_group(np.ones((1, 1, 1)), precision=m, center=0.0)
+
+
+def _mixing_time_tv(model, rho, eps, n_chains, seed, sweep_cap, n_bins=50):
+    """First sweep at which the binned TV of coordinate 0 drops below eps + floor.
+
+    The chains start from N(0, I/M) and only their coordinate 0 is stepped
+    (_first_coordinate), from N(0, 1/M) with M the model's largest precision.
+    """
+    group = _first_coordinate(model, n_chains)
+    rng = _rng(seed, 0)
+    var_target = 1.0 / group.m[0]
     span = 5.0 * math.sqrt(var_target)
     edges = np.linspace(-span, span, n_bins + 1)
     cdf = norm.cdf(edges, scale=math.sqrt(var_target))  # the target's, once per run
     floor = _tv_noise_floor(var_target, n_chains, edges, cdf, _rng(seed, 1))
-    thetas = rng.standard_normal((n_chains, model.d)) / np.sqrt(group.M[0])  # nu = N(0, I/M)
+    thetas = rng.standard_normal((n_chains, 1)) / np.sqrt(model.groups[0].M[0])
     threshold = eps + floor
     for t in range(1, sweep_cap + 1):
         thetas = _population_sweep(group, rho, thetas, rng)
@@ -268,11 +310,16 @@ def _mixing_time_tv(model, rho, eps, n_chains, seed, sweep_cap, n_bins=50):
 
 
 def _mixing_time_w1(model, rho, eps, n_chains, seed, sweep_cap):
+    """First sweep at which the W1 distance of coordinate 0 drops below eps sqrt(1/m).
+
+    The chains start from the point mass at the minimizer and only their
+    coordinate 0 is stepped (_first_coordinate).
+    """
+    group = _first_coordinate(model, n_chains)
     rng = _rng(seed, 0)
-    (group,) = model.groups
     var_target = 1.0 / group.m[0]
     threshold = eps * math.sqrt(var_target)
-    thetas = np.zeros((n_chains, model.d))  # point mass at the minimizer
+    thetas = np.zeros((n_chains, 1))
     for t in range(1, sweep_cap + 1):
         thetas = _population_sweep(group, rho, thetas, rng)
         w1 = w1_samples_vs_gaussian(thetas[:, 0], 0.0, var_target)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
-from .errors import EpsilonOutOfRange, NotCentered, NotStronglyConvex, SingularGram
+from .errors import (EpsilonOutOfRange, InvalidParameter, NotCentered, NotStronglyConvex,
+                     SingularGram)
 from .model import ModelConstants, SplitModel, find_minimizer, max_factor_gradient_at, model_constants
 
 W1_SINGLE = "W1-single"
@@ -64,7 +65,7 @@ def k_sgs(model: SplitModel, rho: float) -> float:
     Dimension-free, and zero when every m_i is zero.
     """
     if rho <= 0:
-        raise ValueError("rho must be positive")
+        raise InvalidParameter("rho must be positive")
     weighted = model.weighted_gram(1.0 / (1.0 + model.m * rho**2))
     try:
         eigs = eigh(weighted, np.asarray(model.gram), eigvals_only=True)
@@ -87,7 +88,7 @@ def plan_w1_single(m1: float, M1: float, eps: float) -> Plan:
     """
     _check_eps(eps)
     if not 0.0 < m1 <= M1:
-        raise ValueError("need 0 < m1 <= M1")
+        raise InvalidParameter("need 0 < m1 <= M1")
     quad_branch = eps**2 / (4.0 * m1)
     geo_branch = eps / math.sqrt(m1 * M1)
     rho2 = max(quad_branch, geo_branch)
@@ -122,7 +123,7 @@ def plan_tv_single(m1: float, M1: float, d: int, eps: float) -> Plan:
         raise NotStronglyConvex("single-split TV plan needs m1 > 0; "
                                 "use the regularized plan instead")
     if M1 < m1:
-        raise ValueError("need m1 <= M1")
+        raise InvalidParameter("need m1 <= M1")
     rho2 = eps / (d * M1)
     k = m1 * rho2 / (1.0 + m1 * rho2)
     c_const = 5.0 * d / 8.0 + 0.5 * d * math.log(M1 / m1)
@@ -197,7 +198,7 @@ def plan_tv_nonstrongly(M1: float, eps: float, R: float, d: int) -> Plan:
     """
     _check_eps(eps)
     if M1 <= 0 or R <= 0:
-        raise ValueError("need M1 > 0 and R > 0")
+        raise InvalidParameter("need M1 > 0 and R > 0")
     lam = 4.0 * eps / (3.0 * d * R)
     rho2 = 2.0 * eps / (3.0 * d * (M1 + lam))
     k = lam * rho2 / (1.0 + lam * rho2)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from .errors import UnsupportedModel
+from .errors import InvalidParameter, UnsupportedModel
 from .model import FactorGroup, SplitModel, make_quadratic_group
 
 
@@ -35,7 +35,7 @@ def aniso_gaussian(d: int = 10, m: float = 0.25, M: float = 1.0) -> SplitModel:
     direction is the first coordinate axis.
     """
     if not 0 < m <= M:
-        raise ValueError("need 0 < m <= M")
+        raise InvalidParameter("need 0 < m <= M")
     group = make_quadratic_group(np.eye(d)[None], precision=np.linspace(m, M, d), center=0.0)
     return SplitModel(d, [group])
 
@@ -80,7 +80,7 @@ def gaussian_mixture(d: int = 60, a_norm: float = 1.0 / math.sqrt(2.0)) -> Split
     mixture (mixture_group).
     """
     if not 0 < a_norm < 1:
-        raise ValueError("mixture needs 0 < ||a|| < 1 for strong convexity")
+        raise InvalidParameter("mixture needs 0 < ||a|| < 1 for strong convexity")
     a = np.full(d, a_norm / math.sqrt(d))
     model = SplitModel(d, [mixture_group(a, m=1.0 - a_norm**2)])
     model.mixture_direction = a
@@ -163,7 +163,7 @@ def logistic_split2(d: int = 10, n: int = 200, b: int = 5, seed: int = 0) -> Spl
     when the group has fewer rows than d.
     """
     if n % b != 0:
-        raise ValueError("group splitting expects b to divide n")
+        raise InvalidParameter("group splitting expects b to divide n")
     x, y = _rademacher_data(d, n, seed)
     alpha = 3.0 * d / (math.pi**2 * n)
     size = n // b

@@ -326,7 +326,7 @@ def test_criterion_6_planner_formula_fidelity():
 
 def test_criterion_7_scaling_laws():
     """Empirical mixing-time scaling: dimension slope <= 1.3, condition slope in [0.4, 0.65]."""
-    with _Timer(900.0):
+    with _Timer(60.0):
         dim = run_gaussian_mixing(
             ExperimentSpec("gaussian-mixing", {"which": "dimension"}, seed=23,
                            out_dir="/tmp/accept"))

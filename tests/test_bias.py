@@ -155,6 +155,23 @@ class TestSmoothedMarginals:
         mean = np.trapezoid(grid * m.projected_density(grid), grid)
         assert mean == pytest.approx(0.0, abs=1e-12)
 
+    def test_mixture_cdf_matches_scipy_norm_bit_for_bit(self):
+        # projected_cdf evaluates ndtr directly; scipy.stats.norm.cdf(u, loc,
+        # scale) is ndtr((u - loc)/scale), so the bits must not move.
+        for rho, a in ((0.0, np.full(4, 0.5 / 2.0)), (0.7, np.array([0.3, -0.1, 0.5]))):
+            mix = pi_rho_closed_form("mixture", rho, a=a)
+            na, s = float(np.linalg.norm(a)), math.sqrt(mix.variance)
+
+            def reference(u):
+                return 0.5 * (norm.cdf(u, loc=na, scale=s) + norm.cdf(u, loc=-na, scale=s))
+
+            grid = np.linspace(-12.0, 12.0, 100_001)
+            assert np.array_equal(mix.projected_cdf(grid), reference(grid))
+            for u in (0.0, 0.3, -2.5, 7.0, -np.inf, np.inf):
+                got, want = mix.projected_cdf(u), reference(u)
+                assert type(got) is type(want) and got == want
+            assert np.array_equal(mix.projected_cdf(np.array([-np.inf, np.inf])), [0.0, 1.0])
+
     def test_unknown_model(self):
         with pytest.raises(UnsupportedModel):
             pi_rho_closed_form("cauchy", 0.1)

@@ -113,3 +113,16 @@ class TestExitCodes:
             monkeypatch.setitem(cli._COMMANDS, "bias", boom)
             assert main(["bias"]) == 3
             assert "numerical failure" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "gaussian-mixing", "--set", "m=2"],
+        ["experiment", "gaussian-mixing", "--set", "which=dimension", "--set", "n_chains=0"],
+        ["experiment", "bias-toy", "--set", "n_grid"],
+        ["experiment", "mixture", "--set", "a_norm=1.5"],
+        ["sample", "--model", "aniso-gaussian", "--kappa", "0.5", "--rho", "0.5",
+         "--sweeps", "5"],
+        ["sample", "--model", "toy-gaussian-1", "--rho", "0", "--sweeps", "5"],
+    ])
+    def test_invalid_parameters_map_to_2(self, argv, tmp_path, capfd):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "validity violation" in capfd.readouterr().err

@@ -162,6 +162,74 @@ class TestPopulationSweepsMatchKernelLaws:
         assert np.all(np.abs(out.mean(axis=0) - mean) <= 4 * se)
 
 
+class TestFirstCoordinateShortcut:
+    """The mixing helpers step coordinate 0 alone; its law is the d-dim one."""
+
+    d, m, M, rho, t, n = 6, 0.25, 1.0, 0.6, 10, 50_000
+
+    def _ar1_law(self, mean0, var0):
+        a = 1.0 / (1.0 + self.rho**2 * self.m)
+        v_inf = 1.0 / self.m + self.rho**2
+        return a**self.t * mean0, a ** (2 * self.t) * var0 + v_inf * (1.0 - a ** (2 * self.t))
+
+    @pytest.mark.parametrize("start", ["normal", "point"])
+    def test_coordinate_zero_matches_ar1_law(self, start):
+        from splitmc import zoo
+        from splitmc.experiments import _first_coordinate, _population_sweep
+
+        model = zoo.aniso_gaussian(self.d, self.m, self.M)
+        (full,) = model.groups
+        one = _first_coordinate(model, self.n)
+        assert one.m[0] == self.m and one.d == 1
+        rng = np.random.default_rng(31)
+        if start == "normal":  # N(0, I/M)
+            mean0, var0 = 0.0, 1.0 / self.M
+            pops = [(full, rng.standard_normal((self.n, self.d)) / math.sqrt(self.M)),
+                    (one, rng.standard_normal((self.n, 1)) / math.sqrt(self.M))]
+        else:  # point mass at 1.5 e_0
+            mean0, var0 = 1.5, 0.0
+            start_full = np.zeros((self.n, self.d))
+            start_full[:, 0] = 1.5
+            pops = [(full, start_full), (one, np.full((self.n, 1), 1.5))]
+        mean_t, var_t = self._ar1_law(mean0, var0)
+        for group, thetas in pops:
+            for _ in range(self.t):
+                thetas = _population_sweep(group, self.rho, thetas, rng)
+            x = thetas[:, 0]
+            assert abs(x.mean() - mean_t) <= 5 * math.sqrt(var_t / self.n)
+            assert abs(x.var() - var_t) <= 5 * var_t * math.sqrt(2.0 / (self.n - 1))
+
+    def test_unsupported_models_refused(self):
+        from splitmc import SplitModel, make_quadratic_group, zoo
+        from splitmc.errors import UnsupportedModel
+        from splitmc.experiments import _mixing_time_tv, _mixing_time_w1
+
+        a = np.array([0.5, 0.5, 0.0])
+        mixture = SplitModel(3, [zoo.mixture_group(a, m=1.0 - float(a @ a))])
+        mixed = np.array([[[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+        coupled = SplitModel(3, [make_quadratic_group(mixed, np.linspace(0.25, 1.0, 3), 0.0)])
+        # Coordinate 0 has the largest precision, not m.
+        reversed_ = SplitModel(3, [make_quadratic_group(np.eye(3)[None],
+                                                        np.linspace(1.0, 0.25, 3), 0.0)])
+        for model in (mixture, coupled, reversed_):
+            with pytest.raises(UnsupportedModel):
+                _mixing_time_tv(model, 0.5, 0.1, 100, seed=0, sweep_cap=5)
+            with pytest.raises(UnsupportedModel):
+                _mixing_time_w1(model, 0.5, 0.1, 100, seed=0, sweep_cap=5)
+
+    def test_too_few_chains_refused(self):
+        from splitmc import zoo
+        from splitmc.errors import InvalidParameter
+        from splitmc.experiments import _mixing_time_tv, _mixing_time_w1
+
+        model = zoo.aniso_gaussian(4)
+        for n_chains in (0, 1):
+            with pytest.raises(InvalidParameter):
+                _mixing_time_tv(model, 0.5, 0.1, n_chains, seed=0, sweep_cap=5)
+            with pytest.raises(InvalidParameter):
+                _mixing_time_w1(model, 0.5, 0.1, n_chains, seed=0, sweep_cap=5)
+
+
 class TestMixture:
     def test_single_dimension_run(self, tmp_path):
         spec = ExperimentSpec("mixture", {"d_grid": (4,)}, seed=3, out_dir=tmp_path)
