@@ -36,6 +36,7 @@ from .engine import (
     ChainState,
     RunReport,
     SamplerConfig,
+    SweepStreams,
     admm_solve,
     am_solve,
     extended_langevin_step,

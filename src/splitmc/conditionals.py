@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import AcceptanceStall, NonConvergence, NotSmooth
+from .errors import AcceptanceStall, InvalidParameter, NonConvergence, NotSmooth
 from .model import ALL_BLOCKS, FactorGroup, SplitFactor, SplitModel
 
 # Warm starts stop once ||grad V_i|| <= (2/7) sqrt(1/rho^2 + m_i) / sqrt(d_i).
@@ -40,7 +40,7 @@ class ThetaConditional:
 
     def __init__(self, model: SplitModel, rho: float):
         if rho <= 0:
-            raise ValueError("rho must be positive")
+            raise InvalidParameter("rho must be positive")
         self.model = model
         self.rho = float(rho)
         self.chol_lower = model.chol_lower
@@ -233,7 +233,7 @@ def sample_z_rejection(factor: SplitFactor, theta: np.ndarray, rho: float, rng,
     if not math.isfinite(factor.potential.M):
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
     if rho <= 0:
-        raise ValueError("rho must be positive")
+        raise InvalidParameter("rho must be positive")
     a_theta = factor.a @ np.asarray(theta, dtype=float)
     target = gd_stop_threshold(factor, rho)
     z_tilde, grad, gd_steps = warm_start_minimize(factor, a_theta, rho, target, z0=z_warm)
@@ -322,7 +322,7 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
     if not group.smooth:
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
     if rho <= 0:
-        raise ValueError("rho must be positive")
+        raise InvalidParameter("rho must be positive")
     k = group.k
     s = 1.0 / rho**2 + group.m
     target = _GD_STOP_FACTOR * np.sqrt(s) / math.sqrt(k)

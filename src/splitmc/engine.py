@@ -5,11 +5,15 @@ and then redraws the master parameter from its Gaussian conditional. Given
 theta the blocks are conditionally independent, so each factor group is
 drawn at once with array operations.
 
-Randomness contract: sweep t draws from two streams keyed by
-(root seed, t, phase). Phase 0 feeds the auxiliary blocks, group by group
-and, within each rejection round, in block order; phase 1 feeds the master
-draw. A chain is therefore reproducible bit for bit from
-(model, config, seed).
+Randomness contract: a chain keys the counter-based Philox generator once,
+with key = SeedSequence(root seed).generate_state(2, uint64). Sweep t,
+phase p draws from the Philox stream at counter (0, p, t, 0): word 0 is the
+position within the stream, word 1 the phase, word 2 the sweep, and word 3
+is reserved for a chain index and stays 0. Phase 0 feeds the auxiliary
+blocks, group by group and, within each rejection round, in block order;
+phase 1 feeds the master draw. Stream (t, p) depends on (root seed, t, p)
+only, so a chain is reproducible bit for bit from (model, config, seed),
+and any sweep can be replayed on its own (sgs_sweep without a factory).
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ class ChainState:
 
     def __post_init__(self):
         if self.sweep < 0:
-            raise ValueError("sweep index must be nonnegative")
+            raise InvalidParameter("sweep index must be nonnegative")
 
     @property
     def z_blocks(self) -> tuple:
@@ -92,8 +96,38 @@ def initial_state(model: SplitModel, theta0: np.ndarray, seed: int) -> ChainStat
     return ChainState(theta=theta0, z_groups=z0, sweep=0, rng_seed_root=int(seed))
 
 
-def _sweep_rng(root: int, sweep: int, phase: int):
-    return np.random.default_rng(np.random.SeedSequence(root, spawn_key=(sweep, phase)))
+@lru_cache(maxsize=64)
+def _chain_key(root: int) -> np.ndarray:
+    """The Philox key of every chain grown from root (read-only)."""
+    key = np.random.SeedSequence(root).generate_state(2, np.uint64)
+    key.setflags(write=False)
+    return key
+
+
+class SweepStreams:
+    """The random streams of one chain, as an rng_factory(sweep, phase).
+
+    Holds one Philox generator per phase and, on each call, resets its full
+    state (counter, key, output buffer, buffered 32-bit half) to counter
+    (0, phase, sweep, 0), so the stream returned depends on (root, sweep,
+    phase) only. A generator stays valid until the next call for its phase.
+    """
+
+    def __init__(self, root: int):
+        self.key = _chain_key(int(root))
+        self._generators = tuple(np.random.Generator(np.random.Philox(key=self.key))
+                                 for _ in (PHASE_BLOCKS, PHASE_MASTER))
+        self._buffer = np.zeros(4, dtype=np.uint64)
+
+    def __call__(self, sweep: int, phase: int) -> np.random.Generator:
+        gen = self._generators[phase]
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array((0, phase, sweep, 0), dtype=np.uint64),
+                      "key": self.key},
+            "buffer": self._buffer, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return gen
 
 
 def _draw_blocks(model: SplitModel, state: ChainState, config: SamplerConfig, rng, sweep: int):
@@ -140,18 +174,20 @@ def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
     The reports are a BlockReports sequence: a RejectionReport for each
     block drawn by rejection, None for closed-form blocks; a model drawn
     wholly in closed form shares one read-only set. rng_factory(sweep,
-    phase) overrides the default seed-derived streams; phase 0 feeds every
-    auxiliary block, phase 1 the master-parameter draw. Passing a factory of
-    null generators turns the sweep into its deterministic conditional-mode
-    twin on Gaussian models. Raises NonFiniteDraw, naming the sweep and the
-    first bad block, when a draw is not finite.
+    phase) returns the generator of each phase; phase 0 feeds every
+    auxiliary block, phase 1 the master-parameter draw. By default it is
+    SweepStreams(state.rng_seed_root): the Philox streams keyed once per
+    root seed, at counter (0, phase, sweep, 0), so this call gives the same
+    draws as sweep state.sweep + 1 of run_chain. Passing a factory of null
+    generators turns the sweep into its deterministic conditional-mode twin
+    on Gaussian models. Raises NonFiniteDraw, naming the sweep and the first
+    bad block, when a draw is not finite.
     """
     if theta_cond is None:
         theta_cond = ThetaConditional(model, config.rho)
     sweep = state.sweep + 1
     if rng_factory is None:
-        root = state.rng_seed_root
-        rng_factory = lambda s, phase: _sweep_rng(root, s, phase)
+        rng_factory = SweepStreams(state.rng_seed_root)
     z_new, reports = _draw_blocks(model, state, config, rng_factory(sweep, PHASE_BLOCKS), sweep)
     theta_new = theta_cond.sample(z_new, rng_factory(sweep, PHASE_MASTER))
     if not np.isfinite(theta_new).all():
@@ -223,11 +259,12 @@ def run_chain(model: SplitModel, config: SamplerConfig, seed: int,
     gd_steps = np.zeros(b)
     recorded = []
     writer = TraceWriter(trace_path, model.d) if trace_path is not None else None
+    streams = SweepStreams(state.rng_seed_root)
     t0 = time.perf_counter()
     sweeps_run = 0
     try:
         for t in range(1, config.sweeps + 1):
-            state, reports = sgs_sweep(model, state, config, cond)
+            state, reports = sgs_sweep(model, state, config, cond, streams)
             sweeps_run = t
             if not model.closed_form:
                 proposals += reports.proposals

@@ -96,6 +96,23 @@ def read_csv(path):
     return config, rows
 
 
+def _params(spec: ExperimentSpec, defaults: dict) -> dict:
+    """spec.params over the runner's defaults.
+
+    A key the runner never reads is refused, and so is an empty grid (a
+    parameter whose default is a tuple).
+    """
+    unknown = sorted(set(spec.params) - set(defaults))
+    if unknown:
+        raise InvalidParameter(f"{spec.name} has no parameter {', '.join(unknown)}; "
+                               f"it reads {', '.join(sorted(defaults))}")
+    params = {**defaults, **spec.params}
+    for key, default in defaults.items():
+        if isinstance(default, tuple) and np.size(params[key]) == 0:
+            raise InvalidParameter(f"{spec.name} needs a nonempty {key}")
+    return params
+
+
 def _loglog_slope(x, y):
     x = np.log(np.asarray(x, dtype=float))
     y = np.log(np.asarray(y, dtype=float))
@@ -111,13 +128,18 @@ def _rng(seed: int, *key):
 
 
 def run_bias_toy(spec: ExperimentSpec):
-    p = spec.params
-    sigma = float(p.get("sigma", 3.0))
-    b = int(p.get("b", 10))
-    mu = float(p.get("mu", 0.0))
-    n_grid = int(p.get("n_grid", 30))
-    rho_grid = np.logspace(float(p.get("log10_rho_min", -2.0)),
-                           float(p.get("log10_rho_max", 0.5)), n_grid)
+    p = _params(spec, {"sigma": 3.0, "b": 10, "mu": 0.0, "n_grid": 30,
+                       "log10_rho_min": -2.0, "log10_rho_max": 0.5})
+    sigma = float(p["sigma"])
+    b = int(p["b"])
+    mu = float(p["mu"])
+    n_grid = int(p["n_grid"])
+    if n_grid < 2:
+        raise InvalidParameter(f"bias-toy needs n_grid >= 2, got {n_grid}")
+    rho_grid = np.logspace(float(p["log10_rho_min"]), float(p["log10_rho_max"]), n_grid)
+    if np.count_nonzero(rho_grid <= rho_grid[0] * 10.0) < 2:
+        raise InvalidParameter("bias-toy fits its slopes over the smallest decade of the "
+                               "rho grid, which holds only one grid point")
 
     consts1 = model_constants(zoo.toy_gaussian_1(sigma=sigma, b=b, mu=mu))
     M_single = b / sigma**2
@@ -168,13 +190,17 @@ def run_rate_toy(spec: ExperimentSpec):
     W1 side: strategy 2 started from a point mass at theta0; envelope
     W1(nu, pi_rho) (1-K)^t.
     """
-    p = spec.params
-    sigma = float(p.get("sigma", 3.0))
-    b = int(p.get("b", 10))
-    mu = float(p.get("mu", 0.0))
-    rho = float(p.get("rho", 1.0))
-    theta0 = float(p.get("theta0", 0.0))
-    t_max = int(p.get("t_max", 500))
+    p = _params(spec, {"sigma": 3.0, "b": 10, "mu": 0.0, "rho": 1.0, "theta0": 0.0,
+                       "t_max": 500})
+    sigma = float(p["sigma"])
+    b = int(p["b"])
+    mu = float(p["mu"])
+    rho = float(p["rho"])
+    theta0 = float(p["theta0"])
+    t_max = int(p["t_max"])
+    if t_max < 2:
+        raise InvalidParameter(f"rate-toy fits its slopes over t = 1..t_max, which needs "
+                               f"t_max >= 2, got {t_max}")
 
     tv_par = ToyParams(mu=mu, sigma=sigma, b=b, rho=rho, strategy=1)
     w1_par = ToyParams(mu=mu, sigma=sigma, b=b, rho=rho, strategy=2)
@@ -329,17 +355,27 @@ def _mixing_time_w1(model, rho, eps, n_chains, seed, sweep_cap):
 
 
 def run_gaussian_mixing(spec: ExperimentSpec):
-    p = spec.params
-    which = p.get("which", "all")
-    eps = float(p.get("eps", 0.1))
-    replicates = int(p.get("replicates", 5))
+    p = _params(spec, {"which": "all", "eps": 0.1, "replicates": 5,
+                       "d_grid": (10, 20, 50, 100, 200), "m": 0.25, "M": 1.0,
+                       "n_chains": 4000,
+                       "kappa_grid": (10, 40, 160, 640, 1600), "d": 10, "n_chains_w1": 2000,
+                       "eps_grid": (0.16, 0.11, 0.08, 0.055, 0.04), "d_precision": 2,
+                       "kappa_precision": 3.0, "n_chains_precision": 200_000})
+    which = p["which"]
+    eps = float(p["eps"])
+    replicates = int(p["replicates"])
+    if which not in ("dimension", "kappa", "precision", "all"):
+        raise InvalidParameter(f"gaussian-mixing which={which!r}; "
+                               "choose dimension, kappa, precision or all")
+    if replicates < 1:
+        raise InvalidParameter(f"gaussian-mixing needs replicates >= 1, got {replicates}")
     results = {}
     outputs = []
 
     if which in ("dimension", "all"):
-        d_grid = [int(v) for v in p.get("d_grid", (10, 20, 50, 100, 200))]
-        m, M = float(p.get("m", 0.25)), float(p.get("M", 1.0))
-        n_chains = int(p.get("n_chains", 4000))
+        d_grid = [int(v) for v in p["d_grid"]]
+        m, M = float(p["m"]), float(p["M"])
+        n_chains = int(p["n_chains"])
 
         def one(args):
             d, rep = args
@@ -365,9 +401,9 @@ def run_gaussian_mixing(spec: ExperimentSpec):
         results["dimension_slope"] = slope
 
     if which in ("kappa", "all"):
-        kappa_grid = [float(v) for v in p.get("kappa_grid", (10, 40, 160, 640, 1600))]
-        d = int(p.get("d", 10))
-        n_chains = int(p.get("n_chains_w1", 2000))
+        kappa_grid = [float(v) for v in p["kappa_grid"]]
+        d = int(p["d"])
+        n_chains = int(p["n_chains_w1"])
         M = 1.0
         rows = []
         for kappa in kappa_grid:
@@ -392,10 +428,10 @@ def run_gaussian_mixing(spec: ExperimentSpec):
         results["kappa_slope"] = slope
 
     if which in ("precision", "all"):
-        eps_grid = [float(v) for v in p.get("eps_grid", (0.16, 0.11, 0.08, 0.055, 0.04))]
-        d = int(p.get("d_precision", 2))
-        kappa = float(p.get("kappa_precision", 3.0))
-        n_chains = int(p.get("n_chains_precision", 200_000))
+        eps_grid = [float(v) for v in p["eps_grid"]]
+        d = int(p["d_precision"])
+        kappa = float(p["kappa_precision"])
+        n_chains = int(p["n_chains_precision"])
         reps = min(replicates, 3)
         M = 1.0
         mm = M / kappa
@@ -448,12 +484,13 @@ def _chi2_stat(u_samples, edges):
 
 
 def run_mixture(spec: ExperimentSpec):
-    p = spec.params
-    d_grid = [int(v) for v in p.get("d_grid", (4, 8, 16))]
-    eps = float(p.get("eps", 0.1))
-    n_samples = int(p.get("n_samples", 2500))
-    n_bins = int(p.get("n_bins", 40))
-    a_norm = float(p.get("a_norm", 1.0 / math.sqrt(2.0)))
+    p = _params(spec, {"d_grid": (4, 8, 16), "eps": 0.1, "n_samples": 2500, "n_bins": 40,
+                       "a_norm": 1.0 / math.sqrt(2.0), "ula_sweeps": 500})
+    d_grid = [int(v) for v in p["d_grid"]]
+    eps = float(p["eps"])
+    n_samples = int(p["n_samples"])
+    n_bins = int(p["n_bins"])
+    a_norm = float(p["a_norm"])
     m, M = 1.0 - a_norm**2, 1.0
 
     rows = []
@@ -479,7 +516,7 @@ def run_mixture(spec: ExperimentSpec):
 
         # ULA on the same target with stepsize h = rho^2 (wall-clock baseline);
         # each chain is a row of the group's one block.
-        ula_sweeps = min(plan6.t_mix, int(p.get("ula_sweeps", 500)))
+        ula_sweeps = min(plan6.t_mix, int(p["ula_sweeps"]))
         h = rho**2
         ula_thetas = rng.standard_normal((n_samples, d)) / math.sqrt(M)
         t0 = time.perf_counter()
@@ -517,12 +554,13 @@ def run_mixture(spec: ExperimentSpec):
 
 
 def run_logistic(spec: ExperimentSpec):
-    p = spec.params
-    d_grid = [int(v) for v in p.get("d_grid", (2, 10, 50))]
-    n_grid = [int(v) for v in p.get("n_grid", (200, 1000))]
-    b_grid = [int(v) for v in p.get("b_grid", (2, 5, 10))]
-    sweeps = int(p.get("sweeps", 100))
-    eps = float(p.get("eps", 0.01))
+    p = _params(spec, {"d_grid": (2, 10, 50), "n_grid": (200, 1000), "b_grid": (2, 5, 10),
+                       "sweeps": 100, "eps": 0.01})
+    d_grid = [int(v) for v in p["d_grid"]]
+    n_grid = [int(v) for v in p["n_grid"]]
+    b_grid = [int(v) for v in p["b_grid"]]
+    sweeps = int(p["sweeps"])
+    eps = float(p["eps"])
 
     rows = []
     for d in d_grid:

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import norm
 
-from .errors import TooFewSamples, UnsupportedModel
+from .errors import InvalidParameter, TooFewSamples, UnsupportedModel
 from .numerics import QuadratureSpec, cdf_l1_distance
 
 
@@ -229,6 +229,8 @@ class ToyParams:
     def __post_init__(self):
         if self.strategy not in (1, 2):
             raise UnsupportedModel("toy closed forms exist for strategies 1 and 2 only")
+        if not (self.sigma > 0 and self.b >= 1 and self.rho > 0):
+            raise InvalidParameter("the toy chain needs sigma > 0, b >= 1 and rho > 0")
 
     @property
     def rho2_eff(self) -> float:

@@ -124,6 +124,8 @@ def plan_tv_single(m1: float, M1: float, d: int, eps: float) -> Plan:
                                 "use the regularized plan instead")
     if M1 < m1:
         raise InvalidParameter("need m1 <= M1")
+    if d < 1:
+        raise InvalidParameter(f"need d >= 1, got {d}")
     rho2 = eps / (d * M1)
     k = m1 * rho2 / (1.0 + m1 * rho2)
     c_const = 5.0 * d / 8.0 + 0.5 * d * math.log(M1 / m1)

@@ -16,14 +16,23 @@ from .errors import InvalidParameter, UnsupportedModel
 from .model import FactorGroup, SplitModel, make_quadratic_group
 
 
+def _check_toy(sigma: float, b: int):
+    if not sigma > 0:
+        raise InvalidParameter(f"the toy Gaussian needs sigma > 0, got {sigma}")
+    if b < 1:
+        raise InvalidParameter(f"the toy Gaussian needs b >= 1 factors, got {b}")
+
+
 def toy_gaussian_1(sigma: float = 3.0, b: int = 10, mu: float = 0.0) -> SplitModel:
     """Scalar target N(mu, sigma^2/b) split into b identical quadratic factors."""
+    _check_toy(sigma, b)
     group = make_quadratic_group(np.ones((b, 1, 1)), precision=1.0 / sigma**2, center=mu)
     return SplitModel(1, [group])
 
 
 def toy_gaussian_2(sigma: float = 3.0, b: int = 10, mu: float = 0.0) -> SplitModel:
     """Same scalar target N(mu, sigma^2/b), kept as a single factor."""
+    _check_toy(sigma, b)
     group = make_quadratic_group(np.ones((1, 1, 1)), precision=b / sigma**2, center=mu)
     return SplitModel(1, [group])
 
@@ -36,6 +45,8 @@ def aniso_gaussian(d: int = 10, m: float = 0.25, M: float = 1.0) -> SplitModel:
     """
     if not 0 < m <= M:
         raise InvalidParameter("need 0 < m <= M")
+    if d < 1:
+        raise InvalidParameter(f"need d >= 1, got {d}")
     group = make_quadratic_group(np.eye(d)[None], precision=np.linspace(m, M, d), center=0.0)
     return SplitModel(d, [group])
 
@@ -162,8 +173,8 @@ def logistic_split2(d: int = 10, n: int = 200, b: int = 5, seed: int = 0) -> Spl
     convexity is alpha lambda_min of the group design Gram, which is zero
     when the group has fewer rows than d.
     """
-    if n % b != 0:
-        raise InvalidParameter("group splitting expects b to divide n")
+    if b < 1 or n % b != 0:
+        raise InvalidParameter(f"group splitting expects b >= 1 to divide n, got b={b}, n={n}")
     x, y = _rademacher_data(d, n, seed)
     alpha = 3.0 * d / (math.pi**2 * n)
     size = n // b

@@ -122,7 +122,19 @@ class TestExitCodes:
         ["sample", "--model", "aniso-gaussian", "--kappa", "0.5", "--rho", "0.5",
          "--sweeps", "5"],
         ["sample", "--model", "toy-gaussian-1", "--rho", "0", "--sweeps", "5"],
+        ["experiment", "gaussian-mixing", "--set", "which=dimension", "--set", "replicates=0"],
+        ["experiment", "rate-toy", "--set", "sigma=0"],
+        ["experiment", "bias-toy", "--set", "n_grid=0"],
+        ["experiment", "gaussian-mixing", "--set", "which=nope"],
+        ["experiment", "mixture", "--set", "d_grid=()"],
+        ["sample", "--model", "toy-gaussian-1", "--b", "0", "--rho", "1"],
     ])
     def test_invalid_parameters_map_to_2(self, argv, tmp_path, capfd):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert "validity violation" in capfd.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_unknown_experiment_key_is_named(self, tmp_path, capfd):
+        assert main(["experiment", "bias-toy", "--set", "n_gird=5", "--out", str(tmp_path)]) == 2
+        assert "n_gird" in capfd.readouterr().err
+        assert not any(tmp_path.iterdir())

@@ -1,6 +1,8 @@
 """Sweep kernel behavior, baselines, optimizer twins, traces and reproducibility."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,8 +23,9 @@ from splitmc import (
     sweep_conditional_modes,
     ula_step,
 )
-from splitmc.engine import TraceWriter
-from splitmc.errors import NonFiniteDraw, NotSmooth
+from splitmc.conditionals import ThetaConditional
+from splitmc.engine import PHASE_BLOCKS, PHASE_MASTER, ChainState, SweepStreams, TraceWriter
+from splitmc.errors import InvalidParameter, NonFiniteDraw, NotSmooth
 from splitmc.metrics import ToyParams
 from splitmc.model import FactorGroup, make_quadratic_group
 
@@ -155,6 +158,115 @@ class TestReproducibility:
         state = initial_state(model, np.zeros(1), seed=0)
         with pytest.raises(NonFiniteDraw, match="sweep 1: auxiliary block 3"):
             sgs_sweep(model, state, SamplerConfig(rho=1.0, sweeps=1))
+
+
+class TestStreamContract:
+    def test_key_is_the_root_seed_sequence_state(self):
+        key = np.random.SeedSequence(31).generate_state(2, np.uint64)
+        assert np.array_equal(SweepStreams(31).key, key)
+
+    def test_persistent_streams_match_fresh_philox(self):
+        # Stream (t, p) is Philox at counter (0, p, t, 0), whatever the
+        # previous sweep left behind in the generator.
+        streams = SweepStreams(31)
+        partial_buffers = []
+
+        def half_word(g):
+            g.integers(0, 2**32, dtype=np.uint32)
+            assert g.bit_generator.state["has_uint32"] == 1
+
+        def odd_normals(g):
+            # A normal takes one 64-bit word or, rarely, more: the Philox
+            # block of four words is usually left part used.
+            g.standard_normal(3)
+            partial_buffers.append(g.bit_generator.state["buffer_pos"] < 4)
+
+        def draws(g):
+            return (g.integers(0, 2**32, size=3, dtype=np.uint32),
+                    g.standard_normal(5), g.uniform(size=4))
+
+        for t in (1, 2, 7, 2**40):
+            for phase in (PHASE_BLOCKS, PHASE_MASTER):
+                fresh = np.random.Generator(np.random.Philox(key=streams.key,
+                                                             counter=(0, phase, t, 0)))
+                expected = draws(fresh)
+                for leave in (half_word, odd_normals, lambda g: None):
+                    leave(streams(t - 1, phase))
+                    got = draws(streams(t, phase))
+                    assert all(np.array_equal(x, y) for x, y in zip(got, expected))
+        assert any(partial_buffers)
+
+    @pytest.mark.parametrize("name, kwargs, rho", [
+        ("toy-gaussian-1", {}, 1.0),
+        ("logistic-split1", {"d": 3, "n": 30, "seed": 1}, 0.4),
+        ("logistic-split2", {"d": 3, "n": 30, "b": 5, "seed": 1}, 0.4),
+    ])
+    def test_sgs_sweep_replays_the_next_run_chain_sweep(self, name, kwargs, rho):
+        model = build_model(name, **kwargs)
+        theta0 = np.zeros(model.d)
+        t = 12
+        state = run_chain(model, SamplerConfig(rho=rho, sweeps=t), seed=9,
+                          theta0=theta0).final_state
+        replayed, _ = sgs_sweep(model, state, SamplerConfig(rho=rho, sweeps=1))
+        ref = run_chain(model, SamplerConfig(rho=rho, sweeps=t + 1), seed=9,
+                        theta0=theta0).final_state
+        assert replayed.sweep == ref.sweep == t + 1
+        assert np.array_equal(replayed.theta, ref.theta)
+        assert all(np.array_equal(a, b) for a, b in zip(replayed.z_groups, ref.z_groups))
+
+    def test_chains_on_threads_match_serial(self):
+        # Each chain owns its generators; only the read-only key is shared,
+        # here also between two chains of the same seed.
+        toy = build_model("toy-gaussian-1")
+        rows = build_model("logistic-split1", d=3, n=30, seed=1)
+        jobs = [(toy, SamplerConfig(rho=1.0, sweeps=3000), 5),
+                (rows, SamplerConfig(rho=0.4, sweeps=300), 6),
+                (toy, SamplerConfig(rho=1.0, sweeps=3000), 6),
+                (rows, SamplerConfig(rho=0.4, sweeps=300), 6)]
+
+        def run(job):
+            model, config, seed = job
+            return run_chain(model, config, seed=seed, theta0=np.zeros(model.d))
+
+        serial = [run(job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(run, job) for job in jobs]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a.thetas, b.thetas)
+            assert np.array_equal(a.proposals_total, b.proposals_total)
+
+    def test_run_chain_builds_its_streams_once(self, monkeypatch):
+        # The streams are keyed once per chain, not built per sweep: at most
+        # one SeedSequence and one Philox generator per phase.
+        built = {"SeedSequence": 0, "Philox": 0}
+
+        def counting(cls):
+            class Counting(cls):
+                def __init__(self, *args, **kwargs):
+                    built[cls.__name__] += 1
+                    super().__init__(*args, **kwargs)
+            Counting.__name__ = cls.__name__  # Philox checks it on a state reset
+            return Counting
+
+        for name in built:
+            monkeypatch.setattr(np.random, name, counting(getattr(np.random, name)))
+        report = run_chain(build_model("toy-gaussian-1"), SamplerConfig(rho=1.0, sweeps=50),
+                           seed=918_273)
+        assert report.sweeps_run == 50
+        assert built["SeedSequence"] <= 1
+        assert built["Philox"] <= 2
+
+    def test_invalid_sweep_and_width_are_typed(self):
+        with pytest.raises(InvalidParameter):
+            ChainState(theta=np.zeros(1), z_groups=(), sweep=-1, rng_seed_root=0)
+        with pytest.raises(InvalidParameter):
+            ThetaConditional(build_model("toy-gaussian-1"), 0.0)
 
 
 class TestUnadjustedLangevin:
