@@ -221,9 +221,14 @@ def sample_z_rejection(factor: SplitFactor, theta: np.ndarray, rho: float, rng,
     The target density is proportional to exp(-V_i(z)) with
     V_i(z) = U_i(z) + ||A_i theta - z||^2/(2 rho^2). A few gradient-descent
     steps from A_i theta (or from z_warm when carrying the previous block)
-    give z~; proposals come from N(z~, A~^{-1} I) and are accepted with
-    probability exp(-r - [V_i(Z) - V_i(z~)] + A~ ||Z - z~||^2 / 2), where r
-    collapses to 0 for an exactly centered warm start.
+    give z~; proposals Z = z~ + A~^{-1/2} xi, xi ~ N(0, I), are accepted with
+    probability exp(-r - [V_i(Z) - V_i(z~)] + ||xi||^2 / 2), where r
+    collapses to 0 for an exactly centered warm start. ||xi||^2 / 2 is
+    A~ ||Z - z~||^2 / 2, the proposal's own log density up to a constant,
+    computed from the normals that made Z. The group path
+    (sample_z_group) leaves out the coupling terms at a fresh warm start,
+    where they are exactly zero; this reference keeps them, with the same
+    results bit for bit.
 
     Returns (z, RejectionReport). Raises AcceptanceStall past proposal_cap:
     under correctly certified constants and the small-rho regime the
@@ -254,11 +259,12 @@ def sample_z_rejection(factor: SplitFactor, theta: np.ndarray, rho: float, rng,
             raise AcceptanceStall(
                 f"no acceptance after {proposal_cap} proposals; certified (m, M) look wrong"
             )
-        z = z_tilde + sigma_prop * rng.standard_normal(factor.dim)
+        xi = rng.standard_normal(factor.dim)
+        z = z_tilde + sigma_prop * xi
         proposals += 1
         log_accept = (log_r
                       - (_coupled_value(factor, z, a_theta, rho) - v_tilde)
-                      + 0.5 * a_tilde * float(np.sum((z - z_tilde) ** 2)))
+                      + 0.5 * float(np.sum(xi**2)))
         if math.log(rng.uniform()) < log_accept:
             return z, RejectionReport(proposals_used=proposals,
                                       warm_start_gd_steps=gd_steps,
@@ -272,12 +278,18 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
     Descends only the blocks still above their target (target is a scalar
     or one value per block). Returns (z_tilde, gradient norms, steps), all
     per block; raises NonConvergence like the single-block descent,
-    naming the first failing block of the group.
+    naming the first failing block of the group. A fresh start (z0 None)
+    sits at a_theta, where the coupling term (z - a_theta)/rho^2 of the
+    gradient is exactly zero, so it is left out there.
     """
     if not group.smooth:
         raise NotSmooth("warm-start descent needs a finite smoothness constant")
-    z = np.array(a_theta if z0 is None else z0, dtype=float)
-    g = group.gradient(z, ALL_BLOCKS) + (z - a_theta) / rho**2
+    if z0 is None:
+        z = np.array(a_theta, dtype=float)
+        g = group.gradient(z, ALL_BLOCKS)
+    else:
+        z = np.array(z0, dtype=float)
+        g = group.gradient(z, ALL_BLOCKS) + (z - a_theta) / rho**2
     gnorm = np.linalg.norm(g, axis=1)
     steps = np.zeros(group.b, dtype=np.int64)
     pending = np.flatnonzero(~(gnorm <= target))
@@ -307,6 +319,27 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
     return z, gnorm, steps
 
 
+def _certificate(gnorm: np.ndarray, k: int, rho: float, m: np.ndarray, M: np.ndarray):
+    """Per-block proposal precision A~, log r and expected-proposal bound.
+
+    gnorm is the residual gradient norm g at the warm start; s = 1/rho^2 + m
+    and top = 1/rho^2 + M. g = 0 makes s - A~ = 0 (flat); log r and the
+    bound's exponent have limit 0 there. Elsewhere the exponent
+    (g^2/2)(1/(s - A~) - 1/top) is -log r - g^2/(2 top).
+    """
+    s = 1.0 / rho**2 + m
+    top = 1.0 / rho**2 + M
+    gnorm2 = gnorm**2
+    g2d = gnorm2 / k
+    a_tilde = s + 0.5 * g2d - np.sqrt(0.25 * g2d**2 + s * g2d)
+    denom = s - a_tilde
+    flat = (gnorm == 0.0) | (denom <= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r = np.where(flat, 0.0, -0.5 * gnorm2 / denom)
+    exponent = np.where(flat, 0.0, -log_r - 0.5 * gnorm2 / top)
+    return a_tilde, log_r, (top / a_tilde) ** (k / 2.0) * np.exp(exponent)
+
+
 def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
                    proposal_cap: int = DEFAULT_PROPOSAL_CAP,
                    z_warm: np.ndarray | None = None):
@@ -314,8 +347,12 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
 
     a_theta has shape (b, k). One masked descent gives every warm start;
     then each round proposes once for every block still pending, taking
-    the normals and then the uniforms from rng in block order, and retires
-    the accepted blocks. Returns (z, proposals, gd_steps, expected_bound),
+    the normals xi and then the uniforms from rng in block order, and
+    retires the accepted blocks. The proposal term A~ ||Z - z~||^2 / 2 of
+    the acceptance ratio is computed as ||xi||^2 / 2. A fresh warm start
+    (z_warm None) begins the descent at a_theta, where the coupling term of
+    the gradient is exactly zero and is left out, as is the coupling term
+    of V_i(z~) when no block took a descent step. Returns (z, proposals, gd_steps, expected_bound),
     the last three per block. Raises AcceptanceStall when a block is still
     pending after proposal_cap rounds.
     """
@@ -324,21 +361,9 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
     if rho <= 0:
         raise InvalidParameter("rho must be positive")
     k = group.k
-    s = 1.0 / rho**2 + group.m
-    target = _GD_STOP_FACTOR * np.sqrt(s) / math.sqrt(k)
+    target = _GD_STOP_FACTOR * np.sqrt(1.0 / rho**2 + group.m) / math.sqrt(k)
     z_tilde, gnorm, gd_steps = warm_start_group(group, a_theta, rho, target, z0=z_warm)
-
-    gnorm2 = gnorm**2
-    g2d = gnorm2 / k
-    a_tilde = s + 0.5 * g2d - np.sqrt(0.25 * g2d**2 + s * g2d)
-    denom = s - a_tilde
-    top = 1.0 / rho**2 + group.M
-    # gnorm = 0 makes denom = 0; both exponents have limit 0 there.
-    flat = (gnorm == 0.0) | (denom <= 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_r = np.where(flat, 0.0, -0.5 * gnorm2 / denom)
-        exponent = np.where(flat, 0.0, 0.5 * gnorm2 * (1.0 / denom - 1.0 / top))
-    expected = (top / a_tilde) ** (k / 2.0) * np.exp(exponent)
+    a_tilde, log_r, expected = _certificate(gnorm, k, rho, group.m, group.M)
     v_tilde = group.value(z_tilde, ALL_BLOCKS)
     if z_warm is not None or gd_steps.any():
         # Otherwise no block moved from a_theta and the quadratic term is zero.
@@ -360,12 +385,11 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
             )
         rounds += 1
         proposals[rows] = rounds
-        center = z_tilde[rows]
-        zp = center + sigma_prop[rows, None] * rng.standard_normal((n_rows, k))
+        xi = rng.standard_normal((n_rows, k))
+        zp = z_tilde[rows] + sigma_prop[rows, None] * xi
         u = rng.uniform(size=n_rows)
         v = group.value(zp, rows) + 0.5 * np.sum((zp - a_theta[rows]) ** 2, axis=1) / rho**2
-        log_accept = (log_r[rows] - (v - v_tilde[rows])
-                      + 0.5 * a_tilde[rows] * np.sum((zp - center) ** 2, axis=1))
+        log_accept = log_r[rows] - (v - v_tilde[rows]) + 0.5 * np.sum(xi**2, axis=1)
         with np.errstate(divide="ignore"):
             accepted = np.log(u) < log_accept
         if z is None:

@@ -94,7 +94,8 @@ class FactorGroup:
     value(z, rows) and gradient(z, rows) evaluate the potentials of the
     blocks selected by rows (an index array or a slice into the group) at the
     matching rows of z, of shape (r, k); value returns shape (r,), gradient
-    (r, k). m, M and L hold the certified constants of every block.
+    (r, k), each a new array (the warm-start descent updates the gradient
+    in place). m, M and L hold the certified constants of every block.
     sampler(a_theta, rho, rng) / mode(a_theta, rho), when present, draw from
     or minimize every block's coupled conditional at once, with a_theta of
     shape (b, k); they are the only closed forms of a conditional. Groups

@@ -307,6 +307,63 @@ class TestRejectionSampler:
                     total_steps += int(steps.sum())
         assert total_steps > 0
 
+    @pytest.mark.parametrize("case", ["criterion-4 quadratic", "logistic-split2 shard"])
+    def test_group_of_one_reproduces_scalar_draws(self, case):
+        # sample_z_group on FactorGroup.of(factor) consumes the stream like
+        # sample_z_rejection and does the same arithmetic: the same draws,
+        # proposal counts and descent steps bit for bit, draw after draw.
+        if case == "criterion-4 quadratic":
+            m = 0.8
+            factor = SplitFactor(a=np.array([[1.0]]),
+                                 potential=Potential(dim=1,
+                                                     value=lambda z: 0.5 * m * float(z[0] ** 2),
+                                                     gradient=lambda z: m * np.atleast_1d(z),
+                                                     m=m, M=m, L=math.inf))
+            theta, rho, seed, n = np.array([1.4]), 0.6, 1001, 20_000
+        else:
+            factor = build_model("logistic-split2", d=10, n=200, b=5, seed=0).factors[0]
+            pot = factor.potential
+            # The edge of the at-most-2-proposals regime.
+            rho = 1.0 / math.sqrt(2.0 * factor.dim * (pot.M - pot.m) - pot.m)
+            theta, seed, n = np.full(10, 0.5), 7, 3_000
+        group = FactorGroup.of(factor)
+        a_theta = group.couple(theta)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        total_steps = total_proposals = 0
+        for _ in range(n):
+            z_ref, report = sample_z_rejection(factor, theta, rho, ref_rng)
+            z, proposals, steps, expected = sample_z_group(group, a_theta, rho, rng)
+            assert z[0].tobytes() == z_ref.tobytes()
+            assert proposals[0] == report.proposals_used
+            assert steps[0] == report.warm_start_gd_steps
+            assert expected[0] == pytest.approx(report.expected_bound, rel=1e-12)
+            total_steps += int(steps[0])
+            total_proposals += int(proposals[0])
+        assert total_steps > 0
+        if case == "logistic-split2 shard":
+            assert total_proposals > n
+
+    def test_flat_certificate_at_exact_warm_start(self):
+        # Quadratic blocks drawn by rejection whose fresh warm start A_j theta
+        # is their center, so the residual gradient is exactly zero: log r is
+        # 0 and the bound is the pure curvature ratio (top/s)^(k/2), where
+        # the general formulas would give 0/0.
+        from splitmc.conditionals import _certificate
+        p, c = np.array([0.5, 1.0, 2.0]), np.array([0.3, -1.2, 0.7])
+        quad = make_quadratic_group(np.tile(np.eye(3), (4, 1, 1)), precision=p, center=c)
+        group = FactorGroup(quad.a, quad.value, quad.gradient, quad.m, quad.M)
+        rho = 0.5
+        a_theta = group.couple(c)
+        z, proposals, steps, expected = sample_z_group(group, a_theta, rho,
+                                                       np.random.default_rng(3))
+        assert (steps == 0).all() and (proposals >= 1).all() and np.isfinite(z).all()
+        top, s = 1.0 / rho**2 + group.M, 1.0 / rho**2 + group.m
+        assert expected.tobytes() == ((top / s) ** (3 / 2.0)).tobytes()
+        a_tilde, log_r, bound = _certificate(np.zeros(4), 3, rho, group.m, group.M)
+        assert a_tilde.tobytes() == s.tobytes()
+        assert (log_r == 0.0).all()
+        assert bound.tobytes() == expected.tobytes()
+
     def test_non_smooth_refused(self):
         rough = SplitFactor(a=np.array([[1.0]]),
                             potential=Potential(dim=1,

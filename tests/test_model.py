@@ -264,6 +264,22 @@ class TestZooModels:
                 assert got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes()
 
+    def test_softplus_matches_logaddexp(self):
+        # The zoo's softplus stays within 2 ulp of log(1 + e^u) as numpy's
+        # logaddexp computes it, keeps the limits and raises nothing, even
+        # where exp(-|u|) underflows.
+        from splitmc.zoo import _softplus
+        u = np.concatenate([np.linspace(-750.0, 750.0, 300_001), [0.0, 40.0, -40.0, 800.0]])
+        special = np.array([np.inf, -np.inf, np.nan])
+        with np.errstate(all="raise"):
+            got = _softplus(u)
+            limits = _softplus(special)
+        ref = np.logaddexp(0.0, u)
+        assert (got >= 0.0).all() and (ref >= 0.0).all()
+        # Nonnegative doubles are ordered like their bit patterns.
+        assert np.abs(got.view(np.int64) - ref.view(np.int64)).max() <= 2
+        assert limits[0] == np.inf and limits[1] == 0.0 and np.isnan(limits[2])
+
 
 class TestModelConstants:
     def test_single_identity_unit(self):
