@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import NotSmooth, UnsupportedModel
+from .errors import InvalidParameter, NotSmooth, UnsupportedModel
 from .metrics import Normal1D
 from .model import ModelConstants
 from .numerics import QuadratureSpec, parabolic_cylinder_ratio
@@ -75,8 +75,10 @@ def tv_bound_strongly_convex(constants: ModelConstants, rho: float,
 
     Single split: rho^2 d M_1 / 2, any rho. Multiple splits (centered,
     strongly convex): (rho^2/2) sum_i d_i M_i + (2 + 3d/2) rho^4 sigma_U^4,
-    in force while rho^2 <= 1/(6 sigma_U^2).
+    in force while rho^2 <= 1/(6 sigma_U^2). rho must be finite and >= 0.
     """
+    if not (rho >= 0 and math.isfinite(rho)):
+        raise InvalidParameter(f"rho must be nonnegative and finite, got {rho}")
     if not math.isfinite(constants.max_M):
         raise NotSmooth("the smooth TV bound needs finite smoothness constants")
     if constants.b == 1:

@@ -16,13 +16,14 @@ tested against.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import AcceptanceStall, InvalidParameter, NonConvergence, NotSmooth
+from .errors import AcceptanceStall, NonConvergence, NotSmooth, check_rho
 from .model import ALL_BLOCKS, FactorGroup, SplitFactor, SplitModel
 
 # Warm starts stop once ||grad V_i|| <= (2/7) sqrt(1/rho^2 + m_i) / sqrt(d_i).
@@ -39,8 +40,7 @@ class ThetaConditional:
     """
 
     def __init__(self, model: SplitModel, rho: float):
-        if rho <= 0:
-            raise InvalidParameter("rho must be positive")
+        check_rho(rho)
         self.model = model
         self.rho = float(rho)
         self.chol_lower = model.chol_lower
@@ -118,14 +118,6 @@ def _coupled_value(factor: SplitFactor, z, a_theta, rho):
 def gd_stop_threshold(factor: SplitFactor, rho: float) -> float:
     m = factor.potential.m
     return _GD_STOP_FACTOR * math.sqrt(1.0 / rho**2 + m) / math.sqrt(factor.dim)
-
-
-def _step_bounds(gnorm0, target, rho: float, m, M) -> np.ndarray:
-    """Per-block descent step ceilings, the array form of warm_start_minimize's bound."""
-    kappa = (1.0 + rho**2 * M) / (1.0 + rho**2 * m)
-    with np.errstate(divide="ignore"):
-        rate = np.log(1.0 / (1.0 - 1.0 / kappa))  # inf at kappa = 1: one exact step
-        return np.maximum(np.ceil((np.log(gnorm0) - np.log(target)) / rate), 1.0)
 
 
 def warm_start_minimize(factor: SplitFactor, a_theta: np.ndarray, rho: float,
@@ -237,8 +229,7 @@ def sample_z_rejection(factor: SplitFactor, theta: np.ndarray, rho: float, rng,
     """
     if not math.isfinite(factor.potential.M):
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
-    if rho <= 0:
-        raise InvalidParameter("rho must be positive")
+    check_rho(rho)
     a_theta = factor.a @ np.asarray(theta, dtype=float)
     target = gd_stop_threshold(factor, rho)
     z_tilde, grad, gd_steps = warm_start_minimize(factor, a_theta, rho, target, z0=z_warm)
@@ -271,55 +262,127 @@ def sample_z_rejection(factor: SplitFactor, theta: np.ndarray, rho: float, rng,
                                       expected_bound=expected)
 
 
-def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target,
+class _RhoConstants:
+    """What the group draw needs of a factor group at one rho, per block.
+
+    s = 1/rho^2 + m and top = 1/rho^2 + M; target = (2/7) sqrt(s/k) is the
+    descent's stop rule and step = 1/top its step. The step bound of a
+    block that starts at gradient norm g0 is
+    max(1, ceil((log g0 - log_target)/rate)), the array form of
+    warm_start_minimize's, with rate = log(1/(1 - 1/kappa)) and
+    kappa = (1 + rho^2 M)/(1 + rho^2 m); rate is inf at kappa = 1 (one
+    exact step).
+    """
+
+    __slots__ = ("rho", "s", "top", "target", "log_target", "step", "rate")
+
+    def __init__(self, group: FactorGroup, rho: float):
+        check_rho(rho)
+        self.rho = rho
+        self.s = 1.0 / rho**2 + group.m
+        self.top = 1.0 / rho**2 + group.M
+        self.target = _GD_STOP_FACTOR * np.sqrt(self.s) / math.sqrt(group.k)
+        self.log_target = np.log(self.target)
+        self.step = 1.0 / self.top
+        kappa = (1.0 + rho**2 * group.M) / (1.0 + rho**2 * group.m)
+        with np.errstate(divide="ignore"):
+            self.rate = np.log(1.0 / (1.0 - 1.0 / kappa))
+
+
+# The constants of the last rho each live group was drawn at. Weak keys:
+# the map never keeps a model alive.
+_RHO_CONSTANTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _rho_constants(group: FactorGroup, rho: float) -> _RhoConstants:
+    """group's constants at rho, computed once and kept while the group lives.
+
+    Only the last rho is kept per group: a chain draws at one rho.
+    """
+    c = _RHO_CONSTANTS.get(group)
+    if c is None or c.rho != rho:
+        c = _RHO_CONSTANTS[group] = _RhoConstants(group, rho)
+    return c
+
+
+def _norms(g: np.ndarray) -> np.ndarray:
+    """Row norms; what np.linalg.norm(g, axis=1) computes, without its wrapper."""
+    return np.sqrt(np.add.reduce(g * g, axis=1))
+
+
+def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target=None,
                      z0: np.ndarray | None = None):
     """warm_start_minimize for every block of a group at once.
 
-    Descends only the blocks still above their target (target is a scalar
-    or one value per block). Returns (z_tilde, gradient norms, steps), all
-    per block; raises NonConvergence like the single-block descent,
+    Descends only the blocks still above their target: a scalar, one value
+    per block, or None for the rejection draw's stop rule
+    (2/7) sqrt((1/rho^2 + m)/k). Returns (z_tilde, gradient norms, steps),
+    all per block; raises NonConvergence like the single-block descent,
     naming the first failing block of the group. A fresh start (z0 None)
     sits at a_theta, where the coupling term (z - a_theta)/rho^2 of the
     gradient is exactly zero, so it is left out there.
+
+    The step, stop rule and step-bound rate come from the group's
+    per-(group, rho) constants, computed once. While every block descends,
+    the blocks are addressed by the basic slice ALL_BLOCKS, so value and
+    gradient read the group's data without gathering it; an index array
+    is used only once some blocks have stopped.
     """
     if not group.smooth:
         raise NotSmooth("warm-start descent needs a finite smoothness constant")
+    c = _rho_constants(group, rho)
+    if target is None:
+        target, log_target = c.target, c.log_target
+    else:
+        target = np.broadcast_to(target, (group.b,))
+        with np.errstate(divide="ignore"):
+            log_target = np.log(target)
     if z0 is None:
         z = np.array(a_theta, dtype=float)
         g = group.gradient(z, ALL_BLOCKS)
     else:
         z = np.array(z0, dtype=float)
         g = group.gradient(z, ALL_BLOCKS) + (z - a_theta) / rho**2
-    gnorm = np.linalg.norm(g, axis=1)
+    gnorm = _norms(g)
     steps = np.zeros(group.b, dtype=np.int64)
-    pending = np.flatnonzero(~(gnorm <= target))
-    if pending.size:
-        step = 1.0 / (1.0 / rho**2 + group.M)
-        target = np.broadcast_to(target, (group.b,))
-        bound = _step_bounds(gnorm[pending], target[pending], rho, group.m[pending],
-                             group.M[pending])
-    while pending.size:
-        bad = ~np.isfinite(gnorm[pending])
+    pending = ~(gnorm <= target)
+    if pending.all():
+        rows = ALL_BLOCKS
+    elif pending.any():
+        rows = np.flatnonzero(pending)
+    else:
+        return z, gnorm, steps
+    with np.errstate(divide="ignore"):  # rate is 0 past kappa = 2^53: no finite bound
+        bound = np.maximum(np.ceil((np.log(gnorm[rows]) - log_target[rows]) / c.rate[rows]),
+                           1.0)
+    step = c.step[rows, None]
+    while True:
+        bad = ~np.isfinite(gnorm[rows])
         if bad.any():
-            j = int(pending[bad][0])
+            j = int(np.arange(group.b)[rows][bad][0])
             raise NonConvergence(f"block {j}: warm-start gradient norm is {gnorm[j]} "
                                  f"after {steps[j]} steps")
-        over = steps[pending] >= bound
+        over = steps[rows] >= bound
         if over.any():
-            j = int(pending[over][0])
+            j = int(np.arange(group.b)[rows][over][0])
             raise NonConvergence(f"block {j}: warm-start descent passed its step bound "
                                  f"{int(bound[over][0])}; the certified M looks too small")
-        zp = z[pending] - step[pending, None] * g[pending]
-        gp = group.gradient(zp, pending) + (zp - a_theta[pending]) / rho**2
-        z[pending], g[pending] = zp, gp
-        gnorm[pending] = np.linalg.norm(gp, axis=1)
-        steps[pending] += 1
-        keep = ~(gnorm[pending] <= target[pending])
-        pending, bound = pending[keep], bound[keep]
-    return z, gnorm, steps
+        zp = z[rows] - step * g[rows]
+        gp = group.gradient(zp, rows) + (zp - a_theta[rows]) / rho**2
+        z[rows], g[rows] = zp, gp
+        gnorm_p = _norms(gp)
+        gnorm[rows] = gnorm_p
+        steps[rows] += 1
+        keep = ~(gnorm_p <= target[rows])
+        if keep.all():
+            continue
+        if not keep.any():
+            return z, gnorm, steps
+        rows = np.flatnonzero(keep) if rows is ALL_BLOCKS else rows[keep]
+        bound, step = bound[keep], step[keep]
 
 
-def _certificate(gnorm: np.ndarray, k: int, rho: float, m: np.ndarray, M: np.ndarray):
+def _certificate(gnorm: np.ndarray, k: int, s: np.ndarray, top: np.ndarray):
     """Per-block proposal precision A~, log r and expected-proposal bound.
 
     gnorm is the residual gradient norm g at the warm start; s = 1/rho^2 + m
@@ -327,16 +390,18 @@ def _certificate(gnorm: np.ndarray, k: int, rho: float, m: np.ndarray, M: np.nda
     bound's exponent have limit 0 there. Elsewhere the exponent
     (g^2/2)(1/(s - A~) - 1/top) is -log r - g^2/(2 top).
     """
-    s = 1.0 / rho**2 + m
-    top = 1.0 / rho**2 + M
     gnorm2 = gnorm**2
     g2d = gnorm2 / k
     a_tilde = s + 0.5 * g2d - np.sqrt(0.25 * g2d**2 + s * g2d)
     denom = s - a_tilde
     flat = (gnorm == 0.0) | (denom <= 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_r = np.where(flat, 0.0, -0.5 * gnorm2 / denom)
-    exponent = np.where(flat, 0.0, -log_r - 0.5 * gnorm2 / top)
+    if flat.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_r = np.where(flat, 0.0, -0.5 * gnorm2 / denom)
+        exponent = np.where(flat, 0.0, -log_r - 0.5 * gnorm2 / top)
+    else:
+        log_r = -0.5 * gnorm2 / denom
+        exponent = -log_r - 0.5 * gnorm2 / top
     return a_tilde, log_r, (top / a_tilde) ** (k / 2.0) * np.exp(exponent)
 
 
@@ -345,29 +410,33 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
                    z_warm: np.ndarray | None = None):
     """Exact draws of every block of a group: sample_z_rejection as array operations.
 
-    a_theta has shape (b, k). One masked descent gives every warm start;
-    then each round proposes once for every block still pending, taking
-    the normals xi and then the uniforms from rng in block order, and
-    retires the accepted blocks. The proposal term A~ ||Z - z~||^2 / 2 of
-    the acceptance ratio is computed as ||xi||^2 / 2. A fresh warm start
-    (z_warm None) begins the descent at a_theta, where the coupling term of
-    the gradient is exactly zero and is left out, as is the coupling term
-    of V_i(z~) when no block took a descent step. Returns (z, proposals, gd_steps, expected_bound),
-    the last three per block. Raises AcceptanceStall when a block is still
-    pending after proposal_cap rounds.
+    a_theta has shape (b, k). One masked descent (warm_start_group) gives
+    every warm start; then each round proposes once for every block still
+    pending, taking the normals xi and then the uniforms from rng in block
+    order, and retires the accepted blocks. The proposal term
+    A~ ||Z - z~||^2 / 2 of the acceptance ratio is computed as
+    ||xi||^2 / 2. A fresh warm start (z_warm None) begins the descent at
+    a_theta, where the coupling term of the gradient is exactly zero and is
+    left out, as is the coupling term of V_i(z~) when no block took a
+    descent step. The constants that depend only on (group, rho) are
+    computed once and kept for the group's lifetime; the descent and the
+    first round address the blocks through basic slices, and only the
+    blocks still pending after that are gathered. Returns (z, proposals,
+    gd_steps, expected_bound), the last three per block. Raises
+    AcceptanceStall when a block is still pending after proposal_cap
+    rounds.
     """
     if not group.smooth:
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
-    if rho <= 0:
-        raise InvalidParameter("rho must be positive")
+    z_tilde, gnorm, gd_steps = warm_start_group(group, a_theta, rho, z0=z_warm)
+    c = _rho_constants(group, rho)
     k = group.k
-    target = _GD_STOP_FACTOR * np.sqrt(1.0 / rho**2 + group.m) / math.sqrt(k)
-    z_tilde, gnorm, gd_steps = warm_start_group(group, a_theta, rho, target, z0=z_warm)
-    a_tilde, log_r, expected = _certificate(gnorm, k, rho, group.m, group.M)
+    a_tilde, log_r, expected = _certificate(gnorm, k, c.s, c.top)
     v_tilde = group.value(z_tilde, ALL_BLOCKS)
     if z_warm is not None or gd_steps.any():
         # Otherwise no block moved from a_theta and the quadratic term is zero.
-        v_tilde = v_tilde + 0.5 * np.sum((z_tilde - a_theta) ** 2, axis=1) / rho**2
+        dz = z_tilde - a_theta
+        v_tilde = v_tilde + 0.5 * np.add.reduce(dz * dz, axis=1) / rho**2
     sigma_prop = 1.0 / np.sqrt(a_tilde)
 
     # Round 1 proposes for every block through basic slices, which copy
@@ -388,8 +457,9 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
         xi = rng.standard_normal((n_rows, k))
         zp = z_tilde[rows] + sigma_prop[rows, None] * xi
         u = rng.uniform(size=n_rows)
-        v = group.value(zp, rows) + 0.5 * np.sum((zp - a_theta[rows]) ** 2, axis=1) / rho**2
-        log_accept = log_r[rows] - (v - v_tilde[rows]) + 0.5 * np.sum(xi**2, axis=1)
+        dz = zp - a_theta[rows]
+        v = group.value(zp, rows) + 0.5 * np.add.reduce(dz * dz, axis=1) / rho**2
+        log_accept = log_r[rows] - (v - v_tilde[rows]) + 0.5 * np.add.reduce(xi * xi, axis=1)
         with np.errstate(divide="ignore"):
             accepted = np.log(u) < log_accept
         if z is None:
@@ -400,4 +470,3 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
             rows = rows[~accepted]
         n_rows = rows.size
     return z, proposals, gd_steps, expected
-

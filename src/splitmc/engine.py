@@ -33,7 +33,7 @@ from .conditionals import (
     sample_z_group,
     warm_start_group,
 )
-from .errors import DimensionMismatch, InvalidParameter, NonFiniteDraw, NotSmooth
+from .errors import DimensionMismatch, InvalidParameter, NonFiniteDraw, NotSmooth, check_rho
 from .model import ALL_BLOCKS, SplitModel
 
 TRACE_MAGIC = b"SGS1"
@@ -80,12 +80,13 @@ class SamplerConfig:
     proposal_cap: int = DEFAULT_PROPOSAL_CAP
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise InvalidParameter("rho must be positive")
+        check_rho(self.rho)
         if not 0 <= self.burn_in < self.sweeps:
             raise InvalidParameter("burn_in must satisfy 0 <= burn_in < sweeps")
         if self.record_every < 1:
             raise InvalidParameter("record_every must be >= 1")
+        if not self.proposal_cap >= 1:
+            raise InvalidParameter(f"proposal_cap must be >= 1, got {self.proposal_cap}")
 
 
 def initial_state(model: SplitModel, theta0: np.ndarray, seed: int) -> ChainState:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the shared check of rho."""
+
+import math
 
 
 class SplitMCError(Exception):
@@ -63,3 +65,9 @@ class EpsilonOutOfRange(SplitMCError):
 
 class TooFewSamples(SplitMCError):
     """Not enough samples for the requested histogram resolution."""
+
+
+def check_rho(rho) -> None:
+    """Raise InvalidParameter unless the coupling width rho is positive and finite."""
+    if not (rho > 0 and math.isfinite(rho)):
+        raise InvalidParameter(f"rho must be positive and finite, got {rho}")

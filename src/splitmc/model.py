@@ -461,7 +461,7 @@ def center_model(model: SplitModel, theta_star: np.ndarray,
 
 def _shifted_value(value, shift):
     def shifted(z, rows):
-        return value(z, rows) - np.sum(z * shift[rows], axis=1)
+        return value(z, rows) - np.add.reduce(z * shift[rows], axis=1)
     return shifted
 
 

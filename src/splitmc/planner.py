@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import (EpsilonOutOfRange, InvalidParameter, NotCentered, NotStronglyConvex,
-                     SingularGram)
+                     SingularGram, check_rho)
 from .model import ModelConstants, SplitModel, find_minimizer, max_factor_gradient_at, model_constants
 
 W1_SINGLE = "W1-single"
@@ -64,8 +64,7 @@ def k_sgs(model: SplitModel, rho: float) -> float:
     computed as the largest generalized eigenvalue of the weighted Gram pair.
     Dimension-free, and zero when every m_i is zero.
     """
-    if rho <= 0:
-        raise InvalidParameter("rho must be positive")
+    check_rho(rho)
     weighted = model.weighted_gram(1.0 / (1.0 + model.m * rho**2))
     try:
         eigs = eigh(weighted, np.asarray(model.gram), eigvals_only=True)

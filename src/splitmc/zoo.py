@@ -146,7 +146,7 @@ def _logit_group(a: np.ndarray, design: np.ndarray | None, labels: np.ndarray,
 
     def value(z, rows):
         u = (design[rows] @ z[:, :, None])[:, :, 0]
-        return np.sum(_softplus(u) + u * (0.5 * alpha * u - labels[rows]), axis=1)
+        return np.add.reduce(_softplus(u) + u * (0.5 * alpha * u - labels[rows]), axis=1)
 
     def gradient(z, rows):
         x = design[rows]

@@ -122,6 +122,8 @@ class TestExitCodes:
         ["sample", "--model", "aniso-gaussian", "--kappa", "0.5", "--rho", "0.5",
          "--sweeps", "5"],
         ["sample", "--model", "toy-gaussian-1", "--rho", "0", "--sweeps", "5"],
+        ["sample", "--model", "toy-gaussian-1", "--rho", "nan", "--sweeps", "5"],
+        ["sample", "--model", "toy-gaussian-1", "--rho", "inf", "--sweeps", "5"],
         ["experiment", "gaussian-mixing", "--set", "which=dimension", "--set", "replicates=0"],
         ["experiment", "rate-toy", "--set", "sigma=0"],
         ["experiment", "bias-toy", "--set", "n_grid=0"],

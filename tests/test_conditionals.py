@@ -1,6 +1,8 @@
 """Exactness of both Gibbs-block samplers and the rejection-efficiency guarantees."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,16 +13,28 @@ from splitmc import (
     AcceptanceStall,
     NonConvergence,
     NotSmooth,
+    SamplerConfig,
     SplitModel,
     ThetaConditional,
     build_model,
     expected_proposals_bound,
+    k_sgs,
     make_quadratic_group,
+    model_constants,
+    run_chain,
     sample_z_group,
     sample_z_rejection,
+    tv_bound_strongly_convex,
 )
-from splitmc.conditionals import gd_stop_threshold, warm_start_minimize, within_two_guarantee
-from splitmc.model import FactorGroup, Potential, SplitFactor
+from splitmc import conditionals
+from splitmc.conditionals import (
+    gd_stop_threshold,
+    warm_start_group,
+    warm_start_minimize,
+    within_two_guarantee,
+)
+from splitmc.errors import InvalidParameter
+from splitmc.model import ALL_BLOCKS, FactorGroup, Potential, SplitFactor
 from splitmc.zoo import mixture_group
 
 
@@ -359,7 +373,7 @@ class TestRejectionSampler:
         assert (steps == 0).all() and (proposals >= 1).all() and np.isfinite(z).all()
         top, s = 1.0 / rho**2 + group.M, 1.0 / rho**2 + group.m
         assert expected.tobytes() == ((top / s) ** (3 / 2.0)).tobytes()
-        a_tilde, log_r, bound = _certificate(np.zeros(4), 3, rho, group.m, group.M)
+        a_tilde, log_r, bound = _certificate(np.zeros(4), 3, s, top)
         assert a_tilde.tobytes() == s.tobytes()
         assert (log_r == 0.0).all()
         assert bound.tobytes() == expected.tobytes()
@@ -392,6 +406,140 @@ class TestRejectionSampler:
                     bound = math.ceil((math.log(g0) - math.log(target))
                                       / math.log(1.0 / (1.0 - 1.0 / kappa)))
                     assert steps <= bound
+
+
+def recording(group):
+    """A copy of group whose value and gradient log the rows argument of every call."""
+    calls = {"value": [], "gradient": []}
+
+    def logged(name, fn):
+        def call(z, rows):
+            calls[name].append(rows)
+            return fn(z, rows)
+        return call
+
+    copy = FactorGroup(group.a, logged("value", group.value), logged("gradient", group.gradient),
+                       group.m, group.M, group.L)
+    return copy, calls
+
+
+class TestGroupDescent:
+    def _assert_matches_reference(self, model, theta, rho, z_warm, z_tilde, steps, expected):
+        for j, factor in enumerate(model.factors):
+            z0 = None if z_warm is None else z_warm[j]
+            ref_z, _, ref_steps = warm_start_minimize(
+                factor, factor.a @ theta, rho, gd_stop_threshold(factor, rho), z0=z0)
+            assert steps[j] == ref_steps
+            np.testing.assert_allclose(z_tilde[j], ref_z, rtol=1e-12, atol=1e-12)
+            ref = expected_proposals_bound(factor, theta, ref_z, rho)
+            assert expected[j] == pytest.approx(ref, rel=1e-12)
+
+    def test_descent_addresses_blocks_by_slice_until_some_stop(self):
+        # Uncentered logistic-split2: from a fresh start every block is above
+        # its stop rule, so the descent reads the group through ALL_BLOCKS and
+        # gathers nothing. With a carried start where only block 0 is stale,
+        # it descends block 0 alone, through an index array.
+        model = build_model("logistic-split2", d=10, n=200, b=5, seed=4)
+        group, calls = recording(model.groups[0])
+        rho = 0.2
+        theta = np.full(10, 0.3)
+        a_theta = group.couple(theta)
+
+        _, proposals, steps, expected = sample_z_group(group, a_theta, rho,
+                                                       np.random.default_rng(5))
+        assert (steps >= 1).all() and (proposals >= 1).all()
+        assert len(calls["gradient"]) == 1 + steps.max()
+        assert all(rows is ALL_BLOCKS for rows in calls["gradient"])
+        assert calls["value"][0] is ALL_BLOCKS and calls["value"][1] is ALL_BLOCKS
+        calls["gradient"].clear()
+        z_tilde, _, ws_steps = warm_start_group(group, a_theta, rho)
+        assert all(rows is ALL_BLOCKS for rows in calls["gradient"])
+        assert (ws_steps == steps).all()
+        self._assert_matches_reference(model, theta, rho, None, z_tilde, steps, expected)
+
+        # Exact modes for blocks 1.., a stale start for block 0.
+        z_warm = warm_start_group(group, a_theta, rho, 1e-12)[0]
+        z_warm[0] = group.couple(np.zeros(10))[0]
+        calls["gradient"].clear()
+        _, proposals, steps, expected = sample_z_group(group, a_theta, rho,
+                                                       np.random.default_rng(5), z_warm=z_warm)
+        assert steps[0] >= 1 and (steps[1:] == 0).all()
+        descent = calls["gradient"][1:]
+        assert calls["gradient"][0] is ALL_BLOCKS and len(descent) == steps[0]
+        assert all(isinstance(rows, np.ndarray) and rows.tolist() == [0] for rows in descent)
+        z_tilde, _, _ = warm_start_group(group, a_theta, rho, z0=z_warm)
+        self._assert_matches_reference(model, theta, rho, z_warm, z_tilde, steps, expected)
+
+    def test_rho_constants_built_once_per_group_and_rho(self, monkeypatch):
+        built = []
+
+        class Counting(conditionals._RhoConstants):
+            __slots__ = ()
+
+            def __init__(self, group, rho):
+                built.append(rho)
+                super().__init__(group, rho)
+
+        monkeypatch.setattr(conditionals, "_RhoConstants", Counting)
+        model = build_model("logistic-split2", d=10, n=200, b=5, seed=4)
+        report = run_chain(model, SamplerConfig(rho=0.2, sweeps=50), seed=8)
+        assert report.sweeps_run == 50 and report.gd_steps_total.sum() > 0
+        assert built == [0.2]
+
+    def test_each_rho_gets_its_own_constants(self):
+        # A group drawn at two widths holds each width's own constants,
+        # equal to a fresh computation, and draws as a group never drawn before.
+        model = build_model("logistic-split2", d=10, n=200, b=5, seed=4)
+        (group,) = model.groups
+        fields = ("s", "top", "target", "log_target", "step", "rate")
+        seen = []
+        for rho in (0.2, 0.5):
+            fresh = conditionals._RhoConstants(group, rho)
+            kept = conditionals._rho_constants(group, rho)
+            assert kept.rho == rho
+            for name in fields:
+                assert getattr(kept, name).tobytes() == getattr(fresh, name).tobytes()
+            seen.append(kept)
+        for name in ("target", "step", "rate"):
+            assert (getattr(seen[0], name) != getattr(seen[1], name)).all()
+        a_theta = group.couple(np.full(10, 0.3))
+        twin = build_model("logistic-split2", d=10, n=200, b=5, seed=4).groups[0]
+        for rho in (0.2, 0.5, 0.2):
+            drawn = sample_z_group(group, a_theta, rho, np.random.default_rng(3))
+            ref = sample_z_group(twin, a_theta, rho, np.random.default_rng(3))
+            conditionals._RHO_CONSTANTS.pop(twin)
+            for got, want in zip(drawn, ref):
+                assert got.tobytes() == want.tobytes()
+
+    def test_constants_do_not_keep_the_group_alive(self):
+        model = build_model("logistic-split2", d=4, n=40, b=4, seed=1)
+        run_chain(model, SamplerConfig(rho=0.3, sweeps=2), seed=1)
+        ref = weakref.ref(model.groups[0])
+        assert ref() in conditionals._RHO_CONSTANTS
+        del model
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_non_finite_width_is_invalid(self, rho):
+        model = build_model("logistic-split2", d=4, n=40, b=4, seed=1)
+        (group,) = model.groups
+        with pytest.raises(InvalidParameter):
+            sample_z_group(group, group.couple(np.zeros(4)), rho, np.random.default_rng(0))
+        with pytest.raises(InvalidParameter):
+            sample_z_rejection(model.factors[0], np.zeros(4), rho, np.random.default_rng(0))
+        with pytest.raises(InvalidParameter):
+            ThetaConditional(model, rho)
+        with pytest.raises(InvalidParameter):
+            SamplerConfig(rho=rho, sweeps=1)
+        with pytest.raises(InvalidParameter):
+            k_sgs(model, rho)
+        with pytest.raises(InvalidParameter):
+            tv_bound_strongly_convex(model_constants(model), rho)
+
+    def test_zero_proposal_cap_is_invalid(self):
+        with pytest.raises(InvalidParameter, match="proposal_cap"):
+            SamplerConfig(rho=1.0, sweeps=1, proposal_cap=0)
 
 
 def draw_one(group, theta, rho, rng):
