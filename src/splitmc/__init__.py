@@ -21,7 +21,6 @@ from .errors import (
     SingularGram,
     SingularModel,
     SplitMCError,
-    TooFewSamples,
     UnsupportedModel,
 )
 from .conditionals import (
@@ -39,12 +38,10 @@ from .engine import (
     SweepStreams,
     admm_solve,
     am_solve,
-    extended_langevin_step,
     read_trace,
     run_chain,
     sgs_sweep,
     sweep_conditional_modes,
-    ula_step,
     initial_state,
 )
 from .model import (
@@ -62,7 +59,7 @@ from .model import (
 )
 from .planner import Plan, k_sgs, plan_tv_multi, plan_tv_nonstrongly, plan_tv_single, plan_w1_single
 from .bias import BiasBound, pi_rho_closed_form, tv_bound_lipschitz, tv_bound_strongly_convex, w1_bound_single
-from .metrics import ToyParams, ar1_kernel_t, binned_tv, empirical_w1_1d
+from .metrics import ToyParams, ar1_kernel_t
 from .zoo import build_model, model_names
 
 __version__ = "0.1.0"

@@ -46,10 +46,13 @@ _NUMERICAL_ERRORS = (QuadratureFailure, NonConvergence, NonFiniteDraw, Acceptanc
 
 
 def _model_kwargs(args) -> dict:
+    if args.model == "aniso-gaussian":
+        if not (args.kappa > 0 and math.isfinite(args.kappa)):
+            raise InvalidParameter(f"kappa must be positive and finite, got {args.kappa}")
+        return {"d": args.d, "m": args.big_m / args.kappa, "M": args.big_m}
     table = {
         "toy-gaussian-1": {"sigma": args.sigma, "b": args.b, "mu": args.mu},
         "toy-gaussian-2": {"sigma": args.sigma, "b": args.b, "mu": args.mu},
-        "aniso-gaussian": {"d": args.d, "m": args.big_m / args.kappa, "M": args.big_m},
         "gaussian-mixture": {"d": args.d, "a_norm": args.a_norm},
         "logistic-split1": {"d": args.d, "n": args.n, "seed": args.data_seed},
         "logistic-split2": {"d": args.d, "n": args.n, "b": args.b, "seed": args.data_seed},

@@ -7,10 +7,13 @@ closed form of a conditional; see FactorGroup) or by rejection sampling
 from a Gaussian proposal centered at an approximate minimizer of
 V_i(z) = U_i(z) + ||z - A_i theta||^2 / (2 rho^2).
 
-The sweep draws all blocks of a factor group together with array
-operations (warm_start_group, sample_z_group). The one-block functions
-warm_start_minimize and sample_z_rejection are the reference they are
-tested against.
+There is one rejection sampler: all blocks of a factor group are drawn
+together with array operations (warm_start_group, sample_z_group), and
+_certificate holds the one formula for the proposal precision and the
+certified bound on expected proposals. The one-block names
+(sample_z_rejection, warm_start_minimize, expected_proposals_bound,
+gd_stop_threshold) run that path on a factor's group of one
+(SplitFactor.group).
 """
 
 from __future__ import annotations
@@ -107,170 +110,14 @@ class BlockReports(Sequence):
                                expected_bound=float(self.expected[i]))
 
 
-def _coupled_grad(factor: SplitFactor, z, a_theta, rho):
-    return np.asarray(factor.potential.gradient(z), dtype=float) + (z - a_theta) / rho**2
-
-
-def _coupled_value(factor: SplitFactor, z, a_theta, rho):
-    return float(factor.potential.value(z)) + 0.5 * float(np.sum((z - a_theta) ** 2)) / rho**2
-
-
-def gd_stop_threshold(factor: SplitFactor, rho: float) -> float:
-    m = factor.potential.m
-    return _GD_STOP_FACTOR * math.sqrt(1.0 / rho**2 + m) / math.sqrt(factor.dim)
-
-
-def warm_start_minimize(factor: SplitFactor, a_theta: np.ndarray, rho: float,
-                        target: float, z0: np.ndarray | None = None):
-    """Gradient descent on V_i with step 1/(1/rho^2 + M_i) until ||grad V_i|| <= target.
-
-    Returns (z_tilde, grad at z_tilde, step count). Certified constants
-    keep the step count within
-    ceil((log ||grad V_i(z0)|| - log target) / log(1/(1 - 1/kappa))), at
-    least 1, with kappa = (1 + rho^2 M_i)/(1 + rho^2 m_i). Raises
-    NonConvergence as soon as the count passes that bound or the gradient
-    norm turns non-finite, both signs of an understated M_i.
-    """
-    M = factor.potential.M
-    if not math.isfinite(M):
-        raise NotSmooth("warm-start descent needs a finite smoothness constant")
-    m = factor.potential.m
-    step = 1.0 / (1.0 / rho**2 + M)
-    z = np.array(a_theta, dtype=float) if z0 is None else np.array(z0, dtype=float)
-    g = _coupled_grad(factor, z, a_theta, rho)
-    gnorm = float(np.linalg.norm(g))
-    steps = 0
-    bound = None
-    while True:
-        if not math.isfinite(gnorm):
-            raise NonConvergence(f"warm-start gradient norm is {gnorm} after {steps} steps")
-        if gnorm <= target:
-            return z, g, steps
-        if bound is None:
-            kappa = (1.0 + rho**2 * M) / (1.0 + rho**2 * m)
-            bound = 1 if kappa <= 1.0 else max(1, math.ceil(
-                (math.log(gnorm) - math.log(target)) / math.log(1.0 / (1.0 - 1.0 / kappa))))
-        if steps >= bound:
-            raise NonConvergence(f"warm-start descent passed its step bound {int(bound)}; "
-                                 "the certified M looks too small")
-        z = z - step * g
-        g = _coupled_grad(factor, z, a_theta, rho)
-        gnorm = float(np.linalg.norm(g))
-        steps += 1
-
-
-def _proposal_tightening(factor: SplitFactor, grad_norm: float, rho: float) -> float:
-    """The proposal precision A~_i determined by the residual gradient at z~."""
-    s = 1.0 / rho**2 + factor.potential.m
-    if grad_norm == 0.0:
-        return s
-    g2d = grad_norm**2 / factor.dim
-    return s + 0.5 * g2d - math.sqrt(0.25 * g2d**2 + s * g2d)
-
-
-def expected_proposals_bound(factor: SplitFactor, theta: np.ndarray,
-                             z_tilde: np.ndarray, rho: float) -> float:
-    """Expected number of proposals until acceptance for the given warm start."""
-    a_theta = factor.a @ np.asarray(theta, dtype=float)
-    grad_norm = float(np.linalg.norm(_coupled_grad(factor, np.atleast_1d(z_tilde), a_theta, rho)))
-    return _expected_bound_from_grad(factor, grad_norm, rho)
-
-
-def _expected_bound_from_grad(factor: SplitFactor, grad_norm: float, rho: float) -> float:
-    m, M, d = factor.potential.m, factor.potential.M, factor.dim
-    if not math.isfinite(M):
-        raise NotSmooth("the proposal bound needs a finite smoothness constant")
-    a_tilde = _proposal_tightening(factor, grad_norm, rho)
-    ratio = (1.0 / rho**2 + M) / a_tilde
-    denom = 1.0 / rho**2 + m - a_tilde
-    # grad_norm = 0 makes denom = 0; the exponent has limit 0 there.
-    if grad_norm == 0.0 or denom <= 0.0:
-        exponent = 0.0
-    else:
-        exponent = 0.5 * grad_norm**2 * (1.0 / denom - 1.0 / (1.0 / rho**2 + M))
-    return ratio ** (d / 2.0) * math.exp(exponent)
-
-
-def within_two_guarantee(factor: SplitFactor, grad_norm: float, rho: float) -> bool:
-    """True when the run is inside the regime guaranteeing at most 2 expected proposals:
-
-    rho^2 (2 d_i (M_i - m_i) - m_i) <= 1 and the warm-start residual is below
-    the descent stopping threshold.
-    """
-    m, M, d = factor.potential.m, factor.potential.M, factor.dim
-    if not math.isfinite(M):
-        return False
-    cond1 = rho**2 * (2.0 * d * (M - m) - m) <= 1.0
-    cond2 = grad_norm <= gd_stop_threshold(factor, rho)
-    return bool(cond1 and cond2)
-
-
-def sample_z_rejection(factor: SplitFactor, theta: np.ndarray, rho: float, rng,
-                       proposal_cap: int = DEFAULT_PROPOSAL_CAP,
-                       z_warm: np.ndarray | None = None):
-    """Exact draw from the coupled conditional of one auxiliary block.
-
-    The target density is proportional to exp(-V_i(z)) with
-    V_i(z) = U_i(z) + ||A_i theta - z||^2/(2 rho^2). A few gradient-descent
-    steps from A_i theta (or from z_warm when carrying the previous block)
-    give z~; proposals Z = z~ + A~^{-1/2} xi, xi ~ N(0, I), are accepted with
-    probability exp(-r - [V_i(Z) - V_i(z~)] + ||xi||^2 / 2), where r
-    collapses to 0 for an exactly centered warm start. ||xi||^2 / 2 is
-    A~ ||Z - z~||^2 / 2, the proposal's own log density up to a constant,
-    computed from the normals that made Z. The group path
-    (sample_z_group) leaves out the coupling terms at a fresh warm start,
-    where they are exactly zero; this reference keeps them, with the same
-    results bit for bit.
-
-    Returns (z, RejectionReport). Raises AcceptanceStall past proposal_cap:
-    under correctly certified constants and the small-rho regime the
-    expected number of proposals is at most 2, so a stall signals
-    mis-stated constants rather than bad luck.
-    """
-    if not math.isfinite(factor.potential.M):
-        raise NotSmooth("rejection sampling needs a finite smoothness constant")
-    check_rho(rho)
-    a_theta = factor.a @ np.asarray(theta, dtype=float)
-    target = gd_stop_threshold(factor, rho)
-    z_tilde, grad, gd_steps = warm_start_minimize(factor, a_theta, rho, target, z0=z_warm)
-    grad_norm = float(np.linalg.norm(grad))
-
-    m = factor.potential.m
-    s = 1.0 / rho**2 + m
-    a_tilde = _proposal_tightening(factor, grad_norm, rho)
-    denom = s - a_tilde
-    log_r = 0.0 if (grad_norm == 0.0 or denom <= 0.0) else -0.5 * grad_norm**2 / denom
-    v_tilde = _coupled_value(factor, z_tilde, a_theta, rho)
-    sigma_prop = 1.0 / math.sqrt(a_tilde)
-    expected = _expected_bound_from_grad(factor, grad_norm, rho)
-
-    proposals = 0
-    while True:
-        if proposals >= proposal_cap:
-            raise AcceptanceStall(
-                f"no acceptance after {proposal_cap} proposals; certified (m, M) look wrong"
-            )
-        xi = rng.standard_normal(factor.dim)
-        z = z_tilde + sigma_prop * xi
-        proposals += 1
-        log_accept = (log_r
-                      - (_coupled_value(factor, z, a_theta, rho) - v_tilde)
-                      + 0.5 * float(np.sum(xi**2)))
-        if math.log(rng.uniform()) < log_accept:
-            return z, RejectionReport(proposals_used=proposals,
-                                      warm_start_gd_steps=gd_steps,
-                                      expected_bound=expected)
-
-
 class _RhoConstants:
     """What the group draw needs of a factor group at one rho, per block.
 
     s = 1/rho^2 + m and top = 1/rho^2 + M; target = (2/7) sqrt(s/k) is the
     descent's stop rule and step = 1/top its step. The step bound of a
     block that starts at gradient norm g0 is
-    max(1, ceil((log g0 - log_target)/rate)), the array form of
-    warm_start_minimize's, with rate = log(1/(1 - 1/kappa)) and
-    kappa = (1 + rho^2 M)/(1 + rho^2 m); rate is inf at kappa = 1 (one
+    max(1, ceil((log g0 - log_target)/rate)), with rate = log(1/(1 - 1/kappa))
+    and kappa = (1 + rho^2 M)/(1 + rho^2 m); rate is inf at kappa = 1 (one
     exact step).
     """
 
@@ -312,15 +159,19 @@ def _norms(g: np.ndarray) -> np.ndarray:
 
 def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target=None,
                      z0: np.ndarray | None = None):
-    """warm_start_minimize for every block of a group at once.
+    """Gradient descent on V_i with step 1/(1/rho^2 + M_i), every block of a group at once.
 
     Descends only the blocks still above their target: a scalar, one value
     per block, or None for the rejection draw's stop rule
     (2/7) sqrt((1/rho^2 + m)/k). Returns (z_tilde, gradient norms, steps),
-    all per block; raises NonConvergence like the single-block descent,
-    naming the first failing block of the group. A fresh start (z0 None)
-    sits at a_theta, where the coupling term (z - a_theta)/rho^2 of the
-    gradient is exactly zero, so it is left out there.
+    all per block. Certified constants keep a block's step count within
+    ceil((log ||grad V_i(z0)|| - log target) / log(1/(1 - 1/kappa))), at
+    least 1, with kappa = (1 + rho^2 M_i)/(1 + rho^2 m_i); NonConvergence,
+    naming the first failing block of the group, is raised as soon as a
+    count passes that bound or a gradient norm turns non-finite, both signs
+    of an understated M_i. A fresh start (z0 None) sits at a_theta, where
+    the coupling term (z - a_theta)/rho^2 of the gradient is exactly zero,
+    so it is left out there.
 
     The step, stop rule and step-bound rate come from the group's
     per-(group, rho) constants, computed once. While every block descends,
@@ -408,7 +259,15 @@ def _certificate(gnorm: np.ndarray, k: int, s: np.ndarray, top: np.ndarray):
 def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
                    proposal_cap: int = DEFAULT_PROPOSAL_CAP,
                    z_warm: np.ndarray | None = None):
-    """Exact draws of every block of a group: sample_z_rejection as array operations.
+    """Exact draws of every block of a group from its coupled conditional.
+
+    The target density of block i is proportional to exp(-V_i(z)) with
+    V_i(z) = U_i(z) + ||A_i theta - z||^2/(2 rho^2). Proposals
+    Z = z~ + A~^{-1/2} xi, xi ~ N(0, I), around the warm start z~ are
+    accepted with probability exp(log r - [V_i(Z) - V_i(z~)] + ||xi||^2/2)
+    (see _certificate). Under correctly certified constants and the small-rho
+    regime the expected number of proposals is at most 2, so a stall
+    signals mis-stated constants rather than bad luck.
 
     a_theta has shape (b, k). One masked descent (warm_start_group) gives
     every warm start; then each round proposes once for every block still
@@ -470,3 +329,75 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
             rows = rows[~accepted]
         n_rows = rows.size
     return z, proposals, gd_steps, expected
+
+
+# ---------------------------------------------------------------------------
+# One block at a time: the group path on a factor's group of one
+
+
+def gd_stop_threshold(factor: SplitFactor, rho: float) -> float:
+    """The warm-start stop rule (2/7) sqrt((1/rho^2 + m_i)/d_i) of one block."""
+    return float(_rho_constants(factor.group, rho).target[0])
+
+
+def warm_start_minimize(factor: SplitFactor, a_theta: np.ndarray, rho: float,
+                        target: float, z0: np.ndarray | None = None):
+    """warm_start_group on one block: descent on V_i until ||grad V_i|| <= target.
+
+    Returns (z_tilde, grad V_i at z_tilde, step count); raises NotSmooth and
+    NonConvergence as warm_start_group does.
+    """
+    group = factor.group
+    a_theta = np.reshape(np.asarray(a_theta, dtype=float), (1, group.k))
+    if z0 is not None:
+        z0 = np.reshape(np.asarray(z0, dtype=float), (1, group.k))
+    z, _, steps = warm_start_group(group, a_theta, rho, target, z0=z0)
+    grad = group.gradient(z, ALL_BLOCKS) + (z - a_theta) / rho**2
+    return z[0], grad[0], int(steps[0])
+
+
+def expected_proposals_bound(factor: SplitFactor, theta: np.ndarray,
+                             z_tilde: np.ndarray, rho: float) -> float:
+    """Expected number of proposals until acceptance for the given warm start (_certificate)."""
+    group = factor.group
+    if not group.smooth:
+        raise NotSmooth("the proposal bound needs a finite smoothness constant")
+    z = np.reshape(np.asarray(z_tilde, dtype=float), (1, group.k))
+    a_theta = group.couple(np.asarray(theta, dtype=float))
+    grad = group.gradient(z, ALL_BLOCKS) + (z - a_theta) / rho**2
+    c = _rho_constants(group, rho)
+    return float(_certificate(_norms(grad), group.k, c.s, c.top)[2][0])
+
+
+def sample_z_rejection(factor: SplitFactor, theta: np.ndarray, rho: float, rng,
+                       proposal_cap: int = DEFAULT_PROPOSAL_CAP,
+                       z_warm: np.ndarray | None = None):
+    """sample_z_group on one block: an exact draw from its coupled conditional.
+
+    The warm start is A_i theta, or z_warm when carrying the previous block.
+    Returns (z, RejectionReport); raises NotSmooth, NonConvergence and
+    AcceptanceStall as sample_z_group does.
+    """
+    group = factor.group
+    if z_warm is not None:
+        z_warm = np.reshape(np.asarray(z_warm, dtype=float), (1, group.k))
+    z, proposals, gd_steps, expected = sample_z_group(
+        group, group.couple(np.asarray(theta, dtype=float)), rho, rng,
+        proposal_cap=proposal_cap, z_warm=z_warm)
+    return z[0], RejectionReport(proposals_used=int(proposals[0]),
+                                 warm_start_gd_steps=int(gd_steps[0]),
+                                 expected_bound=float(expected[0]))
+
+
+def within_two_guarantee(factor: SplitFactor, grad_norm: float, rho: float) -> bool:
+    """True when the run is inside the regime guaranteeing at most 2 expected proposals:
+
+    rho^2 (2 d_i (M_i - m_i) - m_i) <= 1 and the warm-start residual is below
+    the descent stopping threshold.
+    """
+    m, M, d = factor.potential.m, factor.potential.M, factor.dim
+    if not math.isfinite(M):
+        return False
+    cond1 = rho**2 * (2.0 * d * (M - m) - m) <= 1.0
+    cond2 = grad_norm <= gd_stop_threshold(factor, rho)
+    return bool(cond1 and cond2)

@@ -1,4 +1,4 @@
-"""The Gibbs sweep, baseline samplers (ULA, joint Langevin) and optimizer twins.
+"""The Gibbs sweep, its optimizer twins and binary trace files.
 
 One sweep refreshes every auxiliary block from the previous master iterate
 and then redraws the master parameter from its Gaussian conditional. Given
@@ -18,7 +18,6 @@ and any sweep can be replayed on its own (sgs_sweep without a factory).
 
 from __future__ import annotations
 
-import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -33,8 +32,8 @@ from .conditionals import (
     sample_z_group,
     warm_start_group,
 )
-from .errors import DimensionMismatch, InvalidParameter, NonFiniteDraw, NotSmooth, check_rho
-from .model import ALL_BLOCKS, SplitModel
+from .errors import DimensionMismatch, InvalidParameter, NonFiniteDraw, check_rho
+from .model import SplitModel
 
 TRACE_MAGIC = b"SGS1"
 _TRACE_HEADER = struct.Struct("<4sqq")
@@ -286,42 +285,6 @@ def run_chain(model: SplitModel, config: SamplerConfig, seed: int,
                      rho=config.rho, wall_time_s=wall, proposals_total=proposals,
                      rejection_draws=rejection_draws, gd_steps_total=gd_steps,
                      final_state=state)
-
-
-# ---------------------------------------------------------------------------
-# Baseline samplers
-
-
-def ula_step(model: SplitModel, theta: np.ndarray, h: float, rng) -> np.ndarray:
-    """One unadjusted Langevin step: theta - h grad U(theta) + sqrt(2h) xi."""
-    if not model.smooth():
-        raise NotSmooth("Langevin steps need finite smoothness constants")
-    theta = np.asarray(theta, dtype=float)
-    return theta - h * model.gradient(theta) + math.sqrt(2.0 * h) * rng.standard_normal(model.d)
-
-
-def extended_langevin_step(model: SplitModel, state: ChainState, rho: float,
-                           h: float, rng) -> ChainState:
-    """Euler step of the overdamped Langevin diffusion on the joint (theta, z) space.
-
-    All blocks move simultaneously from the current iterate. Exploration
-    baseline only; no accuracy guarantee is attached.
-    """
-    if not model.smooth():
-        raise NotSmooth("Langevin steps need finite smoothness constants")
-    theta = state.theta
-    resid, z_new = [], []
-    for g, z in zip(model.groups, state.z_groups):
-        a_theta = g.couple(theta)
-        resid.append(a_theta - z)
-        drift_z = (z - a_theta) / rho**2 + g.gradient(z, ALL_BLOCKS)
-        noise = math.sqrt(2.0 * h) * rng.standard_normal(z.shape) if h > 0 else 0.0
-        z_new.append(z - h * drift_z + noise)
-    drift_theta = model.assemble(resid) / rho**2
-    noise = math.sqrt(2.0 * h) * rng.standard_normal(model.d) if h > 0 else 0.0
-    theta_new = theta - h * drift_theta + noise
-    return ChainState(theta=theta_new, z_groups=tuple(z_new), sweep=state.sweep + 1,
-                      rng_seed_root=state.rng_seed_root)
 
 
 # ---------------------------------------------------------------------------

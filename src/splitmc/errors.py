@@ -63,10 +63,6 @@ class EpsilonOutOfRange(SplitMCError):
     """Precision parameter must satisfy 0 < eps <= 1."""
 
 
-class TooFewSamples(SplitMCError):
-    """Not enough samples for the requested histogram resolution."""
-
-
 def check_rho(rho) -> None:
     """Raise InvalidParameter unless the coupling width rho is positive and finite."""
     if not (rho > 0 and math.isfinite(rho)):

@@ -1,10 +1,10 @@
-"""Empirical and closed-form distance computations used by the experiments.
+"""Distance computations and closed-form chain laws used by the experiments.
 
-Total variation on a 1-d projection is estimated from shared-edge
-histograms; Wasserstein distances in 1-d come from CDF differences. For
-Gaussian pairs both distances have closed forms (TV via the analytic
-density crossing points, which is more robust than quadrature of the
-absolute difference).
+For Gaussian pairs the 1-d total variation and Wasserstein distances have
+closed forms (TV via the analytic density crossing points, which is more
+robust than quadrature of the absolute difference); the W1 distance of a
+sample to a Gaussian uses the quantile coupling. ToyParams and
+ar1_kernel_t give the exact law of the scalar toy chain after t sweeps.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import norm
 
-from .errors import InvalidParameter, TooFewSamples, UnsupportedModel
+from .errors import InvalidParameter, UnsupportedModel
 from .numerics import QuadratureSpec, cdf_l1_distance
 
 
@@ -31,81 +31,6 @@ class Normal1D:
 
     def cdf(self, x):
         return norm.cdf(x, loc=self.mean, scale=self.std)
-
-
-@dataclass(frozen=True)
-class ProjectionHistogram:
-    """Per-bin masses of samples projected on a unit direction."""
-
-    direction: np.ndarray
-    edges: np.ndarray
-    masses: np.ndarray
-
-    def __post_init__(self):
-        if abs(float(self.masses.sum()) - 1.0) > 1e-12:
-            raise ValueError("bin masses must sum to one")
-        if np.any(np.diff(self.edges) <= 0):
-            raise ValueError("edges must be strictly increasing")
-
-
-def _project(samples: np.ndarray, direction: np.ndarray | None) -> np.ndarray:
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        return samples
-    if direction is None:
-        raise ValueError("multidimensional samples need a projection direction")
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    return samples @ direction
-
-
-def binned_tv(samples_a, samples_b_or_cdf, direction=None, n_bins: int = 50) -> float:
-    """Discretized total variation between two sample sets on a shared grid.
-
-    The second side may be an analytic CDF callable instead of samples, in
-    which case the mass it carries outside the empirical range is also
-    counted. Requires at least 10 samples per bin on each empirical side.
-    """
-    xa = _project(samples_a, direction)
-    if xa.size < 10 * n_bins:
-        raise TooFewSamples(f"need at least {10 * n_bins} samples, got {xa.size}")
-    analytic = callable(samples_b_or_cdf)
-    if analytic:
-        lo, hi = float(xa.min()), float(xa.max())
-    else:
-        xb = _project(samples_b_or_cdf, direction)
-        if xb.size < 10 * n_bins:
-            raise TooFewSamples(f"need at least {10 * n_bins} samples, got {xb.size}")
-        lo = float(min(xa.min(), xb.min()))
-        hi = float(max(xa.max(), xb.max()))
-    edges = np.linspace(lo, hi, n_bins + 1)
-    pa = np.histogram(xa, bins=edges)[0] / xa.size
-    if analytic:
-        cdf_vals = np.asarray([samples_b_or_cdf(e) for e in edges], dtype=float)
-        pb = np.diff(cdf_vals)
-        tail = cdf_vals[0] + (1.0 - cdf_vals[-1])
-    else:
-        pb = np.histogram(xb, bins=edges)[0] / xb.size
-        tail = 0.0
-    return 0.5 * (float(np.abs(pa - pb).sum()) + tail)
-
-
-def empirical_w1_1d(samples_a, samples_b) -> float:
-    """L1 distance between the empirical CDFs of two 1-d sample sets."""
-    a = np.sort(np.asarray(samples_a, dtype=float).ravel())
-    b = np.sort(np.asarray(samples_b, dtype=float).ravel())
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both sample sets must be nonempty")
-    if a.size == b.size:
-        return float(np.abs(a - b).mean())
-    # Unequal sizes: integrate |F_a - F_b| piecewise over the merged grid.
-    grid = np.concatenate([a, b])
-    order = np.argsort(grid, kind="mergesort")
-    grid = grid[order]
-    # Step increments: +1/na for points of a, -1/nb for points of b.
-    steps = np.concatenate([np.full(a.size, 1.0 / a.size), np.full(b.size, -1.0 / b.size)])
-    diff = np.cumsum(steps[order])[:-1]
-    return float(np.sum(np.abs(diff) * np.diff(grid)))
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,11 @@ class SplitFactor:
     def dim(self) -> int:
         return self.potential.dim
 
+    @cached_property
+    def group(self) -> "FactorGroup":
+        """This factor as a group of one (FactorGroup.of), built once."""
+        return FactorGroup.of(self)
+
 
 ALL_BLOCKS = slice(None)
 
@@ -196,7 +201,7 @@ class SplitModel:
     """
 
     def __init__(self, d: int, factors):
-        groups = tuple(f if isinstance(f, FactorGroup) else FactorGroup.of(f) for f in factors)
+        groups = tuple(f if isinstance(f, FactorGroup) else f.group for f in factors)
         if not groups:
             raise ValueError("a model needs at least one factor")
         for g in groups:

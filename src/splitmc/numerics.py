@@ -14,9 +14,6 @@ from scipy.special import gammaln
 
 from .errors import NonSymmetric, QuadratureFailure
 
-# Dense eigendecomposition is used up to this size; power iteration beyond.
-_DENSE_EIG_LIMIT = 2000
-
 # Truncation target for the parabolic-cylinder integrand: tail mass below
 # exp(-80) of the peak, comfortably under double-precision resolution.
 _TAIL_LOG_DROP = 80.0
@@ -124,30 +121,10 @@ def _require_symmetric(s: np.ndarray) -> np.ndarray:
 
 
 def lambda_extremes(s: np.ndarray) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a symmetric matrix, to 1e-10 relative accuracy.
-
-    Dense eigendecomposition up to 2000x2000; iterative Krylov extremes
-    above that (plain power iteration stalls on clustered spectra).
-    """
+    """(lambda_min, lambda_max) of a symmetric matrix, by dense eigendecomposition."""
     s = _require_symmetric(s)
-    n = s.shape[0]
-    if n <= _DENSE_EIG_LIMIT:
-        eigs = np.linalg.eigvalsh(s)
-        return float(eigs[0]), float(eigs[-1])
-    from scipy.sparse.linalg import eigsh
-
-    v0 = np.full(n, 1.0 / math.sqrt(n))
-    lam_max = float(eigsh(s, k=1, which="LA", tol=1e-12, v0=v0,
-                          return_eigenvectors=False)[0])
-    lam_min = float(eigsh(s, k=1, which="SA", tol=1e-12, v0=v0,
-                          return_eigenvectors=False)[0])
-    return lam_min, lam_max
-
-
-def spectral_norm(s: np.ndarray) -> float:
-    """Spectral norm of a symmetric matrix."""
-    lo, hi = lambda_extremes(s)
-    return max(abs(lo), abs(hi))
+    eigs = np.linalg.eigvalsh(s)
+    return float(eigs[0]), float(eigs[-1])
 
 
 def cdf_l1_distance(f_cdf, g_cdf, support: tuple[float, float],

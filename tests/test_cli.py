@@ -130,6 +130,12 @@ class TestExitCodes:
         ["experiment", "gaussian-mixing", "--set", "which=nope"],
         ["experiment", "mixture", "--set", "d_grid=()"],
         ["sample", "--model", "toy-gaussian-1", "--b", "0", "--rho", "1"],
+        ["sample", "--model", "logistic-split1", "--n", "0", "--rho", "0.5"],
+        ["sample", "--model", "logistic-split2", "--n", "0", "--b", "1", "--rho", "0.5"],
+        ["sample", "--model", "logistic-split1", "--d", "0", "--rho", "0.5"],
+        ["sample", "--model", "logistic-split2", "--d", "0", "--n", "10", "--b", "2",
+         "--rho", "0.5"],
+        ["sample", "--model", "aniso-gaussian", "--kappa", "0", "--rho", "0.5"],
     ])
     def test_invalid_parameters_map_to_2(self, argv, tmp_path, capfd):
         assert main(argv + ["--out", str(tmp_path)]) == 2

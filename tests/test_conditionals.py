@@ -37,6 +37,8 @@ from splitmc.errors import InvalidParameter
 from splitmc.model import ALL_BLOCKS, FactorGroup, Potential, SplitFactor
 from splitmc.zoo import mixture_group
 
+import scalar_reference as reference
+
 
 def scalar_quadratic_factor(m, a=1.0, center=0.0):
     return SplitFactor(a=np.array([[a]]),
@@ -297,7 +299,7 @@ class TestRejectionSampler:
 
     def test_group_certificates_match_scalar_reference(self):
         # Given theta, warm starts and certificates are deterministic: the
-        # group path reproduces the one-block reference block by block, from
+        # group path reproduces the scalar oracle block by block, from
         # the fresh anchor and from a carried-over start.
         rng = np.random.default_rng(19)
         total_steps = 0
@@ -313,19 +315,22 @@ class TestRejectionSampler:
                     assert (proposals >= 1).all()
                     for j, factor in enumerate(model.factors):
                         z0 = None if z_warm is None else z_warm[j]
-                        z_tilde, _, ref_steps = warm_start_minimize(
-                            factor, factor.a @ theta, rho, gd_stop_threshold(factor, rho), z0=z0)
+                        z_tilde, _, ref_steps = reference.warm_start_minimize(
+                            factor, factor.a @ theta, rho,
+                            reference.gd_stop_threshold(factor, rho), z0=z0)
                         assert steps[j] == ref_steps
-                        ref = expected_proposals_bound(factor, theta, z_tilde, rho)
+                        ref = reference.expected_proposals_bound(factor, theta, z_tilde, rho)
                         assert expected[j] == pytest.approx(ref, rel=1e-12)
                     total_steps += int(steps.sum())
         assert total_steps > 0
 
     @pytest.mark.parametrize("case", ["criterion-4 quadratic", "logistic-split2 shard"])
     def test_group_of_one_reproduces_scalar_draws(self, case):
-        # sample_z_group on FactorGroup.of(factor) consumes the stream like
-        # sample_z_rejection and does the same arithmetic: the same draws,
-        # proposal counts and descent steps bit for bit, draw after draw.
+        # sample_z_rejection, sample_z_group on the factor's group of one,
+        # consumes the stream like the scalar oracle and does the same
+        # arithmetic: the same draws, proposal counts and descent steps bit
+        # for bit, draw after draw, from fresh starts and from a carried start
+        # (z_warm, the block's previous draw).
         if case == "criterion-4 quadratic":
             m = 0.8
             factor = SplitFactor(a=np.array([[1.0]]),
@@ -340,22 +345,24 @@ class TestRejectionSampler:
             # The edge of the at-most-2-proposals regime.
             rho = 1.0 / math.sqrt(2.0 * factor.dim * (pot.M - pot.m) - pot.m)
             theta, seed, n = np.full(10, 0.5), 7, 3_000
-        group = FactorGroup.of(factor)
-        a_theta = group.couple(theta)
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        total_steps = total_proposals = 0
-        for _ in range(n):
-            z_ref, report = sample_z_rejection(factor, theta, rho, ref_rng)
-            z, proposals, steps, expected = sample_z_group(group, a_theta, rho, rng)
-            assert z[0].tobytes() == z_ref.tobytes()
-            assert proposals[0] == report.proposals_used
-            assert steps[0] == report.warm_start_gd_steps
-            assert expected[0] == pytest.approx(report.expected_bound, rel=1e-12)
-            total_steps += int(steps[0])
-            total_proposals += int(proposals[0])
-        assert total_steps > 0
-        if case == "logistic-split2 shard":
-            assert total_proposals > n
+        for carried in (False, True):
+            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            z_ref = z = None
+            total_steps = total_proposals = 0
+            for _ in range(n):
+                z_ref, ref = reference.sample_z_rejection(
+                    factor, theta, rho, ref_rng, z_warm=z_ref if carried else None)
+                z, report = sample_z_rejection(factor, theta, rho, rng,
+                                               z_warm=z if carried else None)
+                assert z.tobytes() == z_ref.tobytes()
+                assert report.proposals_used == ref.proposals_used
+                assert report.warm_start_gd_steps == ref.warm_start_gd_steps
+                assert report.expected_bound == pytest.approx(ref.expected_bound, rel=1e-12)
+                total_steps += report.warm_start_gd_steps
+                total_proposals += report.proposals_used
+            assert total_steps > 0
+            if case == "logistic-split2 shard":
+                assert total_proposals > n
 
     def test_flat_certificate_at_exact_warm_start(self):
         # Quadratic blocks drawn by rejection whose fresh warm start A_j theta
@@ -389,6 +396,10 @@ class TestRejectionSampler:
         with pytest.raises(NotSmooth):
             sample_z_group(FactorGroup.of(rough), np.zeros((1, 1)), 0.5,
                            np.random.default_rng(0))
+        with pytest.raises(NotSmooth):
+            warm_start_minimize(rough, np.array([0.3]), 0.5, 1e-3)
+        with pytest.raises(NotSmooth):
+            expected_proposals_bound(rough, np.array([0.3]), np.array([0.1]), 0.5)
 
     def test_warm_start_step_bound_holds(self):
         # The descent step count respects its contraction-rate ceiling.
@@ -427,11 +438,11 @@ class TestGroupDescent:
     def _assert_matches_reference(self, model, theta, rho, z_warm, z_tilde, steps, expected):
         for j, factor in enumerate(model.factors):
             z0 = None if z_warm is None else z_warm[j]
-            ref_z, _, ref_steps = warm_start_minimize(
-                factor, factor.a @ theta, rho, gd_stop_threshold(factor, rho), z0=z0)
+            ref_z, _, ref_steps = reference.warm_start_minimize(
+                factor, factor.a @ theta, rho, reference.gd_stop_threshold(factor, rho), z0=z0)
             assert steps[j] == ref_steps
             np.testing.assert_allclose(z_tilde[j], ref_z, rtol=1e-12, atol=1e-12)
-            ref = expected_proposals_bound(factor, theta, ref_z, rho)
+            ref = reference.expected_proposals_bound(factor, theta, ref_z, rho)
             assert expected[j] == pytest.approx(ref, rel=1e-12)
 
     def test_descent_addresses_blocks_by_slice_until_some_stop(self):

@@ -1,4 +1,4 @@
-"""Sweep kernel behavior, baselines, optimizer twins, traces and reproducibility."""
+"""Sweep kernel behavior, optimizer twins, traces and reproducibility."""
 
 import math
 import sys
@@ -14,18 +14,15 @@ from splitmc import (
     admm_solve,
     am_solve,
     build_model,
-    extended_langevin_step,
-    find_minimizer,
     initial_state,
     read_trace,
     run_chain,
     sgs_sweep,
     sweep_conditional_modes,
-    ula_step,
 )
 from splitmc.conditionals import ThetaConditional
 from splitmc.engine import PHASE_BLOCKS, PHASE_MASTER, ChainState, SweepStreams, TraceWriter
-from splitmc.errors import InvalidParameter, NonFiniteDraw, NotSmooth
+from splitmc.errors import InvalidParameter, NonFiniteDraw
 from splitmc.metrics import ToyParams
 from splitmc.model import FactorGroup, make_quadratic_group
 
@@ -267,88 +264,6 @@ class TestStreamContract:
             ChainState(theta=np.zeros(1), z_groups=(), sweep=-1, rng_seed_root=0)
         with pytest.raises(InvalidParameter):
             ThetaConditional(build_model("toy-gaussian-1"), 0.0)
-
-
-class TestUnadjustedLangevin:
-    def test_zero_gradient_is_random_walk(self):
-        flat = make_quadratic_group(np.eye(2)[None], precision=0.0, center=np.zeros(2))
-        model = SplitModel(2, [flat])
-        h = 0.3
-        rng = np.random.default_rng(6)
-        steps = np.array([ula_step(model, np.zeros(2), h, rng) for _ in range(20_000)])
-        var = steps.var(axis=0)
-        se = 2 * h * math.sqrt(2.0 / 20_000)
-        assert np.all(np.abs(var - 2 * h) <= 4 * se)
-
-    def test_gaussian_stationary_variance(self):
-        # For N(0, s2) the chain is AR(1) with stationary variance s2/(1 - h/(2 s2)).
-        s2, h = 1.0, 0.5
-        model = SplitModel(1, [make_quadratic_group(np.eye(1)[None], precision=1.0 / s2,
-                                                    center=0.0)])
-        rng = np.random.default_rng(14)
-        n = 100_000
-        xs = np.empty(n)
-        theta = np.zeros(1)
-        for k in range(n):
-            theta = ula_step(model, theta, h, rng)
-            xs[k] = theta[0]
-        target = s2 / (1.0 - h / (2.0 * s2))
-        phi = 1.0 - h / s2
-        n_eff = n * (1.0 - phi**2) / (1.0 + phi**2)
-        se = target * math.sqrt(2.0 / n_eff)
-        assert abs(xs[1000:].var() - target) <= 4 * se
-
-    def test_smoothed_variance_identity(self):
-        # One sweep with width rho adds exactly rho^2/b to the toy target variance,
-        # the same inflation a Langevin step of size h = rho^2 is compared against.
-        sigma, b, rho = 3.0, 10, 0.7
-        params = ToyParams(mu=0.0, sigma=sigma, b=b, rho=rho)
-        assert params.stationary.variance == pytest.approx(sigma**2 / b + rho**2 / b)
-
-    def test_needs_smoothness(self):
-        from splitmc.model import Potential, SplitFactor
-        rough = SplitModel(1, [SplitFactor(
-            a=np.eye(1),
-            potential=Potential(dim=1, value=lambda z: abs(float(z[0])),
-                                gradient=lambda z: np.sign(np.atleast_1d(z)),
-                                m=0.0, M=math.inf, L=1.0))])
-        with pytest.raises(NotSmooth):
-            ula_step(rough, np.zeros(1), 0.1, np.random.default_rng(0))
-
-
-class TestExtendedLangevin:
-    def test_zero_step_is_identity(self):
-        model = build_model("gaussian-mixture", d=3)
-        state = initial_state(model, np.array([0.1, -0.2, 0.3]), seed=0)
-        out = extended_langevin_step(model, state, rho=0.5, h=0.0,
-                                     rng=np.random.default_rng(0))
-        assert np.array_equal(out.theta, state.theta)
-        assert all(np.array_equal(za, zb) for za, zb in zip(out.z_blocks, state.z_blocks))
-
-    def test_drift_vanishes_at_joint_minimizer(self):
-        model = build_model("gaussian-mixture", d=4)
-        theta_star = find_minimizer(model).theta_star
-        state = initial_state(model, theta_star, seed=0)
-        out = extended_langevin_step(model, state, rho=0.5, h=0.1, rng=_ZeroRng())
-        assert np.linalg.norm(out.theta - theta_star) <= 1e-9
-        assert np.linalg.norm(out.z_blocks[0] - state.z_blocks[0]) <= 1e-9
-
-    def test_small_step_stationary_variance(self):
-        sigma, rho, h = 1.0, 1.0, 0.02
-        model = build_model("toy-gaussian-2", sigma=sigma, b=1)
-        rng = np.random.default_rng(10)
-        state = initial_state(model, np.zeros(1), seed=0)
-        n = 200_000
-        xs = np.empty(n)
-        for k in range(n):
-            state = extended_langevin_step(model, state, rho=rho, h=h, rng=rng)
-            xs[k] = state.theta[0]
-        target = sigma**2 + rho**2  # exact smoothed variance
-        burn = 20_000
-        err = abs(xs[burn:].var() - target)
-        tau = 1.0 / (h * 0.3)  # crude relaxation time of the slowest joint mode
-        se = target * math.sqrt(2.0 * 2 * tau / (n - burn))
-        assert err <= 4 * se + 3.0 * h * target
 
 
 class TestOptimizerTwins:
