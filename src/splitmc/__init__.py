@@ -19,7 +19,6 @@ from .errors import (
     NotStronglyConvex,
     QuadratureFailure,
     SingularGram,
-    SingularModel,
     SplitMCError,
     UnsupportedModel,
 )
@@ -55,7 +54,6 @@ from .model import (
     find_minimizer,
     make_quadratic_group,
     model_constants,
-    regularize_model,
 )
 from .planner import Plan, k_sgs, plan_tv_multi, plan_tv_nonstrongly, plan_tv_single, plan_w1_single
 from .bias import BiasBound, pi_rho_closed_form, tv_bound_lipschitz, tv_bound_strongly_convex, w1_bound_single

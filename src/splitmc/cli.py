@@ -30,7 +30,6 @@ from .errors import (
     NotStronglyConvex,
     QuadratureFailure,
     SingularGram,
-    SingularModel,
     SplitMCError,
     UnsupportedModel,
 )
@@ -42,7 +41,7 @@ from .planner import plan_tv_multi, plan_tv_nonstrongly, plan_tv_single, plan_w1
 _VALIDITY_ERRORS = (EpsilonOutOfRange, InvalidParameter, NotCentered, NotStronglyConvex,
                     UnsupportedModel)
 _NUMERICAL_ERRORS = (QuadratureFailure, NonConvergence, NonFiniteDraw, AcceptanceStall,
-                     SingularGram, SingularModel)
+                     SingularGram)
 
 
 def _model_kwargs(args) -> dict:
@@ -60,8 +59,10 @@ def _model_kwargs(args) -> dict:
     return table[args.model]
 
 
-def _add_model_flags(parser):
-    parser.add_argument("--model", required=True, choices=zoo.model_names())
+def _add_model_flags(parser, default_model=None):
+    """The zoo model flags; --model is required unless a default is given."""
+    parser.add_argument("--model", required=default_model is None, default=default_model,
+                        choices=zoo.model_names())
     parser.add_argument("--sigma", type=float, default=3.0)
     parser.add_argument("--b", type=int, default=10)
     parser.add_argument("--mu", type=float, default=0.0)
@@ -69,7 +70,7 @@ def _add_model_flags(parser):
     parser.add_argument("--n", type=int, default=200)
     parser.add_argument("--kappa", type=float, default=4.0)
     parser.add_argument("--big-m", type=float, default=1.0, dest="big_m",
-                        help="smoothness constant M for the anisotropic Gaussian")
+                        help="smoothness constant M (anisotropic Gaussian or plan theorem)")
     parser.add_argument("--a-norm", type=float, default=1.0 / math.sqrt(2.0))
     parser.add_argument("--data-seed", type=int, default=0)
 
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--R", type=float, default=1.0)
     p_plan.add_argument("--seed", type=int, default=0)
     p_plan.add_argument("--out", default=None)
-    _add_model_flags_optional(p_plan)
+    _add_model_flags(p_plan, default_model="aniso-gaussian")
 
     p_sample = sub.add_parser("sample", help="run one chain on a zoo model")
     _add_model_flags(p_sample)
@@ -245,19 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out", default=None)
 
     return parser
-
-
-def _add_model_flags_optional(parser):
-    parser.add_argument("--model", default="aniso-gaussian", choices=zoo.model_names())
-    parser.add_argument("--sigma", type=float, default=3.0)
-    parser.add_argument("--b", type=int, default=10)
-    parser.add_argument("--mu", type=float, default=0.0)
-    parser.add_argument("--d", type=int, default=10)
-    parser.add_argument("--n", type=int, default=200)
-    parser.add_argument("--kappa", type=float, default=4.0)
-    parser.add_argument("--big-m", type=float, default=1.0, dest="big_m")
-    parser.add_argument("--a-norm", type=float, default=1.0 / math.sqrt(2.0))
-    parser.add_argument("--data-seed", type=int, default=0)
 
 
 _COMMANDS = {

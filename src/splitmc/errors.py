@@ -11,10 +11,6 @@ class DimensionMismatch(SplitMCError):
     """An input vector or matrix has an incompatible shape."""
 
 
-class SingularModel(SplitMCError):
-    """A quantity requiring aggregate strong convexity was requested but m_U <= 0."""
-
-
 class SingularGram(SplitMCError):
     """The stacked coupling matrix does not have full row rank."""
 

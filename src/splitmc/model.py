@@ -27,7 +27,6 @@ from .errors import (
     NotSmooth,
     NotStronglyConvex,
     SingularGram,
-    SingularModel,
 )
 from .numerics import lambda_extremes
 
@@ -105,11 +104,8 @@ class FactorGroup:
     or minimize every block's coupled conditional at once, with a_theta of
     shape (b, k); they are the only closed forms of a conditional. Groups
     without them go through the rejection sampler and the warm-start descent,
-    which need smooth, i.e. every M finite.
-
-    A plain SplitFactor is a group of one (FactorGroup.of), whose `factors`
-    is that factor itself. Other groups give per-block SplitFactor views
-    carrying the coupling and the potential.
+    which need smooth, i.e. every M finite. A plain SplitFactor is a group
+    of one (FactorGroup.of).
     """
 
     def __init__(self, a, value, gradient, m, M, L=math.inf, sampler=None, mode=None):
@@ -135,7 +131,6 @@ class FactorGroup:
         self.m, self.M, self.L = m, M, L
         self.sampler = sampler
         self.mode = mode
-        self._factors = None
 
     @classmethod
     def of(cls, factor: SplitFactor) -> "FactorGroup":
@@ -148,9 +143,7 @@ class FactorGroup:
         def gradient(z, rows):
             return np.array([np.asarray(pot.gradient(zi), dtype=float) for zi in z]).reshape(-1, k)
 
-        group = cls(factor.a[None], value, gradient, pot.m, pot.M, pot.L)
-        group._factors = (factor,)
-        return group
+        return cls(factor.a[None], value, gradient, pot.m, pot.M, pot.L)
 
     @property
     def b(self) -> int:
@@ -167,26 +160,6 @@ class FactorGroup:
     def couple(self, theta: np.ndarray) -> np.ndarray:
         """A_j theta for every block, shape (b, k)."""
         return (self.a_flat @ theta).reshape(self.b, self.k)
-
-    @property
-    def factors(self) -> tuple:
-        """Per-block SplitFactor views, built on first access."""
-        if self._factors is None:
-            self._factors = tuple(self._block_view(j) for j in range(self.b))
-        return self._factors
-
-    def _block_view(self, j: int) -> SplitFactor:
-        rows, k = slice(j, j + 1), self.k
-
-        def value(z):
-            return float(self.value(np.reshape(np.asarray(z, dtype=float), (1, k)), rows)[0])
-
-        def gradient(z):
-            return self.gradient(np.reshape(np.asarray(z, dtype=float), (1, k)), rows)[0]
-
-        pot = Potential(dim=k, value=value, gradient=gradient, m=float(self.m[j]),
-                        M=float(self.M[j]), L=float(self.L[j]))
-        return SplitFactor(a=self.a[j], potential=pot)
 
 
 class SplitModel:
@@ -243,11 +216,6 @@ class SplitModel:
     @property
     def block_dims(self) -> tuple[int, ...]:
         return tuple(g.k for g in self.groups for _ in range(g.b))
-
-    @cached_property
-    def factors(self) -> tuple:
-        """Every block as a SplitFactor, in block order."""
-        return tuple(f for g in self.groups for f in g.factors)
 
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -351,12 +319,8 @@ class ModelConstants:
     def max_M(self) -> float:
         return max(self.M_list)
 
-    @property
-    def strongly_convex(self) -> bool:
-        return self.m_U > 0.0
 
-
-def model_constants(model: SplitModel, require_strongly_convex: bool = False) -> ModelConstants:
+def model_constants(model: SplitModel) -> ModelConstants:
     """Spectral aggregates of a model: m_U, sigma^2_U, norms and det ratios."""
     d = model.d
     smooth = model.smooth()
@@ -368,9 +332,6 @@ def model_constants(model: SplitModel, require_strongly_convex: bool = False) ->
         m_U = 0.0
     gram_norm = lambda_extremes(model.gram)[1]
     max_M = float(model.M.max())
-
-    if require_strongly_convex and m_U <= 0.0:
-        raise SingularModel("aggregate strong convexity m_U is zero")
 
     if m_U > 0.0 and math.isfinite(max_M):
         sigma2_U = gram_norm * max_M**2 / m_U
@@ -483,15 +444,6 @@ def max_factor_gradient_at(model: SplitModel, theta_star: np.ndarray) -> float:
         float(np.linalg.norm(g.gradient(g.couple(theta_star), ALL_BLOCKS), axis=1).max())
         for g in model.groups
     )
-
-
-def regularize_model(model: SplitModel, lam: float, theta_star: np.ndarray) -> SplitModel:
-    """Append a quadratic factor (lam/2)||theta - theta_star||^2 (identity coupling)."""
-    if lam <= 0:
-        raise ValueError("regularizer weight must be positive")
-    extra = make_quadratic_group(np.eye(model.d)[None], precision=lam,
-                                 center=np.asarray(theta_star, dtype=float))
-    return SplitModel(model.d, model.groups + (extra,))
 
 
 # ---------------------------------------------------------------------------

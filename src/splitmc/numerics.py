@@ -21,7 +21,7 @@ _TAIL_LOG_DROP = 80.0
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances for the adaptive quadratures in this module."""
+    """Tolerances for the parabolic-cylinder quadrature."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
@@ -126,45 +126,3 @@ def lambda_extremes(s: np.ndarray) -> tuple[float, float]:
     eigs = np.linalg.eigvalsh(s)
     return float(eigs[0]), float(eigs[-1])
 
-
-def cdf_l1_distance(f_cdf, g_cdf, support: tuple[float, float],
-                    spec: QuadratureSpec | None = None, breakpoints=None) -> float:
-    """L1 distance between two CDFs, int |F - G| dx.
-
-    The integration window starts from `support` and is widened until both
-    CDFs carry less than abs_tol mass outside it. Known discontinuities
-    (e.g. the jumps of empirical CDFs) can be passed as breakpoints.
-    """
-    spec = spec or QuadratureSpec()
-    lo, hi = float(support[0]), float(support[1])
-    if not lo < hi:
-        raise ValueError("support must be a nonempty interval")
-    width = hi - lo
-    for _ in range(200):
-        if f_cdf(lo) + g_cdf(lo) <= spec.abs_tol:
-            break
-        lo -= width
-        width = hi - lo
-    else:
-        raise QuadratureFailure("left tail never fell below abs_tol")
-    for _ in range(200):
-        if (1.0 - f_cdf(hi)) + (1.0 - g_cdf(hi)) <= spec.abs_tol:
-            break
-        hi += width
-        width = hi - lo
-    else:
-        raise QuadratureFailure("right tail never fell below abs_tol")
-
-    points = None
-    if breakpoints is not None:
-        points = sorted(p for p in breakpoints if lo < p < hi)
-    value, abserr = integrate.quad(
-        lambda x: abs(f_cdf(x) - g_cdf(x)), lo, hi, points=points,
-        limit=max(spec.max_subdivisions, (len(points) + 1) * 2 if points else 0),
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-    )
-    if abserr > max(spec.abs_tol, spec.rel_tol * max(value, 1e-300)) * 10.0:
-        raise QuadratureFailure(
-            f"cdf L1 quadrature missed tolerance: value={value}, err={abserr}"
-        )
-    return float(value)

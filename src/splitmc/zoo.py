@@ -100,6 +100,8 @@ def gaussian_mixture(d: int = 60, a_norm: float = 1.0 / math.sqrt(2.0)) -> Split
     identity split whose coupled conditional is an exact two-component
     mixture (mixture_group).
     """
+    if d < 1:
+        raise InvalidParameter(f"the mixture needs d >= 1, got d={d}")
     if not 0 < a_norm < 1:
         raise InvalidParameter("mixture needs 0 < ||a|| < 1 for strong convexity")
     a = np.full(d, a_norm / math.sqrt(d))

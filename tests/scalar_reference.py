@@ -1,4 +1,5 @@
-"""The one-block rejection sampler, written out scalar by scalar: the test oracle.
+"""Test oracles: the one-block rejection sampler, written out scalar by scalar,
+and the L1 distance of two CDFs by quadrature.
 
 splitmc draws every auxiliary block through the group path
 (conditionals.warm_start_group, sample_z_group, _certificate); its one-block
@@ -6,6 +7,10 @@ names are wrappers over that path. This module keeps the plain scalar
 algorithm those functions were derived from, so tests can compare the
 group path against an independent implementation: warm starts, step counts
 and certificates block by block, and draws bit for bit on a shared stream.
+block_factors gives the oracle each block of a model as a SplitFactor.
+
+cdf_l1_distance integrates |F - G| numerically; it checks the closed-form
+Gaussian W1 distance (metrics.gaussian_w1_1d) and the empirical one.
 """
 
 from __future__ import annotations
@@ -13,13 +18,44 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import integrate
 
 from splitmc.conditionals import DEFAULT_PROPOSAL_CAP, RejectionReport
-from splitmc.errors import AcceptanceStall, NonConvergence, NotSmooth, check_rho
-from splitmc.model import SplitFactor
+from splitmc.errors import (
+    AcceptanceStall,
+    NonConvergence,
+    NotSmooth,
+    QuadratureFailure,
+    check_rho,
+)
+from splitmc.model import Potential, SplitFactor
+from splitmc.numerics import QuadratureSpec
 
 # Warm starts stop once ||grad V_i|| <= (2/7) sqrt(1/rho^2 + m_i) / sqrt(d_i).
 _GD_STOP_FACTOR = 2.0 / 7.0
+
+
+def block_factors(model) -> tuple:
+    """Every block of a model as a SplitFactor, in block order.
+
+    Block j of a group is a view: its potential evaluates the group's
+    value and gradient on row j, with the block's certified constants.
+    """
+    return tuple(_block_view(g, j) for g in model.groups for j in range(g.b))
+
+
+def _block_view(group, j: int) -> SplitFactor:
+    rows, k = slice(j, j + 1), group.k
+
+    def value(z):
+        return float(group.value(np.reshape(np.asarray(z, dtype=float), (1, k)), rows)[0])
+
+    def gradient(z):
+        return group.gradient(np.reshape(np.asarray(z, dtype=float), (1, k)), rows)[0]
+
+    pot = Potential(dim=k, value=value, gradient=gradient, m=float(group.m[j]),
+                    M=float(group.M[j]), L=float(group.L[j]))
+    return SplitFactor(a=group.a[j], potential=pot)
 
 
 def _norm(g) -> float:
@@ -172,3 +208,47 @@ def sample_z_rejection(factor: SplitFactor, theta: np.ndarray, rho: float, rng,
             return z, RejectionReport(proposals_used=proposals,
                                       warm_start_gd_steps=gd_steps,
                                       expected_bound=expected)
+
+
+def cdf_l1_distance(f_cdf, g_cdf, support: tuple[float, float],
+                    spec: QuadratureSpec | None = None, breakpoints=None) -> float:
+    """L1 distance between two CDFs, int |F - G| dx.
+
+    The integration window starts from `support` and is widened until both
+    CDFs carry less than abs_tol mass outside it. Known kinks or
+    discontinuities (the crossing of two CDFs, the jumps of empirical CDFs)
+    can be passed as breakpoints.
+    """
+    spec = spec or QuadratureSpec()
+    lo, hi = float(support[0]), float(support[1])
+    if not lo < hi:
+        raise ValueError("support must be a nonempty interval")
+    width = hi - lo
+    for _ in range(200):
+        if f_cdf(lo) + g_cdf(lo) <= spec.abs_tol:
+            break
+        lo -= width
+        width = hi - lo
+    else:
+        raise QuadratureFailure("left tail never fell below abs_tol")
+    for _ in range(200):
+        if (1.0 - f_cdf(hi)) + (1.0 - g_cdf(hi)) <= spec.abs_tol:
+            break
+        hi += width
+        width = hi - lo
+    else:
+        raise QuadratureFailure("right tail never fell below abs_tol")
+
+    points = None
+    if breakpoints is not None:
+        points = sorted(p for p in breakpoints if lo < p < hi)
+    value, abserr = integrate.quad(
+        lambda x: abs(f_cdf(x) - g_cdf(x)), lo, hi, points=points,
+        limit=max(spec.max_subdivisions, (len(points) + 1) * 2 if points else 0),
+        epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+    )
+    if abserr > max(spec.abs_tol, spec.rel_tol * max(value, 1e-300)) * 10.0:
+        raise QuadratureFailure(
+            f"cdf L1 quadrature missed tolerance: value={value}, err={abserr}"
+        )
+    return float(value)

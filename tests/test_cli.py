@@ -136,6 +136,7 @@ class TestExitCodes:
         ["sample", "--model", "logistic-split2", "--d", "0", "--n", "10", "--b", "2",
          "--rho", "0.5"],
         ["sample", "--model", "aniso-gaussian", "--kappa", "0", "--rho", "0.5"],
+        ["sample", "--model", "gaussian-mixture", "--d", "0", "--rho", "0.5", "--sweeps", "2"],
     ])
     def test_invalid_parameters_map_to_2(self, argv, tmp_path, capfd):
         assert main(argv + ["--out", str(tmp_path)]) == 2

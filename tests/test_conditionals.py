@@ -209,7 +209,7 @@ class TestRejectionSampler:
 
     def test_logistic_factor_ks_against_quadrature_cdf(self):
         model = build_model("logistic-split1", d=3, n=20, seed=5)
-        factor = model.factors[0]
+        factor = reference.block_factors(model)[0]
         rho = 0.5
         theta = np.full(3, 0.4)
         rng = np.random.default_rng(31)
@@ -313,7 +313,7 @@ class TestRejectionSampler:
                     _, proposals, steps, expected = sample_z_group(
                         group, group.couple(theta), rho, np.random.default_rng(0), z_warm=z_warm)
                     assert (proposals >= 1).all()
-                    for j, factor in enumerate(model.factors):
+                    for j, factor in enumerate(reference.block_factors(model)):
                         z0 = None if z_warm is None else z_warm[j]
                         z_tilde, _, ref_steps = reference.warm_start_minimize(
                             factor, factor.a @ theta, rho,
@@ -340,7 +340,8 @@ class TestRejectionSampler:
                                                      m=m, M=m, L=math.inf))
             theta, rho, seed, n = np.array([1.4]), 0.6, 1001, 20_000
         else:
-            factor = build_model("logistic-split2", d=10, n=200, b=5, seed=0).factors[0]
+            model = build_model("logistic-split2", d=10, n=200, b=5, seed=0)
+            factor = reference.block_factors(model)[0]
             pot = factor.potential
             # The edge of the at-most-2-proposals regime.
             rho = 1.0 / math.sqrt(2.0 * factor.dim * (pot.M - pot.m) - pot.m)
@@ -405,7 +406,7 @@ class TestRejectionSampler:
         # The descent step count respects its contraction-rate ceiling.
         model = build_model("logistic-split2", d=4, n=40, b=4, seed=2)
         rng = np.random.default_rng(17)
-        for factor in model.factors:
+        for factor in reference.block_factors(model):
             for _ in range(10):
                 theta = rng.standard_normal(4) * 3.0
                 rho = float(rng.uniform(0.05, 1.0))
@@ -436,7 +437,7 @@ def recording(group):
 
 class TestGroupDescent:
     def _assert_matches_reference(self, model, theta, rho, z_warm, z_tilde, steps, expected):
-        for j, factor in enumerate(model.factors):
+        for j, factor in enumerate(reference.block_factors(model)):
             z0 = None if z_warm is None else z_warm[j]
             ref_z, _, ref_steps = reference.warm_start_minimize(
                 factor, factor.a @ theta, rho, reference.gd_stop_threshold(factor, rho), z0=z0)
@@ -538,7 +539,8 @@ class TestGroupDescent:
         with pytest.raises(InvalidParameter):
             sample_z_group(group, group.couple(np.zeros(4)), rho, np.random.default_rng(0))
         with pytest.raises(InvalidParameter):
-            sample_z_rejection(model.factors[0], np.zeros(4), rho, np.random.default_rng(0))
+            sample_z_rejection(reference.block_factors(model)[0], np.zeros(4), rho,
+                               np.random.default_rng(0))
         with pytest.raises(InvalidParameter):
             ThetaConditional(model, rho)
         with pytest.raises(InvalidParameter):

@@ -24,7 +24,7 @@ from splitmc.conditionals import ThetaConditional
 from splitmc.engine import PHASE_BLOCKS, PHASE_MASTER, ChainState, SweepStreams, TraceWriter
 from splitmc.errors import InvalidParameter, NonFiniteDraw
 from splitmc.metrics import ToyParams
-from splitmc.model import FactorGroup, make_quadratic_group
+from splitmc.model import ALL_BLOCKS, FactorGroup, make_quadratic_group
 
 
 class _ZeroRng:
@@ -290,12 +290,13 @@ class TestOptimizerTwins:
         rho = 1.0
         theta, z_blocks = am_solve(model, rho=rho, iters=400, inner_tol=1e-12)
         # Modes: grad V_i(z_i) = 0; master step: G theta = sum A_i^T z_i.
-        for f, z in zip(model.factors, z_blocks):
-            grad_v = f.potential.gradient(z) + (z - f.a @ theta) / rho**2
+        (g,) = model.groups
+        (z,) = model.as_groups(z_blocks)
+        grad_u = g.gradient(z, ALL_BLOCKS)
+        for j in range(g.b):
+            grad_v = grad_u[j] + (z[j] - g.a[j] @ theta) / rho**2
             assert np.linalg.norm(grad_v) <= 1e-6
-        s = np.zeros(3)
-        for f, z in zip(model.factors, z_blocks):
-            s += f.a.T @ z
+        s = model.assemble([z])
         assert np.linalg.norm(np.asarray(model.gram) @ theta - s) <= 1e-10
 
     def test_noise_free_sweeps_reproduce_alternating_minimization(self):

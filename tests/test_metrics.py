@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from splitmc import ToyParams, ar1_kernel_t
@@ -16,7 +17,9 @@ from splitmc.metrics import (
     gaussian_w1_1d,
     w1_samples_vs_gaussian,
 )
-from splitmc.numerics import cdf_l1_distance
+from splitmc.numerics import QuadratureSpec
+
+from scalar_reference import cdf_l1_distance
 
 
 def empirical_w1_1d(samples_a, samples_b) -> float:
@@ -35,6 +38,14 @@ def empirical_w1_1d(samples_a, samples_b) -> float:
     steps = np.concatenate([np.full(a.size, 1.0 / a.size), np.full(b.size, -1.0 / b.size)])
     diff = np.cumsum(steps[order])[:-1]
     return float(np.sum(np.abs(diff) * np.diff(grid)))
+
+
+def _gaussian_cdf(mean, var):
+    """CDF of N(mean, var); a unit step at mean for var = 0."""
+    if var == 0.0:
+        return lambda x: float(x >= mean)
+    s = math.sqrt(var)
+    return lambda x: float(ndtr((x - mean) / s))
 
 
 class TestEmpiricalW1:
@@ -57,8 +68,6 @@ class TestEmpiricalW1:
     def test_matches_cdf_l1_of_empirical_cdfs(self):
         # Step CDFs keep the quadrature honest only with a modest number of
         # jump points; the piecewise integral is exact either way.
-        from splitmc.numerics import QuadratureSpec
-
         rng = np.random.default_rng(6)
         a = np.sort(rng.standard_normal(25))
         b = np.sort(rng.standard_normal(40) + 0.5)
@@ -163,3 +172,28 @@ class TestGaussianClosedForms:
     def test_w1_same_mean_closed_form(self):
         assert gaussian_w1_1d(0.0, 1.0, 0.0, 4.0) == pytest.approx(
             math.sqrt(2 / math.pi), rel=1e-12)
+        # Any pair, against the L1 distance of the CDFs by quadrature. The
+        # breakpoints put the kink of |F1 - F2| at the CDF crossing
+        # (mu1 s2 - mu2 s1)/(s2 - s1), and the means +- 1, 2, 4, 8 s_i keep
+        # a narrow law visible next to a wide one.
+        rng = np.random.default_rng(23)
+        pairs = list(zip(rng.uniform(-3, 3, 200), np.exp(rng.uniform(-7, 4.6, 200)),
+                         rng.uniform(-3, 3, 200), np.exp(rng.uniform(-7, 4.6, 200))))
+        pairs += [(0.3, 2.0, -1.1, 2.0),           # equal variances: no crossing
+                  (1.0, 0.0, -0.5, 0.0),           # two point masses
+                  (1.0, 0.0, -0.5, 1.7),           # a point mass and a Gaussian
+                  (0.2, 0.6, 0.2, 0.0),            # a point mass at the Gaussian's mean
+                  (0.0047, 2.5**2, 0.0, 0.31**2),  # nearly equal means
+                  (-0.005, 1.0, 0.0, 4.0)]
+        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-13, max_subdivisions=500)
+        for mean1, var1, mean2, var2 in pairs:
+            s1, s2 = math.sqrt(var1), math.sqrt(var2)
+            points = [m + k * s for m, s in ((mean1, s1), (mean2, s2))
+                      for k in (-8, -4, -2, -1, 0, 1, 2, 4, 8)]
+            if s1 != s2:
+                points.append((mean1 * s2 - mean2 * s1) / (s2 - s1))
+            support = (min(mean1 - 8 * s1, mean2 - 8 * s2) - 1.0,
+                       max(mean1 + 8 * s1, mean2 + 8 * s2) + 1.0)
+            expected = cdf_l1_distance(_gaussian_cdf(mean1, var1), _gaussian_cdf(mean2, var2),
+                                       support, spec, breakpoints=points)
+            assert gaussian_w1_1d(mean1, var1, mean2, var2) == pytest.approx(expected, rel=1e-12)

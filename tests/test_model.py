@@ -36,10 +36,17 @@ def fd_gradient(value, z, rel_step=1e-6):
     return g
 
 
-def assert_gradient_matches(potential, points, rtol=1e-5):
+def block_value(group, j):
+    """Block j's potential as a function of one point z of shape (k,)."""
+    rows = slice(j, j + 1)
+    return lambda z: float(group.value(np.reshape(z, (1, -1)), rows)[0])
+
+
+def assert_gradient_matches(group, j, points, rtol=1e-5):
+    rows = slice(j, j + 1)
     for z in points:
-        g = np.atleast_1d(potential.gradient(z))
-        g_fd = fd_gradient(potential.value, z)
+        g = group.gradient(np.reshape(z, (1, -1)), rows)[0]
+        g_fd = fd_gradient(block_value(group, j), z)
         scale = max(np.linalg.norm(g_fd), 1e-8)
         assert np.linalg.norm(g - g_fd) <= rtol * scale
 
@@ -55,24 +62,26 @@ class TestPotentialInvariants:
 
     def test_gradient_matches_fd_on_quadratics(self):
         rng = np.random.default_rng(42)
-        pot = make_quadratic_group(np.eye(3)[None], precision=np.array([0.5, 1.0, 2.0]),
-                                   center=np.array([1.0, -2.0, 0.5])).factors[0].potential
-        assert_gradient_matches(pot, rng.standard_normal((20, 3)))
+        group = make_quadratic_group(np.eye(3)[None], precision=np.array([0.5, 1.0, 2.0]),
+                                     center=np.array([1.0, -2.0, 0.5]))
+        assert_gradient_matches(group, 0, rng.standard_normal((20, 3)))
 
     def test_logistic_factor_gradient_matches_fd(self):
         # Per-observation factors of the regression split, 20 random points.
         model = build_model("logistic-split1", d=4, n=30, seed=7)
         rng = np.random.default_rng(0)
-        for factor in model.factors[:5]:
-            assert_gradient_matches(factor.potential, rng.standard_normal((20, 1)))
+        (group,) = model.groups
+        for j in range(5):
+            assert_gradient_matches(group, j, rng.standard_normal((20, 1)))
 
     def test_strong_convexity_midpoint_property(self):
         # value(z) - m ||z||^2 / 2 must be midpoint-convex.
         model = build_model("logistic-split1", d=3, n=20, seed=1)
         rng = np.random.default_rng(3)
-        for factor in model.factors[:4]:
-            m = factor.potential.m
-            f = lambda z: factor.potential.value(z) - 0.5 * m * float(np.sum(z**2))
+        (group,) = model.groups
+        for j in range(4):
+            m, value = group.m[j], block_value(group, j)
+            f = lambda z: value(z) - 0.5 * m * float(np.sum(z**2))
             for _ in range(25):
                 x, y = rng.standard_normal((2, 1)) * 3.0
                 mid = 0.5 * (x + y)
@@ -111,7 +120,7 @@ class TestCompositePotential:
 
     def test_cached_gram_matches_recomputed_sum(self):
         model = build_model("logistic-split1", d=4, n=30, seed=6)
-        fresh = sum(f.a.T @ f.a for f in model.factors)
+        fresh = sum(g.a[j].T @ g.a[j] for g in model.groups for j in range(g.b))
         scale = np.abs(fresh).max()
         assert np.abs(np.asarray(model.gram) - fresh).max() <= 1e-12 * scale
 
@@ -178,7 +187,7 @@ class TestCentering:
     def test_already_centered_factor_untouched(self):
         model = build_model("toy-gaussian-1", mu=0.0)
         centered = center_model(model, np.zeros(1))
-        assert centered.factors[0] is model.factors[0]
+        assert centered.groups[0] is model.groups[0]
 
     def test_quadratic_center_shift_is_zero_at_center(self):
         model = build_model("toy-gaussian-2", sigma=2.0, b=4, mu=1.5)
@@ -206,10 +215,10 @@ class TestCentering:
         model = build_model("logistic-split1", d=3, n=30, seed=4)
         theta_star = find_minimizer(model).theta_star
         centered = center_model(model, theta_star)
-        for before, after in zip(model.factors, centered.factors):
-            assert after.potential.m == before.potential.m
-            assert after.potential.M == before.potential.M
-            assert after.potential.L == before.potential.L
+        for before, after in zip(model.groups, centered.groups):
+            assert np.array_equal(after.m, before.m)
+            assert np.array_equal(after.M, before.M)
+            assert np.array_equal(after.L, before.L)
 
     def test_total_potential_changes_by_constant_gradient(self):
         # The shift sums to <theta, grad U(theta*)>, which is ~0 at a minimizer.

@@ -1,4 +1,4 @@
-"""Special-function quadrature, eigenvalue extremes and CDF distances."""
+"""Special-function quadrature, eigenvalue extremes, and the CDF-distance test oracle."""
 
 import math
 
@@ -10,11 +10,12 @@ from scipy.stats import norm
 from splitmc.errors import NonSymmetric
 from splitmc.numerics import (
     QuadratureSpec,
-    cdf_l1_distance,
     lambda_extremes,
     parabolic_cylinder_neg,
     parabolic_cylinder_ratio,
 )
+
+from scalar_reference import cdf_l1_distance
 
 
 class TestParabolicCylinder:

@@ -19,7 +19,6 @@ from splitmc import (
     plan_tv_nonstrongly,
     plan_tv_single,
     plan_w1_single,
-    regularize_model,
 )
 from splitmc.model import Potential, SplitFactor, model_constants
 
@@ -64,8 +63,8 @@ class TestContractionConstant:
         model = SplitModel(4, factors)
         rho = 0.9
         g = np.asarray(model.gram)
-        weighted = sum((f.a.T @ f.a) / (1.0 + f.potential.m * rho**2)
-                       for f in model.factors)
+        weighted = sum((grp.a[j].T @ grp.a[j]) / (1.0 + grp.m[j] * rho**2)
+                       for grp in model.groups for j in range(grp.b))
         g_half_inv = np.linalg.inv(_sqrtm(g))
         expected = 1.0 - np.linalg.norm(g_half_inv @ weighted @ g_half_inv, ord=2)
         assert k_sgs(model, rho) == pytest.approx(expected, abs=1e-12)
@@ -207,7 +206,8 @@ class TestNonStronglyConvexPlan:
         base = SplitModel(4, [make_quadratic_group(np.eye(4)[None], precision=1.0,
                                                    center=np.zeros(4))])
         lam = 0.25
-        reg = regularize_model(base, lam, np.zeros(4))
+        ridge = make_quadratic_group(np.eye(4)[None], precision=lam, center=np.zeros(4))
+        reg = SplitModel(4, base.groups + (ridge,))
         consts = model_constants(reg)
         h = np.eye(4) * (1.0 + lam)
         eigs = np.linalg.eigvalsh(h)
