@@ -26,9 +26,7 @@ from .conditionals import (
     BlockReports,
     RejectionReport,
     ThetaConditional,
-    expected_proposals_bound,
     sample_z_group,
-    sample_z_rejection,
 )
 from .engine import (
     ChainState,
@@ -47,8 +45,6 @@ from .model import (
     FactorGroup,
     Minimizer,
     ModelConstants,
-    Potential,
-    SplitFactor,
     SplitModel,
     center_model,
     find_minimizer,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import csv
 import math
 import sys
 from pathlib import Path
@@ -33,7 +32,7 @@ from .errors import (
     SplitMCError,
     UnsupportedModel,
 )
-from .experiments import EXPERIMENT_NAMES, ExperimentSpec, run_experiment
+from .experiments import EXPERIMENT_NAMES, ExperimentSpec, _write_csv, run_experiment
 from .metrics import gaussian_tv_1d, gaussian_w1_1d
 from .model import center_model, find_minimizer, model_constants
 from .planner import plan_tv_multi, plan_tv_nonstrongly, plan_tv_single, plan_w1_single
@@ -75,25 +74,6 @@ def _add_model_flags(parser, default_model=None):
     parser.add_argument("--data-seed", type=int, default=0)
 
 
-def _write_rows(out, fieldnames, rows, config):
-    if out is None:
-        fh = sys.stdout
-        close = False
-    else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        fh = open(out, "w", newline="", encoding="utf-8")
-        close = True
-    try:
-        for key in sorted(config):
-            fh.write(f"# {key} = {config[key]}\n")
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
-
-
 def _cmd_plan(args) -> int:
     if args.theorem == "w1":
         plan = plan_w1_single(args.m, args.big_m, args.eps)
@@ -116,8 +96,8 @@ def _cmd_plan(args) -> int:
         "lambda": "" if plan.regularizer_lambda is None else plan.regularizer_lambda,
         "branch": plan.metadata.get("active_branch", ""),
     }
-    _write_rows(args.out, list(row), [row],
-                {"command": "plan", "theorem": args.theorem, "seed": args.seed})
+    _write_csv(args.out, {"command": "plan", "theorem": args.theorem, "seed": args.seed},
+               list(row), [row])
     return 0
 
 
@@ -144,14 +124,16 @@ def _cmd_sample(args) -> int:
                    "sweeps": args.sweeps, "seed": args.seed,
                    "max_avg_proposals": report.max_avg_proposals,
                    "wall_time_s": report.wall_time_s}
-    out = None if args.out is None else str(Path(args.out) / "samples.csv")
-    _write_rows(out, list(rows[0]) if rows else ["sweep"], rows, config_echo)
+    out = None if args.out is None else Path(args.out) / "samples.csv"
+    _write_csv(out, config_echo, list(rows[0]) if rows else ["sweep"], rows)
     return 0
 
 
 def _cmd_bias(args) -> int:
     """Bound-vs-exact distance rows over a log rho grid for the scalar Gaussian pair."""
     sigma, b, mu = args.sigma, args.b, args.mu
+    if args.grid_points < 1:
+        raise InvalidParameter(f"--grid-points must be at least 1, got {args.grid_points}")
     rho_grid = np.logspace(args.log10_rho_min, args.log10_rho_max, args.grid_points)
     consts1 = model_constants(zoo.toy_gaussian_1(sigma=sigma, b=b, mu=mu))
     rows = []
@@ -172,8 +154,8 @@ def _cmd_bias(args) -> int:
             "exact_if_available": gaussian_w1_1d(mu, sigma**2 / b, mu,
                                                  sigma**2 / b + rho**2),
         })
-    _write_rows(args.out, list(rows[0]), rows,
-                {"command": "bias", "sigma": sigma, "b": b, "mu": mu, "seed": args.seed})
+    _write_csv(args.out, {"command": "bias", "sigma": sigma, "b": b, "mu": mu,
+                          "seed": args.seed}, list(rows[0]), rows)
     return 2 if any_invalid and args.strict_validity else 0
 
 

@@ -10,10 +10,9 @@ V_i(z) = U_i(z) + ||z - A_i theta||^2 / (2 rho^2).
 There is one rejection sampler: all blocks of a factor group are drawn
 together with array operations (warm_start_group, sample_z_group), and
 _certificate holds the one formula for the proposal precision and the
-certified bound on expected proposals. The one-block names
-(sample_z_rejection, warm_start_minimize, expected_proposals_bound,
-gd_stop_threshold) run that path on a factor's group of one
-(SplitFactor.group).
+certified bound on expected proposals. A single block is a group with
+b = 1; a law test draws n samples of one block in one call, on a group of
+n copies of it.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import AcceptanceStall, NonConvergence, NotSmooth, check_rho
-from .model import ALL_BLOCKS, FactorGroup, SplitFactor, SplitModel
+from .model import ALL_BLOCKS, FactorGroup, SplitModel
 
 # Warm starts stop once ||grad V_i|| <= (2/7) sqrt(1/rho^2 + m_i) / sqrt(d_i).
 _GD_STOP_FACTOR = 2.0 / 7.0
@@ -331,73 +330,12 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
     return z, proposals, gd_steps, expected
 
 
-# ---------------------------------------------------------------------------
-# One block at a time: the group path on a factor's group of one
+def within_two_guarantee(group: FactorGroup, gnorm: np.ndarray, rho: float) -> np.ndarray:
+    """Per block: is the draw inside the regime guaranteeing at most 2 expected proposals?
 
-
-def gd_stop_threshold(factor: SplitFactor, rho: float) -> float:
-    """The warm-start stop rule (2/7) sqrt((1/rho^2 + m_i)/d_i) of one block."""
-    return float(_rho_constants(factor.group, rho).target[0])
-
-
-def warm_start_minimize(factor: SplitFactor, a_theta: np.ndarray, rho: float,
-                        target: float, z0: np.ndarray | None = None):
-    """warm_start_group on one block: descent on V_i until ||grad V_i|| <= target.
-
-    Returns (z_tilde, grad V_i at z_tilde, step count); raises NotSmooth and
-    NonConvergence as warm_start_group does.
+    True where rho^2 (2 k (M_i - m_i) - m_i) <= 1, M_i is finite and the
+    warm-start residual gnorm (per block, as warm_start_group returns it)
+    is below the descent's stop rule.
     """
-    group = factor.group
-    a_theta = np.reshape(np.asarray(a_theta, dtype=float), (1, group.k))
-    if z0 is not None:
-        z0 = np.reshape(np.asarray(z0, dtype=float), (1, group.k))
-    z, _, steps = warm_start_group(group, a_theta, rho, target, z0=z0)
-    grad = group.gradient(z, ALL_BLOCKS) + (z - a_theta) / rho**2
-    return z[0], grad[0], int(steps[0])
-
-
-def expected_proposals_bound(factor: SplitFactor, theta: np.ndarray,
-                             z_tilde: np.ndarray, rho: float) -> float:
-    """Expected number of proposals until acceptance for the given warm start (_certificate)."""
-    group = factor.group
-    if not group.smooth:
-        raise NotSmooth("the proposal bound needs a finite smoothness constant")
-    z = np.reshape(np.asarray(z_tilde, dtype=float), (1, group.k))
-    a_theta = group.couple(np.asarray(theta, dtype=float))
-    grad = group.gradient(z, ALL_BLOCKS) + (z - a_theta) / rho**2
-    c = _rho_constants(group, rho)
-    return float(_certificate(_norms(grad), group.k, c.s, c.top)[2][0])
-
-
-def sample_z_rejection(factor: SplitFactor, theta: np.ndarray, rho: float, rng,
-                       proposal_cap: int = DEFAULT_PROPOSAL_CAP,
-                       z_warm: np.ndarray | None = None):
-    """sample_z_group on one block: an exact draw from its coupled conditional.
-
-    The warm start is A_i theta, or z_warm when carrying the previous block.
-    Returns (z, RejectionReport); raises NotSmooth, NonConvergence and
-    AcceptanceStall as sample_z_group does.
-    """
-    group = factor.group
-    if z_warm is not None:
-        z_warm = np.reshape(np.asarray(z_warm, dtype=float), (1, group.k))
-    z, proposals, gd_steps, expected = sample_z_group(
-        group, group.couple(np.asarray(theta, dtype=float)), rho, rng,
-        proposal_cap=proposal_cap, z_warm=z_warm)
-    return z[0], RejectionReport(proposals_used=int(proposals[0]),
-                                 warm_start_gd_steps=int(gd_steps[0]),
-                                 expected_bound=float(expected[0]))
-
-
-def within_two_guarantee(factor: SplitFactor, grad_norm: float, rho: float) -> bool:
-    """True when the run is inside the regime guaranteeing at most 2 expected proposals:
-
-    rho^2 (2 d_i (M_i - m_i) - m_i) <= 1 and the warm-start residual is below
-    the descent stopping threshold.
-    """
-    m, M, d = factor.potential.m, factor.potential.M, factor.dim
-    if not math.isfinite(M):
-        return False
-    cond1 = rho**2 * (2.0 * d * (M - m) - m) <= 1.0
-    cond2 = grad_norm <= gd_stop_threshold(factor, rho)
-    return bool(cond1 and cond2)
+    narrow = rho**2 * (2.0 * group.k * (group.M - group.m) - group.m) <= 1.0
+    return narrow & np.isfinite(group.M) & (np.asarray(gnorm) <= _rho_constants(group, rho).target)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import InvalidParameter, UnsupportedModel
 
@@ -26,7 +26,7 @@ class Normal1D:
     variance: float
 
     def cdf(self, x):
-        return norm.cdf(x, loc=self.mean, scale=math.sqrt(self.variance))
+        return ndtr((np.asarray(x) - self.mean) / math.sqrt(self.variance))
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ def gaussian_tv_1d(mean1: float, var1: float, mean2: float, var2: float) -> floa
             return 0.0
         # Equal variances: single crossing at the midpoint.
         delta = abs(mean1 - mean2) / (2.0 * s1)
-        return float(norm.cdf(delta) - norm.cdf(-delta))
+        return float(ndtr(delta) - ndtr(-delta))
     # log p1 = log p2 is the quadratic a x^2 + b x + c = 0.
     a = 0.5 * (1.0 / var2 - 1.0 / var1)
     b = mean2 / var2 - mean1 / var1
@@ -54,8 +54,9 @@ def gaussian_tv_1d(mean1: float, var1: float, mean2: float, var2: float) -> floa
         return 0.0
     r = math.sqrt(disc)
     x1, x2 = sorted(((-b - r) / (2 * a), (-b + r) / (2 * a)))
-    f1 = norm.cdf([x1, x2], loc=mean1, scale=s1)
-    f2 = norm.cdf([x1, x2], loc=mean2, scale=s2)
+    x = np.array([x1, x2])
+    f1 = ndtr((x - mean1) / s1)
+    f2 = ndtr((x - mean2) / s2)
     return float(abs((f1[1] - f1[0]) - (f2[1] - f2[0])))
 
 
@@ -84,7 +85,6 @@ def w1_samples_vs_gaussian(samples, mean: float, var: float) -> float:
     n = x.size
     if n == 0:
         raise ValueError("need a nonempty sample")
-    # norm.ppf(u, loc, scale) is ppf(u) * scale + loc, so this is the same bits.
     q = _normal_quantile_grid(n) * math.sqrt(var) + mean
     return float(np.abs(x - q).mean())
 
@@ -92,7 +92,7 @@ def w1_samples_vs_gaussian(samples, mean: float, var: float) -> float:
 @lru_cache(maxsize=8)
 def _normal_quantile_grid(n: int) -> np.ndarray:
     """Standard normal quantiles at (i - 1/2)/n, i = 1..n; read-only, built once per n."""
-    q = norm.ppf((np.arange(n) + 0.5) / n)
+    q = ndtri((np.arange(n) + 0.5) / n)
     q.setflags(write=False)
     return q
 

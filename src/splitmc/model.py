@@ -1,12 +1,13 @@
 """Composite potentials U(theta) = sum_i U_i(A_i theta) with certified constants.
 
-A model is a list of factors (A_i, U_i), held as factor groups: b blocks of
-one dimension with a stacked coupling matrix and array-valued potentials,
-so that everything done to all blocks runs as array operations. Each
-factor potential carries its strong-convexity constant m,
-gradient-Lipschitz constant M (may be inf) and value-Lipschitz constant L
-(may be inf); the constants are user-certified inputs, validated only by
-spot finite-difference checks in the test suite.
+A model is a list of factors (A_i, U_i), and FactorGroup is the one type
+that holds them: b blocks of one dimension with a stacked coupling matrix
+and array-valued potentials, so that everything done to all blocks runs as
+array operations. A single factor is a group with b = 1. Each block
+carries its strong-convexity constant m, gradient-Lipschitz constant M
+(may be inf) and value-Lipschitz constant L (may be inf); the constants
+are user-certified inputs, validated only by spot finite-difference
+checks in the test suite.
 
 Models are immutable after construction and safe to share across chains.
 """
@@ -15,8 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import cholesky, get_lapack_funcs
@@ -29,64 +28,6 @@ from .errors import (
     SingularGram,
 )
 from .numerics import lambda_extremes
-
-
-@dataclass(frozen=True)
-class Potential:
-    """A differentiable convex function on R^dim with certified constants.
-
-    m <= M must hold whenever both are finite; M = inf marks a non-smooth
-    potential (usable by the Lipschitz bias bound and the contraction
-    constant, but refused by the rejection sampler), L = inf a potential
-    whose value is not globally Lipschitz.
-    """
-
-    dim: int
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    m: float = 0.0
-    M: float = math.inf
-    L: float = math.inf
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("potential dimension must be >= 1")
-        if self.m < 0 or self.L < 0:
-            raise ValueError("constants must be nonnegative")
-        if math.isfinite(self.M) and self.m > self.M * (1 + 1e-12):
-            raise ValueError(f"m={self.m} exceeds M={self.M}")
-
-
-@dataclass(frozen=True)
-class SplitFactor:
-    """One coupling block: matrix a of shape (dim_i, d) plus its potential.
-
-    Its conditional is drawn by the rejection sampler; closed-form
-    conditionals live on factor groups (FactorGroup.sampler / mode).
-    """
-
-    a: np.ndarray
-    potential: Potential
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        if a.shape[0] != self.potential.dim:
-            raise DimensionMismatch(
-                f"matrix has {a.shape[0]} rows but potential dimension is {self.potential.dim}"
-            )
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-
-    @property
-    def dim(self) -> int:
-        return self.potential.dim
-
-    @cached_property
-    def group(self) -> "FactorGroup":
-        """This factor as a group of one (FactorGroup.of), built once."""
-        return FactorGroup.of(self)
-
 
 ALL_BLOCKS = slice(None)
 
@@ -104,8 +45,7 @@ class FactorGroup:
     or minimize every block's coupled conditional at once, with a_theta of
     shape (b, k); they are the only closed forms of a conditional. Groups
     without them go through the rejection sampler and the warm-start descent,
-    which need smooth, i.e. every M finite. A plain SplitFactor is a group
-    of one (FactorGroup.of).
+    which need smooth, i.e. every M finite.
     """
 
     def __init__(self, a, value, gradient, m, M, L=math.inf, sampler=None, mode=None):
@@ -132,19 +72,6 @@ class FactorGroup:
         self.sampler = sampler
         self.mode = mode
 
-    @classmethod
-    def of(cls, factor: SplitFactor) -> "FactorGroup":
-        """The group of one block holding a plain SplitFactor, drawn by rejection."""
-        pot, k = factor.potential, factor.dim
-
-        def value(z, rows):
-            return np.array([float(pot.value(zi)) for zi in z])
-
-        def gradient(z, rows):
-            return np.array([np.asarray(pot.gradient(zi), dtype=float) for zi in z]).reshape(-1, k)
-
-        return cls(factor.a[None], value, gradient, pot.m, pot.M, pot.L)
-
     @property
     def b(self) -> int:
         return self.a.shape[0]
@@ -165,16 +92,16 @@ class FactorGroup:
 class SplitModel:
     """Ambient dimension d plus an ordered list of factor groups.
 
-    factors may mix FactorGroups and plain SplitFactors (each a group of
-    one); blocks are numbered group by group. The stacked matrix
-    [A_1; ...; A_b] must have rank d, i.e. the Gram matrix
-    G = sum_i A_i^T A_i must be positive definite; this is checked once at
-    construction, and the lower Cholesky factor chol_lower (G = L L^T) is
-    cached for every master solve and master-draw noise transform.
+    factors is a sequence of FactorGroups; blocks are numbered group by
+    group. The stacked matrix [A_1; ...; A_b] must have rank d, i.e. the
+    Gram matrix G = sum_i A_i^T A_i must be positive definite; this is
+    checked once at construction, and the lower Cholesky factor chol_lower
+    (G = L L^T) is cached for every master solve and master-draw noise
+    transform.
     """
 
     def __init__(self, d: int, factors):
-        groups = tuple(f if isinstance(f, FactorGroup) else f.group for f in factors)
+        groups = tuple(factors)
         if not groups:
             raise ValueError("a model needs at least one factor")
         for g in groups:

@@ -121,6 +121,8 @@ def plan_tv_single(m1: float, M1: float, d: int, eps: float) -> Plan:
     if m1 <= 0:
         raise NotStronglyConvex("single-split TV plan needs m1 > 0; "
                                 "use the regularized plan instead")
+    if not (math.isfinite(m1) and math.isfinite(M1)):
+        raise InvalidParameter(f"need finite m1 and M1, got {m1} and {M1}")
     if M1 < m1:
         raise InvalidParameter("need m1 <= M1")
     if d < 1:
@@ -198,8 +200,10 @@ def plan_tv_nonstrongly(M1: float, eps: float, R: float, d: int) -> Plan:
     regularization bias, coupling bias, and chain non-stationarity.
     """
     _check_eps(eps)
-    if M1 <= 0 or R <= 0:
-        raise InvalidParameter("need M1 > 0 and R > 0")
+    if not (0 < M1 < math.inf and 0 < R < math.inf):
+        raise InvalidParameter(f"need finite M1 > 0 and R > 0, got {M1} and {R}")
+    if d < 1:
+        raise InvalidParameter(f"need d >= 1, got {d}")
     lam = 4.0 * eps / (3.0 * d * R)
     rho2 = 2.0 * eps / (3.0 * d * (M1 + lam))
     k = lam * rho2 / (1.0 + lam * rho2)

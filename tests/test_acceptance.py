@@ -30,15 +30,10 @@ from splitmc import (
     plan_tv_nonstrongly,
     plan_tv_single,
     plan_w1_single,
-    sample_z_rejection,
+    sample_z_group,
     sgs_sweep,
 )
-from splitmc.conditionals import (
-    expected_proposals_bound,
-    gd_stop_threshold,
-    warm_start_minimize,
-    within_two_guarantee,
-)
+from splitmc.conditionals import warm_start_group, within_two_guarantee
 from splitmc.experiments import (
     ExperimentSpec,
     run_bias_toy,
@@ -48,7 +43,8 @@ from splitmc.experiments import (
     run_rate_toy,
 )
 from splitmc.metrics import ToyParams
-from splitmc.model import Potential, SplitFactor
+
+from scalar_reference import rejection_quadratic, replicate_block
 
 
 def report(criterion, ok, detail):
@@ -139,20 +135,14 @@ def test_criterion_3_tv_slope_sharpness():
 def test_criterion_4_sampler_exactness():
     """(a) rejection vs closed-form conditional; (b) invariance; (c) master covariance."""
     with _Timer(60.0):
-        # (a) scalar quadratic conditional, KS at the 1% level over 1e5 draws.
+        # (a) scalar quadratic conditional, KS at the 1% level over 1e5 draws,
+        # drawn by rejection in one call on 1e5 copies of the block.
         m, rho = 0.8, 0.6
-        factor = SplitFactor(
-            a=np.array([[1.0]]),
-            potential=Potential(dim=1,
-                                value=lambda z: 0.5 * m * float(z[0] ** 2),
-                                gradient=lambda z: m * np.atleast_1d(z),
-                                m=m, M=m, L=math.inf))
+        group = replicate_block(rejection_quadratic(m), 0, 100_000)
         theta = np.array([1.4])
         rng = np.random.default_rng(1001)
-        draws = np.empty(100_000)
-        for k in range(draws.size):
-            z, _ = sample_z_rejection(factor, theta, rho, rng)
-            draws[k] = z[0]
+        z, _, _, _ = sample_z_group(group, group.couple(theta), rho, rng)
+        draws = z[:, 0]
         prec = m + 1.0 / rho**2
         from scipy.stats import norm
         ks_a = kstest(draws, lambda x: norm.cdf(x, loc=theta[0] / (rho**2 * prec),
@@ -177,10 +167,7 @@ def test_criterion_4_sampler_exactness():
         # (c) master-parameter covariance matches rho^2 G^{-1} within 4 MC errors.
         rng = np.random.default_rng(1003)
         factors = [
-            SplitFactor(a=rng.standard_normal((3, 5)),
-                        potential=Potential(dim=3, value=lambda z: 0.0,
-                                            gradient=lambda z: np.zeros(3),
-                                            m=0.0, M=0.0)),
+            make_quadratic_group(rng.standard_normal((3, 5))[None], precision=0.0, center=0.0),
             make_quadratic_group(np.eye(5)[None], precision=1.0, center=np.zeros(5)),
         ]
         model5 = SplitModel(5, factors)
@@ -213,32 +200,21 @@ def test_criterion_5_rejection_efficiency():
             d = int(rng.integers(1, 4))
             cap = 1.0 / max(2.0 * d * (big_m - m) - m, 1e-9)
             rho = math.sqrt(rng.uniform(0.05, 1.0) * min(cap, 4.0))
-            factor = SplitFactor(
-                a=np.eye(d),
-                potential=Potential(dim=d,
-                                    value=lambda z, m=m: 0.5 * m * float(z @ z),
-                                    gradient=lambda z, m=m: m * np.asarray(z),
-                                    m=m, M=big_m, L=math.inf))
-            theta = rng.standard_normal(d)
-            target = gd_stop_threshold(factor, rho)
-            z_tilde, grad, _ = warm_start_minimize(factor, factor.a @ theta, rho, target)
-            if within_two_guarantee(factor, float(np.linalg.norm(grad)), rho):
-                ok_regime &= expected_proposals_bound(factor, theta, z_tilde, rho) <= 2.0 + 1e-12
+            group = rejection_quadratic(m, big_m, k=d)
+            a_theta = group.couple(rng.standard_normal(d))
+            _, gnorm, _ = warm_start_group(group, a_theta, rho)
+            if within_two_guarantee(group, gnorm, rho)[0]:
+                # The bound the sampler certifies at that same warm start.
+                _, _, _, expected = sample_z_group(group, a_theta, rho, np.random.default_rng(0))
+                ok_regime &= expected[0] <= 2.0 + 1e-12
 
         # Empirical proposal count against the computed bound (quadratic family).
-        counts = []
-        bound = None
-        factor = SplitFactor(
-            a=np.array([[1.0]]),
-            potential=Potential(dim=1, value=lambda z: 0.25 * float(z[0] ** 2),
-                                gradient=lambda z: 0.5 * np.atleast_1d(z),
-                                m=0.5, M=0.5, L=math.inf))
+        # 1e4 draws in one call on 1e4 copies of the block.
+        group = replicate_block(rejection_quadratic(0.5), 0, 10_000)
         rng = np.random.default_rng(1005)
-        for _ in range(10_000):
-            _, rep = sample_z_rejection(factor, np.array([1.7]), 0.9, rng)
-            counts.append(rep.proposals_used)
-            bound = rep.expected_bound
-        counts = np.asarray(counts, dtype=float)
+        _, proposals, _, expected = sample_z_group(group, group.couple(np.array([1.7])), 0.9, rng)
+        counts = proposals.astype(float)
+        bound = expected[0]
         se = counts.std(ddof=1) / math.sqrt(counts.size)
         ok_emp = bound <= 2.0 and counts.mean() <= 2.0 + 3 * se
 

@@ -137,6 +137,8 @@ class TestExitCodes:
          "--rho", "0.5"],
         ["sample", "--model", "aniso-gaussian", "--kappa", "0", "--rho", "0.5"],
         ["sample", "--model", "gaussian-mixture", "--d", "0", "--rho", "0.5", "--sweeps", "2"],
+        ["bias", "--grid-points", "0"],
+        ["plan", "--theorem", "tv-ns", "--eps", "0.1", "--d", "0"],
     ])
     def test_invalid_parameters_map_to_2(self, argv, tmp_path, capfd):
         assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -17,45 +17,28 @@ from splitmc import (
     SplitModel,
     ThetaConditional,
     build_model,
-    expected_proposals_bound,
     k_sgs,
     make_quadratic_group,
     model_constants,
     run_chain,
     sample_z_group,
-    sample_z_rejection,
     tv_bound_strongly_convex,
 )
 from splitmc import conditionals
-from splitmc.conditionals import (
-    gd_stop_threshold,
-    warm_start_group,
-    warm_start_minimize,
-    within_two_guarantee,
-)
+from splitmc.conditionals import warm_start_group, within_two_guarantee
 from splitmc.errors import InvalidParameter
-from splitmc.model import ALL_BLOCKS, FactorGroup, Potential, SplitFactor
+from splitmc.model import ALL_BLOCKS, FactorGroup
 from splitmc.zoo import mixture_group
 
 import scalar_reference as reference
+from scalar_reference import rejection_quadratic, replicate_block
 
 
-def scalar_quadratic_factor(m, a=1.0, center=0.0):
-    return SplitFactor(a=np.array([[a]]),
-                       potential=Potential(
-                           dim=1,
-                           value=lambda z, m=m, c=center: 0.5 * m * float((z[0] - c) ** 2),
-                           gradient=lambda z, m=m, c=center: m * (np.atleast_1d(z) - c),
-                           m=m, M=m, L=math.inf))
-
-
-def replicate_block(group, j, n):
-    """n copies of block j of a group: one sample_z_group call makes n independent draws."""
-    def at_j(fn):
-        return lambda z, rows: fn(z, np.full(len(z), j))
-
-    return FactorGroup(np.repeat(group.a[j:j + 1], n, axis=0), at_j(group.value),
-                       at_j(group.gradient), group.m[j], group.M[j], group.L[j])
+def scalar_group(value, gradient, m, big_m, big_l=math.inf):
+    """One identity-coupled scalar block with no closed form; value and gradient
+    map z of shape (r, 1) to shapes (r,) and (r, 1)."""
+    return FactorGroup(np.ones((1, 1, 1)), lambda z, rows: value(z), lambda z, rows: gradient(z),
+                       m, big_m, big_l)
 
 
 class TestThetaConditional:
@@ -87,10 +70,7 @@ class TestThetaConditional:
     def test_random_model_covariance(self):
         rng = np.random.default_rng(7)
         factors = [
-            SplitFactor(a=rng.standard_normal((2, 5)),
-                        potential=Potential(dim=2, value=lambda z: 0.0,
-                                            gradient=lambda z: np.zeros(2),
-                                            m=0.0, M=0.0)),
+            make_quadratic_group(rng.standard_normal((2, 5))[None], precision=0.0, center=0.0),
             make_quadratic_group(np.eye(5)[None], precision=1.0, center=np.zeros(5)),
         ]
         model = SplitModel(5, factors)
@@ -126,40 +106,37 @@ class TestRejectionSampler:
         # U(z) = m z^2/2 makes the coupled conditional Gaussian:
         # mean theta/(rho^2 (m + 1/rho^2)), variance 1/(m + 1/rho^2).
         m, rho, theta = 0.8, 0.6, np.array([1.4])
-        factor = scalar_quadratic_factor(m)
-        rng = np.random.default_rng(12)
         n = 100_000
-        draws = np.empty(n)
-        for k in range(n):
-            z, _ = sample_z_rejection(factor, theta, rho, rng)
-            draws[k] = z[0]
+        group = replicate_block(rejection_quadratic(m), 0, n)
+        z, _, _, _ = sample_z_group(group, group.couple(theta), rho, np.random.default_rng(12))
         prec = m + 1.0 / rho**2
         mean = theta[0] / (rho**2 * prec)
-        result = kstest(draws, lambda x: norm.cdf(x, loc=mean, scale=1.0 / math.sqrt(prec)))
+        result = kstest(z[:, 0], lambda x: norm.cdf(x, loc=mean, scale=1.0 / math.sqrt(prec)))
         assert result.pvalue > 0.01
 
     def test_exact_warm_start_bound(self):
         # With the warm start at the exact minimizer the proposal matches the
-        # target curvature floor and the expected count is the pure ratio.
+        # target curvature floor and the expected count is the pure ratio. A
+        # draw carried from that start descends no further, so the bound it
+        # reports is the one at the minimizer.
         m, big_m, rho = 0.5, 2.0, 0.4
-        factor = SplitFactor(a=np.array([[1.0]]),
-                             potential=Potential(
-                                 dim=1,
-                                 value=lambda z: 0.25 * float(z[0] ** 2)
-                                 + 0.875 * float(np.logaddexp(0.0, 2 * z[0]) / 2.0),
-                                 gradient=lambda z: np.atleast_1d(
-                                     0.5 * z + 0.875 / (1.0 + np.exp(-2.0 * z))),
-                                 m=m, M=big_m, L=math.inf))
+        group = scalar_group(
+            lambda z: 0.25 * z[:, 0] ** 2 + 0.875 * np.logaddexp(0.0, 2 * z[:, 0]) / 2.0,
+            lambda z: 0.5 * z + 0.875 / (1.0 + np.exp(-2.0 * z)), m, big_m)
         theta = np.array([0.9])
-        target = 1e-13
-        z_star, _, _ = warm_start_minimize(factor, factor.a @ theta, rho, target)
-        e = expected_proposals_bound(factor, theta, z_star, rho)
+
+        def bound_at_mode(group):
+            a_theta = group.couple(theta)
+            z_star, _, _ = warm_start_group(group, a_theta, rho, 1e-13)
+            _, _, steps, expected = sample_z_group(group, a_theta, rho, np.random.default_rng(0),
+                                                   z_warm=z_star)
+            assert steps[0] == 0
+            return expected[0]
+
         ratio = (1.0 / rho**2 + big_m) / (1.0 / rho**2 + m)
-        assert e == pytest.approx(ratio ** 0.5, rel=1e-6)
+        assert bound_at_mode(group) == pytest.approx(ratio ** 0.5, rel=1e-6)
         # Equal curvature bounds turn the proposal into the target itself.
-        flat = scalar_quadratic_factor(0.7)
-        z_star, _, _ = warm_start_minimize(flat, flat.a @ theta, rho, 1e-13)
-        assert expected_proposals_bound(flat, theta, z_star, rho) == pytest.approx(1.0, rel=1e-8)
+        assert bound_at_mode(rejection_quadratic(0.7)) == pytest.approx(1.0, rel=1e-8)
 
     def test_expected_bound_below_two_in_guaranteed_regime(self):
         rng = np.random.default_rng(3)
@@ -171,89 +148,53 @@ class TestRejectionSampler:
             # Width inside the guaranteed regime.
             cap = 1.0 / max(2.0 * d * (big_m - m) - m, 1e-9)
             rho = math.sqrt(rng.uniform(0.05, 1.0) * min(cap, 4.0))
-            factor = SplitFactor(
-                a=np.eye(d),
-                potential=Potential(dim=d,
-                                    value=lambda z, m=m: 0.5 * m * float(z @ z),
-                                    gradient=lambda z, m=m: m * np.asarray(z),
-                                    m=m, M=big_m, L=math.inf))
-            theta = rng.standard_normal(d) * 2.0
-            target = gd_stop_threshold(factor, rho)
-            z_tilde, grad, _ = warm_start_minimize(factor, factor.a @ theta, rho, target)
-            if within_two_guarantee(factor, float(np.linalg.norm(grad)), rho):
+            group = rejection_quadratic(m, big_m, k=d)
+            a_theta = group.couple(rng.standard_normal(d) * 2.0)
+            _, gnorm, _ = warm_start_group(group, a_theta, rho)
+            if within_two_guarantee(group, gnorm, rho)[0]:
                 checked += 1
-                assert expected_proposals_bound(factor, theta, z_tilde, rho) <= 2.0 + 1e-12
+                _, _, _, expected = sample_z_group(group, a_theta, rho, np.random.default_rng(0))
+                assert expected[0] <= 2.0 + 1e-12
         assert checked > 900
 
     def test_empirical_proposals_match_bound(self):
         m, rho = 0.5, 0.8
-        factor = scalar_quadratic_factor(m)
         theta = np.array([2.0])
-        rng = np.random.default_rng(8)
         n = 10_000
-        counts = np.empty(n)
-        bound = None
-        for k in range(n):
-            _, report = sample_z_rejection(factor, theta, rho, rng)
-            counts[k] = report.proposals_used
-            bound = report.expected_bound
-        se = counts.std(ddof=1) / math.sqrt(n)
-        assert counts.mean() <= bound + 3 * se
-        # The group sampler, one round per proposal, obeys the same bound.
-        group = replicate_block(FactorGroup.of(factor), 0, n)
+        group = replicate_block(rejection_quadratic(m), 0, n)
         _, proposals, _, expected = sample_z_group(group, group.couple(theta), rho,
-                                                   np.random.default_rng(9))
+                                                   np.random.default_rng(8))
+        bound = expected[0]
+        assert (expected == bound).all()
         se = proposals.std(ddof=1) / math.sqrt(n)
-        assert expected[0] == pytest.approx(bound, rel=1e-12)
         assert proposals.mean() <= bound + 3 * se
 
     def test_logistic_factor_ks_against_quadrature_cdf(self):
         model = build_model("logistic-split1", d=3, n=20, seed=5)
-        factor = reference.block_factors(model)[0]
         rho = 0.5
         theta = np.full(3, 0.4)
-        rng = np.random.default_rng(31)
         n = 100_000
-        draws = np.empty(n)
-        for k in range(n):
-            z, _ = sample_z_rejection(factor, theta, rho, rng)
-            draws[k] = z[0]
-        a_theta = float((factor.a @ theta)[0])
-
-        def neg_log(z):
-            return (factor.potential.value(np.array([z]))
-                    + 0.5 * (z - a_theta) ** 2 / rho**2)
+        group = replicate_block(model.groups[0], 0, n)
+        z, _, _, _ = sample_z_group(group, group.couple(theta), rho, np.random.default_rng(31))
+        a_theta = float(model.groups[0].couple(theta)[0, 0])
 
         center = a_theta
         grid = np.linspace(center - 8 * rho, center + 8 * rho, 4001)
-        logpdf = -np.array([neg_log(z) for z in grid])
+        # The replicated group evaluates block 0 on every row it is given.
+        logpdf = -(group.value(grid[:, None], ALL_BLOCKS) + 0.5 * (grid - a_theta) ** 2 / rho**2)
         logpdf -= logpdf.max()
         pdf = np.exp(logpdf)
         cdf = integrate.cumulative_trapezoid(pdf, grid, initial=0.0)
         cdf /= cdf[-1]
-        result = kstest(draws, lambda x: np.interp(x, grid, cdf))
-        assert result.pvalue > 0.01
-        # The same block drawn n times at once by the group sampler.
-        group = replicate_block(model.groups[0], 0, n)
-        z, _, _, _ = sample_z_group(group, group.couple(theta), rho, np.random.default_rng(32))
         result = kstest(z[:, 0], lambda x: np.interp(x, grid, cdf))
         assert result.pvalue > 0.01
 
     def test_stall_on_misstated_constants(self):
         # A potential whose certified curvature wildly understates the truth
         # must hit the proposal cap instead of looping forever.
-        lying = SplitFactor(a=np.array([[1.0]]),
-                            potential=Potential(
-                                dim=1,
-                                value=lambda z: 1e12 * float(z[0] ** 2),
-                                gradient=lambda z: np.zeros(1),
-                                m=0.0, M=0.05, L=math.inf))
+        lying = scalar_group(lambda z: 1e12 * z[:, 0] ** 2, np.zeros_like, 0.0, 0.05)
         with pytest.raises(AcceptanceStall):
-            sample_z_rejection(lying, np.array([0.0]), 1.0,
-                               np.random.default_rng(0), proposal_cap=64)
-        group = FactorGroup.of(lying)
-        with pytest.raises(AcceptanceStall):
-            sample_z_group(group, np.zeros((1, 1)), 1.0, np.random.default_rng(0),
+            sample_z_group(lying, np.zeros((1, 1)), 1.0, np.random.default_rng(0),
                            proposal_cap=64)
 
     def test_stall_names_first_pending_block(self):
@@ -273,28 +214,23 @@ class TestRejectionSampler:
 
     def test_understated_curvature_is_typed_nonconvergence(self):
         # U(z) = 5 z^2 certified with M = 1: the descent step 1/(1/rho^2 + M)
-        # overshoots and diverges. Both paths stop at the step bound (4 here)
-        # with NonConvergence instead of returning nan.
+        # overshoots and diverges. The descent and the draw stop at the step
+        # bound (4 here) with NonConvergence instead of returning nan.
         calls = []
 
         def gradient(z):
             calls.append(1)
-            return 10.0 * np.atleast_1d(z)
+            return 10.0 * z
 
-        steep = SplitFactor(a=np.array([[1.0]]),
-                            potential=Potential(dim=1, value=lambda z: 5.0 * float(z[0] ** 2),
-                                                gradient=gradient, m=0.5, M=1.0, L=math.inf))
-        rho, theta = 1.0, np.array([3.0])
-        target = gd_stop_threshold(steep, rho)
-        with pytest.raises(NonConvergence):
-            warm_start_minimize(steep, steep.a @ theta, rho, target)
+        steep = scalar_group(lambda z: 5.0 * z[:, 0] ** 2, gradient, 0.5, 1.0)
+        rho = 1.0
+        a_theta = steep.couple(np.array([3.0]))
+        with pytest.raises(NonConvergence, match="block 0"):
+            warm_start_group(steep, a_theta, rho)
         assert len(calls) == 5
-        with pytest.raises(NonConvergence):
-            sample_z_rejection(steep, theta, rho, np.random.default_rng(0))
-        group = FactorGroup.of(steep)
         calls.clear()
         with pytest.raises(NonConvergence, match="block 0"):
-            sample_z_group(group, group.couple(theta), rho, np.random.default_rng(0))
+            sample_z_group(steep, a_theta, rho, np.random.default_rng(0))
         assert len(calls) == 5
 
     def test_group_certificates_match_scalar_reference(self):
@@ -313,54 +249,51 @@ class TestRejectionSampler:
                     _, proposals, steps, expected = sample_z_group(
                         group, group.couple(theta), rho, np.random.default_rng(0), z_warm=z_warm)
                     assert (proposals >= 1).all()
-                    for j, factor in enumerate(reference.block_factors(model)):
+                    for j in range(group.b):
                         z0 = None if z_warm is None else z_warm[j]
                         z_tilde, _, ref_steps = reference.warm_start_minimize(
-                            factor, factor.a @ theta, rho,
-                            reference.gd_stop_threshold(factor, rho), z0=z0)
+                            group, j, group.a[j] @ theta, rho,
+                            reference.gd_stop_threshold(group, j, rho), z0=z0)
                         assert steps[j] == ref_steps
-                        ref = reference.expected_proposals_bound(factor, theta, z_tilde, rho)
+                        ref = reference.expected_proposals_bound(group, j, theta, z_tilde, rho)
                         assert expected[j] == pytest.approx(ref, rel=1e-12)
                     total_steps += int(steps.sum())
         assert total_steps > 0
 
     @pytest.mark.parametrize("case", ["criterion-4 quadratic", "logistic-split2 shard"])
     def test_group_of_one_reproduces_scalar_draws(self, case):
-        # sample_z_rejection, sample_z_group on the factor's group of one,
-        # consumes the stream like the scalar oracle and does the same
-        # arithmetic: the same draws, proposal counts and descent steps bit
-        # for bit, draw after draw, from fresh starts and from a carried start
-        # (z_warm, the block's previous draw).
+        # sample_z_group on a group of one consumes the stream like the
+        # scalar oracle and does the same arithmetic: the same draws,
+        # proposal counts and descent steps bit for bit, draw after draw,
+        # from fresh starts and from a carried start (z_warm, the block's
+        # previous draw).
         if case == "criterion-4 quadratic":
-            m = 0.8
-            factor = SplitFactor(a=np.array([[1.0]]),
-                                 potential=Potential(dim=1,
-                                                     value=lambda z: 0.5 * m * float(z[0] ** 2),
-                                                     gradient=lambda z: m * np.atleast_1d(z),
-                                                     m=m, M=m, L=math.inf))
+            source = group = rejection_quadratic(0.8)
             theta, rho, seed, n = np.array([1.4]), 0.6, 1001, 20_000
         else:
-            model = build_model("logistic-split2", d=10, n=200, b=5, seed=0)
-            factor = reference.block_factors(model)[0]
-            pot = factor.potential
+            # Shard 0 of five, as a group of one; the oracle reads it in place.
+            source = build_model("logistic-split2", d=10, n=200, b=5, seed=0).groups[0]
+            group = replicate_block(source, 0, 1)
+            m, big_m = float(source.m[0]), float(source.M[0])
             # The edge of the at-most-2-proposals regime.
-            rho = 1.0 / math.sqrt(2.0 * factor.dim * (pot.M - pot.m) - pot.m)
+            rho = 1.0 / math.sqrt(2.0 * source.k * (big_m - m) - m)
             theta, seed, n = np.full(10, 0.5), 7, 3_000
+        a_theta = group.couple(theta)
         for carried in (False, True):
             ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
             z_ref = z = None
             total_steps = total_proposals = 0
             for _ in range(n):
                 z_ref, ref = reference.sample_z_rejection(
-                    factor, theta, rho, ref_rng, z_warm=z_ref if carried else None)
-                z, report = sample_z_rejection(factor, theta, rho, rng,
-                                               z_warm=z if carried else None)
-                assert z.tobytes() == z_ref.tobytes()
-                assert report.proposals_used == ref.proposals_used
-                assert report.warm_start_gd_steps == ref.warm_start_gd_steps
-                assert report.expected_bound == pytest.approx(ref.expected_bound, rel=1e-12)
-                total_steps += report.warm_start_gd_steps
-                total_proposals += report.proposals_used
+                    source, 0, theta, rho, ref_rng, z_warm=z_ref if carried else None)
+                z, proposals, steps, expected = sample_z_group(
+                    group, a_theta, rho, rng, z_warm=z if carried else None)
+                assert z[0].tobytes() == z_ref.tobytes()
+                assert proposals[0] == ref.proposals_used
+                assert steps[0] == ref.warm_start_gd_steps
+                assert expected[0] == pytest.approx(ref.expected_bound, rel=1e-12)
+                total_steps += int(steps[0])
+                total_proposals += int(proposals[0])
             assert total_steps > 0
             if case == "logistic-split2 shard":
                 assert total_proposals > n
@@ -387,33 +320,27 @@ class TestRejectionSampler:
         assert bound.tobytes() == expected.tobytes()
 
     def test_non_smooth_refused(self):
-        rough = SplitFactor(a=np.array([[1.0]]),
-                            potential=Potential(dim=1,
-                                                value=lambda z: abs(float(z[0])),
-                                                gradient=lambda z: np.sign(np.atleast_1d(z)),
-                                                m=0.0, M=math.inf, L=1.0))
+        rough = scalar_group(lambda z: np.abs(z[:, 0]), np.sign, 0.0, math.inf, 1.0)
         with pytest.raises(NotSmooth):
-            sample_z_rejection(rough, np.array([0.0]), 0.5, np.random.default_rng(0))
+            sample_z_group(rough, np.zeros((1, 1)), 0.5, np.random.default_rng(0))
         with pytest.raises(NotSmooth):
-            sample_z_group(FactorGroup.of(rough), np.zeros((1, 1)), 0.5,
-                           np.random.default_rng(0))
-        with pytest.raises(NotSmooth):
-            warm_start_minimize(rough, np.array([0.3]), 0.5, 1e-3)
-        with pytest.raises(NotSmooth):
-            expected_proposals_bound(rough, np.array([0.3]), np.array([0.1]), 0.5)
+            warm_start_group(rough, np.full((1, 1), 0.3), 0.5, 1e-3)
+        assert not within_two_guarantee(rough, np.zeros(1), 0.5).any()
 
     def test_warm_start_step_bound_holds(self):
         # The descent step count respects its contraction-rate ceiling.
         model = build_model("logistic-split2", d=4, n=40, b=4, seed=2)
+        (group,) = model.groups
         rng = np.random.default_rng(17)
-        for factor in reference.block_factors(model):
+        for j in range(group.b):
             for _ in range(10):
                 theta = rng.standard_normal(4) * 3.0
                 rho = float(rng.uniform(0.05, 1.0))
-                target = gd_stop_threshold(factor, rho)
-                _, _, steps = warm_start_minimize(factor, factor.a @ theta, rho, target)
-                kappa = (1.0 + rho**2 * factor.potential.M) / (1.0 + rho**2 * factor.potential.m)
-                g0 = np.linalg.norm(factor.potential.gradient(factor.a @ theta))
+                a_theta = group.couple(theta)
+                target = reference.gd_stop_threshold(group, j, rho)
+                steps = warm_start_group(group, a_theta, rho)[2][j]
+                kappa = (1.0 + rho**2 * group.M[j]) / (1.0 + rho**2 * group.m[j])
+                g0 = np.linalg.norm(group.gradient(a_theta, ALL_BLOCKS)[j])
                 if g0 > target:
                     bound = math.ceil((math.log(g0) - math.log(target))
                                       / math.log(1.0 / (1.0 - 1.0 / kappa)))
@@ -437,13 +364,15 @@ def recording(group):
 
 class TestGroupDescent:
     def _assert_matches_reference(self, model, theta, rho, z_warm, z_tilde, steps, expected):
-        for j, factor in enumerate(reference.block_factors(model)):
+        (group,) = model.groups
+        for j in range(group.b):
             z0 = None if z_warm is None else z_warm[j]
             ref_z, _, ref_steps = reference.warm_start_minimize(
-                factor, factor.a @ theta, rho, reference.gd_stop_threshold(factor, rho), z0=z0)
+                group, j, group.a[j] @ theta, rho, reference.gd_stop_threshold(group, j, rho),
+                z0=z0)
             assert steps[j] == ref_steps
             np.testing.assert_allclose(z_tilde[j], ref_z, rtol=1e-12, atol=1e-12)
-            ref = reference.expected_proposals_bound(factor, theta, ref_z, rho)
+            ref = reference.expected_proposals_bound(group, j, theta, ref_z, rho)
             assert expected[j] == pytest.approx(ref, rel=1e-12)
 
     def test_descent_addresses_blocks_by_slice_until_some_stop(self):
@@ -539,8 +468,7 @@ class TestGroupDescent:
         with pytest.raises(InvalidParameter):
             sample_z_group(group, group.couple(np.zeros(4)), rho, np.random.default_rng(0))
         with pytest.raises(InvalidParameter):
-            sample_z_rejection(reference.block_factors(model)[0], np.zeros(4), rho,
-                               np.random.default_rng(0))
+            warm_start_group(group, group.couple(np.zeros(4)), rho)
         with pytest.raises(InvalidParameter):
             ThetaConditional(model, rho)
         with pytest.raises(InvalidParameter):

@@ -1,7 +1,5 @@
 """Model construction, composite potentials, centering and minimizer search."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -15,13 +13,7 @@ from splitmc import (
     model_constants,
 )
 from splitmc.errors import DimensionMismatch, SingularGram
-from splitmc.model import (
-    ALL_BLOCKS,
-    FactorGroup,
-    Potential,
-    SplitFactor,
-    max_factor_gradient_at,
-)
+from splitmc.model import ALL_BLOCKS, FactorGroup, max_factor_gradient_at
 
 
 def fd_gradient(value, z, rel_step=1e-6):
@@ -54,8 +46,7 @@ def assert_gradient_matches(group, j, points, rtol=1e-5):
 class TestPotentialInvariants:
     def test_constants_ordering_enforced(self):
         with pytest.raises(ValueError):
-            Potential(dim=1, value=lambda z: 0.0, gradient=lambda z: np.zeros(1),
-                      m=2.0, M=1.0)
+            FactorGroup(np.ones((1, 1, 1)), value=None, gradient=None, m=2.0, M=1.0)
         with pytest.raises(ValueError, match="block 1"):
             FactorGroup(np.ones((3, 1, 1)), value=None, gradient=None,
                         m=[0.5, 2.0, 0.5], M=1.0)
@@ -95,9 +86,7 @@ class TestCompositePotential:
         assert model.potential(np.array([3.0])) == pytest.approx(5.0, abs=1e-12)
 
     def test_zero_potential(self):
-        pot = Potential(dim=2, value=lambda z: 0.0,
-                        gradient=lambda z: np.zeros(2), m=0.0, M=0.0)
-        model = SplitModel(2, [SplitFactor(a=np.eye(2), potential=pot)])
+        model = SplitModel(2, [make_quadratic_group(np.eye(2)[None], precision=0.0, center=0.0)])
         rng = np.random.default_rng(5)
         for theta in rng.standard_normal((5, 2)):
             assert model.potential(theta) == 0.0
@@ -175,10 +164,11 @@ class TestFindMinimizer:
         assert np.linalg.norm(res.theta_star - c) <= 1e-8
 
     def test_rejects_zero_strong_convexity(self):
-        pot = Potential(dim=1, value=lambda z: float(np.logaddexp(0.0, z[0])),
-                        gradient=lambda z: np.array([1.0 / (1.0 + math.exp(-z[0]))]),
-                        m=0.0, M=0.25)
-        model = SplitModel(1, [SplitFactor(a=np.eye(1), potential=pot)])
+        softplus = FactorGroup(np.ones((1, 1, 1)),
+                               value=lambda z, rows: np.logaddexp(0.0, z[:, 0]),
+                               gradient=lambda z, rows: 1.0 / (1.0 + np.exp(-z)),
+                               m=0.0, M=0.25)
+        model = SplitModel(1, [softplus])
         with pytest.raises(NotStronglyConvex):
             find_minimizer(model)
 

@@ -7,6 +7,7 @@ import pytest
 
 from splitmc import (
     EpsilonOutOfRange,
+    InvalidParameter,
     NotCentered,
     NotStronglyConvex,
     SplitModel,
@@ -20,7 +21,7 @@ from splitmc import (
     plan_tv_single,
     plan_w1_single,
 )
-from splitmc.model import Potential, SplitFactor, model_constants
+from splitmc.model import FactorGroup, model_constants
 
 
 class TestContractionConstant:
@@ -38,10 +39,10 @@ class TestContractionConstant:
                 assert k_sgs(m2, rho) == pytest.approx(k2, abs=1e-12)
 
     def test_zero_strong_convexity_gives_zero(self):
-        flat = Potential(dim=2, value=lambda z: float(np.sum(np.abs(z))),
-                         gradient=lambda z: np.sign(np.atleast_1d(z)),
-                         m=0.0, M=math.inf, L=math.sqrt(2.0))
-        model = SplitModel(2, [SplitFactor(a=np.eye(2), potential=flat)])
+        flat = FactorGroup(np.eye(2)[None], value=lambda z, rows: np.abs(z).sum(axis=1),
+                           gradient=lambda z, rows: np.sign(z),
+                           m=0.0, M=math.inf, L=math.sqrt(2.0))
+        model = SplitModel(2, [flat])
         assert k_sgs(model, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_range_and_monotonicity(self):
@@ -54,10 +55,8 @@ class TestContractionConstant:
     def test_mixed_blocks_against_direct_eigensolve(self):
         rng = np.random.default_rng(5)
         factors = [
-            SplitFactor(a=rng.standard_normal((2, 4)),
-                        potential=Potential(dim=2, value=lambda z: 0.0,
-                                            gradient=lambda z: np.zeros(2),
-                                            m=0.3, M=1.0)),
+            FactorGroup(rng.standard_normal((2, 4))[None], value=lambda z, rows: np.zeros(len(z)),
+                        gradient=lambda z, rows: np.zeros_like(z), m=0.3, M=1.0),
             make_quadratic_group(np.eye(4)[None], precision=0.8, center=np.zeros(4)),
         ]
         model = SplitModel(4, factors)
@@ -231,3 +230,14 @@ class TestEpsilonGuards:
                 plan_tv_multi(model, eps, theta_star=np.zeros(4))
             with pytest.raises(EpsilonOutOfRange):
                 plan_tv_nonstrongly(1.0, eps, 1.0, 10)
+        # Dimensions below one and non-finite constants are refused before any
+        # arithmetic, instead of dividing by zero or taking the ceiling of nan.
+        for m1, big_m1, d in [(0.5, 1.0, 0), (0.5, 1.0, -2), (0.5, math.inf, 10),
+                              (math.nan, 1.0, 10), (0.5, math.nan, 10),
+                              (math.inf, math.inf, 10)]:
+            with pytest.raises(InvalidParameter):
+                plan_tv_single(m1, big_m1, d, 0.1)
+        for big_m1, r, d in [(1.0, 1.0, 0), (1.0, 1.0, -2), (math.inf, 1.0, 10),
+                             (1.0, math.inf, 10), (math.nan, 1.0, 10), (1.0, math.nan, 10)]:
+            with pytest.raises(InvalidParameter):
+                plan_tv_nonstrongly(big_m1, 0.1, r, d)

@@ -1,6 +1,9 @@
 """Source-level guards over the splitmc package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import splitmc
@@ -35,3 +38,31 @@ def test_no_logaddexp_calls():
 
     found = package_nodes(is_logaddexp_call)
     assert not found, f"logaddexp calls in the package: {', '.join(found)}"
+
+
+def test_no_scipy_stats_imports():
+    # scipy.stats costs about half of `import splitmc.cli`; the package needs
+    # only ndtr, ndtri and gammaincinv, which scipy.special provides.
+    def imports_stats(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith("scipy.stats") for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            return module.startswith("scipy.stats") or (
+                module == "scipy" and any(alias.name == "stats" for alias in node.names))
+        return False
+
+    found = package_nodes(imports_stats)
+    assert not found, f"scipy.stats imports in the package: {', '.join(found)}"
+
+
+def test_reachability_keep_list_is_current():
+    # tools/reachability.py runs every command, experiment and workload at toy
+    # size and fails on a src/ function that nothing enters and nothing keeps,
+    # or on a keep-list entry that is entered or gone.
+    tool = Path(__file__).resolve().parents[1] / "tools" / "reachability.py"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "keep-list entry is entered or gone" not in done.stdout, done.stdout

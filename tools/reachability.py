@@ -3,8 +3,8 @@
 Runs the four CLI commands, the five experiments at toy size and the three
 benchmark workloads at their toy size under a function-entry profiler, then
 prints every function or method defined in src/splitmc that was never
-entered and is not on the keep-list below, and exits 1 if there is one.
-Keep-list entries that are entered, or no longer exist, are printed too.
+entered and is not on the keep-list below, and every keep-list entry that
+is entered or no longer exists; it exits 1 if it printed either.
 
     python tools/reachability.py
 
@@ -33,18 +33,7 @@ KEEP = {
     "engine.admm_solve": "acceptance suite: the ADMM twin",
     "engine.sweep_conditional_modes": "am_solve's iteration: conditional modes, then master",
     "engine._group_mode": "the mode step of am_solve and admm_solve",
-    "conditionals.sample_z_rejection": "acceptance suite: the one-block rejection draw",
-    "conditionals.warm_start_minimize": "acceptance suite: the one-block warm start",
-    "conditionals.expected_proposals_bound": "acceptance suite: the one-block certificate",
-    "conditionals.gd_stop_threshold": "acceptance suite: the one-block stop rule",
     "conditionals.within_two_guarantee": "acceptance suite: the at-most-two-proposals regime",
-    "model.SplitFactor.group": "the one-block wrappers draw on a factor's cached group",
-    "model.FactorGroup.of": "a SplitFactor as a group of one",
-    "model.FactorGroup.of.<locals>.value": "a SplitFactor as a group of one",
-    "model.FactorGroup.of.<locals>.gradient": "a SplitFactor as a group of one",
-    "model.Potential.__post_init__": "acceptance suite: checks a SplitFactor's constants",
-    "model.SplitFactor.__post_init__": "acceptance suite: checks a SplitFactor's shape",
-    "model.SplitFactor.dim": "acceptance suite and scalar oracle: a factor's block dimension",
     "metrics.Normal1D.cdf": "acceptance suite: KS test against the toy chain's stationary law",
     # Library API that only the tests read, or that a protocol requires.
     "model.SplitModel.potential": "U(theta) itself: gradient and centering tests compare to it",
@@ -146,7 +135,7 @@ def main() -> int:
         print(f"never entered: {name}")
     for name in stale:
         print(f"keep-list entry is entered or gone: {name}")
-    return 1 if unexplained else 0
+    return 1 if unexplained or stale else 0
 
 
 if __name__ == "__main__":
