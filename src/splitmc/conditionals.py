@@ -157,7 +157,7 @@ def _norms(g: np.ndarray) -> np.ndarray:
 
 
 def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target=None,
-                     z0: np.ndarray | None = None):
+                     z0: np.ndarray | None = None, *, constants: _RhoConstants | None = None):
     """Gradient descent on V_i with step 1/(1/rho^2 + M_i), every block of a group at once.
 
     Descends only the blocks still above their target: a scalar, one value
@@ -166,21 +166,25 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
     all per block. Certified constants keep a block's step count within
     ceil((log ||grad V_i(z0)|| - log target) / log(1/(1 - 1/kappa))), at
     least 1, with kappa = (1 + rho^2 M_i)/(1 + rho^2 m_i); NonConvergence,
-    naming the first failing block of the group, is raised as soon as a
-    count passes that bound or a gradient norm turns non-finite, both signs
-    of an understated M_i. A fresh start (z0 None) sits at a_theta, where
-    the coupling term (z - a_theta)/rho^2 of the gradient is exactly zero,
-    so it is left out there.
+    naming the first failing block of the group and its step count, is
+    raised as soon as a count passes that bound or a gradient norm turns
+    non-finite, both signs of an understated M_i. A fresh start (z0 None)
+    sits at a_theta, where the coupling term (z - a_theta)/rho^2 of the
+    gradient is exactly zero, so it is left out there.
 
     The step, stop rule and step-bound rate come from the group's
-    per-(group, rho) constants, computed once. While every block descends,
-    the blocks are addressed by the basic slice ALL_BLOCKS, so value and
-    gradient read the group's data without gathering it; an index array
-    is used only once some blocks have stopped.
+    per-(group, rho) constants, computed once (or handed in as constants
+    by a caller that has them). Every block still descending has taken the
+    same number of steps, so one counter stands for all of them: the bound
+    check compares it with the smallest pending bound, and a block that
+    stops is given the counter as its step count. While every block
+    descends, the blocks are addressed by the basic slice ALL_BLOCKS, so
+    value and gradient read the group's data without gathering it; an index
+    array is used only once some blocks have stopped.
     """
     if not group.smooth:
         raise NotSmooth("warm-start descent needs a finite smoothness constant")
-    c = _rho_constants(group, rho)
+    c = _rho_constants(group, rho) if constants is None else constants
     if target is None:
         target, log_target = c.target, c.log_target
     else:
@@ -202,18 +206,16 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
         rows = np.flatnonzero(pending)
     else:
         return z, gnorm, steps
+    it = 0
+    _check_finite(gnorm[rows], rows, group.b, it)
     with np.errstate(divide="ignore"):  # rate is 0 past kappa = 2^53: no finite bound
         bound = np.maximum(np.ceil((np.log(gnorm[rows]) - log_target[rows]) / c.rate[rows]),
                            1.0)
+    bound_min = bound.min()
     step = c.step[rows, None]
     while True:
-        bad = ~np.isfinite(gnorm[rows])
-        if bad.any():
-            j = int(np.arange(group.b)[rows][bad][0])
-            raise NonConvergence(f"block {j}: warm-start gradient norm is {gnorm[j]} "
-                                 f"after {steps[j]} steps")
-        over = steps[rows] >= bound
-        if over.any():
+        if it >= bound_min:
+            over = bound <= it
             j = int(np.arange(group.b)[rows][over][0])
             raise NonConvergence(f"block {j}: warm-start descent passed its step bound "
                                  f"{int(bound[over][0])}; the certified M looks too small")
@@ -222,14 +224,29 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
         z[rows], g[rows] = zp, gp
         gnorm_p = _norms(gp)
         gnorm[rows] = gnorm_p
-        steps[rows] += 1
+        it += 1
+        _check_finite(gnorm_p, rows, group.b, it)
         keep = ~(gnorm_p <= target[rows])
         if keep.all():
             continue
         if not keep.any():
+            steps[rows] = it
             return z, gnorm, steps
-        rows = np.flatnonzero(keep) if rows is ALL_BLOCKS else rows[keep]
+        if rows is ALL_BLOCKS:
+            rows = np.arange(group.b)
+        steps[rows[~keep]] = it
+        rows = rows[keep]
         bound, step = bound[keep], step[keep]
+        bound_min = bound.min()
+
+
+def _check_finite(gnorm: np.ndarray, rows, b: int, it: int) -> None:
+    """Raise NonConvergence naming the first block of rows whose gradient norm is not finite."""
+    finite = np.isfinite(gnorm)
+    if not finite.all():
+        j = int(np.arange(b)[rows][~finite][0])
+        raise NonConvergence(f"block {j}: warm-start gradient norm is {gnorm[~finite][0]} "
+                             f"after {it} steps")
 
 
 def _certificate(gnorm: np.ndarray, k: int, s: np.ndarray, top: np.ndarray):
@@ -286,8 +303,8 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
     """
     if not group.smooth:
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
-    z_tilde, gnorm, gd_steps = warm_start_group(group, a_theta, rho, z0=z_warm)
     c = _rho_constants(group, rho)
+    z_tilde, gnorm, gd_steps = warm_start_group(group, a_theta, rho, z0=z_warm, constants=c)
     k = group.k
     a_tilde, log_r, expected = _certificate(gnorm, k, c.s, c.top)
     v_tilde = group.value(z_tilde, ALL_BLOCKS)
@@ -314,7 +331,7 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
         proposals[rows] = rounds
         xi = rng.standard_normal((n_rows, k))
         zp = z_tilde[rows] + sigma_prop[rows, None] * xi
-        u = rng.uniform(size=n_rows)
+        u = rng.random(n_rows)
         dz = zp - a_theta[rows]
         v = group.value(zp, rows) + 0.5 * np.add.reduce(dz * dz, axis=1) / rho**2
         log_accept = log_r[rows] - (v - v_tilde[rows]) + 0.5 * np.add.reduce(xi * xi, axis=1)

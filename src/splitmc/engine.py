@@ -89,9 +89,16 @@ class SamplerConfig:
 
 
 def initial_state(model: SplitModel, theta0: np.ndarray, seed: int) -> ChainState:
+    """The chain's start: theta0, every block at A_i theta0, sweep 0.
+
+    A non-finite theta0 is refused with InvalidParameter before it reaches
+    the coupling or a draw.
+    """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (model.d,):
         raise DimensionMismatch("theta0 has the wrong length")
+    if not np.isfinite(theta0).all():
+        raise InvalidParameter(f"theta0 must be finite, got {theta0}")
     z0 = tuple(g.couple(theta0) for g in model.groups)
     return ChainState(theta=theta0, z_groups=z0, sweep=0, rng_seed_root=int(seed))
 
@@ -107,26 +114,31 @@ def _chain_key(root: int) -> np.ndarray:
 class SweepStreams:
     """The random streams of one chain, as an rng_factory(sweep, phase).
 
-    Holds one Philox generator per phase and, on each call, resets its full
-    state (counter, key, output buffer, buffered 32-bit half) to counter
-    (0, phase, sweep, 0), so the stream returned depends on (root, sweep,
-    phase) only. A generator stays valid until the next call for its phase.
+    Holds one Philox generator and one full state dict per phase. On each
+    call it writes the sweep into word 2 of that dict's counter and sets the
+    generator's state from the dict (counter, key, an empty output buffer,
+    no buffered 32-bit half), so the stream returned starts at counter
+    (0, phase, sweep, 0) and depends on (root, sweep, phase) only. Setting a
+    state copies it into the generator, so the dicts are never aliased. A
+    generator stays valid until the next call for its phase.
     """
 
     def __init__(self, root: int):
         self.key = _chain_key(int(root))
         self._generators = tuple(np.random.Generator(np.random.Philox(key=self.key))
                                  for _ in (PHASE_BLOCKS, PHASE_MASTER))
-        self._buffer = np.zeros(4, dtype=np.uint64)
+        buffer = np.zeros(4, dtype=np.uint64)
+        self._states = tuple(
+            {"bit_generator": "Philox",
+             "state": {"counter": np.array((0, phase, 0, 0), dtype=np.uint64), "key": self.key},
+             "buffer": buffer, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            for phase in (PHASE_BLOCKS, PHASE_MASTER))
 
     def __call__(self, sweep: int, phase: int) -> np.random.Generator:
         gen = self._generators[phase]
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.array((0, phase, sweep, 0), dtype=np.uint64),
-                      "key": self.key},
-            "buffer": self._buffer, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
+        state = self._states[phase]
+        state["state"]["counter"][2] = sweep
+        gen.bit_generator.state = state
         return gen
 
 

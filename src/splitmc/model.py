@@ -26,6 +26,7 @@ from .errors import (
     NotSmooth,
     NotStronglyConvex,
     SingularGram,
+    UnsupportedModel,
 )
 from .numerics import lambda_extremes
 
@@ -46,23 +47,30 @@ class FactorGroup:
     shape (b, k); they are the only closed forms of a conditional. Groups
     without them go through the rejection sampler and the warm-start descent,
     which need smooth, i.e. every M finite.
+
+    recenter(a_theta_star, off), when present, returns the group whose
+    blocks selected by the boolean mask off carry the potential
+    U_j(z) - <grad U_j(a_theta_star[j]), z> (up to a constant per block),
+    as a group of the same family: same kernels, same closed forms, the
+    same m, M and L arrays, since a linear tilt changes no curvature.
+    center_model calls it. Constant arrays that are already read-only
+    float arrays of shape (b,) are shared, not copied.
     """
 
-    def __init__(self, a, value, gradient, m, M, L=math.inf, sampler=None, mode=None):
+    def __init__(self, a, value, gradient, m, M, L=math.inf, sampler=None, mode=None,
+                 recenter=None):
         a = np.array(a, dtype=float)
         if a.ndim != 3 or 0 in a.shape:
             raise DimensionMismatch(f"group coupling has shape {a.shape}, expected (b, k, d)")
         a.setflags(write=False)
         b = a.shape[0]
-        m, M, L = (np.broadcast_to(np.asarray(c, dtype=float), (b,)).copy() for c in (m, M, L))
+        m, M, L = (block_constants(c, b) for c in (m, M, L))
         if (m < 0).any() or (L < 0).any():
             raise ValueError("constants must be nonnegative")
         bad = np.flatnonzero(np.isfinite(M) & (m > M * (1 + 1e-12)))
         if bad.size:
             j = int(bad[0])
             raise ValueError(f"block {j}: m={m[j]} exceeds M={M[j]}")
-        for c in (m, M, L):
-            c.setflags(write=False)
         self.smooth = bool(np.isfinite(M).all())
         self.a = a
         self.a_flat = a.reshape(-1, a.shape[2])
@@ -71,6 +79,7 @@ class FactorGroup:
         self.m, self.M, self.L = m, M, L
         self.sampler = sampler
         self.mode = mode
+        self.recenter = recenter
 
     @property
     def b(self) -> int:
@@ -87,6 +96,21 @@ class FactorGroup:
     def couple(self, theta: np.ndarray) -> np.ndarray:
         """A_j theta for every block, shape (b, k)."""
         return (self.a_flat @ theta).reshape(self.b, self.k)
+
+
+def block_constants(c, b: int) -> np.ndarray:
+    """One read-only float per block; a read-only (b,) float array is taken as is.
+
+    Group builders whose recenter hook hands its constants on to the
+    centered group call it first, so that the hook holds the arrays rather
+    than the group (which would make a reference cycle).
+    """
+    if isinstance(c, np.ndarray) and c.shape == (b,) and c.dtype == float \
+            and not c.flags.writeable:
+        return c
+    c = np.broadcast_to(np.asarray(c, dtype=float), (b,)).copy()
+    c.setflags(write=False)
+    return c
 
 
 class SplitModel:
@@ -326,42 +350,34 @@ def find_minimizer(model: SplitModel, tol: float | None = None,
 
 def center_model(model: SplitModel, theta_star: np.ndarray,
                  tol: float = 1e-12) -> SplitModel:
-    """Shift each factor by a linear term so its gradient vanishes at A_i theta_star.
+    """Tilt each factor by a linear term so its gradient vanishes at A_i theta_star.
 
     U_i(z) -> U_i(z) - <z, grad U_i(A_i theta_star)>. The total potential
     changes only by a theta-linear term whose gradient is grad U(theta_star),
-    which is ~0 when theta_star is a minimizer; m, M, L are unchanged.
-    Groups whose blocks are all centered already are returned untouched, and
-    centered blocks of the other groups get a zero shift, which makes the
-    operation idempotent.
+    which is ~0 when theta_star is a minimizer; m, M, L are unchanged. Each
+    group re-parametrizes its own blocks through its recenter hook (see
+    FactorGroup), so the centered kernels cost what the raw ones do and
+    closed forms survive. Blocks whose gradient norm is within tol are left
+    as they are, and groups whose blocks all are are returned untouched,
+    which makes the operation idempotent. Raises UnsupportedModel for a
+    group with blocks to tilt and no recenter hook.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     if theta_star.shape != (model.d,):
         raise DimensionMismatch("theta_star has the wrong length")
     new_groups = []
     for g in model.groups:
-        shift = np.array(g.gradient(g.couple(theta_star), ALL_BLOCKS), dtype=float)
-        off = np.linalg.norm(shift, axis=1) > tol
+        a_star = g.couple(theta_star)
+        off = np.linalg.norm(g.gradient(a_star, ALL_BLOCKS), axis=1) > tol
         if not off.any():
             new_groups.append(g)
             continue
-        shift[~off] = 0.0
-        # The closed-form conditionals assume the original potential.
-        new_groups.append(FactorGroup(g.a, _shifted_value(g.value, shift),
-                                      _shifted_gradient(g.gradient, shift), g.m, g.M, g.L))
+        if g.recenter is None:
+            j = int(np.flatnonzero(off)[0])
+            raise UnsupportedModel(f"block {j} needs centering, and its factor group "
+                                   "has no recenter hook")
+        new_groups.append(g.recenter(a_star, off))
     return SplitModel(model.d, new_groups)
-
-
-def _shifted_value(value, shift):
-    def shifted(z, rows):
-        return value(z, rows) - np.add.reduce(z * shift[rows], axis=1)
-    return shifted
-
-
-def _shifted_gradient(gradient, shift):
-    def shifted(z, rows):
-        return gradient(z, rows) - shift[rows]
-    return shifted
 
 
 def max_factor_gradient_at(model: SplitModel, theta_star: np.ndarray) -> float:
@@ -386,17 +402,23 @@ def make_quadratic_group(a, precision, center) -> FactorGroup:
     shrink = 1/(1 + rho^2 P), its mean is shrink (a_theta + rho^2 P c) and
     its variance rho^2 shrink. The sampler is the mode plus scaled noise,
     so null noise turns it into the mode bit for bit, and it accepts any
-    leading axes in front of the (b, k) block axes.
+    leading axes in front of the (b, k) block axes. Centering moves the
+    center of a tilted block to A_j theta* on the coordinates where P > 0
+    (the tilt is zero on the others): U_j(z) - <P (A_j theta* - c_j), z>
+    is (1/2)(z - A_j theta*)^T P (z - A_j theta*) plus a constant.
     """
     a = np.asarray(a, dtype=float)
     p = np.asarray(precision, dtype=float)
     if p.ndim > 1 or (p < 0).any():
         raise ValueError("group precision must be a nonnegative scalar or diagonal")
-    m, M = p.min(), p.max()
     # A Python float and a contiguous center keep the arithmetic cheap at the
     # small block sizes of a chain; the values are the same.
-    p = float(p) if p.ndim == 0 else p
     c = np.array(np.broadcast_to(np.asarray(center, dtype=float), a.shape[:2]))
+    return _quadratic_group(a, float(p) if p.ndim == 0 else p, c, p.min(), p.max(), math.inf)
+
+
+def _quadratic_group(a, p, c, m, M, L) -> FactorGroup:
+    m, M, L = (block_constants(x, a.shape[0]) for x in (m, M, L))
 
     def value(z, rows):
         return 0.5 * np.sum(p * (z - c[rows]) ** 2, axis=1)
@@ -419,4 +441,9 @@ def make_quadratic_group(a, precision, center) -> FactorGroup:
         z += noise
         return z
 
-    return FactorGroup(a, value, gradient, m=m, M=M, sampler=sampler, mode=mode)
+    def recenter(a_theta_star, off):
+        moved = off[:, None] & (p > 0)
+        return _quadratic_group(a, p, np.where(moved, a_theta_star, c), m, M, L)
+
+    return FactorGroup(a, value, gradient, m=m, M=M, L=L, sampler=sampler, mode=mode,
+                       recenter=recenter)

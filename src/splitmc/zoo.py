@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InvalidParameter, UnsupportedModel
-from .model import FactorGroup, SplitModel, make_quadratic_group
+from .model import FactorGroup, SplitModel, block_constants, make_quadratic_group
 
 
 def _check_toy(sigma: float, b: int):
@@ -135,29 +135,45 @@ def _logit_group(a: np.ndarray, design: np.ndarray | None, labels: np.ndarray,
     if design is None:
         m = np.full(labels.shape[0], alpha)
         M = np.full(labels.shape[0], alpha + 0.25)
+    else:
+        eigs = np.linalg.eigvalsh(np.swapaxes(design, 1, 2) @ design)
+        m = alpha * np.maximum(eigs[:, 0], 0.0)
+        M = (alpha + 0.25) * eigs[:, -1]
+    return _logit_kernels(a, design, labels, alpha, m, M, math.inf)
 
+
+def _logit_kernels(a, design, labels, alpha, m, M, L) -> FactorGroup:
+    """The group of _logit_group with its constants given.
+
+    Centering folds the tilt into the labels: with u* = X_j z*_j and the
+    per-observation residual w = expit(u*) - y + alpha u*, the gradient at
+    z*_j is X_j^T w, and U_j(z) - <X_j^T w, z> is the same kernel with
+    labels y + w.
+    """
+    m, M, L = (block_constants(c, labels.shape[0]) for c in (m, M, L))
+    if design is None:
         def value(z, rows):
             return (_softplus(z) + z * (0.5 * alpha * z - labels[rows]))[:, 0]
 
         def gradient(z, rows):
             return expit(z) - labels[rows] + alpha * z
 
-        return FactorGroup(a, value, gradient, m=m, M=M, L=math.inf)
+    else:
+        def value(z, rows):
+            u = (design[rows] @ z[:, :, None])[:, :, 0]
+            return np.add.reduce(_softplus(u) + u * (0.5 * alpha * u - labels[rows]), axis=1)
 
-    eigs = np.linalg.eigvalsh(np.swapaxes(design, 1, 2) @ design)
-    m = alpha * np.maximum(eigs[:, 0], 0.0)
-    M = (alpha + 0.25) * eigs[:, -1]
+        def gradient(z, rows):
+            x = design[rows]
+            u = (x @ z[:, :, None])[:, :, 0]
+            return ((expit(u) - labels[rows] + alpha * u)[:, None, :] @ x)[:, 0, :]
 
-    def value(z, rows):
-        u = (design[rows] @ z[:, :, None])[:, :, 0]
-        return np.add.reduce(_softplus(u) + u * (0.5 * alpha * u - labels[rows]), axis=1)
+    def recenter(a_theta_star, off):
+        u = a_theta_star if design is None else (design @ a_theta_star[:, :, None])[:, :, 0]
+        w = np.where(off[:, None], expit(u) - labels + alpha * u, 0.0)
+        return _logit_kernels(a, design, labels + w, alpha, m, M, L)
 
-    def gradient(z, rows):
-        x = design[rows]
-        u = (x @ z[:, :, None])[:, :, 0]
-        return ((expit(u) - labels[rows] + alpha * u)[:, None, :] @ x)[:, 0, :]
-
-    return FactorGroup(a, value, gradient, m=m, M=M, L=math.inf)
+    return FactorGroup(a, value, gradient, m=m, M=M, L=L, recenter=recenter)
 
 
 def logistic_split1(d: int = 10, n: int = 200, seed: int = 0) -> SplitModel:

@@ -233,6 +233,34 @@ class TestRejectionSampler:
             sample_z_group(steep, a_theta, rho, np.random.default_rng(0))
         assert len(calls) == 5
 
+    @pytest.mark.parametrize("bad_block, bad_call", [(1, 2), (2, 3)])
+    def test_non_finite_descent_names_block_and_steps(self, bad_block, bad_call):
+        # Three scalar blocks U_j(z) = c_j z^2 / 2 from a_theta = 10, rho = 1.
+        # Block 0 (c = M = 1) is exact after one step and stops; blocks 1
+        # and 2 (c = 0.6) need two. The gradient of bad_block turns NaN at
+        # gradient call bad_call (call 1 is the start): after one step,
+        # while block 0 stops, or after two, while blocks 1 and 2 are
+        # addressed by an index array.
+        curvature = np.array([1.0, 0.6, 0.6])
+        calls = []
+
+        def gradient(z, rows):
+            calls.append(rows)
+            g = curvature[rows, None] * z
+            if len(calls) == bad_call:
+                g[np.arange(3)[rows] == bad_block] = np.nan
+            return g
+
+        group = FactorGroup(np.ones((3, 1, 1)), lambda z, rows: 0.5 * curvature[rows] * z[:, 0]**2,
+                            gradient, m=[1.0, 0.5, 0.5], M=1.0)
+        a_theta = np.full((3, 1), 10.0)
+        steps = bad_call - 1
+        with pytest.raises(NonConvergence, match=f"block {bad_block}: .* after {steps} steps"):
+            warm_start_group(group, a_theta, 1.0)
+        assert len(calls) == bad_call
+        if bad_call == 3:
+            assert calls[-1].tolist() == [1, 2]
+
     def test_group_certificates_match_scalar_reference(self):
         # Given theta, warm starts and certificates are deterministic: the
         # group path reproduces the scalar oracle block by block, from

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -102,6 +103,60 @@ class TestReproducibility:
         b = run_chain(model, carry, seed=2, theta0=np.zeros(3))
         assert a.max_avg_proposals <= 2.0 and b.max_avg_proposals <= 2.0
         assert a.gd_steps_total.sum() <= b.gd_steps_total.sum()
+
+    @pytest.mark.parametrize("name, kwargs, rho, carry, gd_steps, proposals, pinned", [
+        # Closed form.
+        ("toy-gaussian-1", {}, 1.0, False, 0, 0,
+         [["0x1.57dfb3f1e8727p-3"], ["-0x1.c824f1a24f48cp-1"],
+          ["-0x1.2b948755183aap-1"], ["0x1.97dc78a6c333fp-3"]]),
+        # Rejection with no descent step.
+        ("logistic-split1", {"d": 3, "n": 30, "seed": 1}, 0.3, False, 0, 135,
+         [["0x1.d6130ce7b79a2p-2", "0x1.7b7eaac893904p-1", "0x1.21b02d7366465p-1"],
+          ["0x1.3f9d18ed7cd8cp-2", "0x1.8490bdd750db5p-1", "0x1.0fb6e39d4efd4p-1"],
+          ["0x1.624e1bc462a9dp-2", "0x1.714928454692bp-1", "0x1.2f82dcc630964p-1"],
+          ["0x1.0a20e3a497c9dp-1", "0x1.1fb3430b156a4p-1", "0x1.1f7c79aef26a3p-1"]]),
+        # Rejection after descent steps, from fresh and from carried starts.
+        ("logistic-split2", {"d": 3, "n": 30, "b": 5, "seed": 1}, 0.4, False, 17, 22,
+         [["0x1.e27dd55736510p-3", "0x1.8adcfad1b8830p-1", "0x1.5493edd619e17p-2"],
+          ["-0x1.58f5cbbbd2a13p-2", "0x1.bbbccafdac671p-1", "0x1.77494cc37e525p-2"],
+          ["-0x1.8d95d0b78fd7ep-3", "0x1.ee2977ac01288p-1", "0x1.f01dc34498f0cp-3"],
+          ["0x1.a016b8c1470bfp-3", "0x1.9e226aa55836bp-1", "0x1.fdd054590f270p-3"]]),
+        ("logistic-split2", {"d": 3, "n": 30, "b": 5, "seed": 1}, 0.4, True, 22, 23,
+         [["0x1.e27dd55736510p-3", "0x1.8adcfad1b8830p-1", "0x1.5493edd619e17p-2"],
+          ["-0x1.7821e95ba2662p-2", "0x1.01173ce0fba2bp+0", "0x1.89f68266b289dp-2"],
+          ["-0x1.b17d621bdfeecp-3", "0x1.169d4f605b137p+0", "0x1.08462fc2202f0p-2"],
+          ["0x1.6a19e45ac48a3p-3", "0x1.dc8ff232fdeb3p-1", "0x1.139695157bd1fp-2"]]),
+    ])
+    def test_first_sweeps_are_pinned(self, name, kwargs, rho, carry, gd_steps, proposals,
+                                     pinned):
+        # The first draws of uncentered chains, bit for bit. Rewrites of the
+        # descent's bookkeeping, of how uniforms are drawn or of how the
+        # streams are reset must leave them as they are; a change that moves
+        # them changes the chains and is recorded in the README's RNG contract.
+        model = build_model(name, **kwargs)
+        config = SamplerConfig(rho=rho, sweeps=4, carry_warm_start=carry)
+        report = run_chain(model, config, seed=7, theta0=np.full(model.d, 0.5))
+        assert [[x.hex() for x in row] for row in report.thetas.tolist()] == pinned
+        assert report.gd_steps_total.sum() == gd_steps
+        assert report.proposals_total.sum() == proposals
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("toy-gaussian-1", {}),
+        ("logistic-split1", {"d": 3, "n": 30, "seed": 1}),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_is_invalid(self, name, kwargs, bad):
+        # Refused up front, before the coupling product (which would warn)
+        # or a draw (which would blame a block or the warm start).
+        model = build_model(name, **kwargs)
+        theta0 = np.zeros(model.d)
+        theta0[-1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match="theta0 must be finite"):
+                initial_state(model, theta0, seed=0)
+            with pytest.raises(InvalidParameter, match="theta0 must be finite"):
+                run_chain(model, SamplerConfig(rho=0.4, sweeps=2), seed=0, theta0=theta0)
 
     def test_callback_can_stop(self):
         model = build_model("toy-gaussian-1")

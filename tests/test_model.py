@@ -1,7 +1,12 @@
 """Model construction, composite potentials, centering and minimizer search."""
 
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
+from scipy.stats import kstest, norm
 
 from splitmc import (
     NotStronglyConvex,
@@ -12,7 +17,7 @@ from splitmc import (
     make_quadratic_group,
     model_constants,
 )
-from splitmc.errors import DimensionMismatch, SingularGram
+from splitmc.errors import DimensionMismatch, SingularGram, UnsupportedModel
 from splitmc.model import ALL_BLOCKS, FactorGroup, max_factor_gradient_at
 
 
@@ -219,6 +224,144 @@ class TestCentering:
         for theta in rng.standard_normal((5, 4)):
             diff_grad = centered.gradient(theta) - model.gradient(theta)
             assert np.linalg.norm(diff_grad) <= 1e-9
+
+
+def _fold_groups():
+    """A unit-design and a stacked logistic group and a diagonal quadratic, b >= 3."""
+    rng = np.random.default_rng(3)
+    quad = make_quadratic_group(rng.standard_normal((3, 2, 4)), precision=[0.0, 2.0],
+                                center=rng.standard_normal((3, 2)))
+    return [("unit logistic", build_model("logistic-split1", d=4, n=12, seed=2).groups[0]),
+            ("stacked logistic", build_model("logistic-split2", d=4, n=24, b=3,
+                                             seed=2).groups[0]),
+            ("diagonal quadratic", quad)]
+
+
+class TestCenteringFold:
+    @pytest.mark.parametrize("name, group", _fold_groups(),
+                             ids=["unit-logistic", "stacked-logistic", "diagonal-quadratic"])
+    @pytest.mark.parametrize("rows", [ALL_BLOCKS, np.array([2, 0, 2, 1, 0])],
+                             ids=["all-blocks", "index-array"])
+    def test_recentered_kernels_are_the_linear_tilt(self, name, group, rows):
+        # U_j(z) - <grad U_j(A_j theta*), z> on the blocks in off (block 1 is
+        # not); the quadratic's value may differ from it by a constant per block.
+        rng = np.random.default_rng(5)
+        a_star = group.couple(rng.standard_normal(4))
+        off = np.array([True, False] + [True] * (group.b - 2))
+        shift = group.gradient(a_star, ALL_BLOCKS)
+        shift[~off] = 0.0
+        centered = group.recenter(a_star, off)
+        assert centered.m is group.m and centered.M is group.M and centered.L is group.L
+        assert (centered.sampler is None) == (group.sampler is None)
+        assert (centered.mode is None) == (group.mode is None)
+
+        index = np.arange(group.b)[rows]
+        zero = np.zeros((group.b, group.k))
+        constant = centered.value(zero, ALL_BLOCKS) - group.value(zero, ALL_BLOCKS)
+        if group.sampler is None:
+            assert (constant == 0.0).all()
+        for _ in range(3):
+            z = 2.0 * rng.standard_normal((index.size, group.k))
+            raw_v, raw_g = group.value(z, rows), group.gradient(z, rows)
+            tilt = np.sum(z * shift[index], axis=1)
+            got_v, got_g = centered.value(z, rows), centered.gradient(z, rows)
+            scale_g = np.linalg.norm(raw_g, axis=1) + np.linalg.norm(shift[index], axis=1)
+            assert (np.linalg.norm(got_g - (raw_g - shift[index]), axis=1)
+                    <= 1e-12 * scale_g).all()
+            diff = got_v - (raw_v - tilt) - constant[index]
+            scale_v = np.abs(raw_v) + np.abs(tilt) + np.abs(constant[index])
+            assert (np.abs(diff) <= 1e-12 * scale_v).all()
+            # Block 1 is left as it was, bit for bit.
+            kept = index == 1
+            assert got_v[kept].tobytes() == raw_v[kept].tobytes()
+            assert got_g[kept].tobytes() == raw_g[kept].tobytes()
+
+    def test_center_model_leaves_blocks_within_tol(self):
+        # Block 0 sits at its center: its gradient at A_0 theta* is exactly 0.
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((3, 2, 4))
+        theta_star = rng.standard_normal(4)
+        center = rng.standard_normal((3, 2))
+        center[0] = (a[0] @ theta_star)
+        quad = make_quadratic_group(a, precision=[0.5, 2.0], center=center)
+        model = SplitModel(4, [quad, make_quadratic_group(np.eye(4)[None], 1.0, 0.0)])
+        centered = center_model(model, theta_star)
+        assert max_factor_gradient_at(centered, theta_star) <= 1e-12
+        group = centered.groups[0]
+        z = rng.standard_normal((1, 2))
+        assert group.value(z, slice(0, 1)).tobytes() == quad.value(z, slice(0, 1)).tobytes()
+        assert group.gradient(z, slice(0, 1)).tobytes() == quad.gradient(z, slice(0, 1)).tobytes()
+
+    def test_centered_quadratic_draws_its_tilted_conditional(self):
+        # The tilted conditional exp(-U(z) + <s, z> - |z - a_theta|^2 / 2 rho^2)
+        # is Gaussian with precision P + 1/rho^2 and mean
+        # (a_theta/rho^2 + P c + s)/(P + 1/rho^2), written here from the raw
+        # potential rather than from the moved center.
+        rng = np.random.default_rng(7)
+        p, c = np.array([0.5, 2.0]), rng.standard_normal((2, 2))
+        quad = make_quadratic_group(np.tile(np.eye(2), (2, 1, 1)), precision=p, center=c)
+        model = SplitModel(2, [quad])
+        theta_star = np.array([1.5, -0.7])
+        shift = quad.gradient(quad.couple(theta_star), ALL_BLOCKS)
+        (group,) = center_model(model, theta_star).groups
+        assert group.sampler is not None and group.mode is not None
+        rho = 0.8
+        a_theta = quad.couple(np.array([0.3, 0.9]))
+        precision = p + 1.0 / rho**2
+        mean = (a_theta / rho**2 + p * c + shift) / precision
+        np.testing.assert_allclose(group.mode(a_theta, rho), mean, rtol=1e-12)
+        draws = group.sampler(np.broadcast_to(a_theta, (4000, 2, 2)), rho,
+                              np.random.default_rng(8))
+        for j in range(2):
+            for i in range(2):
+                std = 1.0 / math.sqrt(precision[i])
+                assert kstest(draws[:, j, i], norm(mean[j, i], std).cdf).pvalue > 1e-3
+
+    def test_group_without_recenter_is_refused_when_off_center(self):
+        quad = make_quadratic_group(np.eye(2)[None], precision=1.0, center=[1.0, 2.0])
+        bare = SplitModel(2, [FactorGroup(quad.a, quad.value, quad.gradient, quad.m, quad.M)])
+        with pytest.raises(UnsupportedModel, match="block 0"):
+            center_model(bare, np.zeros(2))
+        at_center = center_model(bare, np.array([1.0, 2.0]))
+        assert at_center.groups[0] is bare.groups[0]
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("logistic-split1", {"d": 3, "n": 20, "seed": 1}),
+        ("logistic-split2", {"d": 3, "n": 20, "b": 2, "seed": 1}),
+        ("toy-gaussian-1", {"mu": 1.0}),
+    ])
+    def test_groups_are_freed_without_the_cycle_collector(self, name, kwargs):
+        # The recenter hooks hold the constant arrays, not their group: a
+        # group that referred to itself would live until a collection.
+        model = build_model(name, **kwargs)
+        theta_star = find_minimizer(model).theta_star + 0.25
+        centered = center_model(model, theta_star)
+        refs = [weakref.ref(model.groups[0]), weakref.ref(centered.groups[0])]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del model, centered
+            assert all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_unit_and_ones_designs_agree_after_centering(self):
+        from splitmc.zoo import _logit_group
+        n = 40
+        model = build_model("logistic-split1", d=3, n=n, seed=4)
+        x, y = model.data
+        ones = SplitModel(3, [_logit_group(x[:, None, :], np.ones((n, 1, 1)), y[:, None],
+                                           model.prior_alpha)])
+        theta_star = find_minimizer(model).theta_star + 0.1
+        (unit,) = center_model(model, theta_star).groups
+        (explicit,) = center_model(ones, theta_star).groups
+        z = 3.0 * np.random.default_rng(9).standard_normal((n, 1))
+        subset = np.array([5, 0, 17, 39, 17])
+        for rows, zr in ((ALL_BLOCKS, z), (subset, z[subset])):
+            for fn in ("value", "gradient"):
+                assert getattr(unit, fn)(zr, rows).tobytes() == \
+                    getattr(explicit, fn)(zr, rows).tobytes()
 
 
 class TestZooModels:
