@@ -157,7 +157,7 @@ def _norms(g: np.ndarray) -> np.ndarray:
 
 
 def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target=None,
-                     z0: np.ndarray | None = None, *, constants: _RhoConstants | None = None):
+                     z0: np.ndarray | None = None):
     """Gradient descent on V_i with step 1/(1/rho^2 + M_i), every block of a group at once.
 
     Descends only the blocks still above their target: a scalar, one value
@@ -173,18 +173,17 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
     gradient is exactly zero, so it is left out there.
 
     The step, stop rule and step-bound rate come from the group's
-    per-(group, rho) constants, computed once (or handed in as constants
-    by a caller that has them). Every block still descending has taken the
-    same number of steps, so one counter stands for all of them: the bound
-    check compares it with the smallest pending bound, and a block that
-    stops is given the counter as its step count. While every block
-    descends, the blocks are addressed by the basic slice ALL_BLOCKS, so
-    value and gradient read the group's data without gathering it; an index
-    array is used only once some blocks have stopped.
+    per-(group, rho) constants, computed once. Every block still descending
+    has taken the same number of steps, so one counter stands for all of
+    them: the bound check compares it with the smallest pending bound, and
+    a block that stops is given the counter as its step count. While every
+    block descends, the blocks are addressed by the basic slice ALL_BLOCKS,
+    so value and gradient read the group's data without gathering it; an
+    index array is used only once some blocks have stopped.
     """
     if not group.smooth:
         raise NotSmooth("warm-start descent needs a finite smoothness constant")
-    c = _rho_constants(group, rho) if constants is None else constants
+    c = _rho_constants(group, rho)
     if target is None:
         target, log_target = c.target, c.log_target
     else:
@@ -303,8 +302,8 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
     """
     if not group.smooth:
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
+    z_tilde, gnorm, gd_steps = warm_start_group(group, a_theta, rho, z0=z_warm)
     c = _rho_constants(group, rho)
-    z_tilde, gnorm, gd_steps = warm_start_group(group, a_theta, rho, z0=z_warm, constants=c)
     k = group.k
     a_tilde, log_r, expected = _certificate(gnorm, k, c.s, c.top)
     v_tilde = group.value(z_tilde, ALL_BLOCKS)

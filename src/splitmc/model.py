@@ -52,9 +52,8 @@ class FactorGroup:
     blocks selected by the boolean mask off carry the potential
     U_j(z) - <grad U_j(a_theta_star[j]), z> (up to a constant per block),
     as a group of the same family: same kernels, same closed forms, the
-    same m, M and L arrays, since a linear tilt changes no curvature.
-    center_model calls it. Constant arrays that are already read-only
-    float arrays of shape (b,) are shared, not copied.
+    same m, M and L, since a linear tilt changes no curvature.
+    center_model calls it.
     """
 
     def __init__(self, a, value, gradient, m, M, L=math.inf, sampler=None, mode=None,
@@ -64,13 +63,15 @@ class FactorGroup:
             raise DimensionMismatch(f"group coupling has shape {a.shape}, expected (b, k, d)")
         a.setflags(write=False)
         b = a.shape[0]
-        m, M, L = (block_constants(c, b) for c in (m, M, L))
+        m, M, L = (np.broadcast_to(np.asarray(c, dtype=float), (b,)).copy() for c in (m, M, L))
         if (m < 0).any() or (L < 0).any():
             raise ValueError("constants must be nonnegative")
         bad = np.flatnonzero(np.isfinite(M) & (m > M * (1 + 1e-12)))
         if bad.size:
             j = int(bad[0])
             raise ValueError(f"block {j}: m={m[j]} exceeds M={M[j]}")
+        for c in (m, M, L):
+            c.setflags(write=False)
         self.smooth = bool(np.isfinite(M).all())
         self.a = a
         self.a_flat = a.reshape(-1, a.shape[2])
@@ -96,21 +97,6 @@ class FactorGroup:
     def couple(self, theta: np.ndarray) -> np.ndarray:
         """A_j theta for every block, shape (b, k)."""
         return (self.a_flat @ theta).reshape(self.b, self.k)
-
-
-def block_constants(c, b: int) -> np.ndarray:
-    """One read-only float per block; a read-only (b,) float array is taken as is.
-
-    Group builders whose recenter hook hands its constants on to the
-    centered group call it first, so that the hook holds the arrays rather
-    than the group (which would make a reference cycle).
-    """
-    if isinstance(c, np.ndarray) and c.shape == (b,) and c.dtype == float \
-            and not c.flags.writeable:
-        return c
-    c = np.broadcast_to(np.asarray(c, dtype=float), (b,)).copy()
-    c.setflags(write=False)
-    return c
 
 
 class SplitModel:
@@ -411,14 +397,11 @@ def make_quadratic_group(a, precision, center) -> FactorGroup:
     p = np.asarray(precision, dtype=float)
     if p.ndim > 1 or (p < 0).any():
         raise ValueError("group precision must be a nonnegative scalar or diagonal")
+    m, M = p.min(), p.max()
     # A Python float and a contiguous center keep the arithmetic cheap at the
     # small block sizes of a chain; the values are the same.
+    p = float(p) if p.ndim == 0 else p
     c = np.array(np.broadcast_to(np.asarray(center, dtype=float), a.shape[:2]))
-    return _quadratic_group(a, float(p) if p.ndim == 0 else p, c, p.min(), p.max(), math.inf)
-
-
-def _quadratic_group(a, p, c, m, M, L) -> FactorGroup:
-    m, M, L = (block_constants(x, a.shape[0]) for x in (m, M, L))
 
     def value(z, rows):
         return 0.5 * np.sum(p * (z - c[rows]) ** 2, axis=1)
@@ -443,7 +426,7 @@ def _quadratic_group(a, p, c, m, M, L) -> FactorGroup:
 
     def recenter(a_theta_star, off):
         moved = off[:, None] & (p > 0)
-        return _quadratic_group(a, p, np.where(moved, a_theta_star, c), m, M, L)
+        return make_quadratic_group(a, p, np.where(moved, a_theta_star, c))
 
-    return FactorGroup(a, value, gradient, m=m, M=M, L=L, sampler=sampler, mode=mode,
+    return FactorGroup(a, value, gradient, m=m, M=M, sampler=sampler, mode=mode,
                        recenter=recenter)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InvalidParameter, UnsupportedModel
-from .model import FactorGroup, SplitModel, block_constants, make_quadratic_group
+from .model import FactorGroup, SplitModel, make_quadratic_group
 
 
 def _check_toy(sigma: float, b: int):
@@ -150,7 +150,6 @@ def _logit_kernels(a, design, labels, alpha, m, M, L) -> FactorGroup:
     z*_j is X_j^T w, and U_j(z) - <X_j^T w, z> is the same kernel with
     labels y + w.
     """
-    m, M, L = (block_constants(c, labels.shape[0]) for c in (m, M, L))
     if design is None:
         def value(z, rows):
             return (_softplus(z) + z * (0.5 * alpha * z - labels[rows]))[:, 0]

@@ -37,8 +37,8 @@ KEEP = {
     "metrics.Normal1D.cdf": "acceptance suite: KS test against the toy chain's stationary law",
     # Library API that only the tests read, or that a protocol requires.
     "model.SplitModel.potential": "U(theta) itself: gradient and centering tests compare to it",
-    "model._quadratic_group.<locals>.value": "a group's value, read by SplitModel.potential",
-    "model._quadratic_group.<locals>.recenter": "centering of a Gaussian group: every zoo "
+    "model.make_quadratic_group.<locals>.value": "a group's value, read by SplitModel.potential",
+    "model.make_quadratic_group.<locals>.recenter": "centering of a Gaussian group: every zoo "
         "Gaussian's minimizer search ends exactly at its center, so no command tilts one",
     "zoo.mixture_group.<locals>.value": "a group's value, read by SplitModel.potential",
     "bias.IsotropicMixture.projected_density": "the smoothed mixture marginal's density",
