@@ -52,7 +52,7 @@ from .model import (
     model_constants,
 )
 from .planner import Plan, k_sgs, plan_tv_multi, plan_tv_nonstrongly, plan_tv_single, plan_w1_single
-from .bias import BiasBound, pi_rho_closed_form, tv_bound_lipschitz, tv_bound_strongly_convex, w1_bound_single
+from .bias import BiasBound, tv_bound_lipschitz, tv_bound_strongly_convex, w1_bound_single
 from .metrics import ToyParams, ar1_kernel_t
 from .zoo import build_model, model_names
 

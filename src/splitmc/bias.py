@@ -1,9 +1,9 @@
 """Non-asymptotic bounds on the distance between the target and its smoothed stand-in.
 
-The smoothed distribution is the theta-marginal of the augmented target;
-for the Gaussian test families it is available in closed form (a Gaussian
-convolution along the splitting structure), which is what the domination
-experiments compare the bounds against.
+The smoothed distribution is the theta-marginal of the augmented target.
+The domination experiments compare the bounds against exact distances
+between Gaussians (see metrics); IsotropicMixture is the mixture target
+whose projected cdf bins the mixture experiment's samples.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import InvalidParameter, NotSmooth, UnsupportedModel
-from .metrics import Normal1D
+from .errors import InvalidParameter, NotSmooth
 from .model import ModelConstants
 from .numerics import QuadratureSpec, parabolic_cylinder_ratio
 
@@ -69,13 +68,13 @@ def tv_bound_lipschitz(lipschitz, dims, rho: float,
                      raw_value=raw, extras={"small_rho_linearization": linear})
 
 
-def tv_bound_strongly_convex(constants: ModelConstants, rho: float,
-                             centered: bool = True) -> BiasBound:
+def tv_bound_strongly_convex(constants: ModelConstants, rho: float) -> BiasBound:
     """TV bound for smooth factors.
 
     Single split: rho^2 d M_1 / 2, any rho. Multiple splits (centered,
     strongly convex): (rho^2/2) sum_i d_i M_i + (2 + 3d/2) rho^4 sigma_U^4,
-    in force while rho^2 <= 1/(6 sigma_U^2). rho must be finite and >= 0.
+    in force while rho^2 <= 1/(6 sigma_U^2); the constants are taken to be
+    those of a centered model. rho must be finite and >= 0.
     """
     if not (rho >= 0 and math.isfinite(rho)):
         raise InvalidParameter(f"rho must be nonnegative and finite, got {rho}")
@@ -88,11 +87,11 @@ def tv_bound_strongly_convex(constants: ModelConstants, rho: float,
     s4 = constants.sigma2_U**2
     raw = 0.5 * rho**2 * constants.sum_dims_M + (2.0 + 1.5 * constants.d) * rho**4 * s4
     cap = 1.0 / (6.0 * constants.sigma2_U)
-    valid = centered and constants.m_U > 0.0 and rho**2 <= cap
+    valid = constants.m_U > 0.0 and rho**2 <= cap
     descr = "centered model, m_U > 0, rho^2 <= 1/(6 sigma_U^2)"
     return BiasBound(value=min(raw, 1.0), distance=TV, rule="smooth-multi",
                      valid=bool(valid), validity=descr, raw_value=raw,
-                     extras={"rho2_cap": cap, "centered": centered})
+                     extras={"rho2_cap": cap})
 
 
 def w1_bound_single(M1: float, d: int, rho: float) -> BiasBound:
@@ -109,13 +108,7 @@ def w1_bound_single(M1: float, d: int, rho: float) -> BiasBound:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form smoothed marginals for the supported test families
-
-
-@dataclass(frozen=True)
-class DiagonalNormal:
-    mean: np.ndarray
-    variances: np.ndarray
+# The mixture target
 
 
 @dataclass(frozen=True)
@@ -124,14 +117,6 @@ class IsotropicMixture:
 
     a: np.ndarray
     variance: float
-
-    def projected_density(self, u):
-        """Density of <a, theta>/||a|| (two-component scalar mixture)."""
-        u = np.asarray(u, dtype=float)
-        s = math.sqrt(self.variance)
-        na = float(np.linalg.norm(self.a))
-        return 0.5 * (np.exp(-0.5 * ((u - na) / s) ** 2)
-                      + np.exp(-0.5 * ((u + na) / s) ** 2)) / (s * math.sqrt(2 * math.pi))
 
     def projected_cdf(self, u):
         """Cdf of <a, theta>/||a||, through ndtr directly.
@@ -143,23 +128,3 @@ class IsotropicMixture:
         na = float(np.linalg.norm(self.a))
         s = math.sqrt(self.variance)
         return 0.5 * (ndtr((u - na) / s) + ndtr((u + na) / s))
-
-
-def pi_rho_closed_form(test_model: str, rho: float, *, sigma: float | None = None,
-                       b: int | None = None, mu: float = 0.0, q_diag=None, a=None):
-    """Exact smoothed marginal for the supported test families.
-
-    toy-1: N(mu, (sigma^2 + rho^2)/b)     toy-2: N(mu, sigma^2/b + rho^2)
-    gaussian: N(0, Q^{-1} + rho^2 I) for diagonal Q (single identity split)
-    mixture: (1/2) N(+-a, (1 + rho^2) I)
-    """
-    if test_model == "toy-1":
-        return Normal1D(mu, (sigma**2 + rho**2) / b)
-    if test_model == "toy-2":
-        return Normal1D(mu, sigma**2 / b + rho**2)
-    if test_model == "gaussian":
-        q = np.asarray(q_diag, dtype=float)
-        return DiagonalNormal(mean=np.zeros(q.shape[0]), variances=1.0 / q + rho**2)
-    if test_model == "mixture":
-        return IsotropicMixture(a=np.asarray(a, dtype=float), variance=1.0 + rho**2)
-    raise UnsupportedModel(f"no closed-form smoothed marginal for {test_model!r}")

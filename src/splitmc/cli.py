@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import zoo
-from .bias import tv_bound_strongly_convex, w1_bound_single
 from .engine import SamplerConfig, run_chain
 from .errors import (
     AcceptanceStall,
@@ -32,9 +31,9 @@ from .errors import (
     SplitMCError,
     UnsupportedModel,
 )
-from .experiments import EXPERIMENT_NAMES, ExperimentSpec, _write_csv, run_experiment
-from .metrics import gaussian_tv_1d, gaussian_w1_1d
-from .model import center_model, find_minimizer, model_constants
+from .experiments import (EXPERIMENT_NAMES, ExperimentSpec, _bias_toy_grid, _write_csv,
+                          run_experiment)
+from .model import center_model, find_minimizer
 from .planner import plan_tv_multi, plan_tv_nonstrongly, plan_tv_single, plan_w1_single
 
 _VALIDITY_ERRORS = (EpsilonOutOfRange, InvalidParameter, NotCentered, NotStronglyConvex,
@@ -102,6 +101,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.trace and args.out is None:
+        raise InvalidParameter("--trace writes chain.sgs1 into the --out directory; give --out")
     model = zoo.build_model(args.model, **_model_kwargs(args))
     config = SamplerConfig(rho=args.rho, sweeps=args.sweeps, burn_in=args.burn_in,
                            record_every=args.record_every)
@@ -135,25 +136,14 @@ def _cmd_bias(args) -> int:
     if args.grid_points < 1:
         raise InvalidParameter(f"--grid-points must be at least 1, got {args.grid_points}")
     rho_grid = np.logspace(args.log10_rho_min, args.log10_rho_max, args.grid_points)
-    consts1 = model_constants(zoo.toy_gaussian_1(sigma=sigma, b=b, mu=mu))
     rows = []
     any_invalid = False
-    for rho in rho_grid:
-        tv_b = tv_bound_strongly_convex(consts1, rho)
+    for rho, tv_exact, tv_b, w1_exact, w1_b in _bias_toy_grid(sigma, b, mu, rho_grid):
         any_invalid |= not tv_b.valid
-        rows.append({
-            "rho": rho, "distance": "TV", "proposition": tv_b.rule,
-            "bound": tv_b.value, "valid": tv_b.valid,
-            "exact_if_available": gaussian_tv_1d(mu, sigma**2 / b, mu,
-                                                 (sigma**2 + rho**2) / b),
-        })
-        w1_b = w1_bound_single(b / sigma**2, 1, rho)
-        rows.append({
-            "rho": rho, "distance": "W1", "proposition": w1_b.rule,
-            "bound": w1_b.value, "valid": w1_b.valid,
-            "exact_if_available": gaussian_w1_1d(mu, sigma**2 / b, mu,
-                                                 sigma**2 / b + rho**2),
-        })
+        for name, bound, exact in (("TV", tv_b, tv_exact), ("W1", w1_b, w1_exact)):
+            rows.append({"rho": rho, "distance": name, "proposition": bound.rule,
+                         "bound": bound.value, "valid": bound.valid,
+                         "exact_if_available": exact})
     _write_csv(args.out, {"command": "bias", "sigma": sigma, "b": b, "mu": mu,
                           "seed": args.seed}, list(rows[0]), rows)
     return 2 if any_invalid and args.strict_validity else 0

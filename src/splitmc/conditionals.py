@@ -156,21 +156,21 @@ def _norms(g: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(g * g, axis=1))
 
 
-def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target=None,
-                     z0: np.ndarray | None = None):
+def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target=None):
     """Gradient descent on V_i with step 1/(1/rho^2 + M_i), every block of a group at once.
 
     Descends only the blocks still above their target: a scalar, one value
     per block, or None for the rejection draw's stop rule
     (2/7) sqrt((1/rho^2 + m)/k). Returns (z_tilde, gradient norms, steps),
-    all per block. Certified constants keep a block's step count within
-    ceil((log ||grad V_i(z0)|| - log target) / log(1/(1 - 1/kappa))), at
-    least 1, with kappa = (1 + rho^2 M_i)/(1 + rho^2 m_i); NonConvergence,
-    naming the first failing block of the group and its step count, is
-    raised as soon as a count passes that bound or a gradient norm turns
-    non-finite, both signs of an understated M_i. A fresh start (z0 None)
-    sits at a_theta, where the coupling term (z - a_theta)/rho^2 of the
-    gradient is exactly zero, so it is left out there.
+    all per block. The descent starts at a_theta, where the coupling term
+    (z - a_theta)/rho^2 of the gradient is exactly zero, so it is left out
+    there; the conditional of z_i depends on theta alone, and so does its
+    start. Certified constants keep a block's step count within
+    ceil((log ||grad V_i(a_theta)|| - log target) / log(1/(1 - 1/kappa))),
+    at least 1, with kappa = (1 + rho^2 M_i)/(1 + rho^2 m_i);
+    NonConvergence, naming the first failing block of the group and its
+    step count, is raised as soon as a count passes that bound or a
+    gradient norm turns non-finite, both signs of an understated M_i.
 
     The step, stop rule and step-bound rate come from the group's
     per-(group, rho) constants, computed once. Every block still descending
@@ -190,12 +190,8 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
         target = np.broadcast_to(target, (group.b,))
         with np.errstate(divide="ignore"):
             log_target = np.log(target)
-    if z0 is None:
-        z = np.array(a_theta, dtype=float)
-        g = group.gradient(z, ALL_BLOCKS)
-    else:
-        z = np.array(z0, dtype=float)
-        g = group.gradient(z, ALL_BLOCKS) + (z - a_theta) / rho**2
+    z = np.array(a_theta, dtype=float)
+    g = group.gradient(z, ALL_BLOCKS)
     gnorm = _norms(g)
     steps = np.zeros(group.b, dtype=np.int64)
     pending = ~(gnorm <= target)
@@ -272,8 +268,7 @@ def _certificate(gnorm: np.ndarray, k: int, s: np.ndarray, top: np.ndarray):
 
 
 def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
-                   proposal_cap: int = DEFAULT_PROPOSAL_CAP,
-                   z_warm: np.ndarray | None = None):
+                   proposal_cap: int = DEFAULT_PROPOSAL_CAP):
     """Exact draws of every block of a group from its coupled conditional.
 
     The target density of block i is proportional to exp(-V_i(z)) with
@@ -289,25 +284,24 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
     pending, taking the normals xi and then the uniforms from rng in block
     order, and retires the accepted blocks. The proposal term
     A~ ||Z - z~||^2 / 2 of the acceptance ratio is computed as
-    ||xi||^2 / 2. A fresh warm start (z_warm None) begins the descent at
-    a_theta, where the coupling term of the gradient is exactly zero and is
-    left out, as is the coupling term of V_i(z~) when no block took a
-    descent step. The constants that depend only on (group, rho) are
-    computed once and kept for the group's lifetime; the descent and the
-    first round address the blocks through basic slices, and only the
-    blocks still pending after that are gathered. Returns (z, proposals,
-    gd_steps, expected_bound), the last three per block. Raises
-    AcceptanceStall when a block is still pending after proposal_cap
-    rounds.
+    ||xi||^2 / 2. The descent begins at a_theta, where the coupling term of
+    the gradient is exactly zero and is left out, as is the coupling term
+    of V_i(z~) when no block took a descent step. The constants that depend
+    only on (group, rho) are computed once and kept for the group's
+    lifetime; the descent and the first round address the blocks through
+    basic slices, and only the blocks still pending after that are
+    gathered. Returns (z, proposals, gd_steps, expected_bound), the last
+    three per block. Raises AcceptanceStall when a block is still pending
+    after proposal_cap rounds.
     """
     if not group.smooth:
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
-    z_tilde, gnorm, gd_steps = warm_start_group(group, a_theta, rho, z0=z_warm)
+    z_tilde, gnorm, gd_steps = warm_start_group(group, a_theta, rho)
     c = _rho_constants(group, rho)
     k = group.k
     a_tilde, log_r, expected = _certificate(gnorm, k, c.s, c.top)
     v_tilde = group.value(z_tilde, ALL_BLOCKS)
-    if z_warm is not None or gd_steps.any():
+    if gd_steps.any():
         # Otherwise no block moved from a_theta and the quadratic term is zero.
         dz = z_tilde - a_theta
         v_tilde = v_tilde + 0.5 * np.add.reduce(dz * dz, axis=1) / rho**2

@@ -48,7 +48,9 @@ class ChainState:
     """One Markov-chain iterate: (theta, z_1..z_b) plus the seed it grew from.
 
     z_groups holds the auxiliary blocks as one (b_g, k_g) array per factor
-    group of the model; z_blocks lists them one block at a time.
+    group of the model; z_blocks lists them one block at a time. The next
+    sweep reads theta alone: given theta, the blocks' conditional does not
+    depend on their previous values.
     """
 
     theta: np.ndarray
@@ -75,7 +77,6 @@ class SamplerConfig:
     sweeps: int
     burn_in: int = 0
     record_every: int = 1
-    carry_warm_start: bool = False
     proposal_cap: int = DEFAULT_PROPOSAL_CAP
 
     def __post_init__(self):
@@ -142,8 +143,8 @@ class SweepStreams:
         return gen
 
 
-def _draw_blocks(model: SplitModel, state: ChainState, config: SamplerConfig, rng, sweep: int):
-    """Every auxiliary block given state.theta, group by group: (z per group, BlockReports)."""
+def _draw_blocks(model: SplitModel, theta: np.ndarray, config: SamplerConfig, rng, sweep: int):
+    """Every auxiliary block given theta, group by group: (z per group, BlockReports)."""
     if model.closed_form:
         reports = _closed_form_reports(model.b)
     else:
@@ -152,15 +153,14 @@ def _draw_blocks(model: SplitModel, state: ChainState, config: SamplerConfig, rn
     proposals, gd_steps, expected = reports.proposals, reports.gd_steps, reports.expected
     z_new = []
     start = 0
-    for g, z_prev in zip(model.groups, state.z_groups):
-        a_theta = g.couple(state.theta)
+    for g in model.groups:
+        a_theta = g.couple(theta)
         if g.sampler is not None:
             z = g.sampler(a_theta, config.rho, rng)
         else:
             rows = slice(start, start + g.b)
-            warm = z_prev if config.carry_warm_start else None
             z, proposals[rows], gd_steps[rows], expected[rows] = sample_z_group(
-                g, a_theta, config.rho, rng, proposal_cap=config.proposal_cap, z_warm=warm)
+                g, a_theta, config.rho, rng, proposal_cap=config.proposal_cap)
         finite = np.isfinite(z)
         if not finite.all():
             bad = start + int(np.flatnonzero(~finite.all(axis=1))[0])
@@ -200,7 +200,8 @@ def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
     sweep = state.sweep + 1
     if rng_factory is None:
         rng_factory = SweepStreams(state.rng_seed_root)
-    z_new, reports = _draw_blocks(model, state, config, rng_factory(sweep, PHASE_BLOCKS), sweep)
+    z_new, reports = _draw_blocks(model, state.theta, config, rng_factory(sweep, PHASE_BLOCKS),
+                                  sweep)
     theta_new = theta_cond.sample(z_new, rng_factory(sweep, PHASE_MASTER))
     if not np.isfinite(theta_new).all():
         raise NonFiniteDraw(f"sweep {sweep}: the master draw is not finite")

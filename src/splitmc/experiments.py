@@ -39,7 +39,7 @@ from scipy.optimize import brentq
 from scipy.special import gammaincinv, ndtr
 
 from . import zoo
-from .bias import pi_rho_closed_form, tv_bound_strongly_convex, w1_bound_single
+from .bias import IsotropicMixture, tv_bound_strongly_convex, w1_bound_single
 from .engine import SamplerConfig, run_chain
 from .errors import InvalidParameter, NotStronglyConvex, UnsupportedModel
 from .metrics import (
@@ -138,6 +138,21 @@ def _rng(seed: int, *key):
 # bias-toy: exact distances vs their bounds over a rho grid
 
 
+def _bias_toy_grid(sigma: float, b: int, mu: float, rho_grid):
+    """Per rho: (rho, exact TV, TV bound, exact W1, W1 bound) for the scalar Gaussian pair.
+
+    The exact distances are from N(mu, sigma^2/b) to N(mu, (sigma^2 + rho^2)/b)
+    (TV) and to N(mu, sigma^2/b + rho^2) (W1); the bounds are BiasBounds.
+    """
+    consts1 = model_constants(zoo.toy_gaussian_1(sigma=sigma, b=b, mu=mu))
+    for rho in rho_grid:
+        yield (rho,
+               gaussian_tv_1d(mu, sigma**2 / b, mu, (sigma**2 + rho**2) / b),
+               tv_bound_strongly_convex(consts1, rho),
+               gaussian_w1_1d(mu, sigma**2 / b, mu, sigma**2 / b + rho**2),
+               w1_bound_single(b / sigma**2, 1, rho))
+
+
 def run_bias_toy(spec: ExperimentSpec):
     p = _params(spec, {"sigma": 3.0, "b": 10, "mu": 0.0, "n_grid": 30,
                        "log10_rho_min": -2.0, "log10_rho_max": 0.5})
@@ -152,14 +167,8 @@ def run_bias_toy(spec: ExperimentSpec):
         raise InvalidParameter("bias-toy fits its slopes over the smallest decade of the "
                                "rho grid, which holds only one grid point")
 
-    consts1 = model_constants(zoo.toy_gaussian_1(sigma=sigma, b=b, mu=mu))
-    M_single = b / sigma**2
     rows = []
-    for rho in rho_grid:
-        tv_exact = gaussian_tv_1d(mu, sigma**2 / b, mu, (sigma**2 + rho**2) / b)
-        tv_b = tv_bound_strongly_convex(consts1, rho)
-        w1_exact = gaussian_w1_1d(mu, sigma**2 / b, mu, sigma**2 / b + rho**2)
-        w1_b = w1_bound_single(M_single, 1, rho)
+    for rho, tv_exact, tv_b, w1_exact, w1_b in _bias_toy_grid(sigma, b, mu, rho_grid):
         rows.append({
             "rho": rho,
             "exact_tv": tv_exact,
@@ -287,9 +296,10 @@ def _binned_tv_vs_gaussian(x, edges, cdf):
     return 0.5 * (np.abs(emp - np.diff(cdf)).sum() + cdf[0] + 1.0 - cdf[-1])
 
 
-def _tv_noise_floor(var, n_chains, edges, cdf, rng, reps=3):
+def _tv_noise_floor(var, n_chains, edges, cdf, rng):
+    """Mean binned TV of three exact samples of n_chains draws from N(0, var)."""
     vals = []
-    for _ in range(reps):
+    for _ in range(3):
         x = math.sqrt(var) * rng.standard_normal(n_chains)
         vals.append(_binned_tv_vs_gaussian(x, edges, cdf))
     return float(np.mean(vals))
@@ -502,6 +512,11 @@ def run_mixture(spec: ExperimentSpec):
     n_samples = int(p["n_samples"])
     n_bins = int(p["n_bins"])
     a_norm = float(p["a_norm"])
+    ula_cap = int(p["ula_sweeps"])
+    for key, value, least in (("n_samples", n_samples, 1), ("n_bins", n_bins, 2),
+                              ("ula_sweeps", ula_cap, 1)):
+        if value < least:
+            raise InvalidParameter(f"mixture needs {key} >= {least}, got {value}")
     m, M = 1.0 - a_norm**2, 1.0
 
     rows = []
@@ -527,7 +542,7 @@ def run_mixture(spec: ExperimentSpec):
 
         # ULA on the same target with stepsize h = rho^2 (wall-clock baseline);
         # each chain is a row of the group's one block.
-        ula_sweeps = min(plan6.t_mix, int(p["ula_sweeps"]))
+        ula_sweeps = min(plan6.t_mix, ula_cap)
         h = rho**2
         ula_thetas = rng.standard_normal((n_samples, d)) / math.sqrt(M)
         t0 = time.perf_counter()
@@ -537,7 +552,7 @@ def run_mixture(spec: ExperimentSpec):
         ula_per_sweep = (time.perf_counter() - t0) / ula_sweeps
 
         na = float(np.linalg.norm(a))
-        marginal = pi_rho_closed_form("mixture", 0.0, a=a)  # rho=0: the target itself
+        marginal = IsotropicMixture(a, 1.0)  # the target itself
         lo, hi = -na - 8.0, na + 8.0
         edges = _equal_mass_edges(marginal, n_bins, lo, hi)
         u_sgs = thetas @ a / na

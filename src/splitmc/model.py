@@ -15,7 +15,7 @@ Models are immutable after construction and safe to share across chains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, get_lapack_funcs
@@ -123,7 +123,6 @@ class SplitModel:
         self.groups = groups
         self.m = np.concatenate([g.m for g in groups])
         self.M = np.concatenate([g.M for g in groups])
-        self.L = np.concatenate([g.L for g in groups])
         # Every group draws its conditional in closed form: no rejection draws.
         self.closed_form = all(g.sampler is not None for g in groups)
         # Refused before the Gram product, which would warn on NaN or inf.
@@ -235,14 +234,11 @@ class ModelConstants:
     dims: tuple[int, ...]
     m_list: tuple[float, ...]
     M_list: tuple[float, ...]
-    L_list: tuple[float, ...]
     m_U: float                 # lambda_min(sum_i m_i A_i^T A_i)
     sigma2_U: float            # ||A^T A|| (max_i M_i)^2 / m_U
     gram_norm: float           # ||A^T A|| = lambda_max(G)
     lambda_max_M: float        # lambda_max(sum_i M_i A_i^T A_i)
     log_det_ratio: float       # log det(sum M_i A_i^T A_i) - log det(sum m_i A_i^T A_i)
-    m_gram: np.ndarray = field(repr=False)
-    M_gram: np.ndarray = field(repr=False)
 
     @property
     def sum_dims(self) -> int:
@@ -261,10 +257,10 @@ def model_constants(model: SplitModel) -> ModelConstants:
     """Spectral aggregates of a model: m_U, sigma^2_U, norms and det ratios."""
     d = model.d
     smooth = model.smooth()
-    m_gram = model.weighted_gram(model.m)
-    M_gram = model.weighted_gram(np.where(np.isfinite(model.M), model.M, 0.0))
+    weighted_m = model.weighted_gram(model.m)
+    weighted_M = model.weighted_gram(np.where(np.isfinite(model.M), model.M, 0.0))
 
-    m_U = lambda_extremes(m_gram)[0]
+    m_U = lambda_extremes(weighted_m)[0]
     if m_U < 0:
         m_U = 0.0
     gram_norm = lambda_extremes(model.gram)[1]
@@ -272,14 +268,14 @@ def model_constants(model: SplitModel) -> ModelConstants:
 
     if m_U > 0.0 and math.isfinite(max_M):
         sigma2_U = gram_norm * max_M**2 / m_U
-        sign_M, logdet_M = np.linalg.slogdet(M_gram)
-        sign_m, logdet_m = np.linalg.slogdet(m_gram)
+        sign_M, logdet_M = np.linalg.slogdet(weighted_M)
+        sign_m, logdet_m = np.linalg.slogdet(weighted_m)
         log_det_ratio = float(logdet_M - logdet_m) if sign_M > 0 and sign_m > 0 else math.inf
-        lambda_max_M = lambda_extremes(M_gram)[1]
+        lambda_max_M = lambda_extremes(weighted_M)[1]
     else:
         sigma2_U = math.inf
         log_det_ratio = math.inf
-        lambda_max_M = lambda_extremes(M_gram)[1] if smooth else math.inf
+        lambda_max_M = lambda_extremes(weighted_M)[1] if smooth else math.inf
 
     return ModelConstants(
         d=d,
@@ -287,23 +283,20 @@ def model_constants(model: SplitModel) -> ModelConstants:
         dims=model.block_dims,
         m_list=tuple(model.m.tolist()),
         M_list=tuple(model.M.tolist()),
-        L_list=tuple(model.L.tolist()),
         m_U=float(m_U),
         sigma2_U=float(sigma2_U),
         gram_norm=float(gram_norm),
         lambda_max_M=float(lambda_max_M),
         log_det_ratio=log_det_ratio,
-        m_gram=m_gram,
-        M_gram=M_gram,
     )
 
 
 def find_minimizer(model: SplitModel, tol: float | None = None,
-                   max_iter: int | None = None,
                    theta0: np.ndarray | None = None) -> Minimizer:
     """Gradient descent to the global minimizer of U.
 
-    Step size 1/lambda_max(sum_i M_i A_i^T A_i); stops at ||grad U|| <= tol.
+    Step size 1/lambda_max(sum_i M_i A_i^T A_i); stops at ||grad U|| <= tol,
+    or raises NonConvergence after ceil(10 kappa log(1/min(tol, 1/2))) steps.
     """
     if not model.smooth():
         raise NotSmooth("minimizer search needs finite smoothness constants; "
@@ -318,14 +311,13 @@ def find_minimizer(model: SplitModel, tol: float | None = None,
     if tol is None:
         g0 = g if theta0 is None else model.gradient(np.zeros(model.d))
         tol = 1e-10 * (1.0 + float(np.linalg.norm(g0)))
-    if max_iter is None:
-        kappa = consts.lambda_max_M / consts.m_U
-        max_iter = max(1, int(math.ceil(10.0 * kappa * math.log(1.0 / min(tol, 0.5)))))
+    kappa = consts.lambda_max_M / consts.m_U
+    cap = max(1, int(math.ceil(10.0 * kappa * math.log(1.0 / min(tol, 0.5)))))
     step = 1.0 / consts.lambda_max_M
     it = 0
     gnorm = float(np.linalg.norm(g))
     while gnorm > tol:
-        if it >= max_iter:
+        if it >= cap:
             raise NonConvergence(f"gradient norm {gnorm} after {it} iterations (tol {tol})")
         theta = theta - step * g
         g = model.gradient(theta)
@@ -334,8 +326,7 @@ def find_minimizer(model: SplitModel, tol: float | None = None,
     return Minimizer(theta_star=theta, grad_norm=gnorm, iterations=it)
 
 
-def center_model(model: SplitModel, theta_star: np.ndarray,
-                 tol: float = 1e-12) -> SplitModel:
+def center_model(model: SplitModel, theta_star: np.ndarray) -> SplitModel:
     """Tilt each factor by a linear term so its gradient vanishes at A_i theta_star.
 
     U_i(z) -> U_i(z) - <z, grad U_i(A_i theta_star)>. The total potential
@@ -343,7 +334,7 @@ def center_model(model: SplitModel, theta_star: np.ndarray,
     which is ~0 when theta_star is a minimizer; m, M, L are unchanged. Each
     group re-parametrizes its own blocks through its recenter hook (see
     FactorGroup), so the centered kernels cost what the raw ones do and
-    closed forms survive. Blocks whose gradient norm is within tol are left
+    closed forms survive. Blocks whose gradient norm is within 1e-12 are left
     as they are, and groups whose blocks all are are returned untouched,
     which makes the operation idempotent. Raises UnsupportedModel for a
     group with blocks to tilt and no recenter hook.
@@ -354,7 +345,7 @@ def center_model(model: SplitModel, theta_star: np.ndarray,
     new_groups = []
     for g in model.groups:
         a_star = g.couple(theta_star)
-        off = np.linalg.norm(g.gradient(a_star, ALL_BLOCKS), axis=1) > tol
+        off = np.linalg.norm(g.gradient(a_star, ALL_BLOCKS), axis=1) > 1e-12
         if not off.any():
             new_groups.append(g)
             continue

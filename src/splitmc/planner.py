@@ -142,7 +142,6 @@ def plan_tv_single(m1: float, M1: float, d: int, eps: float) -> Plan:
 
 def plan_tv_multi(model: SplitModel, eps: float,
                   theta_star: np.ndarray | None = None,
-                  center_tol: float = 1e-8,
                   constants: ModelConstants | None = None) -> Plan:
     """Multi-split total-variation prescription for a centered model.
 
@@ -151,6 +150,7 @@ def plan_tv_multi(model: SplitModel, eps: float,
       / (4 sigma_U^4 (2 + 3d/2))
     and the validity cap 1/(6 sigma_U^2);
     C = d sigma_U^2 + rho^4 (2+d) sigma_U^4 + (17/32) sum d_i + (1/2) log-det ratio.
+    Raises NotCentered when a factor gradient at theta_star exceeds 1e-8.
     """
     _check_eps(eps)
     consts = constants if constants is not None else model_constants(model)
@@ -159,7 +159,7 @@ def plan_tv_multi(model: SplitModel, eps: float,
     if theta_star is None:
         theta_star = find_minimizer(model).theta_star
     residual = max_factor_gradient_at(model, theta_star)
-    if residual > center_tol:
+    if residual > 1e-8:
         raise NotCentered(
             f"factor gradients at the minimizer reach {residual:.3e}; center the model first"
         )
@@ -175,7 +175,6 @@ def plan_tv_multi(model: SplitModel, eps: float,
     c_const = (d * consts.sigma2_U + rho2**2 * (2.0 + d) * s4
                + (17.0 / 32.0) * consts.sum_dims + 0.5 * consts.log_det_ratio)
     t_mix = _tv_t_mix(eps, c_const, k, log_top=2.0)
-    gram_sqrt = _matrix_sqrt(np.asarray(model.gram))
     return Plan(
         rho2=rho2, t_mix=t_mix, k_sgs=k, C=c_const, theorem=TV_MULTI, epsilon=eps,
         metadata={
@@ -184,7 +183,6 @@ def plan_tv_multi(model: SplitModel, eps: float,
             "m_U": consts.m_U,
             "initial_distribution": "normal(theta_star, (sum M_i A_i^T A_i)^{-1})",
             "theta_star": np.asarray(theta_star, dtype=float),
-            "gram_sqrt": gram_sqrt,
             "centering_residual": residual,
         },
     )
@@ -220,9 +218,3 @@ def plan_tv_nonstrongly(M1: float, eps: float, R: float, d: int) -> Plan:
             "model_transform": "U + (lambda/2)||theta - theta_star||^2",
         },
     )
-
-
-def _matrix_sqrt(s: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(s)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T

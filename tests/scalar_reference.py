@@ -73,9 +73,8 @@ def _norm(g) -> float:
     """||g||, summing the squares in numpy's pairwise order as the group path does.
 
     np.linalg.norm sums them by BLAS dot, whose order can differ in the last
-    ulp once a block has more than one dimension; from carried starts on a
-    10-dimensional logistic shard that moved a proposal scale by one ulp
-    within 50 draws.
+    ulp once a block has more than one dimension, which can move a proposal
+    scale by one ulp.
     """
     return math.sqrt(float(np.add.reduce(g * g)))
 
@@ -93,14 +92,13 @@ def gd_stop_threshold(group, j: int, rho: float) -> float:
     return _GD_STOP_FACTOR * math.sqrt(1.0 / rho**2 + m) / math.sqrt(group.k)
 
 
-def warm_start_minimize(group, j: int, a_theta: np.ndarray, rho: float,
-                        target: float, z0: np.ndarray | None = None):
-    """Gradient descent on V_j with step 1/(1/rho^2 + M_j) until ||grad V_j|| <= target.
+def warm_start_minimize(group, j: int, a_theta: np.ndarray, rho: float, target: float):
+    """Gradient descent on V_j from a_theta, step 1/(1/rho^2 + M_j), to ||grad V_j|| <= target.
 
     Returns (z_tilde, grad at z_tilde, step count). Certified constants
     keep the step count within
-    ceil((log ||grad V_j(z0)|| - log target) / log(1/(1 - 1/kappa))), at
-    least 1, with kappa = (1 + rho^2 M_j)/(1 + rho^2 m_j). Raises
+    ceil((log ||grad V_j(a_theta)|| - log target) / log(1/(1 - 1/kappa))),
+    at least 1, with kappa = (1 + rho^2 M_j)/(1 + rho^2 m_j). Raises
     NonConvergence as soon as the count passes that bound or the gradient
     norm turns non-finite, both signs of an understated M_j.
     """
@@ -109,7 +107,7 @@ def warm_start_minimize(group, j: int, a_theta: np.ndarray, rho: float,
         raise NotSmooth("warm-start descent needs a finite smoothness constant")
     m = float(group.m[j])
     step = 1.0 / (1.0 / rho**2 + M)
-    z = np.array(a_theta, dtype=float) if z0 is None else np.array(z0, dtype=float)
+    z = np.array(a_theta, dtype=float)
     g = _coupled_grad(group, j, z, a_theta, rho)
     gnorm = _norm(g)
     steps = 0
@@ -165,21 +163,19 @@ def _expected_bound_from_grad(group, j: int, grad_norm: float, rho: float) -> fl
 
 
 def sample_z_rejection(group, j: int, theta: np.ndarray, rho: float, rng,
-                       proposal_cap: int = DEFAULT_PROPOSAL_CAP,
-                       z_warm: np.ndarray | None = None):
+                       proposal_cap: int = DEFAULT_PROPOSAL_CAP):
     """Exact draw from the coupled conditional of block j of a group.
 
     The target density is proportional to exp(-V_j(z)) with
     V_j(z) = U_j(z) + ||A_j theta - z||^2/(2 rho^2). A few gradient-descent
-    steps from A_j theta (or from z_warm when carrying the previous block)
-    give z~; proposals Z = z~ + A~^{-1/2} xi, xi ~ N(0, I), are accepted with
-    probability exp(-r - [V_j(Z) - V_j(z~)] + ||xi||^2 / 2), where r
-    collapses to 0 for an exactly centered warm start. ||xi||^2 / 2 is
-    A~ ||Z - z~||^2 / 2, the proposal's own log density up to a constant,
-    computed from the normals that made Z. The group path
-    (sample_z_group) leaves out the coupling terms at a fresh warm start,
-    where they are exactly zero; this reference keeps them, with the same
-    results bit for bit.
+    steps from A_j theta give z~; proposals Z = z~ + A~^{-1/2} xi,
+    xi ~ N(0, I), are accepted with probability
+    exp(-r - [V_j(Z) - V_j(z~)] + ||xi||^2 / 2), where r collapses to 0 for
+    an exactly centered warm start. ||xi||^2 / 2 is A~ ||Z - z~||^2 / 2, the
+    proposal's own log density up to a constant, computed from the normals
+    that made Z. The group path (sample_z_group) leaves out the coupling
+    terms at A_j theta, where they are exactly zero; this reference keeps
+    them, with the same results bit for bit.
 
     Returns (z, RejectionReport). Raises AcceptanceStall past proposal_cap:
     under correctly certified constants and the small-rho regime the
@@ -191,7 +187,7 @@ def sample_z_rejection(group, j: int, theta: np.ndarray, rho: float, rng,
     check_rho(rho)
     a_theta = group.a[j] @ np.asarray(theta, dtype=float)
     target = gd_stop_threshold(group, j, rho)
-    z_tilde, grad, gd_steps = warm_start_minimize(group, j, a_theta, rho, target, z0=z_warm)
+    z_tilde, grad, gd_steps = warm_start_minimize(group, j, a_theta, rho, target)
     grad_norm = _norm(grad)
 
     s = 1.0 / rho**2 + float(group.m[j])

@@ -9,14 +9,13 @@ from scipy.stats import norm
 
 from splitmc import (
     build_model,
-    pi_rho_closed_form,
     tv_bound_lipschitz,
     tv_bound_strongly_convex,
     w1_bound_single,
 )
-from splitmc.bias import DiagonalNormal, IsotropicMixture
-from splitmc.errors import NotSmooth, UnsupportedModel
-from splitmc.metrics import Normal1D, gaussian_tv_1d
+from splitmc.bias import IsotropicMixture
+from splitmc.errors import NotSmooth
+from splitmc.metrics import gaussian_tv_1d
 from splitmc.model import model_constants
 
 
@@ -125,41 +124,11 @@ class TestW1Bound:
 
 
 class TestSmoothedMarginals:
-    def test_toy_forms(self):
-        d1 = pi_rho_closed_form("toy-1", 0.5, sigma=3.0, b=10, mu=1.0)
-        assert d1 == Normal1D(1.0, (9.0 + 0.25) / 10.0)
-        d2 = pi_rho_closed_form("toy-2", 0.5, sigma=3.0, b=10, mu=1.0)
-        assert d2 == Normal1D(1.0, 0.9 + 0.25)
-
-    def test_gaussian_diagonal(self):
-        d = pi_rho_closed_form("gaussian", 0.3, q_diag=np.array([0.25, 1.0]))
-        assert isinstance(d, DiagonalNormal)
-        assert np.allclose(d.variances, [4.0 + 0.09, 1.0 + 0.09])
-
-    def test_mixture_inflation(self):
-        a = np.array([0.5, 0.5])
-        d = pi_rho_closed_form("mixture", 0.4, a=a)
-        assert isinstance(d, IsotropicMixture)
-        assert d.variance == pytest.approx(1.16)
-        # Projected density integrates to one.
-        val, _ = integrate.quad(d.projected_density, -12, 12, limit=200)
-        assert val == pytest.approx(1.0, abs=1e-9)
-
-    def test_single_split_mean_preserved(self):
-        # Convolution with a centered Gaussian cannot move the mean.
-        for rho in (0.1, 1.0):
-            d = pi_rho_closed_form("toy-2", rho, sigma=2.0, b=4, mu=-0.7)
-            assert d.mean == -0.7
-        m = pi_rho_closed_form("mixture", 0.8, a=np.array([0.3, 0.3]))
-        grid = np.linspace(-15, 15, 20001)
-        mean = np.trapezoid(grid * m.projected_density(grid), grid)
-        assert mean == pytest.approx(0.0, abs=1e-12)
-
     def test_mixture_cdf_matches_scipy_norm_bit_for_bit(self):
         # projected_cdf evaluates ndtr directly; scipy.stats.norm.cdf(u, loc,
         # scale) is ndtr((u - loc)/scale), so the bits must not move.
         for rho, a in ((0.0, np.full(4, 0.5 / 2.0)), (0.7, np.array([0.3, -0.1, 0.5]))):
-            mix = pi_rho_closed_form("mixture", rho, a=a)
+            mix = IsotropicMixture(a, 1.0 + rho**2)
             na, s = float(np.linalg.norm(a)), math.sqrt(mix.variance)
 
             def reference(u):
@@ -171,7 +140,3 @@ class TestSmoothedMarginals:
                 got, want = mix.projected_cdf(u), reference(u)
                 assert type(got) is type(want) and got == want
             assert np.array_equal(mix.projected_cdf(np.array([-np.inf, np.inf])), [0.0, 1.0])
-
-    def test_unknown_model(self):
-        with pytest.raises(UnsupportedModel):
-            pi_rho_closed_form("cauchy", 0.1)

@@ -52,6 +52,14 @@ class TestSampleCommand:
         assert trace.shape == (40, 1)
         assert float(rows[0]["theta_0"]) == pytest.approx(trace[0, 0])
 
+    def test_trace_without_out_is_refused(self, tmp_path, monkeypatch, capfd):
+        # The trace goes into the --out directory; without one nothing would be written.
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["sample", "--model", "toy-gaussian-1", "--rho", "1.0",
+                        "--sweeps", "5", "--trace"]) == 2
+        assert "--trace" in capfd.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_sample_deterministic(self, tmp_path):
         args = ["sample", "--model", "gaussian-mixture", "--d", "4",
                 "--rho", "0.5", "--sweeps", "20", "--seed", "3"]
@@ -139,6 +147,9 @@ class TestExitCodes:
         ["sample", "--model", "gaussian-mixture", "--d", "0", "--rho", "0.5", "--sweeps", "2"],
         ["bias", "--grid-points", "0"],
         ["plan", "--theorem", "tv-ns", "--eps", "0.1", "--d", "0"],
+        ["experiment", "mixture", "--set", "ula_sweeps=0"],
+        ["experiment", "mixture", "--set", "n_bins=1"],
+        ["experiment", "mixture", "--set", "n_samples=0"],
     ])
     def test_invalid_parameters_map_to_2(self, argv, tmp_path, capfd):
         assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.optimize import brentq
 from scipy.stats import kstest, norm
 
 from splitmc import (
@@ -115,28 +116,29 @@ class TestRejectionSampler:
         assert result.pvalue > 0.01
 
     def test_exact_warm_start_bound(self):
-        # With the warm start at the exact minimizer the proposal matches the
-        # target curvature floor and the expected count is the pure ratio. A
-        # draw carried from that start descends no further, so the bound it
-        # reports is the one at the minimizer.
+        # A fresh start A theta at the minimizer of U is the minimizer of V
+        # too: the draw descends no step, the proposal matches the target
+        # curvature floor and the expected count is the pure ratio.
         m, big_m, rho = 0.5, 2.0, 0.4
+
+        def gradient(z):
+            return 0.5 * z + 0.875 / (1.0 + np.exp(-2.0 * z))
+
         group = scalar_group(
             lambda z: 0.25 * z[:, 0] ** 2 + 0.875 * np.logaddexp(0.0, 2 * z[:, 0]) / 2.0,
-            lambda z: 0.5 * z + 0.875 / (1.0 + np.exp(-2.0 * z)), m, big_m)
-        theta = np.array([0.9])
+            gradient, m, big_m)
+        z_star = brentq(lambda z: gradient(np.array([[z]]))[0, 0], -5.0, 5.0, xtol=1e-15)
 
-        def bound_at_mode(group):
-            a_theta = group.couple(theta)
-            z_star, _, _ = warm_start_group(group, a_theta, rho, 1e-13)
-            _, _, steps, expected = sample_z_group(group, a_theta, rho, np.random.default_rng(0),
-                                                   z_warm=z_star)
+        def bound_at_mode(group, z_star):
+            _, _, steps, expected = sample_z_group(group, np.array([[z_star]]), rho,
+                                                   np.random.default_rng(0))
             assert steps[0] == 0
             return expected[0]
 
         ratio = (1.0 / rho**2 + big_m) / (1.0 / rho**2 + m)
-        assert bound_at_mode(group) == pytest.approx(ratio ** 0.5, rel=1e-6)
+        assert bound_at_mode(group, z_star) == pytest.approx(ratio ** 0.5, rel=1e-6)
         # Equal curvature bounds turn the proposal into the target itself.
-        assert bound_at_mode(rejection_quadratic(0.7)) == pytest.approx(1.0, rel=1e-8)
+        assert bound_at_mode(rejection_quadratic(0.7), 0.0) == pytest.approx(1.0, rel=1e-8)
 
     def test_expected_bound_below_two_in_guaranteed_regime(self):
         rng = np.random.default_rng(3)
@@ -263,8 +265,7 @@ class TestRejectionSampler:
 
     def test_group_certificates_match_scalar_reference(self):
         # Given theta, warm starts and certificates are deterministic: the
-        # group path reproduces the scalar oracle block by block, from
-        # the fresh anchor and from a carried-over start.
+        # group path reproduces the scalar oracle block by block.
         rng = np.random.default_rng(19)
         total_steps = 0
         for model, rho in [(build_model("logistic-split1", d=4, n=40, seed=3), 0.8),
@@ -272,29 +273,24 @@ class TestRejectionSampler:
             (group,) = model.groups
             for _ in range(5):
                 theta = rng.standard_normal(model.d) * 2.0
-                stale = group.couple(rng.standard_normal(model.d))
-                for z_warm in (None, stale):
-                    _, proposals, steps, expected = sample_z_group(
-                        group, group.couple(theta), rho, np.random.default_rng(0), z_warm=z_warm)
-                    assert (proposals >= 1).all()
-                    for j in range(group.b):
-                        z0 = None if z_warm is None else z_warm[j]
-                        z_tilde, _, ref_steps = reference.warm_start_minimize(
-                            group, j, group.a[j] @ theta, rho,
-                            reference.gd_stop_threshold(group, j, rho), z0=z0)
-                        assert steps[j] == ref_steps
-                        ref = reference.expected_proposals_bound(group, j, theta, z_tilde, rho)
-                        assert expected[j] == pytest.approx(ref, rel=1e-12)
-                    total_steps += int(steps.sum())
+                _, proposals, steps, expected = sample_z_group(
+                    group, group.couple(theta), rho, np.random.default_rng(0))
+                assert (proposals >= 1).all()
+                for j in range(group.b):
+                    z_tilde, _, ref_steps = reference.warm_start_minimize(
+                        group, j, group.a[j] @ theta, rho,
+                        reference.gd_stop_threshold(group, j, rho))
+                    assert steps[j] == ref_steps
+                    ref = reference.expected_proposals_bound(group, j, theta, z_tilde, rho)
+                    assert expected[j] == pytest.approx(ref, rel=1e-12)
+                total_steps += int(steps.sum())
         assert total_steps > 0
 
     @pytest.mark.parametrize("case", ["criterion-4 quadratic", "logistic-split2 shard"])
     def test_group_of_one_reproduces_scalar_draws(self, case):
         # sample_z_group on a group of one consumes the stream like the
         # scalar oracle and does the same arithmetic: the same draws,
-        # proposal counts and descent steps bit for bit, draw after draw,
-        # from fresh starts and from a carried start (z_warm, the block's
-        # previous draw).
+        # proposal counts and descent steps bit for bit, draw after draw.
         if case == "criterion-4 quadratic":
             source = group = rejection_quadratic(0.8)
             theta, rho, seed, n = np.array([1.4]), 0.6, 1001, 20_000
@@ -307,24 +303,20 @@ class TestRejectionSampler:
             rho = 1.0 / math.sqrt(2.0 * source.k * (big_m - m) - m)
             theta, seed, n = np.full(10, 0.5), 7, 3_000
         a_theta = group.couple(theta)
-        for carried in (False, True):
-            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            z_ref = z = None
-            total_steps = total_proposals = 0
-            for _ in range(n):
-                z_ref, ref = reference.sample_z_rejection(
-                    source, 0, theta, rho, ref_rng, z_warm=z_ref if carried else None)
-                z, proposals, steps, expected = sample_z_group(
-                    group, a_theta, rho, rng, z_warm=z if carried else None)
-                assert z[0].tobytes() == z_ref.tobytes()
-                assert proposals[0] == ref.proposals_used
-                assert steps[0] == ref.warm_start_gd_steps
-                assert expected[0] == pytest.approx(ref.expected_bound, rel=1e-12)
-                total_steps += int(steps[0])
-                total_proposals += int(proposals[0])
-            assert total_steps > 0
-            if case == "logistic-split2 shard":
-                assert total_proposals > n
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        total_steps = total_proposals = 0
+        for _ in range(n):
+            z_ref, ref = reference.sample_z_rejection(source, 0, theta, rho, ref_rng)
+            z, proposals, steps, expected = sample_z_group(group, a_theta, rho, rng)
+            assert z[0].tobytes() == z_ref.tobytes()
+            assert proposals[0] == ref.proposals_used
+            assert steps[0] == ref.warm_start_gd_steps
+            assert expected[0] == pytest.approx(ref.expected_bound, rel=1e-12)
+            total_steps += int(steps[0])
+            total_proposals += int(proposals[0])
+        assert total_steps > 0
+        if case == "logistic-split2 shard":
+            assert total_proposals > n
 
     def test_flat_certificate_at_exact_warm_start(self):
         # Quadratic blocks drawn by rejection whose fresh warm start A_j theta
@@ -391,23 +383,20 @@ def recording(group):
 
 
 class TestGroupDescent:
-    def _assert_matches_reference(self, model, theta, rho, z_warm, z_tilde, steps, expected):
-        (group,) = model.groups
+    def _assert_matches_reference(self, group, theta, rho, z_tilde, steps, expected):
         for j in range(group.b):
-            z0 = None if z_warm is None else z_warm[j]
             ref_z, _, ref_steps = reference.warm_start_minimize(
-                group, j, group.a[j] @ theta, rho, reference.gd_stop_threshold(group, j, rho),
-                z0=z0)
+                group, j, group.a[j] @ theta, rho, reference.gd_stop_threshold(group, j, rho))
             assert steps[j] == ref_steps
             np.testing.assert_allclose(z_tilde[j], ref_z, rtol=1e-12, atol=1e-12)
             ref = reference.expected_proposals_bound(group, j, theta, ref_z, rho)
             assert expected[j] == pytest.approx(ref, rel=1e-12)
 
     def test_descent_addresses_blocks_by_slice_until_some_stop(self):
-        # Uncentered logistic-split2: from a fresh start every block is above
-        # its stop rule, so the descent reads the group through ALL_BLOCKS and
-        # gathers nothing. With a carried start where only block 0 is stale,
-        # it descends block 0 alone, through an index array.
+        # Uncentered logistic-split2: every block starts above its stop rule,
+        # so the descent reads the group through ALL_BLOCKS and gathers
+        # nothing. Quadratic blocks of which only block 0 starts off its
+        # center: the descent takes block 0 alone, through an index array.
         model = build_model("logistic-split2", d=10, n=200, b=5, seed=4)
         group, calls = recording(model.groups[0])
         rho = 0.2
@@ -424,20 +413,24 @@ class TestGroupDescent:
         z_tilde, _, ws_steps = warm_start_group(group, a_theta, rho)
         assert all(rows is ALL_BLOCKS for rows in calls["gradient"])
         assert (ws_steps == steps).all()
-        self._assert_matches_reference(model, theta, rho, None, z_tilde, steps, expected)
+        self._assert_matches_reference(group, theta, rho, z_tilde, steps, expected)
 
-        # Exact modes for blocks 1.., a stale start for block 0.
-        z_warm = warm_start_group(group, a_theta, rho, 1e-12)[0]
-        z_warm[0] = group.couple(np.zeros(10))[0]
-        calls["gradient"].clear()
+        # Blocks 1.. are centered at A_j theta, where their gradient is zero.
+        theta = np.array([0.3, -1.2, 0.7])
+        centers = np.tile(theta, (5, 1))
+        centers[0] += 1.0
+        quad = make_quadratic_group(np.tile(np.eye(3), (5, 1, 1)), precision=[0.5, 1.0, 2.0],
+                                    center=centers)
+        group, calls = recording(FactorGroup(quad.a, quad.value, quad.gradient, quad.m, quad.M))
+        a_theta = group.couple(theta)
         _, proposals, steps, expected = sample_z_group(group, a_theta, rho,
-                                                       np.random.default_rng(5), z_warm=z_warm)
-        assert steps[0] >= 1 and (steps[1:] == 0).all()
+                                                       np.random.default_rng(5))
+        assert steps[0] >= 1 and (steps[1:] == 0).all() and (proposals >= 1).all()
         descent = calls["gradient"][1:]
         assert calls["gradient"][0] is ALL_BLOCKS and len(descent) == steps[0]
         assert all(isinstance(rows, np.ndarray) and rows.tolist() == [0] for rows in descent)
-        z_tilde, _, _ = warm_start_group(group, a_theta, rho, z0=z_warm)
-        self._assert_matches_reference(model, theta, rho, z_warm, z_tilde, steps, expected)
+        z_tilde, _, _ = warm_start_group(group, a_theta, rho)
+        self._assert_matches_reference(group, theta, rho, z_tilde, steps, expected)
 
     def test_rho_constants_built_once_per_group_and_rho(self, monkeypatch):
         built = []

@@ -169,8 +169,8 @@ class TestTvMultiPlan:
         plan = plan_tv_multi(model, 0.05, theta_star=np.zeros(12))
         lhs = plan.t_mix * (-math.log1p(-plan.k_sgs))
         assert lhs >= math.log(2.0 / plan.epsilon) + plan.C / 2.0
-        gram_sqrt = plan.metadata["gram_sqrt"]
-        assert np.allclose(gram_sqrt @ gram_sqrt, np.asarray(model.gram), atol=1e-10)
+        # The contraction constant is the sweep's, in the metric ||G^{1/2}(x - y)||.
+        assert plan.k_sgs == k_sgs(model, plan.rho)
 
     def test_observation_split_beats_shard_split_when_ratio_large(self):
         d, n, b = 10, 1000, 5

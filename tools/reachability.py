@@ -41,7 +41,6 @@ KEEP = {
     "model.make_quadratic_group.<locals>.recenter": "centering of a Gaussian group: every zoo "
         "Gaussian's minimizer search ends exactly at its center, so no command tilts one",
     "zoo.mixture_group.<locals>.value": "a group's value, read by SplitModel.potential",
-    "bias.IsotropicMixture.projected_density": "the smoothed mixture marginal's density",
     "engine.read_trace": "reads the trace file that sample --trace writes",
     "conditionals.BlockReports.__len__": "abstract in collections.abc.Sequence",
 }
