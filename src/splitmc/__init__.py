@@ -38,7 +38,6 @@ from .engine import (
     read_trace,
     run_chain,
     sgs_sweep,
-    sweep_conditional_modes,
     initial_state,
 )
 from .model import (

@@ -16,7 +16,7 @@ from scipy.special import ndtr
 
 from .errors import InvalidParameter, NotSmooth
 from .model import ModelConstants
-from .numerics import QuadratureSpec, parabolic_cylinder_ratio
+from .numerics import parabolic_cylinder_ratio
 
 TV = "TV"
 W1 = "W1"
@@ -44,8 +44,7 @@ class BiasBound:
             raise ValueError("bounds are nonnegative")
 
 
-def tv_bound_lipschitz(lipschitz, dims, rho: float,
-                       spec: QuadratureSpec | None = None) -> BiasBound:
+def tv_bound_lipschitz(lipschitz, dims, rho: float) -> BiasBound:
     """TV bound for value-Lipschitz factors: 1 - prod_i D_{-d_i}(L_i rho)/D_{-d_i}(-L_i rho).
 
     Needs no differentiability or convexity. The small-rho linearization
@@ -61,7 +60,7 @@ def tv_bound_lipschitz(lipschitz, dims, rho: float,
         raise ValueError("rho must be nonnegative")
     prod = 1.0
     for L, d in zip(lipschitz, dims):
-        prod *= parabolic_cylinder_ratio(d, L * rho, spec)
+        prod *= parabolic_cylinder_ratio(d, L * rho)
     raw = 1.0 - prod
     linear = 2.0 * rho * sum(math.sqrt(d) * L for L, d in zip(lipschitz, dims))
     return BiasBound(value=min(max(raw, 0.0), 1.0), distance=TV, rule="lipschitz",

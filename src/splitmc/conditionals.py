@@ -48,17 +48,17 @@ class ThetaConditional:
         self.chol_lower = model.chol_lower
         self._trtrs = get_lapack_funcs(("trtrs",), (self.chol_lower,))[0]
 
-    def mean(self, z_blocks) -> np.ndarray:
-        """mu(z) = G^{-1} sum_i A_i^T z_i; z per group or per block (see SplitModel.as_groups)."""
-        return self.model.master_mean(self.model.as_groups(z_blocks))
+    def mean(self, z_groups) -> np.ndarray:
+        """mu(z) = G^{-1} sum_i A_i^T z_i, with z one (b_g, k_g) array per group."""
+        return self.model.master_mean(z_groups)
 
-    def sample(self, z_blocks, rng, size: int | None = None) -> np.ndarray:
+    def sample(self, z_groups, rng, size: int | None = None) -> np.ndarray:
         """Exact draw(s) from N(mu(z), rho^2 G^{-1}).
 
         With size=n, returns an (n, d) array of independent draws sharing
         the same conditioning blocks.
         """
-        mu = self.mean(z_blocks)
+        mu = self.mean(z_groups)
         shape = self.model.d if size is None else (self.model.d, size)
         # L^T noise = xi, by LAPACK directly (see SplitModel.solve_gram).
         noise, info = self._trtrs(self.chol_lower, rng.standard_normal(shape), lower=1, trans=1)

@@ -25,14 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conditionals import (
-    DEFAULT_PROPOSAL_CAP,
-    BlockReports,
-    ThetaConditional,
-    sample_z_group,
-    warm_start_group,
-)
-from .errors import DimensionMismatch, InvalidParameter, NonFiniteDraw, check_rho
+from .conditionals import BlockReports, ThetaConditional, sample_z_group, warm_start_group
+from .errors import DimensionMismatch, InvalidParameter, NonFiniteDraw, check_rho, check_seed
 from .model import SplitModel
 
 TRACE_MAGIC = b"SGS1"
@@ -64,11 +58,7 @@ class ChainState:
 
     @property
     def z_blocks(self) -> tuple:
-        return _blocks(self.z_groups)
-
-
-def _blocks(z_groups) -> tuple:
-    return tuple(z for zg in z_groups for z in zg)
+        return tuple(z for zg in self.z_groups for z in zg)
 
 
 @dataclass(frozen=True)
@@ -77,7 +67,6 @@ class SamplerConfig:
     sweeps: int
     burn_in: int = 0
     record_every: int = 1
-    proposal_cap: int = DEFAULT_PROPOSAL_CAP
 
     def __post_init__(self):
         check_rho(self.rho)
@@ -85,16 +74,15 @@ class SamplerConfig:
             raise InvalidParameter("burn_in must satisfy 0 <= burn_in < sweeps")
         if self.record_every < 1:
             raise InvalidParameter("record_every must be >= 1")
-        if not self.proposal_cap >= 1:
-            raise InvalidParameter(f"proposal_cap must be >= 1, got {self.proposal_cap}")
 
 
 def initial_state(model: SplitModel, theta0: np.ndarray, seed: int) -> ChainState:
     """The chain's start: theta0, every block at A_i theta0, sweep 0.
 
-    A non-finite theta0 is refused with InvalidParameter before it reaches
-    the coupling or a draw.
+    A non-finite theta0 or a negative seed is refused with InvalidParameter
+    before it reaches the coupling or a draw.
     """
+    check_seed(seed)
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (model.d,):
         raise DimensionMismatch("theta0 has the wrong length")
@@ -160,7 +148,7 @@ def _draw_blocks(model: SplitModel, theta: np.ndarray, config: SamplerConfig, rn
         else:
             rows = slice(start, start + g.b)
             z, proposals[rows], gd_steps[rows], expected[rows] = sample_z_group(
-                g, a_theta, config.rho, rng, proposal_cap=config.proposal_cap)
+                g, a_theta, config.rho, rng)
         finite = np.isfinite(z)
         if not finite.all():
             bad = start + int(np.flatnonzero(~finite.all(axis=1))[0])
@@ -208,23 +196,6 @@ def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
     new_state = ChainState(theta=theta_new, z_groups=z_new, sweep=sweep,
                            rng_seed_root=state.rng_seed_root)
     return new_state, reports
-
-
-def _group_mode(group, a_theta: np.ndarray, rho: float, tol: float) -> np.ndarray:
-    if group.mode is not None:
-        return group.mode(a_theta, rho)
-    return warm_start_group(group, a_theta, rho, tol)[0]
-
-
-def sweep_conditional_modes(model: SplitModel, theta: np.ndarray, rho: float,
-                            tol: float = 1e-10):
-    """The deterministic twin of one sweep: conditional modes instead of draws.
-
-    Returns (theta, z_blocks); the master step is the sweep's own
-    conditional mean, SplitModel.master_mean.
-    """
-    z_new = [_group_mode(g, g.couple(theta), rho, tol) for g in model.groups]
-    return model.master_mean(z_new), list(_blocks(z_new))
 
 
 @dataclass
@@ -304,19 +275,28 @@ def run_chain(model: SplitModel, config: SamplerConfig, seed: int,
 # Optimizer baselines
 
 
+def _group_mode(group, a_theta: np.ndarray, rho: float, tol: float) -> np.ndarray:
+    if group.mode is not None:
+        return group.mode(a_theta, rho)
+    return warm_start_group(group, a_theta, rho, tol)[0]
+
+
 def am_solve(model: SplitModel, rho: float, iters: int,
              theta0: np.ndarray | None = None, inner_tol: float = 1e-10):
     """Alternating minimization of the quadratically penalized objective.
 
     Each iteration takes the conditional mode of every block (closed form
     when available, warm-start descent to inner_tol otherwise) and then the
-    exact master-parameter mode. Deterministic counterpart of the sweep.
+    exact master-parameter mode, the sweep's own conditional mean
+    SplitModel.master_mean: the deterministic twin of the sweep. Returns
+    (theta, z) with z one (b_g, k_g) array per group, as in ChainState.
     """
     theta = np.zeros(model.d) if theta0 is None else np.array(theta0, dtype=float)
-    z_blocks = None
+    z = None
     for _ in range(iters):
-        theta, z_blocks = sweep_conditional_modes(model, theta, rho, tol=inner_tol)
-    return theta, z_blocks
+        z = [_group_mode(g, g.couple(theta), rho, inner_tol) for g in model.groups]
+        theta = model.master_mean(z)
+    return theta, z
 
 
 def admm_solve(model: SplitModel, rho: float, iters: int,
@@ -326,6 +306,8 @@ def admm_solve(model: SplitModel, rho: float, iters: int,
     z-step: argmin U_i(z) + ||z - (A_i theta - u_i)||^2/(2 rho^2)
     theta-step: normal equations G theta = sum_i A_i^T (z_i + u_i)
     dual step: u_i += z_i - A_i theta
+
+    Returns (theta, z, duals), z and duals one (b_g, k_g) array per group.
     """
     theta = np.zeros(model.d) if theta0 is None else np.array(theta0, dtype=float)
     duals = [np.zeros((g.b, g.k)) for g in model.groups]
@@ -335,7 +317,7 @@ def admm_solve(model: SplitModel, rho: float, iters: int,
              for g, u in zip(model.groups, duals)]
         theta = model.master_mean([zg + u for zg, u in zip(z, duals)])
         duals = [u + zg - g.couple(theta) for g, zg, u in zip(model.groups, z, duals)]
-    return theta, list(_blocks(z)), list(_blocks(duals))
+    return theta, z, duals
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the shared check of rho."""
+"""Exception hierarchy shared across the package, and the shared checks of rho and seeds."""
 
 import math
 
@@ -63,3 +63,9 @@ def check_rho(rho) -> None:
     """Raise InvalidParameter unless the coupling width rho is positive and finite."""
     if not (rho > 0 and math.isfinite(rho)):
         raise InvalidParameter(f"rho must be positive and finite, got {rho}")
+
+
+def check_seed(seed) -> None:
+    """Raise InvalidParameter unless seed is nonnegative, as numpy's SeedSequence needs."""
+    if not seed >= 0:
+        raise InvalidParameter(f"seeds must be nonnegative, got {seed}")

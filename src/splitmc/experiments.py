@@ -20,7 +20,9 @@ chain with precision m (the smallest) and the same rho, an AR(1) chain with
 factor 1/(1 + rho^2 m) and stationary variance 1/m + rho^2. The mixing
 helpers step that chain (_first_coordinate) and refuse models for which
 this does not hold; the draws differ from stepping all d coordinates, their
-law does not.
+law does not. A mixing time is a first passage (_first_passage): the first
+sweep at which the population's TV or W1 distance to the target drops below
+its threshold. The cells of every grid run one after another, on one thread.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import csv
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from scipy.special import gammaincinv, ndtr
 from . import zoo
 from .bias import IsotropicMixture, tv_bound_strongly_convex, w1_bound_single
 from .engine import SamplerConfig, run_chain
-from .errors import InvalidParameter, NotStronglyConvex, UnsupportedModel
+from .errors import InvalidParameter, NotStronglyConvex, UnsupportedModel, check_seed
 from .metrics import (
     Normal1D,
     ToyParams,
@@ -69,6 +70,7 @@ class ExperimentSpec:
         if self.name not in EXPERIMENT_NAMES:
             raise ValueError(f"unknown experiment {self.name!r}; "
                              f"choose from {', '.join(EXPERIMENT_NAMES)}")
+        check_seed(self.seed)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
 
@@ -333,6 +335,19 @@ def _first_coordinate(model, n_chains):
     return make_quadratic_group(np.ones((1, 1, 1)), precision=m, center=0.0)
 
 
+def _first_passage(group, rho, thetas, rng, sweep_cap, distance, threshold):
+    """(first sweep t <= sweep_cap with distance(chains) < threshold, whether none was).
+
+    Steps the population from thetas, drawing from rng, and returns
+    (sweep_cap, True) when it never gets within threshold.
+    """
+    for t in range(1, sweep_cap + 1):
+        thetas = _population_sweep(group, rho, thetas, rng)
+        if distance(thetas[:, 0]) < threshold:
+            return t, False
+    return sweep_cap, True
+
+
 def _mixing_time_tv(model, rho, eps, n_chains, seed, sweep_cap, n_bins=50):
     """First sweep at which the binned TV of coordinate 0 drops below eps + floor.
 
@@ -347,13 +362,9 @@ def _mixing_time_tv(model, rho, eps, n_chains, seed, sweep_cap, n_bins=50):
     cdf = ndtr(edges / math.sqrt(var_target))  # the target's, once per run
     floor = _tv_noise_floor(var_target, n_chains, edges, cdf, _rng(seed, 1))
     thetas = rng.standard_normal((n_chains, 1)) / np.sqrt(model.groups[0].M[0])
-    threshold = eps + floor
-    for t in range(1, sweep_cap + 1):
-        thetas = _population_sweep(group, rho, thetas, rng)
-        tv = _binned_tv_vs_gaussian(thetas[:, 0], edges, cdf)
-        if tv < threshold:
-            return t, floor, False
-    return sweep_cap, floor, True
+    t, capped = _first_passage(group, rho, thetas, rng, sweep_cap,
+                               lambda x: _binned_tv_vs_gaussian(x, edges, cdf), eps + floor)
+    return t, floor, capped
 
 
 def _mixing_time_w1(model, rho, eps, n_chains, seed, sweep_cap):
@@ -363,16 +374,10 @@ def _mixing_time_w1(model, rho, eps, n_chains, seed, sweep_cap):
     coordinate 0 is stepped (_first_coordinate).
     """
     group = _first_coordinate(model, n_chains)
-    rng = _rng(seed, 0)
     var_target = 1.0 / group.m[0]
-    threshold = eps * math.sqrt(var_target)
-    thetas = np.zeros((n_chains, 1))
-    for t in range(1, sweep_cap + 1):
-        thetas = _population_sweep(group, rho, thetas, rng)
-        w1 = w1_samples_vs_gaussian(thetas[:, 0], 0.0, var_target)
-        if w1 < threshold:
-            return t, False
-    return sweep_cap, True
+    return _first_passage(group, rho, np.zeros((n_chains, 1)), _rng(seed, 0), sweep_cap,
+                          lambda x: w1_samples_vs_gaussian(x, 0.0, var_target),
+                          eps * math.sqrt(var_target))
 
 
 def run_gaussian_mixing(spec: ExperimentSpec):
@@ -397,21 +402,17 @@ def run_gaussian_mixing(spec: ExperimentSpec):
         d_grid = [int(v) for v in p["d_grid"]]
         m, M = float(p["m"]), float(p["M"])
         n_chains = int(p["n_chains"])
-
-        def one(args):
-            d, rep = args
+        rows = []
+        for d in sorted(d_grid):
             plan = plan_tv_single(m, M, d, eps)
             cap = int(3 * plan.t_mix) + 10
-            t_emp, floor, capped = _mixing_time_tv(zoo.aniso_gaussian(d, m, M), plan.rho, eps,
-                                                   n_chains, _seed_for(spec.seed, 1, d, rep), cap)
-            return {"d": d, "replicate": rep, "rho2": plan.rho2, "k_sgs": plan.k_sgs,
-                    "t_theory": plan.t_mix, "t_empirical": t_emp,
-                    "tv_noise_floor": floor, "hit_cap": capped}
-
-        jobs = [(d, rep) for d in d_grid for rep in range(replicates)]
-        with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
-            rows = list(pool.map(one, jobs))
-        rows.sort(key=lambda r: (r["d"], r["replicate"]))
+            model = zoo.aniso_gaussian(d, m, M)
+            for rep in range(replicates):
+                t_emp, floor, capped = _mixing_time_tv(model, plan.rho, eps, n_chains,
+                                                       _seed_for(spec.seed, 1, d, rep), cap)
+                rows.append({"d": d, "replicate": rep, "rho2": plan.rho2, "k_sgs": plan.k_sgs,
+                             "t_theory": plan.t_mix, "t_empirical": t_emp,
+                             "tv_noise_floor": floor, "hit_cap": capped})
         means = {d: np.mean([r["t_empirical"] for r in rows if r["d"] == d]) for d in d_grid}
         slope = _loglog_slope(list(means), list(means.values()))
         config = {"experiment": "gaussian-mixing/dimension", "seed": spec.seed,

@@ -193,21 +193,6 @@ class SplitModel:
         """G^{-1} sum_i A_i^T z_i: the mean of theta | z and the master step of the mode twin."""
         return self.solve_gram(self.assemble(z_groups))
 
-    def as_groups(self, z) -> tuple:
-        """Auxiliary blocks as one (b_g, k_g) array per group.
-
-        Accepts that form, or one 1-d array per block in block order.
-        """
-        if len(z) == len(self.groups) and all(np.ndim(zg) == 2 for zg in z):
-            return tuple(z)
-        if len(z) != self.b:
-            raise DimensionMismatch(f"{len(z)} auxiliary blocks for a model with {self.b}")
-        out, start = [], 0
-        for g in self.groups:
-            out.append(np.reshape(np.array(z[start:start + g.b], dtype=float), (g.b, g.k)))
-            start += g.b
-        return tuple(out)
-
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         x, info = self._potrs(self.chol_lower, rhs, lower=1)
         if info != 0:

@@ -6,7 +6,6 @@ Everything here is pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -18,20 +17,10 @@ from .errors import NonSymmetric, QuadratureFailure
 # exp(-80) of the peak, comfortably under double-precision resolution.
 _TAIL_LOG_DROP = 80.0
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the parabolic-cylinder quadrature."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+# A value must carry a relative error estimate within _REL_TOL; quad is asked
+# for a tenth of it, in at most 200 subdivisions.
+_REL_TOL = 1e-10
+_QUAD = {"limit": 200, "epsabs": 0.0, "epsrel": 1e-11}
 
 
 def _pc_log_integrand_peak(d: float, z: float) -> float:
@@ -42,7 +31,7 @@ def _pc_log_integrand_peak(d: float, z: float) -> float:
     return max(-z, 1e-12)
 
 
-def parabolic_cylinder_neg(d: float, z: float, spec: QuadratureSpec | None = None) -> float:
+def parabolic_cylinder_neg(d: float, z: float) -> float:
     """Parabolic cylinder function of negative order, D_{-d}(z), for d > 0.
 
     Evaluated from the integral representation
@@ -52,7 +41,6 @@ def parabolic_cylinder_neg(d: float, z: float, spec: QuadratureSpec | None = Non
     """
     if d <= 0:
         raise ValueError("order parameter d must be positive")
-    spec = spec or QuadratureSpec()
 
     x_peak = _pc_log_integrand_peak(d, z)
 
@@ -68,11 +56,8 @@ def parabolic_cylinder_neg(d: float, z: float, spec: QuadratureSpec | None = Non
             x_hi *= 2.0
             if x_hi > 1e12:
                 raise QuadratureFailure("could not truncate parabolic cylinder integrand")
-        value, abserr = integrate.quad(
-            lambda x: math.exp(-x * z - 0.5 * x * x - shift), 0.0, x_hi,
-            weight="alg", wvar=(d - 1.0, 0.0), limit=spec.max_subdivisions,
-            epsabs=0.0, epsrel=min(spec.rel_tol, 1e-11),
-        )
+        value, abserr = integrate.quad(lambda x: math.exp(-x * z - 0.5 * x * x - shift),
+                                       0.0, x_hi, weight="alg", wvar=(d - 1.0, 0.0), **_QUAD)
         g_max = shift
     else:
         g_max = log_f(x_peak)
@@ -88,11 +73,8 @@ def parabolic_cylinder_neg(d: float, z: float, spec: QuadratureSpec | None = Non
                 return 0.0
             return math.exp(log_f(x) - g_max)
 
-        value, abserr = integrate.quad(
-            f, 0.0, x_hi, points=[x_peak], limit=spec.max_subdivisions,
-            epsabs=0.0, epsrel=min(spec.rel_tol, 1e-11),
-        )
-    if value <= 0.0 or abserr > spec.rel_tol * value:
+        value, abserr = integrate.quad(f, 0.0, x_hi, points=[x_peak], **_QUAD)
+    if value <= 0.0 or abserr > _REL_TOL * value:
         raise QuadratureFailure(
             f"parabolic cylinder quadrature missed tolerance: value={value}, err={abserr}"
         )
@@ -100,14 +82,14 @@ def parabolic_cylinder_neg(d: float, z: float, spec: QuadratureSpec | None = Non
     return math.exp(log_result)
 
 
-def parabolic_cylinder_ratio(d: float, z: float, spec: QuadratureSpec | None = None) -> float:
+def parabolic_cylinder_ratio(d: float, z: float) -> float:
     """D_{-d}(z) / D_{-d}(-z), the contraction factor used by the Lipschitz TV bound.
 
     Equals 1 at z = 0 and lies in (0, 1] for z >= 0.
     """
     if z == 0.0:
         return 1.0
-    return parabolic_cylinder_neg(d, z, spec) / parabolic_cylinder_neg(d, -z, spec)
+    return parabolic_cylinder_neg(d, z) / parabolic_cylinder_neg(d, -z)
 
 
 def _require_symmetric(s: np.ndarray) -> np.ndarray:

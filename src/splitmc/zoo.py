@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from .errors import InvalidParameter, UnsupportedModel
+from .errors import InvalidParameter, UnsupportedModel, check_seed
 from .model import FactorGroup, SplitModel, make_quadratic_group
 
 
@@ -113,6 +113,7 @@ def gaussian_mixture(d: int = 60, a_norm: float = 1.0 / math.sqrt(2.0)) -> Split
 def _rademacher_data(d: int, n: int, seed: int):
     if d < 1 or n < 1:
         raise InvalidParameter(f"the logistic models need d >= 1 and n >= 1, got d={d}, n={n}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     x = rng.choice([-1.0, 1.0], size=(n, d)) / math.sqrt(d)
     theta_true = np.ones(d)

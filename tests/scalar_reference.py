@@ -33,7 +33,6 @@ from splitmc.errors import (
     check_rho,
 )
 from splitmc.model import FactorGroup, make_quadratic_group
-from splitmc.numerics import QuadratureSpec
 
 # Warm starts stop once ||grad V_i|| <= (2/7) sqrt(1/rho^2 + m_i) / sqrt(d_i).
 _GD_STOP_FACTOR = 2.0 / 7.0
@@ -216,29 +215,29 @@ def sample_z_rejection(group, j: int, theta: np.ndarray, rho: float, rng,
                                       expected_bound=expected)
 
 
-def cdf_l1_distance(f_cdf, g_cdf, support: tuple[float, float],
-                    spec: QuadratureSpec | None = None, breakpoints=None) -> float:
+def cdf_l1_distance(f_cdf, g_cdf, support: tuple[float, float], breakpoints=None,
+                    abs_tol: float = 1e-12, rel_tol: float = 1e-10, limit: int = 200) -> float:
     """L1 distance between two CDFs, int |F - G| dx.
 
     The integration window starts from `support` and is widened until both
     CDFs carry less than abs_tol mass outside it. Known kinks or
     discontinuities (the crossing of two CDFs, the jumps of empirical CDFs)
-    can be passed as breakpoints.
+    can be passed as breakpoints. quad runs to abs_tol and rel_tol with at
+    most limit subdivisions, or two per breakpoint interval if that is more.
     """
-    spec = spec or QuadratureSpec()
     lo, hi = float(support[0]), float(support[1])
     if not lo < hi:
         raise ValueError("support must be a nonempty interval")
     width = hi - lo
     for _ in range(200):
-        if f_cdf(lo) + g_cdf(lo) <= spec.abs_tol:
+        if f_cdf(lo) + g_cdf(lo) <= abs_tol:
             break
         lo -= width
         width = hi - lo
     else:
         raise QuadratureFailure("left tail never fell below abs_tol")
     for _ in range(200):
-        if (1.0 - f_cdf(hi)) + (1.0 - g_cdf(hi)) <= spec.abs_tol:
+        if (1.0 - f_cdf(hi)) + (1.0 - g_cdf(hi)) <= abs_tol:
             break
         hi += width
         width = hi - lo
@@ -250,10 +249,10 @@ def cdf_l1_distance(f_cdf, g_cdf, support: tuple[float, float],
         points = sorted(p for p in breakpoints if lo < p < hi)
     value, abserr = integrate.quad(
         lambda x: abs(f_cdf(x) - g_cdf(x)), lo, hi, points=points,
-        limit=max(spec.max_subdivisions, (len(points) + 1) * 2 if points else 0),
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+        limit=max(limit, (len(points) + 1) * 2 if points else 0),
+        epsabs=abs_tol, epsrel=rel_tol,
     )
-    if abserr > max(spec.abs_tol, spec.rel_tol * max(value, 1e-300)) * 10.0:
+    if abserr > max(abs_tol, rel_tol * max(value, 1e-300)) * 10.0:
         raise QuadratureFailure(
             f"cdf L1 quadrature missed tolerance: value={value}, err={abserr}"
         )

@@ -20,12 +20,18 @@ from splitmc.model import model_constants
 
 
 def tv_by_quadrature(mean1, var1, mean2, var2):
-    """Independent oracle: (1/2) int |p - q| by adaptive quadrature."""
+    """Independent oracle: (1/2) int |p - q| by adaptive quadrature.
+
+    The densities are written out with math.exp: scipy.stats.norm.pdf gives
+    the same values to about 1e-16 at many times the cost per point.
+    """
     s1, s2 = math.sqrt(var1), math.sqrt(var2)
+    c1, c2 = 1.0 / (math.sqrt(2.0 * math.pi) * s1), 1.0 / (math.sqrt(2.0 * math.pi) * s2)
     lo = min(mean1 - 10 * s1, mean2 - 10 * s2)
     hi = max(mean1 + 10 * s1, mean2 + 10 * s2)
     val, _ = integrate.quad(
-        lambda x: abs(norm.pdf(x, mean1, s1) - norm.pdf(x, mean2, s2)),
+        lambda x: abs(c1 * math.exp(-0.5 * ((x - mean1) / s1) ** 2)
+                      - c2 * math.exp(-0.5 * ((x - mean2) / s2) ** 2)),
         lo, hi, limit=200)
     return 0.5 * val
 

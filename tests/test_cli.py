@@ -150,6 +150,13 @@ class TestExitCodes:
         ["experiment", "mixture", "--set", "ula_sweeps=0"],
         ["experiment", "mixture", "--set", "n_bins=1"],
         ["experiment", "mixture", "--set", "n_samples=0"],
+        ["sample", "--model", "toy-gaussian-1", "--rho", "1", "--sweeps", "3", "--seed", "-1"],
+        ["experiment", "gaussian-mixing", "--set", "which=dimension", "--set", "d_grid=(4,)",
+         "--set", "replicates=1", "--set", "n_chains=10", "--seed", "-1"],
+        ["sample", "--model", "logistic-split1", "--d", "3", "--n", "10", "--rho", "0.5",
+         "--sweeps", "2", "--data-seed", "-1"],
+        ["plan", "--theorem", "tv-multi", "--eps", "0.1", "--model", "logistic-split1",
+         "--d", "3", "--n", "10", "--data-seed", "-2"],
     ])
     def test_invalid_parameters_map_to_2(self, argv, tmp_path, capfd):
         assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -19,7 +19,6 @@ from splitmc import (
     read_trace,
     run_chain,
     sgs_sweep,
-    sweep_conditional_modes,
 )
 from splitmc.conditionals import ThetaConditional
 from splitmc.engine import PHASE_BLOCKS, PHASE_MASTER, ChainState, SweepStreams, TraceWriter
@@ -324,10 +323,10 @@ class TestOptimizerTwins:
     def test_am_fixed_point_first_order_conditions(self):
         model = build_model("logistic-split2", d=3, n=30, b=5, seed=4)
         rho = 1.0
-        theta, z_blocks = am_solve(model, rho=rho, iters=400, inner_tol=1e-12)
+        theta, z_groups = am_solve(model, rho=rho, iters=400, inner_tol=1e-12)
         # Modes: grad V_i(z_i) = 0; master step: G theta = sum A_i^T z_i.
         (g,) = model.groups
-        (z,) = model.as_groups(z_blocks)
+        (z,) = z_groups
         grad_u = g.gradient(z, ALL_BLOCKS)
         for j in range(g.b):
             grad_v = grad_u[j] + (z[j] - g.a[j] @ theta) / rho**2
@@ -347,11 +346,5 @@ class TestOptimizerTwins:
                                  rng_factory=lambda s, i: zero)
         theta_am, z_am = am_solve(model, rho=2.0, iters=50, theta0=np.array([4.0]))
         assert np.array_equal(state.theta, theta_am)
-        assert all(np.array_equal(a, b) for a, b in zip(state.z_blocks, z_am))
-
-    def test_mode_sweep_equals_am_iteration(self):
-        model = build_model("gaussian-mixture", d=5)
-        theta = np.full(5, 0.7)
-        theta_after, _ = sweep_conditional_modes(model, theta, rho=1.0)
-        theta_am, _ = am_solve(model, rho=1.0, iters=1, theta0=theta)
-        assert np.array_equal(theta_after, theta_am)
+        assert len(z_am) == len(state.z_groups)
+        assert all(np.array_equal(a, b) for a, b in zip(state.z_groups, z_am))

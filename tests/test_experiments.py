@@ -89,6 +89,33 @@ class TestGaussianMixing:
         b = run_gaussian_mixing(ExperimentSpec(**spec, out_dir=tmp_path / "b"))
         assert a["kappa_slope"] == b["kappa_slope"]
 
+    @pytest.mark.parametrize("params, pinned", [
+        ({"d_grid": (8, 4), "replicates": 2, "n_chains": 200, "kappa_grid": (10, 40),
+          "n_chains_w1": 200, "eps_grid": (0.16, 0.11), "n_chains_precision": 2000},
+         {"dimension": [("12", "0.1356977913674797", "False"),
+                        ("22", "0.1329066081725387", "False"),
+                        ("21", "0.1387994259233182", "False"),
+                        ("49", "0.11590079685175679", "False")],
+          "kappa": [("26", "False"), ("23", "False"), ("56", "False"), ("40", "False")],
+          "precision": [("3", "0.04421602680302803", "False"),
+                        ("3", "0.04440110196604724", "False"),
+                        ("12", "0.03444538010917895", "False"),
+                        ("10", "0.03443317369122606", "False")]}),
+        # Tight enough that some chains stop at the sweep cap.
+        ({"which": "kappa", "eps": 0.03, "replicates": 2, "kappa_grid": (10, 12),
+          "n_chains_w1": 200},
+         {"kappa": [("3100", "True"), ("1613", "False"), ("3052", "False"), ("923", "False")]}),
+    ])
+    def test_mixing_times_are_pinned(self, params, pinned, tmp_path):
+        # Seed-7 first passages as the CSVs print them, row by row. Changes to
+        # how the grid cells are scheduled or to the first-passage loop must
+        # leave them as they are.
+        run_gaussian_mixing(ExperimentSpec("gaussian-mixing", params, seed=7, out_dir=tmp_path))
+        for which, rows in pinned.items():
+            _, got = read_csv(tmp_path / f"gaussian_mixing_{which}.csv")
+            keys = [k for k in ("t_empirical", "tv_noise_floor", "hit_cap") if k in got[0]]
+            assert [tuple(r[k] for k in keys) for r in got] == rows
+
 
 class TestPopulationSweepsMatchKernelLaws:
     """The replicate-vectorized sweeps are the same kernel as the engine."""

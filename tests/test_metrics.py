@@ -17,7 +17,6 @@ from splitmc.metrics import (
     gaussian_w1_1d,
     w1_samples_vs_gaussian,
 )
-from splitmc.numerics import QuadratureSpec
 
 from scalar_reference import cdf_l1_distance
 
@@ -78,9 +77,8 @@ class TestEmpiricalW1:
         direct = empirical_w1_1d(a, b)
         via_cdf = cdf_l1_distance(stepcdf(a), stepcdf(b),
                                   (min(a[0], b[0]) - 1.0, max(a[-1], b[-1]) + 1.0),
-                                  QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12,
-                                                 max_subdivisions=500),
-                                  breakpoints=np.concatenate([a, b]))
+                                  breakpoints=np.concatenate([a, b]),
+                                  abs_tol=1e-13, rel_tol=1e-12, limit=500)
         assert direct == pytest.approx(via_cdf, abs=1e-12)
 
     def test_quantile_coupling_against_sampler(self):
@@ -185,7 +183,6 @@ class TestGaussianClosedForms:
                   (0.2, 0.6, 0.2, 0.0),            # a point mass at the Gaussian's mean
                   (0.0047, 2.5**2, 0.0, 0.31**2),  # nearly equal means
                   (-0.005, 1.0, 0.0, 4.0)]
-        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-13, max_subdivisions=500)
         for mean1, var1, mean2, var2 in pairs:
             s1, s2 = math.sqrt(var1), math.sqrt(var2)
             points = [m + k * s for m, s in ((mean1, s1), (mean2, s2))
@@ -195,5 +192,6 @@ class TestGaussianClosedForms:
             support = (min(mean1 - 8 * s1, mean2 - 8 * s2) - 1.0,
                        max(mean1 + 8 * s1, mean2 + 8 * s2) + 1.0)
             expected = cdf_l1_distance(_gaussian_cdf(mean1, var1), _gaussian_cdf(mean2, var2),
-                                       support, spec, breakpoints=points)
+                                       support, breakpoints=points,
+                                       abs_tol=1e-15, rel_tol=1e-13, limit=500)
             assert gaussian_w1_1d(mean1, var1, mean2, var2) == pytest.approx(expected, rel=1e-12)

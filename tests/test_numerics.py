@@ -9,7 +9,6 @@ from scipy.stats import norm
 
 from splitmc.errors import NonSymmetric
 from splitmc.numerics import (
-    QuadratureSpec,
     lambda_extremes,
     parabolic_cylinder_neg,
     parabolic_cylinder_ratio,
@@ -127,9 +126,3 @@ class TestCdfL1Distance:
         d02 = cdf_l1_distance(fs[0], fs[2], support)
         d12 = cdf_l1_distance(fs[1], fs[2], support)
         assert d02 <= d01 + d12 + 1e-8
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)

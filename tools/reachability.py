@@ -8,9 +8,7 @@ is entered or no longer exists; it exits 1 if it printed either.
 
     python tools/reachability.py
 
-The profiler is installed with threading.setprofile as well as
-sys.setprofile, so the thread pool of the gaussian-mixing experiment is
-seen. Outputs go to a temporary directory that is removed afterwards.
+Outputs go to a temporary directory that is removed afterwards.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import contextlib
 import io
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -31,7 +28,6 @@ KEEP = {
     # Called by the acceptance suite, tests/test_acceptance.py.
     "engine.am_solve": "acceptance suite: the alternating-minimization twin of the sweep",
     "engine.admm_solve": "acceptance suite: the ADMM twin",
-    "engine.sweep_conditional_modes": "am_solve's iteration: conditional modes, then master",
     "engine._group_mode": "the mode step of am_solve and admm_solve",
     "conditionals.within_two_guarantee": "acceptance suite: the at-most-two-proposals regime",
     "metrics.Normal1D.cdf": "acceptance suite: KS test against the toy chain's stationary law",
@@ -119,13 +115,11 @@ def main() -> int:
             entered.add((code.co_filename, code.co_firstlineno))
 
     with tempfile.TemporaryDirectory() as tmp:
-        threading.setprofile(profile)
         sys.setprofile(profile)
         try:
             run_everything(Path(tmp))
         finally:
             sys.setprofile(None)
-            threading.setprofile(None)
 
     never = sorted(name for key, name in functions.items() if key not in entered)
     stale = sorted(name for name in KEEP if name not in never)
