@@ -1,9 +1,11 @@
 """Non-asymptotic bounds on the distance between the target and its smoothed stand-in.
 
 The smoothed distribution is the theta-marginal of the augmented target.
-The domination experiments compare the bounds against exact distances
-between Gaussians (see metrics); IsotropicMixture is the mixture target
-whose projected cdf bins the mixture experiment's samples.
+The value-Lipschitz TV bound takes its parabolic-cylinder ratios from
+scipy.special.pbdv (see numerics). The domination experiments compare the
+bounds against exact distances between Gaussians (see metrics);
+IsotropicMixture is the mixture target, whose projected cdf bins the
+mixture experiment's samples.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ class BiasBound:
 def tv_bound_lipschitz(lipschitz, dims, rho: float) -> BiasBound:
     """TV bound for value-Lipschitz factors: 1 - prod_i D_{-d_i}(L_i rho)/D_{-d_i}(-L_i rho).
 
-    Needs no differentiability or convexity. The small-rho linearization
-    2 rho sum_i sqrt(d_i) L_i is attached for display.
+    Needs no differentiability or convexity. Each ratio comes from
+    numerics.parabolic_cylinder_ratio, so the block dimensions must lie in
+    1..170; L_i >= 0 and a finite rho >= 0 are required too. The small-rho
+    linearization 2 rho sum_i sqrt(d_i) L_i is attached for display.
     """
     lipschitz = [float(L) for L in lipschitz]
     dims = [int(d) for d in dims]
@@ -56,14 +60,16 @@ def tv_bound_lipschitz(lipschitz, dims, rho: float) -> BiasBound:
         raise ValueError("need one Lipschitz constant per block dimension")
     if any(not math.isfinite(L) for L in lipschitz):
         raise NotSmooth("the Lipschitz TV bound needs finite value-Lipschitz constants")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if any(L < 0 for L in lipschitz):
+        raise InvalidParameter(f"Lipschitz constants must be nonnegative, got {lipschitz}")
+    if not (rho >= 0 and math.isfinite(rho)):
+        raise InvalidParameter(f"rho must be nonnegative and finite, got {rho}")
     prod = 1.0
     for L, d in zip(lipschitz, dims):
         prod *= parabolic_cylinder_ratio(d, L * rho)
     raw = 1.0 - prod
     linear = 2.0 * rho * sum(math.sqrt(d) * L for L, d in zip(lipschitz, dims))
-    return BiasBound(value=min(max(raw, 0.0), 1.0), distance=TV, rule="lipschitz",
+    return BiasBound(value=raw, distance=TV, rule="lipschitz",
                      raw_value=raw, extras={"small_rho_linearization": linear})
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import AcceptanceStall, NonConvergence, NotSmooth, check_rho
+from .errors import AcceptanceStall, NonConvergence, NotSmooth, check_scale
 from .model import ALL_BLOCKS, FactorGroup, SplitModel
 
 # Warm starts stop once ||grad V_i|| <= (2/7) sqrt(1/rho^2 + m_i) / sqrt(d_i).
@@ -42,7 +42,7 @@ class ThetaConditional:
     """
 
     def __init__(self, model: SplitModel, rho: float):
-        check_rho(rho)
+        check_scale(rho)
         self.model = model
         self.rho = float(rho)
         self.chol_lower = model.chol_lower
@@ -123,7 +123,7 @@ class _RhoConstants:
     __slots__ = ("rho", "s", "top", "target", "log_target", "step", "rate")
 
     def __init__(self, group: FactorGroup, rho: float):
-        check_rho(rho)
+        check_scale(rho)
         self.rho = rho
         self.s = 1.0 / rho**2 + group.m
         self.top = 1.0 / rho**2 + group.M

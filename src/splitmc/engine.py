@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conditionals import BlockReports, ThetaConditional, sample_z_group, warm_start_group
-from .errors import DimensionMismatch, InvalidParameter, NonFiniteDraw, check_rho, check_seed
+from .errors import DimensionMismatch, InvalidParameter, NonFiniteDraw, check_scale, check_seed
 from .model import SplitModel
 
 TRACE_MAGIC = b"SGS1"
@@ -69,7 +69,7 @@ class SamplerConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        check_rho(self.rho)
+        check_scale(self.rho)
         if not 0 <= self.burn_in < self.sweeps:
             raise InvalidParameter("burn_in must satisfy 0 <= burn_in < sweeps")
         if self.record_every < 1:

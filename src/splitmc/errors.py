@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the shared checks of rho and seeds."""
+"""Exception hierarchy shared across the package, and the shared checks of scales and seeds."""
 
 import math
 
@@ -40,7 +40,7 @@ class AcceptanceStall(SplitMCError):
 
 
 class QuadratureFailure(SplitMCError):
-    """Adaptive quadrature could not meet the requested tolerance."""
+    """A special function gave no usable value at its argument."""
 
 
 class NonSymmetric(SplitMCError):
@@ -59,10 +59,16 @@ class EpsilonOutOfRange(SplitMCError):
     """Precision parameter must satisfy 0 < eps <= 1."""
 
 
-def check_rho(rho) -> None:
-    """Raise InvalidParameter unless the coupling width rho is positive and finite."""
-    if not (rho > 0 and math.isfinite(rho)):
-        raise InvalidParameter(f"rho must be positive and finite, got {rho}")
+def check_scale(value, name: str = "rho") -> None:
+    """Raise InvalidParameter unless value > 0 and value^2 and 1/value^2 are positive and finite.
+
+    Widths and scales enter the sweeps and planners through their squares
+    and reciprocal squares, so one whose square underflows or overflows is refused.
+    """
+    square = float(value) * float(value)
+    if not (value > 0 and 0.0 < square < math.inf and 1.0 / square < math.inf):
+        raise InvalidParameter(f"{name} must be positive with a finite, nonzero square "
+                               f"and reciprocal square, got {value}")
 
 
 def check_seed(seed) -> None:

@@ -23,6 +23,11 @@ this does not hold; the draws differ from stepping all d coordinates, their
 law does not. A mixing time is a first passage (_first_passage): the first
 sweep at which the population's TV or W1 distance to the target drops below
 its threshold. The cells of every grid run one after another, on one thread.
+Each fits a slope over its grid, so a grid needs two distinct values.
+
+The mixture run scores its samples by Pearson chi^2 in equal-mass bins of
+the target's projection, counted as equal bins of [0, 1] of the projected
+cdf (IsotropicMixture.projected_cdf) at each sample.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaincinv, ndtr
 
 from . import zoo
@@ -395,6 +399,11 @@ def run_gaussian_mixing(spec: ExperimentSpec):
                                "choose dimension, kappa, precision or all")
     if replicates < 1:
         raise InvalidParameter(f"gaussian-mixing needs replicates >= 1, got {replicates}")
+    for part, key, kind in (("dimension", "d_grid", int), ("kappa", "kappa_grid", float),
+                            ("precision", "eps_grid", float)):
+        if which in (part, "all") and len({kind(v) for v in np.atleast_1d(p[key])}) < 2:
+            raise InvalidParameter(f"gaussian-mixing fits its {part} slope over {key}, which "
+                                   f"needs two distinct values, got {p[key]}")
     results = {}
     outputs = []
 
@@ -493,15 +502,13 @@ def _seed_for(seed, *key):
 # mixture: planner guidance end to end against exact sampling, plus ULA timing
 
 
-def _equal_mass_edges(marginal, n_bins, lo, hi):
-    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-    inner = [brentq(lambda u, q=q: marginal.projected_cdf(u) - q, lo, hi) for q in qs]
-    return np.concatenate([[-np.inf], inner, [np.inf]])
+def _chi2_stat(cdf_values, n_bins):
+    """Pearson chi^2 of samples against n_bins equal-mass bins of a law.
 
-
-def _chi2_stat(u_samples, edges):
-    counts = np.histogram(u_samples, bins=edges)[0]
-    expected = u_samples.size / (len(edges) - 1)
+    The samples are given as that law's cdf at each, so the bins split [0, 1] evenly.
+    """
+    counts = np.histogram(cdf_values, bins=n_bins, range=(0.0, 1.0))[0]
+    expected = cdf_values.size / n_bins
     return float(((counts - expected) ** 2 / expected).sum())
 
 
@@ -553,16 +560,12 @@ def run_mixture(spec: ExperimentSpec):
         ula_per_sweep = (time.perf_counter() - t0) / ula_sweeps
 
         na = float(np.linalg.norm(a))
-        marginal = IsotropicMixture(a, 1.0)  # the target itself
-        lo, hi = -na - 8.0, na + 8.0
-        edges = _equal_mass_edges(marginal, n_bins, lo, hi)
-        u_sgs = thetas @ a / na
-        u_exact = exact @ a / na
+        target_cdf = IsotropicMixture(a, 1.0).projected_cdf
         rows.append({
             "d": d, "rho2": plan6.rho2, "t_mix_single": plan6.t_mix,
             "t_mix_multi": plan7.t_mix, "k_sgs": plan6.k_sgs,
-            "chi2_sgs": _chi2_stat(u_sgs, edges),
-            "chi2_exact": _chi2_stat(u_exact, edges),
+            "chi2_sgs": _chi2_stat(target_cdf(thetas @ a / na), n_bins),
+            "chi2_exact": _chi2_stat(target_cdf(exact @ a / na), n_bins),
             "chi2_critical_5pct": crit,
             "sgs_seconds_per_sweep": sgs_time / plan6.t_mix,
             "ula_seconds_per_sweep": ula_per_sweep,

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import (EpsilonOutOfRange, InvalidParameter, NotCentered, NotStronglyConvex,
-                     SingularGram, check_rho)
+                     SingularGram, check_scale)
 from .model import ModelConstants, SplitModel, find_minimizer, max_factor_gradient_at, model_constants
 
 W1_SINGLE = "W1-single"
@@ -64,7 +64,7 @@ def k_sgs(model: SplitModel, rho: float) -> float:
     computed as the largest generalized eigenvalue of the weighted Gram pair.
     Dimension-free, and zero when every m_i is zero.
     """
-    check_rho(rho)
+    check_scale(rho)
     weighted = model.weighted_gram(1.0 / (1.0 + model.m * rho**2))
     try:
         eigs = eigh(weighted, np.asarray(model.gram), eigvals_only=True)
@@ -74,6 +74,9 @@ def k_sgs(model: SplitModel, rho: float) -> float:
 
 
 def _tv_t_mix(eps: float, c_const: float, k: float, log_top: float) -> int:
+    if not k > 0:
+        raise InvalidParameter(f"the contraction constant K = {k} is not positive, "
+                               "so no mixing time follows")
     return max(1, math.ceil((math.log(log_top / eps) + c_const / 2.0) / k))
 
 

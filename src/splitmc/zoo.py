@@ -12,13 +12,12 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from .errors import InvalidParameter, UnsupportedModel, check_seed
+from .errors import InvalidParameter, UnsupportedModel, check_scale, check_seed
 from .model import FactorGroup, SplitModel, make_quadratic_group
 
 
 def _check_toy(sigma: float, b: int):
-    if not sigma > 0:
-        raise InvalidParameter(f"the toy Gaussian needs sigma > 0, got {sigma}")
+    check_scale(sigma, "the toy Gaussian's sigma")
     if b < 1:
         raise InvalidParameter(f"the toy Gaussian needs b >= 1 factors, got {b}")
 

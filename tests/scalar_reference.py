@@ -30,7 +30,7 @@ from splitmc.errors import (
     NonConvergence,
     NotSmooth,
     QuadratureFailure,
-    check_rho,
+    check_scale,
 )
 from splitmc.model import FactorGroup, make_quadratic_group
 
@@ -183,7 +183,7 @@ def sample_z_rejection(group, j: int, theta: np.ndarray, rho: float, rng,
     """
     if not math.isfinite(float(group.M[j])):
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
-    check_rho(rho)
+    check_scale(rho)
     a_theta = group.a[j] @ np.asarray(theta, dtype=float)
     target = gd_stop_threshold(group, j, rho)
     z_tilde, grad, gd_steps = warm_start_minimize(group, j, a_theta, rho, target)

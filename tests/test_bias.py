@@ -14,7 +14,7 @@ from splitmc import (
     w1_bound_single,
 )
 from splitmc.bias import IsotropicMixture
-from splitmc.errors import NotSmooth
+from splitmc.errors import InvalidParameter, NotSmooth, QuadratureFailure
 from splitmc.metrics import gaussian_tv_1d
 from splitmc.model import model_constants
 
@@ -64,6 +64,29 @@ class TestLipschitzTvBound:
     def test_infinite_lipschitz_rejected(self):
         with pytest.raises(NotSmooth):
             tv_bound_lipschitz([math.inf], [1], 0.1)
+
+    @pytest.mark.parametrize("lipschitz, dims, rho", [
+        ([-1.0], [1], 0.5),
+        ([1.0], [1], math.inf),
+        ([1.0], [1], math.nan),
+        ([1.0], [0], 0.5),
+        ([1.0], [171], 0.5),
+        ([1.0], [600], 0.5),
+        ([1.0], [0], 0.0),
+    ], ids=["negative-L", "infinite-rho", "nan-rho", "d0", "d171", "d600", "d0-at-rho0"])
+    def test_domain_refused(self, lipschitz, dims, rho):
+        with pytest.raises(InvalidParameter):
+            tv_bound_lipschitz(lipschitz, dims, rho)
+
+    def test_far_tail_ratio_is_zero(self):
+        # D_{-1}(60) underflows to 0 and D_{-1}(-60) overflows, so the ratio is 0.
+        bound = tv_bound_lipschitz([1.0], [1], 60.0)
+        assert bound.raw_value == 1.0 and bound.value == 1.0
+
+    def test_beyond_pbdv_range_is_a_numerical_failure(self):
+        # pbdv gives NaN for arguments above about 2100.
+        with pytest.raises(QuadratureFailure):
+            tv_bound_lipschitz([1.0], [1], 1e4)
 
 
 class TestSmoothTvBound:

@@ -157,6 +157,18 @@ class TestExitCodes:
          "--sweeps", "2", "--data-seed", "-1"],
         ["plan", "--theorem", "tv-multi", "--eps", "0.1", "--model", "logistic-split1",
          "--d", "3", "--n", "10", "--data-seed", "-2"],
+        ["sample", "--model", "logistic-split1", "--n", "5", "--d", "2", "--rho", "1e-200"],
+        ["sample", "--model", "logistic-split1", "--n", "5", "--d", "2", "--rho", "1e-160"],
+        ["sample", "--model", "toy-gaussian-1", "--rho", "1e160"],
+        ["sample", "--model", "toy-gaussian-1", "--sigma", "1e200", "--rho", "1"],
+        ["plan", "--theorem", "tv-multi", "--model", "toy-gaussian-1", "--sigma", "1e-200",
+         "--eps", "0.1"],
+        ["bias", "--sigma", "1e-300", "--b", "1"],
+        ["plan", "--theorem", "tv-single", "--m", "1e-300", "--big-m", "1e300", "--d", "5",
+         "--eps", "0.1"],
+        ["experiment", "gaussian-mixing", "--set", "which=dimension", "--set", "d_grid=(4, 4)"],
+        ["experiment", "gaussian-mixing", "--set", "which=kappa", "--set", "kappa_grid=(10,)"],
+        ["experiment", "gaussian-mixing", "--set", "which=precision", "--set", "eps_grid=(0.1,)"],
     ])
     def test_invalid_parameters_map_to_2(self, argv, tmp_path, capfd):
         assert main(argv + ["--out", str(tmp_path)]) == 2

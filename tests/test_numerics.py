@@ -1,13 +1,14 @@
-"""Special-function quadrature, eigenvalue extremes, and the CDF-distance test oracle."""
+"""Parabolic-cylinder functions, eigenvalue extremes, and the CDF-distance test oracle."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma, pbdv
+from scipy import integrate
+from scipy.special import erfc, gamma
 from scipy.stats import norm
 
-from splitmc.errors import NonSymmetric
+from splitmc.errors import InvalidParameter, NonSymmetric
 from splitmc.numerics import (
     lambda_extremes,
     parabolic_cylinder_neg,
@@ -15,6 +16,14 @@ from splitmc.numerics import (
 )
 
 from scalar_reference import cdf_l1_distance
+
+
+def parabolic_cylinder_by_quadrature(d, z):
+    """D_{-d}(z) from its integral form (DLMF 12.5.1), independent of pbdv:
+    exp(-z^2/4) / Gamma(d) * int_0^inf x^(d-1) exp(-x z - x^2/2) dx."""
+    val, _ = integrate.quad(lambda x: x ** (d - 1.0) * math.exp(-x * z - 0.5 * x * x),
+                            0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    return math.exp(-0.25 * z * z) * val / math.gamma(d)
 
 
 class TestParabolicCylinder:
@@ -32,8 +41,18 @@ class TestParabolicCylinder:
     @pytest.mark.parametrize("d", [0.5, 1.0, 2.5, 7.0])
     @pytest.mark.parametrize("z", [-2.5, -0.3, 0.0, 0.7, 3.0])
     def test_against_scipy(self, d, z):
+        # scipy's pbdv, which the library returns, against the integral form.
         assert parabolic_cylinder_neg(d, z) == pytest.approx(
-            float(pbdv(-d, z)[0]), rel=1e-9)
+            parabolic_cylinder_by_quadrature(d, z), rel=1e-9)
+
+    @pytest.mark.parametrize("z", [-2.5, -0.3, 0.7, 3.0])
+    def test_closed_forms_of_orders_one_and_two(self, z):
+        # D_{-1}(z) = exp(z^2/4) sqrt(pi/2) erfc(z/sqrt 2) and, by the
+        # recurrence, D_{-2}(z) = exp(-z^2/4) - z D_{-1}(z).
+        d1 = math.exp(0.25 * z * z) * math.sqrt(math.pi / 2.0) * erfc(z / math.sqrt(2.0))
+        assert parabolic_cylinder_neg(1.0, z) == pytest.approx(d1, rel=1e-12)
+        assert parabolic_cylinder_neg(2.0, z) == pytest.approx(
+            math.exp(-0.25 * z * z) - z * d1, rel=1e-12)
 
     def test_strictly_decreasing_in_z(self):
         for d in (1.0, 3.0):
@@ -51,6 +70,10 @@ class TestParabolicCylinder:
     def test_positive_order_required(self):
         with pytest.raises(ValueError):
             parabolic_cylinder_neg(0.0, 1.0)
+        # pbdv divides by Gamma(d), which overflows past d = 171.
+        for d in (-1.0, 171.0, math.nan):
+            with pytest.raises(InvalidParameter):
+                parabolic_cylinder_neg(d, 1.0)
 
 
 class TestEigenExtremes:

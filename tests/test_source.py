@@ -40,20 +40,36 @@ def test_no_logaddexp_calls():
     assert not found, f"logaddexp calls in the package: {', '.join(found)}"
 
 
+def scipy_imports(*submodules):
+    """'file:line' of every package import of scipy.<submodule> for the given submodules."""
+    dotted = tuple(f"scipy.{name}" for name in submodules)
+
+    def imports_one(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith(dotted) for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            return module.startswith(dotted) or (
+                module == "scipy" and any(alias.name in submodules for alias in node.names))
+        return False
+
+    return package_nodes(imports_one)
+
+
 def test_no_scipy_stats_imports():
     # scipy.stats costs about half of `import splitmc.cli`; the package needs
     # only ndtr, ndtri and gammaincinv, which scipy.special provides.
-    def imports_stats(node):
-        if isinstance(node, ast.Import):
-            return any(alias.name.startswith("scipy.stats") for alias in node.names)
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            return module.startswith("scipy.stats") or (
-                module == "scipy" and any(alias.name == "stats" for alias in node.names))
-        return False
-
-    found = package_nodes(imports_stats)
+    found = scipy_imports("stats")
     assert not found, f"scipy.stats imports in the package: {', '.join(found)}"
+
+
+def test_no_scipy_integrate_or_optimize_imports():
+    # scipy.integrate, which pulls in scipy.optimize, cost about 0.3 s of
+    # `import splitmc.cli`; D_{-d} comes from scipy.special.pbdv and the
+    # mixture bins by its cdf, so neither quadrature nor root-finding is needed.
+    found = scipy_imports("integrate", "optimize")
+    assert not found, ("scipy.integrate or scipy.optimize imports in the package: "
+                       f"{', '.join(found)}")
 
 
 def test_reachability_keep_list_is_current():
