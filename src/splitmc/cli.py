@@ -73,7 +73,14 @@ def _add_model_flags(parser, default_model=None):
     parser.add_argument("--data-seed", type=int, default=0)
 
 
+def _check_file_out(path) -> None:
+    """plan and bias write one CSV file to --out; a directory is refused."""
+    if path is not None and Path(path).is_dir():
+        raise InvalidParameter(f"--out names the CSV file to write, but {path} is a directory")
+
+
 def _cmd_plan(args) -> int:
+    _check_file_out(args.out)
     if args.theorem == "w1":
         plan = plan_w1_single(args.m, args.big_m, args.eps)
     elif args.theorem == "tv-single":
@@ -132,6 +139,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_bias(args) -> int:
     """Bound-vs-exact distance rows over a log rho grid for the scalar Gaussian pair."""
+    _check_file_out(args.out)
     sigma, b, mu = args.sigma, args.b, args.mu
     if args.grid_points < 1:
         raise InvalidParameter(f"--grid-points must be at least 1, got {args.grid_points}")

@@ -31,6 +31,11 @@ from .model import ALL_BLOCKS, FactorGroup, SplitModel
 # Warm starts stop once ||grad V_i|| <= (2/7) sqrt(1/rho^2 + m_i) / sqrt(d_i).
 _GD_STOP_FACTOR = 2.0 / 7.0
 
+# Added to the uniforms before their log: the smallest normal double, so it
+# survives flush-to-zero and gives u = 0 a finite log, and far below half an
+# ulp of 2^-53, so it changes no nonzero uniform.
+_U_OFFSET = float(np.finfo(float).tiny)
+
 DEFAULT_PROPOSAL_CAP = 10_000
 
 
@@ -176,7 +181,11 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
     per-(group, rho) constants, computed once. Every block still descending
     has taken the same number of steps, so one counter stands for all of
     them: the bound check compares it with the smallest pending bound, and
-    a block that stops is given the counter as its step count. While every
+    a block that stops is given the counter as its step count. Every bound
+    is at least 1, so the bounds (a log, a ceil and an errstate) are
+    computed only once some block is still pending after its first step.
+    After a step only the norms still above target are checked for
+    finiteness, since a norm at or below its target is finite. While every
     block descends, the blocks are addressed by the basic slice ALL_BLOCKS,
     so value and gradient read the group's data without gathering it; an
     index array is used only once some blocks have stopped.
@@ -203,11 +212,8 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
         return z, gnorm, steps
     it = 0
     _check_finite(gnorm[rows], rows, group.b, it)
-    with np.errstate(divide="ignore"):  # rate is 0 past kappa = 2^53: no finite bound
-        bound = np.maximum(np.ceil((np.log(gnorm[rows]) - log_target[rows]) / c.rate[rows]),
-                           1.0)
-    bound_min = bound.min()
     step = c.step[rows, None]
+    bound_min = math.inf  # every bound is at least 1: none can fire before the first step
     while True:
         if it >= bound_min:
             over = bound <= it
@@ -216,21 +222,30 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
                                  f"{int(bound[over][0])}; the certified M looks too small")
         zp = z[rows] - step * g[rows]
         gp = group.gradient(zp, rows) + (zp - a_theta[rows]) / rho**2
-        z[rows], g[rows] = zp, gp
         gnorm_p = _norms(gp)
-        gnorm[rows] = gnorm_p
         it += 1
-        _check_finite(gnorm_p, rows, group.b, it)
         keep = ~(gnorm_p <= target[rows])
-        if keep.all():
-            continue
         if not keep.any():
-            steps[rows] = it
+            # A norm at or below its target is finite.
+            z[rows], gnorm[rows], steps[rows] = zp, gnorm_p, it
             return z, gnorm, steps
+        if it == 1:
+            # gnorm still holds the start norms of rows.
+            with np.errstate(divide="ignore"):  # rate is 0 past kappa = 2^53: no finite bound
+                bound = np.maximum(
+                    np.ceil((np.log(gnorm[rows]) - log_target[rows]) / c.rate[rows]), 1.0)
+            bound_min = bound.min()
+        z[rows], g[rows] = zp, gp
+        gnorm[rows] = gnorm_p
+        if keep.all():
+            _check_finite(gnorm_p, rows, group.b, it)
+            continue
         if rows is ALL_BLOCKS:
             rows = np.arange(group.b)
+        kept = rows[keep]
+        _check_finite(gnorm_p[keep], kept, group.b, it)
         steps[rows[~keep]] = it
-        rows = rows[keep]
+        rows = kept
         bound, step = bound[keep], step[keep]
         bound_min = bound.min()
 
@@ -248,22 +263,24 @@ def _certificate(gnorm: np.ndarray, k: int, s: np.ndarray, top: np.ndarray):
     """Per-block proposal precision A~, log r and expected-proposal bound.
 
     gnorm is the residual gradient norm g at the warm start; s = 1/rho^2 + m
-    and top = 1/rho^2 + M. g = 0 makes s - A~ = 0 (flat); log r and the
-    bound's exponent have limit 0 there. Elsewhere the exponent
+    and top = 1/rho^2 + M. g = 0 makes s - A~ = 0 exactly (flat); log r and
+    the bound's exponent have limit 0 there, so one test of s - A~ > 0 over
+    the blocks picks the branch. Elsewhere the exponent
     (g^2/2)(1/(s - A~) - 1/top) is -log r - g^2/(2 top).
     """
     gnorm2 = gnorm**2
     g2d = gnorm2 / k
     a_tilde = s + 0.5 * g2d - np.sqrt(0.25 * g2d**2 + s * g2d)
     denom = s - a_tilde
-    flat = (gnorm == 0.0) | (denom <= 0.0)
-    if flat.any():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_r = np.where(flat, 0.0, -0.5 * gnorm2 / denom)
-        exponent = np.where(flat, 0.0, -log_r - 0.5 * gnorm2 / top)
+    half_g2 = 0.5 * gnorm2
+    if denom.min() > 0.0:
+        log_r = -half_g2 / denom
+        exponent = -log_r - half_g2 / top
     else:
-        log_r = -0.5 * gnorm2 / denom
-        exponent = -log_r - 0.5 * gnorm2 / top
+        flat = denom <= 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_r = np.where(flat, 0.0, -half_g2 / denom)
+        exponent = np.where(flat, 0.0, -log_r - half_g2 / top)
     return a_tilde, log_r, (top / a_tilde) ** (k / 2.0) * np.exp(exponent)
 
 
@@ -290,9 +307,14 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
     only on (group, rho) are computed once and kept for the group's
     lifetime; the descent and the first round address the blocks through
     basic slices, and only the blocks still pending after that are
-    gathered. Returns (z, proposals, gd_steps, expected_bound), the last
-    three per block. Raises AcceptanceStall when a block is still pending
-    after proposal_cap rounds.
+    gathered. A block accepts when log(u + _U_OFFSET) < log_accept: the
+    uniforms are multiples of 2^-53, so the offset (the smallest normal
+    double) changes no nonzero u and u = 0 gets a finite log without an
+    errstate. The proposal counts start
+    at one and are written from round 2 on. Returns (z, proposals,
+    gd_steps, expected_bound), the last three per block. Raises
+    AcceptanceStall when a block is still pending after proposal_cap
+    rounds.
     """
     if not group.smooth:
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
@@ -310,7 +332,7 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
     # Round 1 proposes for every block through basic slices, which copy
     # nothing; later rounds gather the blocks still pending.
     z = None
-    proposals = np.zeros(group.b, dtype=np.int64)
+    proposals = np.ones(group.b, dtype=np.int64)
     rows, n_rows = ALL_BLOCKS, group.b
     rounds = 0
     while n_rows:
@@ -321,15 +343,15 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
                 "certified (m, M) look wrong"
             )
         rounds += 1
-        proposals[rows] = rounds
+        if z is not None:
+            proposals[rows] = rounds
         xi = rng.standard_normal((n_rows, k))
         zp = z_tilde[rows] + sigma_prop[rows, None] * xi
         u = rng.random(n_rows)
         dz = zp - a_theta[rows]
         v = group.value(zp, rows) + 0.5 * np.add.reduce(dz * dz, axis=1) / rho**2
         log_accept = log_r[rows] - (v - v_tilde[rows]) + 0.5 * np.add.reduce(xi * xi, axis=1)
-        with np.errstate(divide="ignore"):
-            accepted = np.log(u) < log_accept
+        accepted = np.log(u + _U_OFFSET) < log_accept
         if z is None:
             # The rejected rows of z are overwritten when they are accepted.
             z, rows = zp, np.flatnonzero(~accepted)

@@ -103,31 +103,32 @@ def _chain_key(root: int) -> np.ndarray:
 class SweepStreams:
     """The random streams of one chain, as an rng_factory(sweep, phase).
 
-    Holds one Philox generator and one full state dict per phase. On each
-    call it writes the sweep into word 2 of that dict's counter and sets the
-    generator's state from the dict (counter, key, an empty output buffer,
-    no buffered 32-bit half), so the stream returned starts at counter
-    (0, phase, sweep, 0) and depends on (root, sweep, phase) only. Setting a
-    state copies it into the generator, so the dicts are never aliased. A
-    generator stays valid until the next call for its phase.
+    Holds one Philox generator and one full state dict whose counter, key
+    and output buffer are Python ints. Each call writes the phase into word
+    1 and the sweep into word 2 of the counter and sets the generator's
+    state from the dict (an empty output buffer, no buffered 32-bit half),
+    so the stream returned starts at counter (0, phase, sweep, 0) and
+    depends on (root, sweep, phase) only. Setting a state copies it into
+    the generator, so the dict is never aliased; the setter reads Python
+    ints faster than numpy arrays. The generator returned stays valid until
+    the next call, for either phase: a sweep uses up phase 0 before it asks
+    for phase 1.
     """
 
     def __init__(self, root: int):
         self.key = _chain_key(int(root))
-        self._generators = tuple(np.random.Generator(np.random.Philox(key=self.key))
-                                 for _ in (PHASE_BLOCKS, PHASE_MASTER))
-        buffer = np.zeros(4, dtype=np.uint64)
-        self._states = tuple(
-            {"bit_generator": "Philox",
-             "state": {"counter": np.array((0, phase, 0, 0), dtype=np.uint64), "key": self.key},
-             "buffer": buffer, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-            for phase in (PHASE_BLOCKS, PHASE_MASTER))
+        self._generator = np.random.Generator(np.random.Philox(key=self.key))
+        self._counter = [0, 0, 0, 0]
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": self._counter, "key": self.key.tolist()},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def __call__(self, sweep: int, phase: int) -> np.random.Generator:
-        gen = self._generators[phase]
-        state = self._states[phase]
-        state["state"]["counter"][2] = sweep
-        gen.bit_generator.state = state
+        gen = self._generator
+        counter = self._counter
+        counter[1] = phase
+        counter[2] = sweep
+        gen.bit_generator.state = self._state
         return gen
 
 
@@ -171,11 +172,12 @@ def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
               theta_cond: ThetaConditional | None = None, rng_factory=None):
     """Advance the chain by one sweep; returns (new state, per-block reports).
 
-    The reports are a BlockReports sequence: a RejectionReport for each
-    block drawn by rejection, None for closed-form blocks; a model drawn
-    wholly in closed form shares one read-only set. rng_factory(sweep,
-    phase) returns the generator of each phase; phase 0 feeds every
-    auxiliary block, phase 1 the master-parameter draw. By default it is
+    The reports are a BlockReports: per-block arrays of proposals, descent
+    steps and expected-proposal bounds, all 0 for closed-form blocks; a
+    model drawn wholly in closed form shares one read-only set.
+    rng_factory(sweep, phase) returns the generator of each phase; phase 0
+    feeds every auxiliary block, phase 1 the master-parameter draw, and
+    phase 0 is used up before phase 1 is asked for. By default it is
     SweepStreams(state.rng_seed_root): the Philox streams keyed once per
     root seed, at counter (0, phase, sweep, 0), so this call gives the same
     draws as sweep state.sweep + 1 of run_chain. Passing a factory of null

@@ -116,8 +116,9 @@ def read_csv(path):
 def _params(spec: ExperimentSpec, defaults: dict) -> dict:
     """spec.params over the runner's defaults.
 
-    A key the runner never reads is refused, and so is an empty grid (a
-    parameter whose default is a tuple).
+    A key the runner never reads is refused, and so is a grid (a parameter
+    whose default is a tuple) that is not a nonempty one-dimensional
+    sequence: a scalar, a nested or ragged sequence, or an empty one.
     """
     unknown = sorted(set(spec.params) - set(defaults))
     if unknown:
@@ -125,9 +126,17 @@ def _params(spec: ExperimentSpec, defaults: dict) -> dict:
                                f"it reads {', '.join(sorted(defaults))}")
     params = {**defaults, **spec.params}
     for key, default in defaults.items():
-        if isinstance(default, tuple) and np.size(params[key]) == 0:
-            raise InvalidParameter(f"{spec.name} needs a nonempty {key}")
+        if isinstance(default, tuple) and not _is_grid(params[key]):
+            raise InvalidParameter(f"{spec.name} needs {key} as a nonempty one-dimensional "
+                                   f"grid, got {params[key]!r}")
     return params
+
+
+def _is_grid(value) -> bool:
+    try:
+        return np.ndim(value) == 1 and np.size(value) > 0
+    except ValueError:  # a ragged sequence
+        return False
 
 
 def _loglog_slope(x, y):
@@ -401,7 +410,7 @@ def run_gaussian_mixing(spec: ExperimentSpec):
         raise InvalidParameter(f"gaussian-mixing needs replicates >= 1, got {replicates}")
     for part, key, kind in (("dimension", "d_grid", int), ("kappa", "kappa_grid", float),
                             ("precision", "eps_grid", float)):
-        if which in (part, "all") and len({kind(v) for v in np.atleast_1d(p[key])}) < 2:
+        if which in (part, "all") and len({kind(v) for v in p[key]}) < 2:
             raise InvalidParameter(f"gaussian-mixing fits its {part} slope over {key}, which "
                                    f"needs two distinct values, got {p[key]}")
     results = {}

@@ -183,10 +183,10 @@ class SplitModel:
         """sum_i A_i^T z_i, with z given as one (b_g, k_g) array per group."""
         if len(self.groups) == 1:
             (z,) = z_groups
-            return self.groups[0].a_flat.T @ np.reshape(z, -1)
+            return self.groups[0].a_flat.T @ z.reshape(-1)
         s = np.zeros(self.d)
         for g, z in zip(self.groups, z_groups):
-            s += g.a_flat.T @ np.reshape(z, -1)
+            s += g.a_flat.T @ z.reshape(-1)
         return s
 
     def master_mean(self, z_groups) -> np.ndarray:

@@ -169,6 +169,10 @@ class TestExitCodes:
         ["experiment", "gaussian-mixing", "--set", "which=dimension", "--set", "d_grid=(4, 4)"],
         ["experiment", "gaussian-mixing", "--set", "which=kappa", "--set", "kappa_grid=(10,)"],
         ["experiment", "gaussian-mixing", "--set", "which=precision", "--set", "eps_grid=(0.1,)"],
+        ["experiment", "mixture", "--set", "d_grid=4"],
+        ["experiment", "logistic", "--set", "d_grid=2"],
+        ["plan", "--theorem", "w1", "--eps", "0.1"],
+        ["bias"],
     ])
     def test_invalid_parameters_map_to_2(self, argv, tmp_path, capfd):
         assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -227,13 +227,57 @@ class TestRejectionSampler:
         steep = scalar_group(lambda z: 5.0 * z[:, 0] ** 2, gradient, 0.5, 1.0)
         rho = 1.0
         a_theta = steep.couple(np.array([3.0]))
-        with pytest.raises(NonConvergence, match="block 0"):
-            warm_start_group(steep, a_theta, rho)
-        assert len(calls) == 5
-        calls.clear()
-        with pytest.raises(NonConvergence, match="block 0"):
-            sample_z_group(steep, a_theta, rho, np.random.default_rng(0))
-        assert len(calls) == 5
+        # The bound is computed lazily, after the first step: it still fires
+        # at step 4, and no floating-point flag escapes on the way.
+        with np.errstate(all="raise"):
+            with pytest.raises(NonConvergence, match="block 0: .* step bound 4;"):
+                warm_start_group(steep, a_theta, rho)
+            assert len(calls) == 5
+            calls.clear()
+            with pytest.raises(NonConvergence, match="block 0: .* step bound 4;"):
+                sample_z_group(steep, a_theta, rho, np.random.default_rng(0))
+            assert len(calls) == 5
+
+    def test_descent_without_a_finite_step_bound(self):
+        # At kappa = 1 + rho^2 M >= 2^53 the bound's rate log(1/(1 - 1/kappa))
+        # is 0, so the bound is inf. U(z) = 100 log cosh z (curvature at most
+        # M = 100) from a_theta = 3 takes several steps of 1/(1/rho^2 + M),
+        # and the division by the zero rate raises no FloatingPointError.
+        rho = 1e8
+        flat_top = scalar_group(lambda z: 100.0 * np.log(np.cosh(z[:, 0])),
+                                lambda z: 100.0 * np.tanh(z), 0.0, 100.0)
+        assert (1.0 + rho**2 * 100.0) >= 2.0**53
+        with np.errstate(all="raise"):
+            z, gnorm, steps = warm_start_group(flat_top, flat_top.couple(np.array([3.0])), rho)
+        assert steps[0] >= 2
+        assert gnorm[0] <= conditionals._rho_constants(flat_top, rho).target[0]
+        assert np.isfinite(z).all()
+
+    def test_zero_uniforms_accept_in_round_one_without_flags(self):
+        # Generator.random returns multiples of 2^-53, so u = 0 is the one
+        # uniform whose log needs care: log(u + tiny), tiny the smallest
+        # normal double, is finite and far below any log acceptance ratio
+        # here, so every block accepts in
+        # round 1 and no floating-point flag is raised.
+        class ZeroUniforms:
+            def __init__(self, seed):
+                self._rng = np.random.default_rng(seed)
+
+            def standard_normal(self, shape):
+                return self._rng.standard_normal(shape)
+
+            def random(self, n):
+                return np.zeros(n)
+
+        for group, theta, rho in [
+                (replicate_block(rejection_quadratic(0.8, 1.2), 0, 50), np.array([1.4]), 0.6),
+                (build_model("logistic-split2", d=4, n=40, b=4, seed=3).groups[0],
+                 np.full(4, 0.3), 0.3)]:
+            with np.errstate(all="raise"):
+                z, proposals, _, _ = sample_z_group(group, group.couple(theta), rho,
+                                                    ZeroUniforms(5))
+            assert (proposals == 1).all()
+            assert np.isfinite(z).all()
 
     @pytest.mark.parametrize("bad_block, bad_call", [(1, 2), (2, 3)])
     def test_non_finite_descent_names_block_and_steps(self, bad_block, bad_call):

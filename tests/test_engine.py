@@ -199,7 +199,8 @@ class TestStreamContract:
 
     def test_persistent_streams_match_fresh_philox(self):
         # Stream (t, p) is Philox at counter (0, p, t, 0), whatever the
-        # previous sweep left behind in the generator.
+        # previous sweep, or phase 0 of the same sweep, left behind in the
+        # one generator.
         streams = SweepStreams(31)
         partial_buffers = []
 
@@ -213,6 +214,10 @@ class TestStreamContract:
             g.standard_normal(3)
             partial_buffers.append(g.bit_generator.state["buffer_pos"] < 4)
 
+        def phase_zero_first(g):
+            # A sweep draws on phase 0 just before it asks for phase 1.
+            streams(t, PHASE_BLOCKS).standard_normal(3)
+
         def draws(g):
             return (g.integers(0, 2**32, size=3, dtype=np.uint32),
                     g.standard_normal(5), g.uniform(size=4))
@@ -222,7 +227,7 @@ class TestStreamContract:
                 fresh = np.random.Generator(np.random.Philox(key=streams.key,
                                                              counter=(0, phase, t, 0)))
                 expected = draws(fresh)
-                for leave in (half_word, odd_normals, lambda g: None):
+                for leave in (half_word, odd_normals, phase_zero_first, lambda g: None):
                     leave(streams(t - 1, phase))
                     got = draws(streams(t, phase))
                     assert all(np.array_equal(x, y) for x, y in zip(got, expected))
