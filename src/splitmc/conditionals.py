@@ -167,28 +167,17 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
     Descends only the blocks still above their target: a scalar, one value
     per block, or None for the rejection draw's stop rule
     (2/7) sqrt((1/rho^2 + m)/k). Returns (z_tilde, gradient norms, steps),
-    all per block. The descent starts at a_theta, where the coupling term
-    (z - a_theta)/rho^2 of the gradient is exactly zero, so it is left out
-    there; the conditional of z_i depends on theta alone, and so does its
-    start. Certified constants keep a block's step count within
+    all per block; when no block starts above its target, z_tilde is
+    a_theta itself, not a copy. The descent starts at a_theta, where the
+    coupling term (z - a_theta)/rho^2 of the gradient is exactly zero, so
+    it is left out there; the conditional of z_i depends on theta alone,
+    and so does its start. Certified constants keep a block's step count
+    within
     ceil((log ||grad V_i(a_theta)|| - log target) / log(1/(1 - 1/kappa))),
     at least 1, with kappa = (1 + rho^2 M_i)/(1 + rho^2 m_i);
     NonConvergence, naming the first failing block of the group and its
     step count, is raised as soon as a count passes that bound or a
     gradient norm turns non-finite, both signs of an understated M_i.
-
-    The step, stop rule and step-bound rate come from the group's
-    per-(group, rho) constants, computed once. Every block still descending
-    has taken the same number of steps, so one counter stands for all of
-    them: the bound check compares it with the smallest pending bound, and
-    a block that stops is given the counter as its step count. Every bound
-    is at least 1, so the bounds (a log, a ceil and an errstate) are
-    computed only once some block is still pending after its first step.
-    After a step only the norms still above target are checked for
-    finiteness, since a norm at or below its target is finite. While every
-    block descends, the blocks are addressed by the basic slice ALL_BLOCKS,
-    so value and gradient read the group's data without gathering it; an
-    index array is used only once some blocks have stopped.
     """
     if not group.smooth:
         raise NotSmooth("warm-start descent needs a finite smoothness constant")
@@ -199,17 +188,39 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
         target = np.broadcast_to(target, (group.b,))
         with np.errstate(divide="ignore"):
             log_target = np.log(target)
-    z = np.array(a_theta, dtype=float)
-    g = group.gradient(z, ALL_BLOCKS)
+    return _descend(group, np.asarray(a_theta, dtype=float), c, target, log_target)
+
+
+def _descend(group: FactorGroup, a_theta: np.ndarray, c: _RhoConstants, target, log_target):
+    """warm_start_group with the group's constants c at rho = c.rho and the targets resolved.
+
+    Every block still descending has taken the same number of steps, so one
+    counter stands for all of them: the bound check compares it with the
+    smallest pending bound, and a block that stops is given the counter as
+    its step count. Every bound is at least 1, so the bounds (a log, a ceil
+    and an errstate) are computed only once some block is still pending
+    after its first step. After a step only the norms still above target
+    are checked for finiteness, since a norm at or below its target is
+    finite. While every block descends, the blocks are addressed by the
+    basic slice ALL_BLOCKS, so value and gradient read the group's data
+    without gathering it, and each step's arrays replace the iterate
+    instead of being copied into it: a_theta is read, never written, and
+    when every block stops at the same step the step's own arrays are
+    returned. An index array, and a copy of the iterate to write the
+    descending rows into, are made only once some blocks have stopped.
+    """
+    rho = c.rho
+    g = group.gradient(a_theta, ALL_BLOCKS)
     gnorm = _norms(g)
     steps = np.zeros(group.b, dtype=np.int64)
-    pending = ~(gnorm <= target)
-    if pending.all():
-        rows = ALL_BLOCKS
-    elif pending.any():
-        rows = np.flatnonzero(pending)
+    stopped = gnorm <= target
+    n_pending = group.b - np.count_nonzero(stopped)
+    if n_pending == group.b:
+        rows, z = ALL_BLOCKS, a_theta
+    elif n_pending:
+        rows, z = np.flatnonzero(~stopped), a_theta.copy()
     else:
-        return z, gnorm, steps
+        return a_theta, gnorm, steps
     it = 0
     _check_finite(gnorm[rows], rows, group.b, it)
     step = c.step[rows, None]
@@ -224,10 +235,14 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
         gp = group.gradient(zp, rows) + (zp - a_theta[rows]) / rho**2
         gnorm_p = _norms(gp)
         it += 1
-        keep = ~(gnorm_p <= target[rows])
-        if not keep.any():
+        stop = gnorm_p <= target[rows]
+        n_stop = np.count_nonzero(stop)
+        if n_stop == stop.size:
             # A norm at or below its target is finite.
-            z[rows], gnorm[rows], steps[rows] = zp, gnorm_p, it
+            steps[rows] = it
+            if rows is ALL_BLOCKS:
+                return zp, gnorm_p, steps
+            z[rows], gnorm[rows] = zp, gnorm_p
             return z, gnorm, steps
         if it == 1:
             # gnorm still holds the start norms of rows.
@@ -235,16 +250,20 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
                 bound = np.maximum(
                     np.ceil((np.log(gnorm[rows]) - log_target[rows]) / c.rate[rows]), 1.0)
             bound_min = bound.min()
-        z[rows], g[rows] = zp, gp
-        gnorm[rows] = gnorm_p
-        if keep.all():
+        if rows is ALL_BLOCKS:
+            z, g, gnorm = zp, gp, gnorm_p
+        else:
+            z[rows], g[rows] = zp, gp
+            gnorm[rows] = gnorm_p
+        if not n_stop:
             _check_finite(gnorm_p, rows, group.b, it)
             continue
         if rows is ALL_BLOCKS:
             rows = np.arange(group.b)
+        keep = ~stop
         kept = rows[keep]
         _check_finite(gnorm_p[keep], kept, group.b, it)
-        steps[rows[~keep]] = it
+        steps[rows[stop]] = it
         rows = kept
         bound, step = bound[keep], step[keep]
         bound_min = bound.min()
@@ -263,23 +282,27 @@ def _certificate(gnorm: np.ndarray, k: int, s: np.ndarray, top: np.ndarray):
     """Per-block proposal precision A~, log r and expected-proposal bound.
 
     gnorm is the residual gradient norm g at the warm start; s = 1/rho^2 + m
-    and top = 1/rho^2 + M. g = 0 makes s - A~ = 0 exactly (flat); log r and
-    the bound's exponent have limit 0 there, so one test of s - A~ > 0 over
-    the blocks picks the branch. Elsewhere the exponent
-    (g^2/2)(1/(s - A~) - 1/top) is -log r - g^2/(2 top).
+    and top = 1/rho^2 + M. With g2d = g^2/k,
+    A~ = s + g2d/2 - sqrt(g2d^2/4 + s g2d); at k = 1, g2d is g^2 itself and
+    g2d/2 is g^2/2. g = 0 makes A~ - s = 0 exactly (flat); log r and the
+    bound's exponent have limit 0 there, so one test of A~ - s < 0 over the
+    blocks picks the branch. Elsewhere log r = (g^2/2)/(A~ - s), the same
+    bits as -(g^2/2)/(s - A~), and the exponent (g^2/2)(1/(s - A~) - 1/top)
+    is -log r - g^2/(2 top).
     """
     gnorm2 = gnorm**2
-    g2d = gnorm2 / k
-    a_tilde = s + 0.5 * g2d - np.sqrt(0.25 * g2d**2 + s * g2d)
-    denom = s - a_tilde
     half_g2 = 0.5 * gnorm2
-    if denom.min() > 0.0:
-        log_r = -half_g2 / denom
+    g2d = gnorm2 / k if k > 1 else gnorm2
+    half_g2d = 0.5 * g2d if k > 1 else half_g2
+    a_tilde = s + half_g2d - np.sqrt(0.25 * g2d**2 + s * g2d)
+    neg_denom = a_tilde - s
+    if neg_denom.max() < 0.0:
+        log_r = half_g2 / neg_denom
         exponent = -log_r - half_g2 / top
     else:
-        flat = denom <= 0.0
+        flat = neg_denom >= 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_r = np.where(flat, 0.0, -half_g2 / denom)
+            log_r = np.where(flat, 0.0, half_g2 / neg_denom)
         exponent = np.where(flat, 0.0, -log_r - half_g2 / top)
     return a_tilde, log_r, (top / a_tilde) ** (k / 2.0) * np.exp(exponent)
 
@@ -303,28 +326,30 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
     A~ ||Z - z~||^2 / 2 of the acceptance ratio is computed as
     ||xi||^2 / 2. The descent begins at a_theta, where the coupling term of
     the gradient is exactly zero and is left out, as is the coupling term
-    of V_i(z~) when no block took a descent step. The constants that depend
-    only on (group, rho) are computed once and kept for the group's
-    lifetime; the descent and the first round address the blocks through
-    basic slices, and only the blocks still pending after that are
-    gathered. A block accepts when log(u + _U_OFFSET) < log_accept: the
-    uniforms are multiples of 2^-53, so the offset (the smallest normal
-    double) changes no nonzero u and u = 0 gets a finite log without an
-    errstate. The proposal counts start
-    at one and are written from round 2 on. Returns (z, proposals,
-    gd_steps, expected_bound), the last three per block. Raises
-    AcceptanceStall when a block is still pending after proposal_cap
-    rounds.
+    of V_i(z~) when no block took a descent step (the descent then returns
+    a_theta itself). The constants that depend only on (group, rho) are
+    looked up once per call and kept for the group's lifetime; the descent
+    and the first round address the blocks through basic slices. When
+    every block accepts in round one, that round's proposals are returned
+    as they are; otherwise the blocks still pending are gathered. A block
+    accepts when log(u + _U_OFFSET) < log_accept: the uniforms are
+    multiples of 2^-53, so the offset (the smallest normal double) changes
+    no nonzero u and u = 0 gets a finite log without an errstate. The
+    proposal counts start at one and are written from round 2 on. Returns
+    (z, proposals, gd_steps, expected_bound), the last three per block.
+    Raises AcceptanceStall when a block is still pending after
+    proposal_cap rounds.
     """
     if not group.smooth:
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
-    z_tilde, gnorm, gd_steps = warm_start_group(group, a_theta, rho)
     c = _rho_constants(group, rho)
+    a_theta = np.asarray(a_theta, dtype=float)
+    z_tilde, gnorm, gd_steps = _descend(group, a_theta, c, c.target, c.log_target)
     k = group.k
     a_tilde, log_r, expected = _certificate(gnorm, k, c.s, c.top)
     v_tilde = group.value(z_tilde, ALL_BLOCKS)
-    if gd_steps.any():
-        # Otherwise no block moved from a_theta and the quadratic term is zero.
+    if z_tilde is not a_theta:
+        # Some block descended; otherwise the quadratic term is zero.
         dz = z_tilde - a_theta
         v_tilde = v_tilde + 0.5 * np.add.reduce(dz * dz, axis=1) / rho**2
     sigma_prop = 1.0 / np.sqrt(a_tilde)
@@ -353,6 +378,8 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
         log_accept = log_r[rows] - (v - v_tilde[rows]) + 0.5 * np.add.reduce(xi * xi, axis=1)
         accepted = np.log(u + _U_OFFSET) < log_accept
         if z is None:
+            if accepted.all():
+                return zp, proposals, gd_steps, expected
             # The rejected rows of z are overwritten when they are accepted.
             z, rows = zp, np.flatnonzero(~accepted)
         else:

@@ -132,31 +132,28 @@ class SweepStreams:
         return gen
 
 
-def _draw_blocks(model: SplitModel, theta: np.ndarray, config: SamplerConfig, rng, sweep: int):
-    """Every auxiliary block given theta, group by group: (z per group, BlockReports)."""
-    if model.closed_form:
-        reports = _closed_form_reports(model.b)
-    else:
-        reports = BlockReports(np.zeros(model.b, dtype=np.int64),
-                               np.zeros(model.b, dtype=np.int64), np.zeros(model.b))
-    proposals, gd_steps, expected = reports.proposals, reports.gd_steps, reports.expected
-    z_new = []
-    start = 0
+def _draw_blocks(model: SplitModel, theta: np.ndarray, rho: float, rng):
+    """Every auxiliary block given theta, group by group: (z per group, BlockReports).
+
+    The reports of a one-group model are the arrays its draw returned; a
+    model of several groups joins them, with zeros for closed-form groups.
+    """
+    z_new, drawn = [], []
     for g in model.groups:
         a_theta = g.couple(theta)
         if g.sampler is not None:
-            z = g.sampler(a_theta, config.rho, rng)
+            z_new.append(g.sampler(a_theta, rho, rng))
+            drawn.append(_closed_form_reports(g.b))
         else:
-            rows = slice(start, start + g.b)
-            z, proposals[rows], gd_steps[rows], expected[rows] = sample_z_group(
-                g, a_theta, config.rho, rng)
-        finite = np.isfinite(z)
-        if not finite.all():
-            bad = start + int(np.flatnonzero(~finite.all(axis=1))[0])
-            raise NonFiniteDraw(f"sweep {sweep}: auxiliary block {bad} is not finite")
-        z_new.append(z)
-        start += g.b
-    return tuple(z_new), reports
+            z, proposals, gd_steps, expected = sample_z_group(g, a_theta, rho, rng)
+            z_new.append(z)
+            drawn.append(BlockReports(proposals, gd_steps, expected))
+    if len(drawn) == 1:
+        return tuple(z_new), drawn[0]
+    if model.closed_form:
+        return tuple(z_new), _closed_form_reports(model.b)
+    return tuple(z_new), BlockReports(*(np.concatenate([getattr(r, name) for r in drawn])
+                                        for name in BlockReports.__slots__))
 
 
 @lru_cache(maxsize=16)
@@ -182,18 +179,32 @@ def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
     root seed, at counter (0, phase, sweep, 0), so this call gives the same
     draws as sweep state.sweep + 1 of run_chain. Passing a factory of null
     generators turns the sweep into its deterministic conditional-mode twin
-    on Gaussian models. Raises NonFiniteDraw, naming the sweep and the first
-    bad block, when a draw is not finite.
+    on Gaussian models.
+
+    Finiteness is checked once per sweep, on the new theta: the master
+    draw assembles A^T z, which carries a NaN or an infinity of any block
+    into theta, through a zero coupling row too (0 * inf and 0 * NaN are
+    NaN). Only when theta is not finite are the blocks scanned, and
+    NonFiniteDraw names the sweep and the first bad block, or the master
+    draw when every block is finite. An infinite block may also make numpy
+    warn of invalid arithmetic in that master draw before the error.
     """
     if theta_cond is None:
         theta_cond = ThetaConditional(model, config.rho)
     sweep = state.sweep + 1
     if rng_factory is None:
         rng_factory = SweepStreams(state.rng_seed_root)
-    z_new, reports = _draw_blocks(model, state.theta, config, rng_factory(sweep, PHASE_BLOCKS),
-                                  sweep)
+    z_new, reports = _draw_blocks(model, state.theta, config.rho,
+                                  rng_factory(sweep, PHASE_BLOCKS))
     theta_new = theta_cond.sample(z_new, rng_factory(sweep, PHASE_MASTER))
     if not np.isfinite(theta_new).all():
+        start = 0
+        for z in z_new:
+            finite = np.isfinite(z)
+            if not finite.all():
+                bad = start + int(np.flatnonzero(~finite.all(axis=1))[0])
+                raise NonFiniteDraw(f"sweep {sweep}: auxiliary block {bad} is not finite")
+            start += len(z)
         raise NonFiniteDraw(f"sweep {sweep}: the master draw is not finite")
     new_state = ChainState(theta=theta_new, z_groups=z_new, sweep=sweep,
                            rng_seed_root=state.rng_seed_root)
@@ -239,10 +250,8 @@ def run_chain(model: SplitModel, config: SamplerConfig, seed: int,
     theta0 = np.zeros(model.d) if theta0 is None else theta0
     state = initial_state(model, theta0, seed)
     cond = ThetaConditional(model, config.rho)
-    b = model.b
-    proposals = np.zeros(b)
-    rejection_draws = np.zeros(b)
-    gd_steps = np.zeros(b)
+    proposals = np.zeros(model.b)
+    gd_steps = np.zeros(model.b)
     recorded = []
     writer = TraceWriter(trace_path, model.d) if trace_path is not None else None
     streams = SweepStreams(state.rng_seed_root)
@@ -254,7 +263,6 @@ def run_chain(model: SplitModel, config: SamplerConfig, seed: int,
             sweeps_run = t
             if not model.closed_form:
                 proposals += reports.proposals
-                rejection_draws += reports.proposals > 0
                 gd_steps += reports.gd_steps
             if t > config.burn_in and (t - config.burn_in - 1) % config.record_every == 0:
                 recorded.append(state.theta.copy())
@@ -267,6 +275,9 @@ def run_chain(model: SplitModel, config: SamplerConfig, seed: int,
             writer.close()
     wall = time.perf_counter() - t0
     thetas = np.array(recorded) if recorded else np.empty((0, model.d))
+    # Every sweep draws each rejection block once and no closed-form block.
+    rejection_draws = sweeps_run * np.concatenate(
+        [np.full(g.b, g.sampler is None, dtype=float) for g in model.groups])
     return RunReport(thetas=thetas, sweeps_run=sweeps_run, seed=int(seed),
                      rho=config.rho, wall_time_s=wall, proposals_total=proposals,
                      rejection_draws=rejection_draws, gd_steps_total=gd_steps,
@@ -364,11 +375,11 @@ def read_trace(path) -> np.ndarray:
         header = fh.read(_TRACE_HEADER.size)
         payload = fh.read()
     if len(header) < _TRACE_HEADER.size:
-        raise ValueError("not a trace file: header is truncated")
+        raise InvalidParameter("not a trace file: header is truncated")
     magic, d, _ = _TRACE_HEADER.unpack(header)
     if magic != TRACE_MAGIC:
-        raise ValueError(f"not a trace file: magic {magic!r}")
+        raise InvalidParameter(f"not a trace file: magic {magic!r}")
     if d < 1:
-        raise ValueError(f"trace header gives dimension {d}")
+        raise InvalidParameter(f"trace header gives dimension {d}")
     rows = len(payload) // (8 * d)
     return np.frombuffer(payload[:8 * d * rows], dtype="<f8").reshape(rows, d)

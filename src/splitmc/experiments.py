@@ -600,6 +600,8 @@ def run_logistic(spec: ExperimentSpec):
     b_grid = [int(v) for v in p["b_grid"]]
     sweeps = int(p["sweeps"])
     eps = float(p["eps"])
+    if min(b_grid) < 1:
+        raise InvalidParameter(f"logistic needs every b of b_grid >= 1, got {b_grid}")
 
     rows = []
     for d in d_grid:

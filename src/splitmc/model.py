@@ -22,6 +22,7 @@ from scipy.linalg import cholesky, get_lapack_funcs
 
 from .errors import (
     DimensionMismatch,
+    InvalidParameter,
     NonConvergence,
     NotSmooth,
     NotStronglyConvex,
@@ -65,11 +66,11 @@ class FactorGroup:
         b = a.shape[0]
         m, M, L = (np.broadcast_to(np.asarray(c, dtype=float), (b,)).copy() for c in (m, M, L))
         if (m < 0).any() or (L < 0).any():
-            raise ValueError("constants must be nonnegative")
+            raise InvalidParameter("constants must be nonnegative")
         bad = np.flatnonzero(np.isfinite(M) & (m > M * (1 + 1e-12)))
         if bad.size:
             j = int(bad[0])
-            raise ValueError(f"block {j}: m={m[j]} exceeds M={M[j]}")
+            raise InvalidParameter(f"block {j}: m={m[j]} exceeds M={M[j]}")
         for c in (m, M, L):
             c.setflags(write=False)
         self.smooth = bool(np.isfinite(M).all())
@@ -113,7 +114,7 @@ class SplitModel:
     def __init__(self, d: int, factors):
         groups = tuple(factors)
         if not groups:
-            raise ValueError("a model needs at least one factor")
+            raise InvalidParameter("a model needs at least one factor")
         for g in groups:
             if g.d != d:
                 raise DimensionMismatch(

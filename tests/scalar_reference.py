@@ -13,6 +13,11 @@ law test draws n independent samples in one sample_z_group call, and
 rejection_quadratic builds the quadratic block that the law tests draw by
 rejection.
 
+pi_rho_marginal_1d gives the cdf of pi_rho's theta-marginal on a grid, for
+a group of scalar blocks on a one-dimensional theta, by Gauss-Hermite
+quadrature over each block's own value; a law test draws theta from it and
+checks that a sweep leaves it in place.
+
 cdf_l1_distance integrates |F - G| numerically; it checks the closed-form
 Gaussian W1 distance (metrics.gaussian_w1_1d) and the empirical one.
 """
@@ -23,6 +28,7 @@ import math
 
 import numpy as np
 from scipy import integrate
+from scipy.special import logsumexp
 
 from splitmc.conditionals import DEFAULT_PROPOSAL_CAP, RejectionReport
 from splitmc.errors import (
@@ -213,6 +219,42 @@ def sample_z_rejection(group, j: int, theta: np.ndarray, rho: float, rng,
             return z, RejectionReport(proposals_used=proposals,
                                       warm_start_gd_steps=gd_steps,
                                       expected_bound=expected)
+
+
+def pi_rho_marginal_1d(group, rho: float, grid: np.ndarray, tilt=None):
+    """The cdf of pi_rho's theta-marginal at d = 1, on grid.
+
+    pi_rho(theta) is proportional to the product over the blocks j of
+    int exp(-U_j(z) + tilt_j z - (z - a_j theta)^2 / (2 rho^2)) dz, with
+    U_j the group's own value on row j and a_j its scalar coupling; tilt
+    (one value per block, zero by default) adds the linear term that
+    centering subtracts, so the centered law can be written from the raw
+    rows. Each integral is a 40-point Gauss-Hermite rule in
+    z = a_j theta + sqrt(2) rho t, summed in log space; on the logistic
+    rows at rho = 2 the cdf agrees with a 160-point rule's to 2e-8. The
+    cdf is accumulated by the trapezoid rule on grid, which must hold the
+    mass: the density at both ends must be negligible.
+    """
+    if group.k != 1 or group.d != 1:
+        raise ValueError("the marginal is written for scalar blocks on a scalar theta")
+    grid = np.asarray(grid, dtype=float)
+    t, w = np.polynomial.hermite.hermgauss(40)
+    a = group.a[:, 0, 0]
+    tilt = np.zeros(group.b) if tilt is None else np.asarray(tilt, dtype=float)
+    center = np.multiply.outer(grid, a)
+    rows = np.tile(np.arange(group.b), grid.size)
+    log_terms = np.empty(t.shape + center.shape)
+    for i in range(t.size):
+        z = center + math.sqrt(2.0) * rho * t[i]
+        u = group.value(z.reshape(-1, 1), rows).reshape(center.shape)
+        log_terms[i] = math.log(w[i]) - u + tilt * z
+    log_density = logsumexp(log_terms, axis=0).sum(axis=1)
+    density = np.exp(log_density - log_density.max())
+    if max(density[0], density[-1]) > 1e-10:
+        raise ValueError("the grid does not hold the mass of the marginal")
+    steps = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
+    cdf = np.concatenate([[0.0], np.cumsum(steps)])
+    return cdf / cdf[-1]
 
 
 def cdf_l1_distance(f_cdf, g_cdf, support: tuple[float, float], breakpoints=None,

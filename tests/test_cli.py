@@ -173,6 +173,7 @@ class TestExitCodes:
         ["experiment", "logistic", "--set", "d_grid=2"],
         ["plan", "--theorem", "w1", "--eps", "0.1"],
         ["bias"],
+        ["experiment", "logistic", "--set", "b_grid=(0,)"],
     ])
     def test_invalid_parameters_map_to_2(self, argv, tmp_path, capfd):
         assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -15,6 +15,8 @@ from splitmc import (
     admm_solve,
     am_solve,
     build_model,
+    center_model,
+    find_minimizer,
     initial_state,
     read_trace,
     run_chain,
@@ -25,6 +27,8 @@ from splitmc.engine import PHASE_BLOCKS, PHASE_MASTER, ChainState, SweepStreams,
 from splitmc.errors import InvalidParameter, NonFiniteDraw
 from splitmc.metrics import ToyParams
 from splitmc.model import ALL_BLOCKS, FactorGroup, make_quadratic_group
+
+from scalar_reference import pi_rho_marginal_1d
 
 
 class _ZeroRng:
@@ -77,6 +81,35 @@ class TestSweepDistribution:
             out[k] = state.theta[0]
         result = kstest(out, lambda x: params.stationary.cdf(x))
         assert result.pvalue > 0.01
+
+    @pytest.mark.parametrize("centered", [False, True], ids=["raw", "centered"])
+    def test_rejection_sweep_keeps_pi_rho(self, centered):
+        # One sweep of logistic-split1 at d = 1, whose blocks are all drawn
+        # by rejection, from an exact draw of pi_rho's theta-marginal (by
+        # Gauss-Hermite over the rows' own potentials, inverted on a grid):
+        # the marginal must survive at the 1% level. The centered law is
+        # written from the raw rows plus the tilt centering subtracts, so a
+        # wrong tilt fails the test as a wrong sampler does. At rho = 2 one
+        # sweep moves theta well away from its start.
+        raw = build_model("logistic-split1", d=1, n=20, seed=3)
+        theta_star = find_minimizer(raw).theta_star
+        (group,) = raw.groups
+        model, tilt = raw, None
+        if centered:
+            model = center_model(raw, theta_star)
+            tilt = group.gradient(group.couple(theta_star), ALL_BLOCKS)[:, 0]
+        rho = 2.0
+        grid = theta_star[0] + np.linspace(-10.0, 10.0, 2001)
+        cdf = pi_rho_marginal_1d(group, rho, grid, tilt)
+        theta0 = np.interp(np.random.default_rng(11 + centered).random(2000), cdf, grid)
+        config = SamplerConfig(rho=rho, sweeps=1)
+        cond = ThetaConditional(model, rho)
+        out = np.empty(theta0.size)
+        for k in range(out.size):
+            state = initial_state(model, theta0[k:k + 1], seed=20_000 + 100_000 * centered + k)
+            state, _ = sgs_sweep(model, state, config, cond)
+            out[k] = state.theta[0]
+        assert kstest(out, lambda x: np.interp(x, grid, cdf)).pvalue > 0.01
 
 
 class TestReproducibility:
@@ -138,6 +171,18 @@ class TestReproducibility:
             with pytest.raises(InvalidParameter, match="theta0 must be finite"):
                 run_chain(model, SamplerConfig(rho=0.4, sweeps=2), seed=0, theta0=theta0)
 
+    def test_reports_of_a_mixed_model_follow_the_block_order(self):
+        # A closed-form block reports zeros and is never a rejection draw;
+        # the rejection group's reports sit at its blocks' places.
+        quad = make_quadratic_group(np.eye(3)[None], precision=0.5, center=0.1)
+        shards = build_model("logistic-split2", d=3, n=30, b=5, seed=1).groups[0]
+        model = SplitModel(3, [quad, shards])
+        report = run_chain(model, SamplerConfig(rho=0.4, sweeps=30), seed=3)
+        assert report.rejection_draws.tolist() == [0.0] + [30.0] * 5
+        assert report.proposals_total[0] == 0 and (report.proposals_total[1:] >= 30).all()
+        _, reports = sgs_sweep(model, report.final_state, SamplerConfig(rho=0.4, sweeps=1))
+        assert reports[0] is None and all(r.proposals_used >= 1 for r in reports[1:])
+
     def test_callback_can_stop(self):
         model = build_model("toy-gaussian-1")
         config = SamplerConfig(rho=1.0, sweeps=100)
@@ -177,19 +222,56 @@ class TestReproducibility:
         path.write_bytes(data[:20 + 24 * 7 + 10])
         assert np.array_equal(read_trace(path), rows[:7])
 
-    def test_non_finite_draw_names_sweep_and_block(self):
-        def sampler(a_theta, rho, rng):
-            z = a_theta + rng.standard_normal(a_theta.shape)
-            z[2] = np.nan
-            return z
+    @pytest.mark.parametrize("data, message", [
+        (b"SGS1" + bytes(8), "header is truncated"),
+        (b"SGS0" + bytes(16), "magic b'SGS0'"),
+        (b"SGS1" + (0).to_bytes(8, "little") + bytes(8), "dimension 0"),
+    ], ids=["truncated", "magic", "dimension"])
+    def test_bad_trace_header_is_invalid(self, tmp_path, data, message):
+        path = tmp_path / "bad.sgs1"
+        path.write_bytes(data)
+        with pytest.raises(InvalidParameter, match=message):
+            read_trace(path)
 
-        quad = make_quadratic_group(np.ones((4, 1, 1)), precision=1.0, center=0.0)
-        broken = FactorGroup(quad.a, quad.value, quad.gradient, quad.m, quad.M, sampler=sampler)
-        model = SplitModel(1, [make_quadratic_group(np.eye(1)[None], precision=1.0, center=0.0),
-                               broken])
+    def test_non_finite_draw_names_sweep_and_block(self):
+        # The sweep checks theta alone; A^T z carries the block's NaN or
+        # infinity into it, through a zero coupling row too (0 * inf and
+        # 0 * NaN are NaN), and the error names the block. That master draw
+        # may flag invalid arithmetic first, which the error supersedes.
+        for bad in (math.nan, math.inf, -math.inf):
+            def sampler(a_theta, rho, rng, bad=bad):
+                z = a_theta + rng.standard_normal(a_theta.shape)
+                z[2] = bad
+                return z
+
+            for coupling in (1.0, 0.0):
+                a = np.ones((4, 1, 1))
+                a[2] = coupling
+                quad = make_quadratic_group(a, precision=1.0, center=0.0)
+                broken = FactorGroup(quad.a, quad.value, quad.gradient, quad.m, quad.M,
+                                     sampler=sampler)
+                model = SplitModel(1, [make_quadratic_group(np.eye(1)[None], precision=1.0,
+                                                            center=0.0), broken])
+                state = initial_state(model, np.zeros(1), seed=0)
+                with np.errstate(invalid="ignore"), pytest.raises(
+                        NonFiniteDraw, match=r"^sweep 1: auxiliary block 3 is not finite$"):
+                    sgs_sweep(model, state, SamplerConfig(rho=1.0, sweeps=1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_master_draw_with_finite_blocks(self, bad):
+        class BadNormals:
+            def standard_normal(self, size=None):
+                return np.full(size, bad)
+
+        model = build_model("toy-gaussian-1", sigma=3.0, b=10)
         state = initial_state(model, np.zeros(1), seed=0)
-        with pytest.raises(NonFiniteDraw, match="sweep 1: auxiliary block 3"):
-            sgs_sweep(model, state, SamplerConfig(rho=1.0, sweeps=1))
+        streams = SweepStreams(0)
+
+        def factory(sweep, phase):
+            return streams(sweep, phase) if phase == PHASE_BLOCKS else BadNormals()
+
+        with pytest.raises(NonFiniteDraw, match=r"^sweep 1: the master draw is not finite$"):
+            sgs_sweep(model, state, SamplerConfig(rho=1.0, sweeps=1), rng_factory=factory)
 
 
 class TestStreamContract:

@@ -17,7 +17,7 @@ from splitmc import (
     make_quadratic_group,
     model_constants,
 )
-from splitmc.errors import DimensionMismatch, SingularGram, UnsupportedModel
+from splitmc.errors import DimensionMismatch, InvalidParameter, SingularGram, UnsupportedModel
 from splitmc.model import ALL_BLOCKS, FactorGroup, max_factor_gradient_at
 
 
@@ -50,11 +50,21 @@ def assert_gradient_matches(group, j, points, rtol=1e-5):
 
 class TestPotentialInvariants:
     def test_constants_ordering_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             FactorGroup(np.ones((1, 1, 1)), value=None, gradient=None, m=2.0, M=1.0)
-        with pytest.raises(ValueError, match="block 1"):
+        with pytest.raises(InvalidParameter, match="block 1: m=2.0 exceeds M=1.0"):
             FactorGroup(np.ones((3, 1, 1)), value=None, gradient=None,
                         m=[0.5, 2.0, 0.5], M=1.0)
+
+    @pytest.mark.parametrize("constants", [{"m": -0.5, "M": 1.0},
+                                           {"m": 0.5, "M": 1.0, "L": -1.0}], ids=["m", "L"])
+    def test_negative_constants_are_invalid(self, constants):
+        with pytest.raises(InvalidParameter, match="constants must be nonnegative"):
+            FactorGroup(np.ones((2, 1, 1)), value=None, gradient=None, **constants)
+
+    def test_model_without_factors_is_invalid(self):
+        with pytest.raises(InvalidParameter, match="at least one factor"):
+            SplitModel(2, [])
 
     def test_gradient_matches_fd_on_quadratics(self):
         rng = np.random.default_rng(42)

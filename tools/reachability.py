@@ -29,6 +29,8 @@ KEEP = {
     "engine.am_solve": "acceptance suite: the alternating-minimization twin of the sweep",
     "engine.admm_solve": "acceptance suite: the ADMM twin",
     "engine._group_mode": "the mode step of am_solve and admm_solve",
+    "conditionals.warm_start_group": "the descent to a caller's target, as _group_mode asks "
+        "for it; the rejection draw enters the same descent through _descend",
     "conditionals.within_two_guarantee": "acceptance suite: the at-most-two-proposals regime",
     "metrics.Normal1D.cdf": "acceptance suite: KS test against the toy chain's stationary law",
     # Library API that only the tests read, or that a protocol requires.
