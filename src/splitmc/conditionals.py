@@ -23,7 +23,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import AcceptanceStall, NonConvergence, NotSmooth, check_scale
 from .model import ALL_BLOCKS, FactorGroup, SplitModel
@@ -51,7 +50,7 @@ class ThetaConditional:
         self.model = model
         self.rho = float(rho)
         self.chol_lower = model.chol_lower
-        self._trtrs = get_lapack_funcs(("trtrs",), (self.chol_lower,))[0]
+        self._trtrs = model._trtrs
 
     def mean(self, z_groups) -> np.ndarray:
         """mu(z) = G^{-1} sum_i A_i^T z_i, with z one (b_g, k_g) array per group."""

@@ -15,6 +15,7 @@ Models are immutable after construction and safe to share across chains.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,11 @@ class FactorGroup:
     blocks selected by the boolean mask off carry the potential
     U_j(z) - <grad U_j(a_theta_star[j]), z> (up to a constant per block),
     as a group of the same family: same kernels, same closed forms, the
-    same m, M and L, since a linear tilt changes no curvature.
-    center_model calls it.
+    same coupling a and the same m, M and L, since a linear tilt changes no
+    curvature. center_model calls it, and relies on that contract: the
+    centered model keeps its parent's Gram matrix, Cholesky factor and
+    aggregate constants instead of computing them again, and refuses a
+    group whose coupling or m, M differ.
     """
 
     def __init__(self, a, value, gradient, m, M, L=math.inf, sampler=None, mode=None,
@@ -108,7 +112,8 @@ class SplitModel:
     Gram matrix G = sum_i A_i^T A_i must be positive definite; this is
     checked once at construction, and the lower Cholesky factor chol_lower
     (G = L L^T) is cached for every master solve and master-draw noise
-    transform.
+    transform. The constants of model_constants are computed on first use
+    and kept with the model.
     """
 
     def __init__(self, d: int, factors):
@@ -124,6 +129,8 @@ class SplitModel:
         self.groups = groups
         self.m = np.concatenate([g.m for g in groups])
         self.M = np.concatenate([g.M for g in groups])
+        self.m.setflags(write=False)
+        self.M.setflags(write=False)
         # Every group draws its conditional in closed form: no rejection draws.
         self.closed_form = all(g.sampler is not None for g in groups)
         # Refused before the Gram product, which would warn on NaN or inf.
@@ -142,9 +149,33 @@ class SplitModel:
             self.chol_lower = cholesky(gram, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SingularGram("stacked coupling matrix is rank deficient") from exc
-        # LAPACK's Cholesky solve, called directly: cho_solve's argument checks
-        # cost more than the solve itself at the sizes a sweep uses.
-        self._potrs = get_lapack_funcs(("potrs",), (self.chol_lower,))[0]
+        # LAPACK's Cholesky and triangular solves, called directly: cho_solve's
+        # argument checks cost more than the solve itself at the sizes a sweep
+        # uses. The master draw (ThetaConditional) uses trtrs.
+        self._potrs, self._trtrs = get_lapack_funcs(("potrs", "trtrs"), (self.chol_lower,))
+        self._constants = None
+
+    def _tilted(self, groups) -> SplitModel:
+        """This model with each group replaced by a tilt of it (FactorGroup.recenter).
+
+        A tilt keeps the coupling and (m, M, L), so the tilted model shares
+        this one's Gram matrix, Cholesky factor, LAPACK handles and
+        constants rather than rebuilding them. A group whose coupling or
+        constants differ from the group it replaces is refused.
+        """
+        for j, (old, new) in enumerate(zip(self.groups, groups)):
+            if new is not old and not (np.array_equal(new.a, old.a)
+                                       and np.array_equal(new.m, old.m)
+                                       and np.array_equal(new.M, old.M)):
+                raise UnsupportedModel(f"the recenter hook of factor group {j} changed "
+                                       "its coupling or constants")
+        tilted = object.__new__(SplitModel)
+        tilted.d, tilted.groups, tilted.m, tilted.M = self.d, tuple(groups), self.m, self.M
+        tilted.closed_form = all(g.sampler is not None for g in groups)
+        tilted.gram, tilted.chol_lower = self.gram, self.chol_lower
+        tilted._potrs, tilted._trtrs = self._potrs, self._trtrs
+        tilted._constants = self._constants
+        return tilted
 
     @property
     def b(self) -> int:
@@ -152,7 +183,7 @@ class SplitModel:
 
     @property
     def block_dims(self) -> tuple[int, ...]:
-        return tuple(g.k for g in self.groups for _ in range(g.b))
+        return tuple(np.repeat([g.k for g in self.groups], [g.b for g in self.groups]).tolist())
 
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -195,7 +226,16 @@ class SplitModel:
         return self.solve_gram(self.assemble(z_groups))
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = self._potrs(self.chol_lower, rhs, lower=1)
+        """G^{-1} rhs through the cached Cholesky factor, for rhs of shape (d,) or (d, n)."""
+        try:
+            x, info = self._potrs(self.chol_lower, rhs, lower=1)
+        except ValueError as exc:
+            # Checked only here: a shape check before every solve costs more
+            # than a third of the solve at the sizes a sweep uses.
+            if np.shape(rhs)[:1] == (self.d,):
+                raise
+            raise DimensionMismatch(f"right-hand side has shape {np.shape(rhs)}, "
+                                    f"expected ({self.d},) or ({self.d}, n)") from exc
         if info != 0:
             raise ValueError(f"Cholesky solve failed with LAPACK info {info}")
         return x
@@ -232,7 +272,7 @@ class ModelConstants:
 
     @property
     def sum_dims_M(self) -> float:
-        return float(sum(di * Mi for di, Mi in zip(self.dims, self.M_list)))
+        return float(sum(map(operator.mul, self.dims, self.M_list)))
 
     @property
     def max_M(self) -> float:
@@ -240,7 +280,17 @@ class ModelConstants:
 
 
 def model_constants(model: SplitModel) -> ModelConstants:
-    """Spectral aggregates of a model: m_U, sigma^2_U, norms and det ratios."""
+    """Spectral aggregates of a model: m_U, sigma^2_U, norms and det ratios.
+
+    Computed once per model and kept with it (models are immutable); a
+    centered model carries its parent's (see center_model).
+    """
+    if model._constants is None:
+        model._constants = _compute_constants(model)
+    return model._constants
+
+
+def _compute_constants(model: SplitModel) -> ModelConstants:
     d = model.d
     smooth = model.smooth()
     weighted_m = model.weighted_gram(model.m)
@@ -279,10 +329,19 @@ def model_constants(model: SplitModel) -> ModelConstants:
 
 def find_minimizer(model: SplitModel, tol: float | None = None,
                    theta0: np.ndarray | None = None) -> Minimizer:
-    """Gradient descent to the global minimizer of U.
+    """Safeguarded Barzilai-Borwein gradient descent to the global minimizer of U.
 
-    Step size 1/lambda_max(sum_i M_i A_i^T A_i); stops at ||grad U|| <= tol,
-    or raises NonConvergence after ceil(10 kappa log(1/min(tol, 1/2))) steps.
+    The first step, and every fallback, has the certified length 1/L with
+    L = lambda_max(sum_i M_i A_i^T A_i). Such a step contracts the gradient
+    norm by at least q = 1 - m_U/L, since grad U(x - grad U/L) equals
+    (I - H/L) grad U for an average Hessian H between m_U and L. Every
+    other step first tries the two-point length s^T s / s^T y of the last
+    step s and gradient change y (Barzilai & Borwein 1988), and keeps it only
+    if it contracts the gradient norm by q as well; otherwise it takes the
+    certified step from the same point. So every step taken contracts by q,
+    as in plain gradient descent. Stops at ||grad U|| <= tol (default 1e-10
+    (1 + ||grad U(0)||)), or raises NonConvergence after
+    ceil(10 kappa log(1/min(tol, 1/2))) steps or at a non-finite gradient.
     """
     if not model.smooth():
         raise NotSmooth("minimizer search needs finite smoothness constants; "
@@ -300,15 +359,32 @@ def find_minimizer(model: SplitModel, tol: float | None = None,
     kappa = consts.lambda_max_M / consts.m_U
     cap = max(1, int(math.ceil(10.0 * kappa * math.log(1.0 / min(tol, 0.5)))))
     step = 1.0 / consts.lambda_max_M
+    rate = 1.0 - consts.m_U / consts.lambda_max_M
+
+    def step_from(length):
+        theta_new = theta - length * g
+        g_new = model.gradient(theta_new)
+        return theta_new, g_new, float(np.linalg.norm(g_new))
+
     it = 0
     gnorm = float(np.linalg.norm(g))
-    while gnorm > tol:
-        if it >= cap:
-            raise NonConvergence(f"gradient norm {gnorm} after {it} iterations (tol {tol})")
-        theta = theta - step * g
-        g = model.gradient(theta)
-        gnorm = float(np.linalg.norm(g))
-        it += 1
+    s = y = None
+    # Understated constants make the search diverge, often into overflow
+    # before the cap: that ends in NonConvergence, without warnings on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not gnorm <= tol:
+            if not (it < cap and math.isfinite(gnorm)):
+                raise NonConvergence(f"gradient norm {gnorm} after {it} iterations (tol {tol})")
+            nxt = None
+            if s is not None and (sy := float(s @ y)) > 0.0:
+                nxt = step_from(float(s @ s) / sy)
+                if not nxt[2] <= rate * gnorm:
+                    nxt = None
+            if nxt is None:
+                nxt = step_from(step)
+            s, y = nxt[0] - theta, nxt[1] - g
+            theta, g, gnorm = nxt
+            it += 1
     return Minimizer(theta_star=theta, grad_norm=gnorm, iterations=it)
 
 
@@ -324,6 +400,9 @@ def center_model(model: SplitModel, theta_star: np.ndarray) -> SplitModel:
     as they are, and groups whose blocks all are are returned untouched,
     which makes the operation idempotent. Raises UnsupportedModel for a
     group with blocks to tilt and no recenter hook.
+
+    The centered model shares its parent's Gram matrix, Cholesky factor and
+    model_constants, which a tilt leaves as they are (SplitModel._tilted).
     """
     theta_star = np.asarray(theta_star, dtype=float)
     if theta_star.shape != (model.d,):
@@ -340,7 +419,7 @@ def center_model(model: SplitModel, theta_star: np.ndarray) -> SplitModel:
             raise UnsupportedModel(f"block {j} needs centering, and its factor group "
                                    "has no recenter hook")
         new_groups.append(g.recenter(a_star, off))
-    return SplitModel(model.d, new_groups)
+    return model._tilted(new_groups)
 
 
 def max_factor_gradient_at(model: SplitModel, theta_star: np.ndarray) -> float:
@@ -373,7 +452,7 @@ def make_quadratic_group(a, precision, center) -> FactorGroup:
     a = np.asarray(a, dtype=float)
     p = np.asarray(precision, dtype=float)
     if p.ndim > 1 or (p < 0).any():
-        raise ValueError("group precision must be a nonnegative scalar or diagonal")
+        raise InvalidParameter("group precision must be a nonnegative scalar or diagonal")
     m, M = p.min(), p.max()
     # A Python float and a contiguous center keep the arithmetic cheap at the
     # small block sizes of a chain; the values are the same.

@@ -16,7 +16,9 @@ rejection.
 pi_rho_marginal_1d gives the cdf of pi_rho's theta-marginal on a grid, for
 a group of scalar blocks on a one-dimensional theta, by Gauss-Hermite
 quadrature over each block's own value; a law test draws theta from it and
-checks that a sweep leaves it in place.
+checks that a sweep leaves it in place. pi_rho_cell_masses_2d does the
+same at d = 2 for blocks of any dimension, by a tensor Gauss-Hermite rule,
+as cell masses on a tensor grid.
 
 cdf_l1_distance integrates |F - G| numerically; it checks the closed-form
 Gaussian W1 distance (metrics.gaussian_w1_1d) and the empirical one.
@@ -255,6 +257,43 @@ def pi_rho_marginal_1d(group, rho: float, grid: np.ndarray, tilt=None):
     steps = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
     cdf = np.concatenate([[0.0], np.cumsum(steps)])
     return cdf / cdf[-1]
+
+
+def pi_rho_cell_masses_2d(group, rho: float, axes, tilt=None, nodes: int = 12):
+    """pi_rho's theta-marginal at d = 2 as masses of the cells of a tensor grid.
+
+    axes are two equally spaced grids; cell (i, j) is centered at
+    (axes[0][i], axes[1][j]) and gets the density there times its area,
+    normalized to total mass one. The density is the product over the
+    blocks j of int exp(-U_j(z) + <tilt_j, z> - ||z - A_j theta||^2 / (2 rho^2)) dz,
+    as in pi_rho_marginal_1d, with each k-dimensional integral a tensor
+    Gauss-Hermite rule of nodes^k points in z = A_j theta + sqrt(2) rho t,
+    accumulated in log space; tilt has shape (b, k). On logistic-split2
+    (d = 2, n = 16, b = 2) at rho = 1 the marginal cdfs of 12 nodes agree
+    with 40 nodes' to 4e-7. The grid must hold the mass: the cells on its
+    border must carry next to none.
+    """
+    if group.d != 2:
+        raise ValueError("the masses are written for a two-dimensional theta")
+    k = group.k
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    t_nodes = np.stack(np.meshgrid(*[t] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    log_w = np.log(np.stack(np.meshgrid(*[w] * k, indexing="ij"), axis=-1)).sum(axis=-1).ravel()
+    tilt = np.zeros((group.b, k)) if tilt is None else np.asarray(tilt, dtype=float)
+    thetas = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    center = np.einsum("jkd,pd->pjk", group.a, thetas)
+    rows = np.tile(np.arange(group.b), len(thetas))
+    log_integral = np.full(center.shape[:2], -np.inf)
+    for q in range(len(t_nodes)):
+        z = center + math.sqrt(2.0) * rho * t_nodes[q]
+        u = group.value(z.reshape(-1, k), rows).reshape(center.shape[:2])
+        log_integral = np.logaddexp(log_integral, log_w[q] - u + (z * tilt).sum(axis=-1))
+    log_density = log_integral.sum(axis=1).reshape(len(axes[0]), len(axes[1]))
+    mass = np.exp(log_density - log_density.max())
+    mass /= mass.sum()
+    if max(mass[[0, -1]].max(), mass[:, [0, -1]].max()) > 1e-6:
+        raise ValueError("the grid does not hold the mass of the marginal")
+    return mass
 
 
 def cdf_l1_distance(f_cdf, g_cdf, support: tuple[float, float], breakpoints=None,

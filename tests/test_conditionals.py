@@ -579,6 +579,7 @@ class TestClosedFormConditionals:
     def test_mixture_projection_chi2_at_plan_width(self):
         # 1e5 conditional draws binned along the mode direction against the
         # analytic two-component density, 40 equal-probability bins, 5% level.
+        # The sampler takes leading axes, so all draws come from one call.
         from scipy.stats import chi2 as chi2_dist
 
         d = 60
@@ -592,10 +593,8 @@ class TestClosedFormConditionals:
         theta = np.zeros(d)
         rng = np.random.default_rng(9)
         n = 100_000
-        us = np.empty(n)
-        for k in range(n):
-            z = draw_one(group, theta, rho, rng)
-            us[k] = float(z @ a) / na
+        a_theta = np.broadcast_to(group.couple(theta), (n, 1, d))
+        us = (group.sampler(a_theta, rho, rng)[:, 0] @ a) / na
         shared_sd = math.sqrt(rho**2 / (1.0 + rho**2))
         mu_proj = na * rho**2 / (1.0 + rho**2)
 

@@ -28,7 +28,7 @@ from splitmc.errors import InvalidParameter, NonFiniteDraw
 from splitmc.metrics import ToyParams
 from splitmc.model import ALL_BLOCKS, FactorGroup, make_quadratic_group
 
-from scalar_reference import pi_rho_marginal_1d
+from scalar_reference import pi_rho_cell_masses_2d, pi_rho_marginal_1d
 
 
 class _ZeroRng:
@@ -82,34 +82,61 @@ class TestSweepDistribution:
         result = kstest(out, lambda x: params.stationary.cdf(x))
         assert result.pvalue > 0.01
 
-    @pytest.mark.parametrize("centered", [False, True], ids=["raw", "centered"])
-    def test_rejection_sweep_keeps_pi_rho(self, centered):
-        # One sweep of logistic-split1 at d = 1, whose blocks are all drawn
-        # by rejection, from an exact draw of pi_rho's theta-marginal (by
-        # Gauss-Hermite over the rows' own potentials, inverted on a grid):
-        # the marginal must survive at the 1% level. The centered law is
-        # written from the raw rows plus the tilt centering subtracts, so a
-        # wrong tilt fails the test as a wrong sampler does. At rho = 2 one
-        # sweep moves theta well away from its start.
-        raw = build_model("logistic-split1", d=1, n=20, seed=3)
+    @pytest.mark.parametrize("name, centered", [
+        ("logistic-split1", False), ("logistic-split1", True),
+        ("logistic-split2", False), ("logistic-split2", True),
+    ], ids=["raw", "centered", "split2-raw", "split2-centered"])
+    def test_rejection_sweep_keeps_pi_rho(self, name, centered):
+        # One sweep of a logistic model, whose blocks are all drawn by
+        # rejection, from an exact draw of pi_rho's theta-marginal (by
+        # Gauss-Hermite over the blocks' own potentials): the marginal of
+        # every coordinate must survive at the 1% level. The centered law is
+        # written from the raw blocks plus the tilt centering subtracts, so a
+        # wrong tilt fails the test as a wrong sampler does. logistic-split1
+        # at d = 1 and rho = 2 inverts the marginal's cdf on a grid;
+        # logistic-split2 at d = 2 (two shards of 8 rows, two-dimensional
+        # blocks) and rho = 1 draws a cell of a tensor grid by its mass and a
+        # uniform point in it. Either way one sweep moves theta well away
+        # from its start.
+        if name == "logistic-split1":
+            raw, rho, seed = build_model(name, d=1, n=20, seed=3), 2.0, 20_000
+        else:
+            raw, rho, seed = build_model(name, d=2, n=16, b=2, seed=3), 1.0, 30_000
         theta_star = find_minimizer(raw).theta_star
         (group,) = raw.groups
         model, tilt = raw, None
         if centered:
             model = center_model(raw, theta_star)
-            tilt = group.gradient(group.couple(theta_star), ALL_BLOCKS)[:, 0]
-        rho = 2.0
-        grid = theta_star[0] + np.linspace(-10.0, 10.0, 2001)
-        cdf = pi_rho_marginal_1d(group, rho, grid, tilt)
-        theta0 = np.interp(np.random.default_rng(11 + centered).random(2000), cdf, grid)
+            tilt = group.gradient(group.couple(theta_star), ALL_BLOCKS)
+        n = 2000
+        if raw.d == 1:
+            grid = theta_star[0] + np.linspace(-10.0, 10.0, 2001)
+            cdf = pi_rho_marginal_1d(group, rho, grid, None if tilt is None else tilt[:, 0])
+            theta0 = np.interp(np.random.default_rng(11 + centered).random(n), cdf, grid)[:, None]
+            marginal_cdfs = [lambda x: np.interp(x, grid, cdf)]
+        else:
+            h = 0.25
+            axes = [c + h * np.arange(-24, 25) for c in theta_star]
+            mass = pi_rho_cell_masses_2d(group, rho, axes, tilt)
+            rng = np.random.default_rng(13 + centered)
+            cell = np.unravel_index(rng.choice(mass.size, size=n, p=mass.ravel()), mass.shape)
+            theta0 = np.column_stack([axes[c][cell[c]] for c in range(2)])
+            theta0 += h * (rng.random((n, 2)) - 0.5)
+            # The draws are uniform within a cell, so each marginal cdf is
+            # linear between the cell edges.
+            marginal_cdfs = [
+                lambda x, edges=ax - h / 2, cdf=np.cumsum(mass.sum(axis=1 - c)):
+                np.interp(x, np.append(edges, edges[-1] + h), np.append(0.0, cdf))
+                for c, ax in enumerate(axes)]
         config = SamplerConfig(rho=rho, sweeps=1)
         cond = ThetaConditional(model, rho)
-        out = np.empty(theta0.size)
-        for k in range(out.size):
-            state = initial_state(model, theta0[k:k + 1], seed=20_000 + 100_000 * centered + k)
+        out = np.empty_like(theta0)
+        for k in range(n):
+            state = initial_state(model, theta0[k], seed=seed + 100_000 * centered + k)
             state, _ = sgs_sweep(model, state, config, cond)
-            out[k] = state.theta[0]
-        assert kstest(out, lambda x: np.interp(x, grid, cdf)).pvalue > 0.01
+            out[k] = state.theta
+        for c, marginal_cdf in enumerate(marginal_cdfs):
+            assert kstest(out[:, c], marginal_cdf).pvalue > 0.01
 
 
 class TestReproducibility:

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -17,7 +18,8 @@ from splitmc import (
     make_quadratic_group,
     model_constants,
 )
-from splitmc.errors import DimensionMismatch, InvalidParameter, SingularGram, UnsupportedModel
+from splitmc.errors import (DimensionMismatch, InvalidParameter, NonConvergence, SingularGram,
+                            UnsupportedModel)
 from splitmc.model import ALL_BLOCKS, FactorGroup, max_factor_gradient_at
 
 
@@ -117,10 +119,33 @@ class TestCompositePotential:
                 g_fd = fd_gradient(model.potential, theta)
                 assert np.linalg.norm(g - g_fd) <= 1e-5 * max(np.linalg.norm(g_fd), 1e-8)
 
+    def test_block_dims_and_sum_dims_m_match_the_per_block_loops(self):
+        rows = build_model("logistic-split1", d=3, n=30, seed=1).groups[0]
+        shards = build_model("logistic-split2", d=3, n=30, b=5, seed=1).groups[0]
+        quad = make_quadratic_group(np.ones((2, 2, 3)), precision=[0.5, 2.0], center=0.0)
+        model = SplitModel(3, [rows, shards, quad, rows])
+        dims = tuple(g.k for g in model.groups for _ in range(g.b))
+        assert model.block_dims == dims and all(type(k) is int for k in model.block_dims)
+        c = model_constants(model)
+        assert c.sum_dims_M == float(sum(di * Mi for di, Mi in zip(dims, model.M.tolist())))
+
     def test_dimension_mismatch_raises(self):
         model = build_model("toy-gaussian-1")
         with pytest.raises(DimensionMismatch):
             model.potential(np.zeros(2))
+
+    def test_solve_gram_refuses_a_wrong_length(self):
+        model = build_model("aniso-gaussian", d=3)
+        for rhs in (np.ones(2), np.ones((4, 2)), np.float64(1.0)):
+            with pytest.raises(DimensionMismatch, match="expected \\(3,\\) or \\(3, n\\)"):
+                model.solve_gram(rhs)
+        assert model.solve_gram(np.ones((3, 2))).shape == (3, 2)
+
+    @pytest.mark.parametrize("precision", [-1.0, [1.0, -0.5], np.eye(2)],
+                             ids=["negative", "negative-diagonal", "matrix"])
+    def test_quadratic_precision_must_be_nonnegative_diagonal(self, precision):
+        with pytest.raises(InvalidParameter, match="nonnegative scalar or diagonal"):
+            make_quadratic_group(np.ones((1, 2, 1)), precision=precision, center=0.0)
 
     def test_cached_gram_matches_recomputed_sum(self):
         model = build_model("logistic-split1", d=4, n=30, seed=6)
@@ -178,6 +203,57 @@ class TestFindMinimizer:
         res = find_minimizer(model, tol=1e-12, theta0=np.zeros(10))
         assert np.linalg.norm(res.theta_star - c) <= 1e-8
 
+    def test_overshooting_two_point_step_falls_back_and_converges(self):
+        # Curvature m + (M - m) sech^2(z): nearly m far out, M at the minimizer
+        # 0. From theta0 = 10 the two-point step is about 1/m and lands far
+        # past 0 with a larger gradient, so the certified step is taken.
+        m, big_m = 0.01, 1.0
+        calls = []
+
+        def gradient(z, rows):
+            calls.append(z)
+            return m * z + (big_m - m) * np.tanh(z)
+
+        group = FactorGroup(
+            np.ones((1, 1, 1)),
+            value=lambda z, rows: (0.5 * m * z**2 + (big_m - m) * np.log(np.cosh(z)))[:, 0],
+            gradient=gradient, m=m, M=big_m)
+        res = find_minimizer(SplitModel(1, [group]), tol=1e-10, theta0=np.array([10.0]))
+        assert res.grad_norm <= 1e-10
+        assert abs(res.theta_star[0]) <= 1e-10
+        # One call at theta0 and one per step taken, plus the rejected trials.
+        assert len(calls) > res.iterations + 1
+
+    @pytest.mark.parametrize("precision", [[1.0, 2.0, 2.5], np.linspace(1.0, 30.0, 5)],
+                             ids=["cap", "overflow"])
+    def test_understated_lambda_max_ends_in_nonconvergence(self, precision):
+        # Stated M = 1 below the true curvature: the certified step grows the
+        # gradient, and no two-point step contracts it by 1 - m_U/L = 0. The
+        # search hits its cap, or overflows first, and raises either way.
+        p = np.asarray(precision)
+        group = FactorGroup(np.eye(p.size)[None], value=lambda z, rows: 0.5 * (p * z**2).sum(1),
+                            gradient=lambda z, rows: p * z, m=1.0, M=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match="after [0-9]+ iterations"):
+                find_minimizer(SplitModel(p.size, [group]), theta0=np.ones(p.size))
+
+    @pytest.mark.parametrize("name, kwargs, plain_gd_steps", [
+        ("logistic-split1", {"d": 10, "n": 1000, "seed": 0}, 30),
+        ("logistic-split1", {"d": 10, "n": 200, "seed": 3}, 55),
+        ("logistic-split2", {"d": 10, "n": 1000, "b": 5, "seed": 0}, 37),
+        ("logistic-split2", {"d": 3, "n": 30, "b": 5, "seed": 1}, 44),
+    ], ids=["split1-n1000", "split1-n200", "split2-n1000", "split2-n30"])
+    def test_logistic_minimizers_within_tol_in_fewer_steps(self, name, kwargs, plain_gd_steps):
+        # plain_gd_steps: the steps plain gradient descent at the certified
+        # length took on the same model to the same tolerance.
+        model = build_model(name, **kwargs)
+        res = find_minimizer(model)
+        tol = 1e-10 * (1.0 + np.linalg.norm(model.gradient(np.zeros(model.d))))
+        assert np.linalg.norm(model.gradient(res.theta_star)) <= tol
+        assert res.grad_norm <= tol
+        assert res.iterations <= plain_gd_steps
+
     def test_rejects_zero_strong_convexity(self):
         softplus = FactorGroup(np.ones((1, 1, 1)),
                                value=lambda z, rows: np.logaddexp(0.0, z[:, 0]),
@@ -224,6 +300,33 @@ class TestCentering:
             assert np.array_equal(after.m, before.m)
             assert np.array_equal(after.M, before.M)
             assert np.array_equal(after.L, before.L)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_model("logistic-split1", d=4, n=40, seed=5),
+        lambda: build_model("logistic-split2", d=3, n=30, b=5, seed=1),
+        lambda: SplitModel(1, [make_quadratic_group(np.ones((2, 1, 1)), precision=1.0,
+                                                    center=[[0.0], [1.0]])]),
+    ], ids=["logistic-split1", "logistic-split2", "quadratic"])
+    def test_centered_model_shares_its_parents_factor_and_constants(self, build):
+        model = build()
+        consts = model_constants(model)
+        assert model_constants(model) is consts
+        centered = center_model(model, find_minimizer(model).theta_star)
+        assert centered.groups != model.groups
+        assert centered.chol_lower is model.chol_lower and centered.gram is model.gram
+        assert model_constants(centered) is consts
+        fresh = SplitModel(centered.d, centered.groups)
+        assert np.array_equal(fresh.chol_lower, centered.chol_lower)
+        assert model_constants(fresh) == consts
+        assert fresh.closed_form == centered.closed_form == model.closed_form
+
+    def test_recenter_hook_that_moves_the_coupling_is_refused(self):
+        base = make_quadratic_group(np.ones((2, 1, 1)), precision=1.0, center=[[0.0], [1.0]])
+        moved = FactorGroup(base.a, base.value, base.gradient, m=base.m, M=base.M,
+                            recenter=lambda a_star, off: make_quadratic_group(
+                                2.0 * base.a, precision=1.0, center=a_star))
+        with pytest.raises(UnsupportedModel, match="group 0 changed its coupling or constants"):
+            center_model(SplitModel(1, [moved]), np.array([3.0]))
 
     def test_total_potential_changes_by_constant_gradient(self):
         # The shift sums to <theta, grad U(theta*)>, which is ~0 at a minimizer.
