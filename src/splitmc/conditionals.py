@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AcceptanceStall, NonConvergence, NotSmooth, check_scale
+from .errors import AcceptanceStall, NonConvergence, NotSmooth, SingularGram, check_scale
 from .model import ALL_BLOCKS, FactorGroup, SplitModel
 
 # Warm starts stop once ||grad V_i|| <= (2/7) sqrt(1/rho^2 + m_i) / sqrt(d_i).
@@ -35,7 +35,7 @@ _GD_STOP_FACTOR = 2.0 / 7.0
 # ulp of 2^-53, so it changes no nonzero uniform.
 _U_OFFSET = float(np.finfo(float).tiny)
 
-DEFAULT_PROPOSAL_CAP = 10_000
+PROPOSAL_CAP = 10_000
 
 
 class ThetaConditional:
@@ -67,7 +67,7 @@ class ThetaConditional:
         # L^T noise = xi, by LAPACK directly (see SplitModel.solve_gram).
         noise, info = self._trtrs(self.chol_lower, rng.standard_normal(shape), lower=1, trans=1)
         if info != 0:
-            raise ValueError(f"triangular solve failed with LAPACK info {info}")
+            raise SingularGram(f"triangular solve failed with LAPACK info {info}")
         if size is None:
             return mu + self.rho * noise
         return (mu[:, None] + self.rho * noise).T
@@ -163,15 +163,15 @@ def _norms(g: np.ndarray) -> np.ndarray:
 def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target=None):
     """Gradient descent on V_i with step 1/(1/rho^2 + M_i), every block of a group at once.
 
-    Descends only the blocks still above their target: a scalar, one value
+    Descends only the blocks still above their target (a scalar, one value
     per block, or None for the rejection draw's stop rule
-    (2/7) sqrt((1/rho^2 + m)/k). Returns (z_tilde, gradient norms, steps),
-    all per block; when no block starts above its target, z_tilde is
-    a_theta itself, not a copy. The descent starts at a_theta, where the
-    coupling term (z - a_theta)/rho^2 of the gradient is exactly zero, so
-    it is left out there; the conditional of z_i depends on theta alone,
-    and so does its start. Certified constants keep a block's step count
-    within
+    (2/7) sqrt((1/rho^2 + m)/k)); a block at or below it keeps its iterate.
+    Returns (z_tilde, gradient norms, steps), all per block; when no block
+    starts above its target, z_tilde is a_theta itself, not a copy. The
+    descent starts at a_theta, where the coupling term (z - a_theta)/rho^2
+    of the gradient is exactly zero, so it is left out there; the
+    conditional of z_i depends on theta alone, and so does its start.
+    Certified constants keep a block's step count within
     ceil((log ||grad V_i(a_theta)|| - log target) / log(1/(1 - 1/kappa))),
     at least 1, with kappa = (1 + rho^2 M_i)/(1 + rho^2 m_i);
     NonConvergence, naming the first failing block of the group and its
@@ -193,88 +193,67 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
 def _descend(group: FactorGroup, a_theta: np.ndarray, c: _RhoConstants, target, log_target):
     """warm_start_group with the group's constants c at rho = c.rho and the targets resolved.
 
-    Every block still descending has taken the same number of steps, so one
-    counter stands for all of them: the bound check compares it with the
-    smallest pending bound, and a block that stops is given the counter as
-    its step count. Every bound is at least 1, so the bounds (a log, a ceil
-    and an errstate) are computed only once some block is still pending
-    after its first step. After a step only the norms still above target
-    are checked for finiteness, since a norm at or below its target is
-    finite. While every block descends, the blocks are addressed by the
-    basic slice ALL_BLOCKS, so value and gradient read the group's data
-    without gathering it, and each step's arrays replace the iterate
-    instead of being copied into it: a_theta is read, never written, and
-    when every block stops at the same step the step's own arrays are
-    returned. An index array, and a copy of the iterate to write the
-    descending rows into, are made only once some blocks have stopped.
+    The group is read through ALL_BLOCKS only, without gathering. Blocks
+    still descending share one step counter: the bound check compares it
+    with the smallest pending bound, and a block that stops takes it as its
+    step count. Every bound is at least 1, so the bounds are computed only
+    once some block is still pending after its first step. While every
+    block descends, each step's arrays replace the iterate (a_theta is
+    never written). Once some block has stopped, or started at or below its
+    target, the pending mask keeps the iterate, gradient and norm of the
+    others (np.where); their norms, at or below target, are finite, so the
+    finiteness check reads every block.
     """
-    rho = c.rho
     g = group.gradient(a_theta, ALL_BLOCKS)
     gnorm = _norms(g)
     steps = np.zeros(group.b, dtype=np.int64)
-    stopped = gnorm <= target
-    n_pending = group.b - np.count_nonzero(stopped)
-    if n_pending == group.b:
-        rows, z = ALL_BLOCKS, a_theta
-    elif n_pending:
-        rows, z = np.flatnonzero(~stopped), a_theta.copy()
-    else:
+    pending = ~(gnorm <= target)
+    n_pending = np.count_nonzero(pending)
+    if not n_pending:
         return a_theta, gnorm, steps
-    it = 0
-    _check_finite(gnorm[rows], rows, group.b, it)
-    step = c.step[rows, None]
+    masked = n_pending < group.b
+    _check_finite(gnorm, 0)
+    z, step, it = a_theta, c.step[:, None], 0
     bound_min = math.inf  # every bound is at least 1: none can fire before the first step
     while True:
         if it >= bound_min:
-            over = bound <= it
-            j = int(np.arange(group.b)[rows][over][0])
+            j = int(np.flatnonzero(pending & (bound <= it))[0])
             raise NonConvergence(f"block {j}: warm-start descent passed its step bound "
-                                 f"{int(bound[over][0])}; the certified M looks too small")
-        zp = z[rows] - step * g[rows]
-        gp = group.gradient(zp, rows) + (zp - a_theta[rows]) / rho**2
+                                 f"{int(bound[j])}; the certified M looks too small")
+        zp = z - step * g
+        gp = group.gradient(zp, ALL_BLOCKS) + (zp - a_theta) / c.rho**2
         gnorm_p = _norms(gp)
         it += 1
-        stop = gnorm_p <= target[rows]
+        stop = gnorm_p <= target
+        if masked:
+            stop &= pending
+            keep = pending[:, None]
+            zp, gp = np.where(keep, zp, z), np.where(keep, gp, g)
+            gnorm_p = np.where(pending, gnorm_p, gnorm)
         n_stop = np.count_nonzero(stop)
-        if n_stop == stop.size:
-            # A norm at or below its target is finite.
-            steps[rows] = it
-            if rows is ALL_BLOCKS:
-                return zp, gnorm_p, steps
-            z[rows], gnorm[rows] = zp, gnorm_p
-            return z, gnorm, steps
-        if it == 1:
-            # gnorm still holds the start norms of rows.
-            with np.errstate(divide="ignore"):  # rate is 0 past kappa = 2^53: no finite bound
-                bound = np.maximum(
-                    np.ceil((np.log(gnorm[rows]) - log_target[rows]) / c.rate[rows]), 1.0)
-            bound_min = bound.min()
-        if rows is ALL_BLOCKS:
-            z, g, gnorm = zp, gp, gnorm_p
-        else:
-            z[rows], g[rows] = zp, gp
-            gnorm[rows] = gnorm_p
-        if not n_stop:
-            _check_finite(gnorm_p, rows, group.b, it)
-            continue
-        if rows is ALL_BLOCKS:
-            rows = np.arange(group.b)
-        keep = ~stop
-        kept = rows[keep]
-        _check_finite(gnorm_p[keep], kept, group.b, it)
-        steps[rows[stop]] = it
-        rows = kept
-        bound, step = bound[keep], step[keep]
-        bound_min = bound.min()
+        if n_stop == n_pending:
+            steps[pending] = it
+            return zp, gnorm_p, steps
+        if it == 1:  # gnorm still holds the start norms; rate is 0 past kappa = 2^53
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bound = np.maximum(np.ceil((np.log(gnorm) - log_target) / c.rate), 1.0)
+        z, g, gnorm = zp, gp, gnorm_p
+        _check_finite(gnorm, it)
+        if n_stop:
+            steps[stop] = it
+            pending &= ~stop
+            n_pending -= n_stop
+            masked = True
+        if n_stop or it == 1:
+            bound_min = bound[pending].min()
 
 
-def _check_finite(gnorm: np.ndarray, rows, b: int, it: int) -> None:
-    """Raise NonConvergence naming the first block of rows whose gradient norm is not finite."""
+def _check_finite(gnorm: np.ndarray, it: int) -> None:
+    """Raise NonConvergence naming the first block whose gradient norm is not finite."""
     finite = np.isfinite(gnorm)
     if not finite.all():
-        j = int(np.arange(b)[rows][~finite][0])
-        raise NonConvergence(f"block {j}: warm-start gradient norm is {gnorm[~finite][0]} "
-                             f"after {it} steps")
+        j = int(np.flatnonzero(~finite)[0])
+        raise NonConvergence(f"block {j}: warm-start gradient norm is {gnorm[j]} after {it} steps")
 
 
 def _certificate(gnorm: np.ndarray, k: int, s: np.ndarray, top: np.ndarray):
@@ -306,8 +285,7 @@ def _certificate(gnorm: np.ndarray, k: int, s: np.ndarray, top: np.ndarray):
     return a_tilde, log_r, (top / a_tilde) ** (k / 2.0) * np.exp(exponent)
 
 
-def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
-                   proposal_cap: int = DEFAULT_PROPOSAL_CAP):
+def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     """Exact draws of every block of a group from its coupled conditional.
 
     The target density of block i is proportional to exp(-V_i(z)) with
@@ -337,7 +315,7 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
     proposal counts start at one and are written from round 2 on. Returns
     (z, proposals, gd_steps, expected_bound), the last three per block.
     Raises AcceptanceStall when a block is still pending after
-    proposal_cap rounds.
+    PROPOSAL_CAP rounds.
     """
     if not group.smooth:
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
@@ -360,10 +338,10 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng,
     rows, n_rows = ALL_BLOCKS, group.b
     rounds = 0
     while n_rows:
-        if rounds >= proposal_cap:
+        if rounds >= PROPOSAL_CAP:
             first = 0 if z is None else int(rows[0])
             raise AcceptanceStall(
-                f"block {first}: no acceptance after {proposal_cap} proposals; "
+                f"block {first}: no acceptance after {PROPOSAL_CAP} proposals; "
                 "certified (m, M) look wrong"
             )
         rounds += 1

@@ -12,15 +12,16 @@ leading axis. Both models have one identity-coupled block, so G = I and
 the master draw N(z, rho^2 G^{-1}) is exactly z + rho xi; the test suite
 checks the population sweep against the per-chain engine.
 
-The gaussian-mixing runs measure coordinate 0 only, and step only it.
-aniso_gaussian has a diagonal precision and the identity coupling, so a
-sweep draws each coordinate from its own old value alone: coordinate 0 of
-the d-dimensional chain has, at every sweep, the law of the one-coordinate
-chain with precision m (the smallest) and the same rho, an AR(1) chain with
-factor 1/(1 + rho^2 m) and stationary variance 1/m + rho^2. The mixing
-helpers step that chain (_first_coordinate) and refuse models for which
-this does not hold; the draws differ from stepping all d coordinates, their
-law does not. A mixing time is a first passage (_first_passage): the first
+The gaussian-mixing runs measure coordinate 0 of aniso_gaussian(d, m, M)
+only, and step only it. That model has the diagonal precision
+linspace(m, M, d) and the identity coupling, so a sweep draws each
+coordinate from its own old value alone: coordinate 0 of the d-dimensional
+chain has, at every sweep, the law of the one-coordinate chain with
+precision m and the same rho, an AR(1) chain with factor 1/(1 + rho^2 m)
+and stationary variance 1/m + rho^2. The mixing helpers build that chain
+from the experiment's own (m, M) (_coordinate_zero) and never build the
+d-dimensional model; the draws differ from stepping all d coordinates,
+their law does not. A mixing time is a first passage (_first_passage): the first
 sweep at which the population's TV or W1 distance to the target drops below
 its threshold. The cells of every grid run one after another, on one thread.
 Each fits a slope over its grid, so a grid needs two distinct values.
@@ -46,7 +47,7 @@ from scipy.special import gammaincinv, ndtr
 from . import zoo
 from .bias import IsotropicMixture, tv_bound_strongly_convex, w1_bound_single
 from .engine import SamplerConfig, run_chain
-from .errors import InvalidParameter, NotStronglyConvex, UnsupportedModel, check_seed
+from .errors import InvalidParameter, NotStronglyConvex, check_scale, check_seed
 from .metrics import (
     Normal1D,
     ToyParams,
@@ -233,6 +234,8 @@ def run_rate_toy(spec: ExperimentSpec):
     rho = float(p["rho"])
     theta0 = float(p["theta0"])
     t_max = int(p["t_max"])
+    check_scale(sigma, "rate-toy's sigma")
+    check_scale(rho)
     if t_max < 2:
         raise InvalidParameter(f"rate-toy fits its slopes over t = 1..t_max, which needs "
                                f"t_max >= 2, got {t_max}")
@@ -320,31 +323,10 @@ def _tv_noise_floor(var, n_chains, edges, cdf, rng):
     return float(np.mean(vals))
 
 
-def _first_coordinate(model, n_chains):
-    """The one-coordinate group whose chain has the law of model's coordinate 0.
-
-    Holds for one identity-coupled Gaussian block (the closed form with a
-    mode) of zero mean whose coordinate 0 has the group's smallest precision
-    m and is coupled to no other coordinate: its gradient is 0 at 0 and
-    m e_0 at e_0. Anything else is refused with UnsupportedModel, and a
-    population of fewer than two chains with InvalidParameter.
-    """
+def _coordinate_zero(m, n_chains):
+    """Coordinate 0 of aniso_gaussian(d, m, M) as a one-coordinate group, for n_chains >= 2."""
     if n_chains < 2:
         raise InvalidParameter(f"a mixing time needs n_chains >= 2, got {n_chains}")
-    d = model.d
-    if len(model.groups) != 1:
-        raise UnsupportedModel("the mixing experiments need a model with one factor group")
-    (group,) = model.groups
-    if group.b != 1 or not np.array_equal(group.a[0], np.eye(d)):
-        raise UnsupportedModel("the mixing experiments need one identity-coupled block")
-    if group.mode is None:
-        raise UnsupportedModel("the mixing experiments need a Gaussian block")
-    m = float(group.m[0])
-    e0 = np.eye(1, d)
-    if not (np.array_equal(group.gradient(np.zeros((1, d)), ALL_BLOCKS), np.zeros((1, d)))
-            and np.array_equal(group.gradient(e0, ALL_BLOCKS), m * e0)):
-        raise UnsupportedModel("the mixing experiments need a zero-mean block whose first "
-                               "coordinate has precision m and is coupled to no other")
     return make_quadratic_group(np.ones((1, 1, 1)), precision=m, center=0.0)
 
 
@@ -361,33 +343,33 @@ def _first_passage(group, rho, thetas, rng, sweep_cap, distance, threshold):
     return sweep_cap, True
 
 
-def _mixing_time_tv(model, rho, eps, n_chains, seed, sweep_cap, n_bins=50):
+def _mixing_time_tv(m, M, rho, eps, n_chains, seed, sweep_cap, n_bins=50):
     """First sweep at which the binned TV of coordinate 0 drops below eps + floor.
 
-    The chains start from N(0, I/M) and only their coordinate 0 is stepped
-    (_first_coordinate), from N(0, 1/M) with M the model's largest precision.
+    The chains of aniso_gaussian(d, m, M) start from N(0, I/M), and only
+    their coordinate 0 is stepped (_coordinate_zero), from N(0, 1/M).
     """
-    group = _first_coordinate(model, n_chains)
+    group = _coordinate_zero(m, n_chains)
     rng = _rng(seed, 0)
-    var_target = 1.0 / group.m[0]
+    var_target = 1.0 / m
     span = 5.0 * math.sqrt(var_target)
     edges = np.linspace(-span, span, n_bins + 1)
     cdf = ndtr(edges / math.sqrt(var_target))  # the target's, once per run
     floor = _tv_noise_floor(var_target, n_chains, edges, cdf, _rng(seed, 1))
-    thetas = rng.standard_normal((n_chains, 1)) / np.sqrt(model.groups[0].M[0])
+    thetas = rng.standard_normal((n_chains, 1)) / math.sqrt(M)
     t, capped = _first_passage(group, rho, thetas, rng, sweep_cap,
                                lambda x: _binned_tv_vs_gaussian(x, edges, cdf), eps + floor)
     return t, floor, capped
 
 
-def _mixing_time_w1(model, rho, eps, n_chains, seed, sweep_cap):
+def _mixing_time_w1(m, rho, eps, n_chains, seed, sweep_cap):
     """First sweep at which the W1 distance of coordinate 0 drops below eps sqrt(1/m).
 
-    The chains start from the point mass at the minimizer and only their
-    coordinate 0 is stepped (_first_coordinate).
+    The chains of aniso_gaussian(d, m, M) start from the point mass at the
+    minimizer, and only their coordinate 0 is stepped (_coordinate_zero).
     """
-    group = _first_coordinate(model, n_chains)
-    var_target = 1.0 / group.m[0]
+    group = _coordinate_zero(m, n_chains)
+    var_target = 1.0 / m
     return _first_passage(group, rho, np.zeros((n_chains, 1)), _rng(seed, 0), sweep_cap,
                           lambda x: w1_samples_vs_gaussian(x, 0.0, var_target),
                           eps * math.sqrt(var_target))
@@ -424,9 +406,8 @@ def run_gaussian_mixing(spec: ExperimentSpec):
         for d in sorted(d_grid):
             plan = plan_tv_single(m, M, d, eps)
             cap = int(3 * plan.t_mix) + 10
-            model = zoo.aniso_gaussian(d, m, M)
             for rep in range(replicates):
-                t_emp, floor, capped = _mixing_time_tv(model, plan.rho, eps, n_chains,
+                t_emp, floor, capped = _mixing_time_tv(m, M, plan.rho, eps, n_chains,
                                                        _seed_for(spec.seed, 1, d, rep), cap)
                 rows.append({"d": d, "replicate": rep, "rho2": plan.rho2, "k_sgs": plan.k_sgs,
                              "t_theory": plan.t_mix, "t_empirical": t_emp,
@@ -444,16 +425,17 @@ def run_gaussian_mixing(spec: ExperimentSpec):
         kappa_grid = [float(v) for v in p["kappa_grid"]]
         d = int(p["d"])
         n_chains = int(p["n_chains_w1"])
+        if d < 1:
+            raise InvalidParameter(f"gaussian-mixing needs d >= 1, got {d}")
         M = 1.0
         rows = []
         for kappa in kappa_grid:
             mm = M / kappa
             plan = plan_w1_single(mm, M, eps)
-            model = zoo.aniso_gaussian(d, mm, M)
             cap = int(5 * math.log(10.0 / eps) / plan.k_sgs) + 10
             for rep in range(replicates):
                 t_emp, capped = _mixing_time_w1(
-                    model, plan.rho, eps, n_chains, _seed_for(spec.seed, 2, int(kappa), rep), cap)
+                    mm, plan.rho, eps, n_chains, _seed_for(spec.seed, 2, int(kappa), rep), cap)
                 rows.append({"kappa": kappa, "replicate": rep, "rho2": plan.rho2,
                              "k_sgs": plan.k_sgs, "branch": plan.metadata["active_branch"],
                              "t_empirical": t_emp, "hit_cap": capped})
@@ -475,14 +457,13 @@ def run_gaussian_mixing(spec: ExperimentSpec):
         reps = min(replicates, 3)
         M = 1.0
         mm = M / kappa
-        model = zoo.aniso_gaussian(d, mm, M)
         rows = []
         for e in eps_grid:
             plan = plan_tv_single(mm, M, d, e)
             cap = int(3 * plan.t_mix) + 10
             for rep in range(reps):
                 t_emp, floor, capped = _mixing_time_tv(
-                    model, plan.rho, e, n_chains,
+                    mm, M, plan.rho, e, n_chains,
                     _seed_for(spec.seed, 3, int(1000 * e), rep), cap, n_bins=40)
                 rows.append({"eps": e, "replicate": rep, "rho2": plan.rho2,
                              "k_sgs": plan.k_sgs, "t_theory": plan.t_mix,

@@ -169,17 +169,12 @@ class ToyParams:
 
 
 def ar1_kernel_t(params: ToyParams, init, t: int) -> Normal1D:
-    """Law of theta after t sweeps from a point mass or Gaussian start.
+    """Law of theta after t sweeps from init, a point (a number) or a Normal1D.
 
     mean_t = c^t m0 + (1 - c^t) mu and var_t = c^{2t} v0 + w (1 - c^{2t})/(1 - c^2)
     with c the mean contraction and w the one-step noise variance.
     """
-    if isinstance(init, Normal1D):
-        m0, v0 = init.mean, init.variance
-    elif np.isscalar(init):
-        m0, v0 = float(init), 0.0
-    else:
-        m0, v0 = float(init[0]), float(init[1])
+    m0, v0 = (init.mean, init.variance) if isinstance(init, Normal1D) else (float(init), 0.0)
     c = params.mean_contraction
     ct = c**t
     mean_t = ct * m0 + (1.0 - ct) * params.mu

@@ -14,6 +14,7 @@ Models are immutable after construction and safe to share across chains.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from dataclasses import dataclass
@@ -158,10 +159,11 @@ class SplitModel:
     def _tilted(self, groups) -> SplitModel:
         """This model with each group replaced by a tilt of it (FactorGroup.recenter).
 
-        A tilt keeps the coupling and (m, M, L), so the tilted model shares
-        this one's Gram matrix, Cholesky factor, LAPACK handles and
-        constants rather than rebuilding them. A group whose coupling or
-        constants differ from the group it replaces is refused.
+        A tilt keeps the coupling and (m, M, L), so the tilted model is a
+        shallow copy of this one: it shares the Gram matrix, Cholesky factor,
+        LAPACK handles, constants and every other attribute rather than
+        rebuilding them. A group whose coupling or constants differ from
+        the group it replaces is refused.
         """
         for j, (old, new) in enumerate(zip(self.groups, groups)):
             if new is not old and not (np.array_equal(new.a, old.a)
@@ -169,12 +171,9 @@ class SplitModel:
                                        and np.array_equal(new.M, old.M)):
                 raise UnsupportedModel(f"the recenter hook of factor group {j} changed "
                                        "its coupling or constants")
-        tilted = object.__new__(SplitModel)
-        tilted.d, tilted.groups, tilted.m, tilted.M = self.d, tuple(groups), self.m, self.M
+        tilted = copy.copy(self)
+        tilted.groups = tuple(groups)
         tilted.closed_form = all(g.sampler is not None for g in groups)
-        tilted.gram, tilted.chol_lower = self.gram, self.chol_lower
-        tilted._potrs, tilted._trtrs = self._potrs, self._trtrs
-        tilted._constants = self._constants
         return tilted
 
     @property
@@ -229,15 +228,17 @@ class SplitModel:
         """G^{-1} rhs through the cached Cholesky factor, for rhs of shape (d,) or (d, n)."""
         try:
             x, info = self._potrs(self.chol_lower, rhs, lower=1)
+            if x.ndim > 2:  # potrs folds the trailing axes of rhs into n
+                raise ValueError("more than two axes")
         except ValueError as exc:
-            # Checked only here: a shape check before every solve costs more
-            # than a third of the solve at the sizes a sweep uses.
-            if np.shape(rhs)[:1] == (self.d,):
+            # The length is checked only here: a shape check before every
+            # solve costs more than a third of the solve at the sizes a sweep uses.
+            if np.ndim(rhs) <= 2 and np.shape(rhs)[:1] == (self.d,):
                 raise
             raise DimensionMismatch(f"right-hand side has shape {np.shape(rhs)}, "
                                     f"expected ({self.d},) or ({self.d}, n)") from exc
         if info != 0:
-            raise ValueError(f"Cholesky solve failed with LAPACK info {info}")
+            raise SingularGram(f"Cholesky solve failed with LAPACK info {info}")
         return x
 
     def smooth(self) -> bool:

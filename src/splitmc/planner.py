@@ -18,7 +18,7 @@ from scipy.linalg import eigh
 
 from .errors import (EpsilonOutOfRange, InvalidParameter, NotCentered, NotStronglyConvex,
                      SingularGram, check_scale)
-from .model import ModelConstants, SplitModel, find_minimizer, max_factor_gradient_at, model_constants
+from .model import ModelConstants, SplitModel, max_factor_gradient_at, model_constants
 
 W1_SINGLE = "W1-single"
 TV_SINGLE = "TV-single"
@@ -40,12 +40,12 @@ class Plan:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.rho2 <= 0:
-            raise ValueError("rho^2 must be positive")
+        if not 0.0 < self.rho2 < math.inf:
+            raise InvalidParameter(f"rho^2 must be positive and finite, got {self.rho2}")
         if self.t_mix < 1:
-            raise ValueError("t_mix must be at least 1")
+            raise InvalidParameter("t_mix must be at least 1")
         if not 0.0 < self.k_sgs < 1.0:
-            raise ValueError("contraction constant must lie in (0, 1)")
+            raise InvalidParameter(f"the contraction constant {self.k_sgs} is not in (0, 1)")
 
     @property
     def rho(self) -> float:
@@ -73,11 +73,11 @@ def k_sgs(model: SplitModel, rho: float) -> float:
     return 1.0 - float(eigs[-1])
 
 
-def _tv_t_mix(eps: float, c_const: float, k: float, log_top: float) -> int:
-    if not k > 0:
-        raise InvalidParameter(f"the contraction constant K = {k} is not positive, "
-                               "so no mixing time follows")
-    return max(1, math.ceil((math.log(log_top / eps) + c_const / 2.0) / k))
+def _t_mix(log_term: float, rate: float) -> int:
+    """max(1, ceil(log_term / rate)), refused unless rate > 0 and the quotient is finite."""
+    if not (rate > 0 and log_term / rate < math.inf):
+        raise InvalidParameter(f"no finite mixing time follows from {log_term} / {rate}")
+    return max(1, math.ceil(log_term / rate))
 
 
 def plan_w1_single(m1: float, M1: float, eps: float) -> Plan:
@@ -89,8 +89,9 @@ def plan_w1_single(m1: float, M1: float, eps: float) -> Plan:
     sweeps the chain is within eps*sqrt(d/m1) of the target in W1.
     """
     _check_eps(eps)
-    if not 0.0 < m1 <= M1:
-        raise InvalidParameter("need 0 < m1 <= M1")
+    if not (0.0 < m1 <= M1 and m1 * M1 > 0.0 and eps**2 > 0.0):
+        raise InvalidParameter(f"need 0 < m1 <= M1, and m1 M1 and eps^2 that do not "
+                               f"underflow, got m1 = {m1}, M1 = {M1} and eps = {eps}")
     quad_branch = eps**2 / (4.0 * m1)
     geo_branch = eps / math.sqrt(m1 * M1)
     rho2 = max(quad_branch, geo_branch)
@@ -98,7 +99,7 @@ def plan_w1_single(m1: float, M1: float, eps: float) -> Plan:
     boundary_kappa = 16.0 / eps**2
     # m1 * rho2 equals the max in the step-count formula.
     growth = m1 * rho2
-    t_mix = max(1, math.ceil(math.log(3.0 / eps) / math.log1p(growth)))
+    t_mix = _t_mix(math.log(3.0 / eps), math.log1p(growth))
     k = growth / (1.0 + growth)
     return Plan(
         rho2=rho2, t_mix=t_mix, k_sgs=k, theorem=W1_SINGLE, epsilon=eps,
@@ -133,7 +134,7 @@ def plan_tv_single(m1: float, M1: float, d: int, eps: float) -> Plan:
     rho2 = eps / (d * M1)
     k = m1 * rho2 / (1.0 + m1 * rho2)
     c_const = 5.0 * d / 8.0 + 0.5 * d * math.log(M1 / m1)
-    t_mix = _tv_t_mix(eps, c_const, k, log_top=2.0)
+    t_mix = _t_mix(math.log(2.0 / eps) + c_const / 2.0, k)
     return Plan(
         rho2=rho2, t_mix=t_mix, k_sgs=k, C=c_const, theorem=TV_SINGLE, epsilon=eps,
         metadata={
@@ -143,24 +144,22 @@ def plan_tv_single(m1: float, M1: float, d: int, eps: float) -> Plan:
     )
 
 
-def plan_tv_multi(model: SplitModel, eps: float,
-                  theta_star: np.ndarray | None = None,
+def plan_tv_multi(model: SplitModel, eps: float, theta_star: np.ndarray,
                   constants: ModelConstants | None = None) -> Plan:
-    """Multi-split total-variation prescription for a centered model.
+    """Multi-split total-variation prescription for a model centered at its minimizer theta_star.
 
     rho^2 is the minimum of the quartic-root branch
     sum(d_i M_i) (sqrt(1 + 8 eps sigma_U^4 (2 + 3d/2) / sum(d_i M_i)^2) - 1)
       / (4 sigma_U^4 (2 + 3d/2))
     and the validity cap 1/(6 sigma_U^2);
     C = d sigma_U^2 + rho^4 (2+d) sigma_U^4 + (17/32) sum d_i + (1/2) log-det ratio.
-    Raises NotCentered when a factor gradient at theta_star exceeds 1e-8.
+    Raises NotCentered when a factor gradient at theta_star exceeds 1e-8;
+    find_minimizer and center_model give theta_star and the centered model.
     """
     _check_eps(eps)
     consts = constants if constants is not None else model_constants(model)
     if consts.m_U <= 0.0:
         raise NotStronglyConvex("multi-split TV plan needs m_U > 0")
-    if theta_star is None:
-        theta_star = find_minimizer(model).theta_star
     residual = max_factor_gradient_at(model, theta_star)
     if residual > 1e-8:
         raise NotCentered(
@@ -177,7 +176,7 @@ def plan_tv_multi(model: SplitModel, eps: float,
     k = k_sgs(model, math.sqrt(rho2))
     c_const = (d * consts.sigma2_U + rho2**2 * (2.0 + d) * s4
                + (17.0 / 32.0) * consts.sum_dims + 0.5 * consts.log_det_ratio)
-    t_mix = _tv_t_mix(eps, c_const, k, log_top=2.0)
+    t_mix = _t_mix(math.log(2.0 / eps) + c_const / 2.0, k)
     return Plan(
         rho2=rho2, t_mix=t_mix, k_sgs=k, C=c_const, theorem=TV_MULTI, epsilon=eps,
         metadata={
@@ -206,10 +205,12 @@ def plan_tv_nonstrongly(M1: float, eps: float, R: float, d: int) -> Plan:
     if d < 1:
         raise InvalidParameter(f"need d >= 1, got {d}")
     lam = 4.0 * eps / (3.0 * d * R)
+    if not lam > 0.0:
+        raise InvalidParameter(f"the ridge lambda = 4 eps/(3 d R) underflows to {lam}")
     rho2 = 2.0 * eps / (3.0 * d * (M1 + lam))
     k = lam * rho2 / (1.0 + lam * rho2)
     c_const = 5.0 * d / 8.0 + 0.5 * d * math.log((M1 + lam) / lam)
-    t_mix = _tv_t_mix(eps, c_const, k, log_top=3.0)
+    t_mix = _t_mix(math.log(3.0 / eps) + c_const / 2.0, k)
     return Plan(
         rho2=rho2, t_mix=t_mix, k_sgs=k, C=c_const, theorem=TV_NONSTRONGLY,
         epsilon=eps, regularizer_lambda=lam,

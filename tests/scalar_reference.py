@@ -32,7 +32,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import logsumexp
 
-from splitmc.conditionals import DEFAULT_PROPOSAL_CAP, RejectionReport
+from splitmc.conditionals import PROPOSAL_CAP, RejectionReport
 from splitmc.errors import (
     AcceptanceStall,
     NonConvergence,
@@ -169,8 +169,7 @@ def _expected_bound_from_grad(group, j: int, grad_norm: float, rho: float) -> fl
     return ratio ** (d / 2.0) * math.exp(exponent)
 
 
-def sample_z_rejection(group, j: int, theta: np.ndarray, rho: float, rng,
-                       proposal_cap: int = DEFAULT_PROPOSAL_CAP):
+def sample_z_rejection(group, j: int, theta: np.ndarray, rho: float, rng):
     """Exact draw from the coupled conditional of block j of a group.
 
     The target density is proportional to exp(-V_j(z)) with
@@ -184,7 +183,7 @@ def sample_z_rejection(group, j: int, theta: np.ndarray, rho: float, rng,
     terms at A_j theta, where they are exactly zero; this reference keeps
     them, with the same results bit for bit.
 
-    Returns (z, RejectionReport). Raises AcceptanceStall past proposal_cap:
+    Returns (z, RejectionReport). Raises AcceptanceStall past PROPOSAL_CAP:
     under correctly certified constants and the small-rho regime the
     expected number of proposals is at most 2, so a stall signals
     mis-stated constants rather than bad luck.
@@ -207,9 +206,9 @@ def sample_z_rejection(group, j: int, theta: np.ndarray, rho: float, rng,
 
     proposals = 0
     while True:
-        if proposals >= proposal_cap:
+        if proposals >= PROPOSAL_CAP:
             raise AcceptanceStall(
-                f"no acceptance after {proposal_cap} proposals; certified (m, M) look wrong"
+                f"no acceptance after {PROPOSAL_CAP} proposals; certified (m, M) look wrong"
             )
         xi = rng.standard_normal(group.k)
         z = z_tilde + sigma_prop * xi

@@ -174,11 +174,34 @@ class TestExitCodes:
         ["plan", "--theorem", "w1", "--eps", "0.1"],
         ["bias"],
         ["experiment", "logistic", "--set", "b_grid=(0,)"],
+        ["experiment", "rate-toy", "--set", "rho=1e200"],
+        ["experiment", "rate-toy", "--set", "sigma=1e-200"],
+        ["experiment", "gaussian-mixing", "--set", "which=kappa", "--set", "d=0"],
+        ["experiment", "gaussian-mixing", "--set", "which=precision",
+         "--set", "kappa_precision=0.5"],
+        ["experiment", "gaussian-mixing", "--set", "which=precision", "--set", "d_precision=0"],
     ])
     def test_invalid_parameters_map_to_2(self, argv, tmp_path, capfd):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert "validity violation" in capfd.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        # plan refuses a directory as --out before it plans, so these argvs
+        # name a file: a growth term or ridge that underflows, a width or a
+        # step count that is not finite.
+        ["--theorem", "w1", "--eps", "1e-300", "--m", "1e-300"],
+        ["--theorem", "w1", "--eps", "0.1", "--m", "1e-320", "--big-m", "1e-320"],
+        ["--theorem", "tv-ns", "--eps", "1e-300", "--R", "1e300"],
+        ["--theorem", "w1", "--eps", "0.1", "--m", "1e-320", "--big-m", "1e300"],
+        ["--theorem", "w1", "--eps", "0.1", "--m", "inf", "--big-m", "inf"],
+        ["--theorem", "tv-single", "--eps", "1e-300", "--m", "1e-10"],
+    ])
+    def test_degenerate_plans_map_to_2(self, argv, tmp_path, capfd):
+        out = tmp_path / "plan.csv"
+        assert main(["plan", *argv, "--out", str(out)]) == 2
+        assert "validity violation" in capfd.readouterr().err
+        assert not out.exists()
 
     def test_unknown_experiment_key_is_named(self, tmp_path, capfd):
         assert main(["experiment", "bias-toy", "--set", "n_gird=5", "--out", str(tmp_path)]) == 2

@@ -1,6 +1,7 @@
 """Exactness of both Gibbs-block samplers and the rejection-efficiency guarantees."""
 
 import gc
+import hashlib
 import math
 import weakref
 
@@ -27,7 +28,7 @@ from splitmc import (
 )
 from splitmc import conditionals
 from splitmc.conditionals import warm_start_group, within_two_guarantee
-from splitmc.errors import InvalidParameter
+from splitmc.errors import InvalidParameter, SingularGram
 from splitmc.model import ALL_BLOCKS, FactorGroup
 from splitmc.zoo import mixture_group
 
@@ -94,6 +95,14 @@ class TestThetaConditional:
         a = cond.sample(z, np.random.default_rng(99))
         b = cond.sample(z, np.random.default_rng(99))
         assert np.array_equal(a, b)
+
+    def test_singular_factor_is_typed(self):
+        # A zero on the diagonal of the triangular factor makes LAPACK's
+        # trtrs report info > 0, which is a SingularGram, not a ValueError.
+        cond = ThetaConditional(build_model("aniso-gaussian", d=3), rho=0.5)
+        cond.chol_lower = np.diag([1.0, 0.0, 1.0])
+        with pytest.raises(SingularGram, match="LAPACK info 2"):
+            cond.sample([np.zeros((1, 3))], np.random.default_rng(0))
 
     def test_factorization_reproduces_gram(self):
         model = build_model("logistic-split2", d=4, n=24, b=4, seed=1)
@@ -191,16 +200,16 @@ class TestRejectionSampler:
         result = kstest(z[:, 0], lambda x: np.interp(x, grid, cdf))
         assert result.pvalue > 0.01
 
-    def test_stall_on_misstated_constants(self):
+    def test_stall_on_misstated_constants(self, monkeypatch):
         # A potential whose certified curvature wildly understates the truth
         # must hit the proposal cap instead of looping forever.
+        monkeypatch.setattr(conditionals, "PROPOSAL_CAP", 64)
         lying = scalar_group(lambda z: 1e12 * z[:, 0] ** 2, np.zeros_like, 0.0, 0.05)
-        with pytest.raises(AcceptanceStall):
-            sample_z_group(lying, np.zeros((1, 1)), 1.0, np.random.default_rng(0),
-                           proposal_cap=64)
+        with pytest.raises(AcceptanceStall, match="after 64 proposals"):
+            sample_z_group(lying, np.zeros((1, 1)), 1.0, np.random.default_rng(0))
 
-    def test_stall_names_first_pending_block(self):
-        # With proposal_cap=1 the sampler stops after the first round and
+    def test_stall_names_first_pending_block(self, monkeypatch):
+        # With PROPOSAL_CAP = 1 the sampler stops after the first round and
         # names the first block it rejected. An uncapped draw from the same
         # stream makes the same first round, so its proposal counts tell
         # which blocks were rejected there.
@@ -211,8 +220,9 @@ class TestRejectionSampler:
         _, proposals, _, _ = sample_z_group(group, a_theta, rho, np.random.default_rng(7))
         rejected = np.flatnonzero(proposals > 1)
         assert rejected.size and rejected[0] > 0
+        monkeypatch.setattr(conditionals, "PROPOSAL_CAP", 1)
         with pytest.raises(AcceptanceStall, match=f"^block {rejected[0]}: .* after 1 proposals"):
-            sample_z_group(group, a_theta, rho, np.random.default_rng(7), proposal_cap=1)
+            sample_z_group(group, a_theta, rho, np.random.default_rng(7))
 
     def test_understated_curvature_is_typed_nonconvergence(self):
         # U(z) = 5 z^2 certified with M = 1: the descent step 1/(1/rho^2 + M)
@@ -285,8 +295,8 @@ class TestRejectionSampler:
         # Block 0 (c = M = 1) is exact after one step and stops; blocks 1
         # and 2 (c = 0.6) need two. The gradient of bad_block turns NaN at
         # gradient call bad_call (call 1 is the start): after one step,
-        # while block 0 stops, or after two, while blocks 1 and 2 are
-        # addressed by an index array.
+        # while block 0 stops, or after two, while the pending mask holds
+        # block 0 where it stopped.
         curvature = np.array([1.0, 0.6, 0.6])
         calls = []
 
@@ -304,8 +314,7 @@ class TestRejectionSampler:
         with pytest.raises(NonConvergence, match=f"block {bad_block}: .* after {steps} steps"):
             warm_start_group(group, a_theta, 1.0)
         assert len(calls) == bad_call
-        if bad_call == 3:
-            assert calls[-1].tolist() == [1, 2]
+        assert all(rows is ALL_BLOCKS for rows in calls)
 
     def test_group_certificates_match_scalar_reference(self):
         # Given theta, warm starts and certificates are deterministic: the
@@ -426,6 +435,32 @@ def recording(group):
     return copy, calls
 
 
+def _scalar_blocks(curvature, m, nan_call=None, nan_block=None):
+    """Scalar blocks U_j(z) = c_j z^2 / 2 certified with M = 1, drawn by rejection.
+
+    The gradient of block nan_block is NaN at gradient call nan_call.
+    """
+    curvature = np.asarray(curvature, dtype=float)
+    calls = []
+
+    def gradient(z, rows):
+        calls.append(rows)
+        g = curvature[rows, None] * z
+        if len(calls) == nan_call:
+            g[np.arange(curvature.size)[rows] == nan_block] = np.nan
+        return g
+
+    return FactorGroup(np.ones((curvature.size, 1, 1)),
+                       lambda z, rows: 0.5 * curvature[rows] * z[:, 0] ** 2, gradient, m=m, M=1.0)
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 class TestGroupDescent:
     def _assert_matches_reference(self, group, theta, rho, z_tilde, steps, expected):
         for j in range(group.b):
@@ -440,7 +475,8 @@ class TestGroupDescent:
         # Uncentered logistic-split2: every block starts above its stop rule,
         # so the descent reads the group through ALL_BLOCKS and gathers
         # nothing. Quadratic blocks of which only block 0 starts off its
-        # center: the descent takes block 0 alone, through an index array.
+        # center: the descent still reads every block through ALL_BLOCKS,
+        # and its pending mask keeps the others where they started.
         model = build_model("logistic-split2", d=10, n=200, b=5, seed=4)
         group, calls = recording(model.groups[0])
         rho = 0.2
@@ -472,9 +508,58 @@ class TestGroupDescent:
         assert steps[0] >= 1 and (steps[1:] == 0).all() and (proposals >= 1).all()
         descent = calls["gradient"][1:]
         assert calls["gradient"][0] is ALL_BLOCKS and len(descent) == steps[0]
-        assert all(isinstance(rows, np.ndarray) and rows.tolist() == [0] for rows in descent)
+        assert all(rows is ALL_BLOCKS for rows in descent)
         z_tilde, _, _ = warm_start_group(group, a_theta, rho)
+        assert z_tilde[1:].tobytes() == a_theta[1:].tobytes()
         self._assert_matches_reference(group, theta, rho, z_tilde, steps, expected)
+
+    @pytest.mark.parametrize("name, params, rho, step_counts, pinned", [
+        # Uncentered chains at theta = 1: partial descents (blocks that
+        # start below their stop rule next to blocks that descend) and
+        # multi-step ones that stop at different steps.
+        ("logistic-split1", {"n": 200}, 1.0, [42, 158],
+         "ffc4895afe3e8235f4d07a60f0d8a82d642c95109bca3f636189c152b92b9bfd"),
+        ("logistic-split1", {"n": 200}, 3.0, [5, 193, 2],
+         "7b25fc121fe7a8006169d5eba200ce64bf764f576b96791f8f38c28183177a52"),
+        ("logistic-split2", {"n": 200, "b": 5}, 1.0, [0, 0, 0, 0, 2, 3],
+         "9847f99d806022cd789050b76f457a140d905297d7ccaecaae161316e4ac0a06"),
+    ])
+    def test_logistic_descents_are_pinned(self, name, params, rho, step_counts, pinned):
+        (group,) = build_model(name, d=10, seed=0, **params).groups
+        z, gnorm, steps = warm_start_group(group, group.couple(np.ones(10)), rho)
+        assert np.bincount(steps).tolist() == step_counts
+        assert _digest(z, gnorm, steps) == pinned
+
+    def test_descent_with_three_stopping_steps_is_pinned(self):
+        # U_j = c_j z^2/2 at rho = 1, M = 1: block 0 is exact after one
+        # step, blocks 1 and 2 contract by 0.2 and 0.4 per step, and block
+        # 3 starts below its stop rule (2/7) sqrt(1.1).
+        group = _scalar_blocks([1.0, 0.6, 0.2, 0.2], m=0.1)
+        z, gnorm, steps = warm_start_group(group, np.array([[10.0], [10.0], [10.0], [1.0]]), 1.0)
+        assert steps.tolist() == [1, 2, 3, 0]
+        assert [v.hex() for v in z[:, 0].tolist()] == [
+            "0x1.4000000000000p+2", "0x1.999999999999ap+2", "0x1.0e147ae147ae1p+3",
+            "0x1.0000000000000p+0"]
+        assert [v.hex() for v in gnorm.tolist()] == [
+            "0x0.0p+0", "0x1.eb851eb851ec0p-3", "0x1.0624dd2f1a9e8p-3", "0x1.999999999999ap-3"]
+
+    @pytest.mark.parametrize("group, a_theta, message", [
+        # A non-finite start norm, from the gradient and from the coupling.
+        (_scalar_blocks([1.0, 0.6, 0.2], m=0.1, nan_call=1, nan_block=1), np.full((3, 1), 10.0),
+         "block 1: warm-start gradient norm is nan after 0 steps"),
+        (_scalar_blocks([1.0, 0.6, 0.2], m=0.1), np.array([[10.0], [np.inf], [10.0]]),
+         "block 1: warm-start gradient norm is inf after 0 steps"),
+        # Block 2 understates its curvature 5 as M = 1 and passes its bound:
+        # while every block descends, and after block 0 has stopped.
+        (_scalar_blocks([1.0, 0.6, 5.0], m=0.5), np.full((3, 1), 3.0),
+         "block 2: warm-start descent passed its step bound 3; the certified M looks too small"),
+        (_scalar_blocks([1.0, 0.6, 5.0, 0.6], m=0.5), np.array([[3.0], [3.0], [0.1], [30.0]]),
+         "block 2: warm-start descent passed its step bound 1; the certified M looks too small"),
+    ])
+    def test_descent_failures_are_pinned(self, group, a_theta, message):
+        with pytest.raises(NonConvergence) as info:
+            warm_start_group(group, a_theta, 1.0)
+        assert str(info.value) == message
 
     def test_rho_constants_built_once_per_group_and_rho(self, monkeypatch):
         built = []

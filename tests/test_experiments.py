@@ -14,6 +14,7 @@ from splitmc.experiments import (
     run_mixture,
     run_rate_toy,
 )
+from splitmc.model import ALL_BLOCKS
 
 
 class TestSpecAndCsv:
@@ -199,14 +200,28 @@ class TestFirstCoordinateShortcut:
         v_inf = 1.0 / self.m + self.rho**2
         return a**self.t * mean0, a ** (2 * self.t) * var0 + v_inf * (1.0 - a ** (2 * self.t))
 
+    def test_aniso_coordinate_zero_has_precision_m_and_top_precision_big_m(self):
+        # What the runner relies on when it builds the twin from (m, M)
+        # instead of the d-dimensional model: one identity-coupled zero-mean
+        # block whose coordinate 0 has precision m and is coupled to no
+        # other, and whose largest precision is M.
+        from splitmc import zoo
+
+        for d, m, big_m in ((1, 0.5, 0.5), (self.d, self.m, self.M), (10, 1.0 / 1600, 1.0)):
+            (group,) = zoo.aniso_gaussian(d, m, big_m).groups
+            e0 = np.eye(1, d)
+            assert group.b == 1 and np.array_equal(group.a[0], np.eye(d))
+            assert np.array_equal(group.gradient(np.zeros((1, d)), ALL_BLOCKS), np.zeros((1, d)))
+            assert np.array_equal(group.gradient(e0, ALL_BLOCKS), m * e0)
+            assert group.m[0] == m and group.M[0] == big_m
+
     @pytest.mark.parametrize("start", ["normal", "point"])
     def test_coordinate_zero_matches_ar1_law(self, start):
         from splitmc import zoo
-        from splitmc.experiments import _first_coordinate, _population_sweep
+        from splitmc.experiments import _coordinate_zero, _population_sweep
 
-        model = zoo.aniso_gaussian(self.d, self.m, self.M)
-        (full,) = model.groups
-        one = _first_coordinate(model, self.n)
+        (full,) = zoo.aniso_gaussian(self.d, self.m, self.M).groups
+        one = _coordinate_zero(self.m, self.n)
         assert one.m[0] == self.m and one.d == 1
         rng = np.random.default_rng(31)
         if start == "normal":  # N(0, I/M)
@@ -226,35 +241,15 @@ class TestFirstCoordinateShortcut:
             assert abs(x.mean() - mean_t) <= 5 * math.sqrt(var_t / self.n)
             assert abs(x.var() - var_t) <= 5 * var_t * math.sqrt(2.0 / (self.n - 1))
 
-    def test_unsupported_models_refused(self):
-        from splitmc import SplitModel, make_quadratic_group, zoo
-        from splitmc.errors import UnsupportedModel
-        from splitmc.experiments import _mixing_time_tv, _mixing_time_w1
-
-        a = np.array([0.5, 0.5, 0.0])
-        mixture = SplitModel(3, [zoo.mixture_group(a, m=1.0 - float(a @ a))])
-        mixed = np.array([[[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
-        coupled = SplitModel(3, [make_quadratic_group(mixed, np.linspace(0.25, 1.0, 3), 0.0)])
-        # Coordinate 0 has the largest precision, not m.
-        reversed_ = SplitModel(3, [make_quadratic_group(np.eye(3)[None],
-                                                        np.linspace(1.0, 0.25, 3), 0.0)])
-        for model in (mixture, coupled, reversed_):
-            with pytest.raises(UnsupportedModel):
-                _mixing_time_tv(model, 0.5, 0.1, 100, seed=0, sweep_cap=5)
-            with pytest.raises(UnsupportedModel):
-                _mixing_time_w1(model, 0.5, 0.1, 100, seed=0, sweep_cap=5)
-
     def test_too_few_chains_refused(self):
-        from splitmc import zoo
         from splitmc.errors import InvalidParameter
         from splitmc.experiments import _mixing_time_tv, _mixing_time_w1
 
-        model = zoo.aniso_gaussian(4)
         for n_chains in (0, 1):
             with pytest.raises(InvalidParameter):
-                _mixing_time_tv(model, 0.5, 0.1, n_chains, seed=0, sweep_cap=5)
+                _mixing_time_tv(0.25, 1.0, 0.5, 0.1, n_chains, seed=0, sweep_cap=5)
             with pytest.raises(InvalidParameter):
-                _mixing_time_w1(model, 0.5, 0.1, n_chains, seed=0, sweep_cap=5)
+                _mixing_time_w1(0.25, 0.5, 0.1, n_chains, seed=0, sweep_cap=5)
 
 
 class TestMixture:

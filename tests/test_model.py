@@ -141,6 +141,20 @@ class TestCompositePotential:
                 model.solve_gram(rhs)
         assert model.solve_gram(np.ones((3, 2))).shape == (3, 2)
 
+    def test_solve_gram_refuses_more_than_two_axes(self):
+        # LAPACK's potrs would fold the trailing axes and return a (3, 2, 2) array.
+        model = build_model("aniso-gaussian", d=3)
+        with pytest.raises(DimensionMismatch, match="shape \\(3, 2, 2\\), expected"):
+            model.solve_gram(np.arange(12.0).reshape(3, 2, 2))
+
+    def test_solve_gram_reports_a_lapack_failure_as_singular_gram(self):
+        # No input is known to reach a nonzero info once the factor and the
+        # shapes are checked, so the LAPACK call is replaced by one that fails.
+        model = build_model("aniso-gaussian", d=3)
+        model._potrs = lambda chol, rhs, lower: (rhs, -2)
+        with pytest.raises(SingularGram, match="LAPACK info -2"):
+            model.solve_gram(np.ones(3))
+
     @pytest.mark.parametrize("precision", [-1.0, [1.0, -0.5], np.eye(2)],
                              ids=["negative", "negative-diagonal", "matrix"])
     def test_quadratic_precision_must_be_nonnegative_diagonal(self, precision):
