@@ -42,7 +42,11 @@ class ThetaConditional:
     """Sampler state for theta | z: mean solve plus pre-factorized noise transform.
 
     Built once per (model, rho); uses the model's lower Cholesky factor L
-    of G = sum_i A_i^T A_i = L L^T at every sweep.
+    of G = sum_i A_i^T A_i = L L^T at every sweep. The mean is two calls,
+    SplitModel.assemble (one gemv for a one-group model) and
+    SplitModel.solve_gram (LAPACK potrs); the noise is one LAPACK trtrs.
+    The mean is also the master step of the sweep's mode twins
+    (engine.am_solve, engine.admm_solve).
     """
 
     def __init__(self, model: SplitModel, rho: float):
@@ -54,7 +58,8 @@ class ThetaConditional:
 
     def mean(self, z_groups) -> np.ndarray:
         """mu(z) = G^{-1} sum_i A_i^T z_i, with z one (b_g, k_g) array per group."""
-        return self.model.master_mean(z_groups)
+        model = self.model
+        return model.solve_gram(model.assemble(z_groups))
 
     def sample(self, z_groups, rng, size: int | None = None) -> np.ndarray:
         """Exact draw(s) from N(mu(z), rho^2 G^{-1}).
@@ -69,7 +74,10 @@ class ThetaConditional:
         if info != 0:
             raise SingularGram(f"triangular solve failed with LAPACK info {info}")
         if size is None:
-            return mu + self.rho * noise
+            # In place, with the bits of mu + rho * noise: both products and sums commute.
+            noise *= self.rho
+            noise += mu
+            return noise
         return (mu[:, None] + self.rho * noise).T
 
 

@@ -18,6 +18,7 @@ and any sweep can be replayed on its own (sgs_sweep without a factory).
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ PHASE_BLOCKS = 0
 PHASE_MASTER = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainState:
     """One Markov-chain iterate: (theta, z_1..z_b) plus the seed it grew from.
 
@@ -118,18 +119,27 @@ class SweepStreams:
     def __init__(self, root: int):
         self.key = _chain_key(int(root))
         self._generator = np.random.Generator(np.random.Philox(key=self.key))
+        self._bit_generator = self._generator.bit_generator
         self._counter = [0, 0, 0, 0]
         self._state = {"bit_generator": "Philox",
                        "state": {"counter": self._counter, "key": self.key.tolist()},
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def __call__(self, sweep: int, phase: int) -> np.random.Generator:
-        gen = self._generator
         counter = self._counter
         counter[1] = phase
         counter[2] = sweep
-        gen.bit_generator.state = self._state
-        return gen
+        self._bit_generator.state = self._state
+        return self._generator
+
+
+def _draw_group(group, theta: np.ndarray, rho: float, rng):
+    """Every block of one factor group given theta: (z, BlockReports)."""
+    a_theta = group.couple(theta)
+    if group.sampler is not None:
+        return group.sampler(a_theta, rho, rng), _closed_form_reports(group.b)
+    z, proposals, gd_steps, expected = sample_z_group(group, a_theta, rho, rng)
+    return z, BlockReports(proposals, gd_steps, expected)
 
 
 def _draw_blocks(model: SplitModel, theta: np.ndarray, rho: float, rng):
@@ -138,22 +148,14 @@ def _draw_blocks(model: SplitModel, theta: np.ndarray, rho: float, rng):
     The reports of a one-group model are the arrays its draw returned; a
     model of several groups joins them, with zeros for closed-form groups.
     """
-    z_new, drawn = [], []
-    for g in model.groups:
-        a_theta = g.couple(theta)
-        if g.sampler is not None:
-            z_new.append(g.sampler(a_theta, rho, rng))
-            drawn.append(_closed_form_reports(g.b))
-        else:
-            z, proposals, gd_steps, expected = sample_z_group(g, a_theta, rho, rng)
-            z_new.append(z)
-            drawn.append(BlockReports(proposals, gd_steps, expected))
-    if len(drawn) == 1:
-        return tuple(z_new), drawn[0]
+    if len(model.groups) == 1:
+        z, reports = _draw_group(model.groups[0], theta, rho, rng)
+        return (z,), reports
+    z_new, drawn = zip(*(_draw_group(g, theta, rho, rng) for g in model.groups))
     if model.closed_form:
-        return tuple(z_new), _closed_form_reports(model.b)
-    return tuple(z_new), BlockReports(*(np.concatenate([getattr(r, name) for r in drawn])
-                                        for name in BlockReports.__slots__))
+        return z_new, _closed_form_reports(model.b)
+    return z_new, BlockReports(*(np.concatenate([getattr(r, name) for r in drawn])
+                                 for name in BlockReports.__slots__))
 
 
 @lru_cache(maxsize=16)
@@ -163,6 +165,14 @@ def _closed_form_reports(b: int) -> BlockReports:
     for a in arrays:
         a.setflags(write=False)
     return BlockReports(*arrays)
+
+
+@lru_cache(maxsize=16)
+def _zeros(d: int) -> np.ndarray:
+    """Read-only zeros of length d, the second factor of sgs_sweep's finiteness check."""
+    zeros = np.zeros(d)
+    zeros.setflags(write=False)
+    return zeros
 
 
 def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
@@ -184,10 +194,13 @@ def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
     Finiteness is checked once per sweep, on the new theta: the master
     draw assembles A^T z, which carries a NaN or an infinity of any block
     into theta, through a zero coupling row too (0 * inf and 0 * NaN are
-    NaN). Only when theta is not finite are the blocks scanned, and
-    NonFiniteDraw names the sweep and the first bad block, or the master
-    draw when every block is finite. An infinite block may also make numpy
-    warn of invalid arithmetic in that master draw before the error.
+    NaN). The check is the dot product of theta with zeros: 0 x is 0 for
+    every finite x, however large, and NaN otherwise, so it warns of
+    nothing on a finite theta, where a sum could overflow. Only when theta
+    is not finite are the blocks scanned, and NonFiniteDraw names the sweep
+    and the first bad block, or the master draw when every block is finite.
+    A non-finite theta may also make numpy warn of invalid arithmetic
+    before the error.
     """
     if theta_cond is None:
         theta_cond = ThetaConditional(model, config.rho)
@@ -197,7 +210,7 @@ def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
     z_new, reports = _draw_blocks(model, state.theta, config.rho,
                                   rng_factory(sweep, PHASE_BLOCKS))
     theta_new = theta_cond.sample(z_new, rng_factory(sweep, PHASE_MASTER))
-    if not np.isfinite(theta_new).all():
+    if not math.isfinite(theta_new.dot(_zeros(model.d))):
         start = 0
         for z in z_new:
             finite = np.isfinite(z)
@@ -301,14 +314,15 @@ def am_solve(model: SplitModel, rho: float, iters: int,
     Each iteration takes the conditional mode of every block (closed form
     when available, warm-start descent to inner_tol otherwise) and then the
     exact master-parameter mode, the sweep's own conditional mean
-    SplitModel.master_mean: the deterministic twin of the sweep. Returns
+    ThetaConditional.mean: the deterministic twin of the sweep. Returns
     (theta, z) with z one (b_g, k_g) array per group, as in ChainState.
     """
+    master = ThetaConditional(model, rho)
     theta = np.zeros(model.d) if theta0 is None else np.array(theta0, dtype=float)
     z = None
     for _ in range(iters):
         z = [_group_mode(g, g.couple(theta), rho, inner_tol) for g in model.groups]
-        theta = model.master_mean(z)
+        theta = master.mean(z)
     return theta, z
 
 
@@ -317,18 +331,20 @@ def admm_solve(model: SplitModel, rho: float, iters: int,
     """Alternating direction method of multipliers on the same splitting.
 
     z-step: argmin U_i(z) + ||z - (A_i theta - u_i)||^2/(2 rho^2)
-    theta-step: normal equations G theta = sum_i A_i^T (z_i + u_i)
+    theta-step: normal equations G theta = sum_i A_i^T (z_i + u_i), by
+    ThetaConditional.mean
     dual step: u_i += z_i - A_i theta
 
     Returns (theta, z, duals), z and duals one (b_g, k_g) array per group.
     """
+    master = ThetaConditional(model, rho)
     theta = np.zeros(model.d) if theta0 is None else np.array(theta0, dtype=float)
     duals = [np.zeros((g.b, g.k)) for g in model.groups]
     z = [g.couple(theta) for g in model.groups]
     for _ in range(iters):
         z = [_group_mode(g, g.couple(theta) - u, rho, inner_tol)
              for g, u in zip(model.groups, duals)]
-        theta = model.master_mean([zg + u for zg, u in zip(z, duals)])
+        theta = master.mean([zg + u for zg, u in zip(z, duals)])
         duals = [u + zg - g.couple(theta) for g, zg, u in zip(model.groups, z, duals)]
     return theta, z, duals
 

@@ -24,7 +24,9 @@ d-dimensional model; the draws differ from stepping all d coordinates,
 their law does not. A mixing time is a first passage (_first_passage): the first
 sweep at which the population's TV or W1 distance to the target drops below
 its threshold. The cells of every grid run one after another, on one thread.
-Each fits a slope over its grid, so a grid needs two distinct values.
+Each fits a slope over its grid, so a grid needs two distinct values. Every
+selected part is planned, which checks its parameters, before any part runs,
+so a refusal leaves no part's CSV behind.
 
 The mixture run scores its samples by Pearson chi^2 in equal-mass bins of
 the target's projection, counted as equal bins of [0, 1] of the projected
@@ -302,10 +304,13 @@ def _population_sweep(group, rho, thetas, rng):
 
     The block is drawn by the group's own closed-form sampler with the
     chains as a leading axis. The coupling is the identity, so G = I and
-    the exact master draw is z + rho xi.
+    the exact master draw is z + rho xi, computed in place.
     """
     z = group.sampler(thetas[:, None, :], rho, rng)[:, 0, :]
-    return z + rho * rng.standard_normal(thetas.shape)
+    noise = rng.standard_normal(thetas.shape)
+    noise *= rho
+    noise += z
+    return noise
 
 
 def _binned_tv_vs_gaussian(x, edges, cdf):
@@ -323,11 +328,23 @@ def _tv_noise_floor(var, n_chains, edges, cdf, rng):
     return float(np.mean(vals))
 
 
-def _coordinate_zero(m, n_chains):
-    """Coordinate 0 of aniso_gaussian(d, m, M) as a one-coordinate group, for n_chains >= 2."""
+def _check_chains(n_chains: int) -> int:
     if n_chains < 2:
         raise InvalidParameter(f"a mixing time needs n_chains >= 2, got {n_chains}")
+    return n_chains
+
+
+def _coordinate_zero(m, n_chains):
+    """Coordinate 0 of aniso_gaussian(d, m, M) as a one-coordinate group, for n_chains >= 2."""
+    _check_chains(n_chains)
     return make_quadratic_group(np.ones((1, 1, 1)), precision=m, center=0.0)
+
+
+def _small_m(kappa: float, M: float) -> float:
+    """m = M / kappa, for a condition number kappa > 0."""
+    if not kappa > 0:
+        raise InvalidParameter(f"gaussian-mixing needs condition numbers kappa > 0, got {kappa}")
+    return M / kappa
 
 
 def _first_passage(group, rho, thetas, rng, sweep_cap, distance, threshold):
@@ -395,19 +412,40 @@ def run_gaussian_mixing(spec: ExperimentSpec):
         if which in (part, "all") and len({kind(v) for v in p[key]}) < 2:
             raise InvalidParameter(f"gaussian-mixing fits its {part} slope over {key}, which "
                                    f"needs two distinct values, got {p[key]}")
+    # Every selected part is planned, and so checked, before any part runs.
+    M = 1.0
+    if which in ("dimension", "all"):
+        d_grid = [int(v) for v in p["d_grid"]]
+        m, M_dim = float(p["m"]), float(p["M"])
+        n_chains = _check_chains(int(p["n_chains"]))
+        dim_plans = {d: plan_tv_single(m, M_dim, d, eps) for d in d_grid}
+    if which in ("kappa", "all"):
+        kappa_grid = [float(v) for v in p["kappa_grid"]]
+        d = int(p["d"])
+        n_chains_w1 = _check_chains(int(p["n_chains_w1"]))
+        if d < 1:
+            raise InvalidParameter(f"gaussian-mixing needs d >= 1, got {d}")
+        kappa_plans = {}
+        for kappa in kappa_grid:
+            mm = _small_m(kappa, M)
+            kappa_plans[kappa] = mm, plan_w1_single(mm, M, eps)
+    if which in ("precision", "all"):
+        eps_grid = [float(v) for v in p["eps_grid"]]
+        d_precision = int(p["d_precision"])
+        kappa_precision = float(p["kappa_precision"])
+        n_chains_precision = _check_chains(int(p["n_chains_precision"]))
+        m_precision = _small_m(kappa_precision, M)
+        eps_plans = {e: plan_tv_single(m_precision, M, d_precision, e) for e in eps_grid}
     results = {}
     outputs = []
 
     if which in ("dimension", "all"):
-        d_grid = [int(v) for v in p["d_grid"]]
-        m, M = float(p["m"]), float(p["M"])
-        n_chains = int(p["n_chains"])
         rows = []
         for d in sorted(d_grid):
-            plan = plan_tv_single(m, M, d, eps)
+            plan = dim_plans[d]
             cap = int(3 * plan.t_mix) + 10
             for rep in range(replicates):
-                t_emp, floor, capped = _mixing_time_tv(m, M, plan.rho, eps, n_chains,
+                t_emp, floor, capped = _mixing_time_tv(m, M_dim, plan.rho, eps, n_chains,
                                                        _seed_for(spec.seed, 1, d, rep), cap)
                 rows.append({"d": d, "replicate": rep, "rho2": plan.rho2, "k_sgs": plan.k_sgs,
                              "t_theory": plan.t_mix, "t_empirical": t_emp,
@@ -415,27 +453,20 @@ def run_gaussian_mixing(spec: ExperimentSpec):
         means = {d: np.mean([r["t_empirical"] for r in rows if r["d"] == d]) for d in d_grid}
         slope = _loglog_slope(list(means), list(means.values()))
         config = {"experiment": "gaussian-mixing/dimension", "seed": spec.seed,
-                  "eps": eps, "m": m, "M": M, "n_chains": n_chains,
+                  "eps": eps, "m": m, "M": M_dim, "n_chains": n_chains,
                   "replicates": replicates, "fit_slope": slope}
         outputs.append(_write_csv(spec.out_dir / "gaussian_mixing_dimension.csv",
                                   config, list(rows[0]), rows))
         results["dimension_slope"] = slope
 
     if which in ("kappa", "all"):
-        kappa_grid = [float(v) for v in p["kappa_grid"]]
-        d = int(p["d"])
-        n_chains = int(p["n_chains_w1"])
-        if d < 1:
-            raise InvalidParameter(f"gaussian-mixing needs d >= 1, got {d}")
-        M = 1.0
         rows = []
         for kappa in kappa_grid:
-            mm = M / kappa
-            plan = plan_w1_single(mm, M, eps)
+            mm, plan = kappa_plans[kappa]
             cap = int(5 * math.log(10.0 / eps) / plan.k_sgs) + 10
             for rep in range(replicates):
                 t_emp, capped = _mixing_time_w1(
-                    mm, plan.rho, eps, n_chains, _seed_for(spec.seed, 2, int(kappa), rep), cap)
+                    mm, plan.rho, eps, n_chains_w1, _seed_for(spec.seed, 2, int(kappa), rep), cap)
                 rows.append({"kappa": kappa, "replicate": rep, "rho2": plan.rho2,
                              "k_sgs": plan.k_sgs, "branch": plan.metadata["active_branch"],
                              "t_empirical": t_emp, "hit_cap": capped})
@@ -443,27 +474,21 @@ def run_gaussian_mixing(spec: ExperimentSpec):
                  for k in kappa_grid}
         slope = _loglog_slope(list(means), list(means.values()))
         config = {"experiment": "gaussian-mixing/kappa", "seed": spec.seed, "eps": eps,
-                  "d": d, "n_chains": n_chains, "replicates": replicates,
+                  "d": d, "n_chains": n_chains_w1, "replicates": replicates,
                   "fit_slope": slope}
         outputs.append(_write_csv(spec.out_dir / "gaussian_mixing_kappa.csv",
                                   config, list(rows[0]), rows))
         results["kappa_slope"] = slope
 
     if which in ("precision", "all"):
-        eps_grid = [float(v) for v in p["eps_grid"]]
-        d = int(p["d_precision"])
-        kappa = float(p["kappa_precision"])
-        n_chains = int(p["n_chains_precision"])
         reps = min(replicates, 3)
-        M = 1.0
-        mm = M / kappa
         rows = []
         for e in eps_grid:
-            plan = plan_tv_single(mm, M, d, e)
+            plan = eps_plans[e]
             cap = int(3 * plan.t_mix) + 10
             for rep in range(reps):
                 t_emp, floor, capped = _mixing_time_tv(
-                    mm, M, plan.rho, e, n_chains,
+                    m_precision, M, plan.rho, e, n_chains_precision,
                     _seed_for(spec.seed, 3, int(1000 * e), rep), cap, n_bins=40)
                 rows.append({"eps": e, "replicate": rep, "rho2": plan.rho2,
                              "k_sgs": plan.k_sgs, "t_theory": plan.t_mix,
@@ -474,8 +499,8 @@ def run_gaussian_mixing(spec: ExperimentSpec):
         xs = [math.log(2.0 / e) / e for e in eps_grid]
         slope = _loglog_slope(xs, list(means.values()))
         config = {"experiment": "gaussian-mixing/precision", "seed": spec.seed,
-                  "d": d, "kappa": kappa, "n_chains": n_chains, "replicates": reps,
-                  "fit_slope_vs_log2eps_over_eps": slope}
+                  "d": d_precision, "kappa": kappa_precision, "n_chains": n_chains_precision,
+                  "replicates": reps, "fit_slope_vs_log2eps_over_eps": slope}
         outputs.append(_write_csv(spec.out_dir / "gaussian_mixing_precision.csv",
                                   config, list(rows[0]), rows))
         results["precision_slope"] = slope
@@ -539,14 +564,20 @@ def run_mixture(spec: ExperimentSpec):
         exact = signs[:, None] * a + rng.standard_normal((n_samples, d))
 
         # ULA on the same target with stepsize h = rho^2 (wall-clock baseline);
-        # each chain is a row of the group's one block.
+        # each chain is a row of the group's one block. The update
+        # x - h grad + sqrt(2h) xi is made in place.
         ula_sweeps = min(plan6.t_mix, ula_cap)
         h = rho**2
+        noise_scale = math.sqrt(2.0 * h)
         ula_thetas = rng.standard_normal((n_samples, d)) / math.sqrt(M)
         t0 = time.perf_counter()
         for _ in range(ula_sweeps):
-            ula_thetas = (ula_thetas - h * group.gradient(ula_thetas, ALL_BLOCKS)
-                          + math.sqrt(2.0 * h) * rng.standard_normal(ula_thetas.shape))
+            drift = group.gradient(ula_thetas, ALL_BLOCKS)
+            drift *= h
+            ula_thetas -= drift
+            noise = rng.standard_normal(ula_thetas.shape)
+            noise *= noise_scale
+            ula_thetas += noise
         ula_per_sweep = (time.perf_counter() - t0) / ula_sweeps
 
         na = float(np.linalg.norm(a))

@@ -18,6 +18,7 @@ import copy
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky, get_lapack_funcs
@@ -100,9 +101,14 @@ class FactorGroup:
     def d(self) -> int:
         return self.a.shape[2]
 
+    @cached_property
+    def _block_shape(self) -> tuple[int, int]:
+        return self.a.shape[:2]
+
     def couple(self, theta: np.ndarray) -> np.ndarray:
         """A_j theta for every block, shape (b, k)."""
-        return (self.a_flat @ theta).reshape(self.b, self.k)
+        # ndarray.dot calls the same BLAS gemv as @, with less dispatch.
+        return self.a_flat.dot(theta).reshape(self._block_shape)
 
 
 class SplitModel:
@@ -214,15 +220,11 @@ class SplitModel:
         """sum_i A_i^T z_i, with z given as one (b_g, k_g) array per group."""
         if len(self.groups) == 1:
             (z,) = z_groups
-            return self.groups[0].a_flat.T @ z.reshape(-1)
+            return self.groups[0].a_flat.T.dot(z.reshape(-1))
         s = np.zeros(self.d)
         for g, z in zip(self.groups, z_groups):
-            s += g.a_flat.T @ z.reshape(-1)
+            s += g.a_flat.T.dot(z.reshape(-1))
         return s
-
-    def master_mean(self, z_groups) -> np.ndarray:
-        """G^{-1} sum_i A_i^T z_i: the mean of theta | z and the master step of the mode twin."""
-        return self.solve_gram(self.assemble(z_groups))
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         """G^{-1} rhs through the cached Cholesky factor, for rhs of shape (d,) or (d, n)."""
@@ -304,7 +306,10 @@ def _compute_constants(model: SplitModel) -> ModelConstants:
     max_M = float(model.M.max())
 
     if m_U > 0.0 and math.isfinite(max_M):
-        sigma2_U = gram_norm * max_M**2 / m_U
+        try:
+            sigma2_U = gram_norm * max_M**2 / m_U
+        except OverflowError:  # max_M^2 is beyond the double range, and so is sigma2_U
+            sigma2_U = math.inf
         sign_M, logdet_M = np.linalg.slogdet(weighted_M)
         sign_m, logdet_m = np.linalg.slogdet(weighted_m)
         log_det_ratio = float(logdet_M - logdet_m) if sign_M > 0 and sign_m > 0 else math.inf
@@ -443,7 +448,10 @@ def make_quadratic_group(a, precision, center) -> FactorGroup:
     precision shared by all blocks; center broadcasts to (b, k). The
     coupled conditional is Gaussian with precision P + I/rho^2: with
     shrink = 1/(1 + rho^2 P), its mean is shrink (a_theta + rho^2 P c) and
-    its variance rho^2 shrink. The sampler is the mode plus scaled noise,
+    its variance rho^2 shrink. The constants that depend on rho alone
+    (shrink, the noise scale sqrt(rho^2 shrink) and rho^2 P shrink c) are
+    computed at the first draw at a rho and kept for the last rho only, as
+    a chain draws at one rho. The sampler is the mode plus scaled noise,
     so null noise turns it into the mode bit for bit, and it accepts any
     leading axes in front of the (b, k) block axes. Centering moves the
     center of a tilted block to A_j theta* on the coordinates where P > 0
@@ -466,17 +474,26 @@ def make_quadratic_group(a, precision, center) -> FactorGroup:
     def gradient(z, rows):
         return p * (z - c[rows])
 
+    at_rho = (None,)
+
+    def constants(rho):
+        """(rho, shrink, noise scale, rho^2 P shrink c), computed once per rho."""
+        nonlocal at_rho
+        if at_rho[0] != rho:
+            shrink = 1.0 / (1.0 + p * rho**2)
+            at_rho = (rho, shrink, np.sqrt(rho**2 * shrink), (rho**2 * p * shrink) * c)
+        return at_rho
+
     # In-place updates save two temporaries per draw on chain populations.
     def mode(a_theta, rho):
-        shrink = 1.0 / (1.0 + p * rho**2)
+        _, shrink, _, offset = constants(rho)
         z = a_theta * shrink
-        z += (rho**2 * p * shrink) * c
+        z += offset
         return z
 
     def sampler(a_theta, rho, rng):
-        shrink = 1.0 / (1.0 + p * rho**2)
         noise = rng.standard_normal(a_theta.shape)
-        noise *= np.sqrt(rho**2 * shrink)
+        noise *= constants(rho)[2]
         z = mode(a_theta, rho)
         z += noise
         return z

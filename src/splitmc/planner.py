@@ -155,6 +155,10 @@ def plan_tv_multi(model: SplitModel, eps: float, theta_star: np.ndarray,
     C = d sigma_U^2 + rho^4 (2+d) sigma_U^4 + (17/32) sum d_i + (1/2) log-det ratio.
     Raises NotCentered when a factor gradient at theta_star exceeds 1e-8;
     find_minimizer and center_model give theta_star and the centered model.
+    Raises InvalidParameter (a validity failure, as for any width whose
+    square leaves the double range) when the quartic root's argument
+    8 eps sigma_U^4 (2 + 3d/2) / sum(d_i M_i)^2 is not a positive finite
+    double: sigma_U^4 or sum(d_i M_i)^2 overflows or underflows.
     """
     _check_eps(eps)
     consts = constants if constants is not None else model_constants(model)
@@ -166,11 +170,18 @@ def plan_tv_multi(model: SplitModel, eps: float, theta_star: np.ndarray,
             f"factor gradients at the minimizer reach {residual:.3e}; center the model first"
         )
     d = consts.d
-    s4 = consts.sigma2_U**2
     poly = 2.0 + 1.5 * d
     sum_dM = consts.sum_dims_M
-    root_branch = sum_dM * (math.sqrt(1.0 + 8.0 * eps * s4 * poly / sum_dM**2) - 1.0) \
-        / (4.0 * s4 * poly)
+    try:
+        s4 = consts.sigma2_U**2
+        growth = 8.0 * eps * s4 * poly / sum_dM**2
+    except (OverflowError, ZeroDivisionError):
+        growth = math.nan
+    if not 0.0 < growth < math.inf:
+        raise InvalidParameter(
+            f"sigma_U^2 = {consts.sigma2_U} and sum d_i M_i = {sum_dM} put the multi-split "
+            "plan's 8 eps sigma_U^4 (2 + 3d/2) / (sum d_i M_i)^2 outside the double range")
+    root_branch = sum_dM * (math.sqrt(1.0 + growth) - 1.0) / (4.0 * s4 * poly)
     cap_branch = 1.0 / (6.0 * consts.sigma2_U)
     rho2 = min(root_branch, cap_branch)
     k = k_sgs(model, math.sqrt(rho2))

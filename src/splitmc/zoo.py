@@ -69,10 +69,13 @@ def mixture_group(a: np.ndarray, m: float) -> FactorGroup:
     covariance rho^2/(1+rho^2) I, means (a_theta +- a rho^2)/(1+rho^2) and
     weights (1, exp(-2 a_theta . a / (1+rho^2))). The sampler accepts any
     leading axes in front of the (1, d) block axes and takes, in this
-    order, one uniform per row (the component) and the normals.
+    order, one uniform per row (the component) and the normals. Its
+    constants at one rho (1 + rho^2, a rho^2 and the noise scale) are
+    computed at the first draw at that rho and kept for the last rho only.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
+    at_rho = (None,)
 
     def value(z, rows):
         return 0.5 * np.sum((z - a) ** 2, axis=1) - _softplus(-2.0 * (z @ a))
@@ -81,12 +84,21 @@ def mixture_group(a: np.ndarray, m: float) -> FactorGroup:
         return z - a + 2.0 * expit(-2.0 * (z @ a))[:, None] * a
 
     def sampler(a_theta, rho, rng):
-        s = a_theta @ a
+        nonlocal at_rho
+        if at_rho[0] != rho:
+            at_rho = (rho, 1.0 + rho**2, a * rho**2, math.sqrt(rho**2 / (1.0 + rho**2)))
+        _, one_rho2, a_rho2, scale = at_rho
+        s = a_theta.dot(a)
         # p = w1/(w1+w2) with w1 = 1, w2 = exp(-2 <a_theta, a>/(1+rho^2)).
-        p_first = expit(2.0 * s / (1.0 + rho**2))
+        p_first = expit(2.0 * s / one_rho2)
         signs = np.where(rng.uniform(size=s.shape) < p_first, 1.0, -1.0)
-        mu = (a_theta + signs[..., None] * a * rho**2) / (1.0 + rho**2)
-        return mu + math.sqrt(rho**2 / (1.0 + rho**2)) * rng.standard_normal(a_theta.shape)
+        # A sign flip is exact, so signs (a rho^2) is (signs a) rho^2 bit for bit.
+        mu = a_theta + signs[..., None] * a_rho2
+        mu /= one_rho2
+        noise = rng.standard_normal(a_theta.shape)
+        noise *= scale
+        mu += noise
+        return mu
 
     return FactorGroup(np.eye(d)[None], value, gradient, m=m, M=1.0, sampler=sampler)
 

@@ -109,6 +109,10 @@ class TestExperimentCommand:
             run_cli(["experiment", "nope"])
 
 
+# The plan and bias argvs of TestExitCodes whose only fault is a directory as --out.
+_OUT_DIRECTORY_REFUSALS = (["plan", "--theorem", "w1", "--eps", "0.1"], ["bias"])
+
+
 class TestExitCodes:
     def test_numerical_failures_map_to_3(self, monkeypatch, capfd):
         from splitmc import cli
@@ -180,9 +184,19 @@ class TestExitCodes:
         ["experiment", "gaussian-mixing", "--set", "which=precision",
          "--set", "kappa_precision=0.5"],
         ["experiment", "gaussian-mixing", "--set", "which=precision", "--set", "d_precision=0"],
+        ["experiment", "gaussian-mixing", "--set", "which=precision",
+         "--set", "kappa_precision=0"],
+        ["experiment", "gaussian-mixing", "--set", "which=kappa", "--set", "kappa_grid=(0,10)"],
+        # Refused before the dimension and kappa parts run and write their CSVs.
+        ["experiment", "gaussian-mixing", "--set", "d_precision=0"],
     ])
     def test_invalid_parameters_map_to_2(self, argv, tmp_path, capfd):
-        assert main(argv + ["--out", str(tmp_path)]) == 2
+        # plan and bias write one CSV file and refuse a directory as --out
+        # before anything else, so they are given a file path, except in the
+        # argvs that check that refusal.
+        writes_file = argv[0] in ("plan", "bias") and argv not in _OUT_DIRECTORY_REFUSALS
+        out = tmp_path / "out.csv" if writes_file else tmp_path
+        assert main(argv + ["--out", str(out)]) == 2
         assert "validity violation" in capfd.readouterr().err
         assert not any(tmp_path.iterdir())
 
@@ -196,6 +210,13 @@ class TestExitCodes:
         ["--theorem", "w1", "--eps", "0.1", "--m", "1e-320", "--big-m", "1e300"],
         ["--theorem", "w1", "--eps", "0.1", "--m", "inf", "--big-m", "inf"],
         ["--theorem", "tv-single", "--eps", "1e-300", "--m", "1e-10"],
+        # sigma_U^4 overflows, and sigma_U^2 itself, and (sum d_i M_i)^2 underflows.
+        ["--theorem", "tv-multi", "--model", "aniso-gaussian", "--kappa", "1e300", "--d", "3",
+         "--eps", "0.1"],
+        ["--theorem", "tv-multi", "--model", "aniso-gaussian", "--big-m", "1e200", "--d", "3",
+         "--eps", "0.1"],
+        ["--theorem", "tv-multi", "--model", "aniso-gaussian", "--big-m", "1e-200", "--d", "3",
+         "--eps", "0.1"],
     ])
     def test_degenerate_plans_map_to_2(self, argv, tmp_path, capfd):
         out = tmp_path / "plan.csv"

@@ -730,3 +730,57 @@ class TestClosedFormConditionals:
         assert np.allclose(group.mode(a_theta, rho), mean, rtol=1e-14, atol=0)
         draws = group.sampler(np.broadcast_to(a_theta, (n, 4, 2)), rho, rng)
         self.assert_gaussian_law(draws, mean, np.broadcast_to(1.0 / prec, (4, 2)))
+
+    @staticmethod
+    def closed_form_groups():
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((4, 2, 3))
+        return {
+            "quadratic-scalar": lambda: make_quadratic_group(a, precision=0.7,
+                                                             center=np.arange(8.0).reshape(4, 2)),
+            "quadratic-diagonal": lambda: make_quadratic_group(a, precision=[0.5, 2.0],
+                                                               center=0.25),
+            "mixture": lambda: mixture_group(np.array([0.3, -0.2, 0.4]), m=0.71),
+        }
+
+    @pytest.mark.parametrize("name", ["quadratic-scalar", "quadratic-diagonal", "mixture"])
+    def test_rho_constants_follow_the_rho_of_each_draw(self, name):
+        # A group keeps the constants of the last rho it drew at; drawing at
+        # rho1, rho2 and rho1 again gives the draws of fresh groups, bit for
+        # bit, for single chains and for populations on a leading axis.
+        make = self.closed_form_groups()[name]
+        used = make()
+        a_theta = used.couple(np.array([0.4, -1.1, 0.8]))
+        population = np.broadcast_to(a_theta, (5,) + a_theta.shape)
+        for rho in (0.3, 1.7, 0.3):
+            for x in (a_theta, population):
+                got = used.sampler(x, rho, np.random.default_rng(3))
+                want = make().sampler(x, rho, np.random.default_rng(3))
+                assert np.array_equal(got, want)
+            if used.mode is not None:
+                assert np.array_equal(used.mode(a_theta, rho), make().mode(a_theta, rho))
+
+    @pytest.mark.parametrize("name", ["quadratic-scalar", "quadratic-diagonal"])
+    def test_mode_is_the_sampler_under_null_noise(self, name):
+        class NullNoise:
+            def standard_normal(self, size=None):
+                return np.zeros(size)
+
+        group = self.closed_form_groups()[name]()
+        a_theta = group.couple(np.array([0.4, -1.1, 0.8]))
+        for rho in (0.3, 1.7, 0.3):
+            assert np.array_equal(group.sampler(a_theta, rho, NullNoise()),
+                                  group.mode(a_theta, rho))
+
+    def test_quadratic_draws_keep_their_formula(self):
+        # The per-rho constants are the expressions the draw computed inline.
+        p, c = np.array([0.5, 2.0]), np.array([[1.0, -1.0]])
+        group = make_quadratic_group(np.eye(2)[None], precision=p, center=c)
+        a_theta = np.array([[0.3, 0.9]])
+        for rho in (0.6, 2.5):
+            shrink = 1.0 / (1.0 + p * rho**2)
+            mode = a_theta * shrink + (rho**2 * p * shrink) * c
+            noise = np.random.default_rng(4).standard_normal(a_theta.shape)
+            assert np.array_equal(group.mode(a_theta, rho), mode)
+            assert np.array_equal(group.sampler(a_theta, rho, np.random.default_rng(4)),
+                                  mode + noise * np.sqrt(rho**2 * shrink))

@@ -300,6 +300,43 @@ class TestReproducibility:
         with pytest.raises(NonFiniteDraw, match=r"^sweep 1: the master draw is not finite$"):
             sgs_sweep(model, state, SamplerConfig(rho=1.0, sweeps=1), rng_factory=factory)
 
+    @staticmethod
+    def _master_normals(normals):
+        """A stream factory whose master draw takes the given normals."""
+        class FixedNormals:
+            def standard_normal(self, size=None):
+                return np.array(normals, dtype=float)
+
+        streams = SweepStreams(0)
+        return lambda sweep, phase: (streams(sweep, phase) if phase == PHASE_BLOCKS
+                                     else FixedNormals())
+
+    def test_huge_finite_master_draw_passes_without_warnings(self):
+        # aniso-gaussian couples through the identity, so G = L = I and theta
+        # is mu + rho xi: normals near the largest double give a finite theta
+        # whose entries are near +-1e308, and whose sum overflows in any
+        # order. No product or sum in the check may overflow or warn on it.
+        model = build_model("aniso-gaussian", d=3)
+        state = initial_state(model, np.zeros(3), seed=0)
+        normals = [1.7e308, 1.7e308, -1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new, _ = sgs_sweep(model, state, SamplerConfig(rho=1.0, sweeps=1),
+                               rng_factory=self._master_normals(normals))
+        assert np.isfinite(new.theta).all() and np.abs(new.theta).min() > 9e307
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("coordinate", [0, 1, 2])
+    def test_non_finite_master_draw_in_each_coordinate(self, bad, coordinate):
+        model = build_model("aniso-gaussian", d=3)
+        state = initial_state(model, np.zeros(3), seed=0)
+        normals = [0.5, -0.5, 1e308]
+        normals[coordinate] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NonFiniteDraw, match=r"^sweep 1: the master draw is not finite$"):
+            sgs_sweep(model, state, SamplerConfig(rho=1.0, sweeps=1),
+                      rng_factory=self._master_normals(normals))
+
 
 class TestStreamContract:
     def test_key_is_the_root_seed_sequence_state(self):
