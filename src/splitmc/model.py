@@ -4,9 +4,8 @@ A model is a list of factors (A_i, U_i), and FactorGroup is the one type
 that holds them: b blocks of one dimension with a stacked coupling matrix
 and array-valued potentials, so that everything done to all blocks runs as
 array operations. A single factor is a group with b = 1. Each block
-carries its strong-convexity constant m, gradient-Lipschitz constant M
-(may be inf) and value-Lipschitz constant L (may be inf); the constants
-are user-certified inputs, validated only by spot finite-difference
+carries its strong-convexity constant m and gradient-Lipschitz constant M
+(may be inf); the constants are user-certified inputs, validated only by spot finite-difference
 checks in the test suite.
 
 Models are immutable after construction and safe to share across chains.
@@ -45,7 +44,7 @@ class FactorGroup:
     blocks selected by rows (an index array or a slice into the group) at the
     matching rows of z, of shape (r, k); value returns shape (r,), gradient
     (r, k), each a new array (the warm-start descent updates the gradient
-    in place). m, M and L hold the certified constants of every block.
+    in place). m and M hold the certified constants of every block.
     sampler(a_theta, rho, rng) / mode(a_theta, rho), when present, draw from
     or minimize every block's coupled conditional at once, with a_theta of
     shape (b, k); they are the only closed forms of a conditional. Groups
@@ -56,35 +55,34 @@ class FactorGroup:
     blocks selected by the boolean mask off carry the potential
     U_j(z) - <grad U_j(a_theta_star[j]), z> (up to a constant per block),
     as a group of the same family: same kernels, same closed forms, the
-    same coupling a and the same m, M and L, since a linear tilt changes no
+    same coupling a and the same m and M, since a linear tilt changes no
     curvature. center_model calls it, and relies on that contract: the
     centered model keeps its parent's Gram matrix, Cholesky factor and
     aggregate constants instead of computing them again, and refuses a
     group whose coupling or m, M differ.
     """
 
-    def __init__(self, a, value, gradient, m, M, L=math.inf, sampler=None, mode=None,
-                 recenter=None):
+    def __init__(self, a, value, gradient, m, M, sampler=None, mode=None, recenter=None):
         a = np.array(a, dtype=float)
         if a.ndim != 3 or 0 in a.shape:
             raise DimensionMismatch(f"group coupling has shape {a.shape}, expected (b, k, d)")
         a.setflags(write=False)
         b = a.shape[0]
-        m, M, L = (np.broadcast_to(np.asarray(c, dtype=float), (b,)).copy() for c in (m, M, L))
-        if (m < 0).any() or (L < 0).any():
+        m, M = (np.broadcast_to(np.asarray(c, dtype=float), (b,)).copy() for c in (m, M))
+        if (m < 0).any():
             raise InvalidParameter("constants must be nonnegative")
         bad = np.flatnonzero(np.isfinite(M) & (m > M * (1 + 1e-12)))
         if bad.size:
             j = int(bad[0])
             raise InvalidParameter(f"block {j}: m={m[j]} exceeds M={M[j]}")
-        for c in (m, M, L):
+        for c in (m, M):
             c.setflags(write=False)
         self.smooth = bool(np.isfinite(M).all())
         self.a = a
         self.a_flat = a.reshape(-1, a.shape[2])
         self.value = value
         self.gradient = gradient
-        self.m, self.M, self.L = m, M, L
+        self.m, self.M = m, M
         self.sampler = sampler
         self.mode = mode
         self.recenter = recenter
@@ -165,7 +163,7 @@ class SplitModel:
     def _tilted(self, groups) -> SplitModel:
         """This model with each group replaced by a tilt of it (FactorGroup.recenter).
 
-        A tilt keeps the coupling and (m, M, L), so the tilted model is a
+        A tilt keeps the coupling and (m, M), so the tilted model is a
         shallow copy of this one: it shares the Gram matrix, Cholesky factor,
         LAPACK handles, constants and every other attribute rather than
         rebuilding them. A group whose coupling or constants differ from

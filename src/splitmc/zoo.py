@@ -67,33 +67,50 @@ def mixture_group(a: np.ndarray, m: float) -> FactorGroup:
     ||a|| < 1; m is its certified strong convexity 1 - ||a||^2, and M = 1.
     The coupled conditional is a two-component mixture with shared
     covariance rho^2/(1+rho^2) I, means (a_theta +- a rho^2)/(1+rho^2) and
-    weights (1, exp(-2 a_theta . a / (1+rho^2))). The sampler accepts any
-    leading axes in front of the (1, d) block axes and takes, in this
-    order, one uniform per row (the component) and the normals. Its
-    constants at one rho (1 + rho^2, a rho^2 and the noise scale) are
-    computed at the first draw at that rho and kept for the last rho only.
+    weights (1, exp(-2 a_theta . a / (1+rho^2))).
+
+    The sampler accepts any leading axes in front of the (1, d) block axes.
+    It draws from rng, in this order, one uniform per row (rng.random; the
+    + component when it falls below the first weight's share) and then the
+    normals of a_theta's shape. Its constants at one rho (1 + rho^2, the
+    two-row table [-a rho^2, +a rho^2] and the noise scale) are computed at
+    the first draw at that rho and kept for the last rho only; a row's mean
+    offset is taken from the table by its component. a_theta . a is
+    np.vecdot, which gives the bits of a_theta.dot(a) on every row without
+    the slow path of dot on a 3-D array; a flattened 2-D dot would go through
+    gemv and change the last bit. The gradient works against a contiguous
+    tile of a, one row per row of z, kept for the last row count only.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
     at_rho = (None,)
+    tile = a[None]
 
     def value(z, rows):
         return 0.5 * np.sum((z - a) ** 2, axis=1) - _softplus(-2.0 * (z @ a))
 
     def gradient(z, rows):
-        return z - a + 2.0 * expit(-2.0 * (z @ a))[:, None] * a
+        nonlocal tile
+        if tile.shape[0] != z.shape[0]:
+            tile = np.tile(a, (z.shape[0], 1))
+        g = z - tile
+        g += 2.0 * expit(-2.0 * (z @ a))[:, None] * tile
+        return g
 
     def sampler(a_theta, rho, rng):
         nonlocal at_rho
         if at_rho[0] != rho:
-            at_rho = (rho, 1.0 + rho**2, a * rho**2, math.sqrt(rho**2 / (1.0 + rho**2)))
-        _, one_rho2, a_rho2, scale = at_rho
-        s = a_theta.dot(a)
+            a_rho2 = a * rho**2
+            # A sign flip is exact, so row 0 and row 1 are (-1) a rho^2 and
+            # (+1) a rho^2 bit for bit; a row's component picks its row.
+            at_rho = (rho, 1.0 + rho**2, np.stack([-a_rho2, a_rho2]),
+                      math.sqrt(rho**2 / (1.0 + rho**2)))
+        _, one_rho2, offsets, scale = at_rho
+        s = np.vecdot(a_theta, a)
         # p = w1/(w1+w2) with w1 = 1, w2 = exp(-2 <a_theta, a>/(1+rho^2)).
         p_first = expit(2.0 * s / one_rho2)
-        signs = np.where(rng.uniform(size=s.shape) < p_first, 1.0, -1.0)
-        # A sign flip is exact, so signs (a rho^2) is (signs a) rho^2 bit for bit.
-        mu = a_theta + signs[..., None] * a_rho2
+        mu = offsets.take(rng.random(s.shape) < p_first, axis=0)
+        mu += a_theta
         mu /= one_rho2
         noise = rng.standard_normal(a_theta.shape)
         noise *= scale
@@ -151,10 +168,10 @@ def _logit_group(a: np.ndarray, design: np.ndarray | None, labels: np.ndarray,
         eigs = np.linalg.eigvalsh(np.swapaxes(design, 1, 2) @ design)
         m = alpha * np.maximum(eigs[:, 0], 0.0)
         M = (alpha + 0.25) * eigs[:, -1]
-    return _logit_kernels(a, design, labels, alpha, m, M, math.inf)
+    return _logit_kernels(a, design, labels, alpha, m, M)
 
 
-def _logit_kernels(a, design, labels, alpha, m, M, L) -> FactorGroup:
+def _logit_kernels(a, design, labels, alpha, m, M) -> FactorGroup:
     """The group of _logit_group with its constants given.
 
     Centering folds the tilt into the labels: with u* = X_j z*_j and the
@@ -182,9 +199,9 @@ def _logit_kernels(a, design, labels, alpha, m, M, L) -> FactorGroup:
     def recenter(a_theta_star, off):
         u = a_theta_star if design is None else (design @ a_theta_star[:, :, None])[:, :, 0]
         w = np.where(off[:, None], expit(u) - labels + alpha * u, 0.0)
-        return _logit_kernels(a, design, labels + w, alpha, m, M, L)
+        return _logit_kernels(a, design, labels + w, alpha, m, M)
 
-    return FactorGroup(a, value, gradient, m=m, M=M, L=L, recenter=recenter)
+    return FactorGroup(a, value, gradient, m=m, M=M, recenter=recenter)
 
 
 def logistic_split1(d: int = 10, n: int = 200, seed: int = 0) -> SplitModel:

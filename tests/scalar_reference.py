@@ -56,7 +56,7 @@ def replicate_block(group, j: int, n: int) -> FactorGroup:
         return lambda z, rows: fn(z, np.full(len(z), j))
 
     return FactorGroup(np.repeat(group.a[j:j + 1], n, axis=0), at_j(group.value),
-                       at_j(group.gradient), group.m[j], group.M[j], group.L[j])
+                       at_j(group.gradient), group.m[j], group.M[j])
 
 
 def rejection_quadratic(m: float, big_m: float | None = None, k: int = 1) -> FactorGroup:

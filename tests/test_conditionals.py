@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.optimize import brentq
+from scipy.special import expit
 from scipy.stats import kstest, norm
 
 from splitmc import (
@@ -431,7 +432,7 @@ def recording(group):
         return call
 
     copy = FactorGroup(group.a, logged("value", group.value), logged("gradient", group.gradient),
-                       group.m, group.M, group.L)
+                       group.m, group.M)
     return copy, calls
 
 
@@ -784,3 +785,37 @@ class TestClosedFormConditionals:
             assert np.array_equal(group.mode(a_theta, rho), mode)
             assert np.array_equal(group.sampler(a_theta, rho, np.random.default_rng(4)),
                                   mode + noise * np.sqrt(rho**2 * shrink))
+
+    def test_mixture_draws_keep_their_formula(self):
+        # The sampler's vecdot, random() and table of +-a rho^2 give the bits
+        # of the 3-D dot, uniform() and sign broadcast it replaced, on a single
+        # chain, a population and a stride-0 population, across rho changes.
+        a = np.array([0.3, -0.2, 0.4, 0.1])
+        group = mixture_group(a, m=1.0 - float(a @ a))
+        rng = np.random.default_rng(12)
+        single = group.couple(rng.standard_normal(4))
+        population = rng.standard_normal((2500, 1, 4))
+        stride0 = np.broadcast_to(single, (2500, 1, 4))
+
+        def formula(a_theta, rho, rng):
+            s = a_theta.dot(a)
+            p_first = expit(2.0 * s / (1.0 + rho**2))
+            signs = np.where(rng.uniform(size=s.shape) < p_first, 1.0, -1.0)
+            mu = (a_theta + signs[..., None] * (a * rho**2)) / (1.0 + rho**2)
+            return mu + rng.standard_normal(a_theta.shape) * math.sqrt(rho**2 / (1.0 + rho**2))
+
+        for rho in (0.3, 1.7, 0.3):
+            for x in (single, population, stride0):
+                got = group.sampler(x, rho, np.random.default_rng(5))
+                assert np.array_equal(got, formula(x, rho, np.random.default_rng(5)))
+
+    def test_mixture_gradient_keeps_its_formula(self):
+        # The gradient against its tile of a, kept for the last row count,
+        # gives the bits of the broadcast expression as the count changes.
+        a = np.array([0.3, -0.2, 0.4, 0.1])
+        group = mixture_group(a, m=1.0 - float(a @ a))
+        rng = np.random.default_rng(13)
+        for n in (1, 2500, 1):
+            z = 2.0 * rng.standard_normal((n, 4))
+            want = z - a + 2.0 * expit(-2.0 * (z @ a))[:, None] * a
+            assert np.array_equal(group.gradient(z, ALL_BLOCKS), want)

@@ -58,8 +58,7 @@ class TestPotentialInvariants:
             FactorGroup(np.ones((3, 1, 1)), value=None, gradient=None,
                         m=[0.5, 2.0, 0.5], M=1.0)
 
-    @pytest.mark.parametrize("constants", [{"m": -0.5, "M": 1.0},
-                                           {"m": 0.5, "M": 1.0, "L": -1.0}], ids=["m", "L"])
+    @pytest.mark.parametrize("constants", [{"m": -0.5, "M": 1.0}], ids=["m"])
     def test_negative_constants_are_invalid(self, constants):
         with pytest.raises(InvalidParameter, match="constants must be nonnegative"):
             FactorGroup(np.ones((2, 1, 1)), value=None, gradient=None, **constants)
@@ -313,7 +312,6 @@ class TestCentering:
         for before, after in zip(model.groups, centered.groups):
             assert np.array_equal(after.m, before.m)
             assert np.array_equal(after.M, before.M)
-            assert np.array_equal(after.L, before.L)
 
     @pytest.mark.parametrize("build", [
         lambda: build_model("logistic-split1", d=4, n=40, seed=5),
@@ -378,7 +376,7 @@ class TestCenteringFold:
         shift = group.gradient(a_star, ALL_BLOCKS)
         shift[~off] = 0.0
         centered = group.recenter(a_star, off)
-        for c in ("m", "M", "L"):
+        for c in ("m", "M"):
             assert np.array_equal(getattr(centered, c), getattr(group, c))
         assert (centered.sampler is None) == (group.sampler is None)
         assert (centered.mode is None) == (group.mode is None)
@@ -522,7 +520,7 @@ class TestZooModels:
         (unit,) = model.groups
         x, y = model.data
         ones = _logit_group(x[:, None, :], np.ones((n, 1, 1)), y[:, None], model.prior_alpha)
-        for c in ("m", "M", "L"):
+        for c in ("m", "M"):
             assert getattr(unit, c).tobytes() == getattr(ones, c).tobytes()
         z = 3.0 * np.random.default_rng(8).standard_normal((n, 1))
         z[:4, 0] = (0.0, 40.0, -40.0, 800.0)

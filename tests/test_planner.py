@@ -41,7 +41,7 @@ class TestContractionConstant:
     def test_zero_strong_convexity_gives_zero(self):
         flat = FactorGroup(np.eye(2)[None], value=lambda z, rows: np.abs(z).sum(axis=1),
                            gradient=lambda z, rows: np.sign(z),
-                           m=0.0, M=math.inf, L=math.sqrt(2.0))
+                           m=0.0, M=math.inf)
         model = SplitModel(2, [flat])
         assert k_sgs(model, 1.0) == pytest.approx(0.0, abs=1e-14)
 
