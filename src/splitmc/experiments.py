@@ -466,7 +466,7 @@ def run_gaussian_mixing(spec: ExperimentSpec):
             cap = int(5 * math.log(10.0 / eps) / plan.k_sgs) + 10
             for rep in range(replicates):
                 t_emp, capped = _mixing_time_w1(
-                    mm, plan.rho, eps, n_chains_w1, _seed_for(spec.seed, 2, int(kappa), rep), cap)
+                    mm, plan.rho, eps, n_chains_w1, _seed_for(spec.seed, 2, _bits(kappa), rep), cap)
                 rows.append({"kappa": kappa, "replicate": rep, "rho2": plan.rho2,
                              "k_sgs": plan.k_sgs, "branch": plan.metadata["active_branch"],
                              "t_empirical": t_emp, "hit_cap": capped})
@@ -489,7 +489,7 @@ def run_gaussian_mixing(spec: ExperimentSpec):
             for rep in range(reps):
                 t_emp, floor, capped = _mixing_time_tv(
                     m_precision, M, plan.rho, e, n_chains_precision,
-                    _seed_for(spec.seed, 3, int(1000 * e), rep), cap, n_bins=40)
+                    _seed_for(spec.seed, 3, _bits(e), rep), cap, n_bins=40)
                 rows.append({"eps": e, "replicate": rep, "rho2": plan.rho2,
                              "k_sgs": plan.k_sgs, "t_theory": plan.t_mix,
                              "t_empirical": t_emp, "tv_noise_floor": floor,
@@ -511,6 +511,11 @@ def run_gaussian_mixing(spec: ExperimentSpec):
 
 def _seed_for(seed, *key):
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
+
+
+def _bits(value: float) -> int:
+    """A seed key for a grid value: its float64 bits, so distinct values get distinct keys."""
+    return int(np.float64(value).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

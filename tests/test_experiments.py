@@ -97,15 +97,15 @@ class TestGaussianMixing:
                         ("22", "0.1329066081725387", "False"),
                         ("21", "0.1387994259233182", "False"),
                         ("49", "0.11590079685175679", "False")],
-          "kappa": [("26", "False"), ("23", "False"), ("56", "False"), ("40", "False")],
-          "precision": [("3", "0.04421602680302803", "False"),
-                        ("3", "0.04440110196604724", "False"),
-                        ("12", "0.03444538010917895", "False"),
-                        ("10", "0.03443317369122606", "False")]}),
+          "kappa": [("15", "False"), ("22", "False"), ("48", "False"), ("45", "False")],
+          "precision": [("3", "0.03554095076831859", "False"),
+                        ("4", "0.03684196444290372", "False"),
+                        ("10", "0.045358558114440915", "False"),
+                        ("13", "0.03903811280752414", "False")]}),
         # Tight enough that some chains stop at the sweep cap.
         ({"which": "kappa", "eps": 0.03, "replicates": 2, "kappa_grid": (10, 12),
           "n_chains_w1": 200},
-         {"kappa": [("3100", "True"), ("1613", "False"), ("3052", "False"), ("923", "False")]}),
+         {"kappa": [("1237", "False"), ("3100", "True"), ("3392", "True"), ("3392", "True")]}),
     ])
     def test_mixing_times_are_pinned(self, params, pinned, tmp_path):
         # Seed-7 first passages as the CSVs print them, row by row. Changes to
@@ -116,6 +116,28 @@ class TestGaussianMixing:
             _, got = read_csv(tmp_path / f"gaussian_mixing_{which}.csv")
             keys = [k for k in ("t_empirical", "tv_noise_floor", "hit_cap") if k in got[0]]
             assert [tuple(r[k] for k in keys) for r in got] == rows
+
+    @pytest.mark.parametrize("params, helper, at, result", [
+        ({"which": "kappa", "kappa_grid": (10.2, 10.7)}, "_mixing_time_w1", 4, (1, False)),
+        ({"which": "precision", "eps_grid": (0.0551, 0.0559)}, "_mixing_time_tv", 5,
+         (1, 0.0, False)),
+    ], ids=["kappa", "precision"])
+    def test_grid_cells_draw_distinct_streams(self, params, helper, at, result, tmp_path,
+                                              monkeypatch):
+        # Grid values that share their integer part (or their thousandths)
+        # still seed their replicates apart.
+        from splitmc import experiments
+
+        seeds = []
+
+        def record(*args, **kwargs):
+            seeds.append(args[at])
+            return result
+
+        monkeypatch.setattr(experiments, helper, record)
+        run_gaussian_mixing(ExperimentSpec("gaussian-mixing", dict(params, replicates=2),
+                                           seed=7, out_dir=tmp_path))
+        assert len(seeds) == 4 and len(set(seeds)) == 4
 
 
 class TestPopulationSweepsMatchKernelLaws:
