@@ -69,17 +69,16 @@ def mixture_group(a: np.ndarray, m: float) -> FactorGroup:
     covariance rho^2/(1+rho^2) I, means (a_theta +- a rho^2)/(1+rho^2) and
     weights (1, exp(-2 a_theta . a / (1+rho^2))).
 
-    The sampler accepts any leading axes in front of the (1, d) block axes.
-    It draws from rng, in this order, one uniform per row (rng.random; the
-    + component when it falls below the first weight's share) and then the
-    normals of a_theta's shape. Its constants at one rho (1 + rho^2, the
-    two-row table [-a rho^2, +a rho^2] and the noise scale) are computed at
-    the first draw at that rho and kept for the last rho only; a row's mean
-    offset is taken from the table by its component. a_theta . a is
-    np.vecdot, which gives the bits of a_theta.dot(a) on every row without
-    the slow path of dot on a 3-D array; a flattened 2-D dot would go through
-    gemv and change the last bit. The gradient works against a contiguous
-    tile of a, one row per row of z, kept for the last row count only.
+    The sampler accepts any leading axes in front of the (1, d) block axes
+    and draws from rng, in this order, one rng.random per row (the + component
+    when below the + weight's share) and the normals of a_theta's shape. Its
+    constants at one rho (1 + rho^2, the two-row table [-a rho^2, +a rho^2]
+    that a row's component indexes, and the noise scale) are computed at the
+    first draw at that rho and kept for the last rho only. np.vecdot gives
+    the bits of a_theta.dot(a) on every row without dot's slow path on 3-D
+    arrays (a flattened 2-D dot goes through gemv and moves the last bit).
+    The gradient works against a contiguous tile of a with one row per row
+    of z, kept for the last row count only.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
@@ -101,8 +100,7 @@ def mixture_group(a: np.ndarray, m: float) -> FactorGroup:
         nonlocal at_rho
         if at_rho[0] != rho:
             a_rho2 = a * rho**2
-            # A sign flip is exact, so row 0 and row 1 are (-1) a rho^2 and
-            # (+1) a rho^2 bit for bit; a row's component picks its row.
+            # Negation is exact, so the rows are (-+1.0) (a rho^2) bit for bit.
             at_rho = (rho, 1.0 + rho**2, np.stack([-a_rho2, a_rho2]),
                       math.sqrt(rho**2 / (1.0 + rho**2)))
         _, one_rho2, offsets, scale = at_rho
