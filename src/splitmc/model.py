@@ -5,8 +5,8 @@ that holds them: b blocks of one dimension with a stacked coupling matrix
 and array-valued potentials, so that everything done to all blocks runs as
 array operations. A single factor is a group with b = 1. Each block
 carries its strong-convexity constant m and gradient-Lipschitz constant M
-(may be inf); the constants are user-certified inputs, validated only by spot finite-difference
-checks in the test suite.
+(may be inf); the constants are user-certified inputs, validated only by
+spot finite-difference checks in the test suite.
 
 Models are immutable after construction and safe to share across chains.
 """
