@@ -20,24 +20,19 @@ from .errors import InvalidParameter, NotSmooth
 from .model import ModelConstants
 from .numerics import parabolic_cylinder_ratio
 
-TV = "TV"
-W1 = "W1"
-
 
 @dataclass(frozen=True)
 class BiasBound:
-    """A bound value plus the predicate under which it is in force.
+    """A bound's value, the rule that gave it, and whether it is in force.
 
-    TV values are clipped to [0, 1] (the raw value is kept alongside);
-    a failed validity predicate is reported, never raised, so sweeps over
-    rho can show where a bound stops applying.
+    TV values are clipped to [0, 1] (raw_value keeps the unclipped one); a
+    failed validity condition is reported as valid False, never raised, so
+    sweeps over rho can show where a bound stops applying.
     """
 
     value: float
-    distance: str
     rule: str
     valid: bool = True
-    validity: str = "always"
     raw_value: float | None = None
     extras: dict = field(default_factory=dict)
 
@@ -69,8 +64,8 @@ def tv_bound_lipschitz(lipschitz, dims, rho: float) -> BiasBound:
         prod *= parabolic_cylinder_ratio(d, L * rho)
     raw = 1.0 - prod
     linear = 2.0 * rho * sum(math.sqrt(d) * L for L, d in zip(lipschitz, dims))
-    return BiasBound(value=raw, distance=TV, rule="lipschitz",
-                     raw_value=raw, extras={"small_rho_linearization": linear})
+    return BiasBound(value=raw, rule="lipschitz", raw_value=raw,
+                     extras={"small_rho_linearization": linear})
 
 
 def tv_bound_strongly_convex(constants: ModelConstants, rho: float) -> BiasBound:
@@ -87,16 +82,13 @@ def tv_bound_strongly_convex(constants: ModelConstants, rho: float) -> BiasBound
         raise NotSmooth("the smooth TV bound needs finite smoothness constants")
     if constants.b == 1:
         raw = 0.5 * rho**2 * constants.d * constants.M_list[0]
-        return BiasBound(value=min(raw, 1.0), distance=TV, rule="smooth-single",
-                         raw_value=raw)
+        return BiasBound(value=min(raw, 1.0), rule="smooth-single", raw_value=raw)
     s4 = constants.sigma2_U**2
     raw = 0.5 * rho**2 * constants.sum_dims_M + (2.0 + 1.5 * constants.d) * rho**4 * s4
     cap = 1.0 / (6.0 * constants.sigma2_U)
     valid = constants.m_U > 0.0 and rho**2 <= cap
-    descr = "centered model, m_U > 0, rho^2 <= 1/(6 sigma_U^2)"
-    return BiasBound(value=min(raw, 1.0), distance=TV, rule="smooth-multi",
-                     valid=bool(valid), validity=descr, raw_value=raw,
-                     extras={"rho2_cap": cap})
+    return BiasBound(value=min(raw, 1.0), rule="smooth-multi", valid=bool(valid),
+                     raw_value=raw)
 
 
 def w1_bound_single(M1: float, d: int, rho: float) -> BiasBound:
@@ -107,9 +99,8 @@ def w1_bound_single(M1: float, d: int, rho: float) -> BiasBound:
     lin = rho * math.sqrt(d)
     quad = 0.5 * rho**2 * math.sqrt(M1 * d)
     branch = "quadratic" if quad <= lin else "linear"
-    return BiasBound(value=min(lin, quad), distance=W1, rule="heat-single",
-                     extras={"active_branch": branch,
-                             "crossover_rho": 2.0 / math.sqrt(M1)})
+    return BiasBound(value=min(lin, quad), rule="heat-single",
+                     extras={"active_branch": branch})
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,12 @@ from the experiment's own (m, M) (_coordinate_zero) and never build the
 d-dimensional model; the draws differ from stepping all d coordinates,
 their law does not. A mixing time is a first passage (_first_passage): the first
 sweep at which the population's TV or W1 distance to the target drops below
-its threshold. The cells of every grid run one after another, on one thread.
-Each fits a slope over its grid, so a grid needs two distinct values. Every
-selected part is planned, which checks its parameters, before any part runs,
-so a refusal leaves no part's CSV behind.
+its threshold. The dimension, kappa and precision parts share one loop: each
+gives its grid, its plans, a cell per (grid value, replicate) and its config
+echo, and the loop runs the cells one after another, on one thread, then fits
+the log-log slope of the mean mixing times over the distinct grid values, so
+a grid needs two of them. Every selected part is planned, which checks its
+parameters, before any part runs, so a refusal leaves no part's CSV behind.
 
 The mixture run scores its samples by Pearson chi^2 in equal-mass bins of
 the target's projection, counted as equal bins of [0, 1] of the projected
@@ -413,22 +415,44 @@ def run_gaussian_mixing(spec: ExperimentSpec):
             raise InvalidParameter(f"gaussian-mixing fits its {part} slope over {key}, which "
                                    f"needs two distinct values, got {p[key]}")
     # Every selected part is planned, and so checked, before any part runs.
+    # A part is (name, grid column, plans by distinct grid value, the grid in
+    # row order, cell, the slope's config key, the slope's x for a grid value,
+    # config echo with the replicate count); its cell gives a row's last columns.
     M = 1.0
+    parts = []
     if which in ("dimension", "all"):
         d_grid = [int(v) for v in p["d_grid"]]
         m, M_dim = float(p["m"]), float(p["M"])
         n_chains = _check_chains(int(p["n_chains"]))
         dim_plans = {d: plan_tv_single(m, M_dim, d, eps) for d in d_grid}
+
+        def dimension_cell(d, plan, rep):
+            t_emp, floor, capped = _mixing_time_tv(m, M_dim, plan.rho, eps, n_chains,
+                                                   _seed_for(spec.seed, 1, d, rep),
+                                                   int(3 * plan.t_mix) + 10)
+            return {"t_theory": plan.t_mix, "t_empirical": t_emp, "tv_noise_floor": floor,
+                    "hit_cap": capped}
+
+        parts.append(("dimension", "d", dim_plans, sorted(d_grid), dimension_cell, "fit_slope",
+                      float, {"eps": eps, "m": m, "M": M_dim, "n_chains": n_chains,
+                              "replicates": replicates}))
     if which in ("kappa", "all"):
         kappa_grid = [float(v) for v in p["kappa_grid"]]
         d = int(p["d"])
         n_chains_w1 = _check_chains(int(p["n_chains_w1"]))
         if d < 1:
             raise InvalidParameter(f"gaussian-mixing needs d >= 1, got {d}")
-        kappa_plans = {}
-        for kappa in kappa_grid:
-            mm = _small_m(kappa, M)
-            kappa_plans[kappa] = mm, plan_w1_single(mm, M, eps)
+        kappa_plans = {k: plan_w1_single(_small_m(k, M), M, eps) for k in kappa_grid}
+
+        def kappa_cell(kappa, plan, rep):
+            t_emp, capped = _mixing_time_w1(_small_m(kappa, M), plan.rho, eps, n_chains_w1,
+                                            _seed_for(spec.seed, 2, _bits(kappa), rep),
+                                            int(5 * math.log(10.0 / eps) / plan.k_sgs) + 10)
+            return {"branch": plan.metadata["active_branch"], "t_empirical": t_emp,
+                    "hit_cap": capped}
+
+        parts.append(("kappa", "kappa", kappa_plans, kappa_grid, kappa_cell, "fit_slope", float,
+                      {"eps": eps, "d": d, "n_chains": n_chains_w1, "replicates": replicates}))
     if which in ("precision", "all"):
         eps_grid = [float(v) for v in p["eps_grid"]]
         d_precision = int(p["d_precision"])
@@ -436,75 +460,31 @@ def run_gaussian_mixing(spec: ExperimentSpec):
         n_chains_precision = _check_chains(int(p["n_chains_precision"]))
         m_precision = _small_m(kappa_precision, M)
         eps_plans = {e: plan_tv_single(m_precision, M, d_precision, e) for e in eps_grid}
-    results = {}
-    outputs = []
 
-    if which in ("dimension", "all"):
-        rows = []
-        for d in sorted(d_grid):
-            plan = dim_plans[d]
-            cap = int(3 * plan.t_mix) + 10
-            for rep in range(replicates):
-                t_emp, floor, capped = _mixing_time_tv(m, M_dim, plan.rho, eps, n_chains,
-                                                       _seed_for(spec.seed, 1, d, rep), cap)
-                rows.append({"d": d, "replicate": rep, "rho2": plan.rho2, "k_sgs": plan.k_sgs,
-                             "t_theory": plan.t_mix, "t_empirical": t_emp,
-                             "tv_noise_floor": floor, "hit_cap": capped})
-        means = {d: np.mean([r["t_empirical"] for r in rows if r["d"] == d]) for d in d_grid}
-        slope = _loglog_slope(list(means), list(means.values()))
-        config = {"experiment": "gaussian-mixing/dimension", "seed": spec.seed,
-                  "eps": eps, "m": m, "M": M_dim, "n_chains": n_chains,
-                  "replicates": replicates, "fit_slope": slope}
-        outputs.append(_write_csv(spec.out_dir / "gaussian_mixing_dimension.csv",
+        def precision_cell(e, plan, rep):
+            t_emp, floor, capped = _mixing_time_tv(
+                m_precision, M, plan.rho, e, n_chains_precision,
+                _seed_for(spec.seed, 3, _bits(e), rep), int(3 * plan.t_mix) + 10, n_bins=40)
+            return {"t_theory": plan.t_mix, "t_empirical": t_emp, "tv_noise_floor": floor,
+                    "hit_cap": capped}
+
+        parts.append(("precision", "eps", eps_plans, eps_grid, precision_cell,
+                      "fit_slope_vs_log2eps_over_eps", lambda e: math.log(2.0 / e) / e,
+                      {"d": d_precision, "kappa": kappa_precision,
+                       "n_chains": n_chains_precision, "replicates": min(replicates, 3)}))
+
+    results, outputs = {}, []
+    for name, column, plans, row_grid, cell, slope_key, fit_x, config in parts:
+        rows = [{column: v, "replicate": rep, "rho2": plans[v].rho2, "k_sgs": plans[v].k_sgs,
+                 **cell(v, plans[v], rep)}
+                for v in row_grid for rep in range(config["replicates"])]
+        means = {v: np.mean([r["t_empirical"] for r in rows if r[column] == v]) for v in plans}
+        slope = _loglog_slope([fit_x(v) for v in means], list(means.values()))
+        config = {"experiment": f"gaussian-mixing/{name}", "seed": spec.seed, **config,
+                  slope_key: slope}
+        outputs.append(_write_csv(spec.out_dir / f"gaussian_mixing_{name}.csv",
                                   config, list(rows[0]), rows))
-        results["dimension_slope"] = slope
-
-    if which in ("kappa", "all"):
-        rows = []
-        for kappa in kappa_grid:
-            mm, plan = kappa_plans[kappa]
-            cap = int(5 * math.log(10.0 / eps) / plan.k_sgs) + 10
-            for rep in range(replicates):
-                t_emp, capped = _mixing_time_w1(
-                    mm, plan.rho, eps, n_chains_w1, _seed_for(spec.seed, 2, _bits(kappa), rep), cap)
-                rows.append({"kappa": kappa, "replicate": rep, "rho2": plan.rho2,
-                             "k_sgs": plan.k_sgs, "branch": plan.metadata["active_branch"],
-                             "t_empirical": t_emp, "hit_cap": capped})
-        means = {k: np.mean([r["t_empirical"] for r in rows if r["kappa"] == k])
-                 for k in kappa_grid}
-        slope = _loglog_slope(list(means), list(means.values()))
-        config = {"experiment": "gaussian-mixing/kappa", "seed": spec.seed, "eps": eps,
-                  "d": d, "n_chains": n_chains_w1, "replicates": replicates,
-                  "fit_slope": slope}
-        outputs.append(_write_csv(spec.out_dir / "gaussian_mixing_kappa.csv",
-                                  config, list(rows[0]), rows))
-        results["kappa_slope"] = slope
-
-    if which in ("precision", "all"):
-        reps = min(replicates, 3)
-        rows = []
-        for e in eps_grid:
-            plan = eps_plans[e]
-            cap = int(3 * plan.t_mix) + 10
-            for rep in range(reps):
-                t_emp, floor, capped = _mixing_time_tv(
-                    m_precision, M, plan.rho, e, n_chains_precision,
-                    _seed_for(spec.seed, 3, _bits(e), rep), cap, n_bins=40)
-                rows.append({"eps": e, "replicate": rep, "rho2": plan.rho2,
-                             "k_sgs": plan.k_sgs, "t_theory": plan.t_mix,
-                             "t_empirical": t_emp, "tv_noise_floor": floor,
-                             "hit_cap": capped})
-        means = {e: np.mean([r["t_empirical"] for r in rows if r["eps"] == e])
-                 for e in eps_grid}
-        xs = [math.log(2.0 / e) / e for e in eps_grid]
-        slope = _loglog_slope(xs, list(means.values()))
-        config = {"experiment": "gaussian-mixing/precision", "seed": spec.seed,
-                  "d": d_precision, "kappa": kappa_precision, "n_chains": n_chains_precision,
-                  "replicates": reps, "fit_slope_vs_log2eps_over_eps": slope}
-        outputs.append(_write_csv(spec.out_dir / "gaussian_mixing_precision.csv",
-                                  config, list(rows[0]), rows))
-        results["precision_slope"] = slope
-
+        results[f"{name}_slope"] = slope
     results["csv"] = outputs
     return results
 

@@ -241,9 +241,6 @@ class SplitModel:
             raise SingularGram(f"Cholesky solve failed with LAPACK info {info}")
         return x
 
-    def smooth(self) -> bool:
-        return bool(np.isfinite(self.M).all())
-
 
 @dataclass(frozen=True)
 class Minimizer:
@@ -293,7 +290,6 @@ def model_constants(model: SplitModel) -> ModelConstants:
 
 def _compute_constants(model: SplitModel) -> ModelConstants:
     d = model.d
-    smooth = model.smooth()
     weighted_m = model.weighted_gram(model.m)
     weighted_M = model.weighted_gram(np.where(np.isfinite(model.M), model.M, 0.0))
 
@@ -315,7 +311,7 @@ def _compute_constants(model: SplitModel) -> ModelConstants:
     else:
         sigma2_U = math.inf
         log_det_ratio = math.inf
-        lambda_max_M = lambda_extremes(weighted_M)[1] if smooth else math.inf
+        lambda_max_M = lambda_extremes(weighted_M)[1] if math.isfinite(max_M) else math.inf
 
     return ModelConstants(
         d=d,
@@ -346,8 +342,9 @@ def find_minimizer(model: SplitModel, tol: float | None = None,
     as in plain gradient descent. Stops at ||grad U|| <= tol (default 1e-10
     (1 + ||grad U(0)||)), or raises NonConvergence after
     ceil(10 kappa log(1/min(tol, 1/2))) steps or at a non-finite gradient.
+    Raises NotSmooth, before the constants are computed, if a group is not smooth.
     """
-    if not model.smooth():
+    if not all(group.smooth for group in model.groups):
         raise NotSmooth("minimizer search needs finite smoothness constants; "
                         "supply theta_star directly for non-smooth potentials")
     consts = model_constants(model)

@@ -28,7 +28,11 @@ TV_NONSTRONGLY = "TV-nonstrongly"
 
 @dataclass(frozen=True)
 class Plan:
-    """A sampling prescription: coupling width, contraction rate and step count."""
+    """A sampling prescription: coupling width, contraction rate and step count.
+
+    metadata holds each theorem's width branch and constants, and the law its
+    guarantee starts from (initial_distribution).
+    """
 
     rho2: float
     t_mix: int
@@ -95,7 +99,6 @@ def plan_w1_single(m1: float, M1: float, eps: float) -> Plan:
     quad_branch = eps**2 / (4.0 * m1)
     geo_branch = eps / math.sqrt(m1 * M1)
     rho2 = max(quad_branch, geo_branch)
-    kappa = M1 / m1
     boundary_kappa = 16.0 / eps**2
     # m1 * rho2 equals the max in the step-count formula.
     growth = m1 * rho2
@@ -106,7 +109,6 @@ def plan_w1_single(m1: float, M1: float, eps: float) -> Plan:
         metadata={
             "active_branch": "eps^2/(4m)" if quad_branch >= geo_branch else "eps/sqrt(mM)",
             "branch_boundary_kappa": boundary_kappa,
-            "kappa": kappa,
             "guarantee": "W1 <= eps*sqrt(d/m1) from the minimizer point mass",
             "initial_distribution": "dirac(theta_star)",
         },
@@ -139,7 +141,6 @@ def plan_tv_single(m1: float, M1: float, d: int, eps: float) -> Plan:
         rho2=rho2, t_mix=t_mix, k_sgs=k, C=c_const, theorem=TV_SINGLE, epsilon=eps,
         metadata={
             "initial_distribution": "normal(theta_star, (M1 A1^T A1)^{-1})",
-            "bias_budget": "rho^2 d M1 / 2 <= eps/2",
         },
     )
 
@@ -193,10 +194,7 @@ def plan_tv_multi(model: SplitModel, eps: float, theta_star: np.ndarray,
         metadata={
             "active_branch": "quartic-root" if root_branch <= cap_branch else "sigma-cap",
             "sigma2_U": consts.sigma2_U,
-            "m_U": consts.m_U,
             "initial_distribution": "normal(theta_star, (sum M_i A_i^T A_i)^{-1})",
-            "theta_star": np.asarray(theta_star, dtype=float),
-            "centering_residual": residual,
         },
     )
 
@@ -226,10 +224,8 @@ def plan_tv_nonstrongly(M1: float, eps: float, R: float, d: int) -> Plan:
         rho2=rho2, t_mix=t_mix, k_sgs=k, C=c_const, theorem=TV_NONSTRONGLY,
         epsilon=eps, regularizer_lambda=lam,
         metadata={
-            "regularized_constants": {"m": lam, "M": M1 + lam},
             "error_budget": ("eps/3 regularization bias", "eps/3 coupling bias",
                              "eps/3 chain error"),
             "initial_distribution": "normal(theta_star, ((M1+lambda) A1^T A1)^{-1})",
-            "model_transform": "U + (lambda/2)||theta - theta_star||^2",
         },
     )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from splitmc.cli import main
 from splitmc.experiments import (
     ExperimentSpec,
     read_csv,
@@ -66,6 +67,65 @@ class TestRateToy:
         assert out["tv_measured_slope"] < out["tv_bound_slope"] < 0
 
 
+_PINNED_DIMENSION = """\
+# M = 1.0
+# eps = 0.1
+# experiment = gaussian-mixing/dimension
+# fit_slope = 1.0418201756946273
+# m = 0.25
+# n_chains = 200
+# replicates = 2
+# seed = 7
+d,replicate,rho2,k_sgs,t_theory,t_empirical,tv_noise_floor,hit_cap
+4,0,0.025,0.006211180124223602,907,12,0.1356977913674797,False
+4,1,0.025,0.006211180124223602,907,22,0.1329066081725387,False
+8,0,0.0125,0.003115264797507788,2655,21,0.1387994259233182,False
+8,1,0.0125,0.003115264797507788,2655,49,0.11590079685175679,False
+"""
+_PINNED_KAPPA = """\
+# d = 10
+# eps = 0.1
+# experiment = gaussian-mixing/kappa
+# fit_slope = 0.6648527227395403
+# n_chains = 200
+# replicates = 2
+# seed = 7
+kappa,replicate,rho2,k_sgs,branch,t_empirical,hit_cap
+10.0,0,0.31622776601683794,0.03065343003171551,eps/sqrt(mM),15,False
+10.0,1,0.31622776601683794,0.03065343003171551,eps/sqrt(mM),22,False
+40.0,0,0.6324555320336759,0.015565279620747085,eps/sqrt(mM),48,False
+40.0,1,0.6324555320336759,0.015565279620747085,eps/sqrt(mM),45,False
+"""
+_PINNED_PRECISION = """\
+# d = 2
+# experiment = gaussian-mixing/precision
+# fit_slope_vs_log2eps_over_eps = 2.318786324267989
+# kappa = 3.0
+# n_chains = 2000
+# replicates = 2
+# seed = 7
+eps,replicate,rho2,k_sgs,t_theory,t_empirical,tv_noise_floor,hit_cap
+0.16,0,0.08,0.025974025974025972,143,3,0.03554095076831859,False
+0.16,1,0.08,0.025974025974025972,143,4,0.03684196444290372,False
+0.11,0,0.055,0.01800327332242226,227,10,0.045358558114440915,False
+0.11,1,0.055,0.01800327332242226,227,13,0.03903811280752414,False
+"""
+_PINNED_KAPPA_CAPPED = """\
+# d = 10
+# eps = 0.03
+# experiment = gaussian-mixing/kappa
+# fit_slope = 2.4538186350721576
+# n_chains = 200
+# replicates = 2
+# seed = 7
+kappa,replicate,rho2,k_sgs,branch,t_empirical,hit_cap
+10.0,0,0.09486832980505137,0.009397678771594581,eps/sqrt(mM),1237,False
+10.0,1,0.09486832980505137,0.009397678771594581,eps/sqrt(mM),3100,True
+12.0,0,0.10392304845413264,0.008585897980192901,eps/sqrt(mM),3392,True
+12.0,1,0.10392304845413264,0.008585897980192901,eps/sqrt(mM),3392,True
+"""
+
+
 class TestGaussianMixing:
     def test_dimension_sweep_small(self, tmp_path):
         spec = ExperimentSpec("gaussian-mixing",
@@ -93,29 +153,33 @@ class TestGaussianMixing:
     @pytest.mark.parametrize("params, pinned", [
         ({"d_grid": (8, 4), "replicates": 2, "n_chains": 200, "kappa_grid": (10, 40),
           "n_chains_w1": 200, "eps_grid": (0.16, 0.11), "n_chains_precision": 2000},
-         {"dimension": [("12", "0.1356977913674797", "False"),
-                        ("22", "0.1329066081725387", "False"),
-                        ("21", "0.1387994259233182", "False"),
-                        ("49", "0.11590079685175679", "False")],
-          "kappa": [("15", "False"), ("22", "False"), ("48", "False"), ("45", "False")],
-          "precision": [("3", "0.03554095076831859", "False"),
-                        ("4", "0.03684196444290372", "False"),
-                        ("10", "0.045358558114440915", "False"),
-                        ("13", "0.03903811280752414", "False")]}),
+         {"dimension": _PINNED_DIMENSION, "kappa": _PINNED_KAPPA,
+          "precision": _PINNED_PRECISION}),
         # Tight enough that some chains stop at the sweep cap.
         ({"which": "kappa", "eps": 0.03, "replicates": 2, "kappa_grid": (10, 12),
           "n_chains_w1": 200},
-         {"kappa": [("1237", "False"), ("3100", "True"), ("3392", "True"), ("3392", "True")]}),
+         {"kappa": _PINNED_KAPPA_CAPPED}),
     ])
     def test_mixing_times_are_pinned(self, params, pinned, tmp_path):
-        # Seed-7 first passages as the CSVs print them, row by row. Changes to
-        # how the grid cells are scheduled or to the first-passage loop must
-        # leave them as they are.
+        # The seed-7 CSVs in full: the echo, the fitted slope and every row.
+        # Changes to how the grid cells are scheduled, to the first-passage
+        # loop or to the fit must leave them as they are. Under which=all the
+        # kappa CSV echoes its own d, not a value of the dimension grid.
         run_gaussian_mixing(ExperimentSpec("gaussian-mixing", params, seed=7, out_dir=tmp_path))
-        for which, rows in pinned.items():
-            _, got = read_csv(tmp_path / f"gaussian_mixing_{which}.csv")
-            keys = [k for k in ("t_empirical", "tv_noise_floor", "hit_cap") if k in got[0]]
-            assert [tuple(r[k] for k in keys) for r in got] == rows
+        for which, text in pinned.items():
+            assert (tmp_path / f"gaussian_mixing_{which}.csv").read_text(encoding="utf-8") == text
+
+    def test_repeated_precision_value_is_fitted_once(self, tmp_path):
+        # A repeated eps adds rows but no point to the fit, as a repeated d
+        # or kappa does.
+        assert main(["experiment", "gaussian-mixing", "--set", "which=precision",
+                     "--set", "eps_grid=(0.2, 0.2, 0.3)", "--out", str(tmp_path)]) == 0
+        config, rows = read_csv(tmp_path / "gaussian_mixing_precision.csv")
+        assert [r["eps"] for r in rows] == ["0.2"] * 6 + ["0.3"] * 3
+        once = run_gaussian_mixing(ExperimentSpec(
+            "gaussian-mixing", {"which": "precision", "eps_grid": (0.2, 0.3)},
+            out_dir=tmp_path / "once"))
+        assert float(config["fit_slope_vs_log2eps_over_eps"]) == once["precision_slope"]
 
     @pytest.mark.parametrize("params, helper, at, result", [
         ({"which": "kappa", "kappa_grid": (10.2, 10.7)}, "_mixing_time_w1", 4, (1, False)),

@@ -18,8 +18,8 @@ from splitmc import (
     make_quadratic_group,
     model_constants,
 )
-from splitmc.errors import (DimensionMismatch, InvalidParameter, NonConvergence, SingularGram,
-                            UnsupportedModel)
+from splitmc.errors import (DimensionMismatch, InvalidParameter, NonConvergence, NotSmooth,
+                            SingularGram, UnsupportedModel)
 from splitmc.model import ALL_BLOCKS, FactorGroup, max_factor_gradient_at
 
 
@@ -275,6 +275,23 @@ class TestFindMinimizer:
         model = SplitModel(1, [softplus])
         with pytest.raises(NotStronglyConvex):
             find_minimizer(model)
+
+    def test_rejects_a_non_smooth_group(self):
+        # |z| + z^2/2 has m = 1 and no finite M.
+        rough = FactorGroup(np.ones((1, 1, 1)),
+                            value=lambda z, rows: np.abs(z[:, 0]) + 0.5 * z[:, 0] ** 2,
+                            gradient=lambda z, rows: np.sign(z) + z, m=1.0, M=math.inf)
+        model = SplitModel(1, [rough])
+        with pytest.raises(NotSmooth):
+            find_minimizer(model)
+        consts = model_constants(model)
+        assert consts.lambda_max_M == math.inf and consts.sigma2_U == math.inf
+        # aniso-gaussian at M = inf has NaN constants, on which the eigenvalue
+        # solve of model_constants fails; the refusal comes before it.
+        with np.errstate(invalid="ignore"):
+            nan_model = build_model("aniso-gaussian", d=3, m=math.inf, M=math.inf)
+        with pytest.raises(NotSmooth):
+            find_minimizer(nan_model)
 
 
 class TestCentering:
