@@ -1,9 +1,7 @@
 """Command-line interface: plan | sample | bias | experiment.
 
-Exit codes: 0 success, 2 a validity predicate failed (bad precision range,
-parameter outside its admissible range, bound outside its region, missing
-strong convexity), 3 numerical failure
-(special function, non-convergence, non-finite draw, acceptance stall).
+Exit codes: 0 success; a library error exits with its class's exit_code,
+2 for a ValidityError and 3 for a NumericalFailure (see errors).
 """
 
 from __future__ import annotations
@@ -18,28 +16,11 @@ import numpy as np
 
 from . import zoo
 from .engine import SamplerConfig, run_chain
-from .errors import (
-    AcceptanceStall,
-    EpsilonOutOfRange,
-    InvalidParameter,
-    NonConvergence,
-    NonFiniteDraw,
-    NotCentered,
-    NotStronglyConvex,
-    QuadratureFailure,
-    SingularGram,
-    SplitMCError,
-    UnsupportedModel,
-)
+from .errors import InvalidParameter, SplitMCError
 from .experiments import (EXPERIMENT_NAMES, ExperimentSpec, _bias_toy_grid, _write_csv,
                           run_experiment)
 from .model import center_model, find_minimizer
 from .planner import plan_tv_multi, plan_tv_nonstrongly, plan_tv_single, plan_w1_single
-
-_VALIDITY_ERRORS = (EpsilonOutOfRange, InvalidParameter, NotCentered, NotStronglyConvex,
-                    UnsupportedModel)
-_NUMERICAL_ERRORS = (QuadratureFailure, NonConvergence, NonFiniteDraw, AcceptanceStall,
-                     SingularGram)
 
 
 def _model_kwargs(args) -> dict:
@@ -239,15 +220,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _VALIDITY_ERRORS as exc:
-        print(f"validity violation: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except SplitMCError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

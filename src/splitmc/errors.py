@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package, and the shared checks of scales and seeds."""
+"""Exception hierarchy shared across the package, and the shared checks of scales and seeds.
+
+Every concrete error derives from exactly one of ValidityError (exit 2) and
+NumericalFailure (exit 3); the base carries the CLI's exit code and label.
+"""
 
 import math
 
@@ -7,55 +11,65 @@ class SplitMCError(Exception):
     """Base class for all library errors."""
 
 
-class DimensionMismatch(SplitMCError):
+class ValidityError(SplitMCError):
+    """An input, model or bound lies outside the region where a result holds."""
+
+    exit_code = 2
+    label = "validity violation"
+
+
+class NumericalFailure(SplitMCError):
+    """A computation on valid inputs gave no usable value."""
+
+    exit_code = 3
+    label = "numerical failure"
+
+
+class DimensionMismatch(ValidityError):
     """An input vector or matrix has an incompatible shape."""
 
 
-class SingularGram(SplitMCError):
+class SingularGram(NumericalFailure):
     """The stacked coupling matrix does not have full row rank."""
 
 
-class NotStronglyConvex(SplitMCError):
+class NotStronglyConvex(ValidityError):
     """Requested operation needs strictly positive strong convexity."""
 
 
-class NotSmooth(SplitMCError):
+class NotSmooth(ValidityError):
     """Requested operation needs a finite gradient-Lipschitz constant."""
 
 
-class NotCentered(SplitMCError):
+class NotCentered(ValidityError):
     """Factor gradients do not vanish at the global minimizer."""
 
 
-class NonConvergence(SplitMCError):
+class NonConvergence(NumericalFailure):
     """An iterative solver hit its iteration cap before reaching tolerance."""
 
 
-class NonFiniteDraw(SplitMCError):
+class NonFiniteDraw(NumericalFailure):
     """A sweep drew a non-finite auxiliary block or master parameter."""
 
 
-class AcceptanceStall(SplitMCError):
+class AcceptanceStall(NumericalFailure):
     """Rejection sampling exceeded its proposal cap; certified constants are suspect."""
 
 
-class QuadratureFailure(SplitMCError):
+class QuadratureFailure(NumericalFailure):
     """A special function gave no usable value at its argument."""
 
 
-class NonSymmetric(SplitMCError):
-    """A symmetric matrix argument was not symmetric."""
-
-
-class UnsupportedModel(SplitMCError):
+class UnsupportedModel(ValidityError):
     """The operation only supports specific closed-form model families."""
 
 
-class InvalidParameter(SplitMCError, ValueError):
+class InvalidParameter(ValidityError, ValueError):
     """A model, planner or experiment parameter lies outside its admissible range."""
 
 
-class EpsilonOutOfRange(SplitMCError):
+class EpsilonOutOfRange(ValidityError):
     """Precision parameter must satisfy 0 < eps <= 1."""
 
 

@@ -24,11 +24,13 @@ d-dimensional model; the draws differ from stepping all d coordinates,
 their law does not. A mixing time is a first passage (_first_passage): the first
 sweep at which the population's TV or W1 distance to the target drops below
 its threshold. The dimension, kappa and precision parts share one loop: each
-gives its grid, its plans, a cell per (grid value, replicate) and its config
-echo, and the loop runs the cells one after another, on one thread, then fits
-the log-log slope of the mean mixing times over the distinct grid values, so
-a grid needs two of them. Every selected part is planned, which checks its
-parameters, before any part runs, so a refusal leaves no part's CSV behind.
+gives its plans, one per distinct grid value in the order the grid first
+names them, a cell per (grid value, replicate) and its config echo, and the
+loop runs the cells one after another, on one thread, each distinct value
+once, then fits the log-log slope of the mean mixing times over the distinct
+grid values, so a grid needs two of them. Every selected part is planned,
+which checks its parameters, before any part runs, so a refusal leaves no
+part's CSV behind.
 
 The mixture run scores its samples by Pearson chi^2 in equal-mass bins of
 the target's projection, counted as equal bins of [0, 1] of the projected
@@ -163,9 +165,11 @@ def _bias_toy_grid(sigma: float, b: int, mu: float, rho_grid):
 
     The exact distances are from N(mu, sigma^2/b) to N(mu, (sigma^2 + rho^2)/b)
     (TV) and to N(mu, sigma^2/b + rho^2) (W1); the bounds are BiasBounds.
+    Every rho must pass check_scale; a finite mu is checked by the zoo.
     """
     consts1 = model_constants(zoo.toy_gaussian_1(sigma=sigma, b=b, mu=mu))
     for rho in rho_grid:
+        check_scale(rho)
         yield (rho,
                gaussian_tv_1d(mu, sigma**2 / b, mu, (sigma**2 + rho**2) / b),
                tv_bound_strongly_convex(consts1, rho),
@@ -240,6 +244,8 @@ def run_rate_toy(spec: ExperimentSpec):
     t_max = int(p["t_max"])
     check_scale(sigma, "rate-toy's sigma")
     check_scale(rho)
+    if not math.isfinite(theta0):
+        raise InvalidParameter(f"rate-toy needs a finite theta0, got {theta0}")
     if t_max < 2:
         raise InvalidParameter(f"rate-toy fits its slopes over t = 1..t_max, which needs "
                                f"t_max >= 2, got {t_max}")
@@ -274,6 +280,10 @@ def run_rate_toy(spec: ExperimentSpec):
         usable = [r for r in rows if 1e-12 < r[key] < 1e-2]
         if len(usable) < 10:
             usable = [r for r in rows[1:60] if r[key] > 1e-12]
+        if len(usable) < 2:
+            raise InvalidParameter(f"rate-toy fits the tail slope of {key}, but only "
+                                   f"{len(usable)} of its values for t = 1..{min(t_max, 59)} "
+                                   f"lie above 1e-12")
         ts = np.array([r["t"] for r in usable], dtype=float)
         ys = np.log([r[key] for r in usable])
         return float(np.polyfit(ts, ys, 1)[0])
@@ -415,9 +425,9 @@ def run_gaussian_mixing(spec: ExperimentSpec):
             raise InvalidParameter(f"gaussian-mixing fits its {part} slope over {key}, which "
                                    f"needs two distinct values, got {p[key]}")
     # Every selected part is planned, and so checked, before any part runs.
-    # A part is (name, grid column, plans by distinct grid value, the grid in
-    # row order, cell, the slope's config key, the slope's x for a grid value,
-    # config echo with the replicate count); its cell gives a row's last columns.
+    # A part is (name, grid column, plans by distinct grid value in grid order,
+    # cell, the slope's config key, the slope's x for a grid value, config echo
+    # with the replicate count); its cell gives a row's last columns.
     M = 1.0
     parts = []
     if which in ("dimension", "all"):
@@ -433,9 +443,9 @@ def run_gaussian_mixing(spec: ExperimentSpec):
             return {"t_theory": plan.t_mix, "t_empirical": t_emp, "tv_noise_floor": floor,
                     "hit_cap": capped}
 
-        parts.append(("dimension", "d", dim_plans, sorted(d_grid), dimension_cell, "fit_slope",
-                      float, {"eps": eps, "m": m, "M": M_dim, "n_chains": n_chains,
-                              "replicates": replicates}))
+        parts.append(("dimension", "d", dim_plans, dimension_cell, "fit_slope", float,
+                      {"eps": eps, "m": m, "M": M_dim, "n_chains": n_chains,
+                       "replicates": replicates}))
     if which in ("kappa", "all"):
         kappa_grid = [float(v) for v in p["kappa_grid"]]
         d = int(p["d"])
@@ -451,7 +461,7 @@ def run_gaussian_mixing(spec: ExperimentSpec):
             return {"branch": plan.metadata["active_branch"], "t_empirical": t_emp,
                     "hit_cap": capped}
 
-        parts.append(("kappa", "kappa", kappa_plans, kappa_grid, kappa_cell, "fit_slope", float,
+        parts.append(("kappa", "kappa", kappa_plans, kappa_cell, "fit_slope", float,
                       {"eps": eps, "d": d, "n_chains": n_chains_w1, "replicates": replicates}))
     if which in ("precision", "all"):
         eps_grid = [float(v) for v in p["eps_grid"]]
@@ -468,16 +478,16 @@ def run_gaussian_mixing(spec: ExperimentSpec):
             return {"t_theory": plan.t_mix, "t_empirical": t_emp, "tv_noise_floor": floor,
                     "hit_cap": capped}
 
-        parts.append(("precision", "eps", eps_plans, eps_grid, precision_cell,
+        parts.append(("precision", "eps", eps_plans, precision_cell,
                       "fit_slope_vs_log2eps_over_eps", lambda e: math.log(2.0 / e) / e,
                       {"d": d_precision, "kappa": kappa_precision,
                        "n_chains": n_chains_precision, "replicates": min(replicates, 3)}))
 
     results, outputs = {}, []
-    for name, column, plans, row_grid, cell, slope_key, fit_x, config in parts:
-        rows = [{column: v, "replicate": rep, "rho2": plans[v].rho2, "k_sgs": plans[v].k_sgs,
-                 **cell(v, plans[v], rep)}
-                for v in row_grid for rep in range(config["replicates"])]
+    for name, column, plans, cell, slope_key, fit_x, config in parts:
+        rows = [{column: v, "replicate": rep, "rho2": plan.rho2, "k_sgs": plan.k_sgs,
+                 **cell(v, plan, rep)}
+                for v, plan in plans.items() for rep in range(config["replicates"])]
         means = {v: np.mean([r["t_empirical"] for r in rows if r[column] == v]) for v in plans}
         slope = _loglog_slope([fit_x(v) for v in means], list(means.values()))
         config = {"experiment": f"gaussian-mixing/{name}", "seed": spec.seed, **config,

@@ -34,29 +34,33 @@ class Normal1D:
 
 
 def gaussian_tv_1d(mean1: float, var1: float, mean2: float, var2: float) -> float:
-    """Exact total variation between two scalar Gaussians via density crossings."""
+    """Exact total variation between two scalar Gaussians via density crossings.
+
+    TV depends on the means only through their difference, so the second
+    law is moved to mean 0 before anything is squared.
+    """
     if var1 <= 0 or var2 <= 0:
         raise ValueError("variances must be positive")
+    mean = mean1 - mean2
     s1, s2 = math.sqrt(var1), math.sqrt(var2)
     if abs(var1 - var2) < 1e-15 * max(var1, var2):
-        if mean1 == mean2:
+        if mean == 0:
             return 0.0
         # Equal variances: single crossing at the midpoint.
-        delta = abs(mean1 - mean2) / (2.0 * s1)
+        delta = abs(mean) / (2.0 * s1)
         return float(ndtr(delta) - ndtr(-delta))
-    # log p1 = log p2 is the quadratic a x^2 + b x + c = 0.
+    # log N(x; mean, var1) = log N(x; 0, var2) is the quadratic a x^2 + b x + c = 0.
     a = 0.5 * (1.0 / var2 - 1.0 / var1)
-    b = mean2 / var2 - mean1 / var1
-    b = -b  # coefficient of x from expanding -(x-m)^2/(2v)
-    c = 0.5 * (mean2**2 / var2 - mean1**2 / var1) + math.log(s2 / s1)
+    b = mean / var1
+    c = math.log(s2 / s1) - 0.5 * (mean**2 / var1)
     disc = b * b - 4.0 * a * c
     if disc <= 0:
         return 0.0
     r = math.sqrt(disc)
     x1, x2 = sorted(((-b - r) / (2 * a), (-b + r) / (2 * a)))
     x = np.array([x1, x2])
-    f1 = ndtr((x - mean1) / s1)
-    f2 = ndtr((x - mean2) / s2)
+    f1 = ndtr((x - mean) / s1)
+    f2 = ndtr(x / s2)
     return float(abs((f1[1] - f1[0]) - (f2[1] - f2[0])))
 
 
@@ -101,23 +105,23 @@ def gaussian_abs_moment(point: float, mean: float, var: float) -> float:
     """E|X - point| for X ~ N(mean, var); the W1 distance from a point mass."""
     s = math.sqrt(var)
     delta = abs(mean - point)
-    return s * math.sqrt(2.0 / math.pi) * math.exp(-delta**2 / (2 * var)) \
+    # delta * delta is inf where Python's delta**2 would raise OverflowError.
+    return s * math.sqrt(2.0 / math.pi) * math.exp(-delta * delta / (2 * var)) \
         + delta * math.erf(delta / (s * math.sqrt(2.0)))
 
 
 def gaussian_chi2_variance(nu: Normal1D, pi: Normal1D) -> float:
-    """Var_pi(d nu / d pi) for scalar Gaussians; inf when the ratio is not square-integrable."""
-    a = 1.0 / nu.variance - 0.5 / pi.variance
-    if a <= 0:
+    """Var_pi(d nu / d pi) for scalar Gaussians; inf when the ratio is not square-integrable.
+
+    With q = (v_pi - v_nu)/v_pi and delta the difference of the means it is
+    (1 - q^2)^{-1/2} exp(delta^2 / (v_pi (1 + q))) - 1 for -1 < q < 1, never
+    negative as computed by expm1; it grows without bound as q rises to 1.
+    """
+    q = (pi.variance - nu.variance) / pi.variance
+    if not -1.0 < q < 1.0:
         return math.inf
-    beta = nu.mean / nu.variance - 0.5 * pi.mean / pi.variance
-    gamma = -nu.mean**2 / nu.variance + 0.5 * pi.mean**2 / pi.variance
-    log_second_moment = (
-        -0.5 * math.log(2.0 * math.pi) - math.log(nu.variance)
-        + 0.5 * math.log(pi.variance)
-        + 0.5 * math.log(math.pi / a) + beta**2 / a + gamma
-    )
-    return math.exp(log_second_moment) - 1.0
+    delta = nu.mean - pi.mean
+    return math.expm1(-0.5 * math.log1p(-q * q) + delta * delta / (pi.variance * (1.0 + q)))
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +145,12 @@ class ToyParams:
     def __post_init__(self):
         if self.strategy not in (1, 2):
             raise UnsupportedModel("toy closed forms exist for strategies 1 and 2 only")
-        if not (self.sigma > 0 and self.b >= 1 and self.rho > 0):
-            raise InvalidParameter("the toy chain needs sigma > 0, b >= 1 and rho > 0")
+        if not (self.sigma > 0 and self.b >= 1 and self.rho > 0 and math.isfinite(self.mu)):
+            raise InvalidParameter("the toy chain needs sigma > 0, b >= 1, rho > 0 "
+                                   "and a finite mu")
+        if not 0.0 < self.mean_contraction < 1.0:
+            raise InvalidParameter(f"the toy chain's contraction sigma^2/(sigma^2 + rho_eff^2) "
+                                   f"rounds to {self.mean_contraction}, outside (0, 1)")
 
     @property
     def rho2_eff(self) -> float:
@@ -171,13 +179,13 @@ class ToyParams:
 def ar1_kernel_t(params: ToyParams, init, t: int) -> Normal1D:
     """Law of theta after t sweeps from init, a point (a number) or a Normal1D.
 
-    mean_t = c^t m0 + (1 - c^t) mu and var_t = c^{2t} v0 + w (1 - c^{2t})/(1 - c^2)
+    mean_t = mu + c^t (m0 - mu) and var_t = c^{2t} v0 + w (1 - c^{2t})/(1 - c^2)
     with c the mean contraction and w the one-step noise variance.
     """
     m0, v0 = (init.mean, init.variance) if isinstance(init, Normal1D) else (float(init), 0.0)
     c = params.mean_contraction
     ct = c**t
-    mean_t = ct * m0 + (1.0 - ct) * params.mu
+    mean_t = params.mu + ct * (m0 - params.mu)
     if t == 0:
         return Normal1D(mean_t, v0)
     geom = (1.0 - c ** (2 * t)) / (1.0 - c**2)

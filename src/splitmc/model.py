@@ -69,9 +69,10 @@ class FactorGroup:
         a.setflags(write=False)
         b = a.shape[0]
         m, M = (np.broadcast_to(np.asarray(c, dtype=float), (b,)).copy() for c in (m, M))
-        if (m < 0).any():
+        # Both comparisons are false for NaN, so a NaN constant is refused too.
+        if not (m >= 0).all():
             raise InvalidParameter("constants must be nonnegative")
-        bad = np.flatnonzero(np.isfinite(M) & (m > M * (1 + 1e-12)))
+        bad = np.flatnonzero(~(m <= M * (1 + 1e-12)))
         if bad.size:
             j = int(bad[0])
             raise InvalidParameter(f"block {j}: m={m[j]} exceeds M={M[j]}")

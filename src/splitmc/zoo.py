@@ -16,22 +16,24 @@ from .errors import InvalidParameter, UnsupportedModel, check_scale, check_seed
 from .model import FactorGroup, SplitModel, make_quadratic_group
 
 
-def _check_toy(sigma: float, b: int):
+def _check_toy(sigma: float, b: int, mu: float):
     check_scale(sigma, "the toy Gaussian's sigma")
     if b < 1:
         raise InvalidParameter(f"the toy Gaussian needs b >= 1 factors, got {b}")
+    if not math.isfinite(mu):
+        raise InvalidParameter(f"the toy Gaussian needs a finite mu, got {mu}")
 
 
 def toy_gaussian_1(sigma: float = 3.0, b: int = 10, mu: float = 0.0) -> SplitModel:
     """Scalar target N(mu, sigma^2/b) split into b identical quadratic factors."""
-    _check_toy(sigma, b)
+    _check_toy(sigma, b, mu)
     group = make_quadratic_group(np.ones((b, 1, 1)), precision=1.0 / sigma**2, center=mu)
     return SplitModel(1, [group])
 
 
 def toy_gaussian_2(sigma: float = 3.0, b: int = 10, mu: float = 0.0) -> SplitModel:
     """Same scalar target N(mu, sigma^2/b), kept as a single factor."""
-    _check_toy(sigma, b)
+    _check_toy(sigma, b, mu)
     group = make_quadratic_group(np.ones((1, 1, 1)), precision=b / sigma**2, center=mu)
     return SplitModel(1, [group])
 
@@ -42,8 +44,8 @@ def aniso_gaussian(d: int = 10, m: float = 0.25, M: float = 1.0) -> SplitModel:
     The precisions are spread linearly over [m, M], so the least favorable
     direction is the first coordinate axis.
     """
-    if not 0 < m <= M:
-        raise InvalidParameter("need 0 < m <= M")
+    if not 0 < m <= M < math.inf:
+        raise InvalidParameter(f"need 0 < m <= M < inf, got m={m}, M={M}")
     if d < 1:
         raise InvalidParameter(f"need d >= 1, got {d}")
     group = make_quadratic_group(np.eye(d)[None], precision=np.linspace(m, M, d), center=0.0)

@@ -81,6 +81,12 @@ class TestBiasCommand:
             if r["valid"] == "True":
                 assert float(r["bound"]) >= float(r["exact_if_available"]) - 1e-12
 
+    @pytest.mark.parametrize("mu", ["3.5", "1e4", "1e8", "1e300", "-1e300"])
+    def test_rows_depend_on_mu_only_through_the_mean_difference(self, mu, tmp_path):
+        assert run_cli(["bias", "--out", str(tmp_path / "zero.csv")]) == 0
+        assert run_cli(["bias", f"--mu={mu}", "--out", str(tmp_path / "shifted.csv")]) == 0
+        assert read_csv(tmp_path / "shifted.csv")[1] == read_csv(tmp_path / "zero.csv")[1]
+
     def test_strict_validity_exit_code(self, tmp_path):
         # The default grid crosses the multi-split validity cap.
         assert run_cli(["bias", "--strict-validity",
@@ -114,6 +120,33 @@ _OUT_DIRECTORY_REFUSALS = (["plan", "--theorem", "w1", "--eps", "0.1"], ["bias"]
 
 
 class TestExitCodes:
+    def test_every_error_derives_from_one_exit_code_base(self):
+        import inspect
+
+        from splitmc import errors
+
+        bases = (errors.ValidityError, errors.NumericalFailure)
+        concrete = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                    if issubclass(c, errors.SplitMCError)
+                    and c not in (errors.SplitMCError, *bases)]
+        assert len(concrete) == 12
+        for cls in concrete:
+            assert sum(issubclass(cls, base) for base in bases) == 1, cls
+        assert [(b.exit_code, b.label) for b in bases] == [(2, "validity violation"),
+                                                          (3, "numerical failure")]
+
+    def test_missing_shape_or_smoothness_maps_to_2(self, monkeypatch, capfd):
+        from splitmc import cli
+        from splitmc.errors import DimensionMismatch, NotSmooth
+
+        for error in (DimensionMismatch, NotSmooth):
+            def boom(args, error=error):
+                raise error("the model is outside the region")
+
+            monkeypatch.setitem(cli._COMMANDS, "bias", boom)
+            assert main(["bias"]) == 2
+            assert "validity violation" in capfd.readouterr().err
+
     def test_numerical_failures_map_to_3(self, monkeypatch, capfd):
         from splitmc import cli
         from splitmc.errors import NonConvergence, NonFiniteDraw, QuadratureFailure
@@ -189,6 +222,16 @@ class TestExitCodes:
         ["experiment", "gaussian-mixing", "--set", "which=kappa", "--set", "kappa_grid=(0,10)"],
         # Refused before the dimension and kappa parts run and write their CSVs.
         ["experiment", "gaussian-mixing", "--set", "d_precision=0"],
+        # M = inf would give aniso-gaussian NaN precisions.
+        ["plan", "--theorem", "tv-multi", "--model", "aniso-gaussian", "--big-m", "inf",
+         "--eps", "0.1"],
+        ["sample", "--model", "aniso-gaussian", "--big-m", "inf", "--rho", "0.5",
+         "--sweeps", "2"],
+        ["bias", "--mu", "nan"],
+        ["plan", "--theorem", "tv-multi", "--eps", "0.1", "--model", "toy-gaussian-1",
+         "--mu", "nan"],
+        ["experiment", "bias-toy", "--set", "log10_rho_max=-1e300"],
+        ["experiment", "bias-toy", "--set", "mu=inf"],
     ])
     def test_invalid_parameters_map_to_2(self, argv, tmp_path, capfd):
         # plan and bias write one CSV file and refuse a directory as --out
@@ -223,6 +266,20 @@ class TestExitCodes:
         assert main(["plan", *argv, "--out", str(out)]) == 2
         assert "validity violation" in capfd.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [
+        # The contraction rounds to 1, or no point of a curve is left to fit,
+        # or a mean is not finite, or a square overflows.
+        "sigma=1e8", "rho=1e-8", "rho=1e4", "rho=1e8", "sigma=1e-8",
+        "mu=inf", "mu=nan", "theta0=inf", "theta0=nan",
+        "mu=1e200", "mu=1e300", "theta0=1e200", "theta0=1e300",
+    ])
+    def test_rate_toy_refuses_what_it_cannot_compute(self, setting, tmp_path):
+        assert main(["experiment", "rate-toy", "--set", setting, "--out", str(tmp_path)]) in (0, 2)
+
+    def test_rate_toy_at_a_wide_sigma_holds_its_envelopes(self, tmp_path, capfd):
+        assert main(["experiment", "rate-toy", "--set", "sigma=1e4", "--out", str(tmp_path)]) == 0
+        assert "envelopes_hold: True" in capfd.readouterr().out
 
     def test_unknown_experiment_key_is_named(self, tmp_path, capfd):
         assert main(["experiment", "bias-toy", "--set", "n_gird=5", "--out", str(tmp_path)]) == 2

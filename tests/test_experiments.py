@@ -56,6 +56,14 @@ class TestBiasToy:
         _, rows_b = read_csv(b["csv"])
         assert rows_a == rows_b
 
+    @pytest.mark.parametrize("mu", [3.5, 1e4, 1e8, 1e300, -1e300])
+    def test_rows_depend_on_mu_only_through_the_mean_difference(self, mu, tmp_path):
+        # Both laws share mu, so every exact distance and bound is that of mu = 0.
+        for value, out in ((0.0, tmp_path / "zero"), (mu, tmp_path / "shifted")):
+            run_bias_toy(ExperimentSpec("bias-toy", {"mu": value}, out_dir=out))
+        assert read_csv(tmp_path / "shifted" / "bias_toy.csv")[1] == \
+            read_csv(tmp_path / "zero" / "bias_toy.csv")[1]
+
 
 class TestRateToy:
     def test_envelopes_and_slopes(self, tmp_path):
@@ -65,6 +73,14 @@ class TestRateToy:
         # relaxation), so the slope ratio sits at 2 for both distances.
         assert 1.5 <= out["w1_slope_ratio"] <= 2.5
         assert out["tv_measured_slope"] < out["tv_bound_slope"] < 0
+
+    @pytest.mark.parametrize("shift", [3.5, 1e4, 1e8, 1e200])
+    def test_rows_depend_on_mu_only_through_theta0_minus_mu(self, shift, tmp_path):
+        zero = run_rate_toy(ExperimentSpec("rate-toy", {}, out_dir=tmp_path / "zero"))
+        shifted = run_rate_toy(ExperimentSpec("rate-toy", {"mu": shift, "theta0": shift},
+                                              out_dir=tmp_path / "shifted"))
+        assert shifted["envelopes_hold"]
+        assert read_csv(shifted["csv"])[1] == read_csv(zero["csv"])[1]
 
 
 _PINNED_DIMENSION = """\
@@ -77,10 +93,10 @@ _PINNED_DIMENSION = """\
 # replicates = 2
 # seed = 7
 d,replicate,rho2,k_sgs,t_theory,t_empirical,tv_noise_floor,hit_cap
-4,0,0.025,0.006211180124223602,907,12,0.1356977913674797,False
-4,1,0.025,0.006211180124223602,907,22,0.1329066081725387,False
 8,0,0.0125,0.003115264797507788,2655,21,0.1387994259233182,False
 8,1,0.0125,0.003115264797507788,2655,49,0.11590079685175679,False
+4,0,0.025,0.006211180124223602,907,12,0.1356977913674797,False
+4,1,0.025,0.006211180124223602,907,22,0.1329066081725387,False
 """
 _PINNED_KAPPA = """\
 # d = 10
@@ -170,12 +186,12 @@ class TestGaussianMixing:
             assert (tmp_path / f"gaussian_mixing_{which}.csv").read_text(encoding="utf-8") == text
 
     def test_repeated_precision_value_is_fitted_once(self, tmp_path):
-        # A repeated eps adds rows but no point to the fit, as a repeated d
-        # or kappa does.
+        # A repeated eps adds neither rows nor a point to the fit, as a
+        # repeated d or kappa does not.
         assert main(["experiment", "gaussian-mixing", "--set", "which=precision",
                      "--set", "eps_grid=(0.2, 0.2, 0.3)", "--out", str(tmp_path)]) == 0
         config, rows = read_csv(tmp_path / "gaussian_mixing_precision.csv")
-        assert [r["eps"] for r in rows] == ["0.2"] * 6 + ["0.3"] * 3
+        assert [r["eps"] for r in rows] == ["0.2"] * 3 + ["0.3"] * 3
         once = run_gaussian_mixing(ExperimentSpec(
             "gaussian-mixing", {"which": "precision", "eps_grid": (0.2, 0.3)},
             out_dir=tmp_path / "once"))
@@ -202,6 +218,26 @@ class TestGaussianMixing:
         run_gaussian_mixing(ExperimentSpec("gaussian-mixing", dict(params, replicates=2),
                                            seed=7, out_dir=tmp_path))
         assert len(seeds) == 4 and len(set(seeds)) == 4
+
+
+    def test_repeated_dimension_runs_once_in_grid_order(self, tmp_path, monkeypatch):
+        # Each distinct d runs its replicates once, and the rows keep the
+        # order in which the grid first names each value.
+        from splitmc import experiments
+
+        calls = []
+
+        def record(m, M, rho, eps, n_chains, seed, sweep_cap, n_bins=50):
+            calls.append(seed)
+            return 1, 0.0, False
+
+        monkeypatch.setattr(experiments, "_mixing_time_tv", record)
+        run_gaussian_mixing(ExperimentSpec(
+            "gaussian-mixing", {"which": "dimension", "d_grid": (20, 10, 20), "replicates": 2},
+            seed=7, out_dir=tmp_path))
+        _, rows = read_csv(tmp_path / "gaussian_mixing_dimension.csv")
+        assert len(calls) == 4 and len(set(calls)) == 4
+        assert [r["d"] for r in rows] == ["20", "20", "10", "10"]
 
 
 class TestPopulationSweepsMatchKernelLaws:

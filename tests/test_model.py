@@ -63,6 +63,14 @@ class TestPotentialInvariants:
         with pytest.raises(InvalidParameter, match="constants must be nonnegative"):
             FactorGroup(np.ones((2, 1, 1)), value=None, gradient=None, **constants)
 
+    @pytest.mark.parametrize("constants", [{"m": 0.5, "M": math.nan},
+                                           {"m": 0.0, "M": -math.inf},
+                                           {"m": math.nan, "M": 1.0}],
+                             ids=["M=nan", "M=-inf", "m=nan"])
+    def test_nan_and_negative_infinite_constants_are_invalid(self, constants):
+        with pytest.raises(InvalidParameter):
+            FactorGroup(np.ones((2, 1, 1)), value=None, gradient=None, **constants)
+
     def test_model_without_factors_is_invalid(self):
         with pytest.raises(InvalidParameter, match="at least one factor"):
             SplitModel(2, [])
@@ -286,12 +294,9 @@ class TestFindMinimizer:
             find_minimizer(model)
         consts = model_constants(model)
         assert consts.lambda_max_M == math.inf and consts.sigma2_U == math.inf
-        # aniso-gaussian at M = inf has NaN constants, on which the eigenvalue
-        # solve of model_constants fails; the refusal comes before it.
-        with np.errstate(invalid="ignore"):
-            nan_model = build_model("aniso-gaussian", d=3, m=math.inf, M=math.inf)
-        with pytest.raises(NotSmooth):
-            find_minimizer(nan_model)
+        # aniso-gaussian at M = inf would have NaN constants; it is refused when built.
+        with pytest.raises(InvalidParameter):
+            build_model("aniso-gaussian", d=3, m=math.inf, M=math.inf)
 
 
 class TestCentering:

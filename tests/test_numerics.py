@@ -8,7 +8,7 @@ from scipy import integrate
 from scipy.special import erfc, gamma
 from scipy.stats import norm
 
-from splitmc.errors import InvalidParameter, NonSymmetric
+from splitmc.errors import InvalidParameter
 from splitmc.numerics import (
     lambda_extremes,
     parabolic_cylinder_neg,
@@ -110,10 +110,6 @@ class TestEigenExtremes:
             v = rng.standard_normal(20)
             rq = float(v @ s @ v / (v @ v))
             assert lo - 1e-10 <= rq <= hi + 1e-10
-
-    def test_non_symmetric_rejected(self):
-        with pytest.raises(NonSymmetric):
-            lambda_extremes(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestCdfL1Distance:
