@@ -124,10 +124,10 @@ def _cmd_bias(args) -> int:
     sigma, b, mu = args.sigma, args.b, args.mu
     if args.grid_points < 1:
         raise InvalidParameter(f"--grid-points must be at least 1, got {args.grid_points}")
-    rho_grid = np.logspace(args.log10_rho_min, args.log10_rho_max, args.grid_points)
     rows = []
     any_invalid = False
-    for rho, tv_exact, tv_b, w1_exact, w1_b in _bias_toy_grid(sigma, b, mu, rho_grid):
+    for rho, tv_exact, tv_b, w1_exact, w1_b in _bias_toy_grid(
+            sigma, b, mu, args.log10_rho_min, args.log10_rho_max, args.grid_points):
         any_invalid |= not tv_b.valid
         for name, bound, exact in (("TV", tv_b, tv_exact), ("W1", w1_b, w1_exact)):
             rows.append({"rho": rho, "distance": name, "proposition": bound.rule,

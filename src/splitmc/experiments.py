@@ -42,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -120,30 +121,56 @@ def read_csv(path):
     return config, rows
 
 
-def _params(spec: ExperimentSpec, defaults: dict) -> dict:
-    """spec.params over the runner's defaults.
+# Each kind a default gives, as a refusal names it; (int,) is a grid of ints.
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               (int,): "a nonempty one-dimensional grid of integers",
+               (float,): "a nonempty one-dimensional grid of numbers"}
 
-    A key the runner never reads is refused, and so is a grid (a parameter
-    whose default is a tuple) that is not a nonempty one-dimensional
-    sequence: a scalar, a nested or ragged sequence, or an empty one.
+
+def _params(spec: ExperimentSpec, defaults: dict, least: dict) -> dict:
+    """spec.params over the runner's defaults, each read as its default's kind.
+
+    A default of type int, float or str gives its kind; a tuple default is a
+    grid of its first element's kind, a nonempty list or tuple that is
+    returned as a list. An int is an integral number and a float any number
+    or a string that float() reads, so 'inf' and 'nan' reach the runner's own
+    checks; neither is a bool. least maps each count to its least value,
+    which bounds every element of a grid. A key the runner never reads, a
+    value of another kind and a count below its least value are refused.
     """
     unknown = sorted(set(spec.params) - set(defaults))
     if unknown:
         raise InvalidParameter(f"{spec.name} has no parameter {', '.join(unknown)}; "
                                f"it reads {', '.join(sorted(defaults))}")
-    params = {**defaults, **spec.params}
+    params = {}
     for key, default in defaults.items():
-        if isinstance(default, tuple) and not _is_grid(params[key]):
-            raise InvalidParameter(f"{spec.name} needs {key} as a nonempty one-dimensional "
-                                   f"grid, got {params[key]!r}")
+        kind = (type(default[0]),) if isinstance(default, tuple) else type(default)
+        value = spec.params.get(key, default)
+        params[key] = _read(value, kind)
+        if params[key] is None:
+            raise InvalidParameter(f"{spec.name} reads {key} as {_KIND_NAMES[kind]}, "
+                                   f"got {value!r}")
+        if key in least and np.min(params[key]) < least[key]:
+            raise InvalidParameter(f"{spec.name} needs {key} >= {least[key]}, got {value!r}")
     return params
 
 
-def _is_grid(value) -> bool:
+def _read(value, kind):
+    """value as kind (int, float, str or a grid (kind,)), or None when it is not one."""
+    if isinstance(kind, tuple):
+        items = [_read(v, kind[0]) for v in value] if isinstance(value, (list, tuple)) else []
+        return items if items and None not in items else None
+    if kind is str:
+        return value if isinstance(value, str) else None
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+        return None
     try:
-        return np.ndim(value) == 1 and np.size(value) > 0
-    except ValueError:  # a ragged sequence
-        return False
+        number = float(value)
+    except (ValueError, OverflowError):
+        return None
+    if kind is float:
+        return number
+    return int(value) if isinstance(value, numbers.Real) and number.is_integer() else None
 
 
 def _loglog_slope(x, y):
@@ -160,13 +187,18 @@ def _rng(seed: int, *key):
 # bias-toy: exact distances vs their bounds over a rho grid
 
 
-def _bias_toy_grid(sigma: float, b: int, mu: float, rho_grid):
+def _bias_toy_grid(sigma: float, b: int, mu: float, log10_rho_min, log10_rho_max, n: int):
     """Per rho: (rho, exact TV, TV bound, exact W1, W1 bound) for the scalar Gaussian pair.
 
-    The exact distances are from N(mu, sigma^2/b) to N(mu, (sigma^2 + rho^2)/b)
-    (TV) and to N(mu, sigma^2/b + rho^2) (W1); the bounds are BiasBounds.
-    Every rho must pass check_scale; a finite mu is checked by the zoo.
+    The n rhos are spaced evenly in log10 from 10**log10_rho_min to
+    10**log10_rho_max. The exact distances are from N(mu, sigma^2/b) to
+    N(mu, (sigma^2 + rho^2)/b) (TV) and to N(mu, sigma^2/b + rho^2) (W1); the
+    bounds are BiasBounds. Every rho must pass check_scale, which refuses the
+    inf and nan of a bound that is not finite or whose power overflows; a
+    finite mu is checked by the zoo.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho_grid = np.logspace(log10_rho_min, log10_rho_max, n)
     consts1 = model_constants(zoo.toy_gaussian_1(sigma=sigma, b=b, mu=mu))
     for rho in rho_grid:
         check_scale(rho)
@@ -179,20 +211,10 @@ def _bias_toy_grid(sigma: float, b: int, mu: float, rho_grid):
 
 def run_bias_toy(spec: ExperimentSpec):
     p = _params(spec, {"sigma": 3.0, "b": 10, "mu": 0.0, "n_grid": 30,
-                       "log10_rho_min": -2.0, "log10_rho_max": 0.5})
-    sigma = float(p["sigma"])
-    b = int(p["b"])
-    mu = float(p["mu"])
-    n_grid = int(p["n_grid"])
-    if n_grid < 2:
-        raise InvalidParameter(f"bias-toy needs n_grid >= 2, got {n_grid}")
-    rho_grid = np.logspace(float(p["log10_rho_min"]), float(p["log10_rho_max"]), n_grid)
-    if np.count_nonzero(rho_grid <= rho_grid[0] * 10.0) < 2:
-        raise InvalidParameter("bias-toy fits its slopes over the smallest decade of the "
-                               "rho grid, which holds only one grid point")
-
+                       "log10_rho_min": -2.0, "log10_rho_max": 0.5}, least={"n_grid": 2})
     rows = []
-    for rho, tv_exact, tv_b, w1_exact, w1_b in _bias_toy_grid(sigma, b, mu, rho_grid):
+    for rho, tv_exact, tv_b, w1_exact, w1_b in _bias_toy_grid(
+            p["sigma"], p["b"], p["mu"], p["log10_rho_min"], p["log10_rho_max"], p["n_grid"]):
         rows.append({
             "rho": rho,
             "exact_tv": tv_exact,
@@ -209,12 +231,19 @@ def run_bias_toy(spec: ExperimentSpec):
         for r in rows
     )
     # Slope of the exact curves over the smallest grid decade.
-    small = [r for r in rows if r["rho"] <= rho_grid[0] * 10.0]
+    small = [r for r in rows if r["rho"] <= rows[0]["rho"] * 10.0]
+    if len(small) < 2:
+        raise InvalidParameter("bias-toy fits its slopes over the smallest decade of the "
+                               "rho grid, which holds only one grid point")
+    for key in ("exact_w1", "exact_tv"):
+        if not all(r[key] > 0 for r in small):
+            raise InvalidParameter(f"bias-toy fits the log-log slope of {key} over the smallest "
+                                   f"rho decade, where it rounds to 0 at sigma={p['sigma']}")
     w1_slope = _loglog_slope([r["rho"] for r in small], [r["exact_w1"] for r in small])
     tv_slope = _loglog_slope([r["rho"] for r in small], [r["exact_tv"] for r in small])
 
-    config = {"experiment": "bias-toy", "seed": spec.seed, "sigma": sigma, "b": b,
-              "mu": mu, "n_grid": n_grid, "bounds_dominate": dominated,
+    config = {"experiment": "bias-toy", "seed": spec.seed, "sigma": p["sigma"], "b": p["b"],
+              "mu": p["mu"], "n_grid": p["n_grid"], "bounds_dominate": dominated,
               "w1_small_rho_slope": w1_slope, "tv_small_rho_slope": tv_slope}
     path = _write_csv(spec.out_dir / "bias_toy.csv", config, list(rows[0]), rows)
     return {"csv": path, "bounds_dominate": dominated,
@@ -235,20 +264,13 @@ def run_rate_toy(spec: ExperimentSpec):
     W1(nu, pi_rho) (1-K)^t.
     """
     p = _params(spec, {"sigma": 3.0, "b": 10, "mu": 0.0, "rho": 1.0, "theta0": 0.0,
-                       "t_max": 500})
-    sigma = float(p["sigma"])
-    b = int(p["b"])
-    mu = float(p["mu"])
-    rho = float(p["rho"])
-    theta0 = float(p["theta0"])
-    t_max = int(p["t_max"])
+                       "t_max": 500}, least={"t_max": 2})
+    sigma, b, mu = p["sigma"], p["b"], p["mu"]
+    rho, theta0, t_max = p["rho"], p["theta0"], p["t_max"]
     check_scale(sigma, "rate-toy's sigma")
     check_scale(rho)
     if not math.isfinite(theta0):
         raise InvalidParameter(f"rate-toy needs a finite theta0, got {theta0}")
-    if t_max < 2:
-        raise InvalidParameter(f"rate-toy fits its slopes over t = 1..t_max, which needs "
-                               f"t_max >= 2, got {t_max}")
 
     tv_par = ToyParams(mu=mu, sigma=sigma, b=b, rho=rho, strategy=1)
     w1_par = ToyParams(mu=mu, sigma=sigma, b=b, rho=rho, strategy=2)
@@ -340,15 +362,8 @@ def _tv_noise_floor(var, n_chains, edges, cdf, rng):
     return float(np.mean(vals))
 
 
-def _check_chains(n_chains: int) -> int:
-    if n_chains < 2:
-        raise InvalidParameter(f"a mixing time needs n_chains >= 2, got {n_chains}")
-    return n_chains
-
-
-def _coordinate_zero(m, n_chains):
-    """Coordinate 0 of aniso_gaussian(d, m, M) as a one-coordinate group, for n_chains >= 2."""
-    _check_chains(n_chains)
+def _coordinate_zero(m):
+    """Coordinate 0 of aniso_gaussian(d, m, M) as a one-coordinate group."""
     return make_quadratic_group(np.ones((1, 1, 1)), precision=m, center=0.0)
 
 
@@ -378,7 +393,7 @@ def _mixing_time_tv(m, M, rho, eps, n_chains, seed, sweep_cap, n_bins=50):
     The chains of aniso_gaussian(d, m, M) start from N(0, I/M), and only
     their coordinate 0 is stepped (_coordinate_zero), from N(0, 1/M).
     """
-    group = _coordinate_zero(m, n_chains)
+    group = _coordinate_zero(m)
     rng = _rng(seed, 0)
     var_target = 1.0 / m
     span = 5.0 * math.sqrt(var_target)
@@ -397,7 +412,7 @@ def _mixing_time_w1(m, rho, eps, n_chains, seed, sweep_cap):
     The chains of aniso_gaussian(d, m, M) start from the point mass at the
     minimizer, and only their coordinate 0 is stepped (_coordinate_zero).
     """
-    group = _coordinate_zero(m, n_chains)
+    group = _coordinate_zero(m)
     var_target = 1.0 / m
     return _first_passage(group, rho, np.zeros((n_chains, 1)), _rng(seed, 0), sweep_cap,
                           lambda x: w1_samples_vs_gaussian(x, 0.0, var_target),
@@ -408,20 +423,18 @@ def run_gaussian_mixing(spec: ExperimentSpec):
     p = _params(spec, {"which": "all", "eps": 0.1, "replicates": 5,
                        "d_grid": (10, 20, 50, 100, 200), "m": 0.25, "M": 1.0,
                        "n_chains": 4000,
-                       "kappa_grid": (10, 40, 160, 640, 1600), "d": 10, "n_chains_w1": 2000,
-                       "eps_grid": (0.16, 0.11, 0.08, 0.055, 0.04), "d_precision": 2,
-                       "kappa_precision": 3.0, "n_chains_precision": 200_000})
-    which = p["which"]
-    eps = float(p["eps"])
-    replicates = int(p["replicates"])
+                       "kappa_grid": (10.0, 40.0, 160.0, 640.0, 1600.0), "d": 10,
+                       "n_chains_w1": 2000, "eps_grid": (0.16, 0.11, 0.08, 0.055, 0.04),
+                       "d_precision": 2, "kappa_precision": 3.0, "n_chains_precision": 200_000},
+                least={"replicates": 1, "n_chains": 2, "d": 1, "n_chains_w1": 2,
+                       "n_chains_precision": 2})
+    which, eps, replicates = p["which"], p["eps"], p["replicates"]
     if which not in ("dimension", "kappa", "precision", "all"):
         raise InvalidParameter(f"gaussian-mixing which={which!r}; "
                                "choose dimension, kappa, precision or all")
-    if replicates < 1:
-        raise InvalidParameter(f"gaussian-mixing needs replicates >= 1, got {replicates}")
-    for part, key, kind in (("dimension", "d_grid", int), ("kappa", "kappa_grid", float),
-                            ("precision", "eps_grid", float)):
-        if which in (part, "all") and len({kind(v) for v in p[key]}) < 2:
+    for part, key in (("dimension", "d_grid"), ("kappa", "kappa_grid"),
+                      ("precision", "eps_grid")):
+        if which in (part, "all") and len(set(p[key])) < 2:
             raise InvalidParameter(f"gaussian-mixing fits its {part} slope over {key}, which "
                                    f"needs two distinct values, got {p[key]}")
     # Every selected part is planned, and so checked, before any part runs.
@@ -431,10 +444,8 @@ def run_gaussian_mixing(spec: ExperimentSpec):
     M = 1.0
     parts = []
     if which in ("dimension", "all"):
-        d_grid = [int(v) for v in p["d_grid"]]
-        m, M_dim = float(p["m"]), float(p["M"])
-        n_chains = _check_chains(int(p["n_chains"]))
-        dim_plans = {d: plan_tv_single(m, M_dim, d, eps) for d in d_grid}
+        m, M_dim, n_chains = p["m"], p["M"], p["n_chains"]
+        dim_plans = {d: plan_tv_single(m, M_dim, d, eps) for d in p["d_grid"]}
 
         def dimension_cell(d, plan, rep):
             t_emp, floor, capped = _mixing_time_tv(m, M_dim, plan.rho, eps, n_chains,
@@ -447,12 +458,8 @@ def run_gaussian_mixing(spec: ExperimentSpec):
                       {"eps": eps, "m": m, "M": M_dim, "n_chains": n_chains,
                        "replicates": replicates}))
     if which in ("kappa", "all"):
-        kappa_grid = [float(v) for v in p["kappa_grid"]]
-        d = int(p["d"])
-        n_chains_w1 = _check_chains(int(p["n_chains_w1"]))
-        if d < 1:
-            raise InvalidParameter(f"gaussian-mixing needs d >= 1, got {d}")
-        kappa_plans = {k: plan_w1_single(_small_m(k, M), M, eps) for k in kappa_grid}
+        n_chains_w1 = p["n_chains_w1"]
+        kappa_plans = {k: plan_w1_single(_small_m(k, M), M, eps) for k in p["kappa_grid"]}
 
         def kappa_cell(kappa, plan, rep):
             t_emp, capped = _mixing_time_w1(_small_m(kappa, M), plan.rho, eps, n_chains_w1,
@@ -462,14 +469,13 @@ def run_gaussian_mixing(spec: ExperimentSpec):
                     "hit_cap": capped}
 
         parts.append(("kappa", "kappa", kappa_plans, kappa_cell, "fit_slope", float,
-                      {"eps": eps, "d": d, "n_chains": n_chains_w1, "replicates": replicates}))
+                      {"eps": eps, "d": p["d"], "n_chains": n_chains_w1,
+                       "replicates": replicates}))
     if which in ("precision", "all"):
-        eps_grid = [float(v) for v in p["eps_grid"]]
-        d_precision = int(p["d_precision"])
-        kappa_precision = float(p["kappa_precision"])
-        n_chains_precision = _check_chains(int(p["n_chains_precision"]))
-        m_precision = _small_m(kappa_precision, M)
-        eps_plans = {e: plan_tv_single(m_precision, M, d_precision, e) for e in eps_grid}
+        n_chains_precision = p["n_chains_precision"]
+        m_precision = _small_m(p["kappa_precision"], M)
+        eps_plans = {e: plan_tv_single(m_precision, M, p["d_precision"], e)
+                     for e in p["eps_grid"]}
 
         def precision_cell(e, plan, rep):
             t_emp, floor, capped = _mixing_time_tv(
@@ -480,7 +486,7 @@ def run_gaussian_mixing(spec: ExperimentSpec):
 
         parts.append(("precision", "eps", eps_plans, precision_cell,
                       "fit_slope_vs_log2eps_over_eps", lambda e: math.log(2.0 / e) / e,
-                      {"d": d_precision, "kappa": kappa_precision,
+                      {"d": p["d_precision"], "kappa": p["kappa_precision"],
                        "n_chains": n_chains_precision, "replicates": min(replicates, 3)}))
 
     results, outputs = {}, []
@@ -524,22 +530,14 @@ def _chi2_stat(cdf_values, n_bins):
 
 def run_mixture(spec: ExperimentSpec):
     p = _params(spec, {"d_grid": (4, 8, 16), "eps": 0.1, "n_samples": 2500, "n_bins": 40,
-                       "a_norm": 1.0 / math.sqrt(2.0), "ula_sweeps": 500})
-    d_grid = [int(v) for v in p["d_grid"]]
-    eps = float(p["eps"])
-    n_samples = int(p["n_samples"])
-    n_bins = int(p["n_bins"])
-    a_norm = float(p["a_norm"])
-    ula_cap = int(p["ula_sweeps"])
-    for key, value, least in (("n_samples", n_samples, 1), ("n_bins", n_bins, 2),
-                              ("ula_sweeps", ula_cap, 1)):
-        if value < least:
-            raise InvalidParameter(f"mixture needs {key} >= {least}, got {value}")
+                       "a_norm": 1.0 / math.sqrt(2.0), "ula_sweeps": 500},
+                least={"n_samples": 1, "n_bins": 2, "ula_sweeps": 1})
+    eps, n_samples, n_bins, a_norm = p["eps"], p["n_samples"], p["n_bins"], p["a_norm"]
     m, M = 1.0 - a_norm**2, 1.0
 
     rows = []
     crit = float(2.0 * gammaincinv((n_bins - 1) / 2.0, 0.95))  # the chi^2 quantile
-    for d in d_grid:
+    for d in p["d_grid"]:
         model = zoo.gaussian_mixture(d=d, a_norm=a_norm)
         (group,) = model.groups
         a = model.mixture_direction
@@ -561,7 +559,7 @@ def run_mixture(spec: ExperimentSpec):
         # ULA on the same target with stepsize h = rho^2 (wall-clock baseline);
         # each chain is a row of the group's one block. The update
         # x - h grad + sqrt(2h) xi is made in place.
-        ula_sweeps = min(plan6.t_mix, ula_cap)
+        ula_sweeps = min(plan6.t_mix, p["ula_sweeps"])
         h = rho**2
         noise_scale = math.sqrt(2.0 * h)
         ula_thetas = rng.standard_normal((n_samples, d)) / math.sqrt(M)
@@ -601,14 +599,9 @@ def run_mixture(spec: ExperimentSpec):
 
 def run_logistic(spec: ExperimentSpec):
     p = _params(spec, {"d_grid": (2, 10, 50), "n_grid": (200, 1000), "b_grid": (2, 5, 10),
-                       "sweeps": 100, "eps": 0.01})
-    d_grid = [int(v) for v in p["d_grid"]]
-    n_grid = [int(v) for v in p["n_grid"]]
-    b_grid = [int(v) for v in p["b_grid"]]
-    sweeps = int(p["sweeps"])
-    eps = float(p["eps"])
-    if min(b_grid) < 1:
-        raise InvalidParameter(f"logistic needs every b of b_grid >= 1, got {b_grid}")
+                       "sweeps": 100, "eps": 0.01}, least={"b_grid": 1})
+    d_grid, n_grid, b_grid = p["d_grid"], p["n_grid"], p["b_grid"]
+    sweeps, eps = p["sweeps"], p["eps"]
 
     rows = []
     for d in d_grid:

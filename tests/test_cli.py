@@ -243,6 +243,25 @@ class TestExitCodes:
         assert "validity violation" in capfd.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name, setting", [
+        ("bias-toy", "b=2.5"), ("rate-toy", "t_max=3.9"), ("logistic", "sweeps=2.9"),
+        ("mixture", "n_bins=2.5"), ("gaussian-mixing", "replicates=True"),
+        ("bias-toy", "n_grid=x"), ("rate-toy", "b=inf"),
+        ("gaussian-mixing", "kappa_grid=(10,'x')"),
+    ])
+    def test_set_values_of_another_kind_map_to_2(self, name, setting, tmp_path, capfd):
+        # A count is an integral number, never a bool; a number is not a
+        # word; and a grid holds elements of its default's kind. Each is
+        # refused before anything runs, naming the experiment and the key.
+        from splitmc.cli import _parse_set
+
+        ((key, value),) = _parse_set([setting]).items()
+        assert main(["experiment", name, "--set", setting, "--out", str(tmp_path)]) == 2
+        err = capfd.readouterr().err
+        assert f"validity violation: {name} reads {key} as " in err
+        assert err.rstrip().endswith(f"got {value!r}")
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         # plan refuses a directory as --out before it plans, so these argvs
         # name a file: a growth term or ridge that underflows, a width or a
@@ -280,6 +299,15 @@ class TestExitCodes:
     def test_rate_toy_at_a_wide_sigma_holds_its_envelopes(self, tmp_path, capfd):
         assert main(["experiment", "rate-toy", "--set", "sigma=1e4", "--out", str(tmp_path)]) == 0
         assert "envelopes_hold: True" in capfd.readouterr().out
+
+    def test_bias_toy_refuses_a_slope_over_exact_zeros(self, tmp_path, capfd):
+        # At this sigma the exact TV rounds to 0 in the smallest decade, so
+        # its log-log slope would be NaN; the run is refused before its CSV.
+        assert main(["experiment", "bias-toy", "--set", "sigma=348045.01",
+                     "--out", str(tmp_path)]) == 2
+        out, err = capfd.readouterr()
+        assert "nan" not in out and "exact_tv" in err
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_experiment_key_is_named(self, tmp_path, capfd):
         assert main(["experiment", "bias-toy", "--set", "n_gird=5", "--out", str(tmp_path)]) == 2

@@ -1,13 +1,17 @@
-"""Property test of the CLI contract: every argv exits 0, 2 or 3 and raises nothing.
+"""Property tests of the CLI contract: every argv exits 0, 2 or 3 and raises nothing.
 
 Exit 2 is a validity violation and exit 3 a numerical failure (see
-splitmc.errors); any other exception escaping main is a failure to classify.
+splitmc.errors); any other exception escaping main is a failure to classify,
+and so is a numpy RuntimeWarning. An experiment that exits 0 prints no NaN,
+and an experiment --set value of another kind than its key's exits 2.
 """
 
 import contextlib
 import io
 import math
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -26,12 +30,42 @@ _INTS = st.integers(-2, 6)
 
 _MODEL_FLOATS = ("sigma", "mu", "kappa", "big-m", "a-norm")
 _MODEL_INTS = ("b", "d", "n", "data-seed")
-_EXPERIMENT_KEYS = {
-    "bias-toy": {"sigma": _FLOATS, "b": _INTS, "mu": _FLOATS, "n_grid": _INTS,
-                 "log10_rho_min": _FLOATS, "log10_rho_max": _FLOATS},
-    "rate-toy": {"sigma": _FLOATS, "b": _INTS, "mu": _FLOATS, "rho": _FLOATS,
-                 "theta0": _FLOATS, "t_max": _INTS},
+# Every experiment's --set keys and their kinds; (int,) is a grid of ints.
+_SET_KINDS = {
+    "bias-toy": {"sigma": float, "b": int, "mu": float, "n_grid": int,
+                 "log10_rho_min": float, "log10_rho_max": float},
+    "rate-toy": {"sigma": float, "b": int, "mu": float, "rho": float, "theta0": float,
+                 "t_max": int},
+    "gaussian-mixing": {"which": str, "eps": float, "replicates": int, "d_grid": (int,),
+                        "m": float, "M": float, "n_chains": int, "kappa_grid": (float,),
+                        "d": int, "n_chains_w1": int, "eps_grid": (float,),
+                        "d_precision": int, "kappa_precision": float,
+                        "n_chains_precision": int},
+    "mixture": {"d_grid": (int,), "eps": float, "n_samples": int, "n_bins": int,
+                "a_norm": float, "ula_sweeps": int},
+    "logistic": {"d_grid": (int,), "n_grid": (int,), "b_grid": (int,), "sweeps": int,
+                 "eps": float},
 }
+
+_WORDS = st.text("abcdxyz,;", min_size=1, max_size=4)  # float() reads none of them
+_FRACTIONS = st.floats().filter(lambda x: not x.is_integer())  # with inf and nan
+_BAD_GRIDS = st.one_of(
+    st.sampled_from([(), []]),
+    st.lists(st.one_of(st.integers(1, 5), st.lists(st.integers(1, 5), max_size=2)),
+             min_size=1, max_size=3).filter(lambda g: any(isinstance(v, list) for v in g)))
+
+
+def _wrong_kind(kind):
+    """Values of any kind but kind (int, float, str, or a one-element tuple for a grid)."""
+    if kind is str:
+        return st.one_of(st.integers(), st.floats(), st.booleans(), _BAD_GRIDS)
+    if isinstance(kind, tuple):
+        wrong_element = st.one_of(_WORDS, st.booleans(),
+                                  *([_FRACTIONS] if kind[0] is int else []))
+        return st.one_of(_BAD_GRIDS, wrong_element,
+                         st.lists(wrong_element, min_size=1, max_size=2).map(lambda g: [2, *g]))
+    return st.one_of(_WORDS, st.booleans(), _BAD_GRIDS,
+                     *([_FRACTIONS] if kind is int else []))
 
 
 def _flags(draw, floats, ints):
@@ -55,8 +89,28 @@ def argvs(draw):
     if command == "bias":
         return ["bias", *_flags(draw, ("sigma", "mu", "log10-rho-min", "log10-rho-max"),
                                 ("b", "grid-points", "seed"))]
-    key, values = draw(st.sampled_from(sorted(_EXPERIMENT_KEYS[command].items())))
-    return ["experiment", command, "--set", f"{key}={draw(values)!r}"]
+    key, kind = draw(st.sampled_from(sorted(_SET_KINDS[command].items())))
+    return ["experiment", command, "--set", f"{key}={draw(_INTS if kind is int else _FLOATS)!r}"]
+
+
+@st.composite
+def wrong_kind_argvs(draw):
+    name = draw(st.sampled_from(sorted(_SET_KINDS)))
+    key, kind = draw(st.sampled_from(sorted(_SET_KINDS[name].items())))
+    return ["experiment", name, "--set", f"{key}={draw(_wrong_kind(kind))!r}"]
+
+
+def _run(argv):
+    """(exit code, stdout) of main on argv, with numpy RuntimeWarnings raised as errors."""
+    with tempfile.TemporaryDirectory() as tmp:
+        # plan and bias write one CSV file, sample and experiment a directory.
+        out = Path(tmp) / ("out.csv" if argv[0] in ("plan", "bias") else "out")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([*argv, "--out", str(out)])
+    return code, stdout.getvalue()
 
 
 @given(argvs())
@@ -70,10 +124,14 @@ def argvs(draw):
 @example(["plan", "--theorem", "tv-multi", "--eps=0.1", "--model", "toy-gaussian-1", "--mu=nan"])
 @example(["experiment", "bias-toy", "--set", "log10_rho_max=-1e+300"])
 def test_every_argv_exits_0_2_or_3(argv):
-    with tempfile.TemporaryDirectory() as tmp:
-        # plan and bias write one CSV file, sample and experiment a directory.
-        out = Path(tmp) / ("out.csv" if argv[0] in ("plan", "bias") else "out")
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main([*argv, "--out", str(out)])
+    code, stdout = _run(argv)
     assert code in (0, 2, 3)
+    if argv[0] == "experiment" and code == 0:
+        assert not re.search(r"\bnan\b", stdout), stdout
+
+
+@given(wrong_kind_argvs())
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+def test_set_values_of_another_kind_exit_2(argv):
+    # Refused before any run, so even the defaults of the slow experiments cost nothing.
+    assert _run(argv)[0] == 2

@@ -343,7 +343,7 @@ class TestFirstCoordinateShortcut:
         from splitmc.experiments import _coordinate_zero, _population_sweep
 
         (full,) = zoo.aniso_gaussian(self.d, self.m, self.M).groups
-        one = _coordinate_zero(self.m, self.n)
+        one = _coordinate_zero(self.m)
         assert one.m[0] == self.m and one.d == 1
         rng = np.random.default_rng(31)
         if start == "normal":  # N(0, I/M)
@@ -363,15 +363,15 @@ class TestFirstCoordinateShortcut:
             assert abs(x.mean() - mean_t) <= 5 * math.sqrt(var_t / self.n)
             assert abs(x.var() - var_t) <= 5 * var_t * math.sqrt(2.0 / (self.n - 1))
 
-    def test_too_few_chains_refused(self):
-        from splitmc.errors import InvalidParameter
-        from splitmc.experiments import _mixing_time_tv, _mixing_time_w1
-
-        for n_chains in (0, 1):
-            with pytest.raises(InvalidParameter):
-                _mixing_time_tv(0.25, 1.0, 0.5, 0.1, n_chains, seed=0, sweep_cap=5)
-            with pytest.raises(InvalidParameter):
-                _mixing_time_w1(0.25, 0.5, 0.1, n_chains, seed=0, sweep_cap=5)
+    def test_too_few_chains_refused(self, tmp_path, capfd):
+        # A mixing time compares two or more chains; each part's chain count
+        # is refused before any part runs.
+        for part, key in (("dimension", "n_chains"), ("kappa", "n_chains_w1"),
+                          ("precision", "n_chains_precision")):
+            assert main(["experiment", "gaussian-mixing", "--set", f"which={part}",
+                         "--set", f"{key}=1", "--out", str(tmp_path)]) == 2
+            assert f"needs {key} >= 2, got 1" in capfd.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestMixture:
