@@ -302,7 +302,8 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     accepted with probability exp(log r - [V_i(Z) - V_i(z~)] + ||xi||^2/2)
     (see _certificate). Under correctly certified constants and the small-rho
     regime the expected number of proposals is at most 2, so a stall
-    signals mis-stated constants rather than bad luck.
+    signals mis-stated constants or a width outside that regime rather than
+    bad luck.
 
     a_theta has shape (b, k). One masked descent (warm_start_group) gives
     every warm start; then each round proposes once for every block still
@@ -323,7 +324,9 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     proposal counts start at one and are written from round 2 on. Returns
     (z, proposals, gd_steps, expected_bound), the last three per block.
     Raises AcceptanceStall when a block is still pending after
-    PROPOSAL_CAP rounds.
+    PROPOSAL_CAP rounds; the message names rho and the block's certified
+    bound, and blames the width when that bound exceeds the cap and the
+    constants otherwise.
     """
     if not group.smooth:
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
@@ -348,10 +351,13 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     while n_rows:
         if rounds >= PROPOSAL_CAP:
             first = 0 if z is None else int(rows[0])
-            raise AcceptanceStall(
-                f"block {first}: no acceptance after {PROPOSAL_CAP} proposals; "
-                "certified (m, M) look wrong"
-            )
+            bound = float(expected[first])
+            stalled = (f"block {first}: no acceptance after {PROPOSAL_CAP} proposals at "
+                       f"rho={rho:.6g}, where its certified expected-proposal bound is {bound:.3g}")
+            if bound > PROPOSAL_CAP:
+                raise AcceptanceStall(f"{stalled}; the width is outside the sampler's "
+                                      "regime, try a smaller rho")
+            raise AcceptanceStall(f"{stalled}; certified (m, M) look wrong")
         rounds += 1
         if z is not None:
             proposals[rows] = rounds

@@ -204,10 +204,26 @@ class TestRejectionSampler:
     def test_stall_on_misstated_constants(self, monkeypatch):
         # A potential whose certified curvature wildly understates the truth
         # must hit the proposal cap instead of looping forever.
+        # Its certified bound sqrt(1 + rho^2 M) is below the cap, so the
+        # message blames the constants.
         monkeypatch.setattr(conditionals, "PROPOSAL_CAP", 64)
         lying = scalar_group(lambda z: 1e12 * z[:, 0] ** 2, np.zeros_like, 0.0, 0.05)
-        with pytest.raises(AcceptanceStall, match="after 64 proposals"):
+        with pytest.raises(AcceptanceStall, match=r"after 64 proposals at rho=1, where its "
+                           r"certified expected-proposal bound is 1\.02; certified \(m, M\) "
+                           r"look wrong$"):
             sample_z_group(lying, np.zeros((1, 1)), 1.0, np.random.default_rng(0))
+
+    def test_stall_outside_the_regime_suggests_a_smaller_rho(self, monkeypatch):
+        # The same potential with honest constants (m, M) = (0, 2e12): its
+        # certified bound sqrt(1 + rho^2 M) = 1.41e6 exceeds the cap, so the
+        # stall is the width leaving the regime, not wrong constants.
+        monkeypatch.setattr(conditionals, "PROPOSAL_CAP", 64)
+        honest = scalar_group(lambda z: 1e12 * z[:, 0] ** 2, np.zeros_like, 0.0, 2e12)
+        with pytest.raises(AcceptanceStall, match=r"after 64 proposals at rho=1, where its "
+                           r"certified expected-proposal bound is 1\.41e\+06; the width is "
+                           r"outside the sampler's regime, try a smaller rho$") as stall:
+            sample_z_group(honest, np.zeros((1, 1)), 1.0, np.random.default_rng(0))
+        assert stall.value.exit_code == 3
 
     def test_stall_names_first_pending_block(self, monkeypatch):
         # With PROPOSAL_CAP = 1 the sampler stops after the first round and

@@ -85,61 +85,77 @@ class TestRateToy:
 
 _PINNED_DIMENSION = """\
 # M = 1.0
+# bit_generator = SFC64
 # eps = 0.1
 # experiment = gaussian-mixing/dimension
-# fit_slope = 1.0418201756946273
+# fit_slope = 0.6578940231750076
 # m = 0.25
 # n_chains = 200
 # replicates = 2
 # seed = 7
 d,replicate,rho2,k_sgs,t_theory,t_empirical,tv_noise_floor,hit_cap
-8,0,0.0125,0.003115264797507788,2655,21,0.1387994259233182,False
-8,1,0.0125,0.003115264797507788,2655,49,0.11590079685175679,False
-4,0,0.025,0.006211180124223602,907,12,0.1356977913674797,False
-4,1,0.025,0.006211180124223602,907,22,0.1329066081725387,False
+8,0,0.0125,0.003115264797507788,2655,40,0.136084713738139,False
+8,1,0.0125,0.003115264797507788,2655,31,0.14915210979744256,False
+4,0,0.025,0.006211180124223602,907,17,0.1423107490721501,False
+4,1,0.025,0.006211180124223602,907,28,0.12932948018616294,False
 """
 _PINNED_KAPPA = """\
+# bit_generator = SFC64
 # d = 10
 # eps = 0.1
 # experiment = gaussian-mixing/kappa
-# fit_slope = 0.6648527227395403
+# fit_slope = 0.627406949514412
 # n_chains = 200
 # replicates = 2
 # seed = 7
 kappa,replicate,rho2,k_sgs,branch,t_empirical,hit_cap
-10.0,0,0.31622776601683794,0.03065343003171551,eps/sqrt(mM),15,False
-10.0,1,0.31622776601683794,0.03065343003171551,eps/sqrt(mM),22,False
-40.0,0,0.6324555320336759,0.015565279620747085,eps/sqrt(mM),48,False
+10.0,0,0.31622776601683794,0.03065343003171551,eps/sqrt(mM),20,False
+10.0,1,0.31622776601683794,0.03065343003171551,eps/sqrt(mM),24,False
+40.0,0,0.6324555320336759,0.015565279620747085,eps/sqrt(mM),60,False
 40.0,1,0.6324555320336759,0.015565279620747085,eps/sqrt(mM),45,False
 """
 _PINNED_PRECISION = """\
+# bit_generator = SFC64
 # d = 2
 # experiment = gaussian-mixing/precision
-# fit_slope_vs_log2eps_over_eps = 2.318786324267989
+# fit_slope_vs_log2eps_over_eps = 1.881175484670898
 # kappa = 3.0
 # n_chains = 2000
 # replicates = 2
 # seed = 7
 eps,replicate,rho2,k_sgs,t_theory,t_empirical,tv_noise_floor,hit_cap
-0.16,0,0.08,0.025974025974025972,143,3,0.03554095076831859,False
-0.16,1,0.08,0.025974025974025972,143,4,0.03684196444290372,False
-0.11,0,0.055,0.01800327332242226,227,10,0.045358558114440915,False
-0.11,1,0.055,0.01800327332242226,227,13,0.03903811280752414,False
+0.16,0,0.08,0.025974025974025972,143,4,0.04039557479625957,False
+0.16,1,0.08,0.025974025974025972,143,4,0.037979352325092884,False
+0.11,0,0.055,0.01800327332242226,227,11,0.04229173135854971,False
+0.11,1,0.055,0.01800327332242226,227,10,0.037425454481166354,False
 """
 _PINNED_KAPPA_CAPPED = """\
+# bit_generator = SFC64
 # d = 10
 # eps = 0.03
 # experiment = gaussian-mixing/kappa
-# fit_slope = 2.4538186350721576
+# fit_slope = 0.49372991335459815
 # n_chains = 200
 # replicates = 2
 # seed = 7
 kappa,replicate,rho2,k_sgs,branch,t_empirical,hit_cap
-10.0,0,0.09486832980505137,0.009397678771594581,eps/sqrt(mM),1237,False
+10.0,0,0.09486832980505137,0.009397678771594581,eps/sqrt(mM),3100,True
 10.0,1,0.09486832980505137,0.009397678771594581,eps/sqrt(mM),3100,True
 12.0,0,0.10392304845413264,0.008585897980192901,eps/sqrt(mM),3392,True
 12.0,1,0.10392304845413264,0.008585897980192901,eps/sqrt(mM),3392,True
 """
+
+
+def test_rng_streams_are_sfc64_keyed_by_seed_and_key():
+    from splitmc.experiments import _rng
+
+    def draw(*key):
+        return _rng(7, *key).standard_normal(8)
+
+    assert isinstance(_rng(7, 1).bit_generator, np.random.SFC64)
+    assert np.array_equal(draw(1, 2), draw(1, 2))
+    streams = [draw(), draw(1), draw(2), draw(1, 2), draw(2, 1), _rng(8, 1).standard_normal(8)]
+    assert len({s.tobytes() for s in streams}) == len(streams)
 
 
 class TestGaussianMixing:
@@ -171,7 +187,7 @@ class TestGaussianMixing:
           "n_chains_w1": 200, "eps_grid": (0.16, 0.11), "n_chains_precision": 2000},
          {"dimension": _PINNED_DIMENSION, "kappa": _PINNED_KAPPA,
           "precision": _PINNED_PRECISION}),
-        # Tight enough that some chains stop at the sweep cap.
+        # Tight enough that the chains stop at the sweep cap.
         ({"which": "kappa", "eps": 0.03, "replicates": 2, "kappa_grid": (10, 12),
           "n_chains_w1": 200},
          {"kappa": _PINNED_KAPPA_CAPPED}),
@@ -181,6 +197,9 @@ class TestGaussianMixing:
         # Changes to how the grid cells are scheduled, to the first-passage
         # loop or to the fit must leave them as they are. Under which=all the
         # kappa CSV echoes its own d, not a value of the dimension grid.
+        # The pins changed once, when the experiments moved from PCG64 to
+        # SFC64 streams and the mixing helpers from the two-draw sweep to
+        # its one-draw AR(1) marginal: same law, other draws.
         run_gaussian_mixing(ExperimentSpec("gaussian-mixing", params, seed=7, out_dir=tmp_path))
         for which, text in pinned.items():
             assert (tmp_path / f"gaussian_mixing_{which}.csv").read_text(encoding="utf-8") == text
@@ -313,7 +332,7 @@ class TestPopulationSweepsMatchKernelLaws:
 
 
 class TestFirstCoordinateShortcut:
-    """The mixing helpers step coordinate 0 alone; its law is the d-dim one."""
+    """The mixing helpers step coordinate 0 alone, one draw per sweep; its law is the d-dim one."""
 
     d, m, M, rho, t, n = 6, 0.25, 1.0, 0.6, 10, 50_000
 
@@ -321,6 +340,21 @@ class TestFirstCoordinateShortcut:
         a = 1.0 / (1.0 + self.rho**2 * self.m)
         v_inf = 1.0 / self.m + self.rho**2
         return a**self.t * mean0, a ** (2 * self.t) * var0 + v_inf * (1.0 - a ** (2 * self.t))
+
+    def _step(self, thetas, rng, sweeps):
+        """thetas after the given number of the helpers' one-draw steps."""
+        from splitmc.experiments import _first_passage
+
+        thetas = np.array(thetas, dtype=float)
+        assert _first_passage(self.m, self.rho, thetas, rng, sweeps,
+                              lambda x: math.inf, 0.0) == (sweeps, True)
+        return thetas
+
+    def _start(self, start, rng):
+        """n draws of coordinate 0's start: N(0, 1/M) or the point mass at 1.5."""
+        if start == "normal":
+            return rng.standard_normal(self.n) / math.sqrt(self.M)
+        return np.full(self.n, 1.5)
 
     def test_aniso_coordinate_zero_has_precision_m_and_top_precision_big_m(self):
         # What the runner relies on when it builds the twin from (m, M)
@@ -339,29 +373,58 @@ class TestFirstCoordinateShortcut:
 
     @pytest.mark.parametrize("start", ["normal", "point"])
     def test_coordinate_zero_matches_ar1_law(self, start):
+        # Coordinate 0 of the d-dimensional two-draw sweep and the one-draw
+        # step both have the AR(1) law after t sweeps.
         from splitmc import zoo
-        from splitmc.experiments import _coordinate_zero, _population_sweep
+        from splitmc.experiments import _population_sweep
 
         (full,) = zoo.aniso_gaussian(self.d, self.m, self.M).groups
-        one = _coordinate_zero(self.m)
-        assert one.m[0] == self.m and one.d == 1
         rng = np.random.default_rng(31)
-        if start == "normal":  # N(0, I/M)
-            mean0, var0 = 0.0, 1.0 / self.M
-            pops = [(full, rng.standard_normal((self.n, self.d)) / math.sqrt(self.M)),
-                    (one, rng.standard_normal((self.n, 1)) / math.sqrt(self.M))]
-        else:  # point mass at 1.5 e_0
-            mean0, var0 = 1.5, 0.0
-            start_full = np.zeros((self.n, self.d))
-            start_full[:, 0] = 1.5
-            pops = [(full, start_full), (one, np.full((self.n, 1), 1.5))]
+        x0 = self._start(start, rng)
+        mean0, var0 = (0.0, 1.0 / self.M) if start == "normal" else (1.5, 0.0)
+        thetas = np.zeros((self.n, self.d))
+        thetas[:, 0] = x0
+        for _ in range(self.t):
+            thetas = _population_sweep(full, self.rho, thetas, rng)
         mean_t, var_t = self._ar1_law(mean0, var0)
-        for group, thetas in pops:
-            for _ in range(self.t):
-                thetas = _population_sweep(group, self.rho, thetas, rng)
-            x = thetas[:, 0]
+        for x in (thetas[:, 0], self._step(x0, rng, self.t)):
             assert abs(x.mean() - mean_t) <= 5 * math.sqrt(var_t / self.n)
             assert abs(x.var() - var_t) <= 5 * var_t * math.sqrt(2.0 / (self.n - 1))
+
+    @pytest.mark.parametrize("start", ["normal", "point"])
+    def test_one_draw_step_matches_the_sampler_sweep(self, start):
+        # Two-sample KS at the 0.001 level: t one-draw steps against t
+        # two-draw sweeps of the one-coordinate group's own closed-form
+        # sampler, from the same start and on separate streams.
+        from scipy.stats import ks_2samp
+
+        from splitmc.experiments import _population_sweep
+        from splitmc.model import make_quadratic_group
+
+        group = make_quadratic_group(np.ones((1, 1, 1)), self.m, 0.0)
+        x0 = self._start(start, np.random.default_rng(32))
+        sweep = x0[:, None]
+        rng = np.random.default_rng(33)
+        for _ in range(self.t):
+            sweep = _population_sweep(group, self.rho, sweep, rng)
+        step = self._step(x0, np.random.default_rng(34), self.t)
+        assert ks_2samp(step, sweep[:, 0]).pvalue > 1e-3
+
+    def test_one_step_mean_factor_and_variance(self):
+        # phi is the group's own shrink factor 1/(1 + rho^2 m) bit for bit,
+        # scale^2 is rho^2 phi + rho^2, and one step from a point mass has
+        # that mean and variance.
+        from splitmc.experiments import _ar1_constants
+        from splitmc.model import make_quadratic_group
+
+        phi, scale = _ar1_constants(self.m, self.rho)
+        group = make_quadratic_group(np.ones((1, 1, 1)), self.m, 0.0)
+        assert phi == group.mode(np.ones((1, 1)), self.rho)[0, 0] == 1.0 / (1.0 + 0.6**2 * 0.25)
+        var = self.rho**2 * phi + self.rho**2
+        assert scale**2 == pytest.approx(var, rel=1e-15)
+        x = self._step(np.full(self.n, 2.0), np.random.default_rng(35), 1)
+        assert abs(x.mean() - 2.0 * phi) <= 5 * math.sqrt(var / self.n)
+        assert abs(x.var() - var) <= 5 * var * math.sqrt(2.0 / (self.n - 1))
 
     def test_too_few_chains_refused(self, tmp_path, capfd):
         # A mixing time compares two or more chains; each part's chain count

@@ -40,6 +40,17 @@ def test_no_logaddexp_calls():
     assert not found, f"logaddexp calls in the package: {', '.join(found)}"
 
 
+def test_experiments_draw_only_from_their_keyed_streams():
+    # Every experiment generator comes from experiments._rng, the SFC64
+    # stream keyed by (seed, *key); numpy's default_rng and PCG64 would
+    # bypass it.
+    path = PACKAGE_DIR / "experiments.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"experiments.py:{node.lineno}" for node in ast.walk(tree)
+             if getattr(node, "attr", getattr(node, "id", None)) in ("default_rng", "PCG64")]
+    assert not found, f"default_rng or PCG64 in experiments.py: {', '.join(found)}"
+
+
 def scipy_imports(*submodules):
     """'file:line' of every package import of scipy.<submodule> for the given submodules."""
     dotted = tuple(f"scipy.{name}" for name in submodules)
