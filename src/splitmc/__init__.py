@@ -9,6 +9,7 @@ a batch experiment CLI.
 from . import bias, conditionals, engine, errors, metrics, model, numerics, planner, zoo
 from .errors import (
     AcceptanceStall,
+    ConstantsContradicted,
     DimensionMismatch,
     EpsilonOutOfRange,
     InvalidParameter,

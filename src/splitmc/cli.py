@@ -112,6 +112,7 @@ def _cmd_sample(args) -> int:
     config_echo = {"command": "sample", "model": args.model, "rho": args.rho,
                    "sweeps": args.sweeps, "seed": args.seed,
                    "max_avg_proposals": report.max_avg_proposals,
+                   "max_avg_certified": report.max_avg_certified,
                    "wall_time_s": report.wall_time_s}
     out = None if args.out is None else Path(args.out) / "samples.csv"
     _write_csv(out, config_echo, list(rows[0]) if rows else ["sweep"], rows)

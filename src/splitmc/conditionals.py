@@ -13,6 +13,14 @@ _certificate holds the one formula for the proposal precision and the
 certified bound on expected proposals. A single block is a group with
 b = 1; a law test draws n samples of one block in one call, on a group of
 n copies of it.
+
+Each proposal is first tested against a squeeze, a lower bound on its log
+acceptance ratio that the certified curvature bound 1/rho^2 + M gives
+without evaluating V_i; only the proposals it leaves open are gathered for
+the exact test. So exactness rests on the certified M as well as on m.
+Two guards watch M: the first draw of a group at each rho tests every
+block exactly, and every exact evaluation checks the curvature bound the
+squeeze relies on, raising ConstantsContradicted when it fails.
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AcceptanceStall, NonConvergence, NotSmooth, SingularGram, check_scale
+from .errors import (AcceptanceStall, ConstantsContradicted, NonConvergence, NotSmooth,
+                     SingularGram, check_scale)
 from .model import ALL_BLOCKS, FactorGroup, SplitModel
 
 # Warm starts stop once ||grad V_i|| <= (2/7) sqrt(1/rho^2 + m_i) / sqrt(d_i).
@@ -36,6 +45,10 @@ _GD_STOP_FACTOR = 2.0 / 7.0
 _U_OFFSET = float(np.finfo(float).tiny)
 
 PROPOSAL_CAP = 10_000
+
+# Relative rounding tolerance of the check that a proposal's potential rise
+# stays within the certified curvature bound.
+_BOUND_RTOL = 1e-9
 
 
 class ThetaConditional:
@@ -129,14 +142,16 @@ class _RhoConstants:
     block that starts at gradient norm g0 is
     max(1, ceil((log g0 - log_target)/rate)), with rate = log(1/(1 - 1/kappa))
     and kappa = (1 + rho^2 M)/(1 + rho^2 m); rate is inf at kappa = 1 (one
-    exact step).
+    exact step). checked turns true once a draw of the group at rho has run
+    the exact test on every block (see sample_z_group).
     """
 
-    __slots__ = ("rho", "s", "top", "target", "log_target", "step", "rate")
+    __slots__ = ("rho", "s", "top", "target", "log_target", "step", "rate", "checked")
 
     def __init__(self, group: FactorGroup, rho: float):
         check_scale(rho)
         self.rho = rho
+        self.checked = False
         self.s = 1.0 / rho**2 + group.m
         self.top = 1.0 / rho**2 + group.M
         self.target = _GD_STOP_FACTOR * np.sqrt(self.s) / math.sqrt(group.k)
@@ -165,7 +180,7 @@ def _rho_constants(group: FactorGroup, rho: float) -> _RhoConstants:
 
 def _norms(g: np.ndarray) -> np.ndarray:
     """Row norms; what np.linalg.norm(g, axis=1) computes, without its wrapper."""
-    return np.sqrt(np.add.reduce(g * g, axis=1))
+    return np.sqrt(_row_sums(g * g))
 
 
 def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target=None):
@@ -195,11 +210,14 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
         target = np.broadcast_to(target, (group.b,))
         with np.errstate(divide="ignore"):
             log_target = np.log(target)
-    return _descend(group, np.asarray(a_theta, dtype=float), c, target, log_target)
+    return _descend(group, np.asarray(a_theta, dtype=float), c, target, log_target)[:3]
 
 
 def _descend(group: FactorGroup, a_theta: np.ndarray, c: _RhoConstants, target, log_target):
     """warm_start_group with the group's constants c at rho = c.rho and the targets resolved.
+
+    Returns warm_start_group's three arrays and, fourth, the gradient of V_i
+    at each block's warm start.
 
     The group is read through ALL_BLOCKS only, without gathering. Blocks
     still descending share one step counter: the bound check compares it
@@ -218,7 +236,7 @@ def _descend(group: FactorGroup, a_theta: np.ndarray, c: _RhoConstants, target, 
     pending = ~(gnorm <= target)
     n_pending = np.count_nonzero(pending)
     if not n_pending:
-        return a_theta, gnorm, steps
+        return a_theta, gnorm, steps, g
     masked = n_pending < group.b
     _check_finite(gnorm, 0)
     z, step, it = a_theta, c.step[:, None], 0
@@ -241,7 +259,7 @@ def _descend(group: FactorGroup, a_theta: np.ndarray, c: _RhoConstants, target, 
         n_stop = np.count_nonzero(stop)
         if n_stop == n_pending:
             steps[pending] = it
-            return zp, gnorm_p, steps
+            return zp, gnorm_p, steps, gp
         if it == 1:  # gnorm still holds the start norms; rate is 0 past kappa = 2^53
             with np.errstate(divide="ignore", invalid="ignore"):
                 bound = np.maximum(np.ceil((np.log(gnorm) - log_target) / c.rate), 1.0)
@@ -305,45 +323,66 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     signals mis-stated constants or a width outside that regime rather than
     bad luck.
 
-    a_theta has shape (b, k). One masked descent (warm_start_group) gives
-    every warm start; then each round proposes once for every block still
-    pending, taking the normals xi and then the uniforms from rng in block
-    order, and retires the accepted blocks. The proposal term
-    A~ ||Z - z~||^2 / 2 of the acceptance ratio is computed as
-    ||xi||^2 / 2. The descent begins at a_theta, where the coupling term of
-    the gradient is exactly zero and is left out, as is the coupling term
-    of V_i(z~) when no block took a descent step (the descent then returns
-    a_theta itself). The constants that depend only on (group, rho) are
-    looked up once per call and kept for the group's lifetime; the descent
-    and the first round address the blocks through basic slices. When
-    every block accepts in round one, that round's proposals are returned
-    as they are; otherwise the blocks still pending are gathered. A block
-    accepts when log(u + _U_OFFSET) < log_accept: the uniforms are
-    multiples of 2^-53, so the offset (the smallest normal double) changes
-    no nonzero u and u = 0 gets a finite log without an errstate. The
-    proposal counts start at one and are written from round 2 on. Returns
-    (z, proposals, gd_steps, expected_bound), the last three per block.
-    Raises AcceptanceStall when a block is still pending after
-    PROPOSAL_CAP rounds; the message names rho and the block's certified
-    bound, and blames the width when that bound exceeds the cap and the
-    constants otherwise.
+    a_theta has shape (b, k). One masked descent (_descend) gives every
+    warm start and the gradient of V_i there; then each round proposes
+    once for every block still pending, taking the normals xi and then the
+    uniforms from rng in block order, and retires the accepted blocks.
+
+    Each proposal is first tested against a squeeze (Marsaglia 1977): with
+    sigma = A~^{-1/2} and top = 1/rho^2 + M_i, a Hessian of V_i at most top
+    bounds V_i(Z) - V_i(z~) by sigma <grad V_i(z~), xi> + (top/A~) ||xi||^2/2,
+    so log u below log r minus that bound plus ||xi||^2/2 (tested as u below
+    its exp) accepts without evaluating V_i. Only the proposals the squeeze
+    leaves open are gathered and go through the exact test, which evaluates
+    V_i(z~) (once per block, in round 1) and V_i(Z) on those rows alone.
+    Both tests read the same normals and uniforms, and up to rounding the
+    squeeze never accepts what the exact test rejects, so the draws,
+    proposal counts, descent steps and certificates are those of the exact
+    test alone. The first draw of a group at a rho
+    is a checking draw: it runs the exact test on every block (through
+    ALL_BLOCKS in round 1), and _RhoConstants.checked records that it ran.
+    Every exact evaluation checks that bound, within a relative rounding
+    tolerance _BOUND_RTOL, and raises ConstantsContradicted, naming the
+    block, rho and M, when V_i rose faster than top allows. An understated
+    M that no exact evaluation catches can bias the squeezed draws.
+
+    The proposal term A~ ||Z - z~||^2 / 2 of the acceptance ratio is
+    computed as ||xi||^2 / 2. The descent begins at a_theta, where the
+    coupling term of the gradient is exactly zero and is left out, as is
+    the coupling term of V_i(z~) when no block took a descent step (the
+    descent then returns a_theta itself). The constants that depend only
+    on (group, rho) are looked up once per call and kept for the group's
+    lifetime; the descent and the first round address the blocks through
+    basic slices. When every block accepts in round one, that round's
+    proposals are returned as they are; otherwise the blocks still pending
+    are gathered. A block accepts when log(u + _U_OFFSET) is below its log
+    ratio: the uniforms are multiples of 2^-53, so the offset (the smallest
+    normal double) changes no nonzero u and u = 0 gets a finite log without
+    an errstate. The proposal counts start at one and are written from
+    round 2 on. Returns (z, proposals, gd_steps, expected_bound), the last
+    three per block. Raises AcceptanceStall when a block is still pending
+    after PROPOSAL_CAP rounds; the message names rho and the block's
+    certified bound, and blames the width when that bound exceeds the cap
+    and the constants otherwise.
     """
     if not group.smooth:
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
     c = _rho_constants(group, rho)
     a_theta = np.asarray(a_theta, dtype=float)
-    z_tilde, gnorm, gd_steps = _descend(group, a_theta, c, c.target, c.log_target)
+    z_tilde, gnorm, gd_steps, grad = _descend(group, a_theta, c, c.target, c.log_target)
     k = group.k
     a_tilde, log_r, expected = _certificate(gnorm, k, c.s, c.top)
-    v_tilde = group.value(z_tilde, ALL_BLOCKS)
-    if z_tilde is not a_theta:
-        # Some block descended; otherwise the quadratic term is zero.
-        dz = z_tilde - a_theta
-        v_tilde = v_tilde + 0.5 * np.add.reduce(dz * dz, axis=1) / rho**2
     sigma_prop = 1.0 / np.sqrt(a_tilde)
+    ratio = c.top / a_tilde
+    squeeze = c.checked
+    if squeeze:
+        half_curv = 0.5 * (1.0 - ratio)
+    descended = z_tilde is not a_theta  # otherwise the quadratic term of V(z~) is zero
+    v_tilde = np.empty(group.b)
 
     # Round 1 proposes for every block through basic slices, which copy
-    # nothing; later rounds gather the blocks still pending.
+    # nothing; later rounds gather the blocks still pending. Every block
+    # pending after round 1 was tested exactly there, so its V(z~) is known.
     z = None
     proposals = np.ones(group.b, dtype=np.int64)
     rows, n_rows = ALL_BLOCKS, group.b
@@ -364,20 +403,79 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
         xi = rng.standard_normal((n_rows, k))
         zp = z_tilde[rows] + sigma_prop[rows, None] * xi
         u = rng.random(n_rows)
-        dz = zp - a_theta[rows]
-        v = group.value(zp, rows) + 0.5 * np.add.reduce(dz * dz, axis=1) / rho**2
-        log_accept = log_r[rows] - (v - v_tilde[rows]) + 0.5 * np.add.reduce(xi * xi, axis=1)
-        accepted = np.log(u + _U_OFFSET) < log_accept
+        xi2 = _row_sums(xi * xi)
+        slope = sigma_prop[rows] * _row_sums(grad[rows] * xi)
+        exact = ALL_BLOCKS
+        if squeeze:
+            # log u < log r - slope + (1 - top/A~) ||xi||^2/2, read as u < exp(.).
+            accepted = u < np.exp(log_r[rows] - slope + half_curv[rows] * xi2)
+            n_open = n_rows - np.count_nonzero(accepted)
+            if n_open < n_rows:
+                exact = np.flatnonzero(~accepted) if n_open else None
+        if exact is not None:
+            at = rows if exact is ALL_BLOCKS else exact if rows is ALL_BLOCKS else rows[exact]
+            if z is None:
+                vt = group.value(z_tilde[at], at)
+                if descended:
+                    dz = z_tilde[at] - a_theta[at]
+                    vt = vt + 0.5 * _row_sums(dz * dz) / rho**2
+                v_tilde[at] = vt
+            else:
+                vt = v_tilde[at]
+            zp_e, half_e = zp[exact], 0.5 * xi2[exact]
+            dz = zp_e - a_theta[at]
+            v = group.value(zp_e, at) + 0.5 * _row_sums(dz * dz) / rho**2
+            dv = v - vt
+            curv = ratio[at] * half_e
+            excess = dv - (slope[exact] + curv)
+            if excess.max() > _BOUND_RTOL:  # below it, within every tolerance
+                _check_rise(group, c, at, zp_e, v, vt, excess, curv)
+            exact_accepted = np.log(u[exact] + _U_OFFSET) < log_r[at] - dv + half_e
+            if exact is ALL_BLOCKS:
+                accepted = exact_accepted
+            else:
+                accepted[exact] = exact_accepted
         if z is None:
-            if accepted.all():
-                return zp, proposals, gd_steps, expected
+            z = zp
+            if exact is None or accepted.all():
+                break
             # The rejected rows of z are overwritten when they are accepted.
-            z, rows = zp, np.flatnonzero(~accepted)
+            rows = np.flatnonzero(~accepted)
         else:
             z[rows[accepted]] = zp[accepted]
             rows = rows[~accepted]
         n_rows = rows.size
+    c.checked = True
     return z, proposals, gd_steps, expected
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """np.add.reduce(x, axis=1), read as column 0 when x has one column (the same bits)."""
+    return x[:, 0] if x.shape[1] == 1 else np.add.reduce(x, axis=1)
+
+
+def _check_rise(group, c: _RhoConstants, at, zp, v, v_tilde, excess, curv) -> None:
+    """Raise ConstantsContradicted where V(Z) - V(z~) exceeds its curvature bound.
+
+    The rows at of the group were tested exactly, with proposals zp,
+    potentials v = V(Z) and v_tilde = V(z~), curv = (top/A~) ||xi||^2/2 and
+    excess = V(Z) - V(z~) - sigma <grad V(z~), xi> - curv. The tolerance is
+    _BOUND_RTOL times 1 + |V(Z)| + |V(z~)| + curv + top ||Z||^2, which bounds
+    the rounding of both sides: the last term covers the rounding of Z
+    itself, which dominates at small rho, where V's gradient at Z is about
+    top times the step. A quadratic block at its certified M meets the
+    bound with equality, within that tolerance.
+    """
+    tol = _BOUND_RTOL * (1.0 + np.abs(v) + np.abs(v_tilde) + curv + c.top[at] * _row_sums(zp * zp))
+    over = excess > tol
+    if over.any():
+        j = int(np.flatnonzero(over)[0])
+        block = int(np.arange(group.b)[at][j])
+        raise ConstantsContradicted(
+            f"block {block}: V rose by {v[j] - v_tilde[j]:.6g} over a proposal step where "
+            f"curvature at most 1/rho^2 + M allows {v[j] - v_tilde[j] - excess[j]:.6g}, at "
+            f"rho={c.rho:.6g} with certified M={group.M[block]:.6g}; the certified M is too "
+            "small")
 
 
 def within_two_guarantee(group: FactorGroup, gnorm: np.ndarray, rho: float) -> np.ndarray:

@@ -226,7 +226,13 @@ def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
 
 @dataclass
 class RunReport:
-    """Aggregated per-run diagnostics for downstream tables."""
+    """Aggregated per-run diagnostics for downstream tables.
+
+    proposals_total, gd_steps_total and expected_total sum, per block, the
+    proposals, descent steps and certified expected-proposal bounds of every
+    sweep's BlockReports (all zero for closed-form blocks); dividing by
+    rejection_draws gives per-draw averages, realized against certified.
+    """
 
     thetas: np.ndarray
     sweeps_run: int
@@ -236,17 +242,29 @@ class RunReport:
     proposals_total: np.ndarray
     rejection_draws: np.ndarray
     gd_steps_total: np.ndarray
+    expected_total: np.ndarray
     final_state: ChainState = field(repr=False)
 
     @property
     def proposals_per_draw(self) -> np.ndarray:
         """Average proposals per accepted sample, per factor (nan for closed-form blocks)."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return self.proposals_total / self.rejection_draws
+        return self._per_draw(self.proposals_total)
 
     @property
     def max_avg_proposals(self) -> float:
-        per = self.proposals_per_draw
+        return self._max(self.proposals_per_draw)
+
+    @property
+    def max_avg_certified(self) -> float:
+        """The largest per-block average of the certified expected-proposal bound."""
+        return self._max(self._per_draw(self.expected_total))
+
+    def _per_draw(self, total: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return total / self.rejection_draws
+
+    @staticmethod
+    def _max(per: np.ndarray) -> float:
         per = per[~np.isnan(per)]
         return float(per.max()) if per.size else float("nan")
 
@@ -265,6 +283,7 @@ def run_chain(model: SplitModel, config: SamplerConfig, seed: int,
     cond = ThetaConditional(model, config.rho)
     proposals = np.zeros(model.b)
     gd_steps = np.zeros(model.b)
+    expected = np.zeros(model.b)
     recorded = []
     writer = TraceWriter(trace_path, model.d) if trace_path is not None else None
     streams = SweepStreams(state.rng_seed_root)
@@ -277,6 +296,7 @@ def run_chain(model: SplitModel, config: SamplerConfig, seed: int,
             if not model.closed_form:
                 proposals += reports.proposals
                 gd_steps += reports.gd_steps
+                expected += reports.expected
             if t > config.burn_in and (t - config.burn_in - 1) % config.record_every == 0:
                 recorded.append(state.theta.copy())
                 if writer is not None:
@@ -294,7 +314,7 @@ def run_chain(model: SplitModel, config: SamplerConfig, seed: int,
     return RunReport(thetas=thetas, sweeps_run=sweeps_run, seed=int(seed),
                      rho=config.rho, wall_time_s=wall, proposals_total=proposals,
                      rejection_draws=rejection_draws, gd_steps_total=gd_steps,
-                     final_state=state)
+                     expected_total=expected, final_state=state)
 
 
 # ---------------------------------------------------------------------------

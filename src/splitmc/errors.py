@@ -65,6 +65,10 @@ class UnsupportedModel(ValidityError):
     """The operation only supports specific closed-form model families."""
 
 
+class ConstantsContradicted(ValidityError):
+    """A block's potential rose faster than its certified curvature bound allows."""
+
+
 class InvalidParameter(ValidityError, ValueError):
     """A model, planner or experiment parameter lies outside its admissible range."""
 

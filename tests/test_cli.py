@@ -129,7 +129,7 @@ class TestExitCodes:
         concrete = [c for _, c in inspect.getmembers(errors, inspect.isclass)
                     if issubclass(c, errors.SplitMCError)
                     and c not in (errors.SplitMCError, *bases)]
-        assert len(concrete) == 12
+        assert len(concrete) == 13
         for cls in concrete:
             assert sum(issubclass(cls, base) for base in bases) == 1, cls
         assert [(b.exit_code, b.label) for b in bases] == [(2, "validity violation"),
@@ -137,9 +137,9 @@ class TestExitCodes:
 
     def test_missing_shape_or_smoothness_maps_to_2(self, monkeypatch, capfd):
         from splitmc import cli
-        from splitmc.errors import DimensionMismatch, NotSmooth
+        from splitmc.errors import ConstantsContradicted, DimensionMismatch, NotSmooth
 
-        for error in (DimensionMismatch, NotSmooth):
+        for error in (DimensionMismatch, NotSmooth, ConstantsContradicted):
             def boom(args, error=error):
                 raise error("the model is outside the region")
 

@@ -14,6 +14,7 @@ from scipy.stats import kstest, norm
 
 from splitmc import (
     AcceptanceStall,
+    ConstantsContradicted,
     NonConvergence,
     NotSmooth,
     SamplerConfig,
@@ -201,17 +202,23 @@ class TestRejectionSampler:
         result = kstest(z[:, 0], lambda x: np.interp(x, grid, cdf))
         assert result.pvalue > 0.01
 
-    def test_stall_on_misstated_constants(self, monkeypatch):
+    def test_stall_on_misstated_constants(self):
         # A potential whose certified curvature wildly understates the truth
-        # must hit the proposal cap instead of looping forever.
-        # Its certified bound sqrt(1 + rho^2 M) is below the cap, so the
-        # message blames the constants.
-        monkeypatch.setattr(conditionals, "PROPOSAL_CAP", 64)
-        lying = scalar_group(lambda z: 1e12 * z[:, 0] ** 2, np.zeros_like, 0.0, 0.05)
-        with pytest.raises(AcceptanceStall, match=r"after 64 proposals at rho=1, where its "
-                           r"certified expected-proposal bound is 1\.02; certified \(m, M\) "
-                           r"look wrong$"):
+        # (1e12 z^2 certified with M = 0.05) ends in a typed error, never a
+        # hang: the checking draw evaluates the first proposal exactly, and
+        # its potential rises far past the bound that 1/rho^2 + M allows.
+        values = []
+
+        def value(z):
+            values.append(len(z))
+            return 1e12 * z[:, 0] ** 2
+
+        lying = scalar_group(value, np.zeros_like, 0.0, 0.05)
+        with pytest.raises(ConstantsContradicted, match=r"^block 0: V rose by .* at rho=1 with "
+                           r"certified M=0\.05; the certified M is too small$") as refused:
             sample_z_group(lying, np.zeros((1, 1)), 1.0, np.random.default_rng(0))
+        assert refused.value.exit_code == 2
+        assert values == [1, 1]  # V(z~) and the first proposal: refused in round 1
 
     def test_stall_outside_the_regime_suggests_a_smaller_rho(self, monkeypatch):
         # The same potential with honest constants (m, M) = (0, 2e12): its

@@ -93,3 +93,36 @@ def test_reachability_keep_list_is_current():
                           env=env, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "keep-list entry is entered or gone" not in done.stdout, done.stdout
+
+
+def test_fingerprint_manifest_runs_and_repeats(tmp_path):
+    # tools/fingerprints.py at toy size: two runs agree entry for entry, and
+    # --against lists exactly the entries that differ and exits 1. No hash
+    # is compared with a committed value: bit identity holds on one host
+    # and one numpy/BLAS build only.
+    import json
+
+    tool = Path(__file__).resolve().parents[1] / "tools" / "fingerprints.py"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+
+    def run(*args):
+        return subprocess.run([sys.executable, str(tool), "--scale", "toy", *map(str, args)],
+                              capture_output=True, text=True, env=env, timeout=300)
+
+    first = run("--out", tmp_path / "first.json")
+    assert first.returncode == 0, first.stdout + first.stderr
+    manifest = json.loads((tmp_path / "first.json").read_text())
+    assert set(manifest["versions"]) == {"python", "numpy", "scipy", "blas"}
+    names = sorted(manifest["fingerprints"])
+    assert any(n.startswith("workload/") for n in names) and "csv/rate-toy" in names
+    edited = dict(manifest, fingerprints=dict(manifest["fingerprints"]))
+    edited["fingerprints"][names[0]] = "0" * 64
+    del edited["fingerprints"][names[1]]
+    (tmp_path / "edited.json").write_text(json.dumps(edited))
+
+    second = run("--out", tmp_path / "second.json", "--against", tmp_path / "edited.json")
+    assert second.returncode == 1, second.stdout + second.stderr
+    listed = [line.removeprefix("changed: ") for line in second.stdout.splitlines()
+              if line.startswith("changed: ")]
+    assert listed == names[:2]
+    assert json.loads((tmp_path / "second.json").read_text()) == manifest

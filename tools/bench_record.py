@@ -13,8 +13,18 @@ environment (git sha and dirty flag included) and a sha256 of the
 checkout's src/ and benchmarks/ sources, which names the measured code when
 the tree has uncommitted changes.
 
+With --parent DIR, the plain runs come in alternating pairs: per
+workload, --pairs N (default 10) pairs of one run of DIR (the parent
+checkout) and one of the measured checkout, the parent first in even
+pairs and second in odd ones. The file then also holds, per workload and
+end-to-end metric, each side's median, quartiles and values and the
+number of pairs the measured checkout won (ties count for neither side;
+"better" is read from BENCHMARK.json), and the parent's git sha and
+source sha256. The end_to_end field is the measured checkout's first run.
+
     python tools/bench_record.py                    # this checkout
     python tools/bench_record.py --checkout DIR     # another checkout
+    python tools/bench_record.py --parent DIR --pairs 10
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ import argparse
 import hashlib
 import json
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +82,34 @@ def run_one(checkout: Path, workload: str, trace: int) -> dict:
     }
 
 
+def _summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def paired(checkout: Path, parent: Path, workload: str, pairs: int, better: dict) -> dict:
+    """pairs alternating plain runs of parent and checkout: each side's runs and who won."""
+    runs = {"parent": [], "tree": []}
+    for i in range(pairs):
+        order = ("parent", "tree") if i % 2 == 0 else ("tree", "parent")
+        for side in order:
+            runs[side].append(run_one(parent if side == "parent" else checkout, workload, 0))
+        print(f"{workload}: pair {i + 1}/{pairs} done", file=sys.stderr)
+    metrics = {}
+    for name, rule in better.items():
+        values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
+        sign = 1.0 if rule == "lower" else -1.0
+        metrics[name] = {
+            "parent": _summary(values["parent"]),
+            "tree": _summary(values["tree"]),
+            "tree_won": sum(sign * (t - p) < 0 for p, t in zip(values["parent"], values["tree"])),
+        }
+    return {"pairs": pairs,
+            "failed_frac": {side: [r["failed_frac"] for r in rs] for side, rs in runs.items()},
+            "metrics": metrics, "tree_runs": runs["tree"],
+            "parent_environment": runs["parent"][0]["environment"]}
+
+
 def next_path() -> Path:
     taken = [int(m.group(1)) for p in REPO.glob("BENCH_*.json")
              if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
@@ -81,13 +120,25 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=REPO,
                         help="the checkout whose benchmarks/run.py and src/ are measured")
+    parser.add_argument("--parent", type=Path,
+                        help="a parent checkout to run in alternating pairs with the measured one")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload with --parent")
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
+    better = {m["name"]: m["better"]
+              for m in json.loads((checkout / "BENCHMARK.json").read_text())["end_to_end"]}
     workloads = {}
     for name in WORKLOADS:
-        plain = run_one(checkout, name, trace=0)
+        if args.parent is None:
+            plain, pairs = run_one(checkout, name, trace=0), None
+        else:
+            pairs = paired(checkout, args.parent.resolve(), name, args.pairs, better)
+            plain = pairs.pop("tree_runs")[0]
+            parent_env = pairs.pop("parent_environment")
         traced = run_one(checkout, name, trace=1)
         workloads[name] = {"end_to_end": plain, "per_layer": traced}
+        if pairs is not None:
+            workloads[name]["paired"] = pairs
         print(f"{name}: plain failed_frac {plain['failed_frac']:.3g}, "
               f"traced not observed {len(traced['not_observed'])}", file=sys.stderr)
     env = workloads[WORKLOADS[0]]["end_to_end"]["environment"]
@@ -99,6 +150,9 @@ def main(argv=None) -> int:
         "seconds": SECONDS,
         "workloads": workloads,
     }
+    if args.parent is not None:
+        out["parent"] = {"git_sha": parent_env["git_sha"], "git_dirty": parent_env["git_dirty"],
+                         "source_sha256": source_sha256(args.parent.resolve())}
     path = next_path()
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(path.name)

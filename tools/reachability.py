@@ -32,6 +32,9 @@ KEEP = {
     "conditionals.warm_start_group": "the descent to a caller's target, as _group_mode asks "
         "for it; the rejection draw enters the same descent through _descend",
     "conditionals.within_two_guarantee": "acceptance suite: the at-most-two-proposals regime",
+    "conditionals._check_rise": "the curvature-bound check past its screen: entered only when "
+        "a proposal's potential rise comes within rounding of the certified bound (a block "
+        "quadratic at its M) or passes it (an understated M); the tests reach both",
     "metrics.Normal1D.cdf": "acceptance suite: KS test against the toy chain's stationary law",
     # Library API that only the tests read, or that a protocol requires.
     "model.SplitModel.potential": "U(theta) itself: gradient and centering tests compare to it",
