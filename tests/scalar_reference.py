@@ -6,6 +6,10 @@ splitmc draws every auxiliary block through the group path
 keeps the plain scalar algorithm that path was derived from, so tests can
 compare it against an independent implementation: warm starts, step counts
 and certificates block by block, and draws bit for bit on a shared stream.
+The oracle stays the squeeze-free algorithm: it evaluates the exact
+acceptance ratio for every proposal. The group path tests a curvature
+squeeze first and evaluates V_i only where the squeeze leaves a proposal
+open, and it must still match this oracle bit for bit, draw after draw.
 The oracle reads block j of a factor group as (group, j): its potential is
 the group's value and gradient on row j, with the block's certified
 constants. replicate_block turns one block into a group of n copies, so a

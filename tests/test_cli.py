@@ -52,6 +52,14 @@ class TestSampleCommand:
         assert trace.shape == (40, 1)
         assert float(rows[0]["theta_0"]) == pytest.approx(trace[0, 0])
 
+    def test_sample_echoes_realized_and_certified_proposals(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(["sample", "--model", "logistic-split1", "--n", "40", "--d", "3",
+                        "--rho", "0.5", "--sweeps", "20", "--out", str(out)]) == 0
+        config, _ = read_csv(out / "samples.csv")
+        assert 1.0 <= float(config["max_avg_proposals"])
+        assert 1.0 <= float(config["max_avg_certified"])
+
     def test_trace_without_out_is_refused(self, tmp_path, monkeypatch, capfd):
         # The trace goes into the --out directory; without one nothing would be written.
         monkeypatch.chdir(tmp_path)

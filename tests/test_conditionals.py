@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import expit
-from scipy.stats import kstest, norm
+from scipy.stats import ks_2samp, kstest, norm
 
 from splitmc import (
     AcceptanceStall,
@@ -189,17 +189,7 @@ class TestRejectionSampler:
         n = 100_000
         group = replicate_block(model.groups[0], 0, n)
         z, _, _, _ = sample_z_group(group, group.couple(theta), rho, np.random.default_rng(31))
-        a_theta = float(model.groups[0].couple(theta)[0, 0])
-
-        center = a_theta
-        grid = np.linspace(center - 8 * rho, center + 8 * rho, 4001)
-        # The replicated group evaluates block 0 on every row it is given.
-        logpdf = -(group.value(grid[:, None], ALL_BLOCKS) + 0.5 * (grid - a_theta) ** 2 / rho**2)
-        logpdf -= logpdf.max()
-        pdf = np.exp(logpdf)
-        cdf = integrate.cumulative_trapezoid(pdf, grid, initial=0.0)
-        cdf /= cdf[-1]
-        result = kstest(z[:, 0], lambda x: np.interp(x, grid, cdf))
+        result = kstest(z[:, 0], _row_cdf(group, theta, rho))
         assert result.pvalue > 0.01
 
     def test_stall_on_misstated_constants(self):
@@ -444,6 +434,18 @@ class TestRejectionSampler:
                     assert steps <= bound
 
 
+def _row_cdf(group, theta, rho):
+    """The cdf of a replicated scalar logistic block's conditional, by quadrature on a grid."""
+    a_theta = float(group.couple(theta)[0, 0])
+    grid = np.linspace(a_theta - 8 * rho, a_theta + 8 * rho, 4001)
+    # The replicated group evaluates block 0 on every row it is given.
+    logpdf = -(group.value(grid[:, None], ALL_BLOCKS) + 0.5 * (grid - a_theta) ** 2 / rho**2)
+    logpdf -= logpdf.max()
+    cdf = integrate.cumulative_trapezoid(np.exp(logpdf), grid, initial=0.0)
+    cdf /= cdf[-1]
+    return lambda x: np.interp(x, grid, cdf)
+
+
 def recording(group):
     """A copy of group whose value and gradient log the rows argument of every call."""
     calls = {"value": [], "gradient": []}
@@ -651,6 +653,90 @@ class TestGroupDescent:
             k_sgs(model, rho)
         with pytest.raises(InvalidParameter):
             tv_bound_strongly_convex(model_constants(model), rho)
+
+
+def _rows_read(calls, b: int) -> int:
+    """How many rows the recorded value calls read, a slice counting as all b."""
+    return sum(b if isinstance(rows, slice) else len(rows) for rows in calls["value"])
+
+
+class TestSqueezedDraws:
+    """Draws made after a group's checking draw, where the squeeze tests first."""
+
+    def test_logistic_row_ks_after_the_checking_draw(self):
+        # The row of test_logistic_factor_ks_against_quadrature_cdf at
+        # rho = 0.5. Its first call is the checking draw, so the law is
+        # tested on the second, where the squeeze settles most proposals:
+        # value reads about 0.59 rows per block there, against 2.34 in the
+        # checking draw.
+        model = build_model("logistic-split1", d=3, n=20, seed=5)
+        rho, theta, n = 0.5, np.full(3, 0.4), 100_000
+        group, calls = recording(replicate_block(model.groups[0], 0, n))
+        a_theta = group.couple(theta)
+        sample_z_group(group, a_theta, rho, np.random.default_rng(30))
+        assert conditionals._rho_constants(group, rho).checked
+        calls["value"].clear()
+        z, _, _, _ = sample_z_group(group, a_theta, rho, np.random.default_rng(31))
+        assert _rows_read(calls, n) < n
+        result = kstest(z[:, 0], _row_cdf(group, theta, rho))
+        assert result.pvalue > 0.01
+
+    def test_shard_ks_against_checking_draws(self):
+        # A logistic-split2 shard (k = 10) at the edge of the
+        # at-most-2-proposals regime, as in
+        # test_group_of_one_reproduces_scalar_draws. Squeezed draws (second
+        # calls) against checking draws (first calls, the exact test on every
+        # block) from other streams: two-sample KS tests on coordinate 0 and
+        # on a fixed random direction.
+        source = build_model("logistic-split2", d=10, n=200, b=5, seed=0).groups[0]
+        m, big_m = float(source.m[0]), float(source.M[0])
+        rho = 1.0 / math.sqrt(2.0 * source.k * (big_m - m) - m)
+        theta, n = np.full(10, 0.5), 2_000
+        direction = np.random.default_rng(4).standard_normal(10)
+        checking, squeezed = [], []
+        for rep in range(4):
+            group, calls = recording(replicate_block(source, 0, n))
+            a_theta = group.couple(theta)
+            checking.append(sample_z_group(group, a_theta, rho, np.random.default_rng(100 + rep))[0])
+            calls["value"].clear()
+            squeezed.append(sample_z_group(group, a_theta, rho, np.random.default_rng(200 + rep))[0])
+            assert _rows_read(calls, n) < n
+        checking, squeezed = np.concatenate(checking), np.concatenate(squeezed)
+        assert ks_2samp(checking[:, 0], squeezed[:, 0]).pvalue > 0.01
+        assert ks_2samp(checking @ direction, squeezed @ direction).pvalue > 0.01
+
+    @pytest.mark.parametrize("name, params, rho", [
+        ("logistic-split1", {"n": 200}, 0.05),
+        ("logistic-split1", {"n": 200}, 0.5),
+        ("logistic-split2", {"n": 200, "b": 5}, 0.3),
+    ])
+    def test_squeezed_draws_equal_checking_draws(self, name, params, rho):
+        # The squeeze accepts only what the exact test accepts: a group's
+        # second draw equals, bit for bit, the checking draw of a fresh twin
+        # on the same stream, and reads value on fewer rows than the checking
+        # draw, which reads every block at least twice.
+        model = build_model(name, d=10, seed=0, **params)
+        group, calls = recording(model.groups[0])
+        a_theta = group.couple(np.full(10, 0.3))
+        sample_z_group(group, a_theta, rho, np.random.default_rng(1))
+        assert _rows_read(calls, group.b) >= 2 * group.b
+        calls["value"].clear()
+        drawn = sample_z_group(group, a_theta, rho, np.random.default_rng(2))
+        assert _rows_read(calls, group.b) < (group.b if name == "logistic-split1" else 2 * group.b)
+        twin = build_model(name, d=10, seed=0, **params).groups[0]
+        for got, want in zip(drawn, sample_z_group(twin, a_theta, rho, np.random.default_rng(2))):
+            assert got.tobytes() == want.tobytes()
+
+    def test_rounding_at_tiny_widths_contradicts_nothing(self):
+        # At rho = 1e-10 a proposal's step is about 1e-10 while the blocks sit
+        # near 1, so the rounding of Z moves V(Z) - V(z~) by about 1e-6 of
+        # itself: the check's tolerance covers it (term top ||Z||^2).
+        model = build_model("logistic-split1", d=10, n=200, seed=0)
+        (group,) = model.groups
+        a_theta = group.couple(np.ones(10))
+        for seed in range(3):
+            z, proposals, _, _ = sample_z_group(group, a_theta, 1e-10, np.random.default_rng(seed))
+            assert np.isfinite(z).all() and (proposals >= 1).all()
 
 
 def draw_one(group, theta, rho, rng):

@@ -210,6 +210,28 @@ class TestReproducibility:
         _, reports = sgs_sweep(model, report.final_state, SamplerConfig(rho=0.4, sweeps=1))
         assert reports[0] is None and all(r.proposals_used >= 1 for r in reports[1:])
 
+    def test_ledger_sums_the_certified_bounds(self):
+        # expected_total sums every sweep's certified expected-proposal
+        # bounds per block, as proposals_total sums the proposals; a
+        # closed-form block adds nothing, and a closed-form model certifies
+        # nothing (max_avg_certified is nan, as max_avg_proposals is).
+        quad = make_quadratic_group(np.eye(3)[None], precision=0.5, center=0.1)
+        shards = build_model("logistic-split2", d=3, n=30, b=5, seed=1).groups[0]
+        model = SplitModel(3, [quad, shards])
+        total = np.zeros(model.b)
+
+        def add(t, state, reports):
+            np.add(total, reports.expected, out=total)
+
+        report = run_chain(model, SamplerConfig(rho=0.4, sweeps=30), seed=3, callback=add)
+        assert report.expected_total.tobytes() == total.tobytes()
+        assert report.expected_total[0] == 0.0 and (report.expected_total[1:] >= 30.0).all()
+        assert report.max_avg_certified == (report.expected_total[1:] / 30.0).max()
+        assert report.max_avg_certified >= 1.0
+        toy = run_chain(build_model("toy-gaussian-1"), SamplerConfig(rho=1.0, sweeps=5), seed=0)
+        assert (toy.expected_total == 0.0).all()
+        assert math.isnan(toy.max_avg_certified) and math.isnan(toy.max_avg_proposals)
+
     def test_callback_can_stop(self):
         model = build_model("toy-gaussian-1")
         config = SamplerConfig(rho=1.0, sweeps=100)

@@ -85,8 +85,11 @@ def _csv(argv: list[str], out: Path) -> str:
         code = main(argv + ["--out", str(out)])
     path = out if out.suffix == ".csv" else next(out.glob("*.csv"))
     config, rows = read_csv(path)
-    keep = lambda row: {k: v for k, v in row.items() if k not in TIMING_COLUMNS}  # noqa: E731
-    return _sha256(code, sorted(keep(config).items()), [sorted(keep(r).items()) for r in rows])
+
+    def kept(row):
+        return sorted((k, v) for k, v in row.items() if k not in TIMING_COLUMNS)
+
+    return _sha256(code, kept(config), [kept(r) for r in rows])
 
 
 def _workload(name: str, scale: str, out: Path) -> str:
