@@ -14,13 +14,16 @@ certified bound on expected proposals. A single block is a group with
 b = 1; a law test draws n samples of one block in one call, on a group of
 n copies of it.
 
-Each proposal is first tested against a squeeze, a lower bound on its log
-acceptance ratio that the certified curvature bound 1/rho^2 + M gives
+Each proposal can first be tested against a squeeze, a lower bound on its
+log acceptance ratio that the certified curvature bound 1/rho^2 + M gives
 without evaluating V_i; only the proposals it leaves open are gathered for
-the exact test. So exactness rests on the certified M as well as on m.
-Two guards watch M: the first draw of a group at each rho tests every
-block exactly, and every exact evaluation checks the curvature bound the
-squeeze relies on, raising ConstantsContradicted when it fails.
+the exact test. Where the squeeze runs, exactness rests on the certified M
+as well as on m. The first draw of a group at each rho is a checking draw:
+it tests every block exactly, checks the curvature bound the squeeze relies
+on at every proposal (ConstantsContradicted when it fails) and keeps the
+squeeze on for later draws only if it would have settled at least
+_SQUEEZE_MIN_SHARE of the proposals. Every later exact evaluation of a
+squeezed group checks the bound too.
 """
 
 from __future__ import annotations
@@ -49,6 +52,12 @@ PROPOSAL_CAP = 10_000
 # Relative rounding tolerance of the check that a proposal's potential rise
 # stays within the certified curvature bound.
 _BOUND_RTOL = 1e-9
+
+# The squeeze stays on after a group's checking draw only if it would have
+# settled at least this share of that draw's proposals. Below it, its
+# arithmetic costs each round more than the potential evaluations it saves:
+# about ten numpy calls against one or two evaluations of V.
+_SQUEEZE_MIN_SHARE = 0.5
 
 
 class ThetaConditional:
@@ -142,16 +151,17 @@ class _RhoConstants:
     block that starts at gradient norm g0 is
     max(1, ceil((log g0 - log_target)/rate)), with rate = log(1/(1 - 1/kappa))
     and kappa = (1 + rho^2 M)/(1 + rho^2 m); rate is inf at kappa = 1 (one
-    exact step). checked turns true once a draw of the group at rho has run
-    the exact test on every block (see sample_z_group).
+    exact step). squeeze is None until the group's checking draw at rho has
+    run, then whether later draws test the squeeze first (see
+    sample_z_group).
     """
 
-    __slots__ = ("rho", "s", "top", "target", "log_target", "step", "rate", "checked")
+    __slots__ = ("rho", "s", "top", "target", "log_target", "step", "rate", "squeeze")
 
     def __init__(self, group: FactorGroup, rho: float):
         check_scale(rho)
         self.rho = rho
-        self.checked = False
+        self.squeeze = None
         self.s = 1.0 / rho**2 + group.m
         self.top = 1.0 / rho**2 + group.M
         self.target = _GD_STOP_FACTOR * np.sqrt(self.s) / math.sqrt(group.k)
@@ -328,23 +338,31 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     once for every block still pending, taking the normals xi and then the
     uniforms from rng in block order, and retires the accepted blocks.
 
-    Each proposal is first tested against a squeeze (Marsaglia 1977): with
-    sigma = A~^{-1/2} and top = 1/rho^2 + M_i, a Hessian of V_i at most top
-    bounds V_i(Z) - V_i(z~) by sigma <grad V_i(z~), xi> + (top/A~) ||xi||^2/2,
-    so log u below log r minus that bound plus ||xi||^2/2 (tested as u below
-    its exp) accepts without evaluating V_i. Only the proposals the squeeze
-    leaves open are gathered and go through the exact test, which evaluates
-    V_i(z~) (once per block, in round 1) and V_i(Z) on those rows alone.
-    Both tests read the same normals and uniforms, and up to rounding the
-    squeeze never accepts what the exact test rejects, so the draws,
-    proposal counts, descent steps and certificates are those of the exact
-    test alone. The first draw of a group at a rho
-    is a checking draw: it runs the exact test on every block (through
-    ALL_BLOCKS in round 1), and _RhoConstants.checked records that it ran.
-    Every exact evaluation checks that bound, within a relative rounding
-    tolerance _BOUND_RTOL, and raises ConstantsContradicted, naming the
+    Each proposal can first be tested against a squeeze (Marsaglia 1977):
+    with sigma = A~^{-1/2} and top = 1/rho^2 + M_i, a Hessian of V_i at most
+    top bounds V_i(Z) - V_i(z~) by sigma <grad V_i(z~), xi> + (top/A~) ||xi||^2/2,
+    so log u below log r minus that bound plus ||xi||^2/2 accepts without
+    evaluating V_i. Only the proposals the squeeze leaves open are gathered
+    and go through the exact test, which evaluates V_i(z~) (once per block,
+    in round 1, in the same call as V_i(Z) when round 1 gathers) and V_i(Z)
+    on those rows alone; value is row by row, so a row's bits do not depend
+    on the rows evaluated with it. Both tests read the same
+    normals and uniforms, and up to rounding the squeeze never accepts what
+    the exact test rejects, so the draws, proposal counts, descent steps
+    and certificates are those of the exact test alone.
+
+    The first draw of a group at a rho is a checking draw: it runs the
+    exact test on every block (through ALL_BLOCKS in round 1), scores the
+    squeeze on the same proposals, and sets _RhoConstants.squeeze to
+    whether the squeeze settled at least _SQUEEZE_MIN_SHARE of them. The
+    checking draw and every exact evaluation of a squeezed draw check that
+    the exact log ratio is at least the squeeze's bound, within a relative
+    rounding tolerance _BOUND_RTOL (the two differ by V_i(Z) - V_i(z~) less
+    its curvature bound), and raise ConstantsContradicted, naming the
     block, rho and M, when V_i rose faster than top allows. An understated
-    M that no exact evaluation catches can bias the squeezed draws.
+    M that no exact evaluation catches can bias the squeezed draws. A group
+    whose squeeze is off draws by the exact test alone, whose exactness
+    does not rest on M, and skips the check.
 
     The proposal term A~ ||Z - z~||^2 / 2 of the acceptance ratio is
     computed as ||xi||^2 / 2. The descent begins at a_theta, where the
@@ -362,8 +380,10 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     round 2 on. Returns (z, proposals, gd_steps, expected_bound), the last
     three per block. Raises AcceptanceStall when a block is still pending
     after PROPOSAL_CAP rounds; the message names rho and the block's
-    certified bound, and blames the width when that bound exceeds the cap
-    and the constants otherwise.
+    certified bound B, and blames the width when B exceeds the cap and the
+    constants otherwise, giving (1 - 1/B)^PROPOSAL_CAP, the most that
+    correct constants leave to chance: the squeeze's bound, which the exact
+    ratio passes wherever M holds, accepts with probability 1/B on average.
     """
     if not group.smooth:
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
@@ -373,12 +393,13 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     k = group.k
     a_tilde, log_r, expected = _certificate(gnorm, k, c.s, c.top)
     sigma_prop = 1.0 / np.sqrt(a_tilde)
-    ratio = c.top / a_tilde
-    squeeze = c.checked
-    if squeeze:
-        half_curv = 0.5 * (1.0 - ratio)
+    checking = c.squeeze is None
+    bounded = checking or c.squeeze  # the rounds compute the squeeze's lower bound
+    if bounded:
+        sigma_grad = sigma_prop[:, None] * grad
+        curv_gap = 1.0 - c.top / a_tilde
+        settled = proposed = 0
     descended = z_tilde is not a_theta  # otherwise the quadratic term of V(z~) is zero
-    v_tilde = np.empty(group.b)
 
     # Round 1 proposes for every block through basic slices, which copy
     # nothing; later rounds gather the blocks still pending. Every block
@@ -396,41 +417,62 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
             if bound > PROPOSAL_CAP:
                 raise AcceptanceStall(f"{stalled}; the width is outside the sampler's "
                                       "regime, try a smaller rho")
-            raise AcceptanceStall(f"{stalled}; certified (m, M) look wrong")
+            chance = math.exp(PROPOSAL_CAP * math.log1p(-1.0 / bound)) if bound > 1.0 else 0.0
+            raise AcceptanceStall(f"{stalled}; certified (m, M) look wrong: correct ones "
+                                  f"leave this a chance of at most {chance:.3g}")
         rounds += 1
         if z is not None:
             proposals[rows] = rounds
         xi = rng.standard_normal((n_rows, k))
         zp = z_tilde[rows] + sigma_prop[rows, None] * xi
         u = rng.random(n_rows)
-        xi2 = _row_sums(xi * xi)
-        slope = sigma_prop[rows] * _row_sums(grad[rows] * xi)
+        half_xi2 = 0.5 * _row_sums(xi * xi)
+        log_u = np.log(u + _U_OFFSET)
         exact = ALL_BLOCKS
-        if squeeze:
-            # log u < log r - slope + (1 - top/A~) ||xi||^2/2, read as u < exp(.).
-            accepted = u < np.exp(log_r[rows] - slope + half_curv[rows] * xi2)
-            n_open = n_rows - np.count_nonzero(accepted)
-            if n_open < n_rows:
-                exact = np.flatnonzero(~accepted) if n_open else None
+        if bounded:
+            # The squeeze's lower bound on the log ratio:
+            # log r - sigma <grad V(z~), xi> + (1 - top/A~) ||xi||^2/2.
+            lower = log_r[rows] - np.vecdot(sigma_grad[rows], xi) + curv_gap[rows] * half_xi2
+            accepted = log_u < lower
+            n_settled = np.count_nonzero(accepted)
+            if checking:
+                settled += n_settled
+                proposed += n_rows
+            elif n_settled:
+                exact = np.flatnonzero(~accepted) if n_settled < n_rows else None
         if exact is not None:
             at = rows if exact is ALL_BLOCKS else exact if rows is ALL_BLOCKS else rows[exact]
+            zp_e, half_e = zp[exact], half_xi2[exact]
+            if z is not None:
+                vt = v_tilde[at]
+                v = group.value(zp_e, at)
+            elif exact is ALL_BLOCKS:
+                vt = group.value(z_tilde, ALL_BLOCKS)
+                v = group.value(zp_e, ALL_BLOCKS)
+            else:
+                # V(z~) and V(Z) of the gathered blocks in one call.
+                n_open = len(at)
+                both = group.value(np.concatenate((z_tilde[at], zp_e)), np.concatenate((at, at)))
+                vt, v = both[:n_open], both[n_open:]
             if z is None:
-                vt = group.value(z_tilde[at], at)
                 if descended:
                     dz = z_tilde[at] - a_theta[at]
                     vt = vt + 0.5 * _row_sums(dz * dz) / rho**2
-                v_tilde[at] = vt
-            else:
-                vt = v_tilde[at]
-            zp_e, half_e = zp[exact], 0.5 * xi2[exact]
+                if exact is ALL_BLOCKS:
+                    v_tilde = vt
+                else:
+                    v_tilde = np.empty(group.b)
+                    v_tilde[at] = vt
             dz = zp_e - a_theta[at]
-            v = group.value(zp_e, at) + 0.5 * _row_sums(dz * dz) / rho**2
-            dv = v - vt
-            curv = ratio[at] * half_e
-            excess = dv - (slope[exact] + curv)
-            if excess.max() > _BOUND_RTOL:  # below it, within every tolerance
-                _check_rise(group, c, at, zp_e, v, vt, excess, curv)
-            exact_accepted = np.log(u[exact] + _U_OFFSET) < log_r[at] - dv + half_e
+            v = v + 0.5 * _row_sums(dz * dz) / rho**2
+            log_ratio = log_r[at] - (v - vt) + half_e
+            if bounded:
+                # V(Z) - V(z~) less its curvature bound; below the screen,
+                # within every tolerance.
+                excess = lower[exact] - log_ratio
+                if excess.max() > _BOUND_RTOL:
+                    _check_rise(group, c, at, zp_e, v, vt, excess, half_e / a_tilde[at])
+            exact_accepted = log_u[exact] < log_ratio
             if exact is ALL_BLOCKS:
                 accepted = exact_accepted
             else:
@@ -445,7 +487,8 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
             z[rows[accepted]] = zp[accepted]
             rows = rows[~accepted]
         n_rows = rows.size
-    c.checked = True
+    if checking:
+        c.squeeze = bool(settled >= _SQUEEZE_MIN_SHARE * proposed)
     return z, proposals, gd_steps, expected
 
 
@@ -454,19 +497,21 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return x[:, 0] if x.shape[1] == 1 else np.add.reduce(x, axis=1)
 
 
-def _check_rise(group, c: _RhoConstants, at, zp, v, v_tilde, excess, curv) -> None:
+def _check_rise(group, c: _RhoConstants, at, zp, v, v_tilde, excess, half_step2) -> None:
     """Raise ConstantsContradicted where V(Z) - V(z~) exceeds its curvature bound.
 
     The rows at of the group were tested exactly, with proposals zp,
-    potentials v = V(Z) and v_tilde = V(z~), curv = (top/A~) ||xi||^2/2 and
-    excess = V(Z) - V(z~) - sigma <grad V(z~), xi> - curv. The tolerance is
-    _BOUND_RTOL times 1 + |V(Z)| + |V(z~)| + curv + top ||Z||^2, which bounds
-    the rounding of both sides: the last term covers the rounding of Z
-    itself, which dominates at small rho, where V's gradient at Z is about
-    top times the step. A quadratic block at its certified M meets the
-    bound with equality, within that tolerance.
+    potentials v = V(Z) and v_tilde = V(z~), half squared step lengths
+    half_step2 = ||Z - z~||^2/2 = ||xi||^2/(2 A~) and excess = V(Z) - V(z~)
+    - sigma <grad V(z~), xi> - top half_step2. The tolerance is _BOUND_RTOL
+    times 1 + |V(Z)| + |V(z~)| + top (half_step2 + ||Z||^2), which bounds the rounding
+    of both sides: the last term covers the rounding of Z itself, which
+    dominates at small rho, where V's gradient at Z is about top times the
+    step. A quadratic block at its certified M meets the bound with
+    equality, within that tolerance.
     """
-    tol = _BOUND_RTOL * (1.0 + np.abs(v) + np.abs(v_tilde) + curv + c.top[at] * _row_sums(zp * zp))
+    top = c.top[at]
+    tol = _BOUND_RTOL * (1.0 + np.abs(v) + np.abs(v_tilde) + top * (half_step2 + _row_sums(zp * zp)))
     over = excess > tol
     if over.any():
         j = int(np.flatnonzero(over)[0])

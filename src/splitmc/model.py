@@ -44,7 +44,9 @@ class FactorGroup:
     blocks selected by rows (an index array or a slice into the group) at the
     matching rows of z, of shape (r, k); value returns shape (r,), gradient
     (r, k), each a new array (the warm-start descent updates the gradient
-    in place). m and M hold the certified constants of every block.
+    in place). Both work row by row: a row's result does not depend on the
+    other rows of the call, which may repeat a block (the rejection sampler
+    evaluates V at two points of a block in one call). m and M hold the certified constants of every block.
     sampler(a_theta, rho, rng) / mode(a_theta, rho), when present, draw from
     or minimize every block's coupled conditional at once, with a_theta of
     shape (b, k); they are the only closed forms of a conditional. Groups

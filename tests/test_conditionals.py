@@ -222,6 +222,22 @@ class TestRejectionSampler:
             sample_z_group(honest, np.zeros((1, 1)), 1.0, np.random.default_rng(0))
         assert stall.value.exit_code == 3
 
+    def test_stall_within_its_bound_gives_the_chance(self, monkeypatch):
+        # U = 1.5 z^2 certified with (m, M) = (0, 3): honest, and quadratic at
+        # M, so the exact ratio equals the squeeze's bound and a proposal is
+        # accepted with probability 1/B = 1/2. With PROPOSAL_CAP = 3 the
+        # stream of seed 1 rejects three times; below the cap the stall
+        # blames the constants and gives the chance (1 - 1/B)^3 that correct
+        # ones leave it.
+        monkeypatch.setattr(conditionals, "PROPOSAL_CAP", 3)
+        honest = scalar_group(lambda z: 1.5 * z[:, 0] ** 2, lambda z: 3.0 * z, 0.0, 3.0)
+        with pytest.raises(AcceptanceStall, match=r"^block 0: no acceptance after 3 proposals at "
+                           r"rho=1, where its certified expected-proposal bound is 2; certified "
+                           r"\(m, M\) look wrong: correct ones leave this a chance of at most "
+                           r"0\.125$") as stall:
+            sample_z_group(honest, np.zeros((1, 1)), 1.0, np.random.default_rng(1))
+        assert stall.value.exit_code == 3
+
     def test_stall_names_first_pending_block(self, monkeypatch):
         # With PROPOSAL_CAP = 1 the sampler stops after the first round and
         # names the first block it rejected. An uncapped draw from the same
@@ -674,7 +690,7 @@ class TestSqueezedDraws:
         group, calls = recording(replicate_block(model.groups[0], 0, n))
         a_theta = group.couple(theta)
         sample_z_group(group, a_theta, rho, np.random.default_rng(30))
-        assert conditionals._rho_constants(group, rho).checked
+        assert conditionals._rho_constants(group, rho).squeeze
         calls["value"].clear()
         z, _, _, _ = sample_z_group(group, a_theta, rho, np.random.default_rng(31))
         assert _rows_read(calls, n) < n
@@ -705,24 +721,34 @@ class TestSqueezedDraws:
         assert ks_2samp(checking[:, 0], squeezed[:, 0]).pvalue > 0.01
         assert ks_2samp(checking @ direction, squeezed @ direction).pvalue > 0.01
 
-    @pytest.mark.parametrize("name, params, rho", [
-        ("logistic-split1", {"n": 200}, 0.05),
-        ("logistic-split1", {"n": 200}, 0.5),
-        ("logistic-split2", {"n": 200, "b": 5}, 0.3),
+    @pytest.mark.parametrize("name, params, rho, squeeze", [
+        ("logistic-split1", {"n": 200}, 0.05, True),
+        ("logistic-split1", {"n": 200}, 0.5, True),
+        ("logistic-split2", {"n": 200, "b": 5}, 0.1, True),
+        ("logistic-split2", {"n": 200, "b": 5}, 0.3, False),
     ])
-    def test_squeezed_draws_equal_checking_draws(self, name, params, rho):
+    def test_squeezed_draws_equal_checking_draws(self, name, params, rho, squeeze):
         # The squeeze accepts only what the exact test accepts: a group's
         # second draw equals, bit for bit, the checking draw of a fresh twin
-        # on the same stream, and reads value on fewer rows than the checking
-        # draw, which reads every block at least twice.
+        # on the same stream. Where the checking draw kept the squeeze on,
+        # the second draw reads value on fewer rows than the checking draw,
+        # which reads every block at least twice (at rho = 0.1 the shards'
+        # second draw reads V(z~) and V(Z) of block 2 in one call). The
+        # logistic-split2 shards at rho = 0.3 settle under half their
+        # proposals by the squeeze, so their second draw tests every
+        # proposal exactly again.
         model = build_model(name, d=10, seed=0, **params)
         group, calls = recording(model.groups[0])
         a_theta = group.couple(np.full(10, 0.3))
         sample_z_group(group, a_theta, rho, np.random.default_rng(1))
         assert _rows_read(calls, group.b) >= 2 * group.b
+        assert conditionals._rho_constants(group, rho).squeeze is squeeze
         calls["value"].clear()
         drawn = sample_z_group(group, a_theta, rho, np.random.default_rng(2))
-        assert _rows_read(calls, group.b) < (group.b if name == "logistic-split1" else 2 * group.b)
+        if squeeze:
+            assert _rows_read(calls, group.b) < group.b
+        else:
+            assert _rows_read(calls, group.b) >= 2 * group.b
         twin = build_model(name, d=10, seed=0, **params).groups[0]
         for got, want in zip(drawn, sample_z_group(twin, a_theta, rho, np.random.default_rng(2))):
             assert got.tobytes() == want.tobytes()

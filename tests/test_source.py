@@ -96,17 +96,17 @@ def test_reachability_keep_list_is_current():
 
 
 def test_fingerprint_manifest_runs_and_repeats(tmp_path):
-    # tools/fingerprints.py at toy size: two runs agree entry for entry, and
-    # --against lists exactly the entries that differ and exits 1. No hash
-    # is compared with a committed value: bit identity holds on one host
-    # and one numpy/BLAS build only.
+    # tools/fingerprints.py: two runs agree entry for entry, and --against
+    # lists exactly the entries that differ and exits 1. No hash is
+    # compared with a committed value: bit identity holds on one host and
+    # one numpy/BLAS build only.
     import json
 
     tool = Path(__file__).resolve().parents[1] / "tools" / "fingerprints.py"
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
 
     def run(*args):
-        return subprocess.run([sys.executable, str(tool), "--scale", "toy", *map(str, args)],
+        return subprocess.run([sys.executable, str(tool), *map(str, args)],
                               capture_output=True, text=True, env=env, timeout=300)
 
     first = run("--out", tmp_path / "first.json")

@@ -14,8 +14,8 @@ checkout's src/ and benchmarks/ sources, which names the measured code when
 the tree has uncommitted changes.
 
 With --parent DIR, the plain runs come in alternating pairs: per
-workload, --pairs N (default 10) pairs of one run of DIR (the parent
-checkout) and one of the measured checkout, the parent first in even
+workload, PAIRS pairs of one run of DIR (the parent checkout) and one of
+the measured checkout, the parent first in even
 pairs and second in odd ones. The file then also holds, per workload and
 end-to-end metric, each side's median, quartiles and values and the
 number of pairs the measured checkout won (ties count for neither side;
@@ -24,7 +24,7 @@ source sha256. The end_to_end field is the measured checkout's first run.
 
     python tools/bench_record.py                    # this checkout
     python tools/bench_record.py --checkout DIR     # another checkout
-    python tools/bench_record.py --parent DIR --pairs 10
+    python tools/bench_record.py --parent DIR       # alternating pairs with DIR
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ REPO = Path(__file__).resolve().parents[1]
 WORKLOADS = ("logistic-rows", "logistic-shards", "gaussian-batch")
 SEED = 1
 SECONDS = 30.0
+PAIRS = 10
 _NOT_OBSERVED = "# not observed: "
 _ENVIRONMENT = "# environment: "
 _RECORD = "# record: "
@@ -87,14 +88,14 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def paired(checkout: Path, parent: Path, workload: str, pairs: int, better: dict) -> dict:
-    """pairs alternating plain runs of parent and checkout: each side's runs and who won."""
+def paired(checkout: Path, parent: Path, workload: str, better: dict) -> dict:
+    """PAIRS alternating plain runs of parent and checkout: each side's runs and who won."""
     runs = {"parent": [], "tree": []}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = ("parent", "tree") if i % 2 == 0 else ("tree", "parent")
         for side in order:
             runs[side].append(run_one(parent if side == "parent" else checkout, workload, 0))
-        print(f"{workload}: pair {i + 1}/{pairs} done", file=sys.stderr)
+        print(f"{workload}: pair {i + 1}/{PAIRS} done", file=sys.stderr)
     metrics = {}
     for name, rule in better.items():
         values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
@@ -104,7 +105,7 @@ def paired(checkout: Path, parent: Path, workload: str, pairs: int, better: dict
             "tree": _summary(values["tree"]),
             "tree_won": sum(sign * (t - p) < 0 for p, t in zip(values["parent"], values["tree"])),
         }
-    return {"pairs": pairs,
+    return {"pairs": PAIRS,
             "failed_frac": {side: [r["failed_frac"] for r in rs] for side, rs in runs.items()},
             "metrics": metrics, "tree_runs": runs["tree"],
             "parent_environment": runs["parent"][0]["environment"]}
@@ -122,7 +123,6 @@ def main(argv=None) -> int:
                         help="the checkout whose benchmarks/run.py and src/ are measured")
     parser.add_argument("--parent", type=Path,
                         help="a parent checkout to run in alternating pairs with the measured one")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload with --parent")
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     better = {m["name"]: m["better"]
@@ -132,7 +132,7 @@ def main(argv=None) -> int:
         if args.parent is None:
             plain, pairs = run_one(checkout, name, trace=0), None
         else:
-            pairs = paired(checkout, args.parent.resolve(), name, args.pairs, better)
+            pairs = paired(checkout, args.parent.resolve(), name, better)
             plain = pairs.pop("tree_runs")[0]
             parent_env = pairs.pop("parent_environment")
         traced = run_one(checkout, name, trace=1)

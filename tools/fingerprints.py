@@ -5,8 +5,10 @@
 
 The manifest covers:
 - 150-sweep chains of the six zoo models, at their default parameters, at
-  rho = 0.05, 0.3 and 1 (draws, proposal and descent totals, final
-  blocks); a chain that raises is recorded by its error type;
+  rho = 6.66e-11 (the narrowest width criterion 5's logistic grid plans,
+  where rounding moves V(Z) - V(z~) most against the squeeze's margin),
+  0.05, 0.3 and 1 (draws, proposal and descent totals, final blocks); a
+  chain that raises is recorded by its error type;
 - am_solve and admm_solve on the same models at rho = 0.3;
 - the default CSVs of `splitmc bias`, `experiment bias-toy` and
   `experiment rate-toy`;
@@ -17,8 +19,7 @@ Timing columns (TIMING_COLUMNS) are dropped by name before hashing. Bit
 identity holds on one host and one numpy/BLAS build, so the manifest
 records the numpy, scipy and BLAS versions. --against lists every name
 whose hash differs or that only one manifest has, and exits 1 if it
-listed any. --scale toy runs every entry at a tiny size, for the test
-suite's check that two runs agree; compare only manifests of one scale.
+listed any.
 """
 
 from __future__ import annotations
@@ -38,12 +39,9 @@ MODELS = ("toy-gaussian-1", "toy-gaussian-2", "aniso-gaussian", "gaussian-mixtur
           "logistic-split1", "logistic-split2")
 TIMING_COLUMNS = frozenset({"wall_time_s", "sgs_seconds_per_sweep", "sgs_wall_seconds",
                             "ula_seconds_per_sweep"})
-SCALES = {
-    "full": {"sweeps": 150, "rhos": (0.05, 0.3, 1.0), "solve_iters": 20, "csv_args": {}},
-    "toy": {"sweeps": 5, "rhos": (0.3,), "solve_iters": 2, "csv_args": {
-        "bias": ["--grid-points", "3"], "bias-toy": ["--set", "n_grid=4"],
-        "rate-toy": ["--set", "t_max=20"]}},
-}
+SWEEPS = 150
+RHOS = (6.66e-11, 0.05, 0.3, 1.0)
+SOLVE_RHO, SOLVE_ITERS = 0.3, 20
 
 
 def _sha256(*parts) -> str:
@@ -92,11 +90,11 @@ def _csv(argv: list[str], out: Path) -> str:
     return _sha256(code, kept(config), [kept(r) for r in rows])
 
 
-def _workload(name: str, scale: str, out: Path) -> str:
+def _workload(name: str, out: Path) -> str:
     import workloads
     from speed import SpeedProbe
 
-    workload = workloads.make_workload(name, scale, out)
+    workload = workloads.make_workload(name, "full", out)
     result = workload.run_op(workload.setup(1), 1, 0, SpeedProbe())
     return hashlib.sha256(result.fingerprint).hexdigest()
 
@@ -111,27 +109,26 @@ def _guarded(compute) -> str:
         return f"error: {type(exc).__name__}"
 
 
-def entries(scale: str, out: Path) -> dict[str, str]:
-    """Every fingerprint of the manifest at scale, by name; out holds the CSVs written."""
+def entries(out: Path) -> dict[str, str]:
+    """Every fingerprint of the manifest, by name; out holds the CSVs written."""
     from splitmc import build_model
 
     import workloads
 
-    cfg = SCALES[scale]
     found = {}
     for name in MODELS:
-        for rho in cfg["rhos"]:
+        for rho in RHOS:
             found[f"chain/{name}/rho={rho}"] = _guarded(
-                lambda: _chain(build_model(name), rho, cfg["sweeps"]))
-        found[f"solves/{name}/rho=0.3"] = _guarded(
-            lambda: _solves(build_model(name), 0.3, cfg["solve_iters"]))
+                lambda: _chain(build_model(name), rho, SWEEPS))
+        found[f"solves/{name}/rho={SOLVE_RHO}"] = _guarded(
+            lambda: _solves(build_model(name), SOLVE_RHO, SOLVE_ITERS))
     commands = {"bias": ["bias"], "bias-toy": ["experiment", "bias-toy"],
                 "rate-toy": ["experiment", "rate-toy"]}
     for name, argv in commands.items():
         target = out / (f"{name}.csv" if name == "bias" else name)
-        found[f"csv/{name}"] = _csv(argv + cfg["csv_args"].get(name, []), target)
+        found[f"csv/{name}"] = _csv(argv, target)
     for name in workloads.WORKLOADS:
-        found[f"workload/{name}"] = _workload(name, scale, out / name)
+        found[f"workload/{name}"] = _workload(name, out / name)
     return found
 
 
@@ -148,10 +145,10 @@ def versions() -> dict[str, str]:
             "scipy": scipy.__version__, "blas": blas_name}
 
 
-def manifest(scale: str = "full") -> dict:
+def manifest() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        found = entries(scale, Path(tmp))
-    return {"scale": scale, "versions": versions(), "fingerprints": found}
+        found = entries(Path(tmp))
+    return {"versions": versions(), "fingerprints": found}
 
 
 def changed(old: dict, new: dict) -> list[str]:
@@ -164,12 +161,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True, help="the manifest to write")
     parser.add_argument("--against", type=Path, help="a manifest to diff the new one against")
-    parser.add_argument("--scale", choices=tuple(SCALES), default="full")
     args = parser.parse_args(argv)
     for path in (REPO / "src", REPO / "benchmarks"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
-    result = manifest(args.scale)
+    result = manifest()
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"{len(result['fingerprints'])} fingerprints written to {args.out}")
     if args.against is None:
