@@ -428,11 +428,12 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
         u = rng.random(n_rows)
         half_xi2 = 0.5 * _row_sums(xi * xi)
         log_u = np.log(u + _U_OFFSET)
+        lr = log_r[rows]
         exact = ALL_BLOCKS
         if bounded:
             # The squeeze's lower bound on the log ratio:
             # log r - sigma <grad V(z~), xi> + (1 - top/A~) ||xi||^2/2.
-            lower = log_r[rows] - np.vecdot(sigma_grad[rows], xi) + curv_gap[rows] * half_xi2
+            lower = lr - np.vecdot(sigma_grad[rows], xi) + curv_gap[rows] * half_xi2
             accepted = log_u < lower
             n_settled = np.count_nonzero(accepted)
             if checking:
@@ -465,7 +466,7 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
                     v_tilde[at] = vt
             dz = zp_e - a_theta[at]
             v = v + 0.5 * _row_sums(dz * dz) / rho**2
-            log_ratio = log_r[at] - (v - vt) + half_e
+            log_ratio = lr[exact] - (v - vt) + half_e
             if bounded:
                 # V(Z) - V(z~) less its curvature bound; below the screen,
                 # within every tolerance.
