@@ -19,11 +19,11 @@ log acceptance ratio that the certified curvature bound 1/rho^2 + M gives
 without evaluating V_i; only the proposals it leaves open are gathered for
 the exact test. Where the squeeze runs, exactness rests on the certified M
 as well as on m. The first draw of a group at each rho is a checking draw:
-it tests every block exactly, checks the curvature bound the squeeze relies
-on at every proposal (ConstantsContradicted when it fails) and keeps the
-squeeze on for later draws only if it would have settled at least
-_SQUEEZE_MIN_SHARE of the proposals. Every later exact evaluation of a
-squeezed group checks the bound too.
+it tests every block exactly and checks the curvature bound the squeeze
+relies on at every proposal (ConstantsContradicted when it fails). It keeps
+the squeeze on for later draws only if its certificate says the squeeze
+settles at least _SQUEEZE_MIN_SHARE of the proposals. Every later exact
+evaluation of a squeezed group checks the bound too.
 """
 
 from __future__ import annotations
@@ -53,12 +53,13 @@ PROPOSAL_CAP = 10_000
 # stays within the certified curvature bound.
 _BOUND_RTOL = 1e-9
 
-# The squeeze stays on after a group's checking draw only if it would have
-# settled at least this share of that draw's proposals. It costs about ten
-# numpy calls a round and saves evaluations of V only on the proposals it
-# settles: the default logistic-split2 at rho = 0.5 (shares 0.04-0.3) ran
-# 28% slower with it, while the benchmark's logistic workloads (0.8-1.0)
-# run faster.
+# The squeeze stays on after a group's checking draw only if the mean over
+# its blocks of 1/B, the share of proposals the squeeze settles, is at least
+# this: the harmonic mean of the certified bounds B is at most 2. It costs
+# about ten numpy calls a round and saves evaluations of V only on the
+# proposals it settles: the default logistic-split2 at rho = 0.5 (mean 1/B
+# about 0.25) ran 28% slower with it, while the benchmark's logistic
+# workloads (0.8-1.0) run faster.
 _SQUEEZE_MIN_SHARE = 0.5
 
 
@@ -153,9 +154,9 @@ class _RhoConstants:
     block that starts at gradient norm g0 is
     max(1, ceil((log g0 - log_target)/rate)), with rate = log(1/(1 - 1/kappa))
     and kappa = (1 + rho^2 M)/(1 + rho^2 m); rate is inf at kappa = 1 (one
-    exact step). squeeze is None until the group's checking draw at rho has
-    run, then whether later draws test the squeeze first (see
-    sample_z_group).
+    exact step). squeeze is None until the group's checking draw at rho
+    starts, then whether later draws test the squeeze first, as that
+    draw's certificate decides (see sample_z_group).
     """
 
     __slots__ = ("rho", "s", "top", "target", "log_target", "step", "rate", "squeeze")
@@ -341,51 +342,55 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     uniforms from rng in block order, and retires the accepted blocks.
 
     Each proposal can first be tested against a squeeze (Marsaglia 1977):
-    with sigma = A~^{-1/2} and top = 1/rho^2 + M_i, a Hessian of V_i at most
-    top bounds V_i(Z) - V_i(z~) by sigma <grad V_i(z~), xi> + (top/A~) ||xi||^2/2,
-    so log u below log r minus that bound plus ||xi||^2/2 accepts without
-    evaluating V_i. Only the proposals the squeeze leaves open are gathered
-    and go through the exact test, which evaluates V_i(z~) (once per block,
-    in round 1, in the same call as V_i(Z) when round 1 gathers) and V_i(Z)
-    on those rows alone; value is row by row, so a row's bits do not depend
-    on the rows evaluated with it. Both tests read the same
-    normals and uniforms, and up to rounding the squeeze never accepts what
-    the exact test rejects, so the draws, proposal counts, descent steps
-    and certificates are those of the exact test alone.
+    with sigma = A~^{-1/2}, top = 1/rho^2 + M_i, a = top/A~ and
+    g = grad V_i(z~), a Hessian of V_i at most top bounds V_i(Z) - V_i(z~)
+    by sigma <g, xi> + a ||xi||^2/2, so log u below
+    lower = log r - sigma <g, xi> - (a - 1) ||xi||^2/2 accepts without
+    evaluating V_i. Only the proposals it leaves open are gathered and go
+    through the exact test. Both tests read the same normals and uniforms,
+    and up to rounding the squeeze never accepts what the exact test
+    rejects, so the draws, proposal counts, descent steps and certificates
+    are those of the exact test alone.
 
-    The first draw of a group at a rho is a checking draw: it runs the
-    exact test on every block (through ALL_BLOCKS in round 1), scores the
-    squeeze on the same proposals, and sets _RhoConstants.squeeze to
-    whether the squeeze settled at least _SQUEEZE_MIN_SHARE of them. The
-    checking draw and every exact evaluation of a squeezed draw check that
-    the exact log ratio is at least the squeeze's bound, within a relative
-    rounding tolerance _BOUND_RTOL (the two differ by V_i(Z) - V_i(z~) less
-    its curvature bound), and raise ConstantsContradicted, naming the
-    block, rho and M, when V_i rose faster than top allows. An understated
-    M that no exact evaluation catches can bias the squeezed draws. A group
-    whose squeeze is off draws by the exact test alone, whose exactness
-    does not rest on M, and skips the check.
+    The squeeze settles a proposal of block i with probability exactly
+    1/B_i, B_i its certified bound (Devroye 1986, section II.5). Proof: over
+    xi, lower is at most log r + ||g||^2/(2 (top - A~)), which is
+    (||g||^2/2) (1/(top - A~) - 1/(s - A~)) <= 0 as s <= top (or 0 at g = 0).
+    So the chance is E[exp(lower)] = r a^{-k/2} exp(||g||^2/(2 top)), a
+    Gaussian integral, and log B_i = (k/2) log a - log r - ||g||^2/(2 top).
 
-    The proposal term A~ ||Z - z~||^2 / 2 of the acceptance ratio is
-    computed as ||xi||^2 / 2. The descent begins at a_theta, where the
-    coupling term of the gradient is exactly zero and is left out, as is
-    the coupling term of V_i(z~) when no block took a descent step (the
-    descent then returns a_theta itself). The constants that depend only
-    on (group, rho) are looked up once per call and kept for the group's
-    lifetime; the descent and the first round address the blocks through
-    basic slices. When every block accepts in round one, that round's
-    proposals are returned as they are; otherwise the blocks still pending
-    are gathered. A block accepts when log(u + _U_OFFSET) is below its log
-    ratio: the uniforms are multiples of 2^-53, so the offset (the smallest
-    normal double) changes no nonzero u and u = 0 gets a finite log without
-    an errstate. The proposal counts start at one and are written from
-    round 2 on. Returns (z, proposals, gd_steps, expected_bound), the last
-    three per block. Raises AcceptanceStall when a block is still pending
-    after PROPOSAL_CAP rounds; the message names rho and the block's
-    certified bound B, and blames the width when B exceeds the cap and the
-    constants otherwise, giving (1 - 1/B)^PROPOSAL_CAP, the most that
-    correct constants leave to chance: the squeeze's bound, which the exact
-    ratio passes wherever M holds, accepts with probability 1/B on average.
+    The first draw of a group at a rho is a checking draw. Before its
+    rounds, it sets _RhoConstants.squeeze to whether the mean over blocks
+    of 1/B_i is at least _SQUEEZE_MIN_SHARE; then it runs the exact test on
+    every block. The checking draw and every exact evaluation of a squeezed
+    draw check that the exact log ratio is at least the squeeze's bound,
+    within a relative rounding tolerance _BOUND_RTOL (the two differ by
+    V_i(Z) - V_i(z~) less its curvature bound), and raise
+    ConstantsContradicted, naming the block, rho and M, when V_i rose
+    faster than top allows. An understated M that no exact evaluation
+    catches can bias the squeezed draws. A group whose squeeze is off draws
+    by the exact test alone, whose exactness does not rest on M, and skips
+    the check.
+
+    Round 1 evaluates V_i(z~) and V_i(Z) of the blocks it tests exactly in
+    one value call, as two rows per block; value is row by row, so a row's
+    bits do not depend on the rows evaluated with it. Later rounds evaluate
+    V_i(Z) alone. The proposal term A~ ||Z - z~||^2 / 2 of the acceptance
+    ratio is computed as ||xi||^2 / 2. The descent begins at a_theta, where
+    the coupling term of the gradient is exactly zero and is left out; the
+    coupling term of V_i(z~) is added for every block, exactly zero for one
+    that took no descent step. A block accepts when log(u + _U_OFFSET) is
+    below its log ratio: the uniforms are multiples of 2^-53, so the offset
+    (the smallest normal double) changes no nonzero u and u = 0 gets a
+    finite log without an errstate. The proposal counts start at one and
+    are written from round 2 on. Returns (z, proposals, gd_steps,
+    expected_bound), the last three per block. Raises AcceptanceStall when
+    a block is still pending after PROPOSAL_CAP rounds; the message names
+    rho and the block's certified bound B, and blames the width when B
+    exceeds the cap and the constants otherwise, giving
+    (1 - 1/B)^PROPOSAL_CAP, the most that correct constants leave to
+    chance: the squeeze's bound, which the exact ratio passes wherever M
+    holds, accepts with probability exactly 1/B.
     """
     if not group.smooth:
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
@@ -396,12 +401,14 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     a_tilde, log_r, expected = _certificate(gnorm, k, c.s, c.top)
     sigma_prop = 1.0 / np.sqrt(a_tilde)
     checking = c.squeeze is None
-    bounded = checking or c.squeeze  # the rounds compute the squeeze's lower bound
+    if checking:
+        # The squeeze settles a proposal of block i with probability 1/B_i.
+        c.squeeze = bool(np.mean(1.0 / expected) >= _SQUEEZE_MIN_SHARE)
+    squeezing = c.squeeze and not checking
+    bounded = checking or squeezing  # the rounds compute the squeeze's lower bound
     if bounded:
         sigma_grad = sigma_prop[:, None] * grad
         curv_gap = 1.0 - c.top / a_tilde
-        settled = proposed = 0
-    descended = z_tilde is not a_theta  # otherwise the quadratic term of V(z~) is zero
 
     # Round 1 proposes for every block through basic slices, which copy
     # nothing; later rounds gather the blocks still pending. Every block
@@ -436,36 +443,25 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
             # The squeeze's lower bound on the log ratio:
             # log r - sigma <grad V(z~), xi> + (1 - top/A~) ||xi||^2/2.
             lower = lr - np.vecdot(sigma_grad[rows], xi) + curv_gap[rows] * half_xi2
-            accepted = log_u < lower
-            n_settled = np.count_nonzero(accepted)
-            if checking:
-                settled += n_settled
-                proposed += n_rows
-            elif n_settled:
-                exact = np.flatnonzero(~accepted) if n_settled < n_rows else None
+            if squeezing:
+                accepted = log_u < lower
+                n_settled = np.count_nonzero(accepted)
+                if n_settled:
+                    exact = np.flatnonzero(~accepted) if n_settled < n_rows else None
         if exact is not None:
-            at = rows if exact is ALL_BLOCKS else exact if rows is ALL_BLOCKS else rows[exact]
             zp_e, half_e = zp[exact], half_xi2[exact]
-            if z is not None:
+            if z is None:
+                # V(z~) and V(Z) of the blocks tested exactly in one call.
+                at = np.arange(group.b)[exact]
+                both = group.value(np.concatenate((z_tilde[exact], zp_e)), np.concatenate((at, at)))
+                dz = z_tilde[exact] - a_theta[exact]
+                vt, v = both[:at.size] + 0.5 * _row_sums(dz * dz) / rho**2, both[at.size:]
+                v_tilde = np.empty(group.b)
+                v_tilde[at] = vt
+            else:
+                at = rows[exact]
                 vt = v_tilde[at]
                 v = group.value(zp_e, at)
-            elif exact is ALL_BLOCKS:
-                vt = group.value(z_tilde, ALL_BLOCKS)
-                v = group.value(zp_e, ALL_BLOCKS)
-            else:
-                # V(z~) and V(Z) of the gathered blocks in one call.
-                n_open = len(at)
-                both = group.value(np.concatenate((z_tilde[at], zp_e)), np.concatenate((at, at)))
-                vt, v = both[:n_open], both[n_open:]
-            if z is None:
-                if descended:
-                    dz = z_tilde[at] - a_theta[at]
-                    vt = vt + 0.5 * _row_sums(dz * dz) / rho**2
-                if exact is ALL_BLOCKS:
-                    v_tilde = vt
-                else:
-                    v_tilde = np.empty(group.b)
-                    v_tilde[at] = vt
             dz = zp_e - a_theta[at]
             v = v + 0.5 * _row_sums(dz * dz) / rho**2
             log_ratio = lr[exact] - (v - vt) + half_e
@@ -490,8 +486,6 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
             z[rows[accepted]] = zp[accepted]
             rows = rows[~accepted]
         n_rows = rows.size
-    if checking:
-        c.squeeze = bool(settled >= _SQUEEZE_MIN_SHARE * proposed)
     return z, proposals, gd_steps, expected
 
 

@@ -208,7 +208,7 @@ class TestRejectionSampler:
                            r"certified M=0\.05; the certified M is too small$") as refused:
             sample_z_group(lying, np.zeros((1, 1)), 1.0, np.random.default_rng(0))
         assert refused.value.exit_code == 2
-        assert values == [1, 1]  # V(z~) and the first proposal: refused in round 1
+        assert values == [2]  # V(z~) and the first proposal in one call: refused in round 1
 
     def test_stall_outside_the_regime_suggests_a_smaller_rho(self, monkeypatch):
         # The same potential with honest constants (m, M) = (0, 2e12): its
@@ -530,7 +530,9 @@ class TestGroupDescent:
         assert (steps >= 1).all() and (proposals >= 1).all()
         assert len(calls["gradient"]) == 1 + steps.max()
         assert all(rows is ALL_BLOCKS for rows in calls["gradient"])
-        assert calls["value"][0] is ALL_BLOCKS and calls["value"][1] is ALL_BLOCKS
+        # The checking draw's round 1 reads V(z~) and V(Z) of every block in
+        # one call, through an index array that names each block twice.
+        assert calls["value"][0].tolist() == 2 * list(range(group.b))
         calls["gradient"].clear()
         z_tilde, _, ws_steps = warm_start_group(group, a_theta, rho)
         assert all(rows is ALL_BLOCKS for rows in calls["gradient"])

@@ -10,8 +10,10 @@ The manifest covers:
   0.05, 0.3 and 1 (draws, proposal and descent totals, final blocks); a
   chain that raises is recorded by its error type;
 - am_solve and admm_solve on the same models at rho = 0.3;
-- the default CSVs of `splitmc bias`, `experiment bias-toy` and
-  `experiment rate-toy`;
+- ThetaConditional.sample(..., size=SIZE) on the same models at rho = 0.3,
+  given the blocks A_i theta at theta = 0.3 everywhere;
+- the CSV of `splitmc plan --eps 0.1` for each theorem, and the default
+  CSVs of `splitmc bias`, `experiment bias-toy` and `experiment rate-toy`;
 - run_op(setup(1), 1, 0) of the three benchmark workloads: the sha256 of
   the fingerprint bytes the workload itself builds.
 
@@ -42,6 +44,8 @@ TIMING_COLUMNS = frozenset({"wall_time_s", "sgs_seconds_per_sweep", "sgs_wall_se
 SWEEPS = 150
 RHOS = (6.66e-11, 0.05, 0.3, 1.0)
 SOLVE_RHO, SOLVE_ITERS = 0.3, 20
+SIZE = 64
+THEOREMS = ("w1", "tv-single", "tv-multi", "tv-ns")
 
 
 def _sha256(*parts) -> str:
@@ -72,6 +76,16 @@ def _solves(model, rho: float, iters: int) -> str:
     theta, z = am_solve(model, rho, iters)
     theta2, z2, duals = admm_solve(model, rho, iters)
     return _sha256(*_arrays(theta, *z, theta2, *z2, *duals))
+
+
+def _theta_draws(model, rho: float, size: int) -> str:
+    import numpy as np
+
+    from splitmc import ThetaConditional
+
+    z_groups = [g.couple(np.full(model.d, 0.3)) for g in model.groups]
+    return _sha256(*_arrays(ThetaConditional(model, rho).sample(z_groups, np.random.default_rng(0),
+                                                                size=size)))
 
 
 def _csv(argv: list[str], out: Path) -> str:
@@ -122,10 +136,16 @@ def entries(out: Path) -> dict[str, str]:
                 lambda: _chain(build_model(name), rho, SWEEPS))
         found[f"solves/{name}/rho={SOLVE_RHO}"] = _guarded(
             lambda: _solves(build_model(name), SOLVE_RHO, SOLVE_ITERS))
-    commands = {"bias": ["bias"], "bias-toy": ["experiment", "bias-toy"],
-                "rate-toy": ["experiment", "rate-toy"]}
+        found[f"theta-draws/{name}/rho={SOLVE_RHO}"] = _theta_draws(build_model(name),
+                                                                    SOLVE_RHO, SIZE)
+    commands = {f"plan/{theorem}": ["plan", "--theorem", theorem, "--eps", "0.1"]
+                for theorem in THEOREMS}
+    commands.update({"bias": ["bias"], "bias-toy": ["experiment", "bias-toy"],
+                     "rate-toy": ["experiment", "rate-toy"]})
     for name, argv in commands.items():
-        target = out / (f"{name}.csv" if name == "bias" else name)
+        # plan and bias write one CSV file; the experiments write a directory.
+        one_file = argv[0] in ("plan", "bias")
+        target = out / (f"{name.replace('/', '-')}.csv" if one_file else name)
         found[f"csv/{name}"] = _csv(argv, target)
     for name in workloads.WORKLOADS:
         found[f"workload/{name}"] = _workload(name, out / name)
