@@ -451,19 +451,21 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
         if exact is not None:
             zp_e, half_e = zp[exact], half_xi2[exact]
             if z is None:
-                # V(z~) and V(Z) of the blocks tested exactly in one call.
-                at = np.arange(group.b)[exact]
-                both = group.value(np.concatenate((z_tilde[exact], zp_e)), np.concatenate((at, at)))
-                dz = z_tilde[exact] - a_theta[exact]
-                vt, v = both[:at.size] + 0.5 * _row_sums(dz * dz) / rho**2, both[at.size:]
+                # V(z~) and V(Z) of the blocks tested exactly, in one call;
+                # dz holds both halves of points less A theta.
+                at = np.arange(group.b) if exact is ALL_BLOCKS else exact
+                points = np.concatenate((z_tilde[exact], zp_e))
+                dz = (points.reshape(2, -1, k) - a_theta[exact]).reshape(-1, k)
+                both = group.value(points, np.concatenate((at, at)))
+                both = both + 0.5 * _row_sums(dz * dz) / rho**2
+                vt, v = both[:at.size], both[at.size:]
                 v_tilde = np.empty(group.b)
                 v_tilde[at] = vt
             else:
                 at = rows[exact]
                 vt = v_tilde[at]
-                v = group.value(zp_e, at)
-            dz = zp_e - a_theta[at]
-            v = v + 0.5 * _row_sums(dz * dz) / rho**2
+                dz = zp_e - a_theta[at]
+                v = group.value(zp_e, at) + 0.5 * _row_sums(dz * dz) / rho**2
             log_ratio = lr[exact] - (v - vt) + half_e
             if bounded:
                 # V(Z) - V(z~) less its curvature bound; below the screen,

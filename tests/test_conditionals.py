@@ -21,6 +21,8 @@ from splitmc import (
     SplitModel,
     ThetaConditional,
     build_model,
+    center_model,
+    find_minimizer,
     k_sgs,
     make_quadratic_group,
     model_constants,
@@ -735,10 +737,10 @@ class TestSqueezedDraws:
         # on the same stream. Where the checking draw kept the squeeze on,
         # the second draw reads value on fewer rows than the checking draw,
         # which reads every block at least twice (at rho = 0.1 the shards'
-        # second draw reads V(z~) and V(Z) of block 2 in one call). The
-        # logistic-split2 shards at rho = 0.3 settle under half their
-        # proposals by the squeeze, so their second draw tests every
-        # proposal exactly again.
+        # second draw reads V(z~) and V(Z) of block 2 in one call). At
+        # rho = 0.3 the logistic-split2 shards' certified bounds give a mean
+        # 1/B below one half, so the checking draw turns the squeeze off and
+        # their second draw tests every proposal exactly again.
         model = build_model(name, d=10, seed=0, **params)
         group, calls = recording(model.groups[0])
         a_theta = group.couple(np.full(10, 0.3))
@@ -754,6 +756,55 @@ class TestSqueezedDraws:
         twin = build_model(name, d=10, seed=0, **params).groups[0]
         for got, want in zip(drawn, sample_z_group(twin, a_theta, rho, np.random.default_rng(2))):
             assert got.tobytes() == want.tobytes()
+
+    def test_squeeze_settles_one_over_b_of_the_proposals(self):
+        # The squeeze settles a proposal of block i with probability exactly
+        # 1/B_i. n copies of one logistic-split2 shard at the edge of the
+        # at-most-2-proposals regime share one B; after the checking draw,
+        # round 1 of a second draw reads V(z~) and V(Z) of each block the
+        # squeeze leaves open in its first value call, so that call's
+        # length is twice the open count.
+        source = build_model("logistic-split2", d=10, n=200, b=5, seed=0).groups[0]
+        m, big_m = float(source.m[0]), float(source.M[0])
+        rho = 1.0 / math.sqrt(2.0 * source.k * (big_m - m) - m)
+        n = 20_000
+        group, calls = recording(replicate_block(source, 0, n))
+        a_theta = group.couple(np.full(10, 0.5))
+        sample_z_group(group, a_theta, rho, np.random.default_rng(3))
+        calls["value"].clear()
+        _, _, _, expected = sample_z_group(group, a_theta, rho, np.random.default_rng(4))
+        assert (expected == expected[0]).all()
+        share = 1.0 / expected[0]
+        settled = n - len(calls["value"][0]) // 2
+        assert abs(settled - n * share) < 5.0 * math.sqrt(n * share * (1.0 - share))
+
+    def test_gate_does_not_depend_on_the_stream(self):
+        # The checking draw decides the squeeze from its certificate, not
+        # from the proposals it happens to make: fresh twins of a centered
+        # logistic-split2 shard group at the edge of the
+        # at-most-2-proposals regime (mean 1/B about 0.8) keep it on for
+        # every stream. A tally of the proposals of five blocks would turn
+        # it off on about 2% of the streams.
+        model = build_model("logistic-split2", d=10, n=200, b=5, seed=0)
+        theta_star = find_minimizer(model).theta_star
+        (group,) = center_model(model, theta_star).groups
+        rho = 1.0 / math.sqrt(max(2.0 * group.k * (group.M - group.m) - group.m))
+        a_theta = group.couple(theta_star)
+        for seed in range(300):
+            twin = FactorGroup(group.a, group.value, group.gradient, group.m, group.M)
+            sample_z_group(twin, a_theta, rho, np.random.default_rng(seed))
+            assert conditionals._rho_constants(twin, rho).squeeze, f"stream {seed}"
+
+    def test_lying_block_is_refused_where_its_certificate_turns_the_squeeze_off(self):
+        # 1e12 z^2 certified with (m, M) = (0, 10) at rho = 1: its bound
+        # B = sqrt(11) = 3.3 turns the squeeze off before the checking
+        # draw's rounds, and that draw still checks the curvature bound on
+        # every proposal.
+        lying = scalar_group(lambda z: 1e12 * z[:, 0] ** 2, np.zeros_like, 0.0, 10.0)
+        with pytest.raises(ConstantsContradicted, match=r"^block 0: V rose by .* at rho=1 with "
+                           r"certified M=10; the certified M is too small$"):
+            sample_z_group(lying, np.zeros((1, 1)), 1.0, np.random.default_rng(0))
+        assert conditionals._rho_constants(lying, 1.0).squeeze is False
 
     def test_rounding_at_tiny_widths_contradicts_nothing(self):
         # At rho = 1e-10 a proposal's step is about 1e-10 while the blocks sit
