@@ -402,8 +402,9 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     sigma_prop = 1.0 / np.sqrt(a_tilde)
     checking = c.squeeze is None
     if checking:
-        # The squeeze settles a proposal of block i with probability 1/B_i.
-        c.squeeze = bool(np.mean(1.0 / expected) >= _SQUEEZE_MIN_SHARE)
+        # The squeeze settles a proposal of block i with probability 1/B_i:
+        # on if their mean is at least _SQUEEZE_MIN_SHARE (np.mean costs more).
+        c.squeeze = bool(np.add.reduce(1.0 / expected) >= _SQUEEZE_MIN_SHARE * group.b)
     squeezing = c.squeeze and not checking
     bounded = checking or squeezing  # the rounds compute the squeeze's lower bound
     if bounded:
