@@ -58,8 +58,8 @@ _BOUND_RTOL = 1e-9
 # this: the harmonic mean of the certified bounds B is at most 2. It costs
 # about ten numpy calls a round and saves evaluations of V only on the
 # proposals it settles: the default logistic-split2 at rho = 0.5 (mean 1/B
-# about 0.25) ran 28% slower with it, while the benchmark's logistic
-# workloads (0.8-1.0) run faster.
+# about 0.25) ran 28% slower with it, and logistic-split1 at rho = 3 (0.52)
+# 20% slower; the benchmark's logistic workloads (0.8-1.0) run faster.
 _SQUEEZE_MIN_SHARE = 0.5
 
 
