@@ -55,12 +55,15 @@ _BOUND_RTOL = 1e-9
 
 # The squeeze stays on after a group's checking draw only if the mean over
 # its blocks of 1/B, the share of proposals the squeeze settles, is at least
-# this: the harmonic mean of the certified bounds B is at most 2. It costs
-# about ten numpy calls a round and saves evaluations of V only on the
-# proposals it settles: the default logistic-split2 at rho = 0.5 (mean 1/B
-# about 0.25) ran 28% slower with it, and logistic-split1 at rho = 3 (0.52)
-# 20% slower; the benchmark's logistic workloads (0.8-1.0) run faster.
-_SQUEEZE_MIN_SHARE = 0.5
+# this: the harmonic mean of the certified bounds B is at most 5/3. It costs
+# a few numpy calls a round and saves evaluations of V only on the proposals
+# it settles. Toggled on 100 chain states, it breaks even on logistic-split2
+# between shares 0.53 and 0.67: the benchmark's shards drew 15% faster with
+# it at 0.78 and 9% at 0.66 (a wider rho), b = 5 at rho = 0.2 (0.64) 6%
+# faster, b = 10 at rho = 0.3 (0.56) 3-11% slower and at 0.5 (0.26) 6%.
+# logistic-split1, whose scalar V is cheap, breaks even above 0.76: 17%
+# slower at rho = 3 (0.51), 9% at 1.5 (0.76), 35% faster at share 1.
+_SQUEEZE_MIN_SHARE = 0.6
 
 
 class ThetaConditional:
@@ -296,7 +299,7 @@ def _check_finite(gnorm: np.ndarray, it: int) -> None:
 
 
 def _certificate(gnorm: np.ndarray, k: int, s: np.ndarray, top: np.ndarray):
-    """Per-block proposal precision A~, log r and expected-proposal bound.
+    """Per-block proposal precision A~, log r, expected-proposal bound and top/A~.
 
     gnorm is the residual gradient norm g at the warm start; s = 1/rho^2 + m
     and top = 1/rho^2 + M. With g2d = g^2/k,
@@ -305,23 +308,40 @@ def _certificate(gnorm: np.ndarray, k: int, s: np.ndarray, top: np.ndarray):
     bound's exponent have limit 0 there, so one test of A~ - s < 0 over the
     blocks picks the branch. Elsewhere log r = (g^2/2)/(A~ - s), the same
     bits as -(g^2/2)/(s - A~), and the exponent (g^2/2)(1/(s - A~) - 1/top)
-    is -log r - g^2/(2 top).
+    is -log r - g^2/(2 top), the same bits as -(log r + g^2/(2 top)). The
+    bound is (top/A~)^(k/2) times the exponent's exp. The arithmetic runs
+    in place, in the order the formulas are written; products and sums
+    commute, so the bits are those of the formulas.
     """
-    gnorm2 = gnorm**2
+    gnorm2 = gnorm * gnorm
     half_g2 = 0.5 * gnorm2
-    g2d = gnorm2 / k if k > 1 else gnorm2
-    half_g2d = 0.5 * g2d if k > 1 else half_g2
-    a_tilde = s + half_g2d - np.sqrt(0.25 * g2d**2 + s * g2d)
-    neg_denom = a_tilde - s
+    if k > 1:
+        g2d = np.divide(gnorm2, k, out=gnorm2)
+        half_g2d = 0.5 * g2d
+    else:
+        g2d, half_g2d = gnorm2, half_g2
+    root = g2d * g2d
+    root *= 0.25
+    g2d *= s
+    root += g2d
+    np.sqrt(root, out=root)
+    a_tilde = s + half_g2d
+    a_tilde -= root
+    neg_denom = np.subtract(a_tilde, s, out=root)
     if neg_denom.max() < 0.0:
-        log_r = half_g2 / neg_denom
-        exponent = -log_r - half_g2 / top
+        log_r = np.divide(half_g2, neg_denom, out=neg_denom)
+        exponent = np.divide(half_g2, top, out=half_g2)
+        exponent += log_r
+        np.negative(exponent, out=exponent)
     else:
         flat = neg_denom >= 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             log_r = np.where(flat, 0.0, half_g2 / neg_denom)
         exponent = np.where(flat, 0.0, -log_r - half_g2 / top)
-    return a_tilde, log_r, (top / a_tilde) ** (k / 2.0) * np.exp(exponent)
+    curvature = top / a_tilde
+    bound = curvature ** (k / 2.0)
+    bound *= np.exp(exponent, out=exponent)
+    return a_tilde, log_r, bound, curvature
 
 
 def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
@@ -340,6 +360,12 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     warm start and the gradient of V_i there; then each round proposes
     once for every block still pending, taking the normals xi and then the
     uniforms from rng in block order, and retires the accepted blocks.
+    Round 1 reads the per-block fields of the draw (z~, sigma, log r,
+    sigma grad V_i(z~) and 1 - top/A~) from the full arrays, which copies
+    nothing. The pending set is gathered only when it changes: each time
+    blocks retire, the fields of those still pending, with A_i theta and
+    V_i(z~), are gathered once and serve every round until the next
+    retirement. A round that accepts nothing gathers nothing.
 
     Each proposal can first be tested against a squeeze (Marsaglia 1977):
     with sigma = A~^{-1/2}, top = 1/rho^2 + M_i, a = top/A~ and
@@ -382,8 +408,8 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     that took no descent step. A block accepts when log(u + _U_OFFSET) is
     below its log ratio: the uniforms are multiples of 2^-53, so the offset
     (the smallest normal double) changes no nonzero u and u = 0 gets a
-    finite log without an errstate. The proposal counts start at one and
-    are written from round 2 on. Returns (z, proposals, gd_steps,
+    finite log without an errstate. The proposal counts start at one; a
+    block accepted in a later round gets that round's number. Returns (z, proposals, gd_steps,
     expected_bound), the last three per block. Raises AcceptanceStall when
     a block is still pending after PROPOSAL_CAP rounds; the message names
     rho and the block's certified bound B, and blames the width when B
@@ -398,8 +424,9 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     a_theta = np.asarray(a_theta, dtype=float)
     z_tilde, gnorm, gd_steps, grad = _descend(group, a_theta, c, c.target, c.log_target)
     k = group.k
-    a_tilde, log_r, expected = _certificate(gnorm, k, c.s, c.top)
-    sigma_prop = 1.0 / np.sqrt(a_tilde)
+    a_tilde, log_r, expected, curvature = _certificate(gnorm, k, c.s, c.top)
+    sigma = np.sqrt(a_tilde)[:, None]
+    np.divide(1.0, sigma, out=sigma)
     checking = c.squeeze is None
     if checking:
         # The squeeze settles a proposal of block i with probability 1/B_i:
@@ -408,17 +435,21 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     squeezing = c.squeeze and not checking
     bounded = checking or squeezing  # the rounds compute the squeeze's lower bound
     if bounded:
-        sigma_grad = sigma_prop[:, None] * grad
-        curv_gap = 1.0 - c.top / a_tilde
+        sigma_grad = sigma * grad
+        curv_gap = np.subtract(1.0, curvature, out=curvature)
 
-    # Round 1 proposes for every block through basic slices, which copy
-    # nothing; later rounds gather the blocks still pending. Every block
-    # pending after round 1 was tested exactly there, so its V(z~) is known.
+    # The fields of the pending blocks: the full arrays in round 1, then
+    # gathered each time blocks retire. Every block pending after round 1
+    # was tested exactly there, so its V(z~) is known.
     z = None
-    proposals = np.ones(group.b, dtype=np.int64)
+    proposals = np.empty(group.b, dtype=np.int64)
+    proposals.fill(1)
     rows, n_rows = ALL_BLOCKS, group.b
+    zt, sig, lr = z_tilde, sigma, log_r
+    if bounded:
+        sg, cg = sigma_grad, curv_gap
     rounds = 0
-    while n_rows:
+    while True:
         if rounds >= PROPOSAL_CAP:
             first = 0 if z is None else int(rows[0])
             bound = float(expected[first])
@@ -431,43 +462,45 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
             raise AcceptanceStall(f"{stalled}; certified (m, M) look wrong: correct ones "
                                   f"leave this a chance of at most {chance:.3g}")
         rounds += 1
-        if z is not None:
-            proposals[rows] = rounds
         xi = rng.standard_normal((n_rows, k))
-        zp = z_tilde[rows] + sigma_prop[rows, None] * xi
-        u = rng.random(n_rows)
+        zp = sig * xi
+        zp += zt
+        log_u = rng.random(n_rows)
         half_xi2 = 0.5 * _row_sums(xi * xi)
-        log_u = np.log(u + _U_OFFSET)
-        lr = log_r[rows]
+        log_u += _U_OFFSET
+        np.log(log_u, out=log_u)
         exact = ALL_BLOCKS
         if bounded:
             # The squeeze's lower bound on the log ratio:
             # log r - sigma <grad V(z~), xi> + (1 - top/A~) ||xi||^2/2.
-            lower = lr - np.vecdot(sigma_grad[rows], xi) + curv_gap[rows] * half_xi2
+            lower = np.vecdot(sg, xi)
+            np.subtract(lr, lower, out=lower)
+            lower += cg * half_xi2
             if squeezing:
                 accepted = log_u < lower
                 n_settled = np.count_nonzero(accepted)
                 if n_settled:
-                    exact = np.flatnonzero(~accepted) if n_settled < n_rows else None
+                    exact = (~accepted).nonzero()[0] if n_settled < n_rows else None
         if exact is not None:
-            zp_e, half_e = zp[exact], half_xi2[exact]
+            half_e = half_xi2[exact]
             if z is None:
                 # V(z~) and V(Z) of the blocks tested exactly, in one call;
                 # dz holds both halves of points less A theta.
                 at = np.arange(group.b) if exact is ALL_BLOCKS else exact
-                points = np.concatenate((z_tilde[exact], zp_e))
-                dz = (points.reshape(2, -1, k) - a_theta[exact]).reshape(-1, k)
+                zp_e = zp.take(at, 0)
+                points = np.concatenate((z_tilde.take(at, 0), zp_e))
+                dz = (points.reshape(2, -1, k) - a_theta.take(at, 0)).reshape(-1, k)
                 both = group.value(points, np.concatenate((at, at)))
-                both = both + 0.5 * _row_sums(dz * dz) / rho**2
+                both += 0.5 * _row_sums(dz * dz) / rho**2
                 vt, v = both[:at.size], both[at.size:]
-                v_tilde = np.empty(group.b)
-                v_tilde[at] = vt
             else:
-                at = rows[exact]
-                vt = v_tilde[at]
-                dz = zp_e - a_theta[at]
-                v = group.value(zp_e, at) + 0.5 * _row_sums(dz * dz) / rho**2
-            log_ratio = lr[exact] - (v - vt) + half_e
+                at, vt, zp_e = rows[exact], vt_p[exact], zp[exact]
+                dz = zp_e - at_p[exact]
+                v = group.value(zp_e, at)
+                v += 0.5 * _row_sums(dz * dz) / rho**2
+            log_ratio = v - vt
+            np.subtract(lr[exact], log_ratio, out=log_ratio)
+            log_ratio += half_e
             if bounded:
                 # V(Z) - V(z~) less its curvature bound; below the screen,
                 # within every tolerance.
@@ -479,16 +512,31 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
                 accepted = exact_accepted
             else:
                 accepted[exact] = exact_accepted
+        n_accepted = n_rows if exact is None else np.count_nonzero(accepted)
         if z is None:
-            z = zp
-            if exact is None or accepted.all():
-                break
             # The rejected rows of z are overwritten when they are accepted.
-            rows = np.flatnonzero(~accepted)
+            z = zp
+            if n_accepted == n_rows:
+                break
+            # Every block still pending was tested exactly.
+            rows, vt_p, accepted = at, vt, exact_accepted
         else:
-            z[rows[accepted]] = zp[accepted]
-            rows = rows[~accepted]
+            if not n_accepted:
+                continue
+            hit = accepted.nonzero()[0]
+            done = rows[hit]
+            z[done] = zp.take(hit, 0)
+            proposals[done] = rounds
+            if n_accepted == n_rows:
+                break
+        # The pending set changed: gather the fields of the blocks in it.
+        keep = ~accepted
+        rows, vt_p = rows[keep], vt_p[keep]
         n_rows = rows.size
+        zt, sig, lr = z_tilde.take(rows, 0), sigma.take(rows, 0), log_r[rows]
+        at_p = a_theta.take(rows, 0)
+        if bounded:
+            sg, cg = sigma_grad.take(rows, 0), curv_gap[rows]
     return z, proposals, gd_steps, expected
 
 
@@ -514,8 +562,8 @@ def _check_rise(group, c: _RhoConstants, at, zp, v, v_tilde, excess, half_step2)
     tol = _BOUND_RTOL * (1.0 + np.abs(v) + np.abs(v_tilde) + top * (half_step2 + _row_sums(zp * zp)))
     over = excess > tol
     if over.any():
-        j = int(np.flatnonzero(over)[0])
-        block = int(np.arange(group.b)[at][j])
+        j = int(over.nonzero()[0][0])
+        block = int(at[j])
         raise ConstantsContradicted(
             f"block {block}: V rose by {v[j] - v_tilde[j]:.6g} over a proposal step where "
             f"curvature at most 1/rho^2 + M allows {v[j] - v_tilde[j] - excess[j]:.6g}, at "

@@ -188,16 +188,16 @@ def _logit_kernels(a, design, labels, alpha, m, M) -> FactorGroup:
 
     else:
         def value(z, rows):
-            u = (design[rows] @ z[:, :, None])[:, :, 0]
+            u = np.matvec(design[rows], z)
             return np.add.reduce(_softplus(u) + u * (0.5 * alpha * u - labels[rows]), axis=1)
 
         def gradient(z, rows):
             x = design[rows]
-            u = (x @ z[:, :, None])[:, :, 0]
-            return ((expit(u) - labels[rows] + alpha * u)[:, None, :] @ x)[:, 0, :]
+            u = np.matvec(x, z)
+            return np.vecmat(expit(u) - labels[rows] + alpha * u, x)
 
     def recenter(a_theta_star, off):
-        u = a_theta_star if design is None else (design @ a_theta_star[:, :, None])[:, :, 0]
+        u = a_theta_star if design is None else np.matvec(design, a_theta_star)
         w = np.where(off[:, None], expit(u) - labels + alpha * u, 0.0)
         return _logit_kernels(a, design, labels + w, alpha, m, M)
 

@@ -256,6 +256,29 @@ class TestRejectionSampler:
         with pytest.raises(AcceptanceStall, match=f"^block {rejected[0]}: .* after 1 proposals"):
             sample_z_group(group, a_theta, rho, np.random.default_rng(7))
 
+    @pytest.mark.parametrize("squeeze", [True, False])
+    @pytest.mark.parametrize("cap, stalled", [(2, 5), (3, 75)])
+    def test_stall_after_later_rounds_names_first_pending_block(self, monkeypatch, cap,
+                                                               stalled, squeeze):
+        # As test_stall_names_first_pending_block, with the stall after cap
+        # rounds: the named block is the first one still pending, which the
+        # bookkeeping of the later rounds gives, not round 1's mask. Round 1
+        # first rejects block 3, which round 2 accepts; block 5 is the first
+        # still pending after two rounds, block 75 after three. After the
+        # checking draw the squeeze is set on or off; it changes no draw.
+        model = build_model("logistic-split1", d=4, n=200, seed=2)
+        (group,) = model.groups
+        a_theta = group.couple(np.full(4, 0.3))
+        rho = 2.0
+        sample_z_group(group, a_theta, rho, np.random.default_rng(6))
+        conditionals._rho_constants(group, rho).squeeze = squeeze
+        _, proposals, _, _ = sample_z_group(group, a_theta, rho, np.random.default_rng(7))
+        assert (proposals > 1).nonzero()[0][0] == 3 and proposals[3] == 2
+        assert (proposals > cap).nonzero()[0][0] == stalled
+        monkeypatch.setattr(conditionals, "PROPOSAL_CAP", cap)
+        with pytest.raises(AcceptanceStall, match=f"^block {stalled}: .* after {cap} proposals"):
+            sample_z_group(group, a_theta, rho, np.random.default_rng(7))
+
     def test_understated_curvature_is_typed_nonconvergence(self):
         # U(z) = 5 z^2 certified with M = 1: the descent step 1/(1/rho^2 + M)
         # overshoots and diverges. The descent and the draw stop at the step
@@ -419,10 +442,11 @@ class TestRejectionSampler:
         assert (steps == 0).all() and (proposals >= 1).all() and np.isfinite(z).all()
         top, s = 1.0 / rho**2 + group.M, 1.0 / rho**2 + group.m
         assert expected.tobytes() == ((top / s) ** (3 / 2.0)).tobytes()
-        a_tilde, log_r, bound = _certificate(np.zeros(4), 3, s, top)
+        a_tilde, log_r, bound, curvature = _certificate(np.zeros(4), 3, s, top)
         assert a_tilde.tobytes() == s.tobytes()
         assert (log_r == 0.0).all()
         assert bound.tobytes() == expected.tobytes()
+        assert curvature.tobytes() == (top / s).tobytes()
 
     def test_non_smooth_refused(self):
         rough = scalar_group(lambda z: np.abs(z[:, 0]), np.sign, 0.0, math.inf, 1.0)

@@ -12,6 +12,11 @@ The manifest covers:
 - am_solve and admm_solve on the same models at rho = 0.3;
 - ThetaConditional.sample(..., size=SIZE) on the same models at rho = 0.3,
   given the blocks A_i theta at theta = 0.3 everywhere;
+- the second sample_z_group draw of a group (z, proposals, descent steps and
+  bounds), made after its checking draw: COPIES copies of a logistic-split2
+  shard at its two-proposal edge, squeezed over several rounds, and the
+  logistic-split2 of `splitmc sample` (b = 10) at rho = 0.5, whose squeeze
+  is off;
 - the CSV of `splitmc plan --eps 0.1` for each theorem, and the default
   CSVs of `splitmc bias`, `experiment bias-toy` and `experiment rate-toy`;
 - run_op(setup(1), 1, 0) of the three benchmark workloads: the sha256 of
@@ -31,6 +36,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -45,6 +51,7 @@ SWEEPS = 150
 RHOS = (6.66e-11, 0.05, 0.3, 1.0)
 SOLVE_RHO, SOLVE_ITERS = 0.3, 20
 SIZE = 64
+COPIES = 2000
 THEOREMS = ("w1", "tv-single", "tv-multi", "tv-ns")
 
 
@@ -88,6 +95,35 @@ def _theta_draws(model, rho: float, size: int) -> str:
                                                                 size=size)))
 
 
+def _second_draw(group, theta, rho: float) -> str:
+    """sample_z_group's draw of group at rho made after its checking draw."""
+    import numpy as np
+
+    from splitmc import sample_z_group
+
+    a_theta = group.couple(theta)
+    sample_z_group(group, a_theta, rho, np.random.default_rng(0))
+    return _sha256(*_arrays(*sample_z_group(group, a_theta, rho, np.random.default_rng(1))))
+
+
+def _shard_copies() -> str:
+    """The second draw of COPIES copies of logistic-split2's shard 0 at its two-proposal edge."""
+    import numpy as np
+
+    from splitmc import FactorGroup, build_model
+
+    (source,) = build_model("logistic-split2", d=10, n=200, b=5, seed=0).groups
+
+    def shard_0(kernel):
+        return lambda z, rows: kernel(z, np.zeros(len(z), dtype=np.int64))
+
+    copies = FactorGroup(np.repeat(source.a[:1], COPIES, axis=0), shard_0(source.value),
+                         shard_0(source.gradient), source.m[0], source.M[0])
+    m, big_m = float(source.m[0]), float(source.M[0])
+    rho = 1.0 / math.sqrt(2.0 * source.k * (big_m - m) - m)
+    return _second_draw(copies, np.full(10, 0.5), rho)
+
+
 def _csv(argv: list[str], out: Path) -> str:
     """Run one CLI command into out and hash the CSV it wrote, timing columns dropped."""
     from splitmc.cli import main
@@ -125,6 +161,8 @@ def _guarded(compute) -> str:
 
 def entries(out: Path) -> dict[str, str]:
     """Every fingerprint of the manifest, by name; out holds the CSVs written."""
+    import numpy as np
+
     from splitmc import build_model
 
     import workloads
@@ -138,6 +176,9 @@ def entries(out: Path) -> dict[str, str]:
             lambda: _solves(build_model(name), SOLVE_RHO, SOLVE_ITERS))
         found[f"theta-draws/{name}/rho={SOLVE_RHO}"] = _theta_draws(build_model(name),
                                                                     SOLVE_RHO, SIZE)
+    found["z-draw/logistic-split2-shard-copies/edge"] = _shard_copies()
+    found["z-draw/logistic-split2-b10/rho=0.5"] = _second_draw(
+        build_model("logistic-split2", b=10).groups[0], np.full(10, 0.3), 0.5)
     commands = {f"plan/{theorem}": ["plan", "--theorem", theorem, "--eps", "0.1"]
                 for theorem in THEOREMS}
     commands.update({"bias": ["bias"], "bias-toy": ["experiment", "bias-toy"],
