@@ -309,9 +309,9 @@ def _certificate(gnorm: np.ndarray, k: int, s: np.ndarray, top: np.ndarray):
     blocks picks the branch. Elsewhere log r = (g^2/2)/(A~ - s), the same
     bits as -(g^2/2)/(s - A~), and the exponent (g^2/2)(1/(s - A~) - 1/top)
     is -log r - g^2/(2 top), the same bits as -(log r + g^2/(2 top)). The
-    bound is (top/A~)^(k/2) times the exponent's exp. The arithmetic runs
-    in place, in the order the formulas are written; products and sums
-    commute, so the bits are those of the formulas.
+    bound is (top/A~)^(k/2) exp(exponent); top/A~ is returned for the
+    squeeze. The arithmetic runs in place, in the formulas' order up to
+    commuted sums and products, which keep the bits.
     """
     gnorm2 = gnorm * gnorm
     half_g2 = 0.5 * gnorm2
@@ -434,20 +434,18 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
         c.squeeze = bool(np.add.reduce(1.0 / expected) >= _SQUEEZE_MIN_SHARE * group.b)
     squeezing = c.squeeze and not checking
     bounded = checking or squeezing  # the rounds compute the squeeze's lower bound
-    if bounded:
-        sigma_grad = sigma * grad
-        curv_gap = np.subtract(1.0, curvature, out=curvature)
 
     # The fields of the pending blocks: the full arrays in round 1, then
     # gathered each time blocks retire. Every block pending after round 1
     # was tested exactly there, so its V(z~) is known.
+    zt, sig, lr = z_tilde, sigma, log_r
+    if bounded:
+        sg = sigma_grad = sigma * grad
+        cg = curv_gap = np.subtract(1.0, curvature, out=curvature)
     z = None
     proposals = np.empty(group.b, dtype=np.int64)
     proposals.fill(1)
     rows, n_rows = ALL_BLOCKS, group.b
-    zt, sig, lr = z_tilde, sigma, log_r
-    if bounded:
-        sg, cg = sigma_grad, curv_gap
     rounds = 0
     while True:
         if rounds >= PROPOSAL_CAP:
