@@ -471,7 +471,7 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
         if bounded:
             # The squeeze's lower bound on the log ratio:
             # log r - sigma <grad V(z~), xi> + (1 - top/A~) ||xi||^2/2.
-            lower = np.vecdot(sg, xi)
+            lower = _row_dots(sg, xi)
             np.subtract(lr, lower, out=lower)
             lower += cg * half_xi2
             if squeezing:
@@ -541,6 +541,15 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """np.add.reduce(x, axis=1), read as column 0 when x has one column (the same bits)."""
     return x[:, 0] if x.shape[1] == 1 else np.add.reduce(x, axis=1)
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.vecdot(x, y), as the product of the columns when they have one (the same bits).
+
+    On one column np.vecdot runs a loop per row: at b = 1000 it costs
+    about three times the column product.
+    """
+    return x[:, 0] * y[:, 0] if x.shape[1] == 1 else np.vecdot(x, y)
 
 
 def _check_rise(group, c: _RhoConstants, at, zp, v, v_tilde, excess, half_step2) -> None:

@@ -164,9 +164,9 @@ class TestReproducibility:
         # Rejection after descent steps.
         ("logistic-split2", {"d": 3, "n": 30, "b": 5, "seed": 1}, 0.4, 17, 22,
          [["0x1.e27dd55736510p-3", "0x1.8adcfad1b8830p-1", "0x1.5493edd619e17p-2"],
-          ["-0x1.58f5cbbbd2a13p-2", "0x1.bbbccafdac671p-1", "0x1.77494cc37e525p-2"],
-          ["-0x1.8d95d0b78fd7ep-3", "0x1.ee2977ac01288p-1", "0x1.f01dc34498f0cp-3"],
-          ["0x1.a016b8c1470bfp-3", "0x1.9e226aa55836bp-1", "0x1.fdd054590f270p-3"]]),
+          ["-0x1.58f5cbbbd2a14p-2", "0x1.bbbccafdac671p-1", "0x1.77494cc37e524p-2"],
+          ["-0x1.8d95d0b78fd7ep-3", "0x1.ee2977ac01288p-1", "0x1.f01dc34498f0ap-3"],
+          ["0x1.a016b8c1470c0p-3", "0x1.9e226aa55836dp-1", "0x1.fdd054590f26ep-3"]]),
     ])
     def test_first_sweeps_are_pinned(self, name, kwargs, rho, gd_steps, proposals, pinned):
         # The first draws of uncentered chains, bit for bit. Rewrites of the

@@ -311,8 +311,12 @@ class TestCentering:
         centered = center_model(model, res.theta_star)
         assert max_factor_gradient_at(centered, res.theta_star) <= 1e-10
 
-    def test_logistic_centering_residual(self):
-        model = build_model("logistic-split1", d=5, n=80, seed=3)
+    @pytest.mark.parametrize("name, params", [
+        ("logistic-split1", {}),
+        ("logistic-split2", {"b": 4}),
+    ])
+    def test_logistic_centering_residual(self, name, params):
+        model = build_model(name, d=5, n=80, seed=3, **params)
         theta_star = find_minimizer(model).theta_star
         centered = center_model(model, theta_star)
         assert max_factor_gradient_at(centered, theta_star) <= 1e-8
@@ -553,6 +557,52 @@ class TestZooModels:
                 ref = getattr(ones, fn)(zr, rows)
                 assert got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name, params", [
+        ("logistic-split1", {}),
+        ("logistic-split2", {"b": 1}),
+        ("logistic-split2", {"b": 5}),
+    ])
+    @pytest.mark.parametrize("centered", [False, True], ids=["raw", "centered"])
+    def test_logistic_kernels_match_scipy_residual(self, name, params, centered):
+        # The kernels run on the half argument h = u/2 with np.tanh. Against
+        # X^T (expit(u) - y + alpha u), with scipy's expit, and the sum of
+        # np.logaddexp(0, u) - y u + (alpha/2) u^2, they agree within 1e-13
+        # of the sum of their terms' magnitudes, on points with |u| from
+        # 1e-3 to 1e3, whichever rows a call reads.
+        from scipy.special import expit
+        n, d = 60, 5
+        model = build_model(name, d=d, n=n, seed=2, **params)
+        x, y = model.data
+        alpha = model.prior_alpha
+        if name == "logistic-split1":
+            design, labels = np.ones((n, 1, 1)), y[:, None]
+        else:
+            b = params["b"]
+            design, labels = x.reshape(b, n // b, d), y.reshape(b, n // b)
+        rng = np.random.default_rng(6)
+        if centered:
+            theta_c = rng.standard_normal(d)
+            model = center_model(model, theta_c)
+            u_star = np.einsum("bsk,bk->bs", design, model.groups[0].couple(theta_c))
+            labels = labels + (expit(u_star) - labels + alpha * u_star)
+        (group,) = model.groups
+        b, k = group.b, group.k
+        for rows in (ALL_BLOCKS, np.array([b - 1]), np.array([b - 1, 0, b - 1, 0])):
+            r = b if rows is ALL_BLOCKS else rows.size
+            x_r, y_r = design[rows], labels[rows]
+            for _ in range(10):
+                scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(r, 1))
+                z = scale * rng.standard_normal((r, k))
+                u = np.einsum("rsk,rk->rs", x_r, z)
+                terms = (expit(u), -y_r, alpha * u)
+                want = np.einsum("rsk,rs->rk", x_r, sum(terms))
+                scale = np.einsum("rsk,rs->rk", np.abs(x_r), sum(np.abs(t) for t in terms))
+                assert np.all(np.abs(group.gradient(z, rows) - want) <= 1e-13 * scale)
+                terms = (np.logaddexp(0.0, u), -y_r * u, 0.5 * alpha * u * u)
+                want = np.sum(sum(terms), axis=1)
+                scale = np.sum(sum(np.abs(t) for t in terms), axis=1)
+                assert np.all(np.abs(group.value(z, rows) - want) <= 1e-13 * scale)
 
     def test_softplus_matches_logaddexp(self):
         # The zoo's softplus stays within 2 ulp of log(1 + e^u) as numpy's

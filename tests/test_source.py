@@ -126,3 +126,18 @@ def test_fingerprint_manifest_runs_and_repeats(tmp_path):
               if line.startswith("changed: ")]
     assert listed == names[:2]
     assert json.loads((tmp_path / "second.json").read_text()) == manifest
+
+
+def test_sweep_ab_runs_the_tree_against_itself():
+    # tools/sweep_ab.py with this checkout as its own parent, at toy size:
+    # one row per set-up, each with every pair it was asked for.
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, str(repo / "tools" / "sweep_ab.py"), "--parent",
+                           str(repo), "--states", "3", "--passes", "2"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    rows = done.stdout.splitlines()[1:]
+    assert [row[:24].strip() for row in rows] == [
+        "logistic-rows", "logistic-shards", "logistic-split1 rho=3", "logistic-split2 rho=0.5"]
+    assert all(row[24:].split()[0] == "6" for row in rows)

@@ -17,6 +17,11 @@ The manifest covers:
   shard at its two-proposal edge, squeezed over several rounds, and the
   logistic-split2 of `splitmc sample` (b = 10) at rho = 0.5, whose squeeze
   is off;
+- the gradient and value of the logistic-split1 and logistic-split2 groups
+  at fixed points, raw and centered at theta = 0.3 everywhere, over every
+  block and over an index array that repeats blocks, as the rejection
+  draw's first round reads them: a kernel change shows here even where
+  the chains it moves do not;
 - the CSV of `splitmc plan --eps 0.1` for each theorem, and the default
   CSVs of `splitmc bias`, `experiment bias-toy` and `experiment rate-toy`;
 - run_op(setup(1), 1, 0) of the three benchmark workloads: the sha256 of
@@ -124,6 +129,20 @@ def _shard_copies() -> str:
     return _second_draw(copies, np.full(10, 0.5), rho)
 
 
+def _kernels(model) -> str:
+    """The gradient and value of model's one group at fixed points, over two row selections."""
+    import numpy as np
+
+    from splitmc.model import ALL_BLOCKS
+
+    (group,) = model.groups
+    z = group.couple(np.full(model.d, 0.3))
+    z += 3.0 * np.random.default_rng(0).standard_normal(z.shape)
+    twice = np.concatenate((np.arange(group.b)[::-1], np.arange(group.b)))
+    return _sha256(*_arrays(*(kernel(z, ALL_BLOCKS) for kernel in (group.gradient, group.value)),
+                            *(kernel(z[twice], twice) for kernel in (group.gradient, group.value))))
+
+
 def _csv(argv: list[str], out: Path) -> str:
     """Run one CLI command into out and hash the CSV it wrote, timing columns dropped."""
     from splitmc.cli import main
@@ -163,7 +182,7 @@ def entries(out: Path) -> dict[str, str]:
     """Every fingerprint of the manifest, by name; out holds the CSVs written."""
     import numpy as np
 
-    from splitmc import build_model
+    from splitmc import build_model, center_model
 
     import workloads
 
@@ -179,6 +198,10 @@ def entries(out: Path) -> dict[str, str]:
     found["z-draw/logistic-split2-shard-copies/edge"] = _shard_copies()
     found["z-draw/logistic-split2-b10/rho=0.5"] = _second_draw(
         build_model("logistic-split2", b=10).groups[0], np.full(10, 0.3), 0.5)
+    for name in ("logistic-split1", "logistic-split2"):
+        model = build_model(name)
+        found[f"kernels/{name}/raw"] = _kernels(model)
+        found[f"kernels/{name}/centered"] = _kernels(center_model(model, np.full(model.d, 0.3)))
     commands = {f"plan/{theorem}": ["plan", "--theorem", theorem, "--eps", "0.1"]
                 for theorem in THEOREMS}
     commands.update({"bias": ["bias"], "bias-toy": ["experiment", "bias-toy"],
