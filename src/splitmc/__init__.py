@@ -26,6 +26,7 @@ from .errors import (
 from .conditionals import (
     BlockReports,
     RejectionReport,
+    RhoConstants,
     ThetaConditional,
     sample_z_group,
 )

@@ -18,18 +18,17 @@ Each proposal can first be tested against a squeeze, a lower bound on its
 log acceptance ratio that the certified curvature bound 1/rho^2 + M gives
 without evaluating V_i; only the proposals it leaves open are gathered for
 the exact test. Where the squeeze runs, exactness rests on the certified M
-as well as on m. The first draw of a group at each rho is a checking draw:
-it tests every block exactly and checks the curvature bound the squeeze
-relies on at every proposal (ConstantsContradicted when it fails). It keeps
-the squeeze on for later draws only if its certificate says the squeeze
-settles at least _SQUEEZE_MIN_SHARE of the proposals. Every later exact
-evaluation of a squeezed group checks the bound too.
+as well as on m. The first draw through each kernel (ThetaConditional) is a
+checking draw: it tests every block exactly and checks the curvature bound
+the squeeze relies on at every proposal (ConstantsContradicted when it
+fails). It keeps the squeeze on for later draws only if its certificate says
+the squeeze settles at least _SQUEEZE_MIN_SHARE of the proposals. Every
+later exact evaluation of a squeezed group checks the bound too.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -67,14 +66,16 @@ _SQUEEZE_MIN_SHARE = 0.6
 
 
 class ThetaConditional:
-    """Sampler state for theta | z: mean solve plus pre-factorized noise transform.
+    """The sweep's kernel at (model, rho): the draw of theta | z and each group's constants.
 
     Built once per (model, rho); uses the model's lower Cholesky factor L
     of G = sum_i A_i^T A_i = L L^T at every sweep. The mean is two calls,
     SplitModel.assemble (one gemv for a one-group model) and
     SplitModel.solve_gram (LAPACK potrs); the noise is one LAPACK trtrs.
     The mean is also the master step of the sweep's mode twins
-    (engine.am_solve, engine.admm_solve).
+    (engine.am_solve, engine.admm_solve). constants holds each group's
+    RhoConstants at rho, squeeze gate included (see sample_z_group), or
+    None for a group with a closed-form sampler and mode.
     """
 
     def __init__(self, model: SplitModel, rho: float):
@@ -83,6 +84,8 @@ class ThetaConditional:
         self.rho = float(rho)
         self.chol_lower = model.chol_lower
         self._trtrs = model._trtrs
+        self.constants = tuple(None if g.sampler is not None and g.mode is not None
+                               else RhoConstants(g, self.rho) for g in model.groups)
 
     def mean(self, z_groups) -> np.ndarray:
         """mu(z) = G^{-1} sum_i A_i^T z_i, with z one (b_g, k_g) array per group."""
@@ -149,23 +152,24 @@ class BlockReports(Sequence):
                                expected_bound=float(self.expected[i]))
 
 
-class _RhoConstants:
-    """What the group draw needs of a factor group at one rho, per block.
+class RhoConstants:
+    """What the group draw and the descent need of a factor group at one rho, per block.
 
-    s = 1/rho^2 + m and top = 1/rho^2 + M; target = (2/7) sqrt(s/k) is the
-    descent's stop rule and step = 1/top its step. The step bound of a
-    block that starts at gradient norm g0 is
+    Holds the group, for sample_z_group, warm_start_group and
+    within_two_guarantee. s = 1/rho^2 + m and top = 1/rho^2 + M;
+    target = (2/7) sqrt(s/k) is the descent's stop rule and step = 1/top
+    its step. The step bound of a block that starts at gradient norm g0 is
     max(1, ceil((log g0 - log_target)/rate)), with rate = log(1/(1 - 1/kappa))
     and kappa = (1 + rho^2 M)/(1 + rho^2 m); rate is inf at kappa = 1 (one
-    exact step). squeeze is None until the group's checking draw at rho
-    starts, then whether later draws test the squeeze first, as that
-    draw's certificate decides (see sample_z_group).
+    exact step). squeeze is None until the checking draw through these
+    constants returns, then whether later draws test the squeeze first (see
+    sample_z_group). ThetaConditional checks rho.
     """
 
-    __slots__ = ("rho", "s", "top", "target", "log_target", "step", "rate", "squeeze")
+    __slots__ = ("group", "rho", "s", "top", "target", "log_target", "step", "rate", "squeeze")
 
     def __init__(self, group: FactorGroup, rho: float):
-        check_scale(rho)
+        self.group = group
         self.rho = rho
         self.squeeze = None
         self.s = 1.0 / rho**2 + group.m
@@ -178,33 +182,18 @@ class _RhoConstants:
             self.rate = np.log(1.0 / (1.0 - 1.0 / kappa))
 
 
-# The constants of the last rho each live group was drawn at. Weak keys:
-# the map never keeps a model alive.
-_RHO_CONSTANTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _rho_constants(group: FactorGroup, rho: float) -> _RhoConstants:
-    """group's constants at rho, computed once and kept while the group lives.
-
-    Only the last rho is kept per group: a chain draws at one rho.
-    """
-    c = _RHO_CONSTANTS.get(group)
-    if c is None or c.rho != rho:
-        c = _RHO_CONSTANTS[group] = _RhoConstants(group, rho)
-    return c
-
-
 def _norms(g: np.ndarray) -> np.ndarray:
     """Row norms; what np.linalg.norm(g, axis=1) computes, without its wrapper."""
     return np.sqrt(_row_sums(g * g))
 
 
-def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target=None):
+def warm_start_group(c: RhoConstants, a_theta: np.ndarray, target=None):
     """Gradient descent on V_i with step 1/(1/rho^2 + M_i), every block of a group at once.
 
-    Descends only the blocks still above their target (a scalar, one value
-    per block, or None for the rejection draw's stop rule
-    (2/7) sqrt((1/rho^2 + m)/k)); a block at or below it keeps its iterate.
+    The group and rho are those of its constants c. Descends only the
+    blocks still above their target (a scalar, one value per block, or None
+    for the rejection draw's stop rule (2/7) sqrt((1/rho^2 + m)/k)); a
+    block at or below it keeps its iterate.
     Returns (z_tilde, gradient norms, steps), all per block; when no block
     starts above its target, z_tilde is a_theta itself, not a copy. The
     descent starts at a_theta, where the coupling term (z - a_theta)/rho^2
@@ -217,19 +206,18 @@ def warm_start_group(group: FactorGroup, a_theta: np.ndarray, rho: float, target
     step count, is raised as soon as a count passes that bound or a
     gradient norm turns non-finite, both signs of an understated M_i.
     """
-    if not group.smooth:
+    if not c.group.smooth:
         raise NotSmooth("warm-start descent needs a finite smoothness constant")
-    c = _rho_constants(group, rho)
     if target is None:
         target, log_target = c.target, c.log_target
     else:
-        target = np.broadcast_to(target, (group.b,))
+        target = np.broadcast_to(target, (c.group.b,))
         with np.errstate(divide="ignore"):
             log_target = np.log(target)
-    return _descend(group, np.asarray(a_theta, dtype=float), c, target, log_target)[:3]
+    return _descend(c, np.asarray(a_theta, dtype=float), target, log_target)[:3]
 
 
-def _descend(group: FactorGroup, a_theta: np.ndarray, c: _RhoConstants, target, log_target):
+def _descend(c: RhoConstants, a_theta: np.ndarray, target, log_target):
     """warm_start_group with the group's constants c at rho = c.rho and the targets resolved.
 
     Returns warm_start_group's three arrays and, fourth, the gradient of V_i
@@ -246,6 +234,7 @@ def _descend(group: FactorGroup, a_theta: np.ndarray, c: _RhoConstants, target, 
     others (np.where); their norms, at or below target, are finite, so the
     finiteness check reads every block.
     """
+    group = c.group
     g = group.gradient(a_theta, ALL_BLOCKS)
     gnorm = _norms(g)
     steps = np.zeros(group.b, dtype=np.int64)
@@ -344,10 +333,11 @@ def _certificate(gnorm: np.ndarray, k: int, s: np.ndarray, top: np.ndarray):
     return a_tilde, log_r, bound, curvature
 
 
-def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
+def sample_z_group(c: RhoConstants, a_theta: np.ndarray, rng):
     """Exact draws of every block of a group from its coupled conditional.
 
-    The target density of block i is proportional to exp(-V_i(z)) with
+    The group and rho are those of its constants c. The target density of
+    block i is proportional to exp(-V_i(z)) with
     V_i(z) = U_i(z) + ||A_i theta - z||^2/(2 rho^2). Proposals
     Z = z~ + A~^{-1/2} xi, xi ~ N(0, I), around the warm start z~ are
     accepted with probability exp(log r - [V_i(Z) - V_i(z~)] + ||xi||^2/2)
@@ -385,13 +375,14 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     So the chance is E[exp(lower)] = r a^{-k/2} exp(||g||^2/(2 top)), a
     Gaussian integral, and log B_i = (k/2) log a - log r - ||g||^2/(2 top).
 
-    The first draw of a group at a rho is a checking draw. Before its
-    rounds, it sets _RhoConstants.squeeze to whether the mean over blocks
-    of 1/B_i is at least _SQUEEZE_MIN_SHARE; then it runs the exact test on
-    every block. The checking draw and every exact evaluation of a squeezed
-    draw check that the exact log ratio is at least the squeeze's bound,
-    within a relative rounding tolerance _BOUND_RTOL (the two differ by
-    V_i(Z) - V_i(z~) less its curvature bound), and raise
+    The first draw through each kernel (each RhoConstants) is a checking
+    draw: it runs the exact test on every block and, once it returns, sets
+    c.squeeze to whether the mean over blocks of 1/B_i is at least
+    _SQUEEZE_MIN_SHARE; one that raises leaves it unset. The checking draw
+    and every exact evaluation of a squeezed draw check that the exact log
+    ratio is at least the squeeze's bound, within a relative rounding
+    tolerance _BOUND_RTOL (the two differ by V_i(Z) - V_i(z~) less its
+    curvature bound), and raise
     ConstantsContradicted, naming the block, rho and M, when V_i rose
     faster than top allows. An understated M that no exact evaluation
     catches can bias the squeezed draws. A group whose squeeze is off draws
@@ -418,21 +409,17 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
     chance: the squeeze's bound, which the exact ratio passes wherever M
     holds, accepts with probability exactly 1/B.
     """
+    group, rho = c.group, c.rho
     if not group.smooth:
         raise NotSmooth("rejection sampling needs a finite smoothness constant")
-    c = _rho_constants(group, rho)
     a_theta = np.asarray(a_theta, dtype=float)
-    z_tilde, gnorm, gd_steps, grad = _descend(group, a_theta, c, c.target, c.log_target)
+    z_tilde, gnorm, gd_steps, grad = _descend(c, a_theta, c.target, c.log_target)
     k = group.k
     a_tilde, log_r, expected, curvature = _certificate(gnorm, k, c.s, c.top)
     sigma = np.sqrt(a_tilde)[:, None]
     np.divide(1.0, sigma, out=sigma)
     checking = c.squeeze is None
-    if checking:
-        # The squeeze settles a proposal of block i with probability 1/B_i:
-        # on if their mean is at least _SQUEEZE_MIN_SHARE (np.mean costs more).
-        c.squeeze = bool(np.add.reduce(1.0 / expected) >= _SQUEEZE_MIN_SHARE * group.b)
-    squeezing = c.squeeze and not checking
+    squeezing = not checking and c.squeeze
     bounded = checking or squeezing  # the rounds compute the squeeze's lower bound
 
     # The fields of the pending blocks: the full arrays in round 1, then
@@ -504,7 +491,7 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
                 # within every tolerance.
                 excess = lower[exact] - log_ratio
                 if excess.max() > _BOUND_RTOL:
-                    _check_rise(group, c, at, zp_e, v, vt, excess, half_e / a_tilde[at])
+                    _check_rise(c, at, zp_e, v, vt, excess, half_e / a_tilde[at])
             exact_accepted = log_u[exact] < log_ratio
             if exact is ALL_BLOCKS:
                 accepted = exact_accepted
@@ -535,6 +522,10 @@ def sample_z_group(group: FactorGroup, a_theta: np.ndarray, rho: float, rng):
         at_p = a_theta.take(rows, 0)
         if bounded:
             sg, cg = sigma_grad.take(rows, 0), curv_gap[rows]
+    if checking:
+        # The squeeze settles a proposal of block i with probability 1/B_i;
+        # on if their mean is at least _SQUEEZE_MIN_SHARE (np.mean costs more).
+        c.squeeze = bool(np.add.reduce(1.0 / expected) >= _SQUEEZE_MIN_SHARE * group.b)
     return z, proposals, gd_steps, expected
 
 
@@ -552,10 +543,10 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[:, 0] * y[:, 0] if x.shape[1] == 1 else np.vecdot(x, y)
 
 
-def _check_rise(group, c: _RhoConstants, at, zp, v, v_tilde, excess, half_step2) -> None:
+def _check_rise(c: RhoConstants, at, zp, v, v_tilde, excess, half_step2) -> None:
     """Raise ConstantsContradicted where V(Z) - V(z~) exceeds its curvature bound.
 
-    The rows at of the group were tested exactly, with proposals zp,
+    The rows at of the group c.group were tested exactly, with proposals zp,
     potentials v = V(Z) and v_tilde = V(z~), half squared step lengths
     half_step2 = ||Z - z~||^2/2 = ||xi||^2/(2 A~) and excess = V(Z) - V(z~)
     - sigma <grad V(z~), xi> - top half_step2. The tolerance is _BOUND_RTOL
@@ -574,16 +565,17 @@ def _check_rise(group, c: _RhoConstants, at, zp, v, v_tilde, excess, half_step2)
         raise ConstantsContradicted(
             f"block {block}: V rose by {v[j] - v_tilde[j]:.6g} over a proposal step where "
             f"curvature at most 1/rho^2 + M allows {v[j] - v_tilde[j] - excess[j]:.6g}, at "
-            f"rho={c.rho:.6g} with certified M={group.M[block]:.6g}; the certified M is too "
+            f"rho={c.rho:.6g} with certified M={c.group.M[block]:.6g}; the certified M is too "
             "small")
 
 
-def within_two_guarantee(group: FactorGroup, gnorm: np.ndarray, rho: float) -> np.ndarray:
+def within_two_guarantee(c: RhoConstants, gnorm: np.ndarray) -> np.ndarray:
     """Per block: is the draw inside the regime guaranteeing at most 2 expected proposals?
 
-    True where rho^2 (2 k (M_i - m_i) - m_i) <= 1, M_i is finite and the
-    warm-start residual gnorm (per block, as warm_start_group returns it)
-    is below the descent's stop rule.
+    True, for the group and rho of c, where rho^2 (2 k (M_i - m_i) - m_i) <= 1,
+    M_i is finite and the warm-start residual gnorm (per block, as
+    warm_start_group returns it) is below the descent's stop rule.
     """
-    narrow = rho**2 * (2.0 * group.k * (group.M - group.m) - group.m) <= 1.0
-    return narrow & np.isfinite(group.M) & (np.asarray(gnorm) <= _rho_constants(group, rho).target)
+    group = c.group
+    narrow = c.rho**2 * (2.0 * group.k * (group.M - group.m) - group.m) <= 1.0
+    return narrow & np.isfinite(group.M) & (np.asarray(gnorm) <= c.target)

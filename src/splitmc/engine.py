@@ -133,25 +133,27 @@ class SweepStreams:
         return self._generator
 
 
-def _draw_group(group, theta: np.ndarray, rho: float, rng):
-    """Every block of one factor group given theta: (z, BlockReports)."""
+def _draw_group(group, c, theta: np.ndarray, rho: float, rng):
+    """Every block of one factor group given theta, c its constants at rho: (z, BlockReports)."""
     a_theta = group.couple(theta)
     if group.sampler is not None:
         return group.sampler(a_theta, rho, rng), _closed_form_reports(group.b)
-    z, proposals, gd_steps, expected = sample_z_group(group, a_theta, rho, rng)
+    z, proposals, gd_steps, expected = sample_z_group(c, a_theta, rng)
     return z, BlockReports(proposals, gd_steps, expected)
 
 
-def _draw_blocks(model: SplitModel, theta: np.ndarray, rho: float, rng):
+def _draw_blocks(kernel: ThetaConditional, theta: np.ndarray, rng):
     """Every auxiliary block given theta, group by group: (z per group, BlockReports).
 
     The reports of a one-group model are the arrays its draw returned; a
     model of several groups joins them, with zeros for closed-form groups.
     """
+    model, rho = kernel.model, kernel.rho
     if len(model.groups) == 1:
-        z, reports = _draw_group(model.groups[0], theta, rho, rng)
+        z, reports = _draw_group(model.groups[0], kernel.constants[0], theta, rho, rng)
         return (z,), reports
-    z_new, drawn = zip(*(_draw_group(g, theta, rho, rng) for g in model.groups))
+    z_new, drawn = zip(*(_draw_group(g, c, theta, rho, rng)
+                         for g, c in zip(model.groups, kernel.constants)))
     if model.closed_form:
         return z_new, _closed_form_reports(model.b)
     return z_new, BlockReports(*(np.concatenate([getattr(r, name) for r in drawn])
@@ -191,6 +193,10 @@ def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
     generators turns the sweep into its deterministic conditional-mode twin
     on Gaussian models.
 
+    theta_cond is the chain's kernel at (model, config.rho); without one the
+    sweep builds its own, so it is a checking sweep (see
+    conditionals.sample_z_group), with the same draws.
+
     Finiteness is checked once per sweep, on the new theta: the master
     draw assembles A^T z, which carries a NaN or an infinity of any block
     into theta, through a zero coupling row too (0 * inf and 0 * NaN are
@@ -207,8 +213,7 @@ def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
     sweep = state.sweep + 1
     if rng_factory is None:
         rng_factory = SweepStreams(state.rng_seed_root)
-    z_new, reports = _draw_blocks(model, state.theta, config.rho,
-                                  rng_factory(sweep, PHASE_BLOCKS))
+    z_new, reports = _draw_blocks(theta_cond, state.theta, rng_factory(sweep, PHASE_BLOCKS))
     theta_new = theta_cond.sample(z_new, rng_factory(sweep, PHASE_MASTER))
     if not math.isfinite(theta_new.dot(_zeros(model.d))):
         start = 0
@@ -321,10 +326,10 @@ def run_chain(model: SplitModel, config: SamplerConfig, seed: int,
 # Optimizer baselines
 
 
-def _group_mode(group, a_theta: np.ndarray, rho: float, tol: float) -> np.ndarray:
+def _group_mode(group, c, a_theta: np.ndarray, rho: float, tol: float) -> np.ndarray:
     if group.mode is not None:
         return group.mode(a_theta, rho)
-    return warm_start_group(group, a_theta, rho, tol)[0]
+    return warm_start_group(c, a_theta, tol)[0]
 
 
 def am_solve(model: SplitModel, rho: float, iters: int,
@@ -341,7 +346,8 @@ def am_solve(model: SplitModel, rho: float, iters: int,
     theta = np.zeros(model.d) if theta0 is None else np.array(theta0, dtype=float)
     z = None
     for _ in range(iters):
-        z = [_group_mode(g, g.couple(theta), rho, inner_tol) for g in model.groups]
+        z = [_group_mode(g, c, g.couple(theta), rho, inner_tol)
+             for g, c in zip(model.groups, master.constants)]
         theta = master.mean(z)
     return theta, z
 
@@ -362,8 +368,8 @@ def admm_solve(model: SplitModel, rho: float, iters: int,
     duals = [np.zeros((g.b, g.k)) for g in model.groups]
     z = [g.couple(theta) for g in model.groups]
     for _ in range(iters):
-        z = [_group_mode(g, g.couple(theta) - u, rho, inner_tol)
-             for g, u in zip(model.groups, duals)]
+        z = [_group_mode(g, c, g.couple(theta) - u, rho, inner_tol)
+             for g, c, u in zip(model.groups, master.constants, duals)]
         theta = master.mean([zg + u for zg, u in zip(z, duals)])
         duals = [u + zg - g.couple(theta) for g, zg, u in zip(model.groups, z, duals)]
     return theta, z, duals

@@ -17,6 +17,7 @@ import pytest
 from scipy.stats import kstest
 
 from splitmc import (
+    RhoConstants,
     SamplerConfig,
     SplitModel,
     ThetaConditional,
@@ -141,7 +142,7 @@ def test_criterion_4_sampler_exactness():
         group = replicate_block(rejection_quadratic(m), 0, 100_000)
         theta = np.array([1.4])
         rng = np.random.default_rng(1001)
-        z, _, _, _ = sample_z_group(group, group.couple(theta), rho, rng)
+        z, _, _, _ = sample_z_group(RhoConstants(group, rho), group.couple(theta), rng)
         draws = z[:, 0]
         prec = m + 1.0 / rho**2
         from scipy.stats import norm
@@ -202,17 +203,19 @@ def test_criterion_5_rejection_efficiency():
             rho = math.sqrt(rng.uniform(0.05, 1.0) * min(cap, 4.0))
             group = rejection_quadratic(m, big_m, k=d)
             a_theta = group.couple(rng.standard_normal(d))
-            _, gnorm, _ = warm_start_group(group, a_theta, rho)
-            if within_two_guarantee(group, gnorm, rho)[0]:
+            c = RhoConstants(group, rho)
+            _, gnorm, _ = warm_start_group(c, a_theta)
+            if within_two_guarantee(c, gnorm)[0]:
                 # The bound the sampler certifies at that same warm start.
-                _, _, _, expected = sample_z_group(group, a_theta, rho, np.random.default_rng(0))
+                _, _, _, expected = sample_z_group(c, a_theta, np.random.default_rng(0))
                 ok_regime &= expected[0] <= 2.0 + 1e-12
 
         # Empirical proposal count against the computed bound (quadratic family).
         # 1e4 draws in one call on 1e4 copies of the block.
         group = replicate_block(rejection_quadratic(0.5), 0, 10_000)
         rng = np.random.default_rng(1005)
-        _, proposals, _, expected = sample_z_group(group, group.couple(np.array([1.7])), 0.9, rng)
+        _, proposals, _, expected = sample_z_group(RhoConstants(group, 0.9),
+                                                   group.couple(np.array([1.7])), rng)
         counts = proposals.astype(float)
         bound = expected[0]
         se = counts.std(ddof=1) / math.sqrt(counts.size)

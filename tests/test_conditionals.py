@@ -1,9 +1,7 @@
 """Exactness of both Gibbs-block samplers and the rejection-efficiency guarantees."""
 
-import gc
 import hashlib
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -17,17 +15,22 @@ from splitmc import (
     ConstantsContradicted,
     NonConvergence,
     NotSmooth,
+    RhoConstants,
     SamplerConfig,
     SplitModel,
+    SweepStreams,
     ThetaConditional,
     build_model,
     center_model,
     find_minimizer,
+    initial_state,
     k_sgs,
     make_quadratic_group,
     model_constants,
+    plan_tv_multi,
     run_chain,
     sample_z_group,
+    sgs_sweep,
     tv_bound_strongly_convex,
 )
 from splitmc import conditionals
@@ -122,7 +125,8 @@ class TestRejectionSampler:
         m, rho, theta = 0.8, 0.6, np.array([1.4])
         n = 100_000
         group = replicate_block(rejection_quadratic(m), 0, n)
-        z, _, _, _ = sample_z_group(group, group.couple(theta), rho, np.random.default_rng(12))
+        z, _, _, _ = sample_z_group(RhoConstants(group, rho), group.couple(theta),
+                                    np.random.default_rng(12))
         prec = m + 1.0 / rho**2
         mean = theta[0] / (rho**2 * prec)
         result = kstest(z[:, 0], lambda x: norm.cdf(x, loc=mean, scale=1.0 / math.sqrt(prec)))
@@ -143,7 +147,7 @@ class TestRejectionSampler:
         z_star = brentq(lambda z: gradient(np.array([[z]]))[0, 0], -5.0, 5.0, xtol=1e-15)
 
         def bound_at_mode(group, z_star):
-            _, _, steps, expected = sample_z_group(group, np.array([[z_star]]), rho,
+            _, _, steps, expected = sample_z_group(RhoConstants(group, rho), np.array([[z_star]]),
                                                    np.random.default_rng(0))
             assert steps[0] == 0
             return expected[0]
@@ -165,10 +169,11 @@ class TestRejectionSampler:
             rho = math.sqrt(rng.uniform(0.05, 1.0) * min(cap, 4.0))
             group = rejection_quadratic(m, big_m, k=d)
             a_theta = group.couple(rng.standard_normal(d) * 2.0)
-            _, gnorm, _ = warm_start_group(group, a_theta, rho)
-            if within_two_guarantee(group, gnorm, rho)[0]:
+            c = RhoConstants(group, rho)
+            _, gnorm, _ = warm_start_group(c, a_theta)
+            if within_two_guarantee(c, gnorm)[0]:
                 checked += 1
-                _, _, _, expected = sample_z_group(group, a_theta, rho, np.random.default_rng(0))
+                _, _, _, expected = sample_z_group(c, a_theta, np.random.default_rng(0))
                 assert expected[0] <= 2.0 + 1e-12
         assert checked > 900
 
@@ -177,7 +182,7 @@ class TestRejectionSampler:
         theta = np.array([2.0])
         n = 10_000
         group = replicate_block(rejection_quadratic(m), 0, n)
-        _, proposals, _, expected = sample_z_group(group, group.couple(theta), rho,
+        _, proposals, _, expected = sample_z_group(RhoConstants(group, rho), group.couple(theta),
                                                    np.random.default_rng(8))
         bound = expected[0]
         assert (expected == bound).all()
@@ -190,7 +195,8 @@ class TestRejectionSampler:
         theta = np.full(3, 0.4)
         n = 100_000
         group = replicate_block(model.groups[0], 0, n)
-        z, _, _, _ = sample_z_group(group, group.couple(theta), rho, np.random.default_rng(31))
+        z, _, _, _ = sample_z_group(RhoConstants(group, rho), group.couple(theta),
+                                    np.random.default_rng(31))
         result = kstest(z[:, 0], _row_cdf(group, theta, rho))
         assert result.pvalue > 0.01
 
@@ -208,7 +214,7 @@ class TestRejectionSampler:
         lying = scalar_group(value, np.zeros_like, 0.0, 0.05)
         with pytest.raises(ConstantsContradicted, match=r"^block 0: V rose by .* at rho=1 with "
                            r"certified M=0\.05; the certified M is too small$") as refused:
-            sample_z_group(lying, np.zeros((1, 1)), 1.0, np.random.default_rng(0))
+            sample_z_group(RhoConstants(lying, 1.0), np.zeros((1, 1)), np.random.default_rng(0))
         assert refused.value.exit_code == 2
         assert values == [2]  # V(z~) and the first proposal in one call: refused in round 1
 
@@ -221,7 +227,7 @@ class TestRejectionSampler:
         with pytest.raises(AcceptanceStall, match=r"after 64 proposals at rho=1, where its "
                            r"certified expected-proposal bound is 1\.41e\+06; the width is "
                            r"outside the sampler's regime, try a smaller rho$") as stall:
-            sample_z_group(honest, np.zeros((1, 1)), 1.0, np.random.default_rng(0))
+            sample_z_group(RhoConstants(honest, 1.0), np.zeros((1, 1)), np.random.default_rng(0))
         assert stall.value.exit_code == 3
 
     def test_stall_within_its_bound_gives_the_chance(self, monkeypatch):
@@ -237,7 +243,7 @@ class TestRejectionSampler:
                            r"rho=1, where its certified expected-proposal bound is 2; certified "
                            r"\(m, M\) look wrong: correct ones leave this a chance of at most "
                            r"0\.125$") as stall:
-            sample_z_group(honest, np.zeros((1, 1)), 1.0, np.random.default_rng(1))
+            sample_z_group(RhoConstants(honest, 1.0), np.zeros((1, 1)), np.random.default_rng(1))
         assert stall.value.exit_code == 3
 
     def test_stall_names_first_pending_block(self, monkeypatch):
@@ -248,13 +254,13 @@ class TestRejectionSampler:
         model = build_model("logistic-split1", d=4, n=200, seed=2)
         (group,) = model.groups
         a_theta = group.couple(np.full(4, 0.3))
-        rho = 1.2
-        _, proposals, _, _ = sample_z_group(group, a_theta, rho, np.random.default_rng(7))
+        (c,) = ThetaConditional(model, 1.2).constants
+        _, proposals, _, _ = sample_z_group(c, a_theta, np.random.default_rng(7))
         rejected = np.flatnonzero(proposals > 1)
         assert rejected.size and rejected[0] > 0
         monkeypatch.setattr(conditionals, "PROPOSAL_CAP", 1)
         with pytest.raises(AcceptanceStall, match=f"^block {rejected[0]}: .* after 1 proposals"):
-            sample_z_group(group, a_theta, rho, np.random.default_rng(7))
+            sample_z_group(c, a_theta, np.random.default_rng(7))
 
     @pytest.mark.parametrize("squeeze", [True, False])
     @pytest.mark.parametrize("cap, stalled", [(2, 5), (3, 75)])
@@ -265,19 +271,19 @@ class TestRejectionSampler:
         # bookkeeping of the later rounds gives, not round 1's mask. Round 1
         # first rejects block 3, which round 2 accepts; block 5 is the first
         # still pending after two rounds, block 75 after three. After the
-        # checking draw the squeeze is set on or off; it changes no draw.
+        # checking draw the kernel's squeeze is set on or off; it changes no draw.
         model = build_model("logistic-split1", d=4, n=200, seed=2)
         (group,) = model.groups
         a_theta = group.couple(np.full(4, 0.3))
-        rho = 2.0
-        sample_z_group(group, a_theta, rho, np.random.default_rng(6))
-        conditionals._rho_constants(group, rho).squeeze = squeeze
-        _, proposals, _, _ = sample_z_group(group, a_theta, rho, np.random.default_rng(7))
+        (c,) = ThetaConditional(model, 2.0).constants
+        sample_z_group(c, a_theta, np.random.default_rng(6))
+        c.squeeze = squeeze
+        _, proposals, _, _ = sample_z_group(c, a_theta, np.random.default_rng(7))
         assert (proposals > 1).nonzero()[0][0] == 3 and proposals[3] == 2
         assert (proposals > cap).nonzero()[0][0] == stalled
         monkeypatch.setattr(conditionals, "PROPOSAL_CAP", cap)
         with pytest.raises(AcceptanceStall, match=f"^block {stalled}: .* after {cap} proposals"):
-            sample_z_group(group, a_theta, rho, np.random.default_rng(7))
+            sample_z_group(c, a_theta, np.random.default_rng(7))
 
     def test_understated_curvature_is_typed_nonconvergence(self):
         # U(z) = 5 z^2 certified with M = 1: the descent step 1/(1/rho^2 + M)
@@ -290,17 +296,17 @@ class TestRejectionSampler:
             return 10.0 * z
 
         steep = scalar_group(lambda z: 5.0 * z[:, 0] ** 2, gradient, 0.5, 1.0)
-        rho = 1.0
+        c = RhoConstants(steep, 1.0)
         a_theta = steep.couple(np.array([3.0]))
         # The bound is computed lazily, after the first step: it still fires
         # at step 4, and no floating-point flag escapes on the way.
         with np.errstate(all="raise"):
             with pytest.raises(NonConvergence, match="block 0: .* step bound 4;"):
-                warm_start_group(steep, a_theta, rho)
+                warm_start_group(c, a_theta)
             assert len(calls) == 5
             calls.clear()
             with pytest.raises(NonConvergence, match="block 0: .* step bound 4;"):
-                sample_z_group(steep, a_theta, rho, np.random.default_rng(0))
+                sample_z_group(c, a_theta, np.random.default_rng(0))
             assert len(calls) == 5
 
     def test_descent_without_a_finite_step_bound(self):
@@ -312,10 +318,11 @@ class TestRejectionSampler:
         flat_top = scalar_group(lambda z: 100.0 * np.log(np.cosh(z[:, 0])),
                                 lambda z: 100.0 * np.tanh(z), 0.0, 100.0)
         assert (1.0 + rho**2 * 100.0) >= 2.0**53
+        c = RhoConstants(flat_top, rho)
         with np.errstate(all="raise"):
-            z, gnorm, steps = warm_start_group(flat_top, flat_top.couple(np.array([3.0])), rho)
+            z, gnorm, steps = warm_start_group(c, flat_top.couple(np.array([3.0])))
         assert steps[0] >= 2
-        assert gnorm[0] <= conditionals._rho_constants(flat_top, rho).target[0]
+        assert gnorm[0] <= c.target[0]
         assert np.isfinite(z).all()
 
     def test_zero_uniforms_accept_in_round_one_without_flags(self):
@@ -339,7 +346,7 @@ class TestRejectionSampler:
                 (build_model("logistic-split2", d=4, n=40, b=4, seed=3).groups[0],
                  np.full(4, 0.3), 0.3)]:
             with np.errstate(all="raise"):
-                z, proposals, _, _ = sample_z_group(group, group.couple(theta), rho,
+                z, proposals, _, _ = sample_z_group(RhoConstants(group, rho), group.couple(theta),
                                                     ZeroUniforms(5))
             assert (proposals == 1).all()
             assert np.isfinite(z).all()
@@ -367,7 +374,7 @@ class TestRejectionSampler:
         a_theta = np.full((3, 1), 10.0)
         steps = bad_call - 1
         with pytest.raises(NonConvergence, match=f"block {bad_block}: .* after {steps} steps"):
-            warm_start_group(group, a_theta, 1.0)
+            warm_start_group(RhoConstants(group, 1.0), a_theta)
         assert len(calls) == bad_call
         assert all(rows is ALL_BLOCKS for rows in calls)
 
@@ -379,10 +386,11 @@ class TestRejectionSampler:
         for model, rho in [(build_model("logistic-split1", d=4, n=40, seed=3), 0.8),
                            (build_model("logistic-split2", d=4, n=40, b=4, seed=3), 0.3)]:
             (group,) = model.groups
+            (c,) = ThetaConditional(model, rho).constants
             for _ in range(5):
                 theta = rng.standard_normal(model.d) * 2.0
                 _, proposals, steps, expected = sample_z_group(
-                    group, group.couple(theta), rho, np.random.default_rng(0))
+                    c, group.couple(theta), np.random.default_rng(0))
                 assert (proposals >= 1).all()
                 for j in range(group.b):
                     z_tilde, _, ref_steps = reference.warm_start_minimize(
@@ -411,11 +419,12 @@ class TestRejectionSampler:
             rho = 1.0 / math.sqrt(2.0 * source.k * (big_m - m) - m)
             theta, seed, n = np.full(10, 0.5), 7, 3_000
         a_theta = group.couple(theta)
+        c = RhoConstants(group, rho)
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         total_steps = total_proposals = 0
         for _ in range(n):
             z_ref, ref = reference.sample_z_rejection(source, 0, theta, rho, ref_rng)
-            z, proposals, steps, expected = sample_z_group(group, a_theta, rho, rng)
+            z, proposals, steps, expected = sample_z_group(c, a_theta, rng)
             assert z[0].tobytes() == z_ref.tobytes()
             assert proposals[0] == ref.proposals_used
             assert steps[0] == ref.warm_start_gd_steps
@@ -437,7 +446,7 @@ class TestRejectionSampler:
         group = FactorGroup(quad.a, quad.value, quad.gradient, quad.m, quad.M)
         rho = 0.5
         a_theta = group.couple(c)
-        z, proposals, steps, expected = sample_z_group(group, a_theta, rho,
+        z, proposals, steps, expected = sample_z_group(RhoConstants(group, rho), a_theta,
                                                        np.random.default_rng(3))
         assert (steps == 0).all() and (proposals >= 1).all() and np.isfinite(z).all()
         top, s = 1.0 / rho**2 + group.M, 1.0 / rho**2 + group.m
@@ -450,11 +459,12 @@ class TestRejectionSampler:
 
     def test_non_smooth_refused(self):
         rough = scalar_group(lambda z: np.abs(z[:, 0]), np.sign, 0.0, math.inf, 1.0)
+        c = RhoConstants(rough, 0.5)
         with pytest.raises(NotSmooth):
-            sample_z_group(rough, np.zeros((1, 1)), 0.5, np.random.default_rng(0))
+            sample_z_group(c, np.zeros((1, 1)), np.random.default_rng(0))
         with pytest.raises(NotSmooth):
-            warm_start_group(rough, np.full((1, 1), 0.3), 0.5, 1e-3)
-        assert not within_two_guarantee(rough, np.zeros(1), 0.5).any()
+            warm_start_group(c, np.full((1, 1), 0.3), 1e-3)
+        assert not within_two_guarantee(c, np.zeros(1)).any()
 
     def test_warm_start_step_bound_holds(self):
         # The descent step count respects its contraction-rate ceiling.
@@ -467,7 +477,7 @@ class TestRejectionSampler:
                 rho = float(rng.uniform(0.05, 1.0))
                 a_theta = group.couple(theta)
                 target = reference.gd_stop_threshold(group, j, rho)
-                steps = warm_start_group(group, a_theta, rho)[2][j]
+                steps = warm_start_group(RhoConstants(group, rho), a_theta)[2][j]
                 kappa = (1.0 + rho**2 * group.M[j]) / (1.0 + rho**2 * group.m[j])
                 g0 = np.linalg.norm(group.gradient(a_theta, ALL_BLOCKS)[j])
                 if g0 > target:
@@ -522,6 +532,21 @@ def _scalar_blocks(curvature, m, nan_call=None, nan_block=None):
                        lambda z, rows: 0.5 * curvature[rows] * z[:, 0] ** 2, gradient, m=m, M=1.0)
 
 
+def _count_builds(monkeypatch) -> list:
+    """Make every RhoConstants built from here on append its rho to the list returned."""
+    built = []
+
+    class Counting(RhoConstants):
+        __slots__ = ()
+
+        def __init__(self, group, rho):
+            built.append(rho)
+            super().__init__(group, rho)
+
+    monkeypatch.setattr(conditionals, "RhoConstants", Counting)
+    return built
+
+
 def _digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -551,8 +576,8 @@ class TestGroupDescent:
         theta = np.full(10, 0.3)
         a_theta = group.couple(theta)
 
-        _, proposals, steps, expected = sample_z_group(group, a_theta, rho,
-                                                       np.random.default_rng(5))
+        c = RhoConstants(group, rho)
+        _, proposals, steps, expected = sample_z_group(c, a_theta, np.random.default_rng(5))
         assert (steps >= 1).all() and (proposals >= 1).all()
         assert len(calls["gradient"]) == 1 + steps.max()
         assert all(rows is ALL_BLOCKS for rows in calls["gradient"])
@@ -560,7 +585,7 @@ class TestGroupDescent:
         # one call, through an index array that names each block twice.
         assert calls["value"][0].tolist() == 2 * list(range(group.b))
         calls["gradient"].clear()
-        z_tilde, _, ws_steps = warm_start_group(group, a_theta, rho)
+        z_tilde, _, ws_steps = warm_start_group(c, a_theta)
         assert all(rows is ALL_BLOCKS for rows in calls["gradient"])
         assert (ws_steps == steps).all()
         self._assert_matches_reference(group, theta, rho, z_tilde, steps, expected)
@@ -573,13 +598,13 @@ class TestGroupDescent:
                                     center=centers)
         group, calls = recording(FactorGroup(quad.a, quad.value, quad.gradient, quad.m, quad.M))
         a_theta = group.couple(theta)
-        _, proposals, steps, expected = sample_z_group(group, a_theta, rho,
-                                                       np.random.default_rng(5))
+        c = RhoConstants(group, rho)
+        _, proposals, steps, expected = sample_z_group(c, a_theta, np.random.default_rng(5))
         assert steps[0] >= 1 and (steps[1:] == 0).all() and (proposals >= 1).all()
         descent = calls["gradient"][1:]
         assert calls["gradient"][0] is ALL_BLOCKS and len(descent) == steps[0]
         assert all(rows is ALL_BLOCKS for rows in descent)
-        z_tilde, _, _ = warm_start_group(group, a_theta, rho)
+        z_tilde, _, _ = warm_start_group(c, a_theta)
         assert z_tilde[1:].tobytes() == a_theta[1:].tobytes()
         self._assert_matches_reference(group, theta, rho, z_tilde, steps, expected)
 
@@ -596,7 +621,7 @@ class TestGroupDescent:
     ])
     def test_logistic_descents_are_pinned(self, name, params, rho, step_counts, pinned):
         (group,) = build_model(name, d=10, seed=0, **params).groups
-        z, gnorm, steps = warm_start_group(group, group.couple(np.ones(10)), rho)
+        z, gnorm, steps = warm_start_group(RhoConstants(group, rho), group.couple(np.ones(10)))
         assert np.bincount(steps).tolist() == step_counts
         assert _digest(z, gnorm, steps) == pinned
 
@@ -605,7 +630,8 @@ class TestGroupDescent:
         # step, blocks 1 and 2 contract by 0.2 and 0.4 per step, and block
         # 3 starts below its stop rule (2/7) sqrt(1.1).
         group = _scalar_blocks([1.0, 0.6, 0.2, 0.2], m=0.1)
-        z, gnorm, steps = warm_start_group(group, np.array([[10.0], [10.0], [10.0], [1.0]]), 1.0)
+        z, gnorm, steps = warm_start_group(RhoConstants(group, 1.0),
+                                           np.array([[10.0], [10.0], [10.0], [1.0]]))
         assert steps.tolist() == [1, 2, 3, 0]
         assert [v.hex() for v in z[:, 0].tolist()] == [
             "0x1.4000000000000p+2", "0x1.999999999999ap+2", "0x1.0e147ae147ae1p+3",
@@ -628,67 +654,64 @@ class TestGroupDescent:
     ])
     def test_descent_failures_are_pinned(self, group, a_theta, message):
         with pytest.raises(NonConvergence) as info:
-            warm_start_group(group, a_theta, 1.0)
+            warm_start_group(RhoConstants(group, 1.0), a_theta)
         assert str(info.value) == message
 
     def test_rho_constants_built_once_per_group_and_rho(self, monkeypatch):
-        built = []
-
-        class Counting(conditionals._RhoConstants):
-            __slots__ = ()
-
-            def __init__(self, group, rho):
-                built.append(rho)
-                super().__init__(group, rho)
-
-        monkeypatch.setattr(conditionals, "_RhoConstants", Counting)
+        # A chain builds one kernel, and the kernel each rejection group's
+        # constants once.
+        built = _count_builds(monkeypatch)
         model = build_model("logistic-split2", d=10, n=200, b=5, seed=4)
         report = run_chain(model, SamplerConfig(rho=0.2, sweeps=50), seed=8)
         assert report.sweeps_run == 50 and report.gd_steps_total.sum() > 0
         assert built == [0.2]
 
     def test_each_rho_gets_its_own_constants(self):
-        # A group drawn at two widths holds each width's own constants,
-        # equal to a fresh computation, and draws as a group never drawn before.
+        # Kernels at two widths on one model hold each width's own constants,
+        # equal to a fresh computation, and draw alternately as a group
+        # never drawn before: the gate of one is not the other's.
         model = build_model("logistic-split2", d=10, n=200, b=5, seed=4)
         (group,) = model.groups
         fields = ("s", "top", "target", "log_target", "step", "rate")
-        seen = []
-        for rho in (0.2, 0.5):
-            fresh = conditionals._RhoConstants(group, rho)
-            kept = conditionals._rho_constants(group, rho)
-            assert kept.rho == rho
+        kernels = {rho: ThetaConditional(model, rho).constants[0] for rho in (0.2, 0.5)}
+        for rho, kept in kernels.items():
+            fresh = RhoConstants(group, rho)
+            assert kept.group is group and kept.rho == rho and kept.squeeze is None
             for name in fields:
                 assert getattr(kept, name).tobytes() == getattr(fresh, name).tobytes()
-            seen.append(kept)
         for name in ("target", "step", "rate"):
-            assert (getattr(seen[0], name) != getattr(seen[1], name)).all()
+            assert (getattr(kernels[0.2], name) != getattr(kernels[0.5], name)).all()
         a_theta = group.couple(np.full(10, 0.3))
         twin = build_model("logistic-split2", d=10, n=200, b=5, seed=4).groups[0]
         for rho in (0.2, 0.5, 0.2):
-            drawn = sample_z_group(group, a_theta, rho, np.random.default_rng(3))
-            ref = sample_z_group(twin, a_theta, rho, np.random.default_rng(3))
-            conditionals._RHO_CONSTANTS.pop(twin)
+            drawn = sample_z_group(kernels[rho], a_theta, np.random.default_rng(3))
+            ref = sample_z_group(RhoConstants(twin, rho), a_theta, np.random.default_rng(3))
             for got, want in zip(drawn, ref):
                 assert got.tobytes() == want.tobytes()
+        assert kernels[0.2].squeeze is not None and kernels[0.5].squeeze is not None
 
-    def test_constants_do_not_keep_the_group_alive(self):
-        model = build_model("logistic-split2", d=4, n=40, b=4, seed=1)
-        run_chain(model, SamplerConfig(rho=0.3, sweeps=2), seed=1)
-        ref = weakref.ref(model.groups[0])
-        assert ref() in conditionals._RHO_CONSTANTS
-        del model
-        gc.collect()
-        assert ref() is None
+    def test_interleaved_chains_keep_their_own_kernels(self, monkeypatch):
+        # Two chains at rho and 0.9 rho on one model, interleaved sweep by
+        # sweep, draw bit for bit what each draws alone, and each builds its
+        # constants once.
+        built = _count_builds(monkeypatch)
+        model = build_model("logistic-split2", d=10, n=200, b=5, seed=4)
+        configs = [SamplerConfig(rho=rho, sweeps=40) for rho in (0.2, 0.18)]
+        alone = [run_chain(model, config, seed=5) for config in configs]
+        assert built == [0.2, 0.18]
+        kernels = [ThetaConditional(model, config.rho) for config in configs]
+        states = [initial_state(model, np.zeros(model.d), 5)] * 2
+        streams = SweepStreams(5)
+        for t in range(40):
+            for i, config in enumerate(configs):
+                states[i], _ = sgs_sweep(model, states[i], config, kernels[i], streams)
+                assert states[i].theta.tobytes() == alone[i].thetas[t].tobytes()
+        assert built == [0.2, 0.18] * 2
 
     @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
     def test_non_finite_width_is_invalid(self, rho):
+        # The group draws take their width from a kernel, which checks it.
         model = build_model("logistic-split2", d=4, n=40, b=4, seed=1)
-        (group,) = model.groups
-        with pytest.raises(InvalidParameter):
-            sample_z_group(group, group.couple(np.zeros(4)), rho, np.random.default_rng(0))
-        with pytest.raises(InvalidParameter):
-            warm_start_group(group, group.couple(np.zeros(4)), rho)
         with pytest.raises(InvalidParameter):
             ThetaConditional(model, rho)
         with pytest.raises(InvalidParameter):
@@ -724,10 +747,11 @@ class TestSqueezedDraws:
         rho, theta, n = 0.5, np.full(3, 0.4), 100_000
         group, calls = recording(replicate_block(model.groups[0], 0, n))
         a_theta = group.couple(theta)
-        sample_z_group(group, a_theta, rho, np.random.default_rng(30))
-        assert conditionals._rho_constants(group, rho).squeeze
+        c = RhoConstants(group, rho)
+        sample_z_group(c, a_theta, np.random.default_rng(30))
+        assert c.squeeze
         calls["value"].clear()
-        z, _, _, _ = sample_z_group(group, a_theta, rho, np.random.default_rng(31))
+        z, _, _, _ = sample_z_group(c, a_theta, np.random.default_rng(31))
         assert _rows_read(calls, n) < n
         result = kstest(z[:, 0], _row_cdf(group, theta, rho))
         assert result.pvalue > 0.01
@@ -748,9 +772,10 @@ class TestSqueezedDraws:
         for rep in range(4):
             group, calls = recording(replicate_block(source, 0, n))
             a_theta = group.couple(theta)
-            checking.append(sample_z_group(group, a_theta, rho, np.random.default_rng(100 + rep))[0])
+            c = RhoConstants(group, rho)
+            checking.append(sample_z_group(c, a_theta, np.random.default_rng(100 + rep))[0])
             calls["value"].clear()
-            squeezed.append(sample_z_group(group, a_theta, rho, np.random.default_rng(200 + rep))[0])
+            squeezed.append(sample_z_group(c, a_theta, np.random.default_rng(200 + rep))[0])
             assert _rows_read(calls, n) < n
         checking, squeezed = np.concatenate(checking), np.concatenate(squeezed)
         assert ks_2samp(checking[:, 0], squeezed[:, 0]).pvalue > 0.01
@@ -763,9 +788,9 @@ class TestSqueezedDraws:
         ("logistic-split2", {"n": 200, "b": 5}, 0.3, False),
     ])
     def test_squeezed_draws_equal_checking_draws(self, name, params, rho, squeeze):
-        # The squeeze accepts only what the exact test accepts: a group's
-        # second draw equals, bit for bit, the checking draw of a fresh twin
-        # on the same stream. Where the checking draw kept the squeeze on,
+        # The squeeze accepts only what the exact test accepts: a kernel's
+        # second draw equals, bit for bit, the checking draw of fresh
+        # constants on the same stream. Where the checking draw kept the squeeze on,
         # the second draw reads value on fewer rows than the checking draw,
         # which reads every block at least twice (at rho = 0.1 the shards'
         # second draw reads V(z~) and V(Z) of block 2 in one call). At
@@ -775,17 +800,18 @@ class TestSqueezedDraws:
         model = build_model(name, d=10, seed=0, **params)
         group, calls = recording(model.groups[0])
         a_theta = group.couple(np.full(10, 0.3))
-        sample_z_group(group, a_theta, rho, np.random.default_rng(1))
+        c = RhoConstants(group, rho)
+        sample_z_group(c, a_theta, np.random.default_rng(1))
         assert _rows_read(calls, group.b) >= 2 * group.b
-        assert conditionals._rho_constants(group, rho).squeeze is squeeze
+        assert c.squeeze is squeeze
         calls["value"].clear()
-        drawn = sample_z_group(group, a_theta, rho, np.random.default_rng(2))
+        drawn = sample_z_group(c, a_theta, np.random.default_rng(2))
         if squeeze:
             assert _rows_read(calls, group.b) < group.b
         else:
             assert _rows_read(calls, group.b) >= 2 * group.b
-        twin = build_model(name, d=10, seed=0, **params).groups[0]
-        for got, want in zip(drawn, sample_z_group(twin, a_theta, rho, np.random.default_rng(2))):
+        ref = sample_z_group(RhoConstants(model.groups[0], rho), a_theta, np.random.default_rng(2))
+        for got, want in zip(drawn, ref):
             assert got.tobytes() == want.tobytes()
 
     def test_squeeze_settles_one_over_b_of_the_proposals(self):
@@ -801,9 +827,10 @@ class TestSqueezedDraws:
         n = 20_000
         group, calls = recording(replicate_block(source, 0, n))
         a_theta = group.couple(np.full(10, 0.5))
-        sample_z_group(group, a_theta, rho, np.random.default_rng(3))
+        c = RhoConstants(group, rho)
+        sample_z_group(c, a_theta, np.random.default_rng(3))
         calls["value"].clear()
-        _, _, _, expected = sample_z_group(group, a_theta, rho, np.random.default_rng(4))
+        _, _, _, expected = sample_z_group(c, a_theta, np.random.default_rng(4))
         assert (expected == expected[0]).all()
         share = 1.0 / expected[0]
         settled = n - len(calls["value"][0]) // 2
@@ -811,8 +838,8 @@ class TestSqueezedDraws:
 
     def test_gate_does_not_depend_on_the_stream(self):
         # The checking draw decides the squeeze from its certificate, not
-        # from the proposals it happens to make: fresh twins of a centered
-        # logistic-split2 shard group at the edge of the
+        # from the proposals it happens to make: fresh constants of a
+        # centered logistic-split2 shard group at the edge of the
         # at-most-2-proposals regime (mean 1/B about 0.8) keep it on for
         # every stream. A tally of the proposals of five blocks would turn
         # it off on about 2% of the streams.
@@ -822,20 +849,52 @@ class TestSqueezedDraws:
         rho = 1.0 / math.sqrt(max(2.0 * group.k * (group.M - group.m) - group.m))
         a_theta = group.couple(theta_star)
         for seed in range(300):
-            twin = FactorGroup(group.a, group.value, group.gradient, group.m, group.M)
-            sample_z_group(twin, a_theta, rho, np.random.default_rng(seed))
-            assert conditionals._rho_constants(twin, rho).squeeze, f"stream {seed}"
+            c = RhoConstants(group, rho)
+            sample_z_group(c, a_theta, np.random.default_rng(seed))
+            assert c.squeeze, f"stream {seed}"
 
     def test_lying_block_is_refused_where_its_certificate_turns_the_squeeze_off(self):
         # 1e12 z^2 certified with (m, M) = (0, 10) at rho = 1: its bound
-        # B = sqrt(11) = 3.3 turns the squeeze off before the checking
-        # draw's rounds, and that draw still checks the curvature bound on
-        # every proposal.
+        # B = sqrt(11) = 3.3 would turn the squeeze off, and the checking
+        # draw still checks the curvature bound on every proposal. The draw
+        # raised, so the gate stays unset and the next draw checks again.
         lying = scalar_group(lambda z: 1e12 * z[:, 0] ** 2, np.zeros_like, 0.0, 10.0)
-        with pytest.raises(ConstantsContradicted, match=r"^block 0: V rose by .* at rho=1 with "
-                           r"certified M=10; the certified M is too small$"):
-            sample_z_group(lying, np.zeros((1, 1)), 1.0, np.random.default_rng(0))
-        assert conditionals._rho_constants(lying, 1.0).squeeze is False
+        c = RhoConstants(lying, 1.0)
+        for _ in range(2):
+            with pytest.raises(ConstantsContradicted, match=r"^block 0: V rose by .* at rho=1 "
+                               r"with certified M=10; the certified M is too small$"):
+                sample_z_group(c, np.zeros((1, 1)), np.random.default_rng(0))
+            assert c.squeeze is None
+
+    def test_a_kernel_whose_checking_sweep_raised_checks_again(self):
+        # A second sweep through the kernel after the first raised is another
+        # checking sweep: the same error at the same state and seed, where a
+        # squeezed sweep would settle most proposals unchecked.
+        model, theta_star, rho = _understated_rows()
+        kernel = ThetaConditional(model, rho)
+        state = initial_state(model, theta_star, 2)
+        config = SamplerConfig(rho=rho, sweeps=1)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ConstantsContradicted) as refused:
+                sgs_sweep(model, state, config, kernel)
+            errors.append(str(refused.value))
+            assert kernel.constants[0].squeeze is None
+        assert errors[0] == errors[1] and errors[0].startswith("block 21: ")
+
+    def test_every_chain_on_an_understated_model_is_refused(self):
+        # Chains one after another on one model, each with its own kernel and
+        # so its own checking draw: every one raises. With one gate per
+        # group, a chain's failed checking draw used to leave the squeeze on
+        # for the next chains, which then completed.
+        model, theta_star, rho = _understated_rows()
+        config = SamplerConfig(rho=rho, sweeps=40)
+        blocks = []
+        for seed in (2, 1, 2, 3):
+            with pytest.raises(ConstantsContradicted) as refused:
+                run_chain(model, config, seed=seed, theta0=theta_star)
+            blocks.append(str(refused.value).split(":")[0])
+        assert blocks == ["block 21", "block 21", "block 21", "block 25"]
 
     def test_rounding_at_tiny_widths_contradicts_nothing(self):
         # At rho = 1e-10 a proposal's step is about 1e-10 while the blocks sit
@@ -844,9 +903,26 @@ class TestSqueezedDraws:
         model = build_model("logistic-split1", d=10, n=200, seed=0)
         (group,) = model.groups
         a_theta = group.couple(np.ones(10))
+        (c,) = ThetaConditional(model, 1e-10).constants
         for seed in range(3):
-            z, proposals, _, _ = sample_z_group(group, a_theta, 1e-10, np.random.default_rng(seed))
+            z, proposals, _, _ = sample_z_group(c, a_theta, np.random.default_rng(seed))
             assert np.isfinite(z).all() and (proposals >= 1).all()
+
+
+def _understated_rows():
+    """The benchmark's logistic-rows set-up (data seed 1) with every M understated by 10%.
+
+    Returns the model, its minimizer theta* and the planned width.
+    """
+    seed = int(np.random.SeedSequence(1, spawn_key=(0,)).generate_state(1)[0])
+    model = build_model("logistic-split1", d=10, n=1000, seed=seed)
+    theta_star = find_minimizer(model).theta_star
+    centered = center_model(model, theta_star)
+    rho = plan_tv_multi(centered, 0.01, theta_star=theta_star,
+                        constants=model_constants(centered)).rho
+    (g,) = centered.groups
+    understated = FactorGroup(g.a, g.value, g.gradient, g.m, g.M * 0.9)
+    return SplitModel(centered.d, [understated]), theta_star, rho
 
 
 def draw_one(group, theta, rho, rng):

@@ -13,10 +13,10 @@ The manifest covers:
 - ThetaConditional.sample(..., size=SIZE) on the same models at rho = 0.3,
   given the blocks A_i theta at theta = 0.3 everywhere;
 - the second sample_z_group draw of a group (z, proposals, descent steps and
-  bounds), made after its checking draw: COPIES copies of a logistic-split2
-  shard at its two-proposal edge, squeezed over several rounds, and the
-  logistic-split2 of `splitmc sample` (b = 10) at rho = 0.5, whose squeeze
-  is off;
+  bounds), made after its checking draw through the same constants: COPIES
+  copies of a logistic-split2 shard at its two-proposal edge, squeezed over
+  several rounds, and the logistic-split2 of `splitmc sample` (b = 10) at
+  rho = 0.5, whose squeeze is off;
 - the gradient and value of the logistic-split1 and logistic-split2 groups
   at fixed points, raw and centered at theta = 0.3 everywhere, over every
   block and over an index array that repeats blocks, as the rejection
@@ -101,14 +101,15 @@ def _theta_draws(model, rho: float, size: int) -> str:
 
 
 def _second_draw(group, theta, rho: float) -> str:
-    """sample_z_group's draw of group at rho made after its checking draw."""
+    """sample_z_group's second draw of group at rho through one RhoConstants."""
     import numpy as np
 
-    from splitmc import sample_z_group
+    from splitmc import RhoConstants, sample_z_group
 
+    c = RhoConstants(group, rho)
     a_theta = group.couple(theta)
-    sample_z_group(group, a_theta, rho, np.random.default_rng(0))
-    return _sha256(*_arrays(*sample_z_group(group, a_theta, rho, np.random.default_rng(1))))
+    sample_z_group(c, a_theta, np.random.default_rng(0))
+    return _sha256(*_arrays(*sample_z_group(c, a_theta, np.random.default_rng(1))))
 
 
 def _shard_copies() -> str:

@@ -9,9 +9,11 @@ so the two sides run on the same host state. For each set-up, each tree
 builds its own model; a chain of STATES sweeps on this tree's model gives
 the chain states, and every pass replays each state through each tree's
 sgs_sweep with the same Philox streams, in alternating order: the parent
-goes first in even pairs and second in odd ones. One untimed sweep per
-side from the chain's start makes each side's checking draw first (see
-conditionals.sample_z_group). The set-ups:
+goes first in even pairs and second in odd ones. Each side replays through
+one kernel (ThetaConditional) of its own, and one untimed sweep from the
+chain's start runs that kernel's checking draw (see
+conditionals.sample_z_group), so no timed sweep is a checking one. The
+set-ups:
 
 - logistic-rows and logistic-shards: each tree's benchmark workload at
   full size, set up by workloads.make_workload(name, "full", ...).setup(SEED),
