@@ -163,12 +163,14 @@ class RhoConstants:
     and kappa = (1 + rho^2 M)/(1 + rho^2 m); rate is inf at kappa = 1 (one
     exact step). squeeze is None until the checking draw through these
     constants returns, then whether later draws test the squeeze first (see
-    sample_z_group). ThetaConditional checks rho.
+    sample_z_group). rho is checked here and by ThetaConditional, which
+    builds no RhoConstants for a model drawn wholly in closed form.
     """
 
     __slots__ = ("group", "rho", "s", "top", "target", "log_target", "step", "rate", "squeeze")
 
     def __init__(self, group: FactorGroup, rho: float):
+        check_scale(rho)
         self.group = group
         self.rho = rho
         self.squeeze = None

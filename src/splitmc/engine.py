@@ -195,7 +195,8 @@ def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
 
     theta_cond is the chain's kernel at (model, config.rho); without one the
     sweep builds its own, so it is a checking sweep (see
-    conditionals.sample_z_group), with the same draws.
+    conditionals.sample_z_group), with the same draws. A kernel built for
+    another rho or another model object is refused (InvalidParameter).
 
     Finiteness is checked once per sweep, on the new theta: the master
     draw assembles A^T z, which carries a NaN or an infinity of any block
@@ -210,6 +211,10 @@ def sgs_sweep(model: SplitModel, state: ChainState, config: SamplerConfig,
     """
     if theta_cond is None:
         theta_cond = ThetaConditional(model, config.rho)
+    elif theta_cond.rho != config.rho or theta_cond.model is not model:
+        raise InvalidParameter(f"the sweep's kernel was built at rho={theta_cond.rho} for "
+                               f"{'this' if theta_cond.model is model else 'another'} model; "
+                               f"the sweep runs at rho={config.rho}")
     sweep = state.sweep + 1
     if rng_factory is None:
         rng_factory = SweepStreams(state.rng_seed_root)

@@ -15,7 +15,15 @@ the replicate axis (_population_sweep). The block draw is the zoo model's
 own closed-form sampler, called with the chains as a leading axis. The
 model has one identity-coupled block, so G = I and the master draw
 N(z, rho^2 G^{-1}) is exactly z + rho xi; the test suite checks the
-population sweep against the per-chain engine.
+population sweep against the per-chain engine. The population is two
+halves, chains [0, ceil(n/2)) and [ceil(n/2), n), each with its own
+stream keyed (seed, 4, d, h) for half h, and the exact reference draws
+from the stream keyed (seed, 4, d). Each loop (SGS, then ULA) steps half
+0 on the calling thread while one worker thread steps half 1: both are
+normal draws and array arithmetic that numpy runs without the GIL. The
+halves are part of the stream contract, so the CSV is the same on any
+host; on one CPU the two threads take turns. Each timing column is the
+wall time of its two-thread loop.
 
 The gaussian-mixing runs measure coordinate 0 of aniso_gaussian(d, m, M)
 only, and step only it. That model has the diagonal precision
@@ -36,8 +44,12 @@ grid value in the order the grid first names them, a cell per (grid value,
 replicate) and its config echo, and the loop runs the cells one after
 another, on one thread, each distinct value once, then fits the log-log
 slope of the mean mixing times over the distinct grid values, so a grid
-needs two of them. Every selected part is planned, which checks its
-parameters, before any part runs, so a refusal leaves no part's CSV behind.
+needs two of them. The cells stay on one thread: their arrays of a few
+thousand scalars are too small for numpy to keep the GIL released for
+long, and on a two-thread pool the benchmark's dimension and kappa cells
+ran slower on a 2-vCPU host (32 to 41 ms and 15 to 19 ms). Every selected
+part is planned, which checks its parameters, before any part runs, so a
+refusal leaves no part's CSV behind.
 
 The mixture run scores its samples by Pearson chi^2 in equal-mass bins of
 the target's projection, counted as equal bins of [0, 1] of the projected
@@ -52,6 +64,7 @@ import math
 import numbers
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -548,63 +561,86 @@ def _chi2_stat(cdf_values, n_bins):
     return float(((counts - expected) ** 2 / expected).sum())
 
 
+def _two_halves(pool, step, starts, rngs, *args):
+    """step(x, rng, *args) of both halves: half 1 on the pool's worker, half 0 on this thread.
+
+    Returns the two results, half 0 first, and the wall seconds of the pair.
+    """
+    t0 = time.perf_counter()
+    second = pool.submit(step, starts[1], rngs[1], *args)
+    first = step(starts[0], rngs[0], *args)
+    return (first, second.result()), time.perf_counter() - t0
+
+
+def _sgs_half(thetas, rng, group, rho, sweeps):
+    for _ in range(sweeps):
+        thetas = _population_sweep(group, rho, thetas, rng)
+    return thetas
+
+
+def _ula_half(thetas, rng, group, h, sweeps):
+    """sweeps ULA steps x - h grad + sqrt(2h) xi of every row, made in place."""
+    noise_scale = math.sqrt(2.0 * h)
+    for _ in range(sweeps):
+        drift = group.gradient(thetas, ALL_BLOCKS)
+        drift *= h
+        thetas -= drift
+        noise = rng.standard_normal(thetas.shape)
+        noise *= noise_scale
+        thetas += noise
+    return thetas
+
+
 def run_mixture(spec: ExperimentSpec):
     p = _params(spec, {"d_grid": (4, 8, 16), "eps": 0.1, "n_samples": 2500, "n_bins": 40,
                        "a_norm": 1.0 / math.sqrt(2.0), "ula_sweeps": 500},
                 least={"n_samples": 1, "n_bins": 2, "ula_sweeps": 1})
     eps, n_samples, n_bins, a_norm = p["eps"], p["n_samples"], p["n_bins"], p["a_norm"]
     m, M = 1.0 - a_norm**2, 1.0
+    sizes = ((n_samples + 1) // 2, n_samples // 2)
 
     rows = []
     crit = float(2.0 * gammaincinv((n_bins - 1) / 2.0, 0.95))  # the chi^2 quantile
-    for d in p["d_grid"]:
-        model = zoo.gaussian_mixture(d=d, a_norm=a_norm)
-        (group,) = model.groups
-        a = model.mixture_direction
-        plan6 = plan_tv_single(m, M, d, eps)
-        plan7 = plan_tv_multi(model, eps, theta_star=np.zeros(d))
-        rho = plan6.rho
-        rng = _rng(spec.seed, 4, d)
+    with ThreadPoolExecutor(1) as pool:
+        for d in p["d_grid"]:
+            model = zoo.gaussian_mixture(d=d, a_norm=a_norm)
+            (group,) = model.groups
+            a = model.mixture_direction
+            plan6 = plan_tv_single(m, M, d, eps)
+            plan7 = plan_tv_multi(model, eps, theta_star=np.zeros(d))
+            rho = plan6.rho
+            rngs = [_rng(spec.seed, 4, d, h) for h in (0, 1)]
 
-        thetas = rng.standard_normal((n_samples, d)) / math.sqrt(M)
-        t0 = time.perf_counter()
-        for _ in range(plan6.t_mix):
-            thetas = _population_sweep(group, rho, thetas, rng)
-        sgs_time = time.perf_counter() - t0
+            starts = [stream.standard_normal((n, d)) / math.sqrt(M)
+                      for n, stream in zip(sizes, rngs)]
+            halves, sgs_time = _two_halves(pool, _sgs_half, starts, rngs,
+                                           group, rho, plan6.t_mix)
+            thetas = np.concatenate(halves)
 
-        # Exact reference: component sign then unit Gaussian around +-a.
-        signs = np.where(rng.uniform(size=n_samples) < 0.5, 1.0, -1.0)
-        exact = signs[:, None] * a + rng.standard_normal((n_samples, d))
+            # Exact reference: component sign then unit Gaussian around +-a.
+            rng = _rng(spec.seed, 4, d)
+            signs = np.where(rng.uniform(size=n_samples) < 0.5, 1.0, -1.0)
+            exact = signs[:, None] * a + rng.standard_normal((n_samples, d))
 
-        # ULA on the same target with stepsize h = rho^2 (wall-clock baseline);
-        # each chain is a row of the group's one block. The update
-        # x - h grad + sqrt(2h) xi is made in place.
-        ula_sweeps = min(plan6.t_mix, p["ula_sweeps"])
-        h = rho**2
-        noise_scale = math.sqrt(2.0 * h)
-        ula_thetas = rng.standard_normal((n_samples, d)) / math.sqrt(M)
-        t0 = time.perf_counter()
-        for _ in range(ula_sweeps):
-            drift = group.gradient(ula_thetas, ALL_BLOCKS)
-            drift *= h
-            ula_thetas -= drift
-            noise = rng.standard_normal(ula_thetas.shape)
-            noise *= noise_scale
-            ula_thetas += noise
-        ula_per_sweep = (time.perf_counter() - t0) / ula_sweeps
+            # ULA on the same target with stepsize h = rho^2 (wall-clock
+            # baseline); each chain is a row of the group's one block.
+            ula_sweeps = min(plan6.t_mix, p["ula_sweeps"])
+            starts = [stream.standard_normal((n, d)) / math.sqrt(M)
+                      for n, stream in zip(sizes, rngs)]
+            _, ula_time = _two_halves(pool, _ula_half, starts, rngs, group, rho**2, ula_sweeps)
 
-        na = float(np.linalg.norm(a))
-        target_cdf = IsotropicMixture(a, 1.0).projected_cdf
-        rows.append({
-            "d": d, "rho2": plan6.rho2, "t_mix_single": plan6.t_mix,
-            "t_mix_multi": plan7.t_mix, "k_sgs": plan6.k_sgs,
-            "chi2_sgs": _chi2_stat(target_cdf(thetas @ a / na), n_bins),
-            "chi2_exact": _chi2_stat(target_cdf(exact @ a / na), n_bins),
-            "chi2_critical_5pct": crit,
-            "sgs_seconds_per_sweep": sgs_time / plan6.t_mix,
-            "ula_seconds_per_sweep": ula_per_sweep,
-            "sgs_wall_seconds": sgs_time,
-        })
+            na = float(np.linalg.norm(a))
+            target_cdf = IsotropicMixture(a, 1.0).projected_cdf
+            rows.append({
+                "d": d, "rho2": plan6.rho2, "t_mix_single": plan6.t_mix,
+                "t_mix_multi": plan7.t_mix, "k_sgs": plan6.k_sgs,
+                "chi2_sgs": _chi2_stat(target_cdf(thetas @ a / na), n_bins),
+                "chi2_exact": _chi2_stat(target_cdf(exact @ a / na), n_bins),
+                "chi2_critical_5pct": crit,
+                "sgs_seconds_per_sweep": sgs_time / plan6.t_mix,
+                "ula_seconds_per_sweep": ula_time / ula_sweeps,
+                "sgs_wall_seconds": sgs_time,
+            })
 
     config = {"experiment": "mixture", "seed": spec.seed,
               "bit_generator": _BIT_GENERATOR.__name__, "eps": eps,

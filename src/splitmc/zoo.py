@@ -69,33 +69,33 @@ def mixture_group(a: np.ndarray, m: float) -> FactorGroup:
     ||a|| < 1; m is its certified strong convexity 1 - ||a||^2, and M = 1.
     The coupled conditional is a two-component mixture with shared
     covariance rho^2/(1+rho^2) I, means (a_theta +- a rho^2)/(1+rho^2) and
-    weights (1, exp(-2 a_theta . a / (1+rho^2))).
+    weights (1, exp(-2 a_theta . a / (1+rho^2))). Its + weight's share is
+    expit(2t) = (1 + tanh(t))/2 with t = a_theta . a/(1+rho^2), so a row
+    takes the + component where 2u - 1 < tanh(t), u uniform on [0, 1): the
+    law of u < expit(2t), with numpy's SIMD tanh in place of scipy's
+    scalar expit.
 
     The sampler accepts any leading axes in front of the (1, d) block axes
-    and draws from rng, in this order, one rng.random per row (the + component
-    when below the + weight's share) and the normals of a_theta's shape. Its
-    constants at one rho (1 + rho^2, the two-row table [-a rho^2, +a rho^2]
-    that a row's component indexes, and the noise scale) are computed at the
-    first draw at that rho and kept for the last rho only. np.vecdot gives
-    the bits of a_theta.dot(a) on every row without dot's slow path on 3-D
-    arrays (a flattened 2-D dot goes through gemv and moves the last bit).
-    The gradient works against a contiguous tile of a with one row per row
-    of z, kept for the last row count only.
+    and draws from rng, in this order, one rng.random per row and the
+    normals of a_theta's shape. It takes a_theta . a by one gemv over the
+    rows flattened to (-1, d), which numpy runs without the GIL. Its
+    constants at one rho (1/(1 + rho^2), the two-row table
+    [-a rho^2, +a rho^2] that a row's component indexes, and the noise
+    scale) are computed at the first draw at that rho and kept for the last
+    rho only. The gradient z - a + 2 expit(-2 z.a) a is computed as
+    z - tanh(z.a) a, since 1 - 2 expit(-2s) = tanh(s); the group keeps no
+    state that depends on the row count.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
     at_rho = (None,)
-    tile = a[None]
 
     def value(z, rows):
         return 0.5 * np.sum((z - a) ** 2, axis=1) - _softplus(-2.0 * (z @ a))
 
     def gradient(z, rows):
-        nonlocal tile
-        if tile.shape[0] != z.shape[0]:
-            tile = np.tile(a, (z.shape[0], 1))
-        g = z - tile
-        g += 2.0 * expit(-2.0 * (z @ a))[:, None] * tile
+        g = np.tanh(z @ a)[:, None] * a
+        np.subtract(z, g, out=g)
         return g
 
     def sampler(a_theta, rho, rng):
@@ -103,15 +103,18 @@ def mixture_group(a: np.ndarray, m: float) -> FactorGroup:
         if at_rho[0] != rho:
             a_rho2 = a * rho**2
             # Negation is exact, so the rows are (-+1.0) (a rho^2) bit for bit.
-            at_rho = (rho, 1.0 + rho**2, np.stack([-a_rho2, a_rho2]),
+            at_rho = (rho, 1.0 / (1.0 + rho**2), np.stack([-a_rho2, a_rho2]),
                       math.sqrt(rho**2 / (1.0 + rho**2)))
-        _, one_rho2, offsets, scale = at_rho
-        s = np.vecdot(a_theta, a)
-        # p = w1/(w1+w2) with w1 = 1, w2 = exp(-2 <a_theta, a>/(1+rho^2)).
-        p_first = expit(2.0 * s / one_rho2)
-        mu = offsets.take(rng.random(s.shape) < p_first, axis=0)
+        _, shrink, offsets, scale = at_rho
+        t = a_theta.reshape(-1, d).dot(a).reshape(a_theta.shape[:-1])
+        t *= shrink
+        np.tanh(t, out=t)
+        u = rng.random(t.shape)
+        u *= 2.0
+        u -= 1.0
+        mu = offsets.take(u < t, axis=0)
         mu += a_theta
-        mu /= one_rho2
+        mu *= shrink
         noise = rng.standard_normal(a_theta.shape)
         noise *= scale
         mu += noise

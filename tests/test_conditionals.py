@@ -708,6 +708,30 @@ class TestGroupDescent:
                 assert states[i].theta.tobytes() == alone[i].thetas[t].tobytes()
         assert built == [0.2, 0.18] * 2
 
+    def test_sweep_refuses_a_kernel_of_another_width_or_model(self):
+        # Each draw of the sweep takes its width from the kernel, so a kernel
+        # at another rho would silently draw the whole sweep at its own rho.
+        model = build_model("logistic-split2", d=4, n=40, b=4, seed=1)
+        state = initial_state(model, np.zeros(model.d), 2)
+        config = SamplerConfig(rho=0.5, sweeps=1)
+        with pytest.raises(InvalidParameter, match="built at rho=0.05 for this model"):
+            sgs_sweep(model, state, config, ThetaConditional(model, 0.05))
+        twin = build_model("logistic-split2", d=4, n=40, b=4, seed=1)
+        with pytest.raises(InvalidParameter, match="for another model"):
+            sgs_sweep(model, state, config, ThetaConditional(twin, 0.5))
+        new, _ = sgs_sweep(model, state, config, ThetaConditional(model, 0.5))
+        assert new.theta.tobytes() == sgs_sweep(model, state, config)[0].theta.tobytes()
+
+    def test_constants_refuse_a_bad_width(self):
+        # Built directly, outside a kernel, constants at a NaN width are a
+        # parameter error (exit 2), not a descent that fails on NaN (exit 3).
+        (group,) = build_model("logistic-split2", d=4, n=40, b=4, seed=1).groups
+        for rho in (math.nan, math.inf, 0.0, -0.5, 1e-200):
+            with pytest.raises(InvalidParameter) as refused:
+                sample_z_group(RhoConstants(group, rho), group.couple(np.zeros(4)),
+                               np.random.default_rng(0))
+            assert refused.value.exit_code == 2
+
     @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
     def test_non_finite_width_is_invalid(self, rho):
         # The group draws take their width from a kernel, which checks it.
@@ -1082,9 +1106,14 @@ class TestClosedFormConditionals:
                                   mode + noise * np.sqrt(rho**2 * shrink))
 
     def test_mixture_draws_keep_their_formula(self):
-        # The sampler's vecdot, random() and table of +-a rho^2 give the bits
-        # of the 3-D dot, uniform() and sign broadcast it replaced, on a single
-        # chain, a population and a stride-0 population, across rho changes.
+        # The sampler is one gemv over the flattened rows, the component test
+        # 2u - 1 < tanh(t) and a product by 1/(1 + rho^2), bit for bit, on a
+        # single chain, a population and a stride-0 population, across rho
+        # changes. It is the law of the expit formula it replaced: that
+        # formula's draws from the same stream agree within atol, far below
+        # the 2 |a_j| rho^2/(1 + rho^2) >= 0.016 by which a row drawn from
+        # the other component would move in each coordinate.
+        atol = 1e-14
         a = np.array([0.3, -0.2, 0.4, 0.1])
         group = mixture_group(a, m=1.0 - float(a @ a))
         rng = np.random.default_rng(12)
@@ -1093,9 +1122,17 @@ class TestClosedFormConditionals:
         stride0 = np.broadcast_to(single, (2500, 1, 4))
 
         def formula(a_theta, rho, rng):
+            shrink = 1.0 / (1.0 + rho**2)
+            t = a_theta.reshape(-1, 4).dot(a).reshape(a_theta.shape[:-1]) * shrink
+            plus = 2.0 * rng.random(t.shape) - 1.0 < np.tanh(t)
+            signs = np.where(plus, 1.0, -1.0)
+            mu = (a_theta + signs[..., None] * (a * rho**2)) * shrink
+            return mu + rng.standard_normal(a_theta.shape) * math.sqrt(rho**2 / (1.0 + rho**2))
+
+        def expit_formula(a_theta, rho, rng):
             s = a_theta.dot(a)
             p_first = expit(2.0 * s / (1.0 + rho**2))
-            signs = np.where(rng.uniform(size=s.shape) < p_first, 1.0, -1.0)
+            signs = np.where(rng.random(s.shape) < p_first, 1.0, -1.0)
             mu = (a_theta + signs[..., None] * (a * rho**2)) / (1.0 + rho**2)
             return mu + rng.standard_normal(a_theta.shape) * math.sqrt(rho**2 / (1.0 + rho**2))
 
@@ -1103,14 +1140,20 @@ class TestClosedFormConditionals:
             for x in (single, population, stride0):
                 got = group.sampler(x, rho, np.random.default_rng(5))
                 assert np.array_equal(got, formula(x, rho, np.random.default_rng(5)))
+                assert np.allclose(got, expit_formula(x, rho, np.random.default_rng(5)),
+                                   rtol=0.0, atol=atol)
 
     def test_mixture_gradient_keeps_its_formula(self):
-        # The gradient against its tile of a, kept for the last row count,
-        # gives the bits of the broadcast expression as the count changes.
+        # The gradient is z - tanh(z.a) a bit for bit as the row count
+        # changes, and the function z - a + 2 expit(-2 z.a) a it replaced
+        # within atol.
+        atol = 1e-14
         a = np.array([0.3, -0.2, 0.4, 0.1])
         group = mixture_group(a, m=1.0 - float(a @ a))
         rng = np.random.default_rng(13)
         for n in (1, 2500, 1):
             z = 2.0 * rng.standard_normal((n, 4))
-            want = z - a + 2.0 * expit(-2.0 * (z @ a))[:, None] * a
-            assert np.array_equal(group.gradient(z, ALL_BLOCKS), want)
+            got = group.gradient(z, ALL_BLOCKS)
+            assert np.array_equal(got, z - np.tanh(z @ a)[:, None] * a)
+            assert np.allclose(got, z - a + 2.0 * expit(-2.0 * (z @ a))[:, None] * a,
+                               rtol=0.0, atol=atol)

@@ -448,6 +448,68 @@ class TestMixture:
         assert row["sgs_seconds_per_sweep"] > 0
         assert row["ula_seconds_per_sweep"] > 0
 
+    TIMING = ("sgs_seconds_per_sweep", "ula_seconds_per_sweep", "sgs_wall_seconds")
+
+    def _untimed_rows(self, tmp_path):
+        # An odd count, so the two halves differ in size.
+        spec = ExperimentSpec("mixture", {"d_grid": (2, 4), "n_samples": 301, "n_bins": 10},
+                              seed=8, out_dir=tmp_path)
+        return [{k: v for k, v in r.items() if k not in self.TIMING}
+                for r in run_mixture(spec)["rows"]]
+
+    def test_rows_do_not_depend_on_the_worker_thread(self, tmp_path, monkeypatch):
+        # Each half has its own stream, so running half 1 inline, before
+        # half 0 and on this thread, gives the rows of the two-thread run.
+        import concurrent.futures
+
+        from splitmc import experiments
+
+        class Inline:
+            def __init__(self, workers):
+                assert workers == 1
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        threaded = self._untimed_rows(tmp_path)
+        assert threaded == self._untimed_rows(tmp_path)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Inline)
+        assert self._untimed_rows(tmp_path) == threaded
+
+    def test_no_thread_outlives_the_run(self, tmp_path, monkeypatch):
+        import threading
+
+        from splitmc import experiments
+
+        before = threading.active_count()
+        self._untimed_rows(tmp_path)
+        assert threading.active_count() == before
+        sgs_half = experiments._sgs_half
+
+        def fails_on_the_calling_thread(*args):
+            if threading.current_thread() is threading.main_thread():
+                raise FloatingPointError("half 0")
+            return sgs_half(*args)
+
+        monkeypatch.setattr(experiments, "_sgs_half", fails_on_the_calling_thread)
+        with pytest.raises(FloatingPointError, match="half 0"):
+            self._untimed_rows(tmp_path)
+        assert threading.active_count() == before
+
+    def test_one_sample_leaves_half_one_empty(self, tmp_path):
+        assert main(["experiment", "mixture", "--set", "n_samples=1",
+                     "--out", str(tmp_path)]) == 0
+        config, rows = read_csv(tmp_path / "mixture.csv")
+        assert config["n_samples"] == "1" and len(rows) == 3
+
 
 class TestLogistic:
     def test_tiny_grid(self, tmp_path):

@@ -114,7 +114,8 @@ def test_fingerprint_manifest_runs_and_repeats(tmp_path):
     manifest = json.loads((tmp_path / "first.json").read_text())
     assert set(manifest["versions"]) == {"python", "numpy", "scipy", "blas"}
     names = sorted(manifest["fingerprints"])
-    assert any(n.startswith("workload/") for n in names) and "csv/rate-toy" in names
+    assert any(n.startswith("workload/") for n in names)
+    assert "csv/rate-toy" in names and "csv/mixture" in names
     edited = dict(manifest, fingerprints=dict(manifest["fingerprints"]))
     edited["fingerprints"][names[0]] = "0" * 64
     del edited["fingerprints"][names[1]]

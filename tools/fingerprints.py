@@ -22,8 +22,10 @@ The manifest covers:
   block and over an index array that repeats blocks, as the rejection
   draw's first round reads them: a kernel change shows here even where
   the chains it moves do not;
-- the CSV of `splitmc plan --eps 0.1` for each theorem, and the default
-  CSVs of `splitmc bias`, `experiment bias-toy` and `experiment rate-toy`;
+- the CSV of `splitmc plan --eps 0.1` for each theorem, the default
+  CSVs of `splitmc bias`, `experiment bias-toy` and `experiment rate-toy`,
+  and the CSV of `experiment mixture` at the gaussian-batch workload's
+  parameters (d_grid = (4,), n_samples = 2500, n_bins = 40);
 - run_op(setup(1), 1, 0) of the three benchmark workloads: the sha256 of
   the fingerprint bytes the workload itself builds.
 
@@ -206,7 +208,9 @@ def entries(out: Path) -> dict[str, str]:
     commands = {f"plan/{theorem}": ["plan", "--theorem", theorem, "--eps", "0.1"]
                 for theorem in THEOREMS}
     commands.update({"bias": ["bias"], "bias-toy": ["experiment", "bias-toy"],
-                     "rate-toy": ["experiment", "rate-toy"]})
+                     "rate-toy": ["experiment", "rate-toy"],
+                     "mixture": ["experiment", "mixture", "--set", "d_grid=(4,)",
+                                 "--set", "n_samples=2500", "--set", "n_bins=40"]})
     for name, argv in commands.items():
         # plan and bias write one CSV file; the experiments write a directory.
         one_file = argv[0] in ("plan", "bias")
