@@ -1143,6 +1143,41 @@ class TestClosedFormConditionals:
                 assert np.allclose(got, expit_formula(x, rho, np.random.default_rng(5)),
                                    rtol=0.0, atol=atol)
 
+    def test_mixture_draws_on_many_threads_share_the_group(self):
+        # Four threads draw from one group, two at each of two widths, with
+        # the interpreter switching threads as often as it can; each draws
+        # what a fresh group draws alone, so no draw reads the constants of
+        # the other width.
+        import sys
+        import threading
+
+        a = np.array([0.3, -0.2, 0.4, 0.1])
+        group = mixture_group(a, m=1.0 - float(a @ a))
+        x = np.random.default_rng(14).standard_normal((50, 1, 4))
+        rhos, draws = (0.3, 1.7, 0.3, 1.7), 300
+        got = [[] for _ in rhos]
+
+        def draw(i):
+            for k in range(draws):
+                got[i].append(group.sampler(x, rhos[i], np.random.default_rng(k)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(rhos))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, rho in enumerate(rhos):
+            alone = mixture_group(a, m=1.0 - float(a @ a))
+            assert len(got[i]) == draws
+            assert all(np.array_equal(g, alone.sampler(x, rho, np.random.default_rng(k)))
+                       for k, g in enumerate(got[i]))
+
     def test_mixture_gradient_keeps_its_formula(self):
         # The gradient is z - tanh(z.a) a bit for bit as the row count
         # changes, and the function z - a + 2 expit(-2 z.a) a it replaced
