@@ -44,10 +44,12 @@ grid value in the order the grid first names them, a cell per (grid value,
 replicate) and its config echo, and the loop runs the cells one after
 another, on one thread, each distinct value once, then fits the log-log
 slope of the mean mixing times over the distinct grid values, so a grid
-needs two of them. The cells stay on one thread: their arrays of a few
-thousand scalars are too small for numpy to keep the GIL released for
-long, and on a two-thread pool the benchmark's dimension and kappa cells
-ran slower on a 2-vCPU host (32 to 41 ms and 15 to 19 ms). Every selected
+needs two of them. The cells stay on one thread: their arrays of 2000
+scalars are too small for numpy to keep the GIL released for long, and on
+a two-thread pool the gaussian-batch workload's dimension and kappa parts
+ran slower on a 2-vCPU x86-64 host (medians of 15 runs, two rounds:
+dimension 35 and 24 ms on one thread, 41 and 45 ms on two; kappa 14 and
+13 ms, 14 and 19 ms). Every selected
 part is planned, which checks its parameters, before any part runs, so a
 refusal leaves no part's CSV behind.
 
